@@ -1,26 +1,40 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
 //! extraction algorithm (greedy vs branch-and-bound), rule sets
 //! (FMA-only vs COMM/ASSOC-only vs full Table I), cost-model
-//! sensitivity (memory cost 10/100/1000), and the e-matching engine
-//! (compiled VM with/without the backoff scheduler vs legacy tree-walk).
+//! sensitivity (memory cost 10/100/1000), the e-matching engine
+//! (compiled VM with/without the backoff scheduler vs legacy tree-walk),
+//! and the incumbent refinement stage on the three suite kernels that
+//! are sensitive to it.
 
 use accsat_egraph::{
     all_rules, assoc_rules, comm_rules, fma_rules, MatchEngine, Runner, RunnerLimits,
 };
-use accsat_extract::{extract_exact, extract_greedy, CostModel};
+use accsat_extract::{
+    climb, extract_exact, extract_greedy, extract_portfolio, marginal_greedy, CostModel,
+    PortfolioConfig, SearchContext,
+};
 use accsat_ir::parse_program;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
-fn saturated_bt() -> (accsat_egraph::EGraph, Vec<accsat_egraph::Id>) {
-    let bt = accsat_benchmarks::npb_benchmarks().remove(0);
-    let prog = parse_program(&bt.acc_source).unwrap();
-    let f = &prog.functions[0];
+/// One suite kernel, saturated as the pipeline saturates it (full Table I
+/// rule set, default limits).
+fn saturated_kernel(
+    bench: &str,
+    function: &str,
+) -> (accsat_egraph::EGraph, Vec<accsat_egraph::Id>) {
+    let b = accsat_benchmarks::all_benchmarks().into_iter().find(|b| b.name == bench).unwrap();
+    let prog = parse_program(&b.acc_source).unwrap();
+    let f = prog.function(function).unwrap();
     let body = accsat_ir::innermost_parallel_loops(f)[0].body.clone();
     let mut k = accsat_ssa::build_kernel(&body);
     Runner::new(all_rules()).run(&mut k.egraph);
     let roots = k.extraction_roots();
     (k.egraph, roots)
+}
+
+fn saturated_bt() -> (accsat_egraph::EGraph, Vec<accsat_egraph::Id>) {
+    saturated_kernel("BT", "bt_zsolve")
 }
 
 fn ablation_extract(c: &mut Criterion) {
@@ -110,8 +124,36 @@ fn ablation_match_engine(c: &mut Criterion) {
     group.finish();
 }
 
+fn refine(c: &mut Criterion) {
+    // the refinement layer in isolation — hill climbing from the greedy
+    // incumbent, the sequential marginal greedy — and one whole portfolio
+    // (greedy → refine → the two-strategy race at the pipeline's 60 k
+    // node budget) per kernel, so the share refinement takes of an
+    // extraction can be read off one group
+    let cm = CostModel::paper();
+    let cfg = PortfolioConfig { threads: 2, node_budget: 60_000, ..PortfolioConfig::default() };
+    let mut group = c.benchmark_group("refine");
+    group.sample_size(10);
+    for (bench, function) in [("BT", "bt_zsolve"), ("LU", "lu_jacld"), ("olbm", "lbm_stream")] {
+        let (eg, roots) = saturated_kernel(bench, function);
+        let cx = SearchContext::build(&eg, &cm);
+        let greedy = extract_greedy(&eg, &roots, &cm);
+        group.bench_function(BenchmarkId::new("climb", function), |b| {
+            b.iter(|| climb(&eg, &cx, &cm, &roots, greedy.clone()))
+        });
+        group.bench_function(BenchmarkId::new("marginal_greedy", function), |b| {
+            b.iter(|| marginal_greedy(&eg, &cx, &cm, &roots))
+        });
+        group.bench_function(BenchmarkId::new("portfolio", function), |b| {
+            b.iter(|| extract_portfolio(&eg, &roots, &cm, &cfg))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
+    refine,
     ablation_extract,
     ablation_rules,
     ablation_cost_model,

@@ -66,6 +66,12 @@ impl EGraph {
         self.classes.iter().filter(|c| c.is_some()).count()
     }
 
+    /// Number of ids ever created: every [`Id`] of this e-graph, canonical
+    /// or not, has an index below it — the size of a class-indexed table.
+    pub fn id_bound(&self) -> usize {
+        self.unionfind.len()
+    }
+
     /// Total number of e-nodes ever added (monotone; the saturation budget).
     pub fn total_nodes(&self) -> usize {
         self.num_nodes

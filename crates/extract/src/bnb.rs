@@ -56,7 +56,8 @@ use crate::cost::CostModel;
 use crate::greedy::{class_costs, extract_greedy};
 use crate::lp::LpBound;
 use crate::selection::Selection;
-use accsat_egraph::{EGraph, FxHashMap, FxHashSet, Id, Node};
+use crate::visited::Visited;
+use accsat_egraph::{EGraph, FxHashSet, Id, Node};
 use std::time::{Duration, Instant};
 
 /// Strategy for picking the next undecided e-class to branch on. All
@@ -221,69 +222,35 @@ pub fn extract_exact_in(
     incumbent_cost: u64,
     opts: &SearchOptions,
 ) -> ExactResult {
-    let eg = cx.eg;
-    // one deterministic candidate order per class, computed once per
-    // search instead of once per explored node (the keys read only the
-    // immutable context)
-    let orders: Vec<Vec<u32>> = cx
-        .cands
-        .iter()
-        .map(|cands| {
-            let mut order: Vec<u32> = (0..cands.len() as u32).collect();
-            if opts.prefer_shared {
-                order.sort_by_key(|&i| {
-                    let c = &cands[i as usize];
-                    (c.child_set.len(), c.tree_cost, i)
-                });
-            } else {
-                order.sort_by_key(|&i| (cands[i as usize].tree_cost, i));
-            }
-            order
-        })
-        .collect();
-
     let n = cx.cands.len();
     let mut search = Search {
         cx,
-        orders,
         opts: *opts,
-        best: incumbent.clone(),
+        best: None,
         best_cost: incumbent_cost,
         deadline: Instant::now() + opts.deadline,
         explored: 0,
         stopped: false,
         charged: vec![0u64; n.div_ceil(64)],
         queued: vec![false; n],
+        chosen: vec![UNDECIDED; n],
+        pending: Vec::new(),
+        q_trail: Vec::new(),
+        d_trail: Vec::new(),
+        c_trail: Vec::new(),
+        stack: Vec::new(),
+        seen: Visited::new(if cx.acyclic { 0 } else { n }),
     };
 
     // seed the required set with the roots: charge their closures and
     // auto-decide forced chains before the first branch
-    let mut pending: Vec<Id> = Vec::new();
-    let mut chosen: FxHashMap<Id, Node> = FxHashMap::default();
     let mut cost = 0u64;
     let mut extra = 0u64;
-    let (mut qt, mut dt, mut ct) = (Vec::new(), Vec::new(), Vec::new());
-    let mut feasible = true;
-    for &r in roots {
-        let r = eg.find(r);
-        if !search.require(
-            r,
-            &mut pending,
-            &mut chosen,
-            &mut qt,
-            &mut dt,
-            &mut ct,
-            &mut cost,
-            &mut extra,
-        ) {
-            // a root's forced closure is cyclic: no selection can cover
-            // the roots at all — fall back to the incumbent, unproven
-            feasible = false;
-            break;
-        }
-    }
+    // a root whose forced closure is cyclic cannot be covered by any
+    // selection — fall back to the incumbent, unproven
+    let feasible = roots.iter().all(|&r| search.require(cx.eg.find(r), &mut cost, &mut extra));
     if feasible {
-        search.dfs(&mut pending, &mut chosen, cost, extra);
+        search.dfs(cost, extra);
     } else {
         search.stopped = true;
     }
@@ -295,8 +262,13 @@ pub fn extract_exact_in(
     // complete the minimal search selection to a total cover: classes
     // outside the roots' closure keep the greedy choice (cost-neutral for
     // the roots, and consumers materialize such classes too)
-    let mut selection = search.best;
-    selection.fill_from(incumbent);
+    let selection = match search.best {
+        Some(mut best) => {
+            best.fill_from(incumbent);
+            best
+        }
+        None => incumbent.clone(),
+    };
     ExactResult { selection, cost: best_cost, proven_optimal: proven, explored, lower_bound }
 }
 
@@ -319,6 +291,17 @@ pub struct SearchContext<'a> {
     forced: Vec<Vec<Id>>,
     /// LP-relaxation required sets and per-class fractional bounds.
     lp: LpBound,
+    /// Reverse edges of the candidate graph.
+    parents: Parents,
+    /// Candidate visit orders of the search, one permutation of a class's
+    /// candidate indices per class, flattened: class `c` owns
+    /// `order_start[c]..order_start[c + 1]`. `[0]` tries the cheapest tree
+    /// cost first, `[1]` the fewest distinct children
+    /// ([`SearchOptions::prefer_shared`]). The keys read only the context,
+    /// so every search of a race shares them.
+    orders: [Vec<u32>; 2],
+    /// Offsets into `orders`, one per class plus the end.
+    order_start: Vec<u32>,
     /// Is the surviving-candidate graph acyclic? (True for the benchmark
     /// kernels; enables closure dominance and skips cycle checks.)
     acyclic: bool,
@@ -339,6 +322,48 @@ pub(crate) struct Cand {
     pub(crate) tree_cost: u64,
     /// Canonical child classes, sorted and deduplicated.
     pub(crate) child_set: Vec<Id>,
+}
+
+/// Reverse edges of the candidate graph, flat: class → the classes with a
+/// candidate that has it as a child — the classes to re-evaluate when a
+/// fixpoint value of that class changes ([`LpBound`], the marginal costs
+/// of [`crate::refine`]). A parent is listed once per such candidate, and
+/// parents that lost the candidate to later pruning stay listed; a
+/// worklist re-evaluates them for nothing, which changes no fixpoint.
+pub(crate) struct Parents {
+    /// Class `c` owns `list[start[c]..start[c + 1]]`.
+    start: Vec<u32>,
+    list: Vec<u32>,
+}
+
+impl Parents {
+    fn build(cands: &[Vec<Cand>]) -> Parents {
+        let n = cands.len();
+        let edges = || {
+            cands.iter().enumerate().flat_map(|(c, list)| {
+                list.iter().flat_map(move |k| k.child_set.iter().map(move |ch| (c, ch.index())))
+            })
+        };
+        let mut start = vec![0u32; n + 1];
+        for (_, ch) in edges() {
+            start[ch + 1] += 1;
+        }
+        for c in 0..n {
+            start[c + 1] += start[c];
+        }
+        let mut fill = start.clone();
+        let mut list = vec![0u32; start[n] as usize];
+        for (c, ch) in edges() {
+            list[fill[ch] as usize] = c as u32;
+            fill[ch] += 1;
+        }
+        Parents { start, list }
+    }
+
+    /// The parents of class `c` (by canonical index).
+    pub(crate) fn of(&self, c: usize) -> &[u32] {
+        &self.list[self.start[c] as usize..self.start[c + 1] as usize]
+    }
 }
 
 impl<'a> SearchContext<'a> {
@@ -462,7 +487,8 @@ impl<'a> SearchContext<'a> {
         // only grow the forced intersections, so the LP sets are rebuilt
         // and the pass repeats until stable.
         let mut closure_pruned = 0usize;
-        let mut lp = LpBound::build(&cands, &min_op);
+        let parents = Parents::build(&cands);
+        let mut lp = LpBound::build(&cands, &min_op, &parents);
         if opts.closure_dominance && acyclic {
             loop {
                 let words = lp.row_words();
@@ -532,7 +558,7 @@ impl<'a> SearchContext<'a> {
                 if !changed {
                     break;
                 }
-                lp = LpBound::build(&cands, &min_op);
+                lp = LpBound::build(&cands, &min_op, &parents);
             }
         }
 
@@ -549,12 +575,33 @@ impl<'a> SearchContext<'a> {
             }
         }
 
+        // the search's two candidate visit orders, sorted here once
+        // instead of once per racing strategy
+        let mut order_start = Vec::with_capacity(n + 1);
+        let mut orders = [Vec::new(), Vec::new()];
+        for list in &cands {
+            order_start.push(orders[0].len() as u32);
+            let at = orders[0].len();
+            for order in &mut orders {
+                order.extend(0..list.len() as u32);
+            }
+            orders[0][at..].sort_by_key(|&i| (list[i as usize].tree_cost, i));
+            orders[1][at..].sort_by_key(|&i| {
+                let c = &list[i as usize];
+                (c.child_set.len(), c.tree_cost, i)
+            });
+        }
+        order_start.push(orders[0].len() as u32);
+
         SearchContext {
             eg,
             min_op,
             cands,
             forced,
             lp,
+            parents,
+            orders,
+            order_start,
             acyclic,
             orbit_pruned,
             dominance_pruned,
@@ -566,6 +613,22 @@ impl<'a> SearchContext<'a> {
     /// order (test hook for the pruning logic).
     pub fn candidates(&self, id: Id) -> Vec<Node> {
         self.cands[self.eg.find(id).index()].iter().map(|c| c.node.clone()).collect()
+    }
+
+    /// The surviving candidates of the class with canonical index `idx`,
+    /// borrowed.
+    pub(crate) fn cands(&self, idx: usize) -> &[Cand] {
+        &self.cands[idx]
+    }
+
+    /// Reverse edges of the candidate graph.
+    pub(crate) fn parents(&self) -> &Parents {
+        &self.parents
+    }
+
+    /// Number of class slots: every canonical class index is below it.
+    pub(crate) fn slots(&self) -> usize {
+        self.cands.len()
     }
 
     /// How many commuted candidates symmetry breaking removed.
@@ -702,14 +765,15 @@ fn subset(a: &[Id], b: &[Id]) -> bool {
     true
 }
 
+/// `Search::chosen` entry of a class no branch has decided.
+const UNDECIDED: u32 = u32::MAX;
+
 struct Search<'a, 'b> {
     cx: &'b SearchContext<'a>,
-    /// Candidate visit order per class, precomputed once per search from
-    /// the immutable context (`SearchOptions::prefer_shared` decides the
-    /// key).
-    orders: Vec<Vec<u32>>,
     opts: SearchOptions,
-    best: Selection,
+    /// The best complete selection found so far; `None` while nothing has
+    /// beaten the incumbent the search was seeded with.
+    best: Option<Selection>,
     best_cost: u64,
     deadline: Instant,
     explored: u64,
@@ -720,14 +784,33 @@ struct Search<'a, 'b> {
     /// Classes on `pending` or auto-decided on the current branch
     /// (branched classes stay marked while their subtree is explored).
     queued: Vec<bool>,
+    /// The current branch's decisions: the index into `cx.cands[c]` of the
+    /// candidate chosen for class `c`, or [`UNDECIDED`].
+    chosen: Vec<u32>,
+    /// Required-but-undecided classes of the current branch.
+    pending: Vec<Id>,
+    /// Undo logs of the current branch — classes queued on `pending`,
+    /// classes decided by a forced chain, and `charged` bits set. One
+    /// stack each for the whole search: a branch remembers the three
+    /// lengths it started from and unwinds to them.
+    q_trail: Vec<Id>,
+    d_trail: Vec<Id>,
+    c_trail: Vec<u32>,
+    /// Scratch stack of the closure walks (`require`, `charge`,
+    /// `would_cycle`), which nest: each walk works above the length it
+    /// found and restores it.
+    stack: Vec<Id>,
+    /// Visited set of `would_cycle` (empty on acyclic candidate graphs,
+    /// where the check never runs).
+    seen: Visited,
 }
 
 impl<'a, 'b> Search<'a, 'b> {
     /// Charge `id`'s closure into the bound: the LP required set when
     /// `lp_bound` is on, else the forced-children closure. Newly charged
-    /// classes are recorded in `trail` (as canonical indices) for
+    /// classes are recorded in `c_trail` (as canonical indices) for
     /// backtracking. Returns the bound increase. Idempotent per class.
-    fn charge(&mut self, id: Id, trail: &mut Vec<u32>) -> u64 {
+    fn charge(&mut self, id: Id) -> u64 {
         let mut added = 0u64;
         if self.opts.lp_bound {
             let row = self.cx.lp.row(id.index());
@@ -742,22 +825,24 @@ impl<'a, 'b> Search<'a, 'b> {
                     let b = m.trailing_zeros() as usize;
                     let idx = wi * 64 + b;
                     added += self.cx.min_op[idx];
-                    trail.push(idx as u32);
+                    self.c_trail.push(idx as u32);
                     m &= m - 1;
                 }
             }
         } else {
-            let mut stack = vec![id];
-            while let Some(d) = stack.pop() {
+            let base = self.stack.len();
+            self.stack.push(id);
+            while self.stack.len() > base {
+                let d = self.stack.pop().expect("stack above base");
                 let di = d.index();
                 let (wi, bit) = (di / 64, 1u64 << (di % 64));
                 if self.charged[wi] & bit != 0 {
                     continue;
                 }
                 self.charged[wi] |= bit;
-                trail.push(di as u32);
+                self.c_trail.push(di as u32);
                 added += self.cx.min_op[di];
-                stack.extend(self.cx.forced[di].iter().copied());
+                self.stack.extend_from_slice(&self.cx.forced[di]);
             }
         }
         added
@@ -770,48 +855,72 @@ impl<'a, 'b> Search<'a, 'b> {
     /// when a forced decision closes a cycle through `chosen`, which makes
     /// the whole current branch infeasible (the forced class has no
     /// alternative candidate).
-    #[allow(clippy::too_many_arguments)] // the branch's full trail state
-    fn require(
-        &mut self,
-        c: Id,
-        pending: &mut Vec<Id>,
-        chosen: &mut FxHashMap<Id, Node>,
-        q_trail: &mut Vec<Id>,
-        d_trail: &mut Vec<Id>,
-        c_trail: &mut Vec<u32>,
-        cost: &mut u64,
-        extra: &mut u64,
-    ) -> bool {
+    fn require(&mut self, c: Id, cost: &mut u64, extra: &mut u64) -> bool {
         let cx = self.cx;
-        let mut stack = vec![c];
-        while let Some(c) = stack.pop() {
-            *extra += self.charge(c, c_trail);
+        let base = self.stack.len();
+        self.stack.push(c);
+        while self.stack.len() > base {
+            let c = self.stack.pop().expect("stack above base");
+            *extra += self.charge(c);
             if self.queued[c.index()] {
                 continue;
             }
             let cands = &cx.cands[c.index()];
             if self.opts.chain_closure && cands.len() == 1 {
                 let cand = &cands[0];
-                if !cx.acyclic && would_cycle(cx.eg, chosen, c, &cand.node) {
+                if !cx.acyclic && self.would_cycle(c, cand) {
+                    self.stack.truncate(base);
                     return false;
                 }
                 self.queued[c.index()] = true;
-                d_trail.push(c);
-                chosen.insert(c, cand.node.clone());
+                self.d_trail.push(c);
+                self.chosen[c.index()] = 0;
                 *cost += cand.op_cost;
                 *extra -= cx.min_op[c.index()];
-                stack.extend(cand.child_set.iter().copied());
+                self.stack.extend_from_slice(&cand.child_set);
             } else {
                 self.queued[c.index()] = true;
-                q_trail.push(c);
-                pending.push(c);
+                self.q_trail.push(c);
+                self.pending.push(c);
             }
         }
         true
     }
 
+    /// Would choosing `cand` for class `target` close a cycle through the
+    /// current branch's decisions?
+    fn would_cycle(&mut self, target: Id, cand: &Cand) -> bool {
+        let cx = self.cx;
+        // fast path: a cycle must route through an already-chosen child or
+        // hit the target directly — fresh children are walk frontiers
+        if cand.child_set.iter().all(|&c| c != target && self.chosen[c.index()] == UNDECIDED) {
+            return false;
+        }
+        self.seen.clear();
+        let base = self.stack.len();
+        self.stack.extend_from_slice(&cand.child_set);
+        let mut cycle = false;
+        while self.stack.len() > base {
+            let c = self.stack.pop().expect("stack above base");
+            if c == target {
+                cycle = true;
+                break;
+            }
+            if !self.seen.insert(c.index()) {
+                continue;
+            }
+            let ci = self.chosen[c.index()];
+            if ci != UNDECIDED {
+                self.stack.extend_from_slice(&cx.cands[c.index()][ci as usize].child_set);
+            }
+        }
+        self.stack.truncate(base);
+        cycle
+    }
+
     /// Pick the index in `pending` of the next class to branch on.
-    fn pick(&self, pending: &[Id]) -> usize {
+    fn pick(&self) -> usize {
+        let pending = &self.pending;
         match self.opts.order {
             ClassOrder::Lifo => pending.len() - 1,
             ClassOrder::BestFirst => {
@@ -829,16 +938,9 @@ impl<'a, 'b> Search<'a, 'b> {
         }
     }
 
-    /// `pending`: required-but-undecided classes. `cost`: op costs of
-    /// decided classes (branched and chain-closed). `bound_extra`:
-    /// Σ min_op over charged-but-undecided classes.
-    fn dfs(
-        &mut self,
-        pending: &mut Vec<Id>,
-        chosen: &mut FxHashMap<Id, Node>,
-        cost: u64,
-        bound_extra: u64,
-    ) {
+    /// `cost`: op costs of decided classes (branched and chain-closed).
+    /// `bound_extra`: Σ min_op over charged-but-undecided classes.
+    fn dfs(&mut self, cost: u64, bound_extra: u64) {
         self.explored += 1;
         if self.explored >= self.opts.node_budget
             || (self.explored.is_multiple_of(256) && Instant::now() >= self.deadline)
@@ -848,113 +950,70 @@ impl<'a, 'b> Search<'a, 'b> {
         if self.stopped || cost + bound_extra >= self.best_cost {
             return;
         }
-        if pending.is_empty() {
+        let cx = self.cx;
+        if self.pending.is_empty() {
             // complete selection: record as new incumbent
             if cost < self.best_cost {
                 self.best_cost = cost;
                 let mut sel = Selection::new();
-                for (id, n) in chosen.iter() {
-                    sel.choose(self.cx.eg, *id, n.clone());
+                for (c, &ci) in self.chosen.iter().enumerate() {
+                    if ci != UNDECIDED {
+                        sel.choose(cx.eg, Id::from(c), cx.cands[c][ci as usize].node.clone());
+                    }
                 }
-                self.best = sel;
+                self.best = Some(sel);
             }
             return;
         }
-        let ix = self.pick(pending);
-        let id = pending.swap_remove(ix);
-        let bound_extra = bound_extra - self.cx.min_op[id.index()];
+        let ix = self.pick();
+        let id = self.pending.swap_remove(ix);
+        let bound_extra = bound_extra - cx.min_op[id.index()];
 
         // candidate order: precomputed per class (cheapest tree first by
         // default, or fewest distinct children first to maximize sharing)
-        for k in 0..self.orders[id.index()].len() {
-            let ci = self.orders[id.index()][k] as usize;
-            let cx = self.cx;
-            let cand = &cx.cands[id.index()][ci];
+        let range = cx.order_start[id.index()] as usize..cx.order_start[id.index() + 1] as usize;
+        for &ci in &cx.orders[usize::from(self.opts.prefer_shared)][range] {
+            let cand = &cx.cands[id.index()][ci as usize];
             // acyclicity: a selected DAG must be well-founded (free when
             // the whole candidate graph is acyclic)
-            if !cx.acyclic && would_cycle(cx.eg, chosen, id, &cand.node) {
+            if !cx.acyclic && self.would_cycle(id, cand) {
                 continue;
             }
             // require the children (queueing or chain-closing them) and
             // charge newly required closures into the bound
-            let mut q_trail: Vec<Id> = Vec::new();
-            let mut d_trail: Vec<Id> = Vec::new();
-            let mut c_trail: Vec<u32> = Vec::new();
+            let marks = (self.q_trail.len(), self.d_trail.len(), self.c_trail.len());
             let mut branch_cost = cost + cand.op_cost;
             let mut extra = bound_extra;
-            chosen.insert(id, cand.node.clone());
-            let mut feasible = true;
-            for ki in 0..cand.child_set.len() {
-                let child = cand.child_set[ki];
-                if !self.require(
-                    child,
-                    pending,
-                    chosen,
-                    &mut q_trail,
-                    &mut d_trail,
-                    &mut c_trail,
-                    &mut branch_cost,
-                    &mut extra,
-                ) {
-                    feasible = false;
-                    break;
-                }
-            }
+            self.chosen[id.index()] = ci;
+            let feasible =
+                cand.child_set.iter().all(|&ch| self.require(ch, &mut branch_cost, &mut extra));
             if feasible {
-                self.dfs(pending, chosen, branch_cost, extra);
+                self.dfs(branch_cost, extra);
             }
             // a recursive call preserves pending as a *set* but may permute
             // it (classes are picked by swap_remove and re-pushed at frame
             // end), so the children must be removed by value — truncating
             // to the old length would drop arbitrary survivors instead
-            for q in q_trail {
+            for q in self.q_trail.drain(marks.0..) {
                 let pos =
-                    pending.iter().rposition(|&x| x == q).expect("queued child still pending");
-                pending.swap_remove(pos);
+                    self.pending.iter().rposition(|&x| x == q).expect("queued child still pending");
+                self.pending.swap_remove(pos);
                 self.queued[q.index()] = false;
             }
-            for d in d_trail {
-                chosen.remove(&d);
+            for d in self.d_trail.drain(marks.1..) {
+                self.chosen[d.index()] = UNDECIDED;
                 self.queued[d.index()] = false;
             }
-            for b in c_trail {
+            for b in self.c_trail.drain(marks.2..) {
                 self.charged[b as usize / 64] &= !(1u64 << (b as usize % 64));
             }
-            chosen.remove(&id);
+            self.chosen[id.index()] = UNDECIDED;
             if self.stopped {
                 break;
             }
         }
-        pending.push(id);
+        self.pending.push(id);
     }
-}
-
-/// Cycle check over a partial choice map (cheaper than building a
-/// [`Selection`]).
-fn would_cycle(eg: &EGraph, chosen: &FxHashMap<Id, Node>, id: Id, node: &Node) -> bool {
-    let target = eg.find(id);
-    // fast path: a cycle must route through an already-chosen child or hit
-    // the target directly — fresh children are walk frontiers
-    if node.children.iter().all(|&c| {
-        let c = eg.find(c);
-        c != target && !chosen.contains_key(&c)
-    }) {
-        return false;
-    }
-    let mut stack: Vec<Id> = node.children.iter().map(|&c| eg.find(c)).collect();
-    let mut seen = FxHashSet::default();
-    while let Some(c) = stack.pop() {
-        if c == target {
-            return true;
-        }
-        if !seen.insert(c) {
-            continue;
-        }
-        if let Some(n) = chosen.get(&c) {
-            stack.extend(n.children.iter().map(|&k| eg.find(k)));
-        }
-    }
-    false
 }
 
 #[cfg(test)]

@@ -51,7 +51,7 @@
 //! `n²/8` bytes (≈ 0.8 MB for the largest in-repo kernel); build time is
 //! a few passes of word-parallel set algebra.
 
-use crate::bnb::Cand;
+use crate::bnb::{Cand, Parents};
 
 /// Precomputed fractional lower bounds: per-class required sets and their
 /// min-op mass. Built once per [`crate::bnb::SearchContext`]; the search
@@ -71,26 +71,13 @@ pub struct LpBound {
 impl LpBound {
     /// Compute the least-fixpoint required sets and their bounds from the
     /// surviving candidate lists and per-class minimum op costs.
-    pub(crate) fn build(cands: &[Vec<Cand>], min_op: &[u64]) -> LpBound {
+    pub(crate) fn build(cands: &[Vec<Cand>], min_op: &[u64], parents: &Parents) -> LpBound {
         let n = cands.len();
         let words = n.div_ceil(64);
         let mut sets = vec![0u64; n * words];
         for (c, row) in sets.chunks_mut(words.max(1)).enumerate() {
             if words > 0 {
                 row[c / 64] |= 1u64 << (c % 64);
-            }
-        }
-
-        // reverse edges: which classes re-evaluate when `child` grows
-        let mut parents: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (c, list) in cands.iter().enumerate() {
-            for cand in list {
-                for child in &cand.child_set {
-                    let ch = child.index();
-                    if !parents[ch].contains(&(c as u32)) {
-                        parents[ch].push(c as u32);
-                    }
-                }
             }
         }
 
@@ -130,7 +117,8 @@ impl LpBound {
                 }
             }
             if grew {
-                for &p in &parents[c] {
+                // the classes that re-evaluate when this one grows
+                for &p in parents.of(c) {
                     if !in_queue[p as usize] {
                         in_queue[p as usize] = true;
                         queue.push_back(p);

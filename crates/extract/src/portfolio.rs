@@ -205,7 +205,7 @@ fn run_portfolio(
     };
     let greedy_cost = greedy.dag_cost(eg, cm, roots);
     // built once, shared by every worker (the context is immutable and
-    // Sync; each search only derives its own candidate orders from it)
+    // Sync, candidate visit orders included)
     let cx = {
         let _span = trace::span("extract", "context.build");
         SearchContext::build(eg, cm)

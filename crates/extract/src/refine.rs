@@ -15,7 +15,7 @@
 //!   (LU `jacld`: 790 → 720, beating a 100 M-node search's best of 770).
 //! * [`marginal_greedy`] — a second greedy that commits classes one at a
 //!   time (deterministic smallest-id order from the roots) and scores
-//!   every candidate with *already-committed classes free*, recomputing
+//!   every candidate with *already-committed classes free*, repairing
 //!   the marginal-cost fixpoint after each commit. Where the plain greedy
 //!   asks "what is cheapest in isolation", this asks "what is cheapest
 //!   given what the selection already contains" (olbm `lbm_stream`:
@@ -27,17 +27,88 @@
 //! upper bound. Both are fully deterministic: fixed iteration orders,
 //! cost-then-candidate-order tie-breaking, no clocks.
 
-use crate::bnb::SearchContext;
+use crate::bnb::{Cand, SearchContext};
 use crate::cost::CostModel;
-use crate::selection::Selection;
+use crate::selection::{Selection, SelectionError};
+use crate::visited::Visited;
 use accsat_egraph::{EGraph, Id, Node};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
+
+/// A selection as a class-indexed table of borrowed nodes, with the
+/// scratch state of its graph walks. The refinement loops score thousands
+/// of one-class variations of one selection; on this view a variation is a
+/// slot write and a walk allocates nothing.
+struct View<'s> {
+    eg: &'s EGraph,
+    /// The chosen node per canonical class index.
+    node: Vec<Option<&'s Node>>,
+    seen: Visited,
+    stack: Vec<usize>,
+}
+
+impl<'s> View<'s> {
+    fn new(eg: &'s EGraph, slots: usize) -> View<'s> {
+        View { eg, node: vec![None; slots], seen: Visited::new(slots), stack: Vec::new() }
+    }
+
+    /// Visit every class reachable from `roots` through the chosen nodes,
+    /// each once. Panics on a class without a node, like
+    /// [`Selection::reachable`].
+    fn walk(&mut self, roots: &[usize], mut visit: impl FnMut(usize, &'s Node)) {
+        self.seen.clear();
+        self.stack.clear();
+        for &r in roots {
+            if self.seen.insert(r) {
+                self.stack.push(r);
+            }
+        }
+        while let Some(c) = self.stack.pop() {
+            let node =
+                self.node[c].unwrap_or_else(|| panic!("{}", SelectionError::Missing(Id::from(c))));
+            visit(c, node);
+            for &ch in &node.children {
+                let ch = self.eg.find(ch).index();
+                if self.seen.insert(ch) {
+                    self.stack.push(ch);
+                }
+            }
+        }
+    }
+
+    /// True DAG cost over `roots` ([`Selection::dag_cost`]).
+    fn dag_cost(&mut self, cm: &CostModel, roots: &[usize]) -> u64 {
+        let mut total = 0u64;
+        self.walk(roots, |_, node| total += cm.op_cost(&node.op));
+        total
+    }
+
+    /// Would choosing `node` for class `target` close a cycle through the
+    /// chosen nodes ([`Selection::would_cycle`])? Classes without a node
+    /// are dead ends.
+    fn would_cycle(&mut self, target: usize, node: &Node) -> bool {
+        self.seen.clear();
+        self.stack.clear();
+        self.stack.extend(node.children.iter().map(|&c| self.eg.find(c).index()));
+        while let Some(c) = self.stack.pop() {
+            if c == target {
+                return true;
+            }
+            if !self.seen.insert(c) {
+                continue;
+            }
+            if let Some(n) = self.node[c] {
+                self.stack.extend(n.children.iter().map(|&k| self.eg.find(k).index()));
+            }
+        }
+        false
+    }
+}
 
 /// Best-improvement hill climbing over single-class candidate switches.
 ///
-/// `sel` must be a *total* cover (every finite-cost class chosen — what
-/// [`crate::extract_greedy`] returns and what `fill_from` restores); the
-/// result is again a total cover. Each pass visits the root-reachable
+/// `sel` must be an acyclic *total* cover (every finite-cost class chosen
+/// — what [`crate::extract_greedy`] returns and what `fill_from`
+/// restores); the result is again one. Each pass visits the root-reachable
 /// classes in ascending id order and applies the cheapest strictly
 /// improving switch per class (ties keep the current node, then the
 /// earlier candidate); passes repeat until a fixpoint. Terminates because
@@ -49,80 +120,146 @@ pub fn climb(
     roots: &[Id],
     mut sel: Selection,
 ) -> Selection {
-    let mut cur_cost = sel.dag_cost(eg, cm, roots);
-    loop {
-        let mut improved = false;
-        let mut classes = sel.reachable(eg, roots);
-        classes.sort_unstable();
-        for id in classes {
-            let cur_node = sel.node(eg, id).clone();
-            let mut best: (u64, Option<Node>) = (cur_cost, None);
-            for cand in cx.candidates(id) {
-                if cand == cur_node || sel.would_cycle(eg, id, &cand) {
-                    continue;
-                }
-                let mut trial = sel.clone();
-                trial.choose(eg, id, cand.clone());
-                let c = trial.dag_cost(eg, cm, roots);
-                if c < best.0 {
-                    best = (c, Some(cand));
-                }
-            }
-            if let (c, Some(node)) = best {
-                sel.choose(eg, id, node);
-                cur_cost = c;
-                improved = true;
+    let roots: Vec<usize> = roots.iter().map(|&r| eg.find(r).index()).collect();
+    // the view borrows `sel`, so accepted switches are logged as
+    // (class, candidate index) and replayed onto it afterwards
+    let mut switches: Vec<(usize, usize)> = Vec::new();
+    {
+        let mut view = View::new(eg, cx.slots());
+        for (id, node) in sel.iter() {
+            if let Some(slot) = view.node.get_mut(id.index()) {
+                *slot = Some(node);
             }
         }
-        if !improved {
-            return sel;
+        let mut cur_cost = view.dag_cost(cm, &roots);
+        let mut classes: Vec<usize> = Vec::new();
+        loop {
+            let mut improved = false;
+            classes.clear();
+            view.walk(&roots, |c, _| classes.push(c));
+            classes.sort_unstable();
+            for &id in &classes {
+                let cur_node = view.node[id].expect("walked classes have a node");
+                let mut best: (u64, Option<usize>) = (cur_cost, None);
+                for (ci, cand) in cx.cands(id).iter().enumerate() {
+                    if cand.node == *cur_node || view.would_cycle(id, &cand.node) {
+                        continue;
+                    }
+                    view.node[id] = Some(&cand.node);
+                    let c = view.dag_cost(cm, &roots);
+                    view.node[id] = Some(cur_node);
+                    if c < best.0 {
+                        best = (c, Some(ci));
+                    }
+                }
+                if let (c, Some(ci)) = best {
+                    view.node[id] = Some(&cx.cands(id)[ci].node);
+                    switches.push((id, ci));
+                    cur_cost = c;
+                    improved = true;
+                }
+            }
+            if !improved {
+                break;
+            }
         }
     }
+    for (id, ci) in switches {
+        sel.choose(eg, Id::from(id), cx.cands(id)[ci].node.clone());
+    }
+    sel
 }
 
-/// Fixpoint marginal tree costs with the `included` classes free.
-fn marginal_costs(
-    eg: &EGraph,
-    cx: &SearchContext<'_>,
-    cm: &CostModel,
-    included: &[bool],
-) -> Vec<Option<u64>> {
-    let n = included.len();
-    let mut costs: Vec<Option<u64>> = vec![None; n];
-    for (c, &inc) in included.iter().enumerate() {
-        if inc {
-            costs[c] = Some(0);
-        }
+/// Marginal tree cost of one candidate under `costs`: its op cost plus
+/// its children's costs, per use.
+fn marginal_cost(eg: &EGraph, cm: &CostModel, cand: &Cand, costs: &[Option<u64>]) -> Option<u64> {
+    let mut total = cm.op_cost(&cand.node.op);
+    for &ch in &cand.node.children {
+        total = total.saturating_add(costs[eg.find(ch).index()]?);
     }
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for c in 0..n {
-            if included[c] {
+    Some(total)
+}
+
+/// The marginal-cost fixpoint, maintained incrementally.
+///
+/// With `None` as +∞, `costs` is the greatest fixpoint of
+/// `F(x)[c] = 0` for an included class and
+/// `min over candidates (op + Σ x[child])` otherwise. Including one more
+/// class only lowers `F`, so the fixpoint before the inclusion is still
+/// above `F` of itself, and lowering from *it* — re-evaluating only the
+/// parents ([`crate::bnb::Parents`]) of classes whose cost fell —
+/// descends to the same greatest fixpoint a from-scratch iteration from
+/// +∞ reaches (DESIGN.md, "Class-indexed tables").
+struct Marginal<'c> {
+    eg: &'c EGraph,
+    cx: &'c SearchContext<'c>,
+    cm: &'c CostModel,
+    costs: Vec<Option<u64>>,
+    included: Vec<bool>,
+    /// Classes to re-evaluate, each at most once at a time.
+    queue: VecDeque<u32>,
+    queued: Vec<bool>,
+}
+
+impl<'c> Marginal<'c> {
+    /// The fixpoint with no class included.
+    fn new(eg: &'c EGraph, cx: &'c SearchContext<'c>, cm: &'c CostModel) -> Marginal<'c> {
+        let n = cx.slots();
+        let mut m = Marginal {
+            eg,
+            cx,
+            cm,
+            costs: vec![None; n],
+            included: vec![false; n],
+            queue: (0..n as u32).collect(),
+            queued: vec![true; n],
+        };
+        m.settle();
+        m
+    }
+
+    /// Re-evaluate queued classes until none is left.
+    fn settle(&mut self) {
+        while let Some(c) = self.queue.pop_front() {
+            let c = c as usize;
+            self.queued[c] = false;
+            if self.included[c] {
                 continue;
             }
-            let mut best = costs[c];
-            for cand in cx.candidates(Id::from(c)) {
-                let mut total = Some(cm.op_cost(&cand.op));
-                for &ch in &cand.children {
-                    total = match (total, costs[eg.find(ch).index()]) {
-                        (Some(a), Some(b)) => Some(a.saturating_add(b)),
-                        _ => None,
-                    };
-                }
-                if let Some(t) = total {
+            let mut best = self.costs[c];
+            for cand in self.cx.cands(c) {
+                if let Some(t) = marginal_cost(self.eg, self.cm, cand, &self.costs) {
                     if best.is_none_or(|b| t < b) {
                         best = Some(t);
                     }
                 }
             }
-            if best != costs[c] {
-                costs[c] = best;
-                changed = true;
+            if best != self.costs[c] {
+                self.costs[c] = best;
+                self.lowered(c);
             }
         }
     }
-    costs
+
+    /// Class `c`'s cost fell: its parents are due.
+    fn lowered(&mut self, c: usize) {
+        for &p in self.cx.parents().of(c) {
+            if !self.queued[p as usize] {
+                self.queued[p as usize] = true;
+                self.queue.push_back(p);
+            }
+        }
+    }
+
+    /// Count class `c` as free from now on.
+    fn include(&mut self, c: usize) {
+        self.included[c] = true;
+        if self.costs[c] != Some(0) {
+            self.costs[c] = Some(0);
+            self.lowered(c);
+            self.settle();
+        }
+    }
 }
 
 /// Sequential marginal greedy: commit one class at a time (smallest
@@ -143,43 +280,38 @@ pub fn marginal_greedy(
     cm: &CostModel,
     roots: &[Id],
 ) -> Option<Selection> {
-    let n = eg.classes().map(|(id, _)| id.index() + 1).max().unwrap_or(0);
-    let mut included = vec![false; n];
-    let mut sel = Selection::new();
+    let mut marginal = Marginal::new(eg, cx, cm);
+    let mut view = View::new(eg, cx.slots());
+    let mut committed: Vec<(usize, &Cand)> = Vec::new();
     let mut queue: BTreeSet<usize> = roots.iter().map(|&r| eg.find(r).index()).collect();
-    while let Some(&c) = queue.iter().next() {
-        queue.remove(&c);
-        if included[c] {
+    while let Some(c) = queue.pop_first() {
+        if marginal.included[c] {
             continue;
         }
-        included[c] = true;
-        let costs = marginal_costs(eg, cx, cm, &included);
-        let mut best: Option<(u64, Node)> = None;
-        for cand in cx.candidates(Id::from(c)) {
-            if sel.would_cycle(eg, Id::from(c), &cand) {
+        marginal.include(c);
+        let mut best: Option<(u64, &Cand)> = None;
+        for cand in cx.cands(c) {
+            // every commit is a candidate, so only a cyclic candidate
+            // graph can close a cycle
+            if !cx.is_acyclic() && view.would_cycle(c, &cand.node) {
                 continue;
             }
-            let mut total = Some(cm.op_cost(&cand.op));
-            for &ch in &cand.children {
-                total = match (total, costs[eg.find(ch).index()]) {
-                    (Some(a), Some(b)) => Some(a.saturating_add(b)),
-                    _ => None,
-                };
-            }
-            if let Some(t) = total {
-                if best.as_ref().is_none_or(|(b, _)| t < *b) {
+            if let Some(t) = marginal_cost(eg, cm, cand, &marginal.costs) {
+                if best.is_none_or(|(b, _)| t < b) {
                     best = Some((t, cand));
                 }
             }
         }
-        let (_, node) = best?;
-        for &ch in &node.children {
-            let chi = eg.find(ch).index();
-            if !included[chi] {
-                queue.insert(chi);
-            }
-        }
-        sel.choose(eg, Id::from(c), node);
+        let (_, cand) = best?;
+        queue.extend(
+            cand.child_set.iter().map(|ch| ch.index()).filter(|&ch| !marginal.included[ch]),
+        );
+        view.node[c] = Some(&cand.node);
+        committed.push((c, cand));
+    }
+    let mut sel = Selection::new();
+    for (c, cand) in committed {
+        sel.choose(eg, Id::from(c), cand.node.clone());
     }
     Some(sel)
 }

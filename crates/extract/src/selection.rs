@@ -57,6 +57,11 @@ impl Selection {
         self.choice.get(&eg.find(id))
     }
 
+    /// Every `(class, chosen node)` pair, in no particular order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Id, &Node)> {
+        self.choice.iter().map(|(&id, node)| (id, node))
+    }
+
     /// Number of selected classes.
     pub fn len(&self) -> usize {
         self.choice.len()
@@ -95,27 +100,29 @@ impl Selection {
     /// selection as an error instead of panicking, so the fuzz harness can
     /// record the violated invariant and keep the campaign running.
     pub fn try_reachable(&self, eg: &EGraph, roots: &[Id]) -> Result<Vec<Id>, SelectionError> {
+        const VISITING: u8 = 1;
+        const DONE: u8 = 2;
         let mut order = Vec::new();
-        let mut state: HashMap<Id, u8> = HashMap::new(); // 1=visiting, 2=done
+        let mut state = vec![0u8; eg.id_bound()];
         fn go(
             sel: &Selection,
             eg: &EGraph,
             id: Id,
-            state: &mut HashMap<Id, u8>,
+            state: &mut [u8],
             order: &mut Vec<Id>,
         ) -> Result<(), SelectionError> {
             let id = eg.find(id);
-            match state.get(&id) {
-                Some(2) => return Ok(()),
-                Some(1) => return Err(SelectionError::Cyclic(id)),
+            match state[id.index()] {
+                DONE => return Ok(()),
+                VISITING => return Err(SelectionError::Cyclic(id)),
                 _ => {}
             }
-            state.insert(id, 1);
-            let node = sel.get(eg, id).ok_or(SelectionError::Missing(id))?.clone();
+            state[id.index()] = VISITING;
+            let node = sel.choice.get(&id).ok_or(SelectionError::Missing(id))?;
             for &c in &node.children {
                 go(sel, eg, c, state, order)?;
             }
-            state.insert(id, 2);
+            state[id.index()] = DONE;
             order.push(id);
             Ok(())
         }
