@@ -1,14 +1,12 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
 //! extraction algorithm (greedy vs branch-and-bound), rule sets
 //! (FMA-only vs COMM/ASSOC-only vs full Table I), cost-model
-//! sensitivity (memory cost 10/100/1000), the e-matching engine
-//! (compiled VM with/without the backoff scheduler vs legacy tree-walk),
-//! and the incumbent refinement stage on the three suite kernels that
-//! are sensitive to it.
+//! sensitivity (memory cost 10/100/1000), the backoff scheduler, the
+//! incumbent refinement stage on the three suite kernels that are
+//! sensitive to it, and the e-graph core (saturate / serialize /
+//! deserialize) on the three heaviest.
 
-use accsat_egraph::{
-    all_rules, assoc_rules, comm_rules, fma_rules, MatchEngine, Runner, RunnerLimits,
-};
+use accsat_egraph::{all_rules, assoc_rules, comm_rules, fma_rules, EGraph, Runner, RunnerLimits};
 use accsat_extract::{
     climb, extract_exact, extract_greedy, extract_portfolio, marginal_greedy, CostModel,
     PortfolioConfig, SearchContext,
@@ -95,8 +93,8 @@ fn ablation_cost_model(c: &mut Criterion) {
 }
 
 fn ablation_match_engine(c: &mut Criterion) {
-    // engine × scheduler: the compiled VM with and without backoff, and the
-    // legacy matcher, each saturating the NPB-BT z_solve kernel shape
+    // the backoff scheduler on and off, saturating the NPB-BT z_solve
+    // kernel shape
     let bt = accsat_benchmarks::npb_benchmarks().remove(0);
     let prog = parse_program(&bt.acc_source).unwrap();
     let f = &prog.functions[0];
@@ -104,16 +102,11 @@ fn ablation_match_engine(c: &mut Criterion) {
     let limits = RunnerLimits { iter_limit: 4, ..Default::default() };
     let mut group = c.benchmark_group("ablation_match_engine");
     group.sample_size(10);
-    let cases: [(&str, MatchEngine, bool); 3] = [
-        ("compiled_backoff", MatchEngine::Compiled, true),
-        ("compiled_no_backoff", MatchEngine::Compiled, false),
-        ("legacy", MatchEngine::Legacy, true),
-    ];
-    for (name, engine, backoff) in cases {
+    for (name, backoff) in [("compiled_backoff", true), ("compiled_no_backoff", false)] {
         group.bench_function(name, |b| {
             b.iter(|| {
                 let mut k = accsat_ssa::build_kernel(&body);
-                let mut runner = Runner::new(all_rules()).with_limits(limits).with_engine(engine);
+                let mut runner = Runner::new(all_rules()).with_limits(limits);
                 if !backoff {
                     runner = runner.with_backoff(None);
                 }
@@ -151,8 +144,41 @@ fn refine(c: &mut Criterion) {
     group.finish();
 }
 
+fn egraph_core(c: &mut Criterion) {
+    // the e-graph's own three operations on the heavy-tail kernels: a
+    // saturation run from the SSA-built graph (clone included, as the
+    // arena is part of what a clone copies), a snapshot of the saturated
+    // graph, and reading it back
+    let mut group = c.benchmark_group("egraph_core");
+    group.sample_size(10);
+    for (bench, function) in [("BT", "bt_zsolve"), ("LU", "lu_jacld"), ("MG", "mg_resid")] {
+        let b = accsat_benchmarks::all_benchmarks().into_iter().find(|b| b.name == bench).unwrap();
+        let prog = parse_program(&b.acc_source).unwrap();
+        let f = prog.function(function).unwrap();
+        let fresh = accsat_ssa::build_kernel(&accsat_ir::innermost_parallel_loops(f)[0].body);
+        let runner = Runner::new(all_rules());
+        group.bench_function(BenchmarkId::new("saturate", function), |b| {
+            b.iter(|| {
+                let mut eg = fresh.egraph.clone();
+                runner.run(&mut eg);
+                eg
+            })
+        });
+        let (saturated, _) = saturated_kernel(bench, function);
+        group.bench_function(BenchmarkId::new("serialize", function), |b| {
+            b.iter(|| saturated.serialize())
+        });
+        let text = saturated.serialize();
+        group.bench_function(BenchmarkId::new("deserialize", function), |b| {
+            b.iter(|| EGraph::deserialize(&text).unwrap())
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
+    egraph_core,
     refine,
     ablation_extract,
     ablation_rules,

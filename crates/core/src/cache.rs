@@ -199,6 +199,11 @@ impl SatEntry {
         let stop = parse_stop_token(next()?)?;
         let n_rules: usize = next()?.parse().map_err(|e| format!("bad rule count: {e}"))?;
         let n_iters: usize = next()?.parse().map_err(|e| format!("bad iter count: {e}"))?;
+        // each counted item is a line of the entry: a count the text cannot
+        // back is corruption, caught before anything is reserved for it
+        if n_rules.max(n_iters) > text.len() {
+            return Err("sat entry counts exceed the input".into());
+        }
         let mut rule_stats = Vec::with_capacity(n_rules);
         for _ in 0..n_rules {
             let line = take_line("rule stats")?;
@@ -685,12 +690,16 @@ impl StageCache {
         static DISK_LOCK: Mutex<()> = Mutex::new(());
         let _disk = DISK_LOCK.lock().expect("disk lock");
         let path = entry_path(dir, level, key);
-        if path.exists() {
-            return Some(0);
-        }
+        // a put over an existing file replaces an entry that failed to read
+        // (corrupt, or written by an older format version); its key is
+        // already in the index
+        let replaces = path.exists();
         let tmp = path.with_extension("tmp");
         std::fs::write(&tmp, text).ok()?;
         std::fs::rename(&tmp, &path).ok()?;
+        if replaces {
+            return Some(0);
+        }
         // maintain the insertion-order index and evict beyond capacity
         let index = dir.join(level).join("index");
         let mut keys: Vec<u64> = std::fs::read_to_string(&index)
@@ -783,7 +792,7 @@ void k(double a[16], double out[16], double c0) {
     #[test]
     fn entries_round_trip_and_reject_corruption() {
         let sat = SatEntry {
-            egraph: "accsat-egraph v1\nfake body\n".into(),
+            egraph: "accsat-egraph v2\nfake body\n".into(),
             iters: 3,
             stop: Some(StopReason::Saturated),
             rule_stats: vec![RuleStats {
@@ -808,6 +817,9 @@ void k(double a[16], double out[16], double c0) {
         assert!(SatEntry::from_text("bogus\n").is_err());
         // a v1 entry (no version bump migration) reads as a miss
         assert!(SatEntry::from_text("accsat-stage sat v1\nmeta 0 none 0\negraph\n").is_err());
+        // counts the entry cannot back used to abort in `with_capacity`
+        let hostile = format!("{SAT_HEADER}\nmeta 0 none 1152921504606846975 0\negraph\n");
+        assert!(SatEntry::from_text(&hostile).is_err());
 
         let sel = SelEntry {
             selection: "accsat-selection v1 0\nend\n".into(),

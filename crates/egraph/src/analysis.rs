@@ -8,7 +8,7 @@
 //! whichever side knows more; classes that gain a constant also gain the
 //! corresponding literal leaf so extraction can select it at zero cost.
 
-use crate::node::{Node, Op};
+use crate::node::{Id, NodeRef, Op};
 
 /// A compile-time constant value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -103,10 +103,10 @@ fn float2(op: &Op, a: f64, b: f64) -> Option<ConstValue> {
 /// Compute the constant value of `node` given a child-constant oracle.
 /// Returns `None` when any child is unknown or the op is not foldable.
 pub fn eval_node(
-    node: &Node,
-    child_const: impl Fn(crate::node::Id) -> Option<ConstValue>,
+    node: NodeRef<'_>,
+    child_const: impl Fn(Id) -> Option<ConstValue>,
 ) -> Option<ConstValue> {
-    match &node.op {
+    match node.op {
         Op::Int(v) => return Some(ConstValue::Int(*v)),
         Op::Float(bits) => return Some(ConstValue::Float(f64::from_bits(*bits))),
         Op::Sym(_) | Op::LoopCond(_) => return None,
@@ -114,9 +114,13 @@ pub fn eval_node(
         Op::Load | Op::Store | Op::PhiLoop | Op::Call(_) => return None,
         _ => {}
     }
-    let kids: Option<Vec<ConstValue>> = node.children.iter().map(|&c| child_const(c)).collect();
-    let kids = kids?;
-    match (&node.op, kids.as_slice()) {
+    // no foldable operator takes more than three operands
+    let mut kids = [ConstValue::Int(0); 3];
+    let kids = kids.get_mut(..node.children.len())?;
+    for (k, &c) in kids.iter_mut().zip(node.children) {
+        *k = child_const(c)?;
+    }
+    match (node.op, &*kids) {
         (Op::Neg, [a]) => Some(match a {
             ConstValue::Int(v) => ConstValue::Int(v.checked_neg()?),
             ConstValue::Float(v) => ConstValue::Float(-v),
@@ -179,7 +183,7 @@ fn const_eq(a: ConstValue, b: ConstValue) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::Id;
+    use crate::node::Node;
 
     fn no_children(_: Id) -> Option<ConstValue> {
         None
@@ -187,16 +191,18 @@ mod tests {
 
     #[test]
     fn literals_fold_to_themselves() {
-        assert_eq!(eval_node(&Node::int(7), no_children), Some(ConstValue::Int(7)));
-        assert_eq!(eval_node(&Node::float(2.5), no_children), Some(ConstValue::Float(2.5)));
-        assert_eq!(eval_node(&Node::sym("x"), no_children), None);
+        assert_eq!(eval_node(Node::int(7).as_ref(), no_children), Some(ConstValue::Int(7)));
+        assert_eq!(eval_node(Node::float(2.5).as_ref(), no_children), Some(ConstValue::Float(2.5)));
+        assert_eq!(eval_node(Node::sym("x").as_ref(), no_children), None);
     }
 
     #[test]
     fn binary_int_folding() {
         let table = |op: Op, want: i64| {
             let n = Node::new(op, vec![Id::from(0), Id::from(1)]);
-            let v = eval_node(&n, |id| Some(ConstValue::Int(if id.index() == 0 { 6 } else { 3 })));
+            let v = eval_node(n.as_ref(), |id| {
+                Some(ConstValue::Int(if id.index() == 0 { 6 } else { 3 }))
+            });
             assert_eq!(v, Some(ConstValue::Int(want)));
         };
         table(Op::Add, 9);
@@ -211,7 +217,7 @@ mod tests {
     #[test]
     fn mixed_promotes_to_float() {
         let n = Node::new(Op::Add, vec![Id::from(0), Id::from(1)]);
-        let v = eval_node(&n, |id| {
+        let v = eval_node(n.as_ref(), |id| {
             Some(if id.index() == 0 { ConstValue::Int(1) } else { ConstValue::Float(0.5) })
         });
         assert_eq!(v, Some(ConstValue::Float(1.5)));
@@ -220,21 +226,22 @@ mod tests {
     #[test]
     fn division_by_zero_int_does_not_fold() {
         let n = Node::new(Op::Div, vec![Id::from(0), Id::from(1)]);
-        let v = eval_node(&n, |id| Some(ConstValue::Int(if id.index() == 0 { 1 } else { 0 })));
+        let v =
+            eval_node(n.as_ref(), |id| Some(ConstValue::Int(if id.index() == 0 { 1 } else { 0 })));
         assert_eq!(v, None);
     }
 
     #[test]
     fn overflow_does_not_fold() {
         let n = Node::new(Op::Mul, vec![Id::from(0), Id::from(1)]);
-        let v = eval_node(&n, |_| Some(ConstValue::Int(i64::MAX)));
+        let v = eval_node(n.as_ref(), |_| Some(ConstValue::Int(i64::MAX)));
         assert_eq!(v, None);
     }
 
     #[test]
     fn fma_folds_like_a_plus_b_times_c() {
         let n = Node::new(Op::Fma, vec![Id::from(0), Id::from(1), Id::from(2)]);
-        let v = eval_node(&n, |id| Some(ConstValue::Float((id.index() + 1) as f64)));
+        let v = eval_node(n.as_ref(), |id| Some(ConstValue::Float((id.index() + 1) as f64)));
         // 1 + 2*3 = 7
         assert_eq!(v, Some(ConstValue::Float(7.0)));
     }
@@ -242,7 +249,7 @@ mod tests {
     #[test]
     fn select_folds_on_constant_condition() {
         let n = Node::new(Op::Select, vec![Id::from(0), Id::from(1), Id::from(2)]);
-        let v = eval_node(&n, |id| {
+        let v = eval_node(n.as_ref(), |id| {
             Some(ConstValue::Int(match id.index() {
                 0 => 1,
                 1 => 10,
@@ -255,7 +262,7 @@ mod tests {
     #[test]
     fn loads_never_fold() {
         let n = Node::new(Op::Load, vec![Id::from(0), Id::from(1)]);
-        let v = eval_node(&n, |_| Some(ConstValue::Int(1)));
+        let v = eval_node(n.as_ref(), |_| Some(ConstValue::Int(1)));
         assert_eq!(v, None);
     }
 

@@ -1,22 +1,68 @@
 //! The e-graph: hash-consed e-nodes grouped into e-classes with deferred
 //! congruence restoration (the "rebuilding" algorithm of egg).
+//!
+//! E-nodes live once, as interned [`Form`]s in the [`Arena`]; classes,
+//! parent lists and the memo hold the `u32` form numbers. DESIGN.md's
+//! "E-graph memory layout" chapter has the layout and the argument that
+//! it leaves every id and every order of the value-typed storage intact.
 
 use crate::analysis::{eval_node, merge_const, ConstValue};
-use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::node::{Id, Node, Op};
+use crate::arena::{Arena, Form};
+use crate::dense::{ClassSet, Visited};
+use crate::node::{Id, Node, NodeRef, Op};
 use crate::unionfind::UnionFind;
+use std::borrow::Cow;
 
 /// An e-class: a set of equal e-nodes plus analysis data and parent
-/// back-references used by congruence restoration.
+/// back-references used by congruence restoration. Nodes are [`Form`]s of
+/// the owning graph's arena — read them through [`EGraph::nodes`].
 #[derive(Debug, Clone, Default)]
 pub struct EClass {
     /// E-nodes in this class (children canonical as of the last rebuild).
-    pub nodes: Vec<Node>,
-    /// (parent node, parent class) pairs for congruence repair.
-    pub parents: Vec<(Node, Id)>,
+    pub nodes: Vec<Form>,
+    /// (parent node, parent class) pairs for congruence repair. The form
+    /// is the one current when the entry was made and never changes under
+    /// it; one entry per child occurrence.
+    pub parents: Vec<(Form, Id)>,
     /// Constant-folding analysis data: `Some` if every term in this class
     /// evaluates to this compile-time constant.
     pub constant: Option<ConstValue>,
+}
+
+/// "No class": the memo's marker for a form that is not a memo key.
+pub(crate) const NO_CLASS: Id = Id(u32::MAX);
+
+/// Buffers the mutating operations reuse so that the steady state of a
+/// saturation run allocates for new e-nodes only. Never part of the
+/// graph's state: not serialized, not compared, and a clone starts with
+/// empty ones.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// Canonical children of the node being added or re-canonicalized.
+    children: Vec<Id>,
+    /// Operand stack of [`EGraph::add_with`]'s callers (rule instantiation).
+    stack: Vec<Id>,
+    /// Class-indexed marks: `process_dirty`'s batch, `compact_op_index`.
+    ids: Visited,
+    /// Form-indexed marks of `repair`'s two dedupe passes …
+    forms: Visited,
+    /// … and, for a marked parent form, its index in the rebuilt list.
+    form_slot: Vec<u32>,
+}
+
+/// The canonical ids of `children`, in the scratch buffer — which the
+/// caller puts back in `scratch.children` when done with it.
+fn canonical_ids(uf: &mut UnionFind, children: &[Id], scratch: &mut Scratch) -> Vec<Id> {
+    let mut kids = std::mem::take(&mut scratch.children);
+    kids.clear();
+    kids.extend(children.iter().map(|&c| uf.find_mut(c)));
+    kids
+}
+
+impl Clone for Scratch {
+    fn clone(&self) -> Scratch {
+        Scratch::default()
+    }
 }
 
 /// The e-graph.
@@ -26,16 +72,24 @@ pub struct EGraph {
     // `crate::serialize` can dump and restore the exact internal state —
     // external code still goes through the method API.
     pub(crate) unionfind: UnionFind,
-    /// Canonical-node → class memo (hash-consing).
-    pub(crate) memo: FxHashMap<Node, Id>,
+    /// Every e-node form ever seen, interned.
+    pub(crate) arena: Arena,
+    /// Canonical-node → class memo (hash-consing), indexed by form:
+    /// [`NO_CLASS`] where the form is not a key. As long as the arena.
+    pub(crate) memo: Vec<Id>,
+    /// Number of memo keys.
+    pub(crate) memo_len: usize,
     /// Class storage, indexed by canonical id; `None` after being merged away.
     pub(crate) classes: Vec<Option<EClass>>,
+    /// Number of `Some` slots in `classes`.
+    pub(crate) live_classes: usize,
     /// Classes whose parents must be reprocessed by `rebuild`.
     pub(crate) dirty: Vec<Id>,
-    /// Operator → classes containing an e-node with that head operator.
+    /// Op number → classes containing an e-node with that head operator.
     /// Maintained incrementally by `add`; entries may go stale after unions
-    /// (resolved through `find` on query) and are compacted by `rebuild`.
-    pub(crate) op_index: FxHashMap<Op, Vec<Id>>,
+    /// and are compacted by `rebuild`, so with nothing dirty every list
+    /// holds live canonical ids, each once.
+    pub(crate) op_index: Vec<Vec<Id>>,
     /// Classes touched since the last [`EGraph::take_search_dirty`]: newly
     /// created, target of a union, or given a materialized constant leaf.
     /// The saturation runner uses this (closed over parents) to re-search
@@ -48,6 +102,7 @@ pub struct EGraph {
     /// variant of the paper also folds nothing because it runs no rules and
     /// no analysis-driven unions happen without `fold_constants`).
     pub fold_constants: bool,
+    pub(crate) scratch: Scratch,
 }
 
 impl EGraph {
@@ -63,7 +118,7 @@ impl EGraph {
 
     /// Number of live e-classes.
     pub fn num_classes(&self) -> usize {
-        self.classes.iter().filter(|c| c.is_some()).count()
+        self.live_classes
     }
 
     /// Number of ids ever created: every [`Id`] of this e-graph, canonical
@@ -77,9 +132,16 @@ impl EGraph {
         self.num_nodes
     }
 
+    /// Number of e-node forms ever interned — the live ones plus what
+    /// canonicalisation left behind (bounded by the node budget: every
+    /// union strands at most the forms that mentioned the merged class).
+    pub fn num_forms(&self) -> usize {
+        self.arena.len()
+    }
+
     /// Number of distinct canonical e-nodes currently in the memo.
     pub fn num_memo_nodes(&self) -> usize {
-        self.memo.len()
+        self.memo_len
     }
 
     /// Canonical id of `id`.
@@ -103,28 +165,38 @@ impl EGraph {
         self.classes.iter().enumerate().filter_map(|(i, c)| c.as_ref().map(|c| (Id::from(i), c)))
     }
 
+    /// The e-node a form of this graph stands for.
+    pub fn node(&self, form: Form) -> NodeRef<'_> {
+        self.arena.node(form)
+    }
+
+    /// The e-nodes of the class of (any) `id`, in stored order.
+    pub fn nodes(&self, id: Id) -> impl ExactSizeIterator<Item = NodeRef<'_>> + Clone {
+        self.class(id).nodes.iter().map(|&f| self.arena.node(f))
+    }
+
     /// The constant value of a class, if the analysis proved one.
     pub fn constant(&self, id: Id) -> Option<ConstValue> {
         self.class(id).constant
     }
 
     /// Canonical ids of the live classes containing an e-node whose head
-    /// operator is `op` — the compiled matcher's candidate lookup. Stale
-    /// index entries are resolved through `find` and deduplicated.
-    pub fn classes_with_op(&self, op: &Op) -> Vec<Id> {
-        let Some(ids) = self.op_index.get(op) else {
-            return Vec::new();
+    /// operator is `op`, each once — the compiled matcher's candidate
+    /// lookup. On a rebuilt graph this is a slice of the index
+    /// [`EGraph::rebuild`] compacts; with unions pending (a kernel fresh
+    /// from SSA construction, whose constant folding merged classes) the
+    /// stale entries are resolved through `find` and deduplicated into an
+    /// owned list, in the same order.
+    pub fn classes_with_op(&self, op: &Op) -> Cow<'_, [Id]> {
+        let ids = match self.arena.op_number(op) {
+            Some(op_no) => self.op_index.get(op_no as usize).map_or(&[][..], Vec::as_slice),
+            None => &[],
         };
-        let mut seen = FxHashSet::default();
-        seen.reserve(ids.len());
-        let mut out = Vec::with_capacity(ids.len());
-        for &id in ids {
-            let id = self.find(id);
-            if self.classes[id.index()].is_some() && seen.insert(id) {
-                out.push(id);
-            }
+        if self.dirty.is_empty() {
+            return Cow::Borrowed(ids);
         }
-        out
+        let mut seen = ClassSet::with_bound(self.id_bound());
+        Cow::Owned(ids.iter().map(|&id| self.find(id)).filter(|&id| seen.insert(id)).collect())
     }
 
     /// Take the set of classes touched since the previous call, closed
@@ -132,17 +204,13 @@ impl EGraph {
     /// pattern match (new e-node, union changing a non-linear equality, or
     /// a match reaching a changed class through any chain of children) is in
     /// the returned set. Ids are canonical; dead classes are dropped.
-    pub fn take_search_dirty(&mut self) -> FxHashSet<Id> {
-        let raw = std::mem::take(&mut self.search_dirty);
-        let mut set = FxHashSet::default();
-        set.reserve(raw.len());
-        let mut stack: Vec<Id> = Vec::with_capacity(raw.len());
-        for id in raw {
-            let id = self.find(id);
-            if self.classes[id.index()].is_some() {
-                stack.push(id);
-            }
-        }
+    pub fn take_search_dirty(&mut self) -> ClassSet {
+        let mut set = ClassSet::with_bound(self.id_bound());
+        let mut stack = std::mem::take(&mut self.search_dirty);
+        stack.retain_mut(|id| {
+            *id = self.unionfind.find(*id);
+            self.classes[id.index()].is_some()
+        });
         while let Some(id) = stack.pop() {
             if !set.insert(id) {
                 continue;
@@ -150,11 +218,13 @@ impl EGraph {
             let class = self.classes[id.index()].as_ref().expect("live class");
             for &(_, parent) in &class.parents {
                 let parent = self.find(parent);
-                if self.classes[parent.index()].is_some() && !set.contains(&parent) {
+                if self.classes[parent.index()].is_some() && !set.contains(parent) {
                     stack.push(parent);
                 }
             }
         }
+        stack.clear();
+        self.search_dirty = stack;
         set
     }
 
@@ -164,80 +234,140 @@ impl EGraph {
         self.search_dirty.clear();
     }
 
-    fn canonicalize(&mut self, node: &Node) -> Node {
-        let mut n = node.clone();
-        for c in &mut n.children {
-            *c = self.unionfind.find_mut(*c);
+    /// Intern, keeping the memo as long as the arena.
+    fn intern(&mut self, op_no: u32, children: &[Id]) -> Form {
+        let form = self.arena.intern_numbered(op_no, children);
+        if self.memo.len() < self.arena.len() {
+            self.memo.resize(self.arena.len(), NO_CLASS);
         }
-        n
+        form
+    }
+
+    fn memo_set(&mut self, form: Form, id: Id) {
+        let slot = &mut self.memo[form.index()];
+        self.memo_len += usize::from(*slot == NO_CLASS);
+        *slot = id;
+    }
+
+    fn memo_remove(&mut self, form: Form) -> Id {
+        let id = std::mem::replace(&mut self.memo[form.index()], NO_CLASS);
+        self.memo_len -= usize::from(id != NO_CLASS);
+        id
+    }
+
+    /// The form of `form`'s operator over the canonical ids of its
+    /// children — `form` itself when they already are.
+    fn canonical_form(&mut self, form: Form) -> Form {
+        if self.arena.children(form).iter().all(|&c| self.unionfind.is_root(c)) {
+            return form;
+        }
+        let kids = canonical_ids(&mut self.unionfind, self.arena.children(form), &mut self.scratch);
+        let canon = self.intern(self.arena.op_no(form), &kids);
+        self.scratch.children = kids;
+        canon
     }
 
     /// Look up a node without inserting. Returns the canonical class if the
     /// (canonicalized) node already exists.
     pub fn lookup(&mut self, node: &Node) -> Option<Id> {
-        let n = self.canonicalize(node);
-        self.memo.get(&n).map(|&id| self.unionfind.find_mut(id))
+        let kids = canonical_ids(&mut self.unionfind, &node.children, &mut self.scratch);
+        let form = self.arena.lookup(&node.op, &kids);
+        self.scratch.children = kids;
+        match self.memo[form?.index()] {
+            NO_CLASS => None,
+            id => Some(self.unionfind.find_mut(id)),
+        }
     }
 
     /// Add a node, returning its e-class (existing or fresh).
-    pub fn add(&mut self, mut node: Node) -> Id {
-        // canonicalize in place — `add` owns the node, no clone needed
-        for c in &mut node.children {
-            *c = self.unionfind.find_mut(*c);
-        }
-        if let Some(&id) = self.memo.get(&node) {
-            return self.unionfind.find_mut(id);
-        }
+    pub fn add(&mut self, node: Node) -> Id {
+        self.add_with(&node.op, &node.children)
+    }
+
+    /// [`EGraph::add`] from borrowed parts: nothing is allocated when the
+    /// node already exists.
+    pub fn add_with(&mut self, op: &Op, children: &[Id]) -> Id {
+        let kids = canonical_ids(&mut self.unionfind, children, &mut self.scratch);
+        let op_no = self.arena.intern_op(op);
+        let form = self.intern(op_no, &kids);
+        let id = match self.memo[form.index()] {
+            NO_CLASS => self.add_class(op_no, form, &kids),
+            id => self.unionfind.find_mut(id),
+        };
+        self.scratch.children = kids;
+        id
+    }
+
+    /// A fresh class for the new canonical node `form`.
+    fn add_class(&mut self, op_no: u32, form: Form, children: &[Id]) -> Id {
         let id = self.unionfind.make_set();
         debug_assert_eq!(id.index(), self.classes.len());
-        let constant =
-            if self.fold_constants { eval_node(&node, |c| self.constant(c)) } else { None };
-        self.classes.push(Some(EClass {
-            nodes: vec![node.clone()],
-            parents: Vec::new(),
-            constant,
-        }));
+        let constant = if self.fold_constants {
+            eval_node(self.arena.node(form), |c| self.constant(c))
+        } else {
+            None
+        };
+        self.classes.push(Some(EClass { nodes: vec![form], parents: Vec::new(), constant }));
+        self.live_classes += 1;
         self.num_nodes += 1;
-        self.op_index.entry(node.op.clone()).or_default().push(id);
+        self.index_op(op_no, id);
         self.search_dirty.push(id);
-        for &child in &node.children {
-            let child = self.unionfind.find_mut(child);
-            self.classes[child.index()]
-                .as_mut()
-                .expect("child class")
-                .parents
-                .push((node.clone(), id));
+        for &child in children {
+            self.classes[child.index()].as_mut().expect("child class").parents.push((form, id));
         }
-        self.memo.insert(node, id);
+        self.memo_set(form, id);
         // analysis `modify`: materialize proven constants as leaf nodes so
         // extraction can pick them at zero cost
-        if let Some(c) = self.classes[id.index()].as_ref().unwrap().constant {
+        if let Some(c) = constant {
             self.add_constant_leaf(id, c);
         }
         id
     }
 
+    fn index_op(&mut self, op_no: u32, id: Id) {
+        if self.op_index.len() <= op_no as usize {
+            self.op_index.resize_with(op_no as usize + 1, Vec::new);
+        }
+        self.op_index[op_no as usize].push(id);
+    }
+
     fn add_constant_leaf(&mut self, id: Id, c: ConstValue) {
         let leaf = match c {
-            ConstValue::Int(v) => Node::int(v),
-            ConstValue::Float(v) => Node::float(v),
+            ConstValue::Int(v) => Op::Int(v),
+            ConstValue::Float(v) => Op::float(v),
         };
-        if self.memo.contains_key(&leaf) {
-            let leaf_id = self.memo[&leaf];
-            self.union(id, leaf_id);
-        } else {
-            let cls = self.unionfind.find_mut(id);
-            self.memo.insert(leaf.clone(), cls);
-            self.op_index.entry(leaf.op.clone()).or_default().push(cls);
-            self.classes[cls.index()].as_mut().unwrap().nodes.push(leaf);
-            self.num_nodes += 1;
-            self.search_dirty.push(cls);
+        let op_no = self.arena.intern_op(&leaf);
+        let form = self.intern(op_no, &[]);
+        match self.memo[form.index()] {
+            NO_CLASS => {
+                let cls = self.unionfind.find_mut(id);
+                self.memo_set(form, cls);
+                self.index_op(op_no, cls);
+                self.classes[cls.index()].as_mut().expect("canonical class").nodes.push(form);
+                self.num_nodes += 1;
+                self.search_dirty.push(cls);
+            }
+            leaf_id => {
+                self.union(id, leaf_id);
+            }
         }
     }
 
     /// Add a whole term (tree of nodes), returning the root class.
     pub fn add_expr(&mut self, op: Op, children: Vec<Id>) -> Id {
-        self.add(Node::new(op, children))
+        self.add_with(&op, &children)
+    }
+
+    /// Lend out the operand stack rule instantiation builds children on
+    /// (so applying a match allocates nothing); give it back with
+    /// [`EGraph::return_stack`].
+    pub(crate) fn take_stack(&mut self) -> Vec<Id> {
+        std::mem::take(&mut self.scratch.stack)
+    }
+
+    /// Return the buffer lent by [`EGraph::take_stack`].
+    pub(crate) fn return_stack(&mut self, stack: Vec<Id>) {
+        self.scratch.stack = stack;
     }
 
     /// Union two e-classes. Returns the canonical id and whether anything
@@ -260,6 +390,7 @@ impl EGraph {
         };
         self.unionfind.union(to, from);
         let from_class = self.classes[from.index()].take().expect("from class");
+        self.live_classes -= 1;
         let to_class = self.classes[to.index()].as_mut().expect("to class");
         to_class.nodes.extend(from_class.nodes);
         to_class.parents.extend(from_class.parents);
@@ -295,36 +426,37 @@ impl EGraph {
             // stranded in the memo. Sweep such keys up to a fixpoint; the
             // collisions this surfaces are congruences, merged like any
             // other.
-            let mut stale: Vec<Node> = self
-                .memo
-                .keys()
-                .filter(|n| n.children.iter().any(|&c| self.unionfind.find(c) != c))
-                .cloned()
+            let mut stale: Vec<Form> = (0..self.arena.len())
+                .map(Form::from_index)
+                .filter(|&f| {
+                    self.memo[f.index()] != NO_CLASS
+                        && self.arena.children(f).iter().any(|&c| !self.unionfind.is_root(c))
+                })
                 .collect();
             if stale.is_empty() {
                 break;
             }
-            // Sweep in node order, not memo-iteration order: hash-map order
-            // depends on the map's insertion history, which differs between
-            // a graph built live and the same graph restored from a
-            // serialized snapshot. Sorting makes every downstream union
-            // (and thus root choice) a function of graph *content* only, so
-            // a deserialized e-graph re-saturates byte-identically.
-            stale.sort_unstable();
+            // Sweep in node-content order, never form-number order: form
+            // numbers record interning history, which differs between a
+            // graph built live and the same graph restored from a
+            // serialized snapshot. Sorting by content makes every
+            // downstream union (and thus root choice) a function of graph
+            // *content* only, so a deserialized e-graph re-saturates
+            // byte-identically.
+            stale.sort_unstable_by(|&a, &b| self.arena.node(a).cmp(&self.arena.node(b)));
             for old in stale {
-                let id = self.memo.remove(&old).expect("stale key present");
-                let canon = self.canonicalize(&old);
+                let id = self.memo_remove(old);
+                debug_assert!(id != NO_CLASS, "stale key present");
+                let canon = self.canonical_form(old);
                 let id = self.unionfind.find_mut(id);
-                match self.memo.get(&canon) {
-                    Some(&other) => {
+                match self.memo[canon.index()] {
+                    NO_CLASS => self.memo_set(canon, id),
+                    other => {
                         let other = self.unionfind.find_mut(other);
                         if other != id {
                             let (merged, _) = self.union(other, id);
-                            self.memo.insert(canon, merged);
+                            self.memo_set(canon, merged);
                         }
-                    }
-                    None => {
-                        self.memo.insert(canon, id);
                     }
                 }
             }
@@ -339,32 +471,30 @@ impl EGraph {
     /// Drop dead / stale entries from the op → class index so lookup cost
     /// stays proportional to the live graph. Run once per rebuild.
     fn compact_op_index(&mut self) {
-        for ids in self.op_index.values_mut() {
-            let mut seen = FxHashSet::default();
-            seen.reserve(ids.len());
-            let mut out = Vec::with_capacity(ids.len());
-            for &id in ids.iter() {
-                let id = self.unionfind.find(id);
-                if self.classes[id.index()].is_some() && seen.insert(id) {
-                    out.push(id);
-                }
-            }
-            *ids = out;
+        let seen = &mut self.scratch.ids;
+        seen.grow(self.classes.len());
+        for ids in &mut self.op_index {
+            seen.clear();
+            ids.retain_mut(|id| {
+                *id = self.unionfind.find(*id);
+                self.classes[id.index()].is_some() && seen.insert(id.index())
+            });
         }
     }
 
     fn process_dirty(&mut self) {
+        let mut batch = Vec::new();
         while !self.dirty.is_empty() {
             // drain the worklist in deduplicated batches: a class unioned
             // several times since the last pass is repaired once, not once
             // per union (its parents list would be reprocessed in full each
             // time otherwise)
-            let raw = std::mem::take(&mut self.dirty);
-            let mut batch_seen = FxHashSet::default();
-            batch_seen.reserve(raw.len());
-            for dirty_id in raw {
+            std::mem::swap(&mut batch, &mut self.dirty);
+            self.scratch.ids.grow(self.classes.len());
+            self.scratch.ids.clear();
+            for dirty_id in batch.drain(..) {
                 let id = self.unionfind.find_mut(dirty_id);
-                if batch_seen.insert(id) {
+                if self.scratch.ids.insert(id.index()) {
                     self.repair(id);
                 }
             }
@@ -377,6 +507,22 @@ impl EGraph {
         }
     }
 
+    /// Start a dedupe pass over forms: clear the marks and make room for
+    /// every form interned so far.
+    fn begin_form_pass(&mut self) {
+        self.scratch.forms.clear();
+        self.grow_form_marks();
+    }
+
+    /// Forms interned during a pass need marks too.
+    fn grow_form_marks(&mut self) {
+        let n = self.arena.len();
+        self.scratch.forms.grow(n);
+        if self.scratch.form_slot.len() < n {
+            self.scratch.form_slot.resize(n, 0);
+        }
+    }
+
     /// Re-canonicalize one dirty class's parents, restoring hash-cons and
     /// congruence invariants for them (the egg `repair`).
     fn repair(&mut self, id: Id) {
@@ -384,70 +530,67 @@ impl EGraph {
         if self.classes[id.index()].is_none() {
             return;
         }
-        {
-            let parents = std::mem::take(
-                &mut self.classes[id.index()].as_mut().expect("dirty class").parents,
-            );
-            // canon form → index into `new_parents`: congruent parents are
-            // merged, and duplicate entries (the same parent reached through
-            // several merged children) collapse to one — parents lists stay
-            // proportional to distinct parent nodes instead of growing with
-            // every union that touches the class.
-            let mut seen: FxHashMap<Node, usize> = FxHashMap::default();
-            seen.reserve(parents.len());
-            let mut new_parents: Vec<(Node, Id)> = Vec::with_capacity(parents.len());
-            for (node, parent_id) in parents {
-                // remove the stale memo entry, re-canonicalize, re-insert
-                self.memo.remove(&node);
-                let canon = self.canonicalize(&node);
-                let mut parent_id = self.unionfind.find_mut(parent_id);
-                if let Some(&ix) = seen.get(&canon) {
-                    // congruence (or duplicate entry): same canonical form
-                    let prev = self.unionfind.find_mut(new_parents[ix].1);
-                    if prev != parent_id {
-                        let (merged, _) = self.union(prev, parent_id);
-                        parent_id = merged;
-                    }
-                    new_parents[ix].1 = parent_id;
-                    self.memo.insert(canon, parent_id);
-                } else {
-                    match self.memo.get(&canon) {
-                        Some(&existing) => {
-                            let existing = self.unionfind.find_mut(existing);
-                            if existing != parent_id {
-                                let (merged, _) = self.union(existing, parent_id);
-                                parent_id = merged;
-                            }
-                            self.memo.insert(canon.clone(), parent_id);
-                        }
-                        None => {
-                            self.memo.insert(canon.clone(), parent_id);
+        // Rebuilt in place, reading ahead of the write cursor `kept`:
+        // congruent parents are merged, and duplicate entries (the same
+        // parent reached through several merged children) collapse to one
+        // — parents lists stay proportional to distinct parent nodes
+        // instead of growing with every union that touches the class. The
+        // marks map a canonical form to its index among the kept entries.
+        let mut parents =
+            std::mem::take(&mut self.classes[id.index()].as_mut().expect("dirty class").parents);
+        self.begin_form_pass();
+        let mut kept = 0usize;
+        for read in 0..parents.len() {
+            let (form, parent_id) = parents[read];
+            // remove the stale memo entry, re-canonicalize, re-insert
+            self.memo_remove(form);
+            let canon = self.canonical_form(form);
+            self.grow_form_marks();
+            let mut parent_id = self.unionfind.find_mut(parent_id);
+            if self.scratch.forms.contains(canon.index()) {
+                // congruence (or duplicate entry): same canonical form
+                let ix = self.scratch.form_slot[canon.index()] as usize;
+                let prev = self.unionfind.find_mut(parents[ix].1);
+                if prev != parent_id {
+                    parent_id = self.union(prev, parent_id).0;
+                }
+                parents[ix].1 = parent_id;
+            } else {
+                match self.memo[canon.index()] {
+                    NO_CLASS => {}
+                    existing => {
+                        let existing = self.unionfind.find_mut(existing);
+                        if existing != parent_id {
+                            parent_id = self.union(existing, parent_id).0;
                         }
                     }
-                    seen.insert(canon.clone(), new_parents.len());
-                    new_parents.push((canon, parent_id));
                 }
+                self.scratch.forms.insert(canon.index());
+                self.scratch.form_slot[canon.index()] = kept as u32;
+                parents[kept] = (canon, parent_id);
+                kept += 1;
             }
-            let id = self.unionfind.find_mut(id);
-            if let Some(cls) = self.classes[id.index()].as_mut() {
-                cls.parents.extend(new_parents);
-            }
-            // refresh stored nodes to canonical form and dedupe
-            let id2 = id;
-            let nodes = std::mem::take(&mut self.classes[id2.index()].as_mut().unwrap().nodes);
-            let mut node_set: FxHashSet<Node> = FxHashSet::default();
-            node_set.reserve(nodes.len());
-            let mut canon_nodes: Vec<Node> = Vec::with_capacity(nodes.len());
-            for n in nodes {
-                let c = self.canonicalize(&n);
-                if node_set.insert(c.clone()) {
-                    canon_nodes.push(c);
-                }
-            }
-            if let Some(cls) = self.classes[id2.index()].as_mut() {
-                cls.nodes = canon_nodes;
-            }
+            self.memo_set(canon, parent_id);
         }
+        parents.truncate(kept);
+        // the unions above may have moved parents into this class (or
+        // merged it away): the rebuilt list goes after whatever arrived
+        let id = self.unionfind.find_mut(id);
+        let cls = self.classes[id.index()].as_mut().expect("canonical class");
+        if cls.parents.is_empty() {
+            cls.parents = parents;
+        } else {
+            cls.parents.extend(parents);
+        }
+        // refresh stored nodes to canonical form and dedupe
+        let mut nodes = std::mem::take(&mut cls.nodes);
+        self.begin_form_pass();
+        nodes.retain_mut(|form| {
+            *form = self.canonical_form(*form);
+            self.grow_form_marks();
+            self.scratch.forms.insert(form.index())
+        });
+        self.classes[id.index()].as_mut().expect("canonical class").nodes = nodes;
     }
 
     /// Re-evaluate constant data for classes whose children gained
@@ -459,16 +602,16 @@ impl EGraph {
         }
         let mut changed = true;
         while changed {
-            // phase 1: scan immutably — no node clones; `constant()`
-            // resolves children through `find`, so the stored (possibly
-            // stale-child) node forms evaluate correctly as they are
+            // phase 1: scan immutably — `constant()` resolves children
+            // through `find`, so the stored (possibly stale-child) node
+            // forms evaluate correctly as they are
             let mut proven: Vec<(Id, ConstValue)> = Vec::new();
             for (id, class) in self.classes() {
                 if class.constant.is_some() {
                     continue;
                 }
-                for n in &class.nodes {
-                    if let Some(v) = eval_node(n, |c| self.constant(c)) {
+                for &f in &class.nodes {
+                    if let Some(v) = eval_node(self.arena.node(f), |c| self.constant(c)) {
                         proven.push((id, v));
                         break;
                     }
@@ -490,34 +633,80 @@ impl EGraph {
         }
     }
 
-    /// Check the congruence + hashcons invariants (test helper; O(nodes)).
+    /// Check the congruence + hashcons invariants of a rebuilt graph,
+    /// panicking on the first violation (test helper; O(nodes)).
     pub fn check_invariants(&self) {
-        for (id, class) in self.classes() {
-            for node in &class.nodes {
-                for &c in &node.children {
-                    assert!(
-                        self.classes[self.find(c).index()].is_some(),
-                        "child {c} of node in {id} must resolve to a live class"
-                    );
+        if let Err(what) = self.invariants() {
+            panic!("{what}");
+        }
+    }
+
+    /// The first violated structural invariant, if any — what
+    /// [`EGraph::check_invariants`] asserts and what the snapshot reader
+    /// requires before it hands a graph out, stated once. Assumes ids and
+    /// form numbers are in range and the union-find is a forest (true of
+    /// any graph built through the API; the reader checks both as it
+    /// reads). With unions pending, memo keys may be stale and the op
+    /// index uncompacted; once nothing is dirty they may not, because the
+    /// matcher then reads the index as it is.
+    pub(crate) fn invariants(&self) -> Result<(), String> {
+        let clean = self.dirty.is_empty();
+        let check = |ok: bool, what: &str| if ok { Ok(()) } else { Err(what.to_string()) };
+        check(self.classes.len() == self.unionfind.len(), "one class slot per id")?;
+        check(self.live_classes == self.classes.iter().flatten().count(), "live-class counter")?;
+        check(self.memo.len() == self.arena.len(), "memo covers the arena")?;
+        let keys = || (0..self.memo.len()).filter(|&f| self.memo[f] != NO_CLASS);
+        check(self.memo_len == keys().count(), "memo-key counter")?;
+
+        // a class is stored exactly at the ids that are their own root, so
+        // every id (a node's child, a memo value) resolves to a live class
+        for (i, slot) in self.classes.iter().enumerate() {
+            let id = Id::from(i);
+            if slot.is_some() != self.unionfind.is_root(id) {
+                return Err(format!("{id}: live classes and union-find roots differ"));
+            }
+            if slot.as_ref().is_some_and(|c| c.nodes.is_empty()) {
+                return Err(format!("class {id} has no node"));
+            }
+        }
+        if clean {
+            for node in keys().map(|f| self.arena.node(Form::from_index(f))) {
+                if node.children.iter().any(|&c| !self.unionfind.is_root(c)) {
+                    return Err(format!("memo key must be canonical: {node}"));
                 }
             }
         }
-        // every memo entry must map a canonical node to its class
-        for (node, &id) in &self.memo {
-            let canon = node.canonicalized(|c| self.find(c));
-            assert_eq!(&canon, node, "memo key must be canonical: {node}");
-            assert!(self.classes[self.find(id).index()].is_some(), "memo value {id} must be live");
+
+        // The op index must list every class under each of its nodes'
+        // operators. Sort the (class, op) pairs it lists: each class's
+        // operators form one run, walked alongside the classes.
+        let pair = |id: Id, op_no: usize| (id.index() as u64) << 32 | op_no as u64;
+        let mut listed: Vec<u64> = Vec::with_capacity(self.op_index.iter().map(Vec::len).sum());
+        for (op_no, ids) in self.op_index.iter().enumerate() {
+            listed.extend(ids.iter().map(|&id| pair(self.find(id), op_no)));
+            check(
+                !clean || ids.iter().all(|&id| self.unionfind.is_root(id)),
+                "merged id in the op index of a clean graph",
+            )?;
         }
-        // the op index must cover every live e-node's head operator
-        for (id, class) in self.classes() {
-            for node in &class.nodes {
-                assert!(
-                    self.classes_with_op(&node.op).contains(&id),
-                    "op index must list {id} under {:?}",
-                    node.op
-                );
+        listed.sort_unstable();
+        check(
+            !clean || listed.windows(2).all(|w| w[0] != w[1]),
+            "class listed twice in the op index of a clean graph",
+        )?;
+        let mut rest = &listed[..];
+        for (id, cls) in self.classes() {
+            let start = rest.partition_point(|&p| p < pair(id, 0));
+            let len = rest[start..].partition_point(|&p| p < pair(id, 0) + (1 << 32));
+            let ops = &rest[start..start + len];
+            rest = &rest[start + len..];
+            for &f in &cls.nodes {
+                if !ops.contains(&pair(id, self.arena.op_no(f) as usize)) {
+                    return Err(format!("op index misses {id} under {:?}", self.arena.op(f)));
+                }
             }
         }
+        Ok(())
     }
 
     /// Extract *some* concrete term from a class (smallest by node count),
@@ -527,13 +716,9 @@ impl EGraph {
             if depth > 64 {
                 return "…".into();
             }
-            let class = eg.class(id);
             // prefer leaves for brevity
-            let node = class
-                .nodes
-                .iter()
-                .min_by_key(|n| n.children.len())
-                .expect("class has at least one node");
+            let node =
+                eg.nodes(id).min_by_key(|n| n.children.len()).expect("class has at least one node");
             if node.children.is_empty() {
                 node.op.name()
             } else {
@@ -721,7 +906,7 @@ mod tests {
         let m2 = eg.add(Node::new(Op::Mul, vec![b, a]));
         let s = eg.add(Node::new(Op::Add, vec![a, b]));
         assert_eq!(eg.classes_with_op(&Op::Mul).len(), 2);
-        assert_eq!(eg.classes_with_op(&Op::Add), vec![s]);
+        assert_eq!(eg.classes_with_op(&Op::Add)[..], [s]);
         assert!(eg.classes_with_op(&Op::Div).is_empty());
         // merging the two Mul classes collapses the index entry
         eg.union(m1, m2);
@@ -739,16 +924,16 @@ mod tests {
         let root = eg.add(Node::new(Op::Add, vec![m, a]));
         // drain construction-time marks
         let initial = eg.take_search_dirty();
-        assert!(initial.contains(&eg.find(root)));
+        assert!(initial.contains(eg.find(root)));
         assert!(eg.take_search_dirty().is_empty());
         // a union deep in the graph must dirty every ancestor
         let c = leaf(&mut eg, "c");
         eg.union(a, c);
         eg.rebuild();
         let dirty = eg.take_search_dirty();
-        assert!(dirty.contains(&eg.find(a)));
-        assert!(dirty.contains(&eg.find(m)), "parent of merged class is dirty");
-        assert!(dirty.contains(&eg.find(root)), "grandparent is dirty");
+        assert!(dirty.contains(eg.find(a)));
+        assert!(dirty.contains(eg.find(m)), "parent of merged class is dirty");
+        assert!(dirty.contains(eg.find(root)), "grandparent is dirty");
     }
 
     #[test]

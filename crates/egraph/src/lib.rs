@@ -11,7 +11,9 @@
 //! * [`UnionFind`] — path-halving union-find over e-class ids.
 //! * [`EGraph`] — hash-consed e-nodes grouped into e-classes, with deferred
 //!   congruence restoration ([`EGraph::rebuild`], the egg "rebuilding"
-//!   algorithm) and an attached constant-folding analysis.
+//!   algorithm) and an attached constant-folding analysis. E-nodes are
+//!   stored once, as `u32` [`Form`]s of a flat [`Arena`]; id sets are the
+//!   dense tables of [`dense`].
 //! * [`Pattern`] — s-expression rewrite patterns with `?x` variables and a
 //!   backtracking e-matcher (kept as the differential-testing oracle).
 //! * [`machine`] — the production matcher: patterns compiled once into
@@ -28,6 +30,8 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
+pub mod arena;
+pub mod dense;
 pub mod egraph;
 pub mod fxhash;
 pub mod machine;
@@ -41,17 +45,19 @@ pub mod serialize;
 pub mod unionfind;
 
 pub use analysis::ConstValue;
+pub use arena::{Arena, Form};
+pub use dense::{ClassSet, Visited};
 pub use egraph::{EClass, EGraph};
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use machine::{Inst, Program, RhsNode, VarSubst};
-pub use node::{Id, Node, Op};
+pub use node::{Id, Node, NodeRef, Op};
 pub use pattern::{parse_pattern, Pattern, PatternNode, Subst};
 pub use pool::{hardware_parallelism, Lease, ThreadBudget};
 pub use rewrite::{Rewrite, RuleMatch};
 pub use rules::{all_rules, assoc_rules, comm_rules, fma_rules, reorder_rules, rule_by_name};
 pub use runner::{
-    BackoffConfig, IterCounts, IterationStats, MatchEngine, RuleStats, Runner, RunnerLimits,
-    RunnerReport, StopReason,
+    BackoffConfig, IterCounts, IterationStats, RuleStats, Runner, RunnerLimits, RunnerReport,
+    StopReason,
 };
 pub use serialize::{op_token, parse_op_token, EGRAPH_FORMAT_HEADER};
 pub use unionfind::UnionFind;

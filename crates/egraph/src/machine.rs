@@ -15,9 +15,9 @@
 //! (`tests/property_matcher.rs` proves the two produce identical
 //! substitution sets on random e-graphs and patterns).
 
+use crate::dense::ClassSet;
 use crate::egraph::EGraph;
-use crate::fxhash::FxHashSet;
-use crate::node::{Id, Node, Op};
+use crate::node::{Id, Op};
 use crate::pattern::{Pattern, PatternNode};
 
 /// Interned pattern-variable index into a program's var table.
@@ -282,9 +282,8 @@ impl Program {
                 }
             }
             Inst::Bind { reg, op, arity, out } => {
-                let class = eg.class(regs[*reg as usize]);
-                for node in &class.nodes {
-                    if &node.op != op || node.children.len() != *arity as usize {
+                for node in eg.nodes(regs[*reg as usize]) {
+                    if node.op != op || node.children.len() != *arity as usize {
                         continue;
                     }
                     for (i, &c) in node.children.iter().enumerate() {
@@ -309,23 +308,21 @@ impl Program {
     pub fn search_filtered(
         &self,
         eg: &EGraph,
-        restrict: Option<&FxHashSet<Id>>,
+        restrict: Option<&ClassSet>,
         results: &mut Vec<(Id, VarSubst)>,
     ) {
         let mut substs = Vec::new();
         let mut regs = vec![Id::from(0usize); self.n_regs as usize];
         let mut visit = |id: Id, substs: &mut Vec<VarSubst>, regs: &mut [Id]| {
-            if let Some(set) = restrict {
-                if !set.contains(&id) {
-                    return;
-                }
+            if restrict.is_some_and(|set| !set.contains(id)) {
+                return;
             }
             self.search_class_scratch(eg, id, regs, substs);
             results.extend(substs.drain(..).map(|s| (id, s)));
         };
         match &self.root_op {
             Some(op) => {
-                for id in eg.classes_with_op(op) {
+                for &id in eg.classes_with_op(op).iter() {
                     visit(id, &mut substs, &mut regs);
                 }
             }
@@ -370,13 +367,28 @@ impl RhsNode {
     }
 
     /// Instantiate under `subst`, adding nodes to the e-graph. Returns the
-    /// root class of the instantiated term.
+    /// root class of the instantiated term. Children are built on an
+    /// operand stack the e-graph lends out, so a match whose right-hand
+    /// side already exists allocates nothing.
     pub fn instantiate(&self, eg: &mut EGraph, subst: &VarSubst) -> Id {
+        let mut stack = eg.take_stack();
+        let id = self.build(eg, subst, &mut stack);
+        eg.return_stack(stack);
+        id
+    }
+
+    fn build(&self, eg: &mut EGraph, subst: &VarSubst, stack: &mut Vec<Id>) -> Id {
         match self {
             RhsNode::Var(v) => subst.get(*v),
             RhsNode::Apply { op, children } => {
-                let kids: Vec<Id> = children.iter().map(|c| c.instantiate(eg, subst)).collect();
-                eg.add(Node::new(op.clone(), kids))
+                let base = stack.len();
+                for c in children {
+                    let id = c.build(eg, subst, stack);
+                    stack.push(id);
+                }
+                let id = eg.add_with(op, &stack[base..]);
+                stack.truncate(base);
+                id
             }
         }
     }
@@ -385,6 +397,7 @@ impl RhsNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::Node;
     use crate::pattern::parse_pattern;
 
     fn compile(src: &str) -> Program {

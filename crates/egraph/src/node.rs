@@ -10,9 +10,15 @@ use std::fmt;
 
 /// An e-class id. Internally an index into the union-find.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Id(u32);
+pub struct Id(pub(crate) u32);
 
 impl Id {
+    /// The id with this index. Cannot fail, unlike `Id::from(usize)` —
+    /// what a reader of untrusted text converts a checked `u32` with.
+    pub const fn new(index: u32) -> Id {
+        Id(index)
+    }
+
     /// The index this id wraps.
     pub fn index(self) -> usize {
         self.0 as usize
@@ -239,19 +245,43 @@ impl Node {
         Node::leaf(Op::Sym(name.to_string()))
     }
 
-    /// Return a copy with children mapped through `find` (canonicalization).
-    pub fn canonicalized(&self, mut find: impl FnMut(Id) -> Id) -> Node {
-        Node { op: self.op.clone(), children: self.children.iter().map(|&c| find(c)).collect() }
+    /// Borrow as the view type the e-graph hands out for stored e-nodes.
+    pub fn as_ref(&self) -> NodeRef<'_> {
+        NodeRef { op: &self.op, children: &self.children }
+    }
+}
+
+/// A borrowed e-node: how the e-graph shows the forms it stores (see
+/// [`crate::arena`]). Orders and compares exactly like the owned [`Node`]
+/// with the same operator and children.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct NodeRef<'a> {
+    /// Head operator.
+    pub op: &'a Op,
+    /// Child e-classes, in operator order.
+    pub children: &'a [Id],
+}
+
+impl NodeRef<'_> {
+    /// An owned copy — the boundary type of `add`, patterns and selections.
+    pub fn to_node(self) -> Node {
+        Node { op: self.op.clone(), children: self.children.to_vec() }
     }
 }
 
 impl fmt::Display for Node {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.as_ref().fmt(f)
+    }
+}
+
+impl fmt::Display for NodeRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.children.is_empty() {
             write!(f, "{}", self.op.name())
         } else {
             write!(f, "({}", self.op.name())?;
-            for c in &self.children {
+            for c in self.children {
                 write!(f, " {c}")?;
             }
             write!(f, ")")

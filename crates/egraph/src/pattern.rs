@@ -6,7 +6,7 @@
 //! pattern embeds into an e-class.
 
 use crate::egraph::EGraph;
-use crate::node::{Id, Node, Op};
+use crate::node::{Id, Op};
 use std::collections::HashMap;
 
 /// One node of a pattern tree.
@@ -72,23 +72,6 @@ impl Pattern {
         }
         results
     }
-
-    /// Instantiate the pattern under `subst`, adding nodes to the e-graph.
-    /// Returns the root class of the instantiated term.
-    pub fn instantiate(&self, eg: &mut EGraph, subst: &Subst) -> Id {
-        fn go(eg: &mut EGraph, p: &PatternNode, subst: &Subst) -> Id {
-            match p {
-                PatternNode::Var(v) => {
-                    *subst.get(v).unwrap_or_else(|| panic!("unbound pattern variable ?{v}"))
-                }
-                PatternNode::Apply { op, children } => {
-                    let kids: Vec<Id> = children.iter().map(|c| go(eg, c, subst)).collect();
-                    eg.add(Node::new(op.clone(), kids))
-                }
-            }
-        }
-        go(eg, &self.root, subst)
-    }
 }
 
 fn match_node(eg: &EGraph, pattern: &PatternNode, id: Id, subst: &mut Subst, out: &mut Vec<Subst>) {
@@ -106,13 +89,12 @@ fn match_node(eg: &EGraph, pattern: &PatternNode, id: Id, subst: &mut Subst, out
             }
         }
         PatternNode::Apply { op, children } => {
-            let class = eg.class(id);
-            for node in &class.nodes {
-                if &node.op != op || node.children.len() != children.len() {
+            for node in eg.nodes(id) {
+                if node.op != op || node.children.len() != children.len() {
                     continue;
                 }
                 // match children left-to-right with backtracking
-                match_children(eg, children, &node.children, 0, subst, out);
+                match_children(eg, children, node.children, 0, subst, out);
             }
         }
     }
@@ -210,6 +192,7 @@ fn parse_node(tokens: &[String], pos: &mut usize) -> Result<PatternNode, String>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::Node;
 
     #[test]
     fn parse_fma_pattern() {
@@ -302,21 +285,6 @@ mod tests {
         let p = parse_pattern("(* ?x ?y)").unwrap();
         let found = p.search(&eg);
         assert_eq!(found.len(), 2);
-    }
-
-    #[test]
-    fn instantiate_builds_term() {
-        let mut eg = EGraph::new();
-        let a = eg.add(Node::sym("a"));
-        let b = eg.add(Node::sym("b"));
-        let c = eg.add(Node::sym("c"));
-        let p = parse_pattern("(fma ?a ?b ?c)").unwrap();
-        let mut subst = Subst::new();
-        subst.insert("a".into(), a);
-        subst.insert("b".into(), b);
-        subst.insert("c".into(), c);
-        let id = p.instantiate(&mut eg, &subst);
-        assert_eq!(eg.term_string(id), "(fma a b c)");
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! ([`Pattern::search`]) remains available as `search_legacy` — it is the
 //! differential-testing oracle for the compiled engine.
 
+use crate::dense::ClassSet;
 use crate::egraph::EGraph;
-use crate::fxhash::FxHashSet;
 use crate::machine::{Program, RhsNode, VarSubst};
 use crate::node::Id;
 use crate::pattern::{parse_pattern, Pattern, Subst};
@@ -105,7 +105,7 @@ impl Rewrite {
     /// Search the e-graph for matches of `lhs` with the compiled VM,
     /// restricted to candidate classes when `restrict` is given (the
     /// runner's dirty-class search).
-    pub fn search_filtered(&self, eg: &EGraph, restrict: Option<&FxHashSet<Id>>) -> Vec<RuleMatch> {
+    pub fn search_filtered(&self, eg: &EGraph, restrict: Option<&ClassSet>) -> Vec<RuleMatch> {
         let mut raw = Vec::new();
         self.program.search_filtered(eg, restrict, &mut raw);
         let mut matches: Vec<RuleMatch> =
@@ -135,12 +135,6 @@ impl Rewrite {
     /// Returns `true` if the e-graph changed.
     pub fn apply_match(&self, eg: &mut EGraph, class: Id, subst: &VarSubst) -> bool {
         let new_id = self.rhs_template.instantiate(eg, subst);
-        eg.union(class, new_id).1
-    }
-
-    /// Apply one legacy-form match (name-keyed substitution).
-    pub fn apply_match_legacy(&self, eg: &mut EGraph, class: Id, subst: &Subst) -> bool {
-        let new_id = self.rhs.instantiate(eg, subst);
         eg.union(class, new_id).1
     }
 }
@@ -188,7 +182,7 @@ mod tests {
         }
         eg.rebuild();
         // the sum's class must now contain an Fma node
-        assert!(eg.class(sum).nodes.iter().any(|n| n.op == Op::Fma));
+        assert!(eg.nodes(sum).any(|n| *n.op == Op::Fma));
     }
 
     #[test]

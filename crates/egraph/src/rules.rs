@@ -130,7 +130,7 @@ mod tests {
         let bc = eg.add(Node::new(Op::Mul, vec![b, c]));
         let diff = eg.add(Node::new(Op::Sub, vec![a, bc]));
         Runner::new(fma_rules()).run(&mut eg);
-        assert!(eg.class(diff).nodes.iter().any(|n| n.op == Op::Fma));
+        assert!(eg.nodes(diff).any(|n| *n.op == Op::Fma));
     }
 
     /// FMA3: b*c - a must gain FMA(-a, b, c).
@@ -143,7 +143,7 @@ mod tests {
         let bc = eg.add(Node::new(Op::Mul, vec![b, c]));
         let diff = eg.add(Node::new(Op::Sub, vec![bc, a]));
         Runner::new(fma_rules()).run(&mut eg);
-        assert!(eg.class(diff).nodes.iter().any(|n| n.op == Op::Fma));
+        assert!(eg.nodes(diff).any(|n| *n.op == Op::Fma));
     }
 
     /// Reassociation enables CSE across statements:

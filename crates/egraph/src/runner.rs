@@ -1,14 +1,11 @@
 //! The saturation runner: applies a rule set until saturation or until the
 //! paper's limits are hit (10 000 e-nodes, 10 iterations, 10 seconds).
 //!
-//! The default engine is the compiled pattern VM ([`crate::machine`]) with
+//! Matching is the compiled pattern VM ([`crate::machine`]) with
 //! operator-indexed candidate lookup, incremental dirty-class search after
 //! the first iteration, per-rule match/apply statistics, and a backoff
 //! scheduler that temporarily benches rules whose match counts explode
-//! (commutativity/associativity on large graphs). The seed's interpretive
-//! tree-walk engine remains available as [`MatchEngine::Legacy`] — it is
-//! the differential-testing oracle and the baseline for the saturation
-//! throughput bench.
+//! (commutativity/associativity on large graphs).
 //!
 //! # Parallel search
 //!
@@ -26,6 +23,7 @@
 //! extraction), never mid-search, so it cannot reorder or truncate the
 //! match stream on one thread count but not another.
 
+use crate::dense::ClassSet;
 use crate::egraph::EGraph;
 use crate::fxhash::FxHashSet;
 use crate::machine::VarSubst;
@@ -65,16 +63,6 @@ impl Default for RunnerLimits {
     fn default() -> RunnerLimits {
         RunnerLimits { node_limit: 10_000, iter_limit: 10, time_limit: Duration::from_secs(10) }
     }
-}
-
-/// Which e-matching engine the runner drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MatchEngine {
-    /// Compiled pattern VM + op index + dirty-class search (default).
-    Compiled,
-    /// The seed's interpretive backtracking tree-walk over every class,
-    /// every iteration. Kept as oracle and benchmark baseline.
-    Legacy,
 }
 
 /// Backoff-scheduler configuration: a rule matching more than
@@ -213,13 +201,13 @@ enum Pending {
     #[default]
     Empty,
     /// These classes must be re-searched.
-    Classes(FxHashSet<Id>),
+    Classes(ClassSet),
     /// A whole-graph search is owed.
     Full,
 }
 
 impl Pending {
-    fn merge_dirty(&mut self, dirty: Option<&FxHashSet<Id>>) {
+    fn merge_dirty(&mut self, dirty: Option<&ClassSet>) {
         match (std::mem::take(self), dirty) {
             (_, None) | (Pending::Full, _) => *self = Pending::Full,
             (Pending::Empty, Some(d)) => {
@@ -228,7 +216,7 @@ impl Pending {
                 }
             }
             (Pending::Classes(mut p), Some(d)) => {
-                p.extend(d.iter().copied());
+                p.union_with(d);
                 *self = Pending::Classes(p);
             }
         }
@@ -251,7 +239,7 @@ enum Restrict {
     /// Search the iteration's shared dirty set.
     Dirty,
     /// Search an owned set (deferred classes merged with the dirty set).
-    Owned(FxHashSet<Id>),
+    Owned(ClassSet),
 }
 
 /// The equality-saturation runner.
@@ -262,12 +250,10 @@ pub struct Runner {
     /// compile the rules once and share them across every kernel and
     /// worker thread ([`Runner::from_shared`]).
     pub rules: Arc<Vec<Rewrite>>,
-    /// Which e-matching engine drives the search phase.
-    pub engine: MatchEngine,
     /// `None` disables the backoff scheduler (every rule runs every
     /// iteration, as in the seed).
     pub backoff: Option<BackoffConfig>,
-    /// Worker threads for the compiled engine's search phase (`1` searches
+    /// Worker threads for the search phase (`1` searches
     /// serially on the calling thread). Results are byte-identical at any
     /// value — see the module docs.
     pub sat_threads: usize,
@@ -278,8 +264,8 @@ pub struct Runner {
 }
 
 impl Runner {
-    /// New runner with the given rules, default (paper) limits, the
-    /// compiled engine and the default backoff scheduler.
+    /// New runner with the given rules, default (paper) limits and the
+    /// default backoff scheduler.
     pub fn new(rules: Vec<Rewrite>) -> Runner {
         Runner::from_shared(Arc::new(rules))
     }
@@ -291,7 +277,6 @@ impl Runner {
         Runner {
             limits: RunnerLimits::default(),
             rules,
-            engine: MatchEngine::Compiled,
             backoff: Some(BackoffConfig::default()),
             sat_threads: 1,
             budget: None,
@@ -301,12 +286,6 @@ impl Runner {
     /// Override the limits.
     pub fn with_limits(mut self, limits: RunnerLimits) -> Runner {
         self.limits = limits;
-        self
-    }
-
-    /// Select the matching engine.
-    pub fn with_engine(mut self, engine: MatchEngine) -> Runner {
-        self.engine = engine;
         self
     }
 
@@ -330,13 +309,6 @@ impl Runner {
 
     /// Run saturation on `eg` until a stop condition is reached.
     pub fn run(&self, eg: &mut EGraph) -> RunnerReport {
-        match self.engine {
-            MatchEngine::Compiled => self.run_compiled(eg),
-            MatchEngine::Legacy => self.run_legacy(eg),
-        }
-    }
-
-    fn run_compiled(&self, eg: &mut EGraph) -> RunnerReport {
         let _run_span = trace::span_args("sat", "runner.run", || {
             vec![("rules", self.rules.len().into()), ("threads", self.sat_threads.into())]
         });
@@ -383,7 +355,7 @@ impl Runner {
             // the remaining tasks are independent of each other.
             let t_search = Instant::now();
             let search_span = trace::span("sat", "search");
-            let dirty: Option<FxHashSet<Id>> = if it == 0 {
+            let dirty: Option<ClassSet> = if it == 0 {
                 eg.clear_search_dirty();
                 None
             } else {
@@ -400,7 +372,7 @@ impl Runner {
                     (Pending::Full, _) | (_, None) => Restrict::Whole,
                     (Pending::Empty, Some(_)) => Restrict::Dirty,
                     (Pending::Classes(mut p), Some(d)) => {
-                        p.extend(d.iter().copied());
+                        p.union_with(d);
                         Restrict::Owned(p)
                     }
                 };
@@ -497,6 +469,7 @@ impl Runner {
             let t_apply = Instant::now();
             let apply_span = trace::span("sat", "apply");
             let mut applied = 0usize;
+            seen.reserve(all_matches.len());
             for (ri, m) in all_matches {
                 if eg.total_nodes() >= self.limits.node_limit {
                     break;
@@ -536,78 +509,6 @@ impl Runner {
             // owes a deferred search
             let owes = states.iter().any(|s| !matches!(s.pending, Pending::Empty));
             if applied == 0 && !owes {
-                break StopReason::Saturated;
-            }
-        };
-        RunnerReport { stop_reason, iterations, rule_stats, elapsed: start.elapsed() }
-    }
-
-    /// The seed's loop, verbatim: interpretive full-graph search each
-    /// iteration, no scheduling, no dedup.
-    fn run_legacy(&self, eg: &mut EGraph) -> RunnerReport {
-        let start = Instant::now();
-        let mut iterations = Vec::new();
-        let mut rule_stats: Vec<RuleStats> = self
-            .rules
-            .iter()
-            .map(|r| RuleStats { name: r.name.clone(), ..Default::default() })
-            .collect();
-        let stop_reason = loop {
-            if iterations.len() >= self.limits.iter_limit {
-                break StopReason::IterLimit;
-            }
-            if start.elapsed() >= self.limits.time_limit {
-                break StopReason::TimeLimit;
-            }
-            if eg.total_nodes() >= self.limits.node_limit {
-                break StopReason::NodeLimit;
-            }
-            eg.clear_search_dirty();
-
-            // 1. search all rules against the current (frozen) e-graph
-            let t_search = Instant::now();
-            let mut all_matches = Vec::new();
-            for (ri, rule) in self.rules.iter().enumerate() {
-                let matches = rule.search_legacy(eg);
-                rule_stats[ri].matches += matches.len();
-                for (class, subst) in matches {
-                    all_matches.push((ri, class, subst));
-                }
-                if start.elapsed() >= self.limits.time_limit {
-                    break;
-                }
-            }
-            let found = all_matches.len();
-            let search_time = t_search.elapsed();
-
-            // 2. apply every match, then restore congruence once
-            let t_apply = Instant::now();
-            let mut applied = 0usize;
-            for (ri, class, subst) in all_matches {
-                if eg.total_nodes() >= self.limits.node_limit {
-                    break;
-                }
-                if self.rules[ri].apply_match_legacy(eg, class, &subst) {
-                    applied += 1;
-                    rule_stats[ri].applied += 1;
-                }
-            }
-            let apply_time = t_apply.elapsed();
-            let t_rebuild = Instant::now();
-            eg.rebuild();
-            let rebuild_time = t_rebuild.elapsed();
-
-            iterations.push(IterationStats {
-                matches: found,
-                applied,
-                total_nodes: eg.total_nodes(),
-                num_classes: eg.num_classes(),
-                search_time,
-                apply_time,
-                rebuild_time,
-            });
-
-            if applied == 0 {
                 break StopReason::Saturated;
             }
         };
@@ -661,10 +562,7 @@ mod tests {
         let sum = eg.add(Node::new(Op::Add, vec![bc, ids[0]]));
         let runner = Runner::new(all_rules());
         runner.run(&mut eg);
-        assert!(
-            eg.class(sum).nodes.iter().any(|n| n.op == Op::Fma),
-            "FMA must appear in the sum's class"
-        );
+        assert!(eg.nodes(sum).any(|n| *n.op == Op::Fma), "FMA must appear in the sum's class");
     }
 
     #[test]
@@ -712,22 +610,6 @@ mod tests {
         let three = eg.add(Node::int(3));
         let x3 = eg.add(Node::new(Op::Add, vec![x, three]));
         assert!(eg.same(x12, x3), "folding must discover x + 3");
-    }
-
-    #[test]
-    fn legacy_engine_reaches_same_equalities() {
-        for engine in [MatchEngine::Compiled, MatchEngine::Legacy] {
-            let mut eg = EGraph::new();
-            let ids = chain_add(&mut eg, &["a", "b", "c"]);
-            let bc = eg.add(Node::new(Op::Mul, vec![ids[1], ids[2]]));
-            let sum = eg.add(Node::new(Op::Add, vec![bc, ids[0]]));
-            let runner = Runner::new(all_rules()).with_engine(engine);
-            runner.run(&mut eg);
-            assert!(
-                eg.class(sum).nodes.iter().any(|n| n.op == Op::Fma),
-                "{engine:?}: FMA must appear"
-            );
-        }
     }
 
     #[test]

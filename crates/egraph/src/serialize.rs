@@ -4,7 +4,7 @@
 //! (`accsat serve`, `--cache-dir`): a saturated e-graph is dumped after
 //! `rebuild`, stored under its kernel hash, and restored in a later process
 //! so extraction (or even further saturation) can resume without redoing
-//! the work. Two properties drive the design:
+//! the work. Three properties drive the design:
 //!
 //! * **Full fidelity.** Every field that can influence later behavior is
 //!   serialized exactly: the union-find forest (raw parent vector, so
@@ -16,30 +16,84 @@
 //!   restored graph is operationally indistinguishable from the original:
 //!   re-running the saturation runner on it produces byte-identical
 //!   reports (pinned by `tests/property_cache.rs`).
-//! * **Deterministic bytes.** Hash-map content (memo, op index) is written
-//!   sorted by key, so the same graph always serializes to the same bytes
-//!   regardless of the maps' insertion histories — serialized snapshots
-//!   can themselves be compared or hashed.
+//! * **Each e-node once.** Classes, parent lists and the memo refer to
+//!   e-node forms by number; the form table spells each live form out one
+//!   time, and the operator table each operator.
+//! * **Deterministic bytes, numbered by content.** A live graph's form and
+//!   op numbers record the order things were interned in, which a restored
+//!   graph never saw (it holds the live forms only). The snapshot
+//!   therefore renumbers: forms in order of first reference walking the
+//!   classes by id (nodes, then parents), then memo keys referenced from
+//!   no class in node-content order; operators in order of first use by
+//!   the form table. The numbering is a function of what the graph holds,
+//!   never of how it got there, so equal graphs serialize to equal bytes
+//!   and `serialize(deserialize(t)) == t`.
 //!
-//! The format is line-oriented text with a versioned header
-//! (`accsat-egraph v1`), following the repo's no-crates.io rule: hand-roll
-//! like the JSON reports, don't vendor a serde. Operators use a tagged
-//! token codec ([`op_token`] / [`parse_op_token`]) because [`Op::name`] is
-//! not injective (a symbol named `load` would collide) and float display
-//! is lossy (tokens carry the exact bits).
+//! # Grammar (`accsat-egraph v2`)
+//!
+//! Line-oriented text, single spaces, decimal integers, `\n` endings:
+//!
+//! ```text
+//! accsat-egraph v2
+//! fold <0|1>
+//! nodes <total e-nodes ever added>
+//! uf <N> <parent of id 0> … <parent of id N-1>
+//! arena <K> <F> <total children of the F forms>
+//! <op token>                                    × K   (op numbers 0..K)
+//! <op#> <memo class | -> <child id> …           × F   (form numbers 0..F)
+//! classes <N>
+//! x                                             a dead slot, or
+//! <const | -> <n> <p> <form>×n <form id>×p      a live class      × N
+//! opix <J>
+//! <op#> <count> <id> …                          × J   (ascending op#)
+//! dirty <n> <id> …
+//! sdirty <n> <id> …
+//! end
+//! ```
+//!
+//! Operators use a tagged token codec ([`op_token`] / [`parse_op_token`])
+//! because [`Op::name`] is not injective (a symbol named `load` would
+//! collide) and float display is lossy (tokens carry the exact bits).
+//!
+//! # Reading untrusted bytes
+//!
+//! A cache directory is outside input. The reader never panics, aborts or
+//! loops on it: every count is bounded by the bytes that remain before
+//! anything is allocated for it, every id and number is range-checked as
+//! it is read, the union-find must be a forest, and the result must pass
+//! the same invariant check [`EGraph::check_invariants`] panics on (roots
+//! are exactly the live classes, memo and op index consistent). Anything
+//! else is an `Err`, which the cache treats as a miss.
 
 use crate::analysis::ConstValue;
-use crate::egraph::{EClass, EGraph};
-use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::node::{Id, Node, Op};
+use crate::arena::{Arena, Form};
+use crate::egraph::{EClass, EGraph, NO_CLASS};
+use crate::node::{Id, Op};
 use crate::unionfind::UnionFind;
-use std::fmt::Write as _;
 
 /// Magic + version line every serialized e-graph starts with. Bump the
 /// version whenever the format (or anything that changes the meaning of
 /// the bytes) changes; readers reject mismatches and the cache treats the
 /// entry as a miss.
-pub const EGRAPH_FORMAT_HEADER: &str = "accsat-egraph v1";
+pub const EGRAPH_FORMAT_HEADER: &str = "accsat-egraph v2";
+
+fn push_op_token(out: &mut String, op: &Op) {
+    use std::fmt::Write as _;
+    let start = out.len();
+    let _ = match op {
+        Op::Int(v) => write!(out, "i:{v}"),
+        Op::Float(bits) => write!(out, "f:{bits:x}"),
+        Op::Sym(s) => write!(out, "s:{s}"),
+        Op::LoopCond(l) => write!(out, "lc:{l}"),
+        Op::Call(n) => write!(out, "call:{n}"),
+        other => write!(out, "{}", other.name()),
+    };
+    debug_assert!(
+        !out[start..].chars().any(char::is_whitespace),
+        "op token must be atomic: {:?}",
+        &out[start..]
+    );
+}
 
 /// Encode an operator as a whitespace-free token.
 ///
@@ -49,15 +103,8 @@ pub const EGRAPH_FORMAT_HEADER: &str = "accsat-egraph v1";
 /// in hex. Panics if a symbol/call payload contains whitespace (no such
 /// name can come out of the C parser or the SSA builder).
 pub fn op_token(op: &Op) -> String {
-    let tok = match op {
-        Op::Int(v) => format!("i:{v}"),
-        Op::Float(bits) => format!("f:{bits:x}"),
-        Op::Sym(s) => format!("s:{s}"),
-        Op::LoopCond(l) => format!("lc:{l}"),
-        Op::Call(n) => format!("call:{n}"),
-        other => other.name(),
-    };
-    debug_assert!(!tok.chars().any(|c| c.is_whitespace()), "op token must be atomic: {tok:?}");
+    let mut tok = String::new();
+    push_op_token(&mut tok, op);
     tok
 }
 
@@ -88,366 +135,324 @@ pub fn parse_op_token(tok: &str) -> Result<Op, String> {
     }
 }
 
-fn push_node(out: &mut String, node: &Node) {
-    out.push_str(&op_token(&node.op));
-    let _ = write!(out, " {}", node.children.len());
-    for c in &node.children {
-        let _ = write!(out, " {}", c.index());
-    }
+fn push_const_token(out: &mut String, c: Option<ConstValue>) {
+    use std::fmt::Write as _;
+    let _ = match c {
+        None => write!(out, "-"),
+        Some(ConstValue::Int(v)) => write!(out, "ci:{v}"),
+        Some(ConstValue::Float(v)) => write!(out, "cf:{:x}", v.to_bits()),
+    };
 }
 
-fn const_token(c: Option<ConstValue>) -> String {
-    match c {
-        None => "-".into(),
-        Some(ConstValue::Int(v)) => format!("ci:{v}"),
-        Some(ConstValue::Float(v)) => format!("cf:{:x}", v.to_bits()),
-    }
-}
-
-fn parse_const_token(tok: &str) -> Result<Option<ConstValue>, String> {
+fn parse_const_token(tok: &str) -> Result<Option<ConstValue>, &'static str> {
     if tok == "-" {
         return Ok(None);
     }
     if let Some(v) = tok.strip_prefix("ci:") {
-        return v
-            .parse::<i64>()
-            .map(|v| Some(ConstValue::Int(v)))
-            .map_err(|e| format!("bad const {tok:?}: {e}"));
+        return v.parse::<i64>().map(|v| Some(ConstValue::Int(v))).map_err(|_| "bad int constant");
     }
     if let Some(v) = tok.strip_prefix("cf:") {
         return u64::from_str_radix(v, 16)
             .map(|b| Some(ConstValue::Float(f64::from_bits(b))))
-            .map_err(|e| format!("bad const {tok:?}: {e}"));
+            .map_err(|_| "bad float constant");
     }
-    Err(format!("unknown const token {tok:?}"))
+    Err("unknown constant token")
 }
 
-/// A token cursor over one line of the serialized form.
-struct Line<'a> {
-    toks: std::str::SplitWhitespace<'a>,
-    raw: &'a str,
-}
-
-impl<'a> Line<'a> {
-    fn new(raw: &'a str) -> Line<'a> {
-        Line { toks: raw.split_whitespace(), raw }
-    }
-
-    fn next(&mut self) -> Result<&'a str, String> {
-        self.toks.next().ok_or_else(|| format!("truncated line {:?}", self.raw))
-    }
-
-    fn next_usize(&mut self) -> Result<usize, String> {
-        let t = self.next()?;
-        t.parse::<usize>().map_err(|e| format!("bad count {t:?} in {:?}: {e}", self.raw))
-    }
-
-    fn next_id(&mut self) -> Result<Id, String> {
-        Ok(Id::from(self.next_usize()?))
-    }
-
-    fn next_node(&mut self) -> Result<Node, String> {
-        let op = parse_op_token(self.next()?)?;
-        let k = self.next_usize()?;
-        let mut children = Vec::with_capacity(k);
-        for _ in 0..k {
-            children.push(self.next_id()?);
+/// Append `n` in decimal — the snapshot is mostly integers, and
+/// `core::fmt` spends more on one than this does on a line.
+fn push_num(out: &mut String, mut n: usize) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
-        Ok(Node { op, children })
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ascii digits"));
+}
+
+/// `" <n>"`.
+fn push_sp_num(out: &mut String, n: usize) {
+    out.push(' ');
+    push_num(out, n);
+}
+
+/// `"<name> <len> <id> …\n"` — the union-find and work-list lines.
+fn push_id_line(out: &mut String, name: &str, ids: &[Id]) {
+    out.push_str(name);
+    push_sp_num(out, ids.len());
+    for id in ids {
+        push_sp_num(out, id.index());
+    }
+    out.push('\n');
+}
+
+const UNNUMBERED: u32 = u32::MAX;
+
+/// Old number → snapshot number, handed out in order of first [`visit`].
+///
+/// [`visit`]: Renumbering::visit
+struct Renumbering {
+    new: Vec<u32>,
+    /// Old numbers in snapshot order.
+    order: Vec<u32>,
+}
+
+impl Renumbering {
+    fn new(n: usize) -> Renumbering {
+        Renumbering { new: vec![UNNUMBERED; n], order: Vec::new() }
     }
 
-    fn expect(&mut self, word: &str) -> Result<(), String> {
-        let t = self.next()?;
-        if t == word {
+    fn visit(&mut self, old: usize) {
+        if self.new[old] == UNNUMBERED {
+            self.new[old] = self.order.len() as u32;
+            self.order.push(old as u32);
+        }
+    }
+
+    fn of(&self, old: usize) -> usize {
+        self.new[old] as usize
+    }
+}
+
+/// A byte cursor over the serialized form. Errors are static strings —
+/// nothing is formatted unless a read fails.
+struct Reader<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+type Read<T> = Result<T, &'static str>;
+
+impl<'a> Reader<'a> {
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    /// Consume exactly `lit`.
+    fn lit(&mut self, lit: &str) -> Read<()> {
+        if self.buf[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
             Ok(())
         } else {
-            Err(format!("expected {word:?}, got {t:?} in {:?}", self.raw))
+            Err("unexpected text")
         }
+    }
+
+    fn eol(&mut self) -> Read<()> {
+        self.lit("\n")
+    }
+
+    /// Is the next byte the end of the line (or of the input)?
+    fn at_eol(&self) -> bool {
+        self.buf.get(self.pos).is_none_or(|&b| b == b'\n')
+    }
+
+    /// A decimal integer.
+    fn num(&mut self) -> Read<usize> {
+        let start = self.pos;
+        let mut n = 0usize;
+        while let Some(d) = self.buf.get(self.pos).map(|b| b.wrapping_sub(b'0')).filter(|&d| d < 10)
+        {
+            n = n
+                .checked_mul(10)
+                .and_then(|n| n.checked_add(d as usize))
+                .ok_or("number too big")?;
+            self.pos += 1;
+        }
+        if self.pos == start {
+            return Err("expected a number");
+        }
+        Ok(n)
+    }
+
+    /// A space, then a decimal integer.
+    fn sp_num(&mut self) -> Read<usize> {
+        self.lit(" ")?;
+        self.num()
+    }
+
+    /// `" <n>"` where n items of at least two bytes each must follow: a
+    /// count the input cannot back is rejected before anything is
+    /// allocated for it.
+    fn sp_count(&mut self) -> Read<usize> {
+        let n = self.sp_num()?;
+        if n > self.remaining() / 2 {
+            return Err("count exceeds the input");
+        }
+        Ok(n)
+    }
+
+    /// `" <id>"` with `id < bound`.
+    fn sp_id(&mut self, bound: usize) -> Read<Id> {
+        let n = self.sp_num()?;
+        if n >= bound {
+            return Err("id out of range");
+        }
+        Ok(Id::new(n as u32))
+    }
+
+    /// `"<name> <len> <id> …\n"`.
+    fn id_line(&mut self, name: &str, bound: usize) -> Read<Vec<Id>> {
+        self.lit(name)?;
+        let n = self.sp_count()?;
+        let mut ids = Vec::with_capacity(n);
+        for _ in 0..n {
+            ids.push(self.sp_id(bound)?);
+        }
+        self.eol()?;
+        Ok(ids)
+    }
+
+    /// The bytes up to the next space or line end, as text.
+    fn token(&mut self) -> Read<&'a str> {
+        let rest = &self.buf[self.pos..];
+        let len = rest.iter().position(|&b| b == b' ' || b == b'\n').unwrap_or(rest.len());
+        if len == 0 {
+            return Err("expected a token");
+        }
+        self.pos += len;
+        std::str::from_utf8(&rest[..len]).map_err(|_| "token is not utf-8")
     }
 }
 
 impl EGraph {
     /// Serialize the complete e-graph state to the versioned text format.
     ///
-    /// Output bytes are a pure function of the graph state (hash-map
-    /// sections are emitted in sorted order), so equal graphs serialize
-    /// equal. See the module docs for the fidelity contract.
+    /// Output bytes are a pure function of the graph state (see the module
+    /// docs for the numbering rule), so equal graphs serialize equal.
     pub fn serialize(&self) -> String {
-        let mut out = String::new();
-        out.push_str(EGRAPH_FORMAT_HEADER);
-        out.push('\n');
-        let _ = writeln!(out, "fold {}", u8::from(self.fold_constants));
-        let _ = writeln!(out, "nodes {}", self.num_nodes);
-
-        let _ = write!(out, "uf {}", self.unionfind.parents.len());
-        for p in &self.unionfind.parents {
-            let _ = write!(out, " {}", p.index());
-        }
-        out.push('\n');
-
-        let _ = writeln!(out, "classes {}", self.classes.len());
-        for (i, slot) in self.classes.iter().enumerate() {
-            match slot {
-                None => {
-                    let _ = writeln!(out, "c {i} dead");
-                }
-                Some(cls) => {
-                    let _ = writeln!(
-                        out,
-                        "c {i} live {} {} {}",
-                        const_token(cls.constant),
-                        cls.nodes.len(),
-                        cls.parents.len()
-                    );
-                    for n in &cls.nodes {
-                        out.push_str("n ");
-                        push_node(&mut out, n);
-                        out.push('\n');
-                    }
-                    for (n, pid) in &cls.parents {
-                        out.push_str("p ");
-                        push_node(&mut out, n);
-                        let _ = writeln!(out, " {}", pid.index());
-                    }
-                }
+        // number the live forms, then the operators they use
+        let mut forms = Renumbering::new(self.arena.len());
+        for (_, cls) in self.classes() {
+            for &f in &cls.nodes {
+                forms.visit(f.index());
+            }
+            for &(f, _) in &cls.parents {
+                forms.visit(f.index());
             }
         }
-
-        let mut memo: Vec<(&Node, Id)> = self.memo.iter().map(|(n, &id)| (n, id)).collect();
-        memo.sort_unstable();
-        let _ = writeln!(out, "memo {}", memo.len());
-        for (n, id) in memo {
-            out.push_str("m ");
-            push_node(&mut out, n);
-            let _ = writeln!(out, " {}", id.index());
+        let mut loose: Vec<Form> = (0..self.arena.len())
+            .filter(|&f| self.memo[f] != NO_CLASS && forms.new[f] == UNNUMBERED)
+            .map(Form::from_index)
+            .collect();
+        loose.sort_unstable_by(|&a, &b| self.arena.node(a).cmp(&self.arena.node(b)));
+        for f in loose {
+            forms.visit(f.index());
+        }
+        let mut ops = Renumbering::new(self.arena.num_ops());
+        let mut n_children = 0usize;
+        for &f in &forms.order {
+            let f = Form::from_index(f as usize);
+            ops.visit(self.arena.op_no(f) as usize);
+            n_children += self.arena.children(f).len();
         }
 
-        let mut ops: Vec<(String, &Vec<Id>)> =
-            self.op_index.iter().map(|(op, ids)| (op_token(op), ids)).collect();
-        ops.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let _ = writeln!(out, "ops {}", ops.len());
-        for (tok, ids) in ops {
-            let _ = write!(out, "o {tok} {}", ids.len());
-            for id in ids {
-                let _ = write!(out, " {}", id.index());
+        // ~6 bytes per integer; classes + parents + the form table
+        let mut out = String::with_capacity(64 + 8 * self.classes.len() + 12 * forms.order.len());
+        out.push_str(EGRAPH_FORMAT_HEADER);
+        out.push_str("\nfold");
+        push_sp_num(&mut out, usize::from(self.fold_constants));
+        out.push_str("\nnodes");
+        push_sp_num(&mut out, self.num_nodes);
+        out.push('\n');
+        push_id_line(&mut out, "uf", &self.unionfind.parents);
+
+        out.push_str("arena");
+        push_sp_num(&mut out, ops.order.len());
+        push_sp_num(&mut out, forms.order.len());
+        push_sp_num(&mut out, n_children);
+        out.push('\n');
+        for &op_no in &ops.order {
+            push_op_token(&mut out, self.arena.op_by_number(op_no));
+            out.push('\n');
+        }
+        for &f in &forms.order {
+            let form = Form::from_index(f as usize);
+            push_num(&mut out, ops.of(self.arena.op_no(form) as usize));
+            match self.memo[f as usize] {
+                NO_CLASS => out.push_str(" -"),
+                id => push_sp_num(&mut out, id.index()),
+            }
+            for c in self.arena.children(form) {
+                push_sp_num(&mut out, c.index());
             }
             out.push('\n');
         }
 
-        let _ = write!(out, "dirty {}", self.dirty.len());
-        for id in &self.dirty {
-            let _ = write!(out, " {}", id.index());
-        }
+        out.push_str("classes");
+        push_sp_num(&mut out, self.classes.len());
         out.push('\n');
-        let _ = write!(out, "sdirty {}", self.search_dirty.len());
-        for id in &self.search_dirty {
-            let _ = write!(out, " {}", id.index());
+        for slot in &self.classes {
+            let Some(cls) = slot else {
+                out.push_str("x\n");
+                continue;
+            };
+            push_const_token(&mut out, cls.constant);
+            push_sp_num(&mut out, cls.nodes.len());
+            push_sp_num(&mut out, cls.parents.len());
+            for f in &cls.nodes {
+                push_sp_num(&mut out, forms.of(f.index()));
+            }
+            for (f, pid) in &cls.parents {
+                push_sp_num(&mut out, forms.of(f.index()));
+                push_sp_num(&mut out, pid.index());
+            }
+            out.push('\n');
         }
+
+        // the op index, by snapshot op number (an indexed operator heads a
+        // class node, so it is in the table)
+        let mut indexed: Vec<(usize, &Vec<Id>)> = (self.op_index.iter().enumerate())
+            .filter(|(_, ids)| !ids.is_empty())
+            .map(|(op_no, ids)| (ops.of(op_no), ids))
+            .collect();
+        indexed.sort_unstable_by_key(|&(op_no, _)| op_no);
+        out.push_str("opix");
+        push_sp_num(&mut out, indexed.len());
         out.push('\n');
+        for (op_no, ids) in indexed {
+            push_num(&mut out, op_no);
+            push_sp_num(&mut out, ids.len());
+            for id in ids {
+                push_sp_num(&mut out, id.index());
+            }
+            out.push('\n');
+        }
+
+        push_id_line(&mut out, "dirty", &self.dirty);
+        push_id_line(&mut out, "sdirty", &self.search_dirty);
         out.push_str("end\n");
         out
     }
 
     /// Restore an e-graph from [`EGraph::serialize`] output. Rejects
-    /// unknown format versions and structurally corrupt input with a
-    /// descriptive error (the cache layer maps any error to a miss).
+    /// unknown format versions and corrupt input with an error naming the
+    /// byte it stopped at (the cache layer maps any error to a miss) —
+    /// see the module docs for what "corrupt" covers.
     pub fn deserialize(text: &str) -> Result<EGraph, String> {
-        let mut lines = text.lines();
-        let mut next_line =
-            |what: &str| lines.next().ok_or_else(|| format!("truncated input: expected {what}"));
-
-        let header = next_line("header")?;
-        if header != EGRAPH_FORMAT_HEADER {
+        let mut r = Reader { buf: text.as_bytes(), pos: 0 };
+        if r.lit(EGRAPH_FORMAT_HEADER).and_then(|()| r.eol()).is_err() {
+            let header = text.lines().next().unwrap_or("");
             return Err(format!(
                 "unsupported e-graph format {header:?} (expected {EGRAPH_FORMAT_HEADER:?})"
             ));
         }
-
-        let mut l = Line::new(next_line("fold")?);
-        l.expect("fold")?;
-        let fold_constants = match l.next()? {
-            "0" => false,
-            "1" => true,
-            other => return Err(format!("bad fold flag {other:?}")),
-        };
-
-        let mut l = Line::new(next_line("nodes")?);
-        l.expect("nodes")?;
-        let num_nodes = l.next_usize()?;
-
-        let mut l = Line::new(next_line("uf")?);
-        l.expect("uf")?;
-        let uf_len = l.next_usize()?;
-        let mut parents = Vec::with_capacity(uf_len);
-        for _ in 0..uf_len {
-            parents.push(l.next_id()?);
-        }
-        for p in &parents {
-            if p.index() >= uf_len {
-                return Err(format!("union-find parent {p} out of range {uf_len}"));
-            }
-        }
-
-        let mut l = Line::new(next_line("classes")?);
-        l.expect("classes")?;
-        let n_classes = l.next_usize()?;
-        if n_classes != uf_len {
-            return Err(format!("class count {n_classes} != union-find size {uf_len}"));
-        }
-        let mut classes: Vec<Option<EClass>> = Vec::with_capacity(n_classes);
-        for i in 0..n_classes {
-            let mut l = Line::new(next_line("class")?);
-            l.expect("c")?;
-            let idx = l.next_usize()?;
-            if idx != i {
-                return Err(format!("class {i} out of order (got {idx})"));
-            }
-            match l.next()? {
-                "dead" => classes.push(None),
-                "live" => {
-                    let constant = parse_const_token(l.next()?)?;
-                    let n_nodes = l.next_usize()?;
-                    let n_parents = l.next_usize()?;
-                    let mut nodes = Vec::with_capacity(n_nodes);
-                    for _ in 0..n_nodes {
-                        let mut l = Line::new(next_line("class node")?);
-                        l.expect("n")?;
-                        nodes.push(l.next_node()?);
-                    }
-                    let mut cls_parents = Vec::with_capacity(n_parents);
-                    for _ in 0..n_parents {
-                        let mut l = Line::new(next_line("class parent")?);
-                        l.expect("p")?;
-                        let node = l.next_node()?;
-                        cls_parents.push((node, l.next_id()?));
-                    }
-                    classes.push(Some(EClass { nodes, parents: cls_parents, constant }));
-                }
-                other => return Err(format!("bad class tag {other:?}")),
-            }
-        }
-
-        let mut l = Line::new(next_line("memo")?);
-        l.expect("memo")?;
-        let n_memo = l.next_usize()?;
-        let mut memo = FxHashMap::default();
-        memo.reserve(n_memo);
-        for _ in 0..n_memo {
-            let mut l = Line::new(next_line("memo entry")?);
-            l.expect("m")?;
-            let node = l.next_node()?;
-            let id = l.next_id()?;
-            if memo.insert(node, id).is_some() {
-                return Err("duplicate memo entry".into());
-            }
-        }
-
-        let mut l = Line::new(next_line("ops")?);
-        l.expect("ops")?;
-        let n_ops = l.next_usize()?;
-        let mut op_index: FxHashMap<Op, Vec<Id>> = FxHashMap::default();
-        op_index.reserve(n_ops);
-        for _ in 0..n_ops {
-            let mut l = Line::new(next_line("op index entry")?);
-            l.expect("o")?;
-            let op = parse_op_token(l.next()?)?;
-            let count = l.next_usize()?;
-            let mut ids = Vec::with_capacity(count);
-            for _ in 0..count {
-                ids.push(l.next_id()?);
-            }
-            if op_index.insert(op, ids).is_some() {
-                return Err("duplicate op index entry".into());
-            }
-        }
-
-        let mut l = Line::new(next_line("dirty")?);
-        l.expect("dirty")?;
-        let n_dirty = l.next_usize()?;
-        let mut dirty = Vec::with_capacity(n_dirty);
-        for _ in 0..n_dirty {
-            dirty.push(l.next_id()?);
-        }
-
-        let mut l = Line::new(next_line("sdirty")?);
-        l.expect("sdirty")?;
-        let n_sdirty = l.next_usize()?;
-        let mut search_dirty = Vec::with_capacity(n_sdirty);
-        for _ in 0..n_sdirty {
-            search_dirty.push(l.next_id()?);
-        }
-
-        if next_line("end")? != "end" {
-            return Err("missing end marker".into());
-        }
-
-        let eg = EGraph {
-            unionfind: UnionFind { parents },
-            memo,
-            classes,
-            dirty,
-            op_index,
-            search_dirty,
-            num_nodes,
-            fold_constants,
-        };
-        eg.validate()?;
+        let eg = read_body(&mut r)
+            .map_err(|what| format!("corrupt e-graph snapshot: {what} at byte {}", r.pos))?;
+        // well-formed; now the graph it describes must be one
+        eg.invariants().map_err(|what| format!("corrupt e-graph snapshot: {what}"))?;
         Ok(eg)
-    }
-
-    /// Structural sanity checks on a deserialized graph: every id in any
-    /// section must be in range, and every referenced canonical class must
-    /// be live. Cheap (linear) — corruption becomes an error, not a panic
-    /// deep inside saturation.
-    fn validate(&self) -> Result<(), String> {
-        let n = self.classes.len();
-        let check = |id: Id, what: &str| -> Result<(), String> {
-            if id.index() >= n {
-                return Err(format!("{what}: id {id} out of range {n}"));
-            }
-            Ok(())
-        };
-        let live = |id: Id, what: &str| -> Result<(), String> {
-            check(id, what)?;
-            if self.classes[self.find(id).index()].is_none() {
-                return Err(format!("{what}: id {id} resolves to a dead class"));
-            }
-            Ok(())
-        };
-        for (i, slot) in self.classes.iter().enumerate() {
-            let Some(cls) = slot else { continue };
-            for node in &cls.nodes {
-                for &c in &node.children {
-                    live(c, &format!("class {i} node child"))?;
-                }
-            }
-            for (node, pid) in &cls.parents {
-                live(*pid, &format!("class {i} parent id"))?;
-                for &c in &node.children {
-                    check(c, &format!("class {i} parent child"))?;
-                }
-            }
-        }
-        for (node, &id) in &self.memo {
-            live(id, "memo value")?;
-            for &c in &node.children {
-                check(c, "memo key child")?;
-            }
-        }
-        for ids in self.op_index.values() {
-            for &id in ids {
-                check(id, "op index")?;
-            }
-        }
-        for &id in self.dirty.iter().chain(&self.search_dirty) {
-            check(id, "dirty list")?;
-        }
-        Ok(())
     }
 
     /// Deep structural equality of the *serializable* state — equal exactly
     /// when `serialize()` outputs are equal bytes, but without building the
-    /// strings. Test helper for round-trip properties.
+    /// strings: forms are compared by the content they stand for, never by
+    /// number. Test helper for round-trip properties.
     pub fn state_eq(&self, other: &EGraph) -> bool {
         if self.fold_constants != other.fold_constants
             || self.num_nodes != other.num_nodes
@@ -455,30 +460,213 @@ impl EGraph {
             || self.dirty != other.dirty
             || self.search_dirty != other.search_dirty
             || self.classes.len() != other.classes.len()
+            || self.memo_len != other.memo_len
         {
             return false;
         }
+        let form_eq = |a: Form, b: Form| self.arena.node(a) == other.arena.node(b);
         let class_eq = |a: &Option<EClass>, b: &Option<EClass>| match (a, b) {
             (None, None) => true,
             (Some(a), Some(b)) => {
-                a.nodes == b.nodes && a.parents == b.parents && a.constant == b.constant
+                a.constant == b.constant
+                    && a.nodes.len() == b.nodes.len()
+                    && a.parents.len() == b.parents.len()
+                    && a.nodes.iter().zip(&b.nodes).all(|(&x, &y)| form_eq(x, y))
+                    && (a.parents.iter().zip(&b.parents))
+                        .all(|(&(x, p), &(y, q))| p == q && form_eq(x, y))
             }
             _ => false,
         };
         if !self.classes.iter().zip(&other.classes).all(|(a, b)| class_eq(a, b)) {
             return false;
         }
-        self.memo == other.memo && self.op_index == other.op_index
+        // equal key counts, so one direction of inclusion is equality
+        let memo_eq =
+            self.memo.iter().enumerate().filter(|(_, &id)| id != NO_CLASS).all(|(f, id)| {
+                let node = self.arena.node(Form::from_index(f));
+                (other.arena.lookup(node.op, node.children))
+                    .is_some_and(|g| other.memo[g.index()] == *id)
+            });
+        let indexed = |eg: &EGraph| eg.op_index.iter().filter(|ids| !ids.is_empty()).count();
+        memo_eq
+            && indexed(self) == indexed(other)
+            && self.op_index.iter().enumerate().all(|(op_no, ids)| {
+                ids.is_empty() || {
+                    let theirs = other.arena.op_number(self.arena.op_by_number(op_no as u32));
+                    theirs.and_then(|n| other.op_index.get(n as usize)) == Some(ids)
+                }
+            })
     }
 }
 
-// Silence unused-import lint when debug assertions compile out.
-#[allow(unused)]
-fn _assert_types(_: &FxHashSet<Id>) {}
+/// Everything after the header line: each section read and range-checked.
+/// What the sections must add up to is [`EGraph::invariants`]'s business.
+fn read_body(r: &mut Reader<'_>) -> Read<EGraph> {
+    r.lit("fold")?;
+    let fold_constants = match r.sp_num()? {
+        0 => false,
+        1 => true,
+        _ => return Err("bad fold flag"),
+    };
+    r.eol()?;
+    r.lit("nodes")?;
+    let num_nodes = r.sp_num()?;
+    r.eol()?;
+
+    // ids and form numbers are `u32`s (the top id is "no class"); counts
+    // are already bounded by the input, so this bites on a >8 GB text only
+    let small = |n: usize| if n < u32::MAX as usize { Ok(n) } else { Err("count exceeds u32") };
+
+    r.lit("uf")?;
+    let n_ids = small(r.sp_count()?)?;
+    let mut uf = Vec::with_capacity(n_ids);
+    for _ in 0..n_ids {
+        uf.push(r.sp_id(n_ids)?);
+    }
+    r.eol()?;
+    check_forest(&uf)?;
+    let unionfind = UnionFind { parents: uf };
+
+    r.lit("arena")?;
+    let (n_ops, n_forms, n_children) = (r.sp_count()?, small(r.sp_count()?)?, r.sp_count()?);
+    r.eol()?;
+    let mut arena = Arena::with_capacity(n_ops, n_forms, n_children);
+    for op_no in 0..n_ops {
+        let op = parse_op_token(r.token()?).map_err(|_| "bad op token")?;
+        r.eol()?;
+        if arena.intern_op(&op) as usize != op_no {
+            return Err("operator listed twice");
+        }
+    }
+    let mut memo = Vec::with_capacity(n_forms);
+    let mut children = Vec::new();
+    for f in 0..n_forms {
+        let op_no = r.num()?;
+        if op_no >= n_ops {
+            return Err("op number out of range");
+        }
+        memo.push(if r.lit(" -").is_ok() { NO_CLASS } else { r.sp_id(n_ids)? });
+        children.clear();
+        while !r.at_eol() {
+            children.push(r.sp_id(n_ids)?);
+        }
+        r.eol()?;
+        if arena.intern_numbered(op_no as u32, &children).index() != f {
+            return Err("form listed twice");
+        }
+    }
+    let memo_len = memo.iter().filter(|&&id| id != NO_CLASS).count();
+
+    r.lit("classes")?;
+    if r.sp_num()? != n_ids {
+        return Err("class count differs from the union-find's");
+    }
+    r.eol()?;
+    let mut classes: Vec<Option<EClass>> = Vec::with_capacity(n_ids);
+    for _ in 0..n_ids {
+        let dead = r.lit("x").is_ok();
+        classes.push(if dead { None } else { Some(read_class(r, n_forms, n_ids)?) });
+        r.eol()?;
+    }
+    let live_classes = classes.iter().flatten().count();
+
+    r.lit("opix")?;
+    let n_indexed = r.sp_count()?;
+    r.eol()?;
+    let mut op_index: Vec<Vec<Id>> = vec![Vec::new(); n_ops];
+    let mut next_op = 0;
+    for _ in 0..n_indexed {
+        let op_no = r.num()?;
+        if !(next_op..n_ops).contains(&op_no) {
+            return Err("op index entries out of order or range");
+        }
+        next_op = op_no + 1;
+        let n = r.sp_count()?;
+        if n == 0 {
+            return Err("empty op index entry");
+        }
+        let ids = &mut op_index[op_no];
+        ids.reserve_exact(n);
+        for _ in 0..n {
+            ids.push(r.sp_id(n_ids)?);
+        }
+        r.eol()?;
+    }
+
+    let dirty = r.id_line("dirty", n_ids)?;
+    let search_dirty = r.id_line("sdirty", n_ids)?;
+    r.lit("end\n")?;
+    if r.remaining() != 0 {
+        return Err("text after the end marker");
+    }
+
+    Ok(EGraph {
+        unionfind,
+        arena,
+        memo,
+        memo_len,
+        classes,
+        live_classes,
+        dirty,
+        op_index,
+        search_dirty,
+        num_nodes,
+        fold_constants,
+        scratch: Default::default(),
+    })
+}
+
+/// `<const | -> <n> <p> <form>×n <form id>×p` — one live class.
+fn read_class(r: &mut Reader<'_>, n_forms: usize, n_ids: usize) -> Read<EClass> {
+    let form = |r: &mut Reader<'_>| match r.sp_num()? {
+        f if f < n_forms => Ok(Form::from_index(f)),
+        _ => Err("form number out of range"),
+    };
+    let constant = parse_const_token(r.token()?)?;
+    let (n_nodes, n_parents) = (r.sp_count()?, r.sp_count()?);
+    let mut nodes = Vec::with_capacity(n_nodes);
+    for _ in 0..n_nodes {
+        nodes.push(form(r)?);
+    }
+    let mut parents = Vec::with_capacity(n_parents);
+    for _ in 0..n_parents {
+        parents.push((form(r)?, r.sp_id(n_ids)?));
+    }
+    Ok(EClass { nodes, parents, constant })
+}
+
+/// Every chain of union-find parents must end in a self-parented root:
+/// `find` on a cycle never returns.
+fn check_forest(parents: &[Id]) -> Read<()> {
+    const ON_PATH: u8 = 1;
+    const CHECKED: u8 = 2;
+    let mut state = vec![0u8; parents.len()];
+    for start in 0..parents.len() {
+        let mut i = start;
+        loop {
+            match state[i] {
+                CHECKED => break,
+                ON_PATH => return Err("cyclic union-find"),
+                _ => state[i] = ON_PATH,
+            }
+            if parents[i].index() == i {
+                break;
+            }
+            i = parents[i].index();
+        }
+        let mut i = start;
+        while state[i] == ON_PATH {
+            state[i] = CHECKED;
+            i = parents[i].index();
+        }
+    }
+    Ok(())
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::Node;
     use crate::rules::all_rules;
     use crate::runner::Runner;
 
@@ -537,13 +725,103 @@ mod tests {
     fn version_and_corruption_are_rejected() {
         let eg = sample_graph();
         let text = eg.serialize();
-        let wrong = text.replacen("v1", "v999", 1);
+        let wrong = text.replacen("v2", "v999", 1);
         assert!(EGraph::deserialize(&wrong).is_err(), "version mismatch must be rejected");
+        let v1 = text.replacen("v2", "v1", 1);
+        assert!(EGraph::deserialize(&v1).is_err(), "a v1 snapshot is a miss, not a guess");
         let truncated = &text[..text.len() / 2];
         assert!(EGraph::deserialize(truncated).is_err(), "truncation must be rejected");
         // out-of-range id in the union-find line
         let corrupt = text.replacen("uf ", "uf 999 ", 1);
         assert!(EGraph::deserialize(&corrupt).is_err());
+        assert!(EGraph::deserialize(&format!("{text}trailing\n")).is_err());
+    }
+
+    /// The snapshot with its `uf` line replaced.
+    fn with_uf_line(text: &str, uf: &str) -> String {
+        let start = text.find("uf ").unwrap();
+        let end = start + text[start..].find('\n').unwrap();
+        format!("{}{uf}{}", &text[..start], &text[end..])
+    }
+
+    #[test]
+    fn hostile_counts_ids_and_cycles_are_errors_not_panics() {
+        let text = sample_graph().serialize();
+        // an id above u32::MAX used to panic in `Id::from(usize)`
+        assert!(EGraph::deserialize(&with_uf_line(&text, "uf 3 0 1 99999999999")).is_err());
+        // a count the input cannot back used to abort in `with_capacity`
+        let huge = with_uf_line(&text, "uf 1152921504606846975 0 1 2");
+        assert!(EGraph::deserialize(&huge).is_err());
+        assert!(EGraph::deserialize(&with_uf_line(&text, "uf 18446744073709551616 0")).is_err());
+        // a cyclic union-find used to pass the range check and hang `find`
+        for cyclic in ["uf 3 1 0 2", "uf 3 1 2 0", "uf 4 0 2 3 2"] {
+            let n = cyclic.split(' ').count() - 2;
+            let body: String = (0..n).map(|_| "x\n").collect();
+            let t = format!(
+                "{EGRAPH_FORMAT_HEADER}\nfold 1\nnodes 0\n{cyclic}\narena 0 0 0\nclasses {n}\n\
+                 {body}opix 0\ndirty 0\nsdirty 0\nend\n"
+            );
+            let err = EGraph::deserialize(&t).expect_err(cyclic);
+            assert!(err.contains("cyclic"), "{cyclic}: {err}");
+        }
+        // huge per-section counts further in
+        for (from, to) in [("arena ", "arena 999999999999 "), ("opix ", "opix 77777777777 ")] {
+            assert!(EGraph::deserialize(&text.replacen(from, to, 1)).is_err(), "{to}");
+        }
+    }
+
+    #[test]
+    fn accepted_snapshots_satisfy_the_invariants() {
+        // each edit keeps the text well-formed but breaks one invariant the
+        // matcher or `check_invariants` relies on
+        let eg = sample_graph();
+        let text = eg.serialize();
+        let lines: Vec<&str> = text.lines().collect();
+        let edit = |at: usize, new: &str| {
+            let mut l: Vec<String> = lines.iter().map(|s| s.to_string()).collect();
+            l[at] = new.to_string();
+            l.join("\n") + "\n"
+        };
+        let at = |prefix: &str| lines.iter().position(|l| l.starts_with(prefix)).unwrap();
+        // a dead slot where the union-find has a root, and the reverse
+        let classes = at("classes ");
+        let dead = (classes + 1..).find(|&i| lines[i] == "x").unwrap();
+        let live = (classes + 1..).find(|&i| lines[i] != "x").unwrap();
+        assert!(EGraph::deserialize(&edit(live, "x")).is_err());
+        assert!(EGraph::deserialize(&edit(dead, lines[live])).is_err());
+        // an op index that drops its first entry
+        let opix = at("opix ");
+        let n: usize = lines[opix][5..].parse().unwrap();
+        let mut dropped: Vec<&str> = lines.clone();
+        dropped.remove(opix + 1);
+        let header = format!("opix {}", n - 1);
+        dropped[opix] = &header;
+        let err = EGraph::deserialize(&(dropped.join("\n") + "\n")).unwrap_err();
+        assert!(err.contains("op index misses"), "{err}");
+        // the untouched text still reads, and the result holds up
+        EGraph::deserialize(&text).unwrap().check_invariants();
+    }
+
+    #[test]
+    fn snapshot_numbering_ignores_interning_history() {
+        // the same graph reached with extra forms interned along the way
+        // (failed lookups never intern; dead canonicalisation leftovers do)
+        let mut plain = sample_graph();
+        let mut noisy = sample_graph();
+        let a = noisy.lookup(&Node::sym("a")).unwrap();
+        noisy.arena.intern(&Op::Fma, &[a, a, a]);
+        noisy.arena.intern(&Op::Sym("never-added".into()), &[]);
+        noisy.memo.resize(noisy.arena.len(), NO_CLASS);
+        assert!(plain.state_eq(&noisy) && noisy.state_eq(&plain));
+        assert_eq!(plain.serialize(), noisy.serialize());
+        // and both keep behaving alike
+        for eg in [&mut plain, &mut noisy] {
+            let b = eg.lookup(&Node::sym("b")).unwrap();
+            let a = eg.lookup(&Node::sym("a")).unwrap();
+            eg.union(a, b);
+            eg.rebuild();
+        }
+        assert_eq!(plain.serialize(), noisy.serialize());
     }
 
     #[test]

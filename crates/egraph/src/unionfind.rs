@@ -33,6 +33,11 @@ impl UnionFind {
         id
     }
 
+    /// Is `id` its own representative?
+    pub fn is_root(&self, id: Id) -> bool {
+        self.parents[id.index()] == id
+    }
+
     /// Find the canonical representative of `id` without mutation.
     pub fn find(&self, mut id: Id) -> Id {
         while self.parents[id.index()] != id {

@@ -56,8 +56,7 @@ use crate::cost::CostModel;
 use crate::greedy::{class_costs, extract_greedy};
 use crate::lp::LpBound;
 use crate::selection::Selection;
-use crate::visited::Visited;
-use accsat_egraph::{EGraph, FxHashSet, Id, Node};
+use accsat_egraph::{EGraph, FxHashSet, Id, Node, Visited};
 use std::time::{Duration, Instant};
 
 /// Strategy for picking the next undecided e-class to branch on. All
@@ -389,15 +388,14 @@ impl<'a> SearchContext<'a> {
         let mut orbit_pruned = 0usize;
         let mut dominance_pruned = 0usize;
 
-        for (id, class) in eg.classes() {
+        for (id, _) in eg.classes() {
             // finite-cost filter: a node whose child has no finite tree
             // cost can never appear in a well-founded selection
-            let list: Vec<Cand> = class
-                .nodes
-                .iter()
+            let list: Vec<Cand> = eg
+                .nodes(id)
                 .filter_map(|node| {
-                    let mut tree = cm.op_cost(&node.op);
-                    for &c in &node.children {
+                    let mut tree = cm.op_cost(node.op);
+                    for &c in node.children {
                         tree = tree.saturating_add(tree_costs[eg.find(c).index()]?);
                     }
                     let mut child_set: Vec<Id> =
@@ -405,8 +403,8 @@ impl<'a> SearchContext<'a> {
                     child_set.sort_unstable();
                     child_set.dedup();
                     Some(Cand {
-                        node: node.clone(),
-                        op_cost: cm.op_cost(&node.op),
+                        node: node.to_node(),
+                        op_cost: cm.op_cost(node.op),
                         tree_cost: tree,
                         child_set,
                     })

@@ -7,24 +7,24 @@
 
 use crate::cost::CostModel;
 use crate::selection::Selection;
-use accsat_egraph::{EGraph, Id};
+use accsat_egraph::{EGraph, Id, NodeRef};
 
 /// Extract the tree-cost-minimal selection covering everything reachable
 /// from `roots` (in fact, the fixpoint covers all finite-cost classes).
 pub fn extract_greedy(eg: &EGraph, roots: &[Id], cm: &CostModel) -> Selection {
     let costs = class_costs(eg, cm);
     let mut sel = Selection::new();
-    for (id, class) in eg.classes() {
-        let mut best: Option<(u64, usize)> = None;
-        for (i, node) in class.nodes.iter().enumerate() {
+    for (id, _) in eg.classes() {
+        let mut best: Option<(u64, NodeRef<'_>)> = None;
+        for node in eg.nodes(id) {
             if let Some(c) = node_cost(eg, cm, node, &costs) {
                 if best.is_none_or(|(bc, _)| c < bc) {
-                    best = Some((c, i));
+                    best = Some((c, node));
                 }
             }
         }
-        if let Some((_, i)) = best {
-            sel.choose(eg, id, class.nodes[i].clone());
+        if let Some((_, node)) = best {
+            sel.choose(eg, id, node.to_node());
         }
     }
     // every root must have been covered
@@ -44,11 +44,11 @@ pub fn class_costs(eg: &EGraph, cm: &CostModel) -> Vec<Option<u64>> {
     let mut changed = true;
     while changed {
         changed = false;
-        for (id, class) in eg.classes() {
+        for (id, _) in eg.classes() {
             let cur = costs[id.index()];
             let mut best = cur;
-            for node in &class.nodes {
-                let c = node_cost_vec(eg, cm, node, &costs);
+            for node in eg.nodes(id) {
+                let c = node_cost(eg, cm, node, &costs);
                 if let Some(c) = c {
                     if best.is_none_or(|b| c < b) {
                         best = Some(c);
@@ -64,26 +64,12 @@ pub fn class_costs(eg: &EGraph, cm: &CostModel) -> Vec<Option<u64>> {
     costs
 }
 
-fn node_cost_vec(
-    eg: &EGraph,
-    cm: &CostModel,
-    node: &accsat_egraph::Node,
-    costs: &[Option<u64>],
-) -> Option<u64> {
-    let mut total = cm.op_cost(&node.op);
-    for &c in &node.children {
+fn node_cost(eg: &EGraph, cm: &CostModel, node: NodeRef<'_>, costs: &[Option<u64>]) -> Option<u64> {
+    let mut total = cm.op_cost(node.op);
+    for &c in node.children {
         total = total.saturating_add(costs[eg.find(c).index()]?);
     }
     Some(total)
-}
-
-fn node_cost(
-    eg: &EGraph,
-    cm: &CostModel,
-    node: &accsat_egraph::Node,
-    costs: &[Option<u64>],
-) -> Option<u64> {
-    node_cost_vec(eg, cm, node, costs)
 }
 
 #[cfg(test)]

@@ -44,7 +44,6 @@ pub mod lp;
 pub mod portfolio;
 pub mod refine;
 pub mod selection;
-mod visited;
 
 pub use bnb::{
     extract_exact, extract_exact_in, extract_exact_with, extract_unpruned, ClassOrder,

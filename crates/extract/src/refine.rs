@@ -30,8 +30,7 @@
 use crate::bnb::{Cand, SearchContext};
 use crate::cost::CostModel;
 use crate::selection::{Selection, SelectionError};
-use crate::visited::Visited;
-use accsat_egraph::{EGraph, Id, Node};
+use accsat_egraph::{EGraph, Id, Node, Visited};
 use std::collections::{BTreeSet, VecDeque};
 
 /// A selection as a class-indexed table of borrowed nodes, with the

@@ -243,20 +243,29 @@ impl Selection {
             .ok_or("missing selection count")?
             .parse()
             .map_err(|e| format!("bad selection count: {e}"))?;
+        // every entry is a line of its own: a count the text cannot back
+        // is corruption, caught before anything is reserved for it
+        if count > text.len() {
+            return Err(format!("selection count {count} exceeds the input"));
+        }
         let mut choice = HashMap::with_capacity(count);
         for _ in 0..count {
             let line = lines.next().ok_or("truncated selection input")?;
             let mut toks = line.split_whitespace();
             let mut next = || toks.next().ok_or_else(|| format!("truncated line {line:?}"));
-            let id: usize = next()?.parse().map_err(|e| format!("bad id in {line:?}: {e}"))?;
+            // ids are `u32`s; parsing them as such rejects what `Id` cannot hold
+            let id: u32 = next()?.parse().map_err(|e| format!("bad id in {line:?}: {e}"))?;
             let op = parse_op_token(next()?)?;
             let k: usize = next()?.parse().map_err(|e| format!("bad arity in {line:?}: {e}"))?;
+            if k > line.len() {
+                return Err(format!("arity {k} exceeds the line {line:?}"));
+            }
             let mut children = Vec::with_capacity(k);
             for _ in 0..k {
-                let c: usize = next()?.parse().map_err(|e| format!("bad child: {e}"))?;
-                children.push(Id::from(c));
+                let c: u32 = next()?.parse().map_err(|e| format!("bad child: {e}"))?;
+                children.push(Id::new(c));
             }
-            if choice.insert(Id::from(id), Node { op, children }).is_some() {
+            if choice.insert(Id::new(id), Node { op, children }).is_some() {
                 return Err(format!("duplicate selection entry for class {id}"));
             }
         }
@@ -305,6 +314,16 @@ mod tests {
         // corruption and version mismatches are errors, not panics
         assert!(Selection::deserialize("accsat-selection v999 0\nend\n").is_err());
         assert!(Selection::deserialize(&text[..text.len() / 2]).is_err());
+        // an id `Id` cannot hold used to panic; a count or arity the text
+        // cannot back used to abort in `with_capacity`
+        for hostile in [
+            "accsat-selection v1 1\n99999999999 s:a 0\nend\n",
+            "accsat-selection v1 1\n0 + 1 99999999999\nend\n",
+            "accsat-selection v1 1152921504606846975\n0 s:a 0\nend\n",
+            "accsat-selection v1 1\n0 + 1152921504606846975 1\nend\n",
+        ] {
+            assert!(Selection::deserialize(hostile).is_err(), "{hostile:?}");
+        }
     }
 
     #[test]

@@ -809,8 +809,8 @@ void f(double a[8], double out[8], double c) {
             if !seen.insert(c) {
                 continue;
             }
-            for n in &k.egraph.class(c).nodes {
-                if let Op::Sym(s) = &n.op {
+            for n in k.egraph.nodes(c) {
+                if let Op::Sym(s) = n.op {
                     found_havoc |= s.contains("@H");
                 }
                 stack.extend(n.children.iter().copied());

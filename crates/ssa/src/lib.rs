@@ -75,11 +75,10 @@ void f(double A[16], double out[16]) {
         );
         let classes = k.assignment_classes();
         let out_class = classes[1];
-        let class = k.egraph.class(out_class);
-        let load = class.nodes.iter().find(|n| n.op == Op::Load).expect("load node");
+        let load = k.egraph.nodes(out_class).find(|n| *n.op == Op::Load).expect("load node");
         let state = load.children[0];
         assert!(
-            k.egraph.class(state).nodes.iter().any(|n| n.op == Op::Store),
+            k.egraph.nodes(state).any(|n| *n.op == Op::Store),
             "load of A after the store must read the Store state"
         );
     }
@@ -103,7 +102,7 @@ void f(double out[4], double x) {
         let classes = k.assignment_classes();
         let out_class = *classes.last().unwrap();
         assert!(
-            k.egraph.class(out_class).nodes.iter().any(|n| n.op == Op::Select),
+            k.egraph.nodes(out_class).any(|n| *n.op == Op::Select),
             "if-modified variable must flow through a Select φ"
         );
     }
@@ -127,7 +126,7 @@ void f(double out[4], double x) {
         let classes = k.assignment_classes();
         let out_class = *classes.last().unwrap();
         assert!(
-            k.egraph.class(out_class).nodes.iter().any(|n| n.op == Op::PhiLoop),
+            k.egraph.nodes(out_class).any(|n| *n.op == Op::PhiLoop),
             "loop-modified variable must flow through a PhiLoop φ"
         );
     }
@@ -149,11 +148,11 @@ void f(double out[4], double x) {
 "#,
         );
         let mut found_entry_add = false;
-        for (_, class) in k.egraph.classes() {
-            for n in &class.nodes {
-                if n.op == Op::Add {
-                    let lhs = k.egraph.class(n.children[0]);
-                    if lhs.nodes.iter().any(|m| matches!(&m.op, Op::Sym(s) if s.contains('@'))) {
+        for (id, _) in k.egraph.classes() {
+            for n in k.egraph.nodes(id) {
+                if *n.op == Op::Add {
+                    let mut lhs = k.egraph.nodes(n.children[0]);
+                    if lhs.any(|m| matches!(m.op, Op::Sym(s) if s.contains('@'))) {
                         found_entry_add = true;
                     }
                 }
@@ -175,8 +174,7 @@ void f(double a[16], double out[16])  {
 "#,
         );
         let classes = k.assignment_classes();
-        let class = k.egraph.class(classes[0]);
-        let mul = class.nodes.iter().find(|n| n.op == Op::Mul).unwrap();
+        let mul = k.egraph.nodes(classes[0]).find(|n| *n.op == Op::Mul).unwrap();
         assert_eq!(
             k.egraph.find(mul.children[0]),
             k.egraph.find(mul.children[1]),
@@ -197,8 +195,7 @@ void f(double a[16]) {
 "#,
         );
         let classes = k.assignment_classes();
-        let class = k.egraph.class(classes[0]);
-        assert!(class.nodes.iter().any(|n| n.op == Op::Add));
+        assert!(k.egraph.nodes(classes[0]).any(|n| *n.op == Op::Add));
     }
 
     #[test]
@@ -221,10 +218,8 @@ void f(double out[4], double x) {
         );
         let classes = k.assignment_classes();
         let out_class = *classes.last().unwrap();
-        let class = k.egraph.class(out_class);
-        let mul = class.nodes.iter().find(|n| n.op == Op::Mul).unwrap();
-        let b_class = k.egraph.class(mul.children[0]);
-        assert!(b_class.nodes.iter().any(|n| n.op == Op::Select));
+        let mul = k.egraph.nodes(out_class).find(|n| *n.op == Op::Mul).unwrap();
+        assert!(k.egraph.nodes(mul.children[0]).any(|n| *n.op == Op::Select));
     }
 
     #[test]

@@ -73,6 +73,54 @@ fn suite_stable_json_is_identical_without_cold_and_warm_cache() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Format migration: a `--cache-dir` filled before the snapshot format was
+/// bumped holds `accsat-egraph v1` snapshots. Each must read as a clean
+/// miss — not an error, not a guess at the old grammar — be recomputed and
+/// overwritten, and leave the stable JSON exactly a cold run's.
+#[test]
+fn v1_snapshots_in_the_cache_dir_are_misses_recomputed_and_overwritten() {
+    let benches = accsat_benchmarks::all_benchmarks();
+    let par = ParallelConfig { threads: 1, kernel_deadline: None, shard: None };
+    let dir = scratch_dir("v1-migration");
+    let run = |dir: &PathBuf| {
+        let cache = Arc::new(StageCache::with_dir(dir).unwrap());
+        optimize_suite(&benches, Variant::AccSat, &fast_config(Some(cache)), &par).unwrap()
+    };
+    let levels = |report: &accsat::batch::BatchReport| -> Vec<CacheLevel> {
+        let stats = report.benchmarks.iter().flat_map(|b| b.kernel_stats());
+        stats.map(|s| s.cache_level).collect()
+    };
+    let cold = run(&dir);
+
+    // age every saturated entry: same bytes under the previous header
+    let mut aged = 0;
+    for entry in std::fs::read_dir(dir.join("sat")).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().and_then(|s| s.to_str()) != Some("entry") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.contains("\naccsat-egraph v2\n"), "{}", path.display());
+        std::fs::write(&path, text.replacen("\naccsat-egraph v2\n", "\naccsat-egraph v1\n", 1))
+            .unwrap();
+        aged += 1;
+    }
+    assert_eq!(aged, 13, "the 19 suite kernels dedupe to 13 distinct bodies");
+
+    let migrated = run(&dir);
+    assert_eq!(cold.to_stable_json(), migrated.to_stable_json(), "a v1 cache moved the JSON");
+    // the first kernel of each distinct body recomputes from scratch (no
+    // `saturated`, no `selected` level off a v1 snapshot); its duplicates
+    // then hit the entries it just rewrote
+    assert_eq!(levels(&migrated), levels(&cold), "a v1 cache must behave like an empty one");
+    assert!(levels(&migrated).contains(&CacheLevel::Miss));
+
+    let warm = run(&dir);
+    assert_eq!(cold.to_stable_json(), warm.to_stable_json());
+    assert!(levels(&warm).iter().all(|&l| l == CacheLevel::Selected), "entries were overwritten");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The fuzzer's minimized corpus repros — kernels that historically broke
 /// the pipeline — must print identical bytes cold and warm and resume at
 /// the `selected` level.

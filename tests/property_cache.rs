@@ -12,8 +12,10 @@
 //! Failing seeds persist to `proptest-regressions/property_cache.txt` and
 //! re-run first on every test execution.
 
+mod common;
+
 use accsat::{optimize_source, CacheLevel, SaturatorConfig, StageCache, Variant};
-use accsat_benchmarks::genkern::{generate_kernel, GenConfig};
+use accsat_benchmarks::genkern::{generate_kernel, GenConfig, SplitMix64};
 use accsat_egraph::{all_rules, EGraph, Runner, RunnerLimits};
 use accsat_ir::parse_program;
 use accsat_ssa::build_kernel;
@@ -107,4 +109,67 @@ proptest! {
             }
         }
     }
+}
+
+/// The saturated snapshot of every suite kernel (paper limits).
+fn suite_snapshots() -> Vec<(String, String)> {
+    let saturated = |(name, mut kernel): (String, accsat_ssa::SsaKernel)| {
+        Runner::new(all_rules()).run(&mut kernel.egraph);
+        (name, kernel.egraph.serialize())
+    };
+    common::suite_kernels().into_iter().map(saturated).collect()
+}
+
+/// One seeded corruption of `text`: a truncation, a flipped bit (kept
+/// inside ASCII so the result is still a `&str`), or a run of digits
+/// spliced over a random position — the last is what turns a count or an
+/// id into a different, often enormous, number.
+fn mutate(text: &str, rng: &mut SplitMix64) -> String {
+    let mut bytes = text.as_bytes().to_vec();
+    let at = rng.below(bytes.len() as u64) as usize;
+    match rng.below(3) {
+        0 => bytes.truncate(at),
+        1 => bytes[at] ^= 1 << rng.below(7),
+        _ => {
+            let digits: Vec<u8> =
+                (0..1 + rng.below(20)).map(|_| b'0' + rng.below(10) as u8).collect();
+            let end = (at + rng.below(3) as usize).min(bytes.len());
+            bytes.splice(at..end, digits);
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// A cache directory is outside input: whatever happens to a snapshot on
+/// disk, reading it back is an `Err` (a cache miss) or a graph the engine
+/// can run on — never a panic, an abort on a giant allocation, or a
+/// `find` that does not return. Three kinds of seeded damage over the
+/// real snapshots of all 19 suite kernels.
+#[test]
+fn corrupted_suite_snapshots_are_errors_or_valid_graphs() {
+    let snapshots = suite_snapshots();
+    assert_eq!(snapshots.len(), 19);
+    let mut rng = SplitMix64::new(0x5eed_cafe);
+    let (mut rejected, mut accepted) = (0, 0);
+    for (name, text) in &snapshots {
+        let intact = EGraph::deserialize(text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        intact.check_invariants();
+        for _ in 0..120 {
+            let mutant = mutate(text, &mut rng);
+            match EGraph::deserialize(&mutant) {
+                Err(_) => rejected += 1,
+                Ok(mut eg) => {
+                    // (a mutant that is merely *dirty* is repaired first,
+                    // as any user of a snapshot with work pending would)
+                    eg.rebuild();
+                    eg.check_invariants();
+                    let _ = eg.serialize();
+                    accepted += 1;
+                }
+            }
+        }
+    }
+    // most damage is detectable; some lands where any value is a valid one
+    // (a child id swapped for another live id, a counter's digits)
+    assert!(rejected > 10 * accepted.max(1), "rejected {rejected}, accepted {accepted}");
 }

@@ -171,8 +171,7 @@ proptest! {
             // and the surviving set must include one whose op cost equals
             // the class minimum (pruning only removes nodes that another
             // survivor dominates at ≤ op cost)
-            let min_all = eg.class(id).nodes.iter()
-                .map(|n| cm.op_cost(&n.op)).min().unwrap();
+            let min_all = eg.nodes(id).map(|n| cm.op_cost(n.op)).min().unwrap();
             let min_kept = cands.iter().map(|n| cm.op_cost(&n.op)).min().unwrap();
             prop_assert!(min_kept >= min_all, "survivors cannot get cheaper than the class");
         }

@@ -6,9 +6,17 @@
 //! per rule and per iteration), backoff bans, node/class trajectory, stop
 //! reason, and the final e-graph shape — must be identical at any
 //! `sat_threads` value, with or without a shared thread budget attached.
+//!
+//! A second property checks the congruence closure itself against an
+//! independent oracle: random add/union/rebuild scripts must leave the
+//! e-graph with exactly the partition a naive fixpoint over all node pairs
+//! computes.
 
 use accsat_benchmarks::{generate_kernel, GenConfig};
-use accsat_egraph::{all_rules, BackoffConfig, Runner, RunnerLimits, RunnerReport, ThreadBudget};
+use accsat_egraph::{
+    all_rules, BackoffConfig, EGraph, Id, Node, Op, Runner, RunnerLimits, RunnerReport,
+    ThreadBudget,
+};
 use accsat_ir::{has_directive_loop, parse_program, Block, Stmt};
 use accsat_ssa::build_kernel;
 use proptest::prelude::*;
@@ -99,5 +107,131 @@ proptest! {
             "seed {seed} ({}): budget-starved search diverged from serial",
             gk.flavor
         );
+    }
+}
+
+// ------------------------------------------------- congruence oracle
+
+/// One step of a random e-graph script. Operands index the elements added
+/// so far (modulo their number), so every script is well-formed.
+#[derive(Debug, Clone)]
+enum Step {
+    Leaf(u8),
+    Apply(u8, Vec<usize>),
+    Union(usize, usize),
+    Rebuild,
+}
+
+fn script_strategy() -> impl Strategy<Value = Vec<Step>> {
+    let step = prop_oneof![
+        (0u8..5).prop_map(Step::Leaf),
+        (0u8..4, proptest::collection::vec(0usize..1000, 1..4))
+            .prop_map(|(op, kids)| Step::Apply(op, kids)),
+        (0u8..4, proptest::collection::vec(0usize..1000, 1..4))
+            .prop_map(|(op, kids)| Step::Apply(op, kids)),
+        (0usize..1000, 0usize..1000).prop_map(|(a, b)| Step::Union(a, b)),
+        Just(Step::Rebuild),
+    ];
+    proptest::collection::vec(step, 1..60)
+}
+
+/// Congruence closure the slow, obvious way: every `add` is an element of
+/// its own, asserted equalities are merged, and then any two elements with
+/// the same operator and pairwise-equal operands are merged until nothing
+/// changes. No hash-consing, no parents lists, no deferred repair — it
+/// shares nothing with the engine but the definition.
+struct NaiveClosure {
+    terms: Vec<(String, Vec<usize>)>,
+    set: Vec<usize>,
+}
+
+impl NaiveClosure {
+    fn find(&self, mut i: usize) -> usize {
+        while self.set[i] != i {
+            i = self.set[i];
+        }
+        i
+    }
+
+    fn add(&mut self, op: String, kids: Vec<usize>) -> usize {
+        self.terms.push((op, kids));
+        self.set.push(self.set.len());
+        self.set.len() - 1
+    }
+
+    fn union(&mut self, a: usize, b: usize) {
+        let (a, b) = (self.find(a), self.find(b));
+        self.set[a] = b;
+    }
+
+    fn close(&mut self) {
+        let congruent = |s: &NaiveClosure, i: usize, j: usize| {
+            let ((op_i, kids_i), (op_j, kids_j)) = (&s.terms[i], &s.terms[j]);
+            op_i == op_j
+                && kids_i.len() == kids_j.len()
+                && kids_i.iter().zip(kids_j).all(|(&a, &b)| s.find(a) == s.find(b))
+        };
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for i in 0..self.terms.len() {
+                for j in 0..i {
+                    if self.find(i) != self.find(j) && congruent(self, i, j) {
+                        self.union(i, j);
+                        changed = true;
+                    }
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The engine's partition after a random script equals the oracle's,
+    /// and the hash-cons / op-index invariants hold on the way.
+    #[test]
+    fn congruence_closure_matches_naive_oracle(script in script_strategy()) {
+        const OPS: [Op; 4] = [Op::Add, Op::Mul, Op::Neg, Op::Load];
+        // folding is off: the unions are arbitrary equality assertions
+        let mut eg = EGraph::without_constant_folding();
+        let mut oracle = NaiveClosure { terms: Vec::new(), set: Vec::new() };
+        let mut ids: Vec<Id> = Vec::new();
+        for step in &script {
+            match step {
+                Step::Leaf(v) => {
+                    ids.push(eg.add(Node::sym(&format!("v{v}"))));
+                    oracle.add(format!("v{v}"), Vec::new());
+                }
+                Step::Apply(op, kids) if !ids.is_empty() => {
+                    let kids: Vec<usize> = kids.iter().map(|k| k % ids.len()).collect();
+                    let op = &OPS[*op as usize];
+                    ids.push(eg.add(Node::new(op.clone(), kids.iter().map(|&k| ids[k]).collect())));
+                    oracle.add(op.name(), kids);
+                }
+                Step::Union(a, b) if !ids.is_empty() => {
+                    let (a, b) = (a % ids.len(), b % ids.len());
+                    eg.union(ids[a], ids[b]);
+                    oracle.union(a, b);
+                }
+                Step::Rebuild => {
+                    eg.rebuild();
+                    eg.check_invariants();
+                }
+                _ => {}
+            }
+        }
+        eg.rebuild();
+        eg.check_invariants();
+        oracle.close();
+        for i in 0..ids.len() {
+            for j in 0..i {
+                prop_assert!(
+                    eg.same(ids[i], ids[j]) == (oracle.find(i) == oracle.find(j)),
+                    "elements {} and {} ({:?} / {:?})", i, j, oracle.terms[i], oracle.terms[j]
+                );
+            }
+        }
     }
 }
