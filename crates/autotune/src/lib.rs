@@ -25,8 +25,8 @@
 //!    ([`accsat_codegen::generate`]) and compiler model
 //!    ([`accsat_compilers::compile_kernel`]) to a gpusim trace.
 //! 3. **Simulate** — every trace runs on a configurable [`Device`] under
-//!    the chosen [`CompilerModel`], on a scoped worker pool with results
-//!    written to pre-allocated slots.
+//!    the chosen [`CompilerModel`], as one `accsat_egraph::pool::map_slots`
+//!    fan-out with results in candidate order.
 //! 4. **Rank** ([`tune_kernel`]) — candidates are ordered by simulated
 //!    whole-launch cycles with a fully deterministic tie-break
 //!    `(cycles, static cost, candidate index)`, so the output is

@@ -9,8 +9,6 @@ use accsat_gpusim::{run_kernel, Device, KernelMetrics};
 use accsat_ir::{Block, Function, Model, Stmt};
 use accsat_ssa::SsaKernel;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Tuner configuration.
 #[derive(Debug, Clone)]
@@ -25,8 +23,8 @@ pub struct TuneConfig {
     pub sweep: Vec<u64>,
     /// Cap on structurally distinct candidates simulated per kernel.
     pub keep: usize,
-    /// Worker threads simulating candidates. Results are written to
-    /// pre-allocated slots, so any value produces byte-identical output.
+    /// Worker threads simulating candidates. Results come back in
+    /// candidate order, so any value produces byte-identical output.
     pub threads: usize,
 }
 
@@ -254,36 +252,25 @@ pub fn tune_kernel(
     let nest = nest_function(f, kernel_index)
         .ok_or_else(|| format!("{}: kernel {kernel_index} has no enclosing nest", f.name))?;
 
-    // simulate on a scoped pool: work items drained off an atomic cursor,
-    // results written into pre-allocated slots so completion order can
-    // never leak into the report
-    type Slot = Option<Result<KernelMetrics, String>>;
-    let slots: Vec<Mutex<Slot>> = bodies.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let drain = || loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        let Some(body) = bodies.get(i) else { break };
-        let mut cand_fn = nest.clone();
-        splice_kernel_body(&mut cand_fn, body.clone());
-        let r = compile_kernel(&cand_fn, &cfg.compiler, bindings)
-            .map(|k| run_kernel(&k.trace, &k.launch, &cfg.device))
-            .map_err(|e| format!("{} candidate `{}`: {e}", f.name, candidates[i].label));
-        *slots[i].lock().expect("tuner slot") = Some(r);
-    };
+    // simulate every candidate; results come back in candidate order, so
+    // completion order can never leak into the report
     let workers = cfg.threads.clamp(1, bodies.len().max(1));
-    if workers == 1 {
-        drain();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(drain);
-            }
-        });
-    }
+    let simulated = accsat_egraph::pool::map_slots(
+        workers,
+        bodies.len(),
+        || (),
+        |i| {
+            let mut cand_fn = nest.clone();
+            splice_kernel_body(&mut cand_fn, bodies[i].clone());
+            compile_kernel(&cand_fn, &cfg.compiler, bindings)
+                .map(|k| run_kernel(&k.trace, &k.launch, &cfg.device))
+                .map_err(|e| format!("{} candidate `{}`: {e}", f.name, candidates[i].label))
+        },
+    );
 
     let mut reports = Vec::with_capacity(candidates.len());
-    for (i, c) in candidates.iter().enumerate() {
-        let metrics = slots[i].lock().expect("tuner slot").take().expect("tuner filled slot")?;
+    for (c, metrics) in candidates.iter().zip(simulated) {
+        let metrics = metrics?;
         reports.push(CandidateReport {
             label: c.label.clone(),
             static_cost: c.static_cost,

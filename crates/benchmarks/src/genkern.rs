@@ -797,59 +797,6 @@ pub fn generate_kernel(seed: u64, cfg: &GenConfig) -> GeneratedKernel {
     GeneratedKernel { seed, flavor, source, arrays, scalars: SCALARS.to_vec() }
 }
 
-// ---------------------------------------------------------------------
-// The original two-statement stencil generator (extracted from
-// tests/property_autotune.rs), kept as a stable API for property tests.
-// ---------------------------------------------------------------------
-
-/// A random stencil-flavored expression over a fixed leaf set — the shape
-/// `tests/property_autotune.rs` feeds to the autotuner.
-#[derive(Debug, Clone)]
-pub enum StencilExpr {
-    /// Index into [`STENCIL_LEAVES`].
-    Leaf(usize),
-    /// Sum of two subexpressions.
-    Add(Box<StencilExpr>, Box<StencilExpr>),
-    /// Difference of two subexpressions.
-    Sub(Box<StencilExpr>, Box<StencilExpr>),
-    /// Product of two subexpressions.
-    Mul(Box<StencilExpr>, Box<StencilExpr>),
-    /// Quotient of two subexpressions.
-    Div(Box<StencilExpr>, Box<StencilExpr>),
-}
-
-/// The stencil leaves: halo loads, a second array, and scalar parameters —
-/// enough variety for extraction candidates to differ in sharing.
-pub const STENCIL_LEAVES: &[&str] = &["a[i - 1]", "a[i]", "a[i + 1]", "b[i]", "c0", "c1", "2.0"];
-
-/// Render a [`StencilExpr`] as C.
-pub fn render_stencil(e: &StencilExpr) -> String {
-    match e {
-        StencilExpr::Leaf(i) => STENCIL_LEAVES[*i].to_string(),
-        StencilExpr::Add(a, b) => format!("({} + {})", render_stencil(a), render_stencil(b)),
-        StencilExpr::Sub(a, b) => format!("({} - {})", render_stencil(a), render_stencil(b)),
-        StencilExpr::Mul(a, b) => format!("({} * {})", render_stencil(a), render_stencil(b)),
-        StencilExpr::Div(a, b) => format!("({} / {})", render_stencil(a), render_stencil(b)),
-    }
-}
-
-/// Wrap two stencil expressions into a two-statement parallel-loop kernel.
-/// Both statements see the same loads, so sharing across statements is
-/// where extraction candidates genuinely differ.
-pub fn two_statement_kernel(e1: &StencilExpr, e2: &StencilExpr) -> String {
-    format!(
-        "void k(double a[64], double b[64], double out[64], double c0, double c1) {{\n\
-         #pragma acc parallel loop gang vector\n\
-         for (int i = 1; i < 63; i++) {{\n\
-         out[i] = {};\n\
-         b[i] = {};\n\
-         }}\n\
-         }}\n",
-        render_stencil(e1),
-        render_stencil(e2)
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -895,19 +842,5 @@ mod tests {
         for seed in [0u64, 7, 0xDEADBEEF] {
             assert_eq!(generate_kernel(seed, &cfg).source, generate_kernel(seed, &cfg).source);
         }
-    }
-
-    #[test]
-    fn stencil_kernel_matches_legacy_shape() {
-        let e = StencilExpr::Add(
-            Box::new(StencilExpr::Leaf(0)),
-            Box::new(StencilExpr::Mul(
-                Box::new(StencilExpr::Leaf(4)),
-                Box::new(StencilExpr::Leaf(1)),
-            )),
-        );
-        let src = two_statement_kernel(&e, &StencilExpr::Leaf(3));
-        assert!(src.contains("out[i] = (a[i - 1] + (c0 * a[i]))"));
-        assert!(parse_program(&src).is_ok());
     }
 }

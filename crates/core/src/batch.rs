@@ -1,13 +1,13 @@
 //! Parallel batch optimization driver: the full pipeline over every kernel
-//! of a benchmark suite on a scoped thread pool.
+//! of a benchmark suite, fanned out over worker threads.
 //!
 //! The paper's evaluation (§VIII) sweeps every NPB and SPEC ACCEL kernel,
 //! yet the pipeline itself optimizes one kernel at a time. This module
 //! closes that gap: [`optimize_suite`] parses every benchmark, flattens the
 //! suite into per-function work items, and drains them from a shared queue
-//! with `std::thread::scope` workers. The compiled rewrite rules live in
-//! one `Arc` ([`SaturatorConfig::rules`]) shared by every worker — rules
-//! are compiled once per batch, not once per kernel.
+//! with one [`accsat_egraph::pool::map_slots`] fan-out. The compiled
+//! rewrite rules live in one `Arc` ([`SaturatorConfig::rules`]) shared by
+//! every worker — rules are compiled once per batch, not once per kernel.
 //!
 //! # The two-level pool
 //!
@@ -16,22 +16,18 @@
 //! ([`accsat_egraph::Runner::sat_threads`]) and the extraction
 //! portfolio's racing strategies are fan-outs of their own, and all of
 //! them draw threads from one shared [`accsat_egraph::ThreadBudget`]:
-//! the batch starts `min(threads, items)` workers and banks the rest as
-//! spare permits; a worker that runs out of whole kernels retires its
-//! own permit into the budget. In-flight kernels lease those permits for
-//! the duration of each internal fan-out, so the tail of a suite — the
-//! few heaviest kernels (BT `z_solve`, LU `jacld`, MG `resid`) — widens
-//! onto the retired workers' cores instead of leaving them idle. Leases
-//! never block and never drop below the leasing thread itself, so the
-//! scheme cannot deadlock, and every fan-out's result is
-//! thread-count-invariant by construction (see the determinism notes
-//! below and in [`accsat_egraph::pool`]).
+//! the batch runs `min(threads, items)` workers, banks the rest as spare
+//! permits, and each worker retires its permit into the budget when the
+//! queue runs dry, so the tail of a suite — the few heaviest kernels (BT
+//! `z_solve`, LU `jacld`, MG `resid`) — widens onto the retired workers'
+//! cores. The accounting and why it cannot deadlock or change a byte of
+//! output are argued once, in [`accsat_egraph::pool`].
 //!
 //! # Determinism
 //!
 //! A batch run's report depends only on the inputs and the configuration,
-//! not on scheduling: work items land in pre-allocated result slots (never
-//! in completion order), every kernel is optimized by the exact same code
+//! not on scheduling: work items come back in item order (never in
+//! completion order), every kernel is optimized by the exact same code
 //! path a sequential run uses, and the per-kernel extraction portfolio is
 //! deterministic by construction (see [`accsat_extract::portfolio`]). So
 //! `threads = 8` and `threads = 1` produce byte-identical optimized
@@ -47,9 +43,8 @@ use accsat_autotune::TuneConfig;
 use accsat_benchmarks::Benchmark;
 use accsat_egraph::ThreadBudget;
 use accsat_ir::{parse_program, print_program, Program};
-use accsat_obs::{trace, MetricsRegistry};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use accsat_obs::{escape_json, trace, MetricsRegistry};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Thread-pool configuration for a batch run.
@@ -306,7 +301,7 @@ impl BatchReport {
         for (bi, b) in self.benchmarks.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"name\": \"{}\", \"total_cost\": {}, \"kernels\": [\n",
-                escape(&b.benchmark),
+                escape_json(&b.benchmark),
                 b.total_cost()
             ));
             let stats: Vec<(&str, &OptStats)> = b
@@ -320,7 +315,7 @@ impl BatchReport {
                      \"iterations\": {}, \"cost\": {}, \"proven_optimal\": {}, \
                      \"lower_bound\": {}, \"bound_gap\": {}, \
                      \"winner\": \"{}\", \"explored\": {}",
-                    escape(func),
+                    escape_json(func),
                     s.egraph_nodes,
                     s.saturation_iters,
                     s.extracted_cost,
@@ -342,8 +337,8 @@ impl BatchReport {
                         ", \"tuning\": {{\"harvested\": {}, \"winner\": \"{}\", \
                          \"static_winner\": \"{}\", \"divergent\": {}, \"candidates\": [",
                         t.harvested,
-                        escape(&t.winning().label),
-                        escape(&t.static_winning().label),
+                        escape_json(&t.winning().label),
+                        escape_json(&t.static_winning().label),
                         t.divergent(),
                     ));
                     for (ci, c) in t.candidates.iter().enumerate() {
@@ -352,7 +347,7 @@ impl BatchReport {
                              \"time_us\": {:.3}, \"instructions\": {:.0}, \"regs\": {}, \
                              \"occupancy\": {:.4}, \"mem_util\": {:.4}}}",
                             if ci > 0 { ", " } else { "" },
-                            escape(&c.label),
+                            escape_json(&c.label),
                             c.static_cost,
                             c.cycles,
                             c.metrics.time_ms * 1e3,
@@ -374,10 +369,6 @@ impl BatchReport {
         out.push_str("  ]\n}\n");
         out
     }
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Derive the per-kernel configuration: clamp saturation and extraction
@@ -456,48 +447,35 @@ fn run_suite(
         .map(|(_, it)| it)
         .collect();
 
-    // pre-allocated result slots: workers write by item index, so the
-    // aggregation below never depends on completion order
-    type Slot = Option<Result<(accsat_ir::Function, Vec<OptStats>, Duration), String>>;
-    let slots: Vec<Mutex<Slot>> = items.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
     let workers = par.threads.clamp(1, items.len().max(1));
 
     // second scheduling level: the thread permits not consumed by the
     // worker pool seed the shared budget, and every worker returns its
-    // own permit when the kernel queue runs dry. Kernel-internal
-    // fan-outs (rule search, portfolio race) lease from here.
+    // own permit when the kernel queue runs dry — in-flight kernels can
+    // then widen their internal fan-outs (rule search, portfolio race)
+    // onto its core.
     let budget = Arc::new(ThreadBudget::new(par.threads.saturating_sub(workers)));
     cfg.thread_budget = Some(Arc::clone(&budget));
 
-    let drain = || loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        let Some(&(bi, fi)) = items.get(i) else {
-            // this worker retires into the budget: in-flight kernels can
-            // now widen their internal fan-outs onto its core
-            budget.release(1);
-            break;
-        };
-        let f = &programs[bi].functions[fi];
-        let _item_span = trace::span_named("batch", || format!("{} {}", benches[bi].name, f.name));
-        let t = Instant::now();
-        let r = match tune {
-            Some(tcfg) => tune_function(f, variant, &cfg, tcfg, &bindings[bi]),
-            None => optimize_function(f, variant, &cfg),
-        }
-        .map(|(nf, stats)| (nf, stats, t.elapsed()));
-        *slots[i].lock().expect("result slot") = Some(r);
-    };
-    if workers == 1 {
-        // truly sequential: the calling thread drains the queue itself
-        drain();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(drain);
+    // results come back in item order, so the aggregation below never
+    // depends on completion order
+    let results = accsat_egraph::pool::map_slots(
+        workers,
+        items.len(),
+        || budget.release(1),
+        |i| {
+            let (bi, fi) = items[i];
+            let f = &programs[bi].functions[fi];
+            let _item_span =
+                trace::span_named("batch", || format!("{} {}", benches[bi].name, f.name));
+            let t = Instant::now();
+            match tune {
+                Some(tcfg) => tune_function(f, variant, &cfg, tcfg, &bindings[bi]),
+                None => optimize_function(f, variant, &cfg),
             }
-        });
-    }
+            .map(|(nf, stats)| (nf, stats, t.elapsed()))
+        },
+    );
 
     // reassemble per benchmark, in suite order
     let mut records: Vec<BenchmarkRecord> = benches
@@ -508,9 +486,8 @@ fn run_suite(
             functions: Vec::new(),
         })
         .collect();
-    for (i, &(bi, fi)) in items.iter().enumerate() {
-        let slot = slots[i].lock().expect("result slot").take();
-        let (nf, stats, wall) = slot.expect("worker filled every slot")?;
+    for (&(bi, fi), result) in items.iter().zip(results) {
+        let (nf, stats, wall) = result?;
         records[bi].functions.push(FunctionRecord {
             benchmark: benches[bi].name.to_string(),
             function: nf.name.clone(),

@@ -65,8 +65,15 @@ use accsat_autotune::TuneConfig;
 use accsat_compilers::{Compiler, CompilerModel};
 use accsat_gpusim::Device;
 use accsat_ir::{parse_program, print_program, Model};
+use std::path::Path;
 use std::process::ExitCode;
+use std::str::FromStr;
+use std::sync::Arc;
 use std::time::Duration;
+
+/// How a subcommand ends: `Err` carries the exit code, its message
+/// already on stderr (2 usage, 1 I/O or pipeline failure).
+type Exit = Result<(), ExitCode>;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -90,54 +97,99 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Disarm the tracer and write the rendered Chrome trace to `path`.
-/// Call only after `trace::start()` — i.e. when `--trace-out` was given.
-fn write_trace(path: &str, tool: &str) -> Result<(), ExitCode> {
-    let json = accsat::obs::trace::finish().expect("tracer armed by --trace-out");
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("{tool}: cannot write trace {path}: {e}");
-        return Err(ExitCode::FAILURE);
+/// A usage error: `msg` (when there is one) and the usage text on stderr.
+fn usage_error(msg: String) -> ExitCode {
+    if !msg.is_empty() {
+        eprintln!("{msg}");
     }
+    usage()
+}
+
+/// An I/O or pipeline failure: `msg` on stderr, exit code 1.
+fn fail(msg: String) -> ExitCode {
+    eprintln!("{msg}");
+    ExitCode::FAILURE
+}
+
+fn write_file(tool: &str, path: &str, body: &str) -> Exit {
+    std::fs::write(path, body).map_err(|e| fail(format!("{tool}: cannot write {path}: {e}")))
+}
+
+/// Disarm the tracer and write the rendered Chrome trace to `path`, when
+/// `--trace-out` armed it.
+fn write_trace(path: Option<&str>, tool: &str) -> Exit {
+    let Some(path) = path else { return Ok(()) };
+    let json = accsat::obs::trace::finish().expect("tracer armed by --trace-out");
+    std::fs::write(path, json)
+        .map_err(|e| fail(format!("{tool}: cannot write trace {path}: {e}")))?;
     eprintln!("{tool}: trace written to {path} (load at ui.perfetto.dev)");
     Ok(())
+}
+
+/// The words of one command line, read left to right. A flag that does
+/// not get the operand it needs is a usage error, `"{flag} needs {what}"`.
+struct Operands(std::vec::IntoIter<String>);
+
+impl Operands {
+    fn next(&mut self) -> Option<String> {
+        self.0.next()
+    }
+
+    /// The next word, whatever it is.
+    fn text(&mut self, flag: &str, what: &str) -> Result<String, String> {
+        self.next().ok_or_else(|| format!("{flag} needs {what}"))
+    }
+
+    /// The next word through `parse`; `None` rejects it.
+    fn parsed<T>(
+        &mut self,
+        flag: &str,
+        what: &str,
+        parse: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<T, String> {
+        self.next().as_deref().and_then(parse).ok_or_else(|| format!("{flag} needs {what}"))
+    }
+
+    /// The next word as an integer.
+    fn integer<T: FromStr>(&mut self, flag: &str, what: &str) -> Result<T, String> {
+        self.parsed(flag, what, |s| s.parse().ok())
+    }
+
+    /// The next word as an integer above zero.
+    fn positive<T: FromStr + PartialOrd + Default>(
+        &mut self,
+        flag: &str,
+        what: &str,
+    ) -> Result<T, String> {
+        self.parsed(flag, what, |s| s.parse().ok().filter(|n| *n > T::default()))
+    }
 }
 
 /// `accsat trace-check`: validate a `--trace-out` file — JSON
 /// well-formedness, per-event required fields, per-thread span nesting —
 /// and print a one-line summary. CI runs this on its smoke traces.
-fn trace_check_main(args: Vec<String>) -> ExitCode {
+fn trace_check_main(args: Vec<String>) -> Exit {
     let [path] = args.as_slice() else {
         eprintln!("usage: accsat trace-check TRACE.json");
-        return ExitCode::from(2);
+        return Err(ExitCode::from(2));
     };
-    let src = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("accsat trace-check: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match accsat::obs::validate::validate_trace(&src) {
-        Ok(s) => {
-            println!(
-                "trace ok: {} events ({} spans, {} instants, {} counter samples) \
-                 on {} thread{}, {:.1} ms, categories: {}",
-                s.events,
-                s.spans,
-                s.instants,
-                s.counters,
-                s.threads,
-                if s.threads == 1 { "" } else { "s" },
-                s.span_end_us as f64 / 1e3,
-                s.categories.join(","),
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("accsat trace-check: {path}: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let src = std::fs::read_to_string(path)
+        .map_err(|e| fail(format!("accsat trace-check: cannot read {path}: {e}")))?;
+    let s = accsat::obs::validate::validate_trace(&src)
+        .map_err(|e| fail(format!("accsat trace-check: {path}: {e}")))?;
+    println!(
+        "trace ok: {} events ({} spans, {} instants, {} counter samples) \
+         on {} thread{}, {:.1} ms, categories: {}",
+        s.events,
+        s.spans,
+        s.instants,
+        s.counters,
+        s.threads,
+        if s.threads == 1 { "" } else { "s" },
+        s.span_end_us as f64 / 1e3,
+        s.categories.join(","),
+    );
+    Ok(())
 }
 
 /// Parse a `--shard I/N` operand.
@@ -147,227 +199,152 @@ fn parse_shard(s: &str) -> Option<(usize, usize)> {
     (n > 0 && i < n).then_some((i, n))
 }
 
-fn parse_variant(v: Option<&str>) -> Option<Variant> {
+fn parse_variant(v: Option<&str>) -> Result<Variant, String> {
     match v {
-        Some("cse") => Some(Variant::Cse),
-        Some("cse+sat") => Some(Variant::CseSat),
-        Some("cse+bulk") => Some(Variant::CseBulk),
-        Some("accsat") => Some(Variant::AccSat),
-        _ => None,
+        Some("cse") => Ok(Variant::Cse),
+        Some("cse+sat") => Ok(Variant::CseSat),
+        Some("cse+bulk") => Ok(Variant::CseBulk),
+        Some("accsat") => Ok(Variant::AccSat),
+        _ => Err("unknown variant".to_string()),
     }
+}
+
+/// What `accsat batch` / `accsat tune` were asked to do.
+struct BatchOpts {
+    tune_mode: bool,
+    suite: String,
+    variant: Variant,
+    par: ParallelConfig,
+    json: Option<String>,
+    stable_json: Option<String>,
+    metrics_out: Option<String>,
+    trace_out: Option<String>,
+    cache_dir: Option<String>,
+    extract_budget: Option<u64>,
+    sat_threads: Option<usize>,
+    tcfg: TuneConfig,
+}
+
+fn parse_batch(args: Vec<String>, tune_mode: bool) -> Result<BatchOpts, String> {
+    let mut o = BatchOpts {
+        tune_mode,
+        suite: "npb".to_string(),
+        variant: Variant::AccSat,
+        par: ParallelConfig::default(),
+        json: None,
+        stable_json: None,
+        metrics_out: None,
+        trace_out: None,
+        cache_dir: None,
+        extract_budget: None,
+        sat_threads: None,
+        tcfg: TuneConfig::default(),
+    };
+    // tuner-only flags seen while parsing: a plain batch must reject
+    // them instead of silently ignoring the user's tuning intent
+    let mut tune_flags: Vec<&'static str> = Vec::new();
+
+    let mut ops = Operands(args.into_iter());
+    while let Some(arg) = ops.next() {
+        match arg.as_str() {
+            "--suite" => match ops.next().as_deref() {
+                Some(s @ ("npb" | "spec" | "all")) => o.suite = s.to_string(),
+                other => return Err(format!("unknown suite: {other:?}")),
+            },
+            "--variant" => o.variant = parse_variant(ops.next().as_deref())?,
+            "--threads" => o.par.threads = ops.positive(&arg, "a positive integer")?,
+            "--deadline-ms" => {
+                o.par.kernel_deadline =
+                    Some(Duration::from_millis(ops.integer(&arg, "an integer")?))
+            }
+            "--extract-budget" => {
+                o.extract_budget = Some(ops.positive(&arg, "a positive node count")?)
+            }
+            "--sat-threads" => o.sat_threads = Some(ops.positive(&arg, "a positive integer")?),
+            "--json" => o.json = Some(ops.text(&arg, "an output path")?),
+            "--stable-json" => o.stable_json = Some(ops.text(&arg, "an output path")?),
+            "--metrics" => o.metrics_out = Some(ops.text(&arg, "an output path")?),
+            "--trace-out" => o.trace_out = Some(ops.text(&arg, "an output path")?),
+            "--cache-dir" => o.cache_dir = Some(ops.text(&arg, "a directory")?),
+            "--shard" => {
+                o.par.shard = Some(ops.parsed(&arg, "I/N with 0 <= I < N", parse_shard)?)
+            }
+            "--tune" => o.tune_mode = true,
+            "--device" => {
+                tune_flags.push("--device");
+                o.tcfg.device = match ops.next().as_deref() {
+                    Some("pcie" | "a100-40g") => Device::a100_pcie_40gb(),
+                    Some("sxm" | "a100-80g") => Device::a100_sxm4_80gb(),
+                    other => return Err(format!("unknown device: {other:?} (pcie|sxm)")),
+                }
+            }
+            "--compiler" => {
+                tune_flags.push("--compiler");
+                let compiler = match ops.next().as_deref() {
+                    Some("nvhpc") => Compiler::Nvhpc,
+                    Some("gcc") => Compiler::Gcc,
+                    other => return Err(format!("unknown compiler: {other:?} (nvhpc|gcc)")),
+                };
+                o.tcfg.compiler = CompilerModel::new(compiler, Model::OpenAcc);
+            }
+            "--sweep" => {
+                tune_flags.push("--sweep");
+                o.tcfg.sweep = ops.parsed(&arg, "a comma-separated list of heavy costs", |s| {
+                    s.split(',').map(|v| v.trim().parse().ok()).collect()
+                })?;
+            }
+            "--keep" => {
+                tune_flags.push("--keep");
+                o.tcfg.keep = ops.positive(&arg, "a positive integer")?;
+            }
+            _ => return Err(format!("unknown batch flag: {arg}")),
+        }
+    }
+
+    if !o.tune_mode && !tune_flags.is_empty() {
+        return Err(format!(
+            "accsat batch: {} only take{} effect with --tune (or `accsat tune`)",
+            tune_flags.join(", "),
+            if tune_flags.len() == 1 { "s" } else { "" },
+        ));
+    }
+    Ok(o)
 }
 
 /// `accsat batch` / `accsat tune`: the parallel drivers over a benchmark
 /// suite. `tune_mode` switches the per-kernel objective from the static
 /// cost model to simulated cycles, and makes all output deterministic
 /// (byte-identical at any `--threads`).
-fn batch_main(args: Vec<String>, mut tune_mode: bool) -> ExitCode {
-    let mut suite = "npb".to_string();
-    let mut variant = Variant::AccSat;
-    let mut par = ParallelConfig::default();
-    let mut json: Option<String> = None;
-    let mut stable_json: Option<String> = None;
-    let mut metrics_out: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut cache_dir: Option<String> = None;
-    let mut extract_budget: Option<u64> = None;
-    let mut sat_threads: Option<usize> = None;
-    let mut tcfg = TuneConfig::default();
-    // tuner-only flags seen while parsing: a plain batch must reject
-    // them instead of silently ignoring the user's tuning intent
-    let mut tune_flags: Vec<&'static str> = Vec::new();
-
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--suite" => match it.next().as_deref() {
-                Some(s @ ("npb" | "spec" | "all")) => suite = s.to_string(),
-                other => {
-                    eprintln!("unknown suite: {other:?}");
-                    return usage();
-                }
-            },
-            "--variant" => match parse_variant(it.next().as_deref()) {
-                Some(v) => variant = v,
-                None => {
-                    eprintln!("unknown variant");
-                    return usage();
-                }
-            },
-            "--threads" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n > 0 => par.threads = n,
-                _ => {
-                    eprintln!("--threads needs a positive integer");
-                    return usage();
-                }
-            },
-            "--deadline-ms" => match it.next().and_then(|n| n.parse::<u64>().ok()) {
-                Some(ms) => par.kernel_deadline = Some(Duration::from_millis(ms)),
-                None => {
-                    eprintln!("--deadline-ms needs an integer");
-                    return usage();
-                }
-            },
-            "--extract-budget" => match it.next().and_then(|n| n.parse::<u64>().ok()) {
-                Some(n) if n > 0 => extract_budget = Some(n),
-                _ => {
-                    eprintln!("--extract-budget needs a positive node count");
-                    return usage();
-                }
-            },
-            "--sat-threads" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n > 0 => sat_threads = Some(n),
-                _ => {
-                    eprintln!("--sat-threads needs a positive integer");
-                    return usage();
-                }
-            },
-            "--json" => match it.next() {
-                Some(path) => json = Some(path),
-                None => {
-                    eprintln!("--json needs an output path");
-                    return usage();
-                }
-            },
-            "--stable-json" => match it.next() {
-                Some(path) => stable_json = Some(path),
-                None => {
-                    eprintln!("--stable-json needs an output path");
-                    return usage();
-                }
-            },
-            "--metrics" => match it.next() {
-                Some(path) => metrics_out = Some(path),
-                None => {
-                    eprintln!("--metrics needs an output path");
-                    return usage();
-                }
-            },
-            "--trace-out" => match it.next() {
-                Some(path) => trace_out = Some(path),
-                None => {
-                    eprintln!("--trace-out needs an output path");
-                    return usage();
-                }
-            },
-            "--cache-dir" => match it.next() {
-                Some(dir) => cache_dir = Some(dir),
-                None => {
-                    eprintln!("--cache-dir needs a directory");
-                    return usage();
-                }
-            },
-            "--shard" => match it.next().as_deref().and_then(parse_shard) {
-                Some(sh) => par.shard = Some(sh),
-                None => {
-                    eprintln!("--shard needs I/N with 0 <= I < N");
-                    return usage();
-                }
-            },
-            "--tune" => tune_mode = true,
-            "--device" => {
-                tune_flags.push("--device");
-                match it.next().as_deref() {
-                    Some("pcie" | "a100-40g") => tcfg.device = Device::a100_pcie_40gb(),
-                    Some("sxm" | "a100-80g") => tcfg.device = Device::a100_sxm4_80gb(),
-                    other => {
-                        eprintln!("unknown device: {other:?} (pcie|sxm)");
-                        return usage();
-                    }
-                }
-            }
-            "--compiler" => {
-                tune_flags.push("--compiler");
-                match it.next().as_deref() {
-                    Some("nvhpc") => {
-                        tcfg.compiler = CompilerModel::new(Compiler::Nvhpc, Model::OpenAcc)
-                    }
-                    Some("gcc") => {
-                        tcfg.compiler = CompilerModel::new(Compiler::Gcc, Model::OpenAcc)
-                    }
-                    other => {
-                        eprintln!("unknown compiler: {other:?} (nvhpc|gcc)");
-                        return usage();
-                    }
-                }
-            }
-            "--sweep" => {
-                tune_flags.push("--sweep");
-                let vals: Option<Vec<u64>> = it
-                    .next()
-                    .map(|s| s.split(',').map(|v| v.trim().parse::<u64>().ok()).collect())
-                    .unwrap_or(None);
-                match vals {
-                    Some(v) if !v.is_empty() => tcfg.sweep = v,
-                    _ => {
-                        eprintln!("--sweep needs a comma-separated list of heavy costs");
-                        return usage();
-                    }
-                }
-            }
-            "--keep" => {
-                tune_flags.push("--keep");
-                match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                    Some(k) if k > 0 => tcfg.keep = k,
-                    _ => {
-                        eprintln!("--keep needs a positive integer");
-                        return usage();
-                    }
-                }
-            }
-            _ => {
-                eprintln!("unknown batch flag: {arg}");
-                return usage();
-            }
-        }
-    }
-
-    if !tune_mode && !tune_flags.is_empty() {
-        eprintln!(
-            "accsat batch: {} only take{} effect with --tune (or `accsat tune`)",
-            tune_flags.join(", "),
-            if tune_flags.len() == 1 { "s" } else { "" },
-        );
-        return usage();
-    }
-
-    let benches = match suite.as_str() {
+fn batch_main(args: Vec<String>, tune_mode: bool) -> Exit {
+    let o = parse_batch(args, tune_mode).map_err(usage_error)?;
+    let tune_mode = o.tune_mode;
+    let benches = match o.suite.as_str() {
         "npb" => accsat_benchmarks::npb_benchmarks(),
         "spec" => accsat_benchmarks::spec_benchmarks(),
         _ => accsat_benchmarks::all_benchmarks(),
     };
     let mut config = SaturatorConfig::default();
-    if let Some(n) = extract_budget {
+    if let Some(n) = o.extract_budget {
         config.extraction_node_budget = n;
     }
     // rule search defaults to the pool width: the two-level budget only
     // grants extra threads when workers are idle, and the output is
     // byte-identical at any width either way
-    config.sat_threads = sat_threads.unwrap_or(par.threads);
-    if let Some(dir) = &cache_dir {
-        match StageCache::with_dir(std::path::Path::new(dir)) {
-            Ok(c) => config.cache = Some(std::sync::Arc::new(c)),
-            Err(e) => {
-                eprintln!("accsat batch: cannot open cache dir {dir}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    config.sat_threads = o.sat_threads.unwrap_or(o.par.threads);
+    if let Some(dir) = &o.cache_dir {
+        let cache = StageCache::with_dir(Path::new(dir))
+            .map_err(|e| fail(format!("accsat batch: cannot open cache dir {dir}: {e}")))?;
+        config.cache = Some(Arc::new(cache));
     }
-    if trace_out.is_some() {
+    if o.trace_out.is_some() {
         accsat::obs::trace::start();
     }
     let report = if tune_mode {
-        tune_suite(&benches, variant, &config, &tcfg, &par)
+        tune_suite(&benches, o.variant, &config, &o.tcfg, &o.par)
     } else {
-        optimize_suite(&benches, variant, &config, &par)
-    };
-    let report = match report {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("accsat batch: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+        optimize_suite(&benches, o.variant, &config, &o.par)
+    }
+    .map_err(|e| fail(format!("accsat batch: {e}")))?;
 
     if tune_mode {
         // everything printed here is deterministic: simulated metrics
@@ -405,125 +382,70 @@ fn batch_main(args: Vec<String>, mut tune_mode: bool) -> ExitCode {
             if wall > 0.0 { work / wall } else { 1.0 },
         );
     }
-    if let Some(path) = json {
+    if let Some(path) = &o.json {
         let body = if tune_mode { report.to_stable_json() } else { report.to_json() };
-        if let Err(e) = std::fs::write(&path, body) {
-            eprintln!("accsat batch: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        write_file("accsat batch", path, &body)?;
         if !tune_mode {
             // (suppressed in tune mode to keep stdout byte-identical
             // regardless of whether --json is passed)
             println!("report written to {path}");
         }
     }
-    if let Some(path) = stable_json {
+    if let Some(path) = &o.stable_json {
         // the timing-free report: byte-identical warm vs cold and at any
         // thread count — CI diffs this file across cache states
-        if let Err(e) = std::fs::write(&path, report.to_stable_json()) {
-            eprintln!("accsat batch: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        write_file("accsat batch", path, &report.to_stable_json())?;
     }
-    if let Some(path) = metrics_out {
+    if let Some(path) = &o.metrics_out {
         // the deterministic counter/histogram report: byte-identical at
         // any --threads — CI diffs this file across thread counts
         let mut reg = report.metrics();
         if let Some(cache) = &config.cache {
             cache.stats().add_to(&mut reg);
         }
-        if let Err(e) = std::fs::write(&path, reg.to_text()) {
-            eprintln!("accsat batch: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
+        write_file("accsat batch", path, &reg.to_text())?;
+    }
+    write_trace(o.trace_out.as_deref(), "accsat batch")
+}
+
+/// What `accsat fuzz` was asked to do.
+struct FuzzOpts {
+    fc: FuzzConfig,
+    json: Option<String>,
+    corpus: Option<String>,
+    trace_out: Option<String>,
+}
+
+fn parse_fuzz(args: Vec<String>) -> Result<FuzzOpts, String> {
+    let mut o = FuzzOpts { fc: FuzzConfig::default(), json: None, corpus: None, trace_out: None };
+    let mut ops = Operands(args.into_iter());
+    while let Some(arg) = ops.next() {
+        match arg.as_str() {
+            "--cases" => o.fc.cases = ops.positive(&arg, "a positive integer")?,
+            "--seed" => o.fc.seed = ops.integer(&arg, "an integer")?,
+            "--threads" => o.fc.threads = ops.positive(&arg, "a positive integer")?,
+            "--sat-threads" => {
+                o.fc.saturator.sat_threads = ops.positive(&arg, "a positive integer")?
+            }
+            "--json" => o.json = Some(ops.text(&arg, "an output path")?),
+            "--corpus" => o.corpus = Some(ops.text(&arg, "a directory")?),
+            "--cache" => o.fc.cache_check = true,
+            "--cache-dir" => {
+                o.fc.cache_dir = Some(ops.text(&arg, "a directory")?.into());
+                o.fc.cache_check = true;
+            }
+            "--trace-out" => o.trace_out = Some(ops.text(&arg, "an output path")?),
+            _ => return Err(format!("unknown fuzz flag: {arg}")),
         }
     }
-    if let Some(path) = &trace_out {
-        if let Err(code) = write_trace(path, "accsat batch") {
-            return code;
-        }
-    }
-    ExitCode::SUCCESS
+    Ok(o)
 }
 
 /// `accsat fuzz`: the differential kernel fuzzer. Stdout and the JSON
 /// report are deterministic functions of `--cases`/`--seed` alone — CI
 /// diffs them across thread counts; timing goes to stderr only.
-fn fuzz_main(args: Vec<String>) -> ExitCode {
-    let mut fc = FuzzConfig::default();
-    let mut json: Option<String> = None;
-    let mut corpus: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--cases" => match it.next().and_then(|n| n.parse::<u64>().ok()) {
-                Some(n) if n > 0 => fc.cases = n,
-                _ => {
-                    eprintln!("--cases needs a positive integer");
-                    return usage();
-                }
-            },
-            "--seed" => match it.next().and_then(|n| n.parse::<u64>().ok()) {
-                Some(s) => fc.seed = s,
-                None => {
-                    eprintln!("--seed needs an integer");
-                    return usage();
-                }
-            },
-            "--threads" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n > 0 => fc.threads = n,
-                _ => {
-                    eprintln!("--threads needs a positive integer");
-                    return usage();
-                }
-            },
-            "--sat-threads" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n > 0 => fc.saturator.sat_threads = n,
-                _ => {
-                    eprintln!("--sat-threads needs a positive integer");
-                    return usage();
-                }
-            },
-            "--json" => match it.next() {
-                Some(path) => json = Some(path),
-                None => {
-                    eprintln!("--json needs an output path");
-                    return usage();
-                }
-            },
-            "--corpus" => match it.next() {
-                Some(dir) => corpus = Some(dir),
-                None => {
-                    eprintln!("--corpus needs a directory");
-                    return usage();
-                }
-            },
-            "--cache" => fc.cache_check = true,
-            "--cache-dir" => match it.next() {
-                Some(dir) => {
-                    fc.cache_check = true;
-                    fc.cache_dir = Some(std::path::PathBuf::from(dir));
-                }
-                None => {
-                    eprintln!("--cache-dir needs a directory");
-                    return usage();
-                }
-            },
-            "--trace-out" => match it.next() {
-                Some(path) => trace_out = Some(path),
-                None => {
-                    eprintln!("--trace-out needs an output path");
-                    return usage();
-                }
-            },
-            _ => {
-                eprintln!("unknown fuzz flag: {arg}");
-                return usage();
-            }
-        }
-    }
-
+fn fuzz_main(args: Vec<String>) -> Exit {
+    let FuzzOpts { fc, json, corpus, trace_out } = parse_fuzz(args).map_err(usage_error)?;
     if trace_out.is_some() {
         accsat::obs::trace::start();
     }
@@ -539,110 +461,73 @@ fn fuzz_main(args: Vec<String>) -> ExitCode {
         if fc.threads == 1 { "" } else { "s" },
     );
     print!("{}", report.render_summary());
-    if let Some(path) = json {
-        if let Err(e) = std::fs::write(&path, report.to_stable_json()) {
-            eprintln!("accsat fuzz: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
+    if let Some(path) = &json {
+        write_file("accsat fuzz", path, &report.to_stable_json())?;
+    }
+    if let Some(dir) = &corpus {
+        let paths = report
+            .write_corpus(Path::new(dir), &fc)
+            .map_err(|e| fail(format!("accsat fuzz: cannot write corpus to {dir}: {e}")))?;
+        if !paths.is_empty() {
+            eprintln!("accsat fuzz: {} repro(s) written to {dir}", paths.len());
         }
     }
-    if let Some(dir) = corpus {
-        match report.write_corpus(std::path::Path::new(&dir), &fc) {
-            Ok(paths) => {
-                if !paths.is_empty() {
-                    eprintln!("accsat fuzz: {} repro(s) written to {dir}", paths.len());
-                }
-            }
-            Err(e) => {
-                eprintln!("accsat fuzz: cannot write corpus to {dir}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some(path) = &trace_out {
-        if let Err(code) = write_trace(path, "accsat fuzz") {
-            return code;
-        }
-    }
+    write_trace(trace_out.as_deref(), "accsat fuzz")?;
     if report.failures.is_empty() {
-        ExitCode::SUCCESS
+        Ok(())
     } else {
-        ExitCode::FAILURE
+        Err(ExitCode::FAILURE)
     }
+}
+
+/// What `accsat serve` was asked to do.
+struct ServeOpts {
+    cfg: ServeConfig,
+    cache_dir: Option<String>,
+    cache_cap: Option<usize>,
+    socket: Option<String>,
+    trace_out: Option<String>,
+}
+
+fn parse_serve(args: Vec<String>) -> Result<ServeOpts, String> {
+    let mut o = ServeOpts {
+        cfg: ServeConfig::default(),
+        cache_dir: None,
+        cache_cap: None,
+        socket: None,
+        trace_out: None,
+    };
+    let mut ops = Operands(args.into_iter());
+    while let Some(arg) = ops.next() {
+        match arg.as_str() {
+            "--threads" => o.cfg.threads = ops.positive(&arg, "a positive integer")?,
+            "--cache-dir" => o.cache_dir = Some(ops.text(&arg, "a directory")?),
+            "--cache-cap" => o.cache_cap = Some(ops.positive(&arg, "a positive entry count")?),
+            "--socket" => o.socket = Some(ops.text(&arg, "a path")?),
+            "--trace-out" => o.trace_out = Some(ops.text(&arg, "an output path")?),
+            _ => return Err(format!("unknown serve flag: {arg}")),
+        }
+    }
+    Ok(o)
 }
 
 /// `accsat serve`: the persistent optimization service. Compiles the rule
 /// set once, then answers line-delimited requests on stdin/stdout (or a
 /// Unix socket) with one JSON object per line, amortizing pipeline stages
 /// across requests through the content-addressed cache.
-fn serve_main(args: Vec<String>) -> ExitCode {
-    let mut cfg = ServeConfig::default();
-    let mut cache_dir: Option<String> = None;
-    let mut cache_cap: Option<usize> = None;
-    let mut socket: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--threads" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n > 0 => cfg.threads = n,
-                _ => {
-                    eprintln!("--threads needs a positive integer");
-                    return usage();
-                }
-            },
-            "--cache-dir" => match it.next() {
-                Some(dir) => cache_dir = Some(dir),
-                None => {
-                    eprintln!("--cache-dir needs a directory");
-                    return usage();
-                }
-            },
-            "--cache-cap" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n > 0 => cache_cap = Some(n),
-                _ => {
-                    eprintln!("--cache-cap needs a positive entry count");
-                    return usage();
-                }
-            },
-            "--socket" => match it.next() {
-                Some(path) => socket = Some(path),
-                None => {
-                    eprintln!("--socket needs a path");
-                    return usage();
-                }
-            },
-            "--trace-out" => match it.next() {
-                Some(path) => trace_out = Some(path),
-                None => {
-                    eprintln!("--trace-out needs an output path");
-                    return usage();
-                }
-            },
-            _ => {
-                eprintln!("unknown serve flag: {arg}");
-                return usage();
-            }
-        }
-    }
-
-    let mem_cap = cache_cap.unwrap_or(DEFAULT_MEM_CAPACITY);
-    let disk_cap = cache_cap.unwrap_or(DEFAULT_DISK_CAPACITY);
-    let cache = match &cache_dir {
-        Some(dir) => {
-            let dir = std::path::PathBuf::from(dir);
-            if let Err(e) = std::fs::create_dir_all(dir.join("parsed"))
-                .and_then(|()| std::fs::create_dir_all(dir.join("sat")))
-                .and_then(|()| std::fs::create_dir_all(dir.join("sel")))
-            {
-                eprintln!("accsat serve: cannot open cache dir {}: {e}", dir.display());
-                return ExitCode::FAILURE;
-            }
-            StageCache::new(Some(dir), mem_cap, disk_cap)
-        }
-        None => StageCache::new(None, mem_cap, disk_cap),
-    };
-    cfg.saturator.cache = Some(std::sync::Arc::new(cache));
+fn serve_main(args: Vec<String>) -> Exit {
+    let ServeOpts { mut cfg, cache_dir, cache_cap, socket, trace_out } =
+        parse_serve(args).map_err(usage_error)?;
+    let cache = StageCache::new(
+        cache_dir.as_deref().map(Path::new),
+        cache_cap.unwrap_or(DEFAULT_MEM_CAPACITY),
+        cache_cap.unwrap_or(DEFAULT_DISK_CAPACITY),
+    )
+    .map_err(|e| {
+        let dir = cache_dir.as_deref().unwrap_or_default();
+        fail(format!("accsat serve: cannot open cache dir {dir}: {e}"))
+    })?;
+    cfg.saturator.cache = Some(Arc::new(cache));
 
     if trace_out.is_some() {
         accsat::obs::trace::start();
@@ -652,118 +537,78 @@ fn serve_main(args: Vec<String>) -> ExitCode {
             #[cfg(unix)]
             {
                 eprintln!("accsat serve: listening on {path}");
-                accsat::serve::serve_unix_socket(std::path::Path::new(&path), &cfg)
+                accsat::serve::serve_unix_socket(Path::new(&path), &cfg)
             }
             #[cfg(not(unix))]
             {
-                eprintln!("accsat serve: --socket {path} requires a Unix platform");
-                return ExitCode::FAILURE;
+                return Err(fail(format!(
+                    "accsat serve: --socket {path} requires a Unix platform"
+                )));
             }
         }
         // `Stdout` (not `StdoutLock`) — the session's writer thread needs
         // a `Send` sink, and the lock guard is thread-bound
         None => run_session(std::io::stdin().lock(), std::io::stdout(), &cfg),
     };
-    if let Some(path) = &trace_out {
-        if let Err(code) = write_trace(path, "accsat serve") {
-            return code;
-        }
-    }
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("accsat serve: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    write_trace(trace_out.as_deref(), "accsat serve")?;
+    result.map_err(|e| fail(format!("accsat serve: {e}")))
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("batch") => return batch_main(args.into_iter().skip(1).collect(), false),
-        Some("tune") => return batch_main(args.into_iter().skip(1).collect(), true),
-        Some("fuzz") => return fuzz_main(args.into_iter().skip(1).collect()),
-        Some("serve") => return serve_main(args.into_iter().skip(1).collect()),
-        Some("trace-check") => return trace_check_main(args.into_iter().skip(1).collect()),
-        _ => {}
-    }
-    let mut variant = Variant::AccSat;
-    let mut input: Option<String> = None;
-    let mut output: Option<String> = None;
-    let mut metrics_out: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut stats = false;
-    let mut config = SaturatorConfig::default();
+/// What the single-file mode was asked to do.
+struct SingleOpts {
+    variant: Variant,
+    sat_threads: Option<usize>,
+    stats: bool,
+    input: String,
+    output: Option<String>,
+    metrics_out: Option<String>,
+    trace_out: Option<String>,
+}
 
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
+fn parse_single(args: Vec<String>) -> Result<SingleOpts, String> {
+    let mut variant = Variant::AccSat;
+    let (mut sat_threads, mut stats, mut input) = (None, false, None);
+    let (mut output, mut metrics_out, mut trace_out) = (None, None, None);
+    let mut ops = Operands(args.into_iter());
+    while let Some(arg) = ops.next() {
         match arg.as_str() {
-            "--variant" => {
-                let Some(v) = parse_variant(it.next().as_deref()) else {
-                    eprintln!("unknown variant");
-                    return usage();
-                };
-                variant = v;
-            }
-            "--sat-threads" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n > 0 => config.sat_threads = n,
-                _ => {
-                    eprintln!("--sat-threads needs a positive integer");
-                    return usage();
-                }
-            },
+            "--variant" => variant = parse_variant(ops.next().as_deref())?,
+            "--sat-threads" => sat_threads = Some(ops.positive(&arg, "a positive integer")?),
             "--stats" => stats = true,
-            "--metrics" => match it.next() {
-                Some(path) => metrics_out = Some(path),
-                None => {
-                    eprintln!("--metrics needs an output path");
-                    return usage();
+            "--metrics" => metrics_out = Some(ops.text(&arg, "an output path")?),
+            "--trace-out" => trace_out = Some(ops.text(&arg, "an output path")?),
+            "-o" => output = Some(ops.text(&arg, "an output path")?),
+            // no message: the usage text is the answer
+            "-h" | "--help" => return Err(String::new()),
+            other if !other.starts_with('-') => {
+                if let Some(first) = input.replace(arg.clone()) {
+                    return Err(format!("more than one input file: {first} and {arg}"));
                 }
-            },
-            "--trace-out" => match it.next() {
-                Some(path) => trace_out = Some(path),
-                None => {
-                    eprintln!("--trace-out needs an output path");
-                    return usage();
-                }
-            },
-            "-o" => output = it.next(),
-            "-h" | "--help" => return usage(),
-            other if !other.starts_with('-') => input = Some(other.to_string()),
-            other => {
-                eprintln!("unknown flag: {other}");
-                return usage();
             }
+            other => return Err(format!("unknown flag: {other}")),
         }
     }
+    let input = input.ok_or_else(String::new)?;
+    Ok(SingleOpts { variant, sat_threads, stats, input, output, metrics_out, trace_out })
+}
 
-    let Some(input) = input else { return usage() };
-    if trace_out.is_some() {
+/// `accsat [flags] INPUT.c`: optimize every kernel of one source file.
+fn single_main(args: Vec<String>) -> Exit {
+    let o = parse_single(args).map_err(usage_error)?;
+    let input = &o.input;
+    let mut config = SaturatorConfig::default();
+    if let Some(n) = o.sat_threads {
+        config.sat_threads = n;
+    }
+    if o.trace_out.is_some() {
         accsat::obs::trace::start();
     }
-    let src = match std::fs::read_to_string(&input) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("accsat: cannot read {input}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let prog = match parse_program(&src) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("accsat: {input}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (optimized, kernel_stats) = match optimize_program_with(&prog, variant, &config) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("accsat: optimization failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if stats {
+    let src = std::fs::read_to_string(input)
+        .map_err(|e| fail(format!("accsat: cannot read {input}: {e}")))?;
+    let prog = parse_program(&src).map_err(|e| fail(format!("accsat: {input}: {e}")))?;
+    let (optimized, kernel_stats) = optimize_program_with(&prog, o.variant, &config)
+        .map_err(|e| fail(format!("accsat: optimization failed: {e}")))?;
+    if o.stats {
         for s in &kernel_stats {
             eprintln!(
                 "accsat: kernel `{}`: {} e-nodes, {} iterations ({:?}), \
@@ -780,29 +625,138 @@ fn main() -> ExitCode {
         }
     }
     let text = print_program(&optimized);
-    match output {
-        Some(path) => {
-            if let Err(e) = std::fs::write(&path, text) {
-                eprintln!("accsat: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    match &o.output {
+        Some(path) => write_file("accsat", path, &text)?,
         None => print!("{text}"),
     }
-    if let Some(path) = metrics_out {
+    if let Some(path) = &o.metrics_out {
         let mut reg = accsat::obs::MetricsRegistry::new();
         for s in &kernel_stats {
             accsat::metrics::add_opt_stats(&mut reg, s);
         }
-        if let Err(e) = std::fs::write(&path, reg.to_text()) {
-            eprintln!("accsat: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
+        write_file("accsat", path, &reg.to_text())?;
+    }
+    write_trace(o.trace_out.as_deref(), "accsat")
+}
+
+fn main() -> ExitCode {
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let run = match args.first().map(String::as_str) {
+        Some("batch") => batch_main(args.split_off(1), false),
+        Some("tune") => batch_main(args.split_off(1), true),
+        Some("fuzz") => fuzz_main(args.split_off(1)),
+        Some("serve") => serve_main(args.split_off(1)),
+        Some("trace-check") => trace_check_main(args.split_off(1)),
+        _ => single_main(args),
+    };
+    run.map_or_else(|code| code, |()| ExitCode::SUCCESS)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn words(ws: &[&str]) -> Vec<String> {
+        ws.iter().map(|w| w.to_string()).collect()
+    }
+
+    /// Every value-taking flag of every subcommand: a good operand is
+    /// accepted; a missing or malformed one is the flag's usage message.
+    #[test]
+    fn value_flags_accept_good_operands_and_name_themselves_otherwise() {
+        type Parse = fn(Vec<String>) -> Result<(), String>;
+        let batch: Parse = |a| parse_batch(a, false).map(drop);
+        let tune: Parse = |a| parse_batch(a, true).map(drop);
+        let fuzz: Parse = |a| parse_fuzz(a).map(drop);
+        let serve: Parse = |a| parse_serve(a).map(drop);
+        // the input file goes first so that a flag at the end lacks its operand
+        let single: Parse = |mut a| {
+            a.insert(0, "in.c".to_string());
+            parse_single(a).map(drop)
+        };
+        const INT: &str = "a positive integer";
+        const PATH: &str = "an output path";
+        const DIR: &str = "a directory";
+        // (parser, flag, good operand, malformed operand, what the flag needs)
+        let table: &[(Parse, &str, &str, Option<&str>, &str)] = &[
+            (batch, "--threads", "4", Some("0"), INT),
+            (batch, "--deadline-ms", "250", Some("soon"), "an integer"),
+            (batch, "--extract-budget", "60000", Some("0"), "a positive node count"),
+            (batch, "--sat-threads", "2", Some("-1"), INT),
+            (batch, "--json", "o.json", None, PATH),
+            (batch, "--stable-json", "o.json", None, PATH),
+            (batch, "--metrics", "m.txt", None, PATH),
+            (batch, "--trace-out", "t.json", None, PATH),
+            (batch, "--cache-dir", "cache", None, DIR),
+            (batch, "--shard", "1/2", Some("2/2"), "I/N with 0 <= I < N"),
+            (tune, "--sweep", "10, 100", Some("10,x"), "a comma-separated list of heavy costs"),
+            (tune, "--keep", "3", Some("0"), INT),
+            (tune, "--threads", "8", Some("many"), INT),
+            (fuzz, "--cases", "50", Some("0"), INT),
+            (fuzz, "--seed", "0", Some("-7"), "an integer"),
+            (fuzz, "--threads", "4", Some("0"), INT),
+            (fuzz, "--sat-threads", "2", Some("two"), INT),
+            (fuzz, "--json", "o.json", None, PATH),
+            (fuzz, "--corpus", "corpus", None, DIR),
+            (fuzz, "--cache-dir", "cache", None, DIR),
+            (fuzz, "--trace-out", "t.json", None, PATH),
+            (serve, "--threads", "2", Some("0"), INT),
+            (serve, "--cache-dir", "cache", None, DIR),
+            (serve, "--cache-cap", "16", Some("0"), "a positive entry count"),
+            (serve, "--socket", "/tmp/s", None, "a path"),
+            (serve, "--trace-out", "t.json", None, PATH),
+            (single, "--sat-threads", "2", Some("0"), INT),
+            (single, "--metrics", "m.txt", None, PATH),
+            (single, "--trace-out", "t.json", None, PATH),
+            (single, "-o", "out.c", None, PATH),
+        ];
+        for &(parse, flag, good, malformed, what) in table {
+            let message = Err(format!("{flag} needs {what}"));
+            assert_eq!(parse(words(&[flag, good])), Ok(()), "{flag} {good}");
+            assert_eq!(parse(words(&[flag])), message, "{flag} without an operand");
+            if let Some(bad) = malformed {
+                assert_eq!(parse(words(&[flag, bad])), message, "{flag} {bad}");
+            }
         }
     }
-    if let Some(path) = &trace_out {
-        if let Err(code) = write_trace(path, "accsat") {
-            return code;
-        }
+
+    #[test]
+    fn enumerated_flags_keep_their_messages() {
+        let batch = |ws: &[&str]| parse_batch(words(ws), true).err();
+        assert_eq!(batch(&["--suite", "nas"]).unwrap(), "unknown suite: Some(\"nas\")");
+        assert_eq!(batch(&["--variant"]).unwrap(), "unknown variant");
+        assert_eq!(
+            batch(&["--device", "h100"]).unwrap(),
+            "unknown device: Some(\"h100\") (pcie|sxm)"
+        );
+        assert_eq!(batch(&["--compiler"]).unwrap(), "unknown compiler: None (nvhpc|gcc)");
+        assert_eq!(batch(&["--fast"]).unwrap(), "unknown batch flag: --fast");
+        assert_eq!(batch(&["--device", "sxm", "--compiler", "gcc", "--suite", "all"]), None);
+        assert_eq!(
+            parse_batch(words(&["--keep", "2", "--sweep", "10"]), false).err().unwrap(),
+            "accsat batch: --keep, --sweep only take effect with --tune (or `accsat tune`)"
+        );
+        assert_eq!(parse_fuzz(words(&["--quick"])).err().unwrap(), "unknown fuzz flag: --quick");
+        assert_eq!(parse_serve(words(&["--port"])).err().unwrap(), "unknown serve flag: --port");
+        assert_eq!(parse_single(words(&["-x", "in.c"])).err().unwrap(), "unknown flag: -x");
+        // bare usage, no message: no input at all, or a request for help
+        assert_eq!(parse_single(words(&["--stats"])).err().unwrap(), "");
+        assert_eq!(parse_single(words(&["in.c", "--help"])).err().unwrap(), "");
     }
-    ExitCode::SUCCESS
+
+    /// `accsat in.c -o` used to print to stdout and exit 0.
+    #[test]
+    fn dash_o_without_a_path_is_a_usage_error() {
+        let err = parse_single(words(&["in.c", "-o"])).err();
+        assert_eq!(err.unwrap(), "-o needs an output path");
+        let o = parse_single(words(&["-o", "out.c", "in.c"])).ok().unwrap();
+        assert_eq!((o.input.as_str(), o.output.as_deref()), ("in.c", Some("out.c")));
+    }
+
+    /// `accsat a.c b.c` used to optimize only `b.c`, silently.
+    #[test]
+    fn a_second_input_file_is_a_usage_error() {
+        let err = parse_single(words(&["a.c", "--stats", "b.c"])).err();
+        assert_eq!(err.unwrap(), "more than one input file: a.c and b.c");
+    }
 }

@@ -396,20 +396,21 @@ impl CacheStats {
     }
 }
 
-/// One FIFO-evicted text shelf (sat or sel level).
-struct Shelf {
-    map: HashMap<u64, Arc<String>>,
+/// One FIFO-evicted in-memory shelf: serialized text at the sat and sel
+/// levels, parsed [`Program`]s at the parsed level.
+struct Shelf<V> {
+    map: HashMap<u64, Arc<V>>,
     order: VecDeque<u64>,
 }
 
-impl Shelf {
-    fn new() -> Shelf {
+impl<V> Shelf<V> {
+    fn new() -> Shelf<V> {
         Shelf { map: HashMap::new(), order: VecDeque::new() }
     }
 
     /// Insert; returns how many entries were evicted.
-    fn insert(&mut self, key: u64, text: Arc<String>, capacity: usize) -> u64 {
-        if self.map.insert(key, text).is_none() {
+    fn insert(&mut self, key: u64, value: Arc<V>, capacity: usize) -> u64 {
+        if self.map.insert(key, value).is_none() {
             self.order.push_back(key);
         }
         let mut evicted = 0;
@@ -423,14 +424,6 @@ impl Shelf {
     }
 }
 
-/// FIFO shelf for parsed programs — the same discipline as [`Shelf`],
-/// holding [`Program`]s instead of serialized text (the parsed stage is
-/// memory-only).
-struct ParsedShelf {
-    map: HashMap<u64, Arc<Program>>,
-    order: VecDeque<u64>,
-}
-
 /// The in-memory + on-disk stage store. Cheap to share: wrap in an [`Arc`]
 /// and clone the handle into every worker / request (all interior state is
 /// mutex-guarded).
@@ -438,9 +431,9 @@ pub struct StageCache {
     dir: Option<PathBuf>,
     mem_capacity: usize,
     disk_capacity: usize,
-    parsed: Mutex<ParsedShelf>,
-    sat: Mutex<Shelf>,
-    sel: Mutex<Shelf>,
+    parsed: Mutex<Shelf<Program>>,
+    sat: Mutex<Shelf<String>>,
+    sel: Mutex<Shelf<String>>,
     stats: Mutex<CacheStats>,
     /// Selection-stage keys currently being computed, for single-flight
     /// request coalescing (see [`StageCache::single_flight`]).
@@ -470,30 +463,38 @@ impl StageCache {
     /// In-memory-only cache with default capacities.
     pub fn in_memory() -> StageCache {
         StageCache::new(None, DEFAULT_MEM_CAPACITY, DEFAULT_DISK_CAPACITY)
+            .expect("an in-memory cache creates no directory")
     }
 
     /// Cache backed by `dir` (created if missing) with default capacities.
     pub fn with_dir(dir: &Path) -> std::io::Result<StageCache> {
-        std::fs::create_dir_all(dir.join("parsed"))?;
-        std::fs::create_dir_all(dir.join("sat"))?;
-        std::fs::create_dir_all(dir.join("sel"))?;
-        Ok(StageCache::new(Some(dir.to_path_buf()), DEFAULT_MEM_CAPACITY, DEFAULT_DISK_CAPACITY))
+        StageCache::new(Some(dir), DEFAULT_MEM_CAPACITY, DEFAULT_DISK_CAPACITY)
     }
 
-    /// Fully explicit constructor (capacities are entries per level).
-    pub fn new(dir: Option<PathBuf>, mem_capacity: usize, disk_capacity: usize) -> StageCache {
-        StageCache {
-            dir,
+    /// Fully explicit constructor (capacities are entries per level);
+    /// creates the stage directories of a disk-backed cache.
+    pub fn new(
+        dir: Option<&Path>,
+        mem_capacity: usize,
+        disk_capacity: usize,
+    ) -> std::io::Result<StageCache> {
+        if let Some(dir) = dir {
+            for level in ["parsed", "sat", "sel"] {
+                std::fs::create_dir_all(dir.join(level))?;
+            }
+        }
+        Ok(StageCache {
+            dir: dir.map(Path::to_path_buf),
             mem_capacity: mem_capacity.max(1),
             disk_capacity: disk_capacity.max(1),
-            parsed: Mutex::new(ParsedShelf { map: HashMap::new(), order: VecDeque::new() }),
+            parsed: Mutex::new(Shelf::new()),
             sat: Mutex::new(Shelf::new()),
             sel: Mutex::new(Shelf::new()),
             stats: Mutex::new(CacheStats::default()),
             in_flight: Mutex::new(HashSet::new()),
             in_flight_done: Condvar::new(),
             ever_flown: Mutex::new(HashSet::new()),
-        }
+        })
     }
 
     /// Counter snapshot.
@@ -540,7 +541,7 @@ impl StageCache {
                 })
             {
                 let prog = Arc::new(prog);
-                self.promote_parsed(src_hash, prog.clone());
+                self.promote(&self.parsed, src_hash, prog.clone(), 0);
                 self.stats.lock().expect("cache stats lock").parsed_hits += 1;
                 self.probe("parsed", true);
                 return Some(prog);
@@ -556,33 +557,21 @@ impl StageCache {
     /// restarted serve daemon recovers its parsed floor like the sat/sel
     /// levels.
     pub fn put_parsed(&self, src_hash: u64, prog: Arc<Program>) {
-        if let Some(dir) = self.dir.clone() {
+        let mut disk_evicted = 0;
+        if let Some(dir) = &self.dir {
             let mut text = String::from(PARSED_HEADER);
             text.push('\n');
             text.push_str(&accsat_ir::print_program(&prog));
-            let evicted = self.write_disk(&dir, "parsed", src_hash, &text).unwrap_or(0);
-            if evicted > 0 {
-                self.stats.lock().expect("cache stats lock").evictions += evicted;
-            }
+            disk_evicted = self.write_disk(dir, "parsed", src_hash, &text).unwrap_or(0);
         }
-        self.promote_parsed(src_hash, prog);
+        self.promote(&self.parsed, src_hash, prog, disk_evicted);
     }
 
-    /// Insert into the in-memory parsed shelf with FIFO eviction.
-    fn promote_parsed(&self, src_hash: u64, prog: Arc<Program>) {
-        let mut guard = self.parsed.lock().expect("parsed lock");
-        let ParsedShelf { map, order } = &mut *guard;
-        if map.insert(src_hash, prog).is_none() {
-            order.push_back(src_hash);
-        }
-        let mut evicted = 0;
-        while order.len() > self.mem_capacity {
-            let old = order.pop_front().expect("non-empty parsed queue");
-            if map.remove(&old).is_some() {
-                evicted += 1;
-            }
-        }
-        drop(guard);
+    /// Insert into an in-memory shelf, counting what FIFO eviction pushed
+    /// out (`disk_evicted` entries went the same way on disk).
+    fn promote<V>(&self, shelf: &Mutex<Shelf<V>>, key: u64, value: Arc<V>, disk_evicted: u64) {
+        let evicted =
+            disk_evicted + shelf.lock().expect("shelf lock").insert(key, value, self.mem_capacity);
         if evicted > 0 {
             self.stats.lock().expect("cache stats lock").evictions += evicted;
         }
@@ -639,7 +628,12 @@ impl StageCache {
         trace::instant("cache", name, Vec::new);
     }
 
-    fn get_entry(&self, shelf: &Mutex<Shelf>, level: &str, key: u64) -> Option<Arc<String>> {
+    fn get_entry(
+        &self,
+        shelf: &Mutex<Shelf<String>>,
+        level: &str,
+        key: u64,
+    ) -> Option<Arc<String>> {
         if let Some(text) = shelf.lock().expect("shelf lock").map.get(&key).cloned() {
             self.count(level, true);
             return Some(text);
@@ -648,12 +642,8 @@ impl StageCache {
         if let Some(dir) = &self.dir {
             if let Ok(text) = std::fs::read_to_string(entry_path(dir, level, key)) {
                 let text = Arc::new(text);
-                let evicted =
-                    shelf.lock().expect("shelf lock").insert(key, text.clone(), self.mem_capacity);
+                self.promote(shelf, key, text.clone(), 0);
                 self.count(level, true);
-                if evicted > 0 {
-                    self.stats.lock().expect("cache stats lock").evictions += evicted;
-                }
                 return Some(text);
             }
         }
@@ -661,32 +651,21 @@ impl StageCache {
         None
     }
 
-    fn put_entry(&self, shelf: &Mutex<Shelf>, level: &str, key: u64, text: String) {
+    fn put_entry(&self, shelf: &Mutex<Shelf<String>>, level: &str, key: u64, text: String) {
         let _span = trace::span_args("cache", "fill", || {
             vec![("level", level.to_string().into()), ("bytes", text.len().into())]
         });
-        let text = Arc::new(text);
-        let mut evicted =
-            shelf.lock().expect("shelf lock").insert(key, text.clone(), self.mem_capacity);
-        if let Some(dir) = &self.dir {
-            evicted += self.write_disk(dir, level, key, &text).unwrap_or(0);
-        }
-        if evicted > 0 {
-            self.stats.lock().expect("cache stats lock").evictions += evicted;
-        }
+        let disk_evicted =
+            self.dir.as_ref().map_or(0, |dir| self.write_disk(dir, level, key, &text).unwrap_or(0));
+        self.promote(shelf, key, Arc::new(text), disk_evicted);
     }
 
-    /// Write one entry to disk and FIFO-evict by the index file. Index
-    /// mutations happen under the shelf-level file lock surrogate (the
-    /// whole method is only called with the shelf mutex released, so the
-    /// in-process writers serialize on the stats mutex-free path via the
-    /// per-level index mutex below). Failures are swallowed: the disk
-    /// layer is an optimization, never a correctness dependency.
+    /// Write one entry to disk and FIFO-evict by the index file. Failures
+    /// are swallowed: the disk layer is an optimization, never a
+    /// correctness dependency.
     fn write_disk(&self, dir: &Path, level: &str, key: u64, text: &str) -> Option<u64> {
-        // serialize disk index updates through the in-flight mutex's
-        // sibling: reuse the shelf mutex would deadlock promotion, so take
-        // a dedicated critical section on the stats mutex? No — keep it
-        // simple: a per-process global disk lock.
+        // one process-wide lock serializes entry and index writes; safety
+        // across processes is ROADMAP's open hardening item
         static DISK_LOCK: Mutex<()> = Mutex::new(());
         let _disk = DISK_LOCK.lock().expect("disk lock");
         let path = entry_path(dir, level, key);
@@ -840,7 +819,7 @@ void k(double a[16], double out[16], double c0) {
 
     #[test]
     fn fifo_eviction_is_deterministic() {
-        let cache = StageCache::new(None, 2, 2);
+        let cache = StageCache::new(None, 2, 2).unwrap();
         let entry = |i: u64| SelEntry {
             selection: format!("accsat-selection v1 0\nend\n# {i}"),
             cost: i,

@@ -21,8 +21,8 @@
 //!    level (`cache-divergence` / `cache-level` findings otherwise).
 //!
 //! Campaigns are deterministic: per-case seeds derive from the campaign
-//! seed and the case index alone, workers write pre-allocated result
-//! slots (the `batch` pool discipline), and the report contains no
+//! seed and the case index alone, outcomes are aggregated in case order
+//! ([`accsat_egraph::pool::map_slots`]), and the report contains no
 //! wall-clock fields — so `--threads 1` and `--threads 8` produce
 //! byte-identical stdout and JSON, which CI diffs.
 //!
@@ -39,10 +39,9 @@ use accsat_egraph::{Runner, RunnerLimits};
 use accsat_extract::{extract_portfolio, PortfolioConfig};
 use accsat_interp::{compare_arrays_with, try_run_function, ArrayData, Env, EvalErrorKind};
 use accsat_ir::{parse_program, print_program, Block, Expr, Function, Program, Stmt};
+use accsat_obs::escape_json;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// Campaign configuration.
@@ -551,35 +550,18 @@ pub fn check_seeded(index: u64, seed: u64, fc: &FuzzConfig) -> CaseOutcome {
 }
 
 /// Run a campaign: `fc.cases` independent cases on `fc.threads` workers,
-/// each writing a pre-allocated slot so aggregation never depends on
-/// completion order.
+/// aggregated in case order so the report never depends on completion
+/// order.
 pub fn run_campaign(fc: &FuzzConfig) -> FuzzReport {
-    let slots: Vec<Mutex<Option<CaseOutcome>>> = (0..fc.cases).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let workers = fc.threads.clamp(1, fc.cases.max(1) as usize);
-    let drain = || loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i as u64 >= fc.cases {
-            break;
-        }
-        let outcome = run_case(i as u64, fc);
-        *slots[i].lock().expect("result slot") = Some(outcome);
-    };
-    if workers == 1 {
-        drain();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(drain);
-            }
-        });
-    }
+    let cases = fc.cases as usize;
+    let workers = fc.threads.clamp(1, cases.max(1));
+    let outcomes =
+        accsat_egraph::pool::map_slots(workers, cases, || (), |i| run_case(i as u64, fc));
 
     let mut flavors: BTreeMap<String, u64> = BTreeMap::new();
     let (mut passed, mut skipped) = (0u64, 0u64);
     let mut failures = Vec::new();
-    for slot in &slots {
-        let outcome = slot.lock().expect("result slot").take().expect("worker filled slot");
+    for outcome in outcomes {
         *flavors.entry(outcome.flavor.to_string()).or_insert(0) += 1;
         if !outcome.findings.is_empty() {
             failures.push(outcome);
@@ -644,7 +626,7 @@ impl FuzzReport {
         let fl = self
             .flavors
             .iter()
-            .map(|(n, c)| format!("\"{}\": {c}", escape(n)))
+            .map(|(n, c)| format!("\"{}\": {c}", escape_json(n)))
             .collect::<Vec<_>>()
             .join(", ");
         out.push_str(&fl);
@@ -656,14 +638,14 @@ impl FuzzReport {
             out.push_str("    {\n");
             out.push_str(&format!("      \"index\": {},\n", c.index));
             out.push_str(&format!("      \"seed\": {},\n", c.seed));
-            out.push_str(&format!("      \"flavor\": \"{}\",\n", escape(c.flavor)));
+            out.push_str(&format!("      \"flavor\": \"{}\",\n", escape_json(c.flavor)));
             out.push_str("      \"findings\": [\n");
             for (fi, fd) in c.findings.iter().enumerate() {
                 out.push_str(&format!(
                     "        {{\"variant\": \"{}\", \"invariant\": \"{}\", \"detail\": \"{}\"}}{}\n",
-                    escape(fd.variant),
-                    escape(fd.invariant),
-                    escape(&fd.detail),
+                    escape_json(fd.variant),
+                    escape_json(fd.invariant),
+                    escape_json(&fd.detail),
                     if fi + 1 < c.findings.len() { "," } else { "" }
                 ));
             }
@@ -734,10 +716,6 @@ impl FuzzReport {
         }
         Ok(paths)
     }
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
 }
 
 // ---------------------------------------------------------------------

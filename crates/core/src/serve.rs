@@ -44,7 +44,7 @@ use crate::metrics::add_opt_stats;
 use crate::pipeline::{optimize_program_with, OptStats, SaturatorConfig, Variant};
 use accsat_egraph::ThreadBudget;
 use accsat_ir::{fnv1a, parse_program, print_program, Program};
-use accsat_obs::{trace, MetricsRegistry};
+use accsat_obs::{escape_json, trace, MetricsRegistry};
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -102,24 +102,10 @@ pub fn optimize_source(
     Ok((print_program(&optimized), stats, level))
 }
 
-/// Escape a string into a JSON string literal (quotes included).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+/// Largest `bytes=` payload an `optimize` request may announce. The
+/// count comes straight off the wire and sizes a buffer, so it is bounded
+/// before anything is allocated.
+const MAX_PAYLOAD_BYTES: usize = 16 << 20;
 
 fn parse_variant(s: &str) -> Option<Variant> {
     match s.to_ascii_lowercase().replace('-', "+").as_str() {
@@ -141,10 +127,12 @@ struct Job {
 
 fn error_line(id: Option<&str>, msg: &str) -> String {
     match id {
-        Some(id) => {
-            format!("{{\"id\":{},\"status\":\"error\",\"error\":{}}}", json_str(id), json_str(msg))
-        }
-        None => format!("{{\"status\":\"error\",\"error\":{}}}", json_str(msg)),
+        Some(id) => format!(
+            "{{\"id\":\"{}\",\"status\":\"error\",\"error\":\"{}\"}}",
+            escape_json(id),
+            escape_json(msg)
+        ),
+        None => format!("{{\"status\":\"error\",\"error\":\"{}\"}}", escape_json(msg)),
     }
 }
 
@@ -169,16 +157,16 @@ fn handle_optimize(
             let proven = stats.iter().all(|s| s.extraction_proven);
             format!(
                 concat!(
-                    "{{\"id\":{},\"status\":\"ok\",\"variant\":\"{}\",\"cache\":\"{}\",",
-                    "\"kernels\":{},\"cost\":{},\"proven\":{},\"source\":{}}}"
+                    "{{\"id\":\"{}\",\"status\":\"ok\",\"variant\":\"{}\",\"cache\":\"{}\",",
+                    "\"kernels\":{},\"cost\":{},\"proven\":{},\"source\":\"{}\"}}"
                 ),
-                json_str(&job.id),
+                escape_json(&job.id),
                 job.variant.label(),
                 level.label(),
                 stats.len(),
                 cost,
                 proven,
-                json_str(&text)
+                escape_json(&text)
             )
         }
         Err(e) => {
@@ -342,7 +330,7 @@ pub fn run_session<R: BufRead, W: Write + Send>(
                     // before the snapshot, so the counters are deterministic
                     barrier();
                     let requests: Vec<String> =
-                        verbs.iter().map(|(k, v)| format!("{}:{v}", json_str(k))).collect();
+                        verbs.iter().map(|(k, v)| format!("\"{}\":{v}", escape_json(k))).collect();
                     let _ = res_tx.send((
                         this_seq,
                         format!(
@@ -373,6 +361,7 @@ pub fn run_session<R: BufRead, W: Write + Send>(
                     ));
                 }
                 "optimize" | "optimize-file" => {
+                    let mut oversize = false;
                     let response = (|| -> Result<Job, String> {
                         let f = parse_fields(toks)?;
                         let id = f.id.ok_or("missing id=")?.to_string();
@@ -384,6 +373,12 @@ pub fn run_session<R: BufRead, W: Write + Send>(
                                 .ok_or("missing bytes=")?
                                 .parse()
                                 .map_err(|e| format!("bad bytes=: {e}"))?;
+                            if n > MAX_PAYLOAD_BYTES {
+                                oversize = true;
+                                return Err(format!(
+                                    "bytes={n} exceeds the {MAX_PAYLOAD_BYTES}-byte limit"
+                                ));
+                            }
                             let mut buf = vec![0u8; n];
                             std::io::Read::read_exact(&mut input, &mut buf)
                                 .map_err(|e| format!("short payload: {e}"))?;
@@ -401,6 +396,11 @@ pub fn run_session<R: BufRead, W: Write + Send>(
                         Err(e) => {
                             let _ = res_tx.send((this_seq, error_line(None, &e)));
                         }
+                    }
+                    if oversize {
+                        // the payload was not read, so the stream cannot
+                        // be resynchronised: the session ends here
+                        break;
                     }
                 }
                 other => {
@@ -540,11 +540,6 @@ mod tests {
     }
 
     #[test]
-    fn json_escaping_covers_control_characters() {
-        assert_eq!(json_str("a\"b\\c\nd\te\r\u{1}"), "\"a\\\"b\\\\c\\nd\\te\\r\\u0001\"");
-    }
-
-    #[test]
     fn parse_errors_are_reported_not_fatal() {
         let config = ServeConfig::default();
         let bad = "void k( {\n";
@@ -553,5 +548,34 @@ mod tests {
         let lines = session(&script, &config);
         assert!(lines[0].contains("\"status\":\"error\""), "{}", lines[0]);
         assert!(lines[0].contains("parse error"));
+    }
+
+    #[test]
+    fn oversize_payload_header_is_an_error_and_ends_the_session() {
+        // `bytes=` sizes the read buffer; usize::MAX used to abort the
+        // reader thread with "capacity overflow"
+        let config = ServeConfig { threads: 2, ..ServeConfig::default() };
+        let mut script = String::from("ping\n");
+        script.push_str(&optimize_request("k", "accsat", KERNEL));
+        script.push_str(&format!("optimize id=a variant=accsat bytes={}\n", usize::MAX));
+        script.push_str("ping\n");
+        let lines = session(&script, &config);
+        // what was queued before is still answered, in order; nothing after
+        assert_eq!(lines.len(), 3, "{lines:?}");
+        assert_eq!(lines[0], "{\"status\":\"ok\",\"event\":\"pong\"}");
+        assert!(lines[1].starts_with("{\"id\":\"k\",\"status\":\"ok\""), "{}", lines[1]);
+        assert_eq!(
+            lines[2],
+            format!(
+                "{{\"status\":\"error\",\"error\":\"bytes={} exceeds the 16777216-byte limit\"}}",
+                usize::MAX
+            )
+        );
+        // one byte over is refused, the limit itself is only short of payload
+        let over = format!("optimize id=a variant=accsat bytes={}\nping\n", MAX_PAYLOAD_BYTES + 1);
+        assert_eq!(session(&over, &config).len(), 1);
+        let at = format!("optimize id=a variant=accsat bytes={MAX_PAYLOAD_BYTES}\nping\n");
+        let lines = session(&at, &config);
+        assert!(lines[0].contains("short payload"), "{}", lines[0]);
     }
 }

@@ -1,28 +1,52 @@
-//! A shared lease pool for worker threads: the arbitration layer of the
-//! two-level batch scheduler.
+//! The one worker fan-out ([`map_slots`]) and the shared lease pool
+//! ([`ThreadBudget`]) that decides how wide each fan-out runs.
+//!
+//! # The fan-out
+//!
+//! Every parallel stage of the optimizer has the same shape: `n`
+//! independent tasks over shared read-only state (egg's read-only search
+//! ahead of a serial commit), whose results the caller consumes in task
+//! order. [`map_slots`] is that shape, written once. Its five callers are
+//! the saturation runner's per-rule search, the extraction portfolio's
+//! racing branch-and-bound strategies, the autotuner's candidate
+//! simulations, the fuzz campaign's cases and the batch driver's kernel
+//! queue; each computes a width and makes one call.
+//!
+//! **Determinism.** Results are indexed by task, never by completion: the
+//! returned vector holds `f(0), f(1), …, f(n - 1)` in that order whichever
+//! thread ran which task and whenever it finished. A caller that reduces
+//! the vector serially (backoff decisions, winner selection, report
+//! assembly) is therefore byte-identical at any width, as long as each
+//! `f(i)` depends only on `i` and the shared state — which is why workers
+//! never exchange intermediate results and no task is ever cancelled.
+//!
+//! **Panics.** A panicking task takes down only the worker that ran it;
+//! the other workers drain the remaining tasks, every worker is joined,
+//! and then the task's own payload is re-raised on the calling thread — a
+//! `catch_unwind` around the fan-out sees the real message, not a generic
+//! "a scoped thread panicked". At width 1 the panic simply propagates.
+//!
+//! # The budget
 //!
 //! The batch driver (`accsat::batch`) hands whole kernels to a fixed set
-//! of workers. Inside a kernel, two more fan-outs want threads of their
-//! own: the saturation runner's parallel rule search
-//! ([`crate::Runner::sat_threads`]) and the extraction portfolio's racing
-//! branch-and-bound strategies. Spawning those unconditionally would
+//! of workers. Inside a kernel, the rule search and the portfolio race
+//! want threads of their own. Spawning those unconditionally would
 //! oversubscribe the machine (every in-flight kernel multiplying the
 //! worker count), so a batch shares one [`ThreadBudget`]: a counted pool
 //! of *spare* thread permits. A kernel-internal fan-out leases as many
-//! permits as are free at that moment — never blocking, never below its
-//! own calling thread — and returns them when the fan-out joins. When a
-//! batch worker runs out of whole kernels it retires its own permit into
-//! the budget, so the tail of a suite (the few heaviest kernels) widens
-//! automatically instead of leaving the retired workers' cores idle.
-//!
-//! # Determinism
-//!
-//! Leasing only ever changes *how many threads* execute a fan-out whose
-//! result is thread-count-invariant by construction (pre-allocated result
-//! slots indexed by task, winners picked after a full join). The budget
-//! therefore affects wall clock only; outputs are byte-identical whether
-//! a fan-out ran on one thread or eight.
+//! permits as are free at that moment ([`fanout_width`]) — never blocking,
+//! never below its own calling thread — and returns them when the fan-out
+//! joins. The batch seeds the budget with the `threads − workers` permits
+//! its worker pool does not use, and each of its workers (the caller
+//! included) retires its own permit into the budget — [`map_slots`]'s
+//! `retire` hook — when it finds the kernel queue dry, so the tail of a
+//! suite (the few heaviest kernels) widens automatically instead of
+//! leaving the retired workers' cores idle; once the batch returns the
+//! budget holds all `threads` permits. Leasing only ever changes *how
+//! many threads* run a fan-out, so by the determinism argument above the
+//! budget affects wall clock only.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use accsat_obs::trace;
@@ -86,6 +110,56 @@ impl Drop for Lease<'_> {
     fn drop(&mut self) {
         self.budget.release(self.taken);
     }
+}
+
+/// Run `f(0), f(1), …, f(n - 1)` on `width` threads, **of which the
+/// calling thread is one**, and return the results in index order (see
+/// the module docs for the determinism and panic rules).
+///
+/// Indices are handed out one at a time from a shared cursor. Each worker
+/// calls `retire` once, when it finds the cursor past `n` — the batch
+/// driver returns the worker's permit to its [`ThreadBudget`] there;
+/// every other caller passes `|| ()`. At `width <= 1` this is a plain
+/// loop on the calling thread: no atomic, no lock, no spawn.
+pub fn map_slots<T: Send>(
+    width: usize,
+    n: usize,
+    retire: impl Fn() + Sync,
+    f: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    if width <= 1 {
+        let out = (0..n).map(f).collect();
+        retire();
+        return out;
+    }
+    // Relaxed: the cursor publishes nothing but itself; results travel
+    // through the join handles
+    let cursor = AtomicUsize::new(0);
+    let drain = || {
+        let mut done = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            done.push((i, f(i)));
+        }
+        retire();
+        done
+    };
+    let mut pairs = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..width).map(|_| scope.spawn(drain)).collect();
+        let mut pairs = drain();
+        for worker in spawned {
+            // a panic here (or in `drain` above) unwinds out of the scope,
+            // which first joins whatever is still running
+            pairs.extend(worker.join().unwrap_or_else(|task| std::panic::resume_unwind(task)));
+        }
+        pairs
+    });
+    debug_assert_eq!(pairs.len(), n, "every index is handed out exactly once");
+    pairs.sort_unstable_by_key(|&(i, _)| i);
+    pairs.into_iter().map(|(_, t)| t).collect()
 }
 
 /// The host's available hardware parallelism, queried once and cached.
@@ -205,5 +279,97 @@ mod tests {
         let (w_capped, _) = fanout_width_capped(None, 2, 4, hardware_parallelism());
         assert_eq!(w_real, w_capped);
         assert!(hardware_parallelism() >= 1);
+    }
+
+    #[test]
+    fn map_slots_returns_index_order_whatever_the_completion_order() {
+        use std::sync::{Condvar, Mutex};
+        // a task that leaves another worker free to drain the rest
+        // (`i + 1 < width`) may only finish after every later task has, so
+        // completion order is forced away from index order — fully
+        // reversed once every task has a worker of its own
+        let n = 6;
+        for width in [1, 2, 8] {
+            let finished = (Mutex::new(Vec::new()), Condvar::new());
+            let out = map_slots(
+                width,
+                n,
+                || (),
+                |i| {
+                    let (order, changed) = &finished;
+                    let mut order = order.lock().unwrap();
+                    while i + 1 < width && !(i + 1..n).all(|later| order.contains(&later)) {
+                        order = changed.wait(order).unwrap();
+                    }
+                    order.push(i);
+                    changed.notify_all();
+                    i * 10
+                },
+            );
+            assert_eq!(out, vec![0, 10, 20, 30, 40, 50], "width {width}");
+            let order = finished.0.into_inner().unwrap();
+            match width {
+                1 => assert_eq!(order, vec![0, 1, 2, 3, 4, 5]),
+                2 => assert_eq!(order, vec![1, 2, 3, 4, 5, 0]),
+                _ => assert_eq!(order, vec![5, 4, 3, 2, 1, 0]),
+            }
+        }
+        assert_eq!(map_slots(4, 0, || (), |i| i), Vec::<usize>::new(), "n = 0");
+        assert_eq!(map_slots(8, 3, || (), |i| i + 1), vec![1, 2, 3], "width > n");
+    }
+
+    #[test]
+    fn map_slots_width_one_stays_on_the_calling_thread() {
+        let me = std::thread::current().id();
+        let ids = map_slots(1, 5, || (), |_| std::thread::current().id());
+        assert_eq!(ids, vec![me; 5]);
+        // and the caller is one of the workers at any width: with a
+        // barrier holding both workers inside a task, one of them is us
+        let barrier = std::sync::Barrier::new(2);
+        let ids = map_slots(
+            2,
+            2,
+            || (),
+            |_| {
+                barrier.wait();
+                std::thread::current().id()
+            },
+        );
+        assert!(ids.contains(&me), "caller drains too");
+        assert_ne!(ids[0], ids[1]);
+    }
+
+    #[test]
+    fn map_slots_reraises_the_tasks_own_panic_after_the_rest_ran() {
+        let ran = AtomicUsize::new(0);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            map_slots(
+                2,
+                8,
+                || (),
+                |i| {
+                    if i == 3 {
+                        panic!("boom {i}");
+                    }
+                    ran.fetch_add(1, Ordering::SeqCst);
+                },
+            )
+        }));
+        let payload = caught.expect_err("the task's panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<String>().map(String::as_str), Some("boom 3"));
+        assert_eq!(ran.load(Ordering::SeqCst), 7, "the surviving worker drained the rest");
+    }
+
+    #[test]
+    fn retiring_workers_hand_every_permit_back() {
+        // the batch driver's accounting: `t` threads over `n` items start
+        // `w = min(t, n)` workers and bank `t - w`; each worker retires one
+        for (t, n) in [(1, 0), (1, 5), (4, 2), (4, 9), (8, 8)] {
+            let w = t.clamp(1, n.max(1));
+            let budget = ThreadBudget::new(t - w);
+            let out = map_slots(w, n, || budget.release(1), |i| i);
+            assert_eq!(out.len(), n);
+            assert_eq!(budget.spare(), t, "threads {t}, items {n}");
+        }
     }
 }

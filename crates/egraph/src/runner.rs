@@ -12,16 +12,15 @@
 //! The rebuild discipline already splits every iteration into a read-only
 //! *search* phase over a frozen e-graph and a mutating *apply* phase.
 //! [`Runner::sat_threads`] parallelizes the search: each non-banned rule
-//! becomes one task, tasks are drained from an atomic cursor by scoped
-//! threads sharing `&EGraph`, and every task writes its matches into a
-//! pre-allocated per-rule slot. After the join the slots are walked in
-//! rule-index order — backoff decisions, per-rule statistics and the
-//! concatenated match list are computed from deterministic per-rule match
-//! counts, so the result is byte-identical at any thread count. Stopping
-//! is governed by the node/iteration budgets; the wall-clock limit is
-//! checked only at iteration boundaries (a safety valve, as in
-//! extraction), never mid-search, so it cannot reorder or truncate the
-//! match stream on one thread count but not another.
+//! becomes one task of a [`crate::pool::map_slots`] fan-out over the
+//! shared `&EGraph`, and the per-rule match lists come back in rule-index
+//! order — backoff decisions, per-rule statistics and the concatenated
+//! match list are computed from them serially, after the join, so the
+//! result is byte-identical at any thread count. Stopping is governed by
+//! the node/iteration budgets; the wall-clock limit is checked only at
+//! iteration boundaries (a safety valve, as in extraction), never
+//! mid-search, so it cannot reorder or truncate the match stream on one
+//! thread count but not another.
 
 use crate::dense::ClassSet;
 use crate::egraph::EGraph;
@@ -31,8 +30,7 @@ use crate::node::Id;
 use crate::pool::ThreadBudget;
 use crate::rewrite::{Rewrite, RuleMatch};
 use accsat_obs::trace;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Why the runner stopped.
@@ -379,63 +377,41 @@ impl Runner {
                 tasks.push((ri, restrict));
             }
 
-            // Pre-allocated per-task slots: whichever thread searches a
-            // rule writes by task index, and the walk below reads in
-            // rule-index order — completion order never shows.
-            let slots: Vec<Mutex<Option<Vec<RuleMatch>>>> =
-                tasks.iter().map(|_| Mutex::new(None)).collect();
-            {
+            // One search per task, results back in task (= rule-index)
+            // order: completion order never shows.
+            let searched: Vec<Vec<RuleMatch>> = {
                 let eg_ref: &EGraph = eg;
                 let dirty_ref = dirty.as_ref();
-                let search_one = |ti: usize| {
-                    let (ri, restrict) = &tasks[ti];
-                    let _rule_span = trace::span_named("sat.rule", || {
-                        format!("search {}", self.rules[*ri].name)
-                    });
-                    let restrict = match restrict {
-                        Restrict::Whole => None,
-                        Restrict::Dirty => dirty_ref,
-                        Restrict::Owned(s) => Some(s),
-                    };
-                    *slots[ti].lock().expect("search slot") =
-                        Some(self.rules[*ri].search_filtered(eg_ref, restrict));
-                };
                 let (width, _lease) = crate::pool::fanout_width(
                     self.budget.as_deref(),
                     self.sat_threads,
                     tasks.len(),
                 );
-                if width <= 1 {
-                    for ti in 0..tasks.len() {
-                        search_one(ti);
-                    }
-                } else {
-                    let cursor = AtomicUsize::new(0);
-                    let drain = || loop {
-                        let ti = cursor.fetch_add(1, Ordering::Relaxed);
-                        if ti >= tasks.len() {
-                            break;
-                        }
-                        search_one(ti);
-                    };
-                    std::thread::scope(|scope| {
-                        for _ in 1..width {
-                            scope.spawn(drain);
-                        }
-                        // the kernel's own thread always participates
-                        drain();
-                    });
-                }
-            }
+                crate::pool::map_slots(
+                    width,
+                    tasks.len(),
+                    || (),
+                    |ti| {
+                        let (ri, restrict) = &tasks[ti];
+                        let _rule_span = trace::span_named("sat.rule", || {
+                            format!("search {}", self.rules[*ri].name)
+                        });
+                        let restrict = match restrict {
+                            Restrict::Whole => None,
+                            Restrict::Dirty => dirty_ref,
+                            Restrict::Owned(s) => Some(s),
+                        };
+                        self.rules[*ri].search_filtered(eg_ref, restrict)
+                    },
+                )
+            };
 
-            // Join complete: walk the slots in rule-index order. Backoff
+            // Join complete: walk the results in rule-index order. Backoff
             // decisions are taken here, from the deterministic per-rule
             // match counts — never inside a worker.
             let mut all_matches: Vec<(usize, RuleMatch)> = Vec::new();
             let mut found = 0usize;
-            for ((ri, restrict), slot) in tasks.into_iter().zip(slots) {
-                let matches =
-                    slot.into_inner().expect("search slot").expect("every search task ran");
+            for ((ri, restrict), matches) in tasks.into_iter().zip(searched) {
                 found += matches.len();
                 rule_stats[ri].matches += matches.len();
                 if let Some(cfg) = self.backoff {

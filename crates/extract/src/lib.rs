@@ -53,9 +53,9 @@ pub use cost::CostModel;
 pub use greedy::extract_greedy;
 pub use lp::LpBound;
 pub use portfolio::{
-    extract_portfolio, extract_portfolio_budgeted, extract_portfolio_k,
-    extract_portfolio_k_budgeted, intern_strategy, HarvestedSelection, PortfolioConfig,
-    PortfolioHarvest, PortfolioResult, WorkerOutcome, STRATEGY_COUNT,
+    extract_portfolio, extract_portfolio_budgeted, extract_portfolio_k, intern_strategy,
+    HarvestedSelection, PortfolioConfig, PortfolioHarvest, PortfolioResult, WorkerOutcome,
+    STRATEGY_COUNT,
 };
 pub use refine::{climb, marginal_greedy};
 pub use selection::{Selection, SelectionError};

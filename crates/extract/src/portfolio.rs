@@ -34,8 +34,6 @@ use crate::greedy::extract_greedy;
 use crate::selection::Selection;
 use accsat_egraph::{EGraph, Id, ThreadBudget};
 use accsat_obs::trace;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// The fixed strategy table the portfolio draws from, in priority order.
@@ -290,44 +288,19 @@ fn run_portfolio(
         })
         .collect();
 
+    // results land indexed by strategy — never by completion order — so
+    // the winner selection downstream is deterministic at any width
     let (width, _lease) = accsat_egraph::pool::fanout_width(budget, want, opts.len());
-    let results: Vec<(&'static str, crate::bnb::ExactResult)> = if width <= 1 {
-        opts.iter()
-            .map(|(name, o)| {
-                let _span = trace::span_named("extract.bnb", || name.to_string());
-                (*name, extract_exact_in(&cx, roots, &incumbent, incumbent_cost, o))
-            })
-            .collect()
-    } else {
-        // atomic-cursor drain into per-strategy slots: workers pick the
-        // next undone strategy, results land indexed by strategy — never
-        // by completion order — so the join below is deterministic.
-        let slots: Vec<Mutex<Option<crate::bnb::ExactResult>>> =
-            opts.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        {
-            let (cx, incumbent, opts, slots, next) = (&cx, &incumbent, &opts, &slots, &next);
-            let drain = move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((name, o)) = opts.get(i) else { break };
-                let _span = trace::span_named("extract.bnb", || name.to_string());
-                let r = extract_exact_in(cx, roots, incumbent, incumbent_cost, o);
-                *slots[i].lock().expect("portfolio slot") = Some(r);
-            };
-            std::thread::scope(|scope| {
-                for _ in 1..width {
-                    scope.spawn(drain);
-                }
-                drain();
-            });
-        }
-        opts.iter()
-            .zip(slots)
-            .map(|((name, _), slot)| {
-                (*name, slot.into_inner().expect("portfolio slot").expect("strategy drained"))
-            })
-            .collect()
-    };
+    let results = accsat_egraph::pool::map_slots(
+        width,
+        opts.len(),
+        || (),
+        |i| {
+            let (name, o) = &opts[i];
+            let _span = trace::span_named("extract.bnb", || name.to_string());
+            (*name, extract_exact_in(&cx, roots, &incumbent, incumbent_cost, o))
+        },
+    );
     PortfolioCore {
         greedy,
         greedy_cost,
@@ -445,20 +418,7 @@ pub fn extract_portfolio_k(
     cm: &CostModel,
     config: &PortfolioConfig,
 ) -> PortfolioHarvest {
-    extract_portfolio_k_budgeted(eg, roots, cm, config, None)
-}
-
-/// [`extract_portfolio_k`] on a shared [`ThreadBudget`] (see
-/// [`extract_portfolio_budgeted`]); the harvest is identical for any
-/// budget state, including `None`.
-pub fn extract_portfolio_k_budgeted(
-    eg: &EGraph,
-    roots: &[Id],
-    cm: &CostModel,
-    config: &PortfolioConfig,
-    budget: Option<&ThreadBudget>,
-) -> PortfolioHarvest {
-    let core = run_portfolio(eg, roots, cm, config, budget);
+    let core = run_portfolio(eg, roots, cm, config, None);
     let mut members = vec![HarvestedSelection {
         strategy: "greedy",
         selection: core.greedy,

@@ -35,3 +35,40 @@ pub mod validate;
 
 pub use metrics::MetricsRegistry;
 pub use trace::{span, span_args, ArgVal, Span};
+
+/// Escape `s` for the inside of a JSON string literal (the caller writes
+/// the surrounding quotes): `"`, `\\` and every control character
+/// U+0000–U+001F. The one escaper behind every hand-rolled JSON writer in
+/// the workspace — trace files, metrics, batch/fuzz reports and `serve`
+/// replies.
+pub fn escape_json(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn json_escaping_covers_control_characters() {
+        assert_eq!(escape_json("a\"b\\c\nd\te\r\u{1}"), "a\\\"b\\\\c\\nd\\te\\r\\u0001");
+        // every escaped ASCII string reads back as itself
+        for c in (0u8..=0x7f).map(char::from) {
+            let s = format!("x{c}y{c}");
+            let parsed = validate::parse_json(&format!("\"{}\"", escape_json(&s)));
+            assert_eq!(parsed, Ok(validate::Json::Str(s)), "char {:#04x}", c as u32);
+        }
+    }
+}

@@ -162,7 +162,7 @@ impl MetricsRegistry {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\":{}", escape(k), v);
+            let _ = write!(out, "\"{}\":{}", crate::escape_json(k), v);
         }
         out.push_str("},\"hists\":{");
         for (i, (k, h)) in self.hists.iter().enumerate() {
@@ -172,7 +172,7 @@ impl MetricsRegistry {
             let _ = write!(
                 out,
                 "\"{}\":{{\"count\":{},\"sum\":{},\"buckets\":{{",
-                escape(k),
+                crate::escape_json(k),
                 h.count,
                 h.sum
             );
@@ -193,10 +193,6 @@ impl MetricsRegistry {
         out.push_str("}}");
         out
     }
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 #[cfg(test)]

@@ -253,22 +253,6 @@ fn push_point(cat: &'static str, name: &'static str, ph: char, args: Vec<(&'stat
     collector.events.push(Event { name: Cow::Borrowed(name), cat, ph, ts, dur: None, tid, args });
 }
 
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn render(events: &[Event]) -> String {
     use std::fmt::Write as _;
     let mut out = String::with_capacity(events.len() * 96 + 64);
@@ -277,7 +261,7 @@ fn render(events: &[Event]) -> String {
         let _ = write!(
             out,
             "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{}\",\"ts\":{},\"pid\":1,\"tid\":{}",
-            escape_json(&e.name),
+            crate::escape_json(&e.name),
             e.cat,
             e.ph,
             e.ts,
@@ -304,7 +288,7 @@ fn render(events: &[Event]) -> String {
                         let _ = write!(out, "\"{k}\":{n}");
                     }
                     ArgVal::Str(s) => {
-                        let _ = write!(out, "\"{k}\":\"{}\"", escape_json(s));
+                        let _ = write!(out, "\"{k}\":\"{}\"", crate::escape_json(s));
                     }
                 }
             }

@@ -11,30 +11,18 @@ use accsat::autotune::TuneConfig;
 use accsat::batch::{tune_suite, ParallelConfig};
 use accsat::fuzz::check_seeded;
 use accsat::{tune_function, FuzzConfig, SaturatorConfig, Variant};
-use accsat_benchmarks::genkern::{two_statement_kernel, StencilExpr, STENCIL_LEAVES};
+use accsat_benchmarks::genkern::{generate_kernel, GenConfig};
 use accsat_egraph::RunnerLimits;
 use accsat_ir::parse_program;
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::time::Duration;
 
-/// The two-statement stencil shape lives in `accsat_benchmarks::genkern`
-/// (shared with the `accsat fuzz` generator); the tests here only supply
-/// the proptest strategy over it.
-fn expr_strategy() -> impl Strategy<Value = StencilExpr> {
-    let leaf = (0usize..STENCIL_LEAVES.len()).prop_map(StencilExpr::Leaf);
-    leaf.prop_recursive(3, 16, 2, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| StencilExpr::Add(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| StencilExpr::Sub(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| StencilExpr::Mul(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| StencilExpr::Div(Box::new(a), Box::new(b))),
-        ]
-    })
+/// The kernels under test: the fuzzer's seeded generator, every flavor
+/// (stencils, φ-joins, sequential and `while` loops, 2-D nests).
+fn generated_function(seed: u64) -> accsat_ir::Function {
+    let gk = generate_kernel(seed, &GenConfig::default());
+    parse_program(&gk.source).unwrap().functions.remove(0)
 }
 
 /// Small, fully deterministic limits so debug-build property runs stay
@@ -56,11 +44,9 @@ proptest! {
     /// — with the documented deterministic tie-break, and the reported
     /// static winner really is the static-cost argmin.
     #[test]
-    fn winner_minimizes_simulated_cycles(e1 in expr_strategy(), e2 in expr_strategy()) {
-        let src = two_statement_kernel(&e1, &e2);
-        let prog = parse_program(&src).unwrap();
+    fn winner_minimizes_simulated_cycles(seed in 0u64..u64::MAX) {
         let (_, stats) = tune_function(
-            &prog.functions[0],
+            &generated_function(seed),
             Variant::AccSat,
             &fast_config(),
             &TuneConfig::default(),
@@ -97,14 +83,12 @@ proptest! {
     /// every candidate row, and both verdict indices are identical
     /// whether candidates are simulated sequentially or on 8 workers.
     #[test]
-    fn tuning_is_thread_count_invariant(e1 in expr_strategy(), e2 in expr_strategy()) {
-        let src = two_statement_kernel(&e1, &e2);
-        let prog = parse_program(&src).unwrap();
+    fn tuning_is_thread_count_invariant(seed in 0u64..u64::MAX) {
+        let f = generated_function(seed);
         let cfg = fast_config();
         let run = |threads: usize| {
             let tcfg = TuneConfig { threads, ..TuneConfig::default() };
-            tune_function(&prog.functions[0], Variant::AccSat, &cfg, &tcfg, &HashMap::new())
-                .unwrap()
+            tune_function(&f, Variant::AccSat, &cfg, &tcfg, &HashMap::new()).unwrap()
         };
         let (f1, s1) = run(1);
         for threads in [2usize, 8] {
