@@ -325,8 +325,13 @@ pub fn sat_stage_key(body: &Block, variant: Variant, config: &SaturatorConfig) -
 /// Hash key of the extraction stage: the saturation key plus everything
 /// the objective depends on (cost model, portfolio width, node budget).
 pub fn sel_stage_key(body: &Block, variant: Variant, config: &SaturatorConfig) -> u64 {
-    let mut h = sat_stage_key(body, variant, config);
-    h = fnv1a_mix(h, fnv1a(b"accsat-sel-key v1"));
+    sel_key_from(sat_stage_key(body, variant, config), config)
+}
+
+/// [`sel_stage_key`] of the kernel whose [`sat_stage_key`] is `sat_key`, so
+/// a caller that needs both prints and hashes the body once.
+pub(crate) fn sel_key_from(sat_key: u64, config: &SaturatorConfig) -> u64 {
+    let mut h = fnv1a_mix(sat_key, fnv1a(b"accsat-sel-key v1"));
     let cm = &config.cost_model;
     for w in [cm.constant, cm.variable, cm.operation, cm.heavy] {
         h = fnv1a_mix(h, w);

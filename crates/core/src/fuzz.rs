@@ -12,9 +12,10 @@
 //!    a fast-math tolerance ([`accsat_interp::compare_arrays_with`]).
 //! 2. **Structural invariants** — the portfolio's claimed cost must equal
 //!    the selection's recomputed DAG cost, the certified lower bound must
-//!    not exceed the cost, the selection must be acyclic and total over
-//!    the extraction roots ([`Selection::try_reachable`]), and the
-//!    optimized source must survive a printer round-trip.
+//!    not exceed the cost, the selection must be acyclic, total over the
+//!    extraction roots and made of member nodes
+//!    ([`Selection::checked_cost`]), and the optimized source must survive
+//!    a printer round-trip.
 //! 3. **Cache oracle** (opt-in, [`FuzzConfig::cache_check`] / `--cache`) —
 //!    the pipeline runs cold then warm through a content-addressed stage
 //!    cache; the warm run must be byte-identical and hit the `selected`
@@ -30,13 +31,11 @@
 //! shrinks it while the *same* invariant keeps failing, and the shrunk
 //! repro can be written to a corpus directory as a standalone `.sat` file.
 //!
-//! [`Selection::try_reachable`]: accsat_extract::Selection::try_reachable
+//! [`Selection::checked_cost`]: accsat_extract::Selection::checked_cost
 
-use crate::pipeline::{SaturatorConfig, Variant};
+use crate::pipeline::{for_each_kernel, OptStats, SaturatorConfig, Variant};
 use accsat_benchmarks::genkern::{generate_kernel, GenConfig, GeneratedKernel, SplitMix64};
-use accsat_codegen::{generate, CodegenOptions, TypeMap};
-use accsat_egraph::{Runner, RunnerLimits};
-use accsat_extract::{extract_portfolio, PortfolioConfig};
+use accsat_egraph::RunnerLimits;
 use accsat_interp::{compare_arrays_with, try_run_function, ArrayData, Env, EvalErrorKind};
 use accsat_ir::{parse_program, print_program, Block, Expr, Function, Program, Stmt};
 use accsat_obs::escape_json;
@@ -203,82 +202,37 @@ fn run_invariant(kind: EvalErrorKind) -> &'static str {
     }
 }
 
-/// Run the pipeline stages on every kernel of `f` under `variant`,
-/// checking the extraction invariants stage by stage. Returns the
-/// optimized function plus any structural findings.
-fn optimize_checked(
+/// The pipeline's cold walk (saturate → select → lower, through the same
+/// stage functions, thread budget and cache wiring `optimize_function`
+/// uses) on every kernel of `f` under `variant`, with the extraction
+/// invariants checked on the choice between `select` and `lower`. Returns
+/// the optimized function plus any structural findings.
+pub(crate) fn optimize_checked(
     f: &Function,
     variant: Variant,
     fc: &FuzzConfig,
 ) -> Result<(Function, Vec<Finding>), String> {
-    let tm = TypeMap::from_function(f);
-    let bodies: Vec<Block> =
-        accsat_ir::innermost_parallel_loops(f).into_iter().map(|l| l.body.clone()).collect();
-    if bodies.is_empty() {
-        return Err("no parallel kernel".into());
-    }
-    let cfg = &fc.saturator;
-    let cm = cfg.cost_model;
-    let pcfg = PortfolioConfig {
-        threads: cfg.extraction_threads,
-        node_budget: cfg.extraction_node_budget,
-        deadline: cfg.extraction_budget,
-    };
     let mut findings = Vec::new();
-    let mut new_bodies = Vec::with_capacity(bodies.len());
-    for body in &bodies {
-        let mut kernel = accsat_ssa::build_kernel(body);
-        if variant.saturates() {
-            let runner = Runner::from_shared(cfg.rules.clone()).with_limits(cfg.limits);
-            runner.run(&mut kernel.egraph);
-        } else {
-            kernel.egraph.rebuild();
-        }
-        let roots = kernel.extraction_roots();
-        let ex = extract_portfolio(&kernel.egraph, &roots, &cm, &pcfg);
-        if let Err(e) = ex.selection.try_reachable(&kernel.egraph, &roots) {
-            findings.push(Finding {
-                variant: variant.label(),
-                invariant: "selection-walk",
-                detail: format!("winner `{}`: {e}", ex.winner),
-            });
-            // the selection cannot be lowered; skip codegen for this case
-            return Ok((f.clone(), findings));
-        }
-        let recomputed = ex.selection.dag_cost(&kernel.egraph, &cm, &roots);
-        if recomputed != ex.cost {
-            findings.push(Finding {
-                variant: variant.label(),
-                invariant: "cost-mismatch",
-                detail: format!(
-                    "winner `{}` claimed cost {} but the selection recomputes to {recomputed}",
-                    ex.winner, ex.cost
-                ),
-            });
-        }
-        if ex.lower_bound > ex.cost {
-            findings.push(Finding {
-                variant: variant.label(),
-                invariant: "lower-bound",
-                detail: format!(
-                    "certified lower bound {} exceeds achieved cost {}",
-                    ex.lower_bound, ex.cost
-                ),
-            });
-        }
-        let copts = CodegenOptions { bulk_load: variant.bulk_loads() };
-        new_bodies.push(generate(&kernel, &ex.selection, &tm, &copts));
-    }
-    let mut out = f.clone();
-    for (l, nb) in accsat_ir::innermost_parallel_loops_mut(&mut out).into_iter().zip(new_bodies) {
-        l.body = nb;
+    let (out, stats) = for_each_kernel(f, variant, &fc.saturator, |job, _| {
+        let sat = job.saturate();
+        let chosen = job.select(&sat);
+        let checked = chosen.check(&sat.kernel, &fc.saturator.cost_model);
+        // a selection that cannot be walked cannot be lowered: the kernel
+        // keeps its original body
+        let body = match checked {
+            Err(("selection-walk", _)) => (job.body.clone(), Duration::ZERO),
+            _ => job.lower(&sat, &chosen),
+        };
+        let finding = |(invariant, detail)| Finding { variant: variant.label(), invariant, detail };
+        findings.extend(checked.err().map(finding));
+        Ok(job.finish(sat, chosen, body))
+    })?;
+    if stats.is_empty() {
+        return Err("no parallel kernel".into());
     }
     Ok((out, findings))
 }
 
-/// Check one function against all variants: structural invariants, the
-/// optimized printer round-trip, and the differential oracle. `Err` means
-/// the *original* kernel did not run cleanly (skip, not failure).
 /// Run every oracle on one parsed kernel function against the inputs in
 /// `env0`: the four-variant pipeline with structural invariants, the
 /// printer round-trip, and the interpreter differential. `only` restricts
@@ -303,11 +257,7 @@ pub fn check_kernel(
         // record the panic as a finding instead of aborting the campaign
         let optimized = match catch_unwind(AssertUnwindSafe(|| optimize_checked(f, variant, fc))) {
             Ok(Ok((opt, fs))) => {
-                let had_walk_failure = fs.iter().any(|x| x.invariant == "selection-walk");
                 findings.extend(fs);
-                if had_walk_failure {
-                    continue;
-                }
                 opt
             }
             Ok(Err(e)) => {
@@ -429,25 +379,8 @@ fn check_cache(f: &Function, variant: Variant, fc: &FuzzConfig) -> Vec<Finding> 
     if cold_text != warm_text {
         diverged("cache-divergence", "warm output is not byte-identical to cold".into());
     }
-    // every stable (non-wall-clock) statistic must agree
-    let stable = |ss: &[crate::pipeline::OptStats]| -> Vec<_> {
-        ss.iter()
-            .map(|s| {
-                (
-                    s.extracted_cost,
-                    s.extraction_proven,
-                    s.extraction_winner,
-                    s.extraction_explored,
-                    s.extraction_lower_bound,
-                    s.egraph_nodes,
-                    s.saturation_iters,
-                    s.stop_reason,
-                    s.rule_stats.clone(),
-                )
-            })
-            .collect()
-    };
-    if stable(&cold_s) != stable(&warm_s) {
+    // every deterministic (non-wall-clock) statistic must agree
+    if cold_s.iter().map(OptStats::deterministic).ne(warm_s.iter().map(OptStats::deterministic)) {
         diverged("cache-divergence", "warm statistics differ from cold".into());
     }
     for (i, s) in warm_s.iter().enumerate() {
@@ -1001,6 +934,28 @@ mod tests {
         assert_eq!(r1.to_stable_json(), r8.to_stable_json());
         assert_eq!(r1.passed + r1.skipped + r1.failures.len() as u64, 12);
         assert!(r1.failures.is_empty(), "{}", r1.render_summary());
+    }
+
+    /// The checked walk is the product's walk, so it takes the product's
+    /// knobs: a 4-wide saturation search leasing its threads from a shared
+    /// budget must reach the verdicts and the code of the serial run.
+    #[test]
+    fn findings_are_identical_at_sat_threads_4_under_a_thread_budget() {
+        let narrow = tiny_config(0, 0xFA22, 1);
+        let mut wide = narrow.clone();
+        wide.saturator.sat_threads = 4;
+        wide.saturator.thread_budget =
+            Some(std::sync::Arc::new(accsat_egraph::ThreadBudget::new(3)));
+        for index in 0..12 {
+            let seed = case_seed(narrow.seed, index);
+            let gk = generate_kernel(seed, &narrow.gen);
+            let f = parse_program(&gk.source).unwrap().functions.remove(0);
+            let env = build_env(&gk, seed);
+            let findings = |fc| check_kernel(&f, &env, fc, None);
+            assert_eq!(findings(&wide), findings(&narrow), "case {index}");
+            let code = |fc| optimize_checked(&f, Variant::AccSat, fc).unwrap();
+            assert_eq!(code(&wide), code(&narrow), "case {index}");
+        }
     }
 
     #[test]

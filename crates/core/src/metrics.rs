@@ -12,9 +12,9 @@
 //! counts, per-iteration e-graph growth, branch-and-bound explored and
 //! pruned totals, winner and stop-reason tallies. No wall clock —
 //! durations stay in [`OptStats`] for the human tables and in the trace
-//! sink for profiles — so the rendered report is byte-identical at any
-//! thread count and any worker interleaving (registries merge
-//! commutatively).
+//! sink for profiles, both written by the pipeline's one `timed` helper —
+//! so the rendered report is byte-identical at any thread count and any
+//! worker interleaving (registries merge commutatively).
 //!
 //! [`CacheStats`]: crate::cache::CacheStats
 //! [`CacheStats::add_to`]: crate::cache::CacheStats::add_to

@@ -1,8 +1,10 @@
 //! The ACC Saturator pipeline: SSA → e-graph → saturation → extraction →
-//! code generation, per innermost parallel loop.
+//! code generation, per innermost parallel loop. Every stage runs under
+//! `timed`, which is where both the `OptStats` durations and the
+//! `pipeline` trace spans come from.
 
-use crate::cache::{sat_stage_key, sel_stage_key, CacheLevel, SatEntry, SelEntry, StageCache};
-use accsat_autotune::{tune_kernel, KernelTuning, TuneConfig};
+use crate::cache::{sat_stage_key, sel_key_from, CacheLevel, SatEntry, SelEntry, StageCache};
+use accsat_autotune::{tune_kernel, KernelTuning, TuneConfig, TunedKernel};
 use accsat_codegen::{generate, CodegenOptions, TypeMap};
 use accsat_egraph::{
     all_rules, EGraph, IterCounts, Rewrite, RuleStats, Runner, RunnerLimits, StopReason,
@@ -11,7 +13,7 @@ use accsat_egraph::{
 use accsat_extract::{
     extract_portfolio_budgeted, intern_strategy, CostModel, PortfolioConfig, Selection,
 };
-use accsat_ir::{Block, Function, Program, Stmt};
+use accsat_ir::{Block, Function, Program};
 use accsat_obs::trace;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -187,6 +189,18 @@ impl OptStats {
     pub fn bound_gap(&self) -> u64 {
         self.extracted_cost.saturating_sub(self.extraction_lower_bound)
     }
+
+    /// The deterministic part of the statistics, rendered for comparison:
+    /// every field but the three wall-clock `Duration`s and `cache_level`,
+    /// which describe how this run got its result, not the result. Masked
+    /// on a copy rather than listed, so a field added later is compared
+    /// unless it is exempted here.
+    pub(crate) fn deterministic(&self) -> String {
+        let mut s = self.clone();
+        (s.ssa_codegen, s.saturation, s.extraction) = Default::default();
+        s.cache_level = CacheLevel::Miss;
+        format!("{s:?}")
+    }
 }
 
 /// Optimize every kernel (innermost parallel loop) of a function.
@@ -195,14 +209,19 @@ pub fn optimize_function(
     variant: Variant,
     config: &SaturatorConfig,
 ) -> Result<(Function, Vec<OptStats>), String> {
-    if variant == Variant::Original {
-        return Ok((f.clone(), Vec::new()));
-    }
-    let mut out = f.clone();
-    let mut stats = Vec::new();
-    let tm = TypeMap::from_function(f);
-    optimize_block(&mut out.body, variant, config, &tm, &f.name, &mut stats)?;
-    Ok((out, stats))
+    for_each_kernel(f, variant, config, |job, _| {
+        // claim the kernel's selection key first so concurrent identical
+        // requests coalesce (the first computes, the rest wait and hit),
+        // then resume from the deepest cached level
+        let _flight = job.cache.map(|(cache, _, sel_key)| cache.single_flight(sel_key));
+        let (sat, chosen) = job.resume_selected().unwrap_or_else(|| {
+            let sat = job.saturate();
+            let chosen = job.select(&sat);
+            (sat, chosen)
+        });
+        let body = job.lower(&sat, &chosen);
+        Ok(job.finish(sat, chosen, body))
+    })
 }
 
 /// Optimize every kernel of a function with the **simulation-guided
@@ -219,378 +238,321 @@ pub fn tune_function(
     tcfg: &TuneConfig,
     bindings: &HashMap<String, i64>,
 ) -> Result<(Function, Vec<OptStats>), String> {
+    // tune mode ranks by *simulated cycles*, an objective the stage cache
+    // does not key — it always runs cold
+    let config = &SaturatorConfig { cache: None, ..config.clone() };
+    for_each_kernel(f, variant, config, |job, kernel_index| {
+        let sat = job.saturate();
+        let copts = CodegenOptions { bulk_load: variant.bulk_loads() };
+        // harvest at full portfolio width: every strategy's selection is a
+        // candidate, regardless of how narrow the static extraction races.
+        // The tune path keeps its own unbudgeted fan-out: the tuner's
+        // lower-and-simulate stage dominates its wall time, not the race.
+        let mut pcfg = job.portfolio_config();
+        pcfg.threads = pcfg.threads.max(accsat_extract::STRATEGY_COUNT);
+        let cm = &config.cost_model;
+        let (tuned, time) = timed("tune", || {
+            tune_kernel(f, kernel_index, &sat.kernel, job.tm, cm, &pcfg, &copts, bindings, tcfg)
+        });
+        let TunedKernel { tuning, body } = tuned?;
+        let chosen = Chosen {
+            // the tuner lowered its own winner; there is nothing left to lower
+            selection: Selection::new(),
+            cost: tuning.winning().static_cost,
+            proven: tuning.winning().proven_optimal,
+            winner: "tune",
+            explored: 0,
+            lower_bound: tuning.lower_bound,
+            pruned: [0; 3],
+            tuning: Some(tuning),
+            time,
+        };
+        Ok(job.finish(sat, chosen, (body, Duration::ZERO)))
+    })
+}
+
+/// Run `walk` on every kernel of `f` — the innermost parallel loops, in
+/// [`accsat_ir::innermost_parallel_loops`] order — and splice each returned
+/// body back in place. Every driver (optimize, tune, the fuzzer's checked
+/// walk) is this loop around a different walk of the [`KernelJob`] stages.
+pub(crate) fn for_each_kernel(
+    f: &Function,
+    variant: Variant,
+    config: &SaturatorConfig,
+    mut walk: impl FnMut(&KernelJob<'_>, usize) -> Result<(Block, OptStats), String>,
+) -> Result<(Function, Vec<OptStats>), String> {
+    let mut out = f.clone();
+    let mut stats = Vec::new();
     if variant == Variant::Original {
-        return Ok((f.clone(), Vec::new()));
+        return Ok((out, stats));
     }
     let tm = TypeMap::from_function(f);
-    // one traversal definition, shared with the tuner: kernels are
-    // visited in `innermost_parallel_loops` order, and the tuned bodies
-    // splice back through the mutable twin of the same walk — the
-    // indices agree by construction
-    let kernel_bodies: Vec<Block> =
-        accsat_ir::innermost_parallel_loops(f).into_iter().map(|l| l.body.clone()).collect();
-    let mut stats = Vec::with_capacity(kernel_bodies.len());
-    let mut new_bodies = Vec::with_capacity(kernel_bodies.len());
-    for (kernel_index, body) in kernel_bodies.iter().enumerate() {
-        let (nb, st) =
-            tune_kernel_body(body, f, kernel_index, variant, config, tcfg, bindings, &tm)?;
-        new_bodies.push(nb);
+    for (index, l) in accsat_ir::innermost_parallel_loops_mut(&mut out).into_iter().enumerate() {
+        let _kernel_span = trace::span_named("pipeline", || format!("kernel {}", f.name));
+        let cache = config.cache.as_deref().map(|cache| {
+            let sat_key = sat_stage_key(&l.body, variant, config);
+            (cache, sat_key, sel_key_from(sat_key, config))
+        });
+        let job = KernelJob { body: &l.body, variant, config, tm: &tm, function: &f.name, cache };
+        let (body, st) = walk(&job, index)?;
+        l.body = body;
         stats.push(st);
-    }
-    let mut out = f.clone();
-    for (l, nb) in accsat_ir::innermost_parallel_loops_mut(&mut out).into_iter().zip(new_bodies) {
-        l.body = nb;
     }
     Ok((out, stats))
 }
 
-/// The tune-mode counterpart of [`optimize_kernel_body`]: saturate, then
-/// hand the e-graph to the autotuner, which harvests, lowers, simulates
-/// and ranks the candidates.
-#[allow(clippy::too_many_arguments)]
-fn tune_kernel_body(
-    body: &Block,
-    f: &Function,
-    kernel_index: usize,
-    variant: Variant,
-    config: &SaturatorConfig,
-    tcfg: &TuneConfig,
-    bindings: &HashMap<String, i64>,
-    tm: &TypeMap,
-) -> Result<(Block, OptStats), String> {
-    let sat = saturate_body(body, variant, config);
-    let Saturated { kernel, ssa_time, sat_time, iters, stop, rule_stats, iter_counts } = sat;
-
-    let t2 = Instant::now();
-    let copts = CodegenOptions { bulk_load: variant.bulk_loads() };
-    // harvest at full portfolio width: every strategy's selection is a
-    // candidate, regardless of how narrow the static extraction races.
-    // The tune path keeps its own unbudgeted fan-out: the tuner's
-    // lower-and-simulate stage dominates its wall time, not the race.
-    let mut pcfg = portfolio_config(config);
-    pcfg.threads = pcfg.threads.max(accsat_extract::STRATEGY_COUNT);
-    let tuned = tune_kernel(
-        f,
-        kernel_index,
-        &kernel,
-        tm,
-        &config.cost_model,
-        &pcfg,
-        &copts,
-        bindings,
-        tcfg,
-    )?;
-    let tune_time = t2.elapsed();
-
-    let stats = OptStats {
-        function: f.name.clone(),
-        ssa_codegen: ssa_time,
-        saturation: sat_time,
-        extraction: tune_time,
-        egraph_nodes: kernel.egraph.total_nodes(),
-        saturation_iters: iters,
-        stop_reason: stop,
-        rule_stats,
-        iteration_counts: iter_counts,
-        extracted_cost: tuned.tuning.winning().static_cost,
-        extraction_proven: tuned.tuning.winning().proven_optimal,
-        extraction_winner: "tune",
-        extraction_explored: 0,
-        extraction_lower_bound: tuned.tuning.lower_bound,
-        extraction_pruned: [0; 3],
-        tuning: Some(tuned.tuning),
-        // tune mode ranks by *simulated cycles*, an objective the stage
-        // cache does not key — it always runs cold
-        cache_level: CacheLevel::Miss,
-    };
-    Ok((tuned.body, stats))
+/// Run one stage under a `pipeline` span and on the clock: the span goes
+/// to the trace, the returned `Duration` into [`OptStats`], so the §VII
+/// timing columns and a profile of the same run cannot disagree.
+fn timed<T>(stage: &'static str, f: impl FnOnce() -> T) -> (T, Duration) {
+    let _span = trace::span("pipeline", stage);
+    let t0 = Instant::now();
+    let out = f();
+    (out, t0.elapsed())
 }
 
-fn optimize_block(
-    b: &mut Block,
+/// One kernel's trip through the pipeline: the immutable inputs every
+/// stage reads. The stages below each take the previous stage's product
+/// and return the next — [`Saturated`], [`Chosen`], the lowered [`Block`] —
+/// and a driver is a *walk*: the order in which it calls them.
+pub(crate) struct KernelJob<'a> {
+    pub(crate) body: &'a Block,
     variant: Variant,
-    config: &SaturatorConfig,
-    tm: &TypeMap,
-    fname: &str,
-    stats: &mut Vec<OptStats>,
-) -> Result<(), String> {
-    for s in &mut b.stmts {
-        match s {
-            Stmt::For(l) => {
-                if l.directive.is_some() && !accsat_ir::has_directive_loop(&l.body) {
-                    let (new_body, st) = optimize_kernel_body(&l.body, variant, config, tm, fname)?;
-                    l.body = new_body;
-                    stats.push(st);
-                } else {
-                    optimize_block(&mut l.body, variant, config, tm, fname, stats)?;
-                }
-            }
-            Stmt::If { then, els, .. } => {
-                optimize_block(then, variant, config, tm, fname, stats)?;
-                if let Some(e) = els {
-                    optimize_block(e, variant, config, tm, fname, stats)?;
-                }
-            }
-            Stmt::While { body, .. } => {
-                optimize_block(body, variant, config, tm, fname, stats)?;
-            }
-            Stmt::Block(inner) => {
-                optimize_block(inner, variant, config, tm, fname, stats)?;
-            }
-            _ => {}
-        }
-    }
-    Ok(())
+    config: &'a SaturatorConfig,
+    tm: &'a TypeMap,
+    function: &'a str,
+    /// The configured stage cache with this kernel's `(saturated, selected)`
+    /// keys, computed once per job.
+    cache: Option<(&'a StageCache, u64, u64)>,
 }
 
-/// Outcome of the shared SSA + saturation front half of the pipeline
-/// (steps ① and ② — everything before an objective picks the code).
-struct Saturated {
-    kernel: accsat_ssa::SsaKernel,
-    ssa_time: Duration,
-    sat_time: Duration,
+/// Product of steps ① and ② — everything before an objective picks the
+/// code: the SSA kernel with its saturated e-graph, run by the rules or
+/// restored from a `saturated` snapshot (`level` says which).
+pub(crate) struct Saturated {
+    pub(crate) kernel: accsat_ssa::SsaKernel,
     iters: usize,
     stop: Option<StopReason>,
     rule_stats: Vec<RuleStats>,
     iter_counts: Vec<IterCounts>,
+    level: CacheLevel,
+    ssa_time: Duration,
+    sat_time: Duration,
 }
 
-/// SSA-construct and (for saturating variants) saturate one kernel body.
-fn saturate_body(body: &Block, variant: Variant, config: &SaturatorConfig) -> Saturated {
-    // 1. SSA construction (paper step ①)
-    let t0 = Instant::now();
-    let mut kernel = {
-        let _span = trace::span("pipeline", "ssa");
-        accsat_ssa::build_kernel(body)
-    };
-    let ssa_time = t0.elapsed();
-
-    // 2. equality saturation (step ②)
-    let t1 = Instant::now();
-    let _sat_span = trace::span("pipeline", "saturate");
-    let (iters, stop, rule_stats, iter_counts) = if variant.saturates() {
-        let runner = Runner::from_shared(config.rules.clone())
-            .with_limits(config.limits)
-            .with_sat_threads(config.sat_threads)
-            .with_budget(config.thread_budget.clone());
-        let report = runner.run(&mut kernel.egraph);
-        let iter_counts = report.iteration_counts();
-        (report.iterations.len(), Some(report.stop_reason), report.rule_stats, iter_counts)
-    } else {
-        kernel.egraph.rebuild();
-        (0, None, Vec::new(), Vec::new())
-    };
-    let sat_time = t1.elapsed();
-    Saturated { kernel, ssa_time, sat_time, iters, stop, rule_stats, iter_counts }
+/// Product of step ② part II: the selection an objective picked and what
+/// it certified about it — from the portfolio, a decoded `selected` entry,
+/// or the tuner.
+pub(crate) struct Chosen {
+    selection: Selection,
+    cost: u64,
+    proven: bool,
+    winner: &'static str,
+    explored: u64,
+    lower_bound: u64,
+    pruned: [usize; 3],
+    tuning: Option<KernelTuning>,
+    time: Duration,
 }
 
-/// The extraction portfolio configuration derived from a [`SaturatorConfig`].
-fn portfolio_config(config: &SaturatorConfig) -> PortfolioConfig {
-    PortfolioConfig {
-        threads: config.extraction_threads,
-        node_budget: config.extraction_node_budget,
-        deadline: config.extraction_budget,
-    }
-}
-
-/// Cache-aware saturation stage: restore the e-graph from a cached
-/// snapshot when possible, otherwise run [`saturate_body`] and populate
-/// the cache. SSA construction always re-runs — it is deterministic and
-/// cheap, and the restored e-graph is swapped in over the fresh one (the
-/// class ids of the assignment roots are identical by construction: the
-/// snapshot was taken from an e-graph built by the very same SSA walk).
-fn saturate_stage(
-    body: &Block,
-    variant: Variant,
-    config: &SaturatorConfig,
-) -> (Saturated, CacheLevel) {
-    let Some(cache) = config.cache.as_deref() else {
-        return (saturate_body(body, variant, config), CacheLevel::Miss);
-    };
-    let key = sat_stage_key(body, variant, config);
-    if let Some(entry) = cache.get_sat(key) {
-        if let Ok(eg) = EGraph::deserialize(&entry.egraph) {
-            let t0 = Instant::now();
-            let mut kernel = accsat_ssa::build_kernel(body);
-            let ssa_time = t0.elapsed();
-            let t1 = Instant::now();
-            kernel.egraph = eg;
-            return (
-                Saturated {
-                    kernel,
-                    ssa_time,
-                    sat_time: t1.elapsed(),
-                    iters: entry.iters,
-                    stop: entry.stop,
-                    rule_stats: entry.rule_stats,
-                    iter_counts: entry.iter_counts,
-                },
-                CacheLevel::Saturated,
-            );
+impl Chosen {
+    /// The extraction invariants, checked against the e-graph this choice
+    /// claims to select from; the first violation as `(invariant key,
+    /// detail)` — the fuzzer's finding keys. The selection must walk from
+    /// the extraction roots through member nodes only
+    /// ([`Selection::checked_cost`]), the claimed cost must be the
+    /// recomputed DAG cost, and the certified bound must not exceed it.
+    /// `Ok` for every sound choice, wherever it came from; a `selected`
+    /// entry that is not is a miss.
+    pub(crate) fn check(
+        &self,
+        kernel: &accsat_ssa::SsaKernel,
+        cm: &CostModel,
+    ) -> Result<(), (&'static str, String)> {
+        let Chosen { selection, winner, cost, lower_bound, .. } = self;
+        let recomputed = selection
+            .checked_cost(&kernel.egraph, cm, &kernel.extraction_roots())
+            .map_err(|e| ("selection-walk", format!("winner `{winner}`: {e}")))?;
+        if recomputed != *cost {
+            let claim = format!("winner `{winner}` claimed cost {cost}");
+            return Err((
+                "cost-mismatch",
+                format!("{claim} but the selection recomputes to {recomputed}"),
+            ));
         }
-        // corrupt snapshot: fall through and overwrite it below
+        if lower_bound > cost {
+            let detail =
+                format!("certified lower bound {lower_bound} exceeds achieved cost {cost}");
+            return Err(("lower-bound", detail));
+        }
+        Ok(())
     }
-    let sat = saturate_body(body, variant, config);
-    cache.put_sat(
-        key,
-        &SatEntry {
-            egraph: sat.kernel.egraph.serialize(),
-            iters: sat.iters,
-            stop: sat.stop,
-            rule_stats: sat.rule_stats.clone(),
-            iter_counts: sat.iter_counts.clone(),
-        },
-    );
-    (sat, CacheLevel::Miss)
 }
 
-/// Try to answer a kernel entirely from the `selected` cache level: both
-/// the saturated e-graph snapshot and the certified selection must be
-/// present and intact (a selection without its e-graph cannot be lowered,
-/// so a partial hit falls back to the lower levels).
-fn try_selected_hit(
-    body: &Block,
-    variant: Variant,
-    config: &SaturatorConfig,
-    tm: &TypeMap,
-    fname: &str,
-    sat_key: u64,
-    sel_key: u64,
-) -> Option<(Block, OptStats)> {
-    let cache = config.cache.as_deref()?;
-    let sel_entry = cache.get_sel(sel_key)?;
-    let sat_entry = cache.get_sat(sat_key)?;
-    let eg = EGraph::deserialize(&sat_entry.egraph).ok()?;
-    let selection = Selection::deserialize(&sel_entry.selection).ok()?;
-    // winner names are interned `&'static str`s in the live pipeline;
-    // an unknown name means a stale/corrupt entry — treat as a miss
-    let winner = intern_strategy(&sel_entry.winner)?;
-
-    let t0 = Instant::now();
-    let mut kernel = accsat_ssa::build_kernel(body);
-    kernel.egraph = eg;
-    let opts = CodegenOptions { bulk_load: variant.bulk_loads() };
-    let new_body = generate(&kernel, &selection, tm, &opts);
-    let codegen_time = t0.elapsed();
-
-    Some((
-        new_body,
-        OptStats {
-            function: fname.to_string(),
-            ssa_codegen: codegen_time,
-            saturation: Duration::ZERO,
-            extraction: Duration::ZERO,
-            egraph_nodes: kernel.egraph.total_nodes(),
-            saturation_iters: sat_entry.iters,
-            stop_reason: sat_entry.stop,
-            rule_stats: sat_entry.rule_stats,
-            iteration_counts: sat_entry.iter_counts,
-            extracted_cost: sel_entry.cost,
-            extraction_proven: sel_entry.proven,
-            extraction_winner: winner,
-            extraction_explored: sel_entry.explored,
-            extraction_lower_bound: sel_entry.lower_bound,
-            extraction_pruned: sel_entry.pruned,
-            tuning: None,
-            cache_level: CacheLevel::Selected,
-        },
-    ))
-}
-
-/// Run the e-graph pipeline on one kernel body.
-pub fn optimize_kernel_body(
-    body: &Block,
-    variant: Variant,
-    config: &SaturatorConfig,
-    tm: &TypeMap,
-    fname: &str,
-) -> Result<(Block, OptStats), String> {
-    let _kernel_span = trace::span_named("pipeline", || format!("kernel {fname}"));
-    // With a cache configured, claim the kernel's selection key first so
-    // concurrent identical requests coalesce (the first computes, the
-    // rest wait and hit), then try the deepest cached level.
-    let keys = config
-        .cache
-        .as_deref()
-        .map(|_| (sat_stage_key(body, variant, config), sel_stage_key(body, variant, config)));
-    let _flight = match (&config.cache, keys) {
-        (Some(c), Some((_, sel_key))) => Some(c.single_flight(sel_key)),
-        _ => None,
-    };
-    if let Some((sat_key, sel_key)) = keys {
-        if let Some(hit) = try_selected_hit(body, variant, config, tm, fname, sat_key, sel_key) {
-            return Ok(hit);
+impl KernelJob<'_> {
+    /// The extraction portfolio configuration of this job.
+    fn portfolio_config(&self) -> PortfolioConfig {
+        PortfolioConfig {
+            threads: self.config.extraction_threads,
+            node_budget: self.config.extraction_node_budget,
+            deadline: self.config.extraction_budget,
         }
     }
 
-    let (sat, cache_level) = saturate_stage(body, variant, config);
-    let Saturated { kernel, ssa_time, sat_time, iters, stop, rule_stats, iter_counts } = sat;
-
-    // 3. extraction (LP objective, step ② part II) — a portfolio of
-    // branch-and-bound strategies racing under a deterministic budget
-    let t2 = Instant::now();
-    let extract_span = trace::span("pipeline", "extract");
-    let roots = kernel.extraction_roots();
-    let cm = config.cost_model;
-    let portfolio_cfg = portfolio_config(config);
-    let extraction = extract_portfolio_budgeted(
-        &kernel.egraph,
-        &roots,
-        &cm,
-        &portfolio_cfg,
-        config.thread_budget.as_deref(),
-    );
-    let cost = extraction.cost;
-    let extract_time = t2.elapsed();
-    drop(extract_span);
-    let selection = extraction.selection;
-
-    if let (Some(cache), Some((_, sel_key))) = (config.cache.as_deref(), keys) {
-        cache.put_sel(
-            sel_key,
-            &SelEntry {
-                selection: selection.serialize(),
-                cost,
-                proven: extraction.proven_optimal,
-                winner: extraction.winner.to_string(),
-                explored: extraction.workers.iter().map(|w| w.explored).sum(),
-                lower_bound: extraction.lower_bound,
-                pruned: extraction.pruned,
-            },
-        );
+    /// Step ①, SSA construction. It runs on every walk, resumed ones
+    /// included: it is deterministic and cheap, and it rebuilds the
+    /// structure tree no cache level stores.
+    fn ssa(&self) -> (accsat_ssa::SsaKernel, Duration) {
+        timed("ssa", || accsat_ssa::build_kernel(self.body))
     }
 
-    // 4. code generation (step ③)
-    let t3 = Instant::now();
-    let opts = CodegenOptions { bulk_load: variant.bulk_loads() };
-    let new_body = {
-        let _span = trace::span("pipeline", "codegen");
-        generate(&kernel, &selection, tm, &opts)
-    };
-    let codegen_time = t3.elapsed();
+    /// Step ②, equality saturation — restored from the `saturated` cache
+    /// level when a cache is configured and holds an intact snapshot,
+    /// otherwise run (and the level filled).
+    pub(crate) fn saturate(&self) -> Saturated {
+        if let Some((cache, sat_key, _)) = self.cache {
+            let hit = cache.get_sat(sat_key);
+            // a corrupt snapshot falls through and is overwritten below
+            if let Some(sat) = hit.and_then(|e| self.restore(e, CacheLevel::Saturated)) {
+                return sat;
+            }
+        }
+        let (mut kernel, ssa_time) = self.ssa();
+        let (report, sat_time) = timed("saturate", || {
+            if !self.variant.saturates() {
+                kernel.egraph.rebuild();
+                return None;
+            }
+            let runner = Runner::from_shared(self.config.rules.clone())
+                .with_limits(self.config.limits)
+                .with_sat_threads(self.config.sat_threads)
+                .with_budget(self.config.thread_budget.clone());
+            Some(runner.run(&mut kernel.egraph))
+        });
+        let (iters, stop, iter_counts, rule_stats) = report.map_or_else(Default::default, |r| {
+            (r.iterations.len(), Some(r.stop_reason), r.iteration_counts(), r.rule_stats)
+        });
+        if let Some((cache, sat_key, _)) = self.cache {
+            let egraph = kernel.egraph.serialize();
+            let (rule_stats, iter_counts) = (rule_stats.clone(), iter_counts.clone());
+            cache.put_sat(sat_key, &SatEntry { egraph, iters, stop, rule_stats, iter_counts });
+        }
+        let level = CacheLevel::Miss;
+        Saturated { kernel, iters, stop, rule_stats, iter_counts, level, ssa_time, sat_time }
+    }
 
-    Ok((
-        new_body,
-        OptStats {
-            function: fname.to_string(),
-            ssa_codegen: ssa_time + codegen_time,
-            saturation: sat_time,
-            extraction: extract_time,
-            egraph_nodes: kernel.egraph.total_nodes(),
-            saturation_iters: iters,
-            stop_reason: stop,
-            rule_stats,
-            iteration_counts: iter_counts,
-            extracted_cost: cost,
-            extraction_proven: extraction.proven_optimal,
-            extraction_winner: extraction.winner,
-            extraction_explored: extraction.workers.iter().map(|w| w.explored).sum(),
-            extraction_lower_bound: extraction.lower_bound,
-            extraction_pruned: extraction.pruned,
+    /// A [`Saturated`] from a cached entry: the restored e-graph is swapped
+    /// in over the fresh SSA kernel's (the class ids of the assignment
+    /// roots are identical by construction: the snapshot was taken from an
+    /// e-graph built by the very same SSA walk). `None` on a corrupt
+    /// snapshot.
+    fn restore(&self, entry: SatEntry, level: CacheLevel) -> Option<Saturated> {
+        let (egraph, sat_time) = timed("restore", || EGraph::deserialize(&entry.egraph));
+        let egraph = egraph.ok()?;
+        let (mut kernel, ssa_time) = self.ssa();
+        kernel.egraph = egraph;
+        let SatEntry { iters, stop, rule_stats, iter_counts, .. } = entry;
+        Some(Saturated { kernel, iters, stop, rule_stats, iter_counts, level, ssa_time, sat_time })
+    }
+
+    /// Resume from the `selected` cache level: both the saturated e-graph
+    /// snapshot and the selection must be present and intact (a selection
+    /// without its e-graph cannot be lowered), and the selection must be a
+    /// sound, correctly priced choice *for that e-graph* — the entry is
+    /// bytes from outside the program, and a key collision or a mixed-up
+    /// cache directory delivers a well-formed selection of another kernel.
+    /// Anything less is a miss: the walk falls back to the lower levels
+    /// and overwrites the entry.
+    fn resume_selected(&self) -> Option<(Saturated, Chosen)> {
+        let (cache, sat_key, sel_key) = self.cache?;
+        let entry = cache.get_sel(sel_key)?;
+        let sat = self.restore(cache.get_sat(sat_key)?, CacheLevel::Selected)?;
+        let chosen = Chosen {
+            selection: Selection::deserialize(&entry.selection).ok()?,
+            cost: entry.cost,
+            proven: entry.proven,
+            // winner names are interned `&'static str`s in the live
+            // pipeline; an unknown name means a stale/corrupt entry
+            winner: intern_strategy(&entry.winner)?,
+            explored: entry.explored,
+            lower_bound: entry.lower_bound,
+            pruned: entry.pruned,
             tuning: None,
-            cache_level,
-        },
-    ))
+            time: Duration::ZERO,
+        };
+        chosen.check(&sat.kernel, &self.config.cost_model).ok().map(|()| (sat, chosen))
+    }
+
+    /// Step ② part II, extraction (the LP objective): a portfolio of
+    /// branch-and-bound strategies racing under a deterministic budget.
+    /// Fills the `selected` cache level.
+    pub(crate) fn select(&self, sat: &Saturated) -> Chosen {
+        let (ex, time) = timed("extract", || {
+            extract_portfolio_budgeted(
+                &sat.kernel.egraph,
+                &sat.kernel.extraction_roots(),
+                &self.config.cost_model,
+                &self.portfolio_config(),
+                self.config.thread_budget.as_deref(),
+            )
+        });
+        let explored = ex.workers.iter().map(|w| w.explored).sum();
+        let (cost, proven, lower_bound, pruned) =
+            (ex.cost, ex.proven_optimal, ex.lower_bound, ex.pruned);
+        if let Some((cache, _, sel_key)) = self.cache {
+            let (selection, winner) = (ex.selection.serialize(), ex.winner.to_string());
+            let entry = SelEntry { selection, cost, proven, winner, explored, lower_bound, pruned };
+            cache.put_sel(sel_key, &entry);
+        }
+        let (selection, winner) = (ex.selection, ex.winner);
+        Chosen {
+            selection,
+            cost,
+            proven,
+            winner,
+            explored,
+            lower_bound,
+            pruned,
+            tuning: None,
+            time,
+        }
+    }
+
+    /// Step ③, code generation from the chosen selection.
+    pub(crate) fn lower(&self, sat: &Saturated, chosen: &Chosen) -> (Block, Duration) {
+        let opts = CodegenOptions { bulk_load: self.variant.bulk_loads() };
+        timed("codegen", || generate(&sat.kernel, &chosen.selection, self.tm, &opts))
+    }
+
+    /// Close a walk: pair the lowered body with the kernel's statistics.
+    /// The only place an [`OptStats`] is built.
+    pub(crate) fn finish(
+        &self,
+        sat: Saturated,
+        chosen: Chosen,
+        (body, codegen_time): (Block, Duration),
+    ) -> (Block, OptStats) {
+        let stats = OptStats {
+            function: self.function.to_string(),
+            ssa_codegen: sat.ssa_time + codegen_time,
+            saturation: sat.sat_time,
+            extraction: chosen.time,
+            egraph_nodes: sat.kernel.egraph.total_nodes(),
+            saturation_iters: sat.iters,
+            stop_reason: sat.stop,
+            rule_stats: sat.rule_stats,
+            iteration_counts: sat.iter_counts,
+            extracted_cost: chosen.cost,
+            extraction_proven: chosen.proven,
+            extraction_winner: chosen.winner,
+            extraction_explored: chosen.explored,
+            extraction_lower_bound: chosen.lower_bound,
+            extraction_pruned: chosen.pruned,
+            tuning: chosen.tuning,
+            cache_level: sat.level,
+        };
+        (body, stats)
+    }
 }
 
 /// Optimize every function of a program.
@@ -699,6 +661,72 @@ void k(double a[256], double out[256], double c) {
         let text = accsat_ir::print_program(&accsat_ir::Program { functions: vec![tuned] });
         assert!(text.contains("#pragma acc parallel loop"));
         assert!(parse_program(&text).is_ok());
+    }
+
+    /// Cold, `saturated` resume, `selected` resume and the fuzzer's checked
+    /// walk are four orders of the same stages: same body, same
+    /// deterministic statistics, on every suite kernel. The tune walk
+    /// picks by another objective but shares the saturation half.
+    #[test]
+    fn the_four_walks_agree_on_all_19_suite_kernels() {
+        let fast = |cache| {
+            let limits = RunnerLimits { node_limit: 1500, iter_limit: 3, ..Default::default() };
+            SaturatorConfig { limits, extraction_node_budget: 10_000, cache, ..Default::default() }
+        };
+        let v = Variant::AccSat;
+        let mut kernels = 0;
+        for b in accsat_benchmarks::all_benchmarks() {
+            for f in &parse_program(&b.acc_source).unwrap().functions {
+                let (cold_f, cold) = optimize_function(f, v, &fast(None)).unwrap();
+                let agrees = |walk: &str, level, (got_f, got): (Function, Vec<OptStats>)| {
+                    assert_eq!(got_f, cold_f, "{} {}: {walk} walk body", b.name, f.name);
+                    let (got_d, cold_d): (Vec<_>, Vec<_>) = got
+                        .iter()
+                        .zip(&cold)
+                        .map(|(g, c)| (g.deterministic(), c.deterministic()))
+                        .unzip();
+                    assert_eq!(got_d, cold_d, "{} {}: {walk} walk stats", b.name, f.name);
+                    assert!(got.iter().all(|s| s.cache_level == level), "{walk} walk level");
+                };
+
+                let filled = Arc::new(StageCache::in_memory());
+                let cfg = fast(Some(filled.clone()));
+                agrees("filling", CacheLevel::Miss, optimize_function(f, v, &cfg).unwrap());
+                agrees("selected", CacheLevel::Selected, optimize_function(f, v, &cfg).unwrap());
+
+                // a cache that holds the snapshots and nothing else
+                let snapshots = Arc::new(StageCache::in_memory());
+                for l in accsat_ir::innermost_parallel_loops(f) {
+                    let key = sat_stage_key(&l.body, v, &cfg);
+                    snapshots.put_sat(key, &filled.get_sat(key).expect("filled above"));
+                }
+                let resumed = optimize_function(f, v, &fast(Some(snapshots))).unwrap();
+                agrees("saturated", CacheLevel::Saturated, resumed);
+
+                let fc = crate::FuzzConfig { saturator: fast(None), ..Default::default() };
+                let (checked_f, findings) = crate::fuzz::optimize_checked(f, v, &fc).unwrap();
+                assert_eq!(checked_f, cold_f, "{} {}: checked walk body", b.name, f.name);
+                assert_eq!(findings, Vec::new());
+
+                let (tcfg, before) = (TuneConfig::default(), filled.stats());
+                let (_, tuned) = tune_function(f, v, &cfg, &tcfg, &b.bindings_map()).unwrap();
+                assert_eq!(filled.stats(), before, "tune never probes or fills the cache");
+                for (t, c) in tuned.iter().zip(&cold) {
+                    assert_eq!(
+                        (t.egraph_nodes, t.saturation_iters, t.stop_reason),
+                        (c.egraph_nodes, c.saturation_iters, c.stop_reason)
+                    );
+                    assert_eq!(
+                        (&t.rule_stats, &t.iteration_counts),
+                        (&c.rule_stats, &c.iteration_counts)
+                    );
+                    assert_eq!((t.cache_level, t.extraction_winner), (CacheLevel::Miss, "tune"));
+                }
+                assert_eq!(tuned.len(), cold.len());
+                kernels += cold.len();
+            }
+        }
+        assert_eq!(kernels, 19);
     }
 
     #[test]

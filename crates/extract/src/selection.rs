@@ -7,14 +7,18 @@ use std::collections::HashMap;
 /// Why a selection could not be walked from its roots.
 ///
 /// Extractor-produced selections are acyclic and total over the roots'
-/// closure by construction; the fuzz harness re-checks that contract with
-/// [`Selection::try_reachable`] instead of trusting it.
+/// closure by construction; the fuzz harness and the stage cache re-check
+/// that contract with [`Selection::checked_cost`] instead of trusting it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SelectionError {
     /// The chosen nodes form a cycle through this class.
     Cyclic(Id),
     /// A reachable class has no selected node.
     Missing(Id),
+    /// An id the e-graph never created.
+    OutOfRange(Id),
+    /// The node chosen for this class is not one of the class's e-nodes.
+    NotMember(Id),
 }
 
 impl std::fmt::Display for SelectionError {
@@ -22,6 +26,8 @@ impl std::fmt::Display for SelectionError {
         match self {
             SelectionError::Cyclic(id) => write!(f, "cyclic selection at {id}"),
             SelectionError::Missing(id) => write!(f, "class {id} has no selected node"),
+            SelectionError::OutOfRange(id) => write!(f, "id {id} is not in the e-graph"),
+            SelectionError::NotMember(id) => write!(f, "chosen node is not in class {id}"),
         }
     }
 }
@@ -97,8 +103,8 @@ impl Selection {
     }
 
     /// [`Selection::reachable`] that reports a cyclic or incomplete
-    /// selection as an error instead of panicking, so the fuzz harness can
-    /// record the violated invariant and keep the campaign running.
+    /// selection (or one naming an id `eg` never created) as an error
+    /// instead of panicking — the walk under [`Selection::checked_cost`].
     pub fn try_reachable(&self, eg: &EGraph, roots: &[Id]) -> Result<Vec<Id>, SelectionError> {
         const VISITING: u8 = 1;
         const DONE: u8 = 2;
@@ -111,6 +117,10 @@ impl Selection {
             state: &mut [u8],
             order: &mut Vec<Id>,
         ) -> Result<(), SelectionError> {
+            // ids may come from outside the program (a cached selection)
+            if id.index() >= state.len() {
+                return Err(SelectionError::OutOfRange(id));
+            }
             let id = eg.find(id);
             match state[id.index()] {
                 DONE => return Ok(()),
@@ -136,6 +146,34 @@ impl Selection {
     /// (the paper's LP objective).
     pub fn dag_cost(&self, eg: &EGraph, cm: &CostModel, roots: &[Id]) -> u64 {
         self.reachable(eg, roots).iter().map(|&id| cm.op_cost(&self.node(eg, id).op)).sum()
+    }
+
+    /// [`Selection::dag_cost`] of a selection that is not trusted to fit
+    /// `eg` — one decoded from a cache entry, or an extractor's under test.
+    /// Every id the walk meets must exist in `eg`, the selection must be
+    /// total and acyclic over the roots' closure,
+    /// and every chosen node must be a member of its class — same operator,
+    /// same canonical children — which is exactly what makes lowering a
+    /// selection sound, wherever it came from.
+    pub fn checked_cost(
+        &self,
+        eg: &EGraph,
+        cm: &CostModel,
+        roots: &[Id],
+    ) -> Result<u64, SelectionError> {
+        let mut cost = 0;
+        for id in self.try_reachable(eg, roots)? {
+            let node = &self.choice[&id];
+            let find = |c: &Id| eg.find(*c);
+            let member = |n: accsat_egraph::NodeRef<'_>| {
+                n.op == &node.op && n.children.iter().map(find).eq(node.children.iter().map(find))
+            };
+            if !eg.nodes(id).any(member) {
+                return Err(SelectionError::NotMember(id));
+            }
+            cost += cm.op_cost(&node.op);
+        }
+        Ok(cost)
     }
 
     /// Tree cost of one class (children re-counted per use; egg's default
@@ -436,6 +474,37 @@ mod tests {
         let mut other = filled_div.clone();
         other.choose(&eg, a, Node::sym("b"));
         assert_ne!(other.content_hash(&eg, &roots), h_min);
+    }
+
+    #[test]
+    fn checked_cost_accepts_members_only() {
+        let mut eg = EGraph::new();
+        let a = eg.add(Node::sym("a"));
+        let b = eg.add(Node::sym("b"));
+        let ab = eg.add(Node::new(Op::Add, vec![a, b]));
+        let cm = CostModel::paper();
+        let with_root = |node: Node| {
+            let mut sel = Selection::new();
+            sel.choose(&eg, a, Node::sym("a"));
+            sel.choose(&eg, b, Node::sym("b"));
+            sel.choose(&eg, ab, node);
+            sel.checked_cost(&eg, &cm, &[ab])
+        };
+        let sound = with_root(Node::new(Op::Add, vec![a, b]));
+        assert_eq!(sound, Ok(12), "a(1) + b(1) + add(10)");
+        // walks, prices the same, but `a * b` is not in the class of `a + b`
+        assert_eq!(with_root(Node::new(Op::Mul, vec![a, b])), Err(SelectionError::NotMember(ab)));
+        assert_eq!(with_root(Node::new(Op::Add, vec![a, a])), Err(SelectionError::NotMember(ab)));
+        // ids the e-graph never created are errors, not index panics
+        let ghost = Id::new(99);
+        assert_eq!(
+            with_root(Node::new(Op::Add, vec![a, ghost])),
+            Err(SelectionError::OutOfRange(ghost))
+        );
+        assert_eq!(
+            Selection::new().checked_cost(&eg, &cm, &[ghost]),
+            Err(SelectionError::OutOfRange(ghost))
+        );
     }
 
     #[test]

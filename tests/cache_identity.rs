@@ -199,3 +199,64 @@ fn stage_levels_degrade_predictably_under_config_edits() {
     let (_, _, sibling_level) = optimize_source(&src, Variant::CseSat, &base).unwrap();
     assert_eq!(sibling_level, CacheLevel::Selected, "sibling variants must share stages");
 }
+
+/// A well-formed `selected` entry that does not fit its e-graph — what a
+/// 64-bit key collision, the name-only rule-set key or a mixed-up
+/// `--cache-dir` delivers — must be a clean miss. The two kernels below
+/// build e-graphs with the same class ids, so B's selection walks A's
+/// e-graph, recomputes to its own claimed cost, and used to lower A's sums
+/// of products to B's sums of quotients (level `selected`, no error); only
+/// class membership tells them apart. Now A re-extracts from its
+/// `saturated` snapshot, prints a cold run's bytes and overwrites the bad
+/// entry, in memory and through the entry files of a `--cache-dir`.
+#[test]
+fn a_selected_entry_of_another_kernel_is_a_miss_and_overwritten() {
+    let config = |cache| SaturatorConfig { cache, ..SaturatorConfig::default() };
+    let kernel = |stmt: &str| {
+        format!(
+            "void k(double a[32], double out[32], double c) {{\n  \
+             #pragma acc parallel loop gang vector\n  \
+             for (int i = 1; i < 31; i++) {{\n    {stmt}\n  }}\n}}\n"
+        )
+    };
+    let a = kernel("out[i] = c * a[i - 1] + c * a[i] + c * a[i + 1];");
+    let b = kernel("out[i] = c / a[i - 1] + c / a[i] + c / a[i + 1];");
+    let body = |src: &str| {
+        let f = accsat_ir::parse_program(src).unwrap().functions.remove(0);
+        accsat_ir::innermost_parallel_loops(&f)[0].body.clone()
+    };
+    let (key_a, key_b) = {
+        let cfg = config(None);
+        let key = |src: &str| accsat::sel_stage_key(&body(src), Variant::AccSat, &cfg);
+        (key(&a), key(&b))
+    };
+    let (cold, _, _) = optimize_source(&a, Variant::AccSat, &config(None)).unwrap();
+    let check = |cfg: &SaturatorConfig, how: &str| {
+        let (swapped, _, level) = optimize_source(&a, Variant::AccSat, cfg).unwrap();
+        assert_eq!(swapped, cold, "{how}: a foreign selection reached codegen");
+        assert_eq!(level, CacheLevel::Saturated, "{how}: only the snapshot may be reused");
+        let (again, _, level) = optimize_source(&a, Variant::AccSat, cfg).unwrap();
+        assert_eq!(again, cold);
+        assert_eq!(level, CacheLevel::Selected, "{how}: the bad entry must be overwritten");
+    };
+
+    let cache = Arc::new(StageCache::in_memory());
+    let cfg = config(Some(cache.clone()));
+    for src in [&a, &b] {
+        optimize_source(src, Variant::AccSat, &cfg).unwrap();
+    }
+    cache.put_sel(key_a, &cache.get_sel(key_b).unwrap());
+    check(&cfg, "in memory");
+
+    let dir = scratch_dir("swap");
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = config(Some(Arc::new(StageCache::with_dir(&dir).unwrap())));
+    for src in [&a, &b] {
+        optimize_source(src, Variant::AccSat, &cfg).unwrap();
+    }
+    let entry = |key: u64| dir.join("sel").join(format!("{key:016x}.entry"));
+    std::fs::copy(entry(key_b), entry(key_a)).unwrap();
+    // a fresh instance: everything it knows about A's selection is the file
+    check(&config(Some(Arc::new(StageCache::with_dir(&dir).unwrap()))), "--cache-dir");
+    let _ = std::fs::remove_dir_all(&dir);
+}
