@@ -38,12 +38,15 @@
 //! sound-but-unproven results.)
 
 use crate::metrics::add_opt_stats;
-use crate::pipeline::{optimize_function, tune_function, OptStats, SaturatorConfig, Variant};
+use crate::pipeline::{
+    optimize_function, panic_message, tune_function, OptStats, SaturatorConfig, Variant,
+};
 use accsat_autotune::TuneConfig;
 use accsat_benchmarks::Benchmark;
 use accsat_egraph::ThreadBudget;
 use accsat_ir::{parse_program, print_program, Program};
 use accsat_obs::{escape_json, trace, MetricsRegistry};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -469,10 +472,15 @@ fn run_suite(
             let _item_span =
                 trace::span_named("batch", || format!("{} {}", benches[bi].name, f.name));
             let t = Instant::now();
-            match tune {
+            // `map_slots` would re-raise a panic here on the caller; caught,
+            // it is this item's error and the run ends through `fail`
+            catch_unwind(AssertUnwindSafe(|| match tune {
                 Some(tcfg) => tune_function(f, variant, &cfg, tcfg, &bindings[bi]),
                 None => optimize_function(f, variant, &cfg),
-            }
+            }))
+            .unwrap_or_else(|p| {
+                Err(format!("{} {}: panicked: {}", benches[bi].name, f.name, panic_message(&*p)))
+            })
             .map(|(nf, stats)| (nf, stats, t.elapsed()))
         },
     );
@@ -694,6 +702,21 @@ mod tests {
         assert_eq!(shard_stats, sorted_full);
         // the shard is recorded in the stable JSON
         assert!(shards[0].to_stable_json().contains("\"shard\": \"0/2\""));
+    }
+
+    #[test]
+    fn a_panicking_kernel_is_an_error_not_a_backtrace() {
+        // a rule whose side condition panics on its first match: every
+        // saturating kernel of the suite blows up inside a pool worker
+        let boom = accsat_egraph::Rewrite::new("BOOM", "(+ ?a ?b)", "(+ ?b ?a)")
+            .with_condition(|_, _| panic!("injected"));
+        let cfg = SaturatorConfig { rules: Arc::new(vec![boom]), ..fast_config() };
+        for threads in [1, 2] {
+            let par = ParallelConfig { threads, kernel_deadline: None, shard: None };
+            let err = optimize_suite(&mini_suite(), Variant::AccSat, &cfg, &par).unwrap_err();
+            // the first failing item in suite order, at any worker count
+            assert_eq!(err, "CG cg_spmv: panicked: injected", "{threads} threads");
+        }
     }
 
     #[test]

@@ -200,13 +200,8 @@ fn parse_shard(s: &str) -> Option<(usize, usize)> {
 }
 
 fn parse_variant(v: Option<&str>) -> Result<Variant, String> {
-    match v {
-        Some("cse") => Ok(Variant::Cse),
-        Some("cse+sat") => Ok(Variant::CseSat),
-        Some("cse+bulk") => Ok(Variant::CseBulk),
-        Some("accsat") => Ok(Variant::AccSat),
-        _ => Err("unknown variant".to_string()),
-    }
+    // `original` is a spelling the service accepts; the CLI has nothing to do for it
+    v.and_then(Variant::parse).filter(|v| *v != Variant::Original).ok_or("unknown variant".into())
 }
 
 /// What `accsat batch` / `accsat tune` were asked to do.

@@ -122,7 +122,7 @@ const SAT_HEADER: &str = "accsat-stage sat v2";
 const SEL_HEADER: &str = "accsat-stage sel v2";
 const PARSED_HEADER: &str = "accsat-stage parsed v1";
 
-fn stop_token(stop: Option<StopReason>) -> &'static str {
+pub(crate) fn stop_token(stop: Option<StopReason>) -> &'static str {
     match stop {
         None => "none",
         Some(StopReason::Saturated) => "saturated",

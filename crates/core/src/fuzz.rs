@@ -33,7 +33,7 @@
 //!
 //! [`Selection::checked_cost`]: accsat_extract::Selection::checked_cost
 
-use crate::pipeline::{for_each_kernel, OptStats, SaturatorConfig, Variant};
+use crate::pipeline::{for_each_kernel, panic_message, OptStats, SaturatorConfig, Variant};
 use accsat_benchmarks::genkern::{generate_kernel, GenConfig, GeneratedKernel, SplitMix64};
 use accsat_egraph::RunnerLimits;
 use accsat_interp::{compare_arrays_with, try_run_function, ArrayData, Env, EvalErrorKind};
@@ -269,15 +269,10 @@ pub fn check_kernel(
                 continue;
             }
             Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| payload.downcast_ref::<&str>().copied())
-                    .unwrap_or("<non-string panic>");
                 findings.push(Finding {
                     variant: variant.label(),
                     invariant: "panic",
-                    detail: msg.to_string(),
+                    detail: panic_message(&*payload).to_string(),
                 });
                 continue;
             }
@@ -396,11 +391,6 @@ fn check_cache(f: &Function, variant: Variant, fc: &FuzzConfig) -> Vec<Finding> 
     findings
 }
 
-/// Resolve a variant label recorded in a [`Finding`] back to the variant.
-fn variant_by_label(label: &str) -> Option<Variant> {
-    Variant::all().into_iter().find(|v| v.label() == label)
-}
-
 /// Check case `index` of the campaign end to end: regenerate the kernel
 /// from the pure `(campaign seed, index)` derivation, then run every
 /// oracle and shrink the first finding. Public so regression tests can
@@ -460,7 +450,7 @@ pub fn check_seeded(index: u64, seed: u64, fc: &FuzzConfig) -> CaseOutcome {
     }
     // shrink the first pipeline-level finding while it keeps reproducing
     if let Some(first) = outcome.findings.first().cloned() {
-        if let Some(v) = variant_by_label(first.variant) {
+        if let Some(v) = Variant::parse(first.variant) {
             let key = first.invariant;
             let reproduces = |cand: &Function| {
                 catch_unwind(AssertUnwindSafe(|| check_kernel(cand, &env0, fc, Some(v))))

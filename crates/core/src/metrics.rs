@@ -19,19 +19,9 @@
 //! [`CacheStats`]: crate::cache::CacheStats
 //! [`CacheStats::add_to`]: crate::cache::CacheStats::add_to
 
+use crate::cache::stop_token;
 use crate::pipeline::OptStats;
-use accsat_egraph::StopReason;
 use accsat_obs::MetricsRegistry;
-
-fn stop_name(stop: Option<StopReason>) -> &'static str {
-    match stop {
-        None => "none",
-        Some(StopReason::Saturated) => "saturated",
-        Some(StopReason::NodeLimit) => "node-limit",
-        Some(StopReason::IterLimit) => "iter-limit",
-        Some(StopReason::TimeLimit) => "time-limit",
-    }
-}
 
 /// Fold one kernel's [`OptStats`] into a registry. Every value added is a
 /// deterministic counter; merging per-kernel registries in any order
@@ -39,7 +29,7 @@ fn stop_name(stop: Option<StopReason>) -> &'static str {
 pub fn add_opt_stats(reg: &mut MetricsRegistry, s: &OptStats) {
     reg.add("kernels", 1);
     reg.add(&format!("cache.request.{}", s.cache_level.label()), 1);
-    reg.add(&format!("stop.{}", stop_name(s.stop_reason)), 1);
+    reg.add(&format!("stop.{}", stop_token(s.stop_reason)), 1);
 
     reg.add("saturation.iterations", s.saturation_iters as u64);
     reg.add("egraph.nodes", s.egraph_nodes as u64);

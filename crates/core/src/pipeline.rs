@@ -61,6 +61,14 @@ impl Variant {
             Variant::AccSat => "ACCSAT",
         }
     }
+
+    /// The variant a request, flag or report names: its [`label`](Self::label)
+    /// in any case, with `-` accepted for `+`.
+    pub fn parse(s: &str) -> Option<Variant> {
+        let s = s.replace('-', "+");
+        let mut known = [Variant::Original].into_iter().chain(Variant::all());
+        known.find(|v| v.label().eq_ignore_ascii_case(&s))
+    }
 }
 
 /// Saturation / extraction configuration. Defaults mirror §VII: 10 000
@@ -579,9 +587,27 @@ pub fn optimize_program_with(
     Ok((Program { functions }, stats))
 }
 
+/// The message of a caught panic, for the drivers that isolate one: the
+/// fuzzer's findings, `batch`'s error exit and the `serve` worker's reply.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    let text = payload.downcast_ref::<String>().map(String::as_str);
+    text.or_else(|| payload.downcast_ref::<&str>().copied()).unwrap_or("<non-string panic>")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn variant_spellings_have_one_table() {
+        for v in [Variant::Original].into_iter().chain(Variant::all()) {
+            assert_eq!(Variant::parse(v.label()), Some(v));
+            assert_eq!(Variant::parse(&v.label().to_lowercase().replace('+', "-")), Some(v));
+        }
+        assert_eq!(Variant::parse("cse+bulk"), Some(Variant::CseBulk));
+        assert_eq!(Variant::parse("nope"), None);
+        assert_eq!(Variant::parse(""), None);
+    }
     use accsat_ir::parse_program;
 
     #[test]

@@ -21,17 +21,24 @@ impl std::error::Error for ParseError {}
 
 type PResult<T> = Result<T, ParseError>;
 
+/// Deepest nesting a source may have: statements inside statements plus the
+/// height of the expression tree under them, every link of an `a + a + …`
+/// chain included. Printer, fingerprint, SSA builder and code generator all
+/// recurse down the parser's tree, so this one bound keeps a hostile source
+/// off the end of a 2 MiB worker stack, in debug builds too.
+const MAX_NESTING: usize = 128;
+
 /// Parse a full translation unit.
 pub fn parse_program(src: &str) -> PResult<Program> {
     let tokens = Lexer::new(src).tokenize();
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser { tokens, pos: 0, depth: 0 };
     p.program()
 }
 
 /// Parse a single expression (used by tests and the rule DSL).
 pub fn parse_expr(src: &str) -> PResult<Expr> {
     let tokens = Lexer::new(src).tokenize();
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser { tokens, pos: 0, depth: 0 };
     let e = p.expr()?;
     p.expect_eof()?;
     Ok(e)
@@ -40,6 +47,8 @@ pub fn parse_expr(src: &str) -> PResult<Expr> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Parser recursion (statements, sub-expressions) around the current token.
+    depth: usize,
 }
 
 impl Parser {
@@ -61,6 +70,25 @@ impl Parser {
 
     fn err<T>(&self, msg: impl Into<String>) -> PResult<T> {
         Err(ParseError { message: msg.into(), line: self.line() })
+    }
+
+    /// Height of a node over children at most `below` high; the one check
+    /// of the [`MAX_NESTING`] budget, charged with the levels above it.
+    fn over(&self, below: usize) -> PResult<usize> {
+        if self.depth + below >= MAX_NESTING {
+            return self.err(format!("nesting deeper than {MAX_NESTING}"));
+        }
+        Ok(below + 1)
+    }
+
+    /// Every recursive call of the parser goes through here, so its own
+    /// stack is bounded by the same budget as the tree it builds.
+    fn nested<T>(&mut self, parse: fn(&mut Self) -> PResult<T>) -> PResult<T> {
+        self.over(0)?;
+        self.depth += 1;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
     }
 
     fn eat_punct(&mut self, p: &str) -> bool {
@@ -192,7 +220,7 @@ impl Parser {
             if matches!(self.peek(), TokenKind::Eof) {
                 return self.err("unterminated block");
             }
-            stmts.push(self.stmt()?);
+            stmts.push(self.nested(Self::stmt)?);
         }
         Ok(Block { stmts })
     }
@@ -202,7 +230,7 @@ impl Parser {
         if matches!(self.peek(), TokenKind::Punct("{")) {
             self.block()
         } else {
-            Ok(Block { stmts: vec![self.stmt()?] })
+            Ok(Block { stmts: vec![self.nested(Self::stmt)?] })
         }
     }
 
@@ -217,7 +245,7 @@ impl Parser {
                 parse_directive(&text).map_err(|m| ParseError { message: m, line: self.line() })?;
             // skip any stacked pragma (e.g. commented OpenMP equivalent appears
             // as a comment and is already gone; stacked pragmas override)
-            let stmt = self.stmt()?;
+            let stmt = self.nested(Self::stmt)?;
             return match stmt {
                 Stmt::For(mut l) => {
                     l.directive = Some(directive);
@@ -386,18 +414,20 @@ impl Parser {
     // ---------------------------------------------------------- expressions
 
     fn expr(&mut self) -> PResult<Expr> {
-        self.ternary()
+        Ok(self.ternary()?.0)
     }
 
-    fn ternary(&mut self) -> PResult<Expr> {
-        let cond = self.binary(0)?;
+    /// This and the functions below return each tree with its height.
+    fn ternary(&mut self) -> PResult<(Expr, usize)> {
+        let (cond, hc) = self.binary(0)?;
         if self.eat_punct("?") {
-            let then = self.expr()?;
+            let (then, ht) = self.nested(Self::ternary)?;
             self.expect_punct(":")?;
-            let els = self.ternary()?;
-            Ok(Expr::Ternary { cond: Box::new(cond), then: Box::new(then), els: Box::new(els) })
+            let (els, he) = self.nested(Self::ternary)?;
+            let e = Expr::Ternary { cond: cond.into(), then: then.into(), els: els.into() };
+            Ok((e, self.over(hc.max(ht).max(he))?))
         } else {
-            Ok(cond)
+            Ok((cond, hc))
         }
     }
 
@@ -421,38 +451,44 @@ impl Parser {
         }
     }
 
-    fn binary(&mut self, min_bp: u8) -> PResult<Expr> {
-        let mut lhs = self.unary()?;
+    fn binary(&mut self, min_bp: u8) -> PResult<(Expr, usize)> {
+        let (mut lhs, mut h) = self.unary()?;
         while let Some((op, bp)) = self.bin_op() {
             if bp < min_bp {
                 break;
             }
             self.bump();
-            let rhs = self.binary(bp + 1)?;
+            // `bp + 1` recursion is bounded by the precedence levels; a
+            // chain grows left-deep here, one level per link
+            let (rhs, hr) = self.binary(bp + 1)?;
+            h = self.over(h.max(hr))?;
             lhs = Expr::bin(op, lhs, rhs);
         }
-        Ok(lhs)
+        Ok((lhs, h))
     }
 
-    fn unary(&mut self) -> PResult<Expr> {
-        if self.eat_punct("-") {
-            return Ok(Expr::neg(self.unary()?));
-        }
+    fn unary(&mut self) -> PResult<(Expr, usize)> {
         if self.eat_punct("+") {
-            return self.unary();
+            return self.nested(Self::unary);
         }
-        if self.eat_punct("!") {
-            return Ok(Expr::Unary { op: UnOp::Not, operand: Box::new(self.unary()?) });
-        }
-        self.postfix()
+        let op = if self.eat_punct("-") {
+            UnOp::Neg
+        } else if self.eat_punct("!") {
+            UnOp::Not
+        } else {
+            return self.postfix();
+        };
+        let (operand, h) = self.nested(Self::unary)?;
+        Ok((Expr::Unary { op, operand: Box::new(operand) }, self.over(h)?))
     }
 
-    fn postfix(&mut self) -> PResult<Expr> {
-        let mut e = self.primary()?;
+    fn postfix(&mut self) -> PResult<(Expr, usize)> {
+        let (mut e, mut h) = self.primary()?;
         loop {
             if self.eat_punct("[") {
-                let idx = self.expr()?;
+                let (idx, hi) = self.nested(Self::ternary)?;
                 self.expect_punct("]")?;
+                h = h.max(self.over(hi)?);
                 e = match e {
                     Expr::Var(base) => Expr::Index { base, indices: vec![idx] },
                     Expr::Index { base, mut indices } => {
@@ -465,41 +501,43 @@ impl Parser {
                 break;
             }
         }
-        Ok(e)
+        Ok((e, h))
     }
 
-    fn primary(&mut self) -> PResult<Expr> {
+    fn primary(&mut self) -> PResult<(Expr, usize)> {
         let line = self.line();
         match self.bump() {
-            TokenKind::Int(v) => Ok(Expr::Int(v)),
-            TokenKind::Float(v) => Ok(Expr::Float(v)),
+            TokenKind::Int(v) => Ok((Expr::Int(v), 1)),
+            TokenKind::Float(v) => Ok((Expr::Float(v), 1)),
             TokenKind::Punct("(") => {
                 // cast or parenthesized expression
                 if let Some(ty) = self.peek_type() {
                     self.bump();
                     self.expect_punct(")")?;
-                    let inner = self.unary()?;
-                    return Ok(Expr::Cast { ty, expr: Box::new(inner) });
+                    let (inner, h) = self.nested(Self::unary)?;
+                    return Ok((Expr::Cast { ty, expr: Box::new(inner) }, self.over(h)?));
                 }
-                let e = self.expr()?;
+                let inner = self.nested(Self::ternary)?;
                 self.expect_punct(")")?;
-                Ok(e)
+                Ok(inner)
             }
             TokenKind::Ident(name) => {
                 if self.eat_punct("(") {
-                    let mut args = Vec::new();
+                    let (mut args, mut h) = (Vec::new(), 0);
                     if !self.eat_punct(")") {
                         loop {
-                            args.push(self.expr()?);
+                            let (arg, ha) = self.nested(Self::ternary)?;
+                            args.push(arg);
+                            h = h.max(ha);
                             if self.eat_punct(")") {
                                 break;
                             }
                             self.expect_punct(",")?;
                         }
                     }
-                    Ok(Expr::Call { name, args })
+                    Ok((Expr::Call { name, args }, self.over(h)?))
                 } else {
-                    Ok(Expr::Var(name))
+                    Ok((Expr::Var(name), 1))
                 }
             }
             other => Err(ParseError {
@@ -615,19 +653,13 @@ impl<'a> DirectiveLexer<'a> {
     }
 
     fn next_word(&mut self) -> Option<String> {
-        self.rest = self.rest.trim_start();
+        // stray punctuation is skipped here, not by recursing once per mark
+        let stray = |c: char| !(c.is_ascii_alphanumeric() || c == '_');
+        self.rest = self.rest.trim_start_matches(stray);
         if self.rest.is_empty() {
             return None;
         }
-        let end = self
-            .rest
-            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-            .unwrap_or(self.rest.len());
-        if end == 0 {
-            // skip stray punctuation
-            self.rest = &self.rest[1..];
-            return self.next_word();
-        }
+        let end = self.rest.find(stray).unwrap_or(self.rest.len());
         let (word, rest) = self.rest.split_at(end);
         self.rest = rest;
         Some(word.to_string())
@@ -866,6 +898,37 @@ void f(double a[8]) {
     fn error_messages_carry_line() {
         let err = parse_program("void f() {\n  int x = ;\n}").unwrap_err();
         assert_eq!(err.line, 2);
+    }
+
+    #[test]
+    fn nesting_is_bounded_wherever_the_parser_recurses() {
+        // every shape that makes the parser (or the tree it builds) deeper:
+        // fine at a depth no real kernel reaches, an ordinary error — not a
+        // stack overflow, here or in whoever walks the tree — far beyond it
+        type Shape = (&'static str, fn(usize) -> String);
+        let shapes: [Shape; 12] = [
+            ("parens", |k| format!("x = {}a[0]{};", "(".repeat(k), ")".repeat(k))),
+            ("prefix", |k| format!("x = {}a[0];", "- ".repeat(k))),
+            ("plus", |k| format!("x = {}a[0];", "+ ".repeat(k))),
+            ("casts", |k| format!("x = {}a[0];", "(double)".repeat(k))),
+            ("chain", |k| format!("x = a[0]{};", " + a[1]".repeat(k))),
+            ("then", |k| format!("x = {}1{};", "x ? ".repeat(k), " : 2".repeat(k))),
+            ("else", |k| format!("x = {}3;", "x ? 1 : ".repeat(k))),
+            ("index", |k| format!("x = {}0{};", "a[".repeat(k), "]".repeat(k))),
+            ("calls", |k| format!("x = {}x{};", "f(".repeat(k), ")".repeat(k))),
+            ("blocks", |k| format!("{}x = 1;{}", "{ ".repeat(k), " }".repeat(k))),
+            ("ifs", |k| format!("{}x = 1;", "if (x) ".repeat(k))),
+            ("pragmas", |k| format!("{}x = 1;", "#pragma acc loop\n".repeat(k))),
+        ];
+        for (shape, body) in shapes {
+            let parse = |k: usize| parse_program(&format!("void f(double a[8]) {{ {} }}", body(k)));
+            assert!(parse(MAX_NESTING / 2).is_ok(), "{shape} at half the limit");
+            let err = parse(100_000).expect_err(shape);
+            assert_eq!(err.message, format!("nesting deeper than {MAX_NESTING}"), "{shape}");
+        }
+        // the directive lexer used to recurse once per stray punctuation mark
+        let d = parse_directive(&format!("acc loop {} gang", "(".repeat(100_000))).unwrap();
+        assert_eq!(d.clauses, vec![Clause::Gang(None)]);
     }
 
     #[test]
