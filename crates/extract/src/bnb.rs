@@ -54,7 +54,7 @@
 
 use crate::cost::CostModel;
 use crate::greedy::{class_costs, extract_greedy};
-use crate::lp::LpBound;
+use crate::lp::{bits, LpBound};
 use crate::selection::Selection;
 use accsat_egraph::{EGraph, FxHashSet, Id, Node, Visited};
 use std::time::{Duration, Instant};
@@ -227,7 +227,7 @@ pub fn extract_exact_in(
         opts: *opts,
         best: None,
         best_cost: incumbent_cost,
-        deadline: Instant::now() + opts.deadline,
+        deadline: Instant::now().checked_add(opts.deadline),
         explored: 0,
         stopped: false,
         charged: vec![0u64; n.div_ceil(64)],
@@ -493,17 +493,17 @@ impl<'a> SearchContext<'a> {
                 let mut changed = false;
                 let mut m_row = vec![0u64; words];
                 let mut n_row = vec![0u64; words];
+                let mut self_row = vec![0u64; words];
                 for (c, slot) in cands.iter_mut().enumerate() {
                     if slot.len() < 2 {
                         continue;
                     }
-                    let self_row = lp.row(c).to_vec();
+                    self_row.fill(0);
+                    lp.union_into(c, &mut self_row);
                     let closure = |cand: &Cand, out: &mut [u64]| {
                         out.fill(0);
                         for ch in &cand.child_set {
-                            for (o, &w) in out.iter_mut().zip(lp.row(ch.index())) {
-                                *o |= w;
-                            }
+                            lp.union_into(ch.index(), out);
                         }
                     };
                     // `dominates(m, n)`: switching a selection from n to m
@@ -665,24 +665,11 @@ impl<'a> SearchContext<'a> {
     /// `roots`: the min-op mass of the union of the roots' LP required
     /// sets (shared classes counted once, like the LP objective).
     pub fn root_lower_bound(&self, roots: &[Id]) -> u64 {
-        let words = self.lp.row_words();
-        let mut acc = vec![0u64; words];
+        let mut acc = vec![0u64; self.lp.row_words()];
         for &r in roots {
-            let row = self.lp.row(self.eg.find(r).index());
-            for (a, &w) in acc.iter_mut().zip(row) {
-                *a |= w;
-            }
+            self.lp.union_into(self.eg.find(r).index(), &mut acc);
         }
-        let mut bound = 0u64;
-        for (wi, &w) in acc.iter().enumerate() {
-            let mut m = w;
-            while m != 0 {
-                let b = m.trailing_zeros() as usize;
-                bound += self.min_op[wi * 64 + b];
-                m &= m - 1;
-            }
-        }
-        bound
+        acc.iter().enumerate().flat_map(|(wi, &w)| bits(wi, w)).map(|d| self.min_op[d]).sum()
     }
 
     /// The legacy forced-children closure bound over `roots` — the bottom
@@ -773,7 +760,10 @@ struct Search<'a, 'b> {
     /// beaten the incumbent the search was seeded with.
     best: Option<Selection>,
     best_cost: u64,
-    deadline: Instant,
+    /// When the wall-clock valve closes; `None` when `opts.deadline` is
+    /// beyond what an `Instant` can represent — then only the node budget
+    /// binds.
+    deadline: Option<Instant>,
     explored: u64,
     stopped: bool,
     /// Bitset of classes whose minimum op cost is already in the bound
@@ -811,20 +801,12 @@ impl<'a, 'b> Search<'a, 'b> {
     fn charge(&mut self, id: Id) -> u64 {
         let mut added = 0u64;
         if self.opts.lp_bound {
-            let row = self.cx.lp.row(id.index());
-            for (wi, &bits) in row.iter().enumerate() {
-                let new = bits & !self.charged[wi];
-                if new == 0 {
-                    continue;
-                }
-                self.charged[wi] |= new;
-                let mut m = new;
-                while m != 0 {
-                    let b = m.trailing_zeros() as usize;
-                    let idx = wi * 64 + b;
+            for &(wi, held) in self.cx.lp.row(id.index()) {
+                let new = held & !self.charged[wi as usize];
+                self.charged[wi as usize] |= new;
+                for idx in bits(wi as usize, new) {
                     added += self.cx.min_op[idx];
                     self.c_trail.push(idx as u32);
-                    m &= m - 1;
                 }
             }
         } else {
@@ -941,7 +923,8 @@ impl<'a, 'b> Search<'a, 'b> {
     fn dfs(&mut self, cost: u64, bound_extra: u64) {
         self.explored += 1;
         if self.explored >= self.opts.node_budget
-            || (self.explored.is_multiple_of(256) && Instant::now() >= self.deadline)
+            || (self.explored.is_multiple_of(256)
+                && self.deadline.is_some_and(|d| Instant::now() >= d))
         {
             self.stopped = true;
         }
@@ -1094,6 +1077,23 @@ mod tests {
         let g = extract_greedy(&eg, &[s], &cm);
         assert_eq!(res.cost, g.dag_cost(&eg, &cm, &[s]));
         assert!(res.lower_bound <= res.cost, "static bound stays admissible");
+    }
+
+    #[test]
+    fn an_unrepresentable_deadline_means_no_wall_clock_valve() {
+        // `Instant::now() + Duration::MAX` overflows; the same value can
+        // arrive through `SaturatorConfig::extraction_budget`. It must mean
+        // "no wall-clock valve" (the node budget still binds), not a panic
+        let mut eg = EGraph::new();
+        let a = eg.add(Node::sym("a"));
+        let b = eg.add(Node::sym("b"));
+        let r = eg.add(Node::new(Op::Add, vec![a, b]));
+        let cm = CostModel::paper();
+        let res = extract_exact(&eg, &[r], &cm, Duration::MAX);
+        assert!(res.proven_optimal);
+        assert_eq!(res.cost, 12);
+        let opts = SearchOptions { node_budget: 1, deadline: Duration::MAX, ..Default::default() };
+        assert!(!extract_exact_with(&eg, &[r], &cm, &opts).proven_optimal);
     }
 
     #[test]

@@ -62,8 +62,12 @@ pub struct LpBound {
     n: usize,
     /// Words per bitset row: `⌈n/64⌉`.
     words: usize,
-    /// Row-major required-set bitsets, `n × words`.
-    sets: Vec<u64>,
+    /// The required-set bitsets, one row per class, holding only the
+    /// non-zero words of a row as `(word index, bits)` in ascending word
+    /// order: class `c` owns `sets[start[c]..start[c + 1]]`. A required set
+    /// is a sliver of the graph, so walking a row costs what it holds.
+    start: Vec<u32>,
+    sets: Vec<(u32, u64)>,
     /// Per-class bound: Σ `min_op` over the class's required set.
     bounds: Vec<u64>,
 }
@@ -127,23 +131,24 @@ impl LpBound {
             }
         }
 
-        let bounds = (0..n)
-            .map(|c| {
-                let row = &sets[c * words..(c + 1) * words];
-                let mut total = 0u64;
-                for (wi, &w) in row.iter().enumerate() {
-                    let mut m = w;
-                    while m != 0 {
-                        let b = m.trailing_zeros() as usize;
-                        total += min_op[wi * 64 + b];
-                        m &= m - 1;
-                    }
+        // keep what the rows hold: their non-zero words
+        let mut start = Vec::with_capacity(n + 1);
+        let mut held = Vec::new();
+        let mut bounds = Vec::with_capacity(n);
+        for c in 0..n {
+            start.push(held.len() as u32);
+            let mut total = 0u64;
+            for (wi, &w) in sets[c * words..(c + 1) * words].iter().enumerate() {
+                if w != 0 {
+                    held.push((wi as u32, w));
+                    total += bits(wi, w).map(|d| min_op[d]).sum::<u64>();
                 }
-                total
-            })
-            .collect();
+            }
+            bounds.push(total);
+        }
+        start.push(held.len() as u32);
 
-        LpBound { n, words, sets, bounds }
+        LpBound { n, words, start, sets: held, bounds }
     }
 
     /// Number of class slots the bound was built over.
@@ -161,9 +166,18 @@ impl LpBound {
         self.words
     }
 
-    /// The required-set bitset row of one class (by canonical index).
-    pub(crate) fn row(&self, idx: usize) -> &[u64] {
-        &self.sets[idx * self.words..(idx + 1) * self.words]
+    /// The required set of one class (by canonical index): the non-zero
+    /// words of its bitset row as `(word index, bits)`, ascending.
+    pub(crate) fn row(&self, idx: usize) -> &[(u32, u64)] {
+        &self.sets[self.start[idx] as usize..self.start[idx + 1] as usize]
+    }
+
+    /// OR the required set of class `idx` into the dense bitset `acc`
+    /// ([`LpBound::row_words`] words).
+    pub(crate) fn union_into(&self, idx: usize, acc: &mut [u64]) {
+        for &(wi, w) in self.row(idx) {
+            acc[wi as usize] |= w;
+        }
     }
 
     /// The fractional lower bound of one class (by canonical index): the
@@ -176,6 +190,17 @@ impl LpBound {
     /// Does class `a`'s required set contain class `b` (canonical
     /// indices)? Test/diagnostic hook.
     pub fn requires(&self, a: usize, b: usize) -> bool {
-        self.row(a)[b / 64] & (1u64 << (b % 64)) != 0
+        self.row(a).iter().any(|&(wi, w)| wi as usize == b / 64 && w & (1u64 << (b % 64)) != 0)
     }
+}
+
+/// The class indices of the set bits of word `wi` of a bitset, ascending.
+pub(crate) fn bits(wi: usize, mut w: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (w != 0).then(|| {
+            let b = w.trailing_zeros() as usize;
+            w &= w - 1;
+            wi * 64 + b
+        })
+    })
 }

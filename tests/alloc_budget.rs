@@ -12,58 +12,10 @@
 mod common;
 
 use accsat_egraph::{all_rules, EGraph, Runner};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-/// Bytes requested alongside (reported, not gated).
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-/// The system allocator, counting every request for new or resized memory.
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a relaxed atomic that
-// publishes no other data.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        // SAFETY: the caller's obligations are passed through as received.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        // SAFETY: as above.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        // SAFETY: as above.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: as above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use common::counting::counted;
 
 #[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Allocations made, and bytes requested, while `f` runs.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, [u64; 2]) {
-    let read = || [ALLOCATIONS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed)];
-    let before = read();
-    let out = f();
-    let after = read();
-    (out, [after[0] - before[0], after[1] - before[1]])
-}
+static GLOBAL: common::counting::Counting = common::counting::Counting;
 
 #[test]
 fn saturation_and_restore_stay_within_their_allocation_budgets() {

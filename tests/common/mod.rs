@@ -1,6 +1,8 @@
 //! Helpers shared by the integration tests that walk the suite kernel by
 //! kernel (each test binary compiles its own copy: `mod common;`).
 
+pub mod counting;
+
 use accsat_ir::parse_program;
 use accsat_ssa::SsaKernel;
 
