@@ -56,7 +56,8 @@ use crate::cost::CostModel;
 use crate::greedy::{class_costs, extract_greedy};
 use crate::lp::{bits, LpBound};
 use crate::selection::Selection;
-use accsat_egraph::{EGraph, FxHashSet, Id, Node, Visited};
+use accsat_egraph::{EGraph, Id, Node, Visited};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Strategy for picking the next undecided e-class to branch on. All
@@ -221,7 +222,7 @@ pub fn extract_exact_in(
     incumbent_cost: u64,
     opts: &SearchOptions,
 ) -> ExactResult {
-    let n = cx.cands.len();
+    let n = cx.slots();
     let mut search = Search {
         cx,
         opts: *opts,
@@ -247,7 +248,7 @@ pub fn extract_exact_in(
     let mut extra = 0u64;
     // a root whose forced closure is cyclic cannot be covered by any
     // selection — fall back to the incumbent, unproven
-    let feasible = roots.iter().all(|&r| search.require(cx.eg.find(r), &mut cost, &mut extra));
+    let feasible = roots.iter().all(|&r| search.require(cx.slot(r) as u32, &mut cost, &mut extra));
     if feasible {
         search.dfs(cost, extra);
     } else {
@@ -276,10 +277,22 @@ pub fn extract_exact_in(
 /// of the legacy memo bound, and the LP-relaxation required sets. Public
 /// so tests and tools can inspect what the pruning and bounding phases
 /// computed.
+///
+/// Every table is indexed by **slot**: the live canonical classes of the
+/// e-graph numbered `0..slots()` in ascending id order. The union-find
+/// never reuses an id, so after saturation most ids are dead; a slot table
+/// is sized by the classes that exist. The numbering is monotone, so every
+/// sorted child set, subset test and "then the smaller id" tie-break
+/// compares exactly as it would on ids (DESIGN.md, "Extraction tables").
+/// Ids are translated at the boundary only: roots in, [`Selection`]s out.
 pub struct SearchContext<'a> {
     eg: &'a EGraph,
-    /// Cheapest op cost over the *surviving* candidates of each class
-    /// (indexed by canonical class index).
+    /// Id → slot, [`NO_SLOT`] for an id that is not a canonical class;
+    /// shared with [`LpBound`], whose public queries take ids too.
+    slot_of: Arc<[u32]>,
+    /// Slot → canonical class id, ascending.
+    class_at: Vec<Id>,
+    /// Cheapest op cost over the *surviving* candidates of each class.
     min_op: Vec<u64>,
     /// Candidate nodes per class after the finite-cost filter, orbit
     /// collapse and dominated-node pruning, in a deterministic order.
@@ -287,9 +300,11 @@ pub struct SearchContext<'a> {
     /// Classes that are a child of *every* surviving candidate of a class:
     /// required whenever the class is required (the legacy memo bound,
     /// kept as the `lp_bound: false` fallback and for ablation).
-    forced: Vec<Vec<Id>>,
+    forced: Vec<Vec<u32>>,
     /// LP-relaxation required sets and per-class fractional bounds.
     lp: LpBound,
+    /// How often closure dominance pruned and the LP sets were rebuilt.
+    closure_rounds: usize,
     /// Reverse edges of the candidate graph.
     parents: Parents,
     /// Candidate visit orders of the search, one permutation of a class's
@@ -319,8 +334,22 @@ pub(crate) struct Cand {
     pub(crate) node: Node,
     pub(crate) op_cost: u64,
     pub(crate) tree_cost: u64,
-    /// Canonical child classes, sorted and deduplicated.
-    pub(crate) child_set: Vec<Id>,
+    /// The slots of the child classes, sorted and deduplicated.
+    pub(crate) child_set: Vec<u32>,
+}
+
+/// `slot_of` entry of an id that is not a canonical class.
+const NO_SLOT: u32 = u32::MAX;
+
+/// The slot index of `eg`: id → slot and slot → id over its live canonical
+/// classes, in ascending id order (the one place sized by every id).
+fn slot_index(eg: &EGraph) -> (Arc<[u32]>, Vec<Id>) {
+    let class_at: Vec<Id> = eg.classes().map(|(id, _)| id).collect();
+    let mut slot_of = vec![NO_SLOT; eg.id_bound()];
+    for (slot, id) in class_at.iter().enumerate() {
+        slot_of[id.index()] = slot as u32;
+    }
+    (slot_of.into(), class_at)
 }
 
 /// Reverse edges of the candidate graph, flat: class → the classes with a
@@ -340,7 +369,7 @@ impl Parents {
         let n = cands.len();
         let edges = || {
             cands.iter().enumerate().flat_map(|(c, list)| {
-                list.iter().flat_map(move |k| k.child_set.iter().map(move |ch| (c, ch.index())))
+                list.iter().flat_map(move |k| k.child_set.iter().map(move |&ch| (c, ch as usize)))
             })
         };
         let mut start = vec![0u32; n + 1];
@@ -359,7 +388,7 @@ impl Parents {
         Parents { start, list }
     }
 
-    /// The parents of class `c` (by canonical index).
+    /// The parents of the class in slot `c`.
     pub(crate) fn of(&self, c: usize) -> &[u32] {
         &self.list[self.start[c] as usize..self.start[c + 1] as usize]
     }
@@ -381,38 +410,38 @@ impl<'a> SearchContext<'a> {
         opts: &ContextOptions,
     ) -> SearchContext<'a> {
         let tree_costs = class_costs(eg, cm);
-        let n = tree_costs.len();
+        let (slot_of, class_at) = slot_index(eg);
+        let n = class_at.len();
         let mut min_op = vec![0u64; n];
         let mut cands: Vec<Vec<Cand>> = vec![Vec::new(); n];
-        let mut forced: Vec<Vec<Id>> = vec![Vec::new(); n];
+        let mut forced: Vec<Vec<u32>> = vec![Vec::new(); n];
         let mut orbit_pruned = 0usize;
         let mut dominance_pruned = 0usize;
 
-        for (id, _) in eg.classes() {
+        for (slot, &id) in class_at.iter().enumerate() {
             // finite-cost filter: a node whose child has no finite tree
             // cost can never appear in a well-founded selection
-            let list: Vec<Cand> = eg
-                .nodes(id)
-                .filter_map(|node| {
-                    let mut tree = cm.op_cost(node.op);
-                    for &c in node.children {
-                        tree = tree.saturating_add(tree_costs[eg.find(c).index()]?);
-                    }
-                    let mut child_set: Vec<Id> =
-                        node.children.iter().map(|&c| eg.find(c)).collect();
-                    child_set.sort_unstable();
-                    child_set.dedup();
-                    Some(Cand {
-                        node: node.to_node(),
-                        op_cost: cm.op_cost(node.op),
-                        tree_cost: tree,
-                        child_set,
-                    })
+            let mut list: Vec<Cand> = Vec::with_capacity(eg.nodes(id).len());
+            list.extend(eg.nodes(id).filter_map(|node| {
+                let mut tree = cm.op_cost(node.op);
+                for &c in node.children {
+                    tree = tree.saturating_add(tree_costs[eg.find(c).index()]?);
+                }
+                let mut child_set: Vec<u32> =
+                    node.children.iter().map(|&c| slot_of[eg.find(c).index()]).collect();
+                child_set.sort_unstable();
+                child_set.dedup();
+                Some(Cand {
+                    node: node.to_node(),
+                    op_cost: cm.op_cost(node.op),
+                    tree_cost: tree,
+                    child_set,
                 })
-                .collect();
+            }));
             // deterministic base order: cheap ops first, few children, Node
-            let mut list = list;
-            list.sort_by(|a, b| {
+            // (the node is part of the key, so equal keys are equal
+            // candidates and the sort needs no stability)
+            list.sort_unstable_by(|a, b| {
                 (a.op_cost, a.child_set.len(), &a.node).cmp(&(
                     b.op_cost,
                     b.child_set.len(),
@@ -426,9 +455,8 @@ impl<'a> SearchContext<'a> {
             // of dominance, split out so the orbit count is observable and
             // the quadratic dominance scan sees fewer candidates.)
             if opts.orbit {
-                let mut kept: Vec<Cand> = Vec::with_capacity(list.len());
                 let mut orbits: Vec<Vec<Id>> = Vec::new();
-                for c in list {
+                orbit_pruned += prune_in_place(&mut list, |kept, c| {
                     let mut multiset: Vec<Id> =
                         c.node.children.iter().map(|&k| eg.find(k)).collect();
                     multiset.sort_unstable();
@@ -436,36 +464,24 @@ impl<'a> SearchContext<'a> {
                         .iter()
                         .zip(&orbits)
                         .any(|(k, ms)| k.node.op == c.node.op && *ms == multiset);
-                    if is_dup {
-                        orbit_pruned += 1;
-                        continue;
+                    if !is_dup {
+                        orbits.push(multiset);
                     }
-                    kept.push(c);
-                    orbits.push(multiset);
-                }
-                cands[id.index()] = kept;
-            } else {
-                cands[id.index()] = list;
+                    is_dup
+                });
             }
             // dominated-node pruning: drop a candidate if an earlier
             // survivor has op cost ≤ and a child set that is a subset of
             // its own — the survivor can replace it in any selection
             // without raising the DAG cost or losing feasibility.
             if opts.dominance {
-                let list = std::mem::take(&mut cands[id.index()]);
-                let mut survivors: Vec<Cand> = Vec::with_capacity(list.len());
-                'cand: for c in list {
-                    for s in &survivors {
-                        if s.op_cost <= c.op_cost && subset(&s.child_set, &c.child_set) {
-                            dominance_pruned += 1;
-                            continue 'cand;
-                        }
-                    }
-                    survivors.push(c);
-                }
-                cands[id.index()] = survivors;
+                dominance_pruned += prune_in_place(&mut list, |kept, c| {
+                    kept.iter()
+                        .any(|s| s.op_cost <= c.op_cost && subset(&s.child_set, &c.child_set))
+                });
             }
-            min_op[id.index()] = cands[id.index()].iter().map(|c| c.op_cost).min().unwrap_or(0);
+            cands[slot] = list;
+            min_op[slot] = cands[slot].iter().map(|c| c.op_cost).min().unwrap_or(0);
         }
 
         // is the surviving-candidate graph acyclic? (The benchmark kernel
@@ -473,7 +489,7 @@ impl<'a> SearchContext<'a> {
         // dominance is gated on this: its replacement argument grafts a
         // survivor's forced closure onto an arbitrary selection, which on
         // a cyclic graph could close a cycle.
-        let acyclic = candidate_graph_is_acyclic(eg, &cands, n);
+        let acyclic = candidate_graph_is_acyclic(&cands);
 
         // closure-subset dominance, iterated with the LP fixpoint: a
         // candidate `n` dies when an equal-or-cheaper survivor `m` forces
@@ -485,8 +501,9 @@ impl<'a> SearchContext<'a> {
         // only grow the forced intersections, so the LP sets are rebuilt
         // and the pass repeats until stable.
         let mut closure_pruned = 0usize;
+        let mut closure_rounds = 0usize;
         let parents = Parents::build(&cands);
-        let mut lp = LpBound::build(&cands, &min_op, &parents);
+        let mut lp = LpBound::build(&cands, &min_op, &parents, &slot_of);
         if opts.closure_dominance && acyclic {
             loop {
                 let words = lp.row_words();
@@ -494,24 +511,25 @@ impl<'a> SearchContext<'a> {
                 let mut m_row = vec![0u64; words];
                 let mut n_row = vec![0u64; words];
                 let mut self_row = vec![0u64; words];
-                for (c, slot) in cands.iter_mut().enumerate() {
-                    if slot.len() < 2 {
+                // survivors of the class at hand (one buffer for the round)
+                let mut kept: Vec<Cand> = Vec::new();
+                for (c, list) in cands.iter_mut().enumerate() {
+                    if list.len() < 2 {
                         continue;
                     }
                     self_row.fill(0);
                     lp.union_into(c, &mut self_row);
                     let closure = |cand: &Cand, out: &mut [u64]| {
                         out.fill(0);
-                        for ch in &cand.child_set {
-                            lp.union_into(ch.index(), out);
+                        for &ch in &cand.child_set {
+                            lp.union_into(ch as usize, out);
                         }
                     };
                     // `dominates(m, n)`: switching a selection from n to m
                     // is free — m is no costlier and forces nothing that
                     // choosing n (with the class's own closure) does not
                     // already pay for
-                    let mut kept: Vec<Cand> = Vec::with_capacity(slot.len());
-                    'cand: for cand in std::mem::take(slot) {
+                    'cand: for cand in list.drain(..) {
                         closure(&cand, &mut n_row);
                         for m in &kept {
                             if m.op_cost > cand.op_cost {
@@ -551,12 +569,13 @@ impl<'a> SearchContext<'a> {
                         });
                         kept.push(cand);
                     }
-                    *slot = kept;
+                    list.append(&mut kept);
                 }
                 if !changed {
                     break;
                 }
-                lp = LpBound::build(&cands, &min_op, &parents);
+                closure_rounds += 1;
+                lp = LpBound::build(&cands, &min_op, &parents, &slot_of);
             }
         }
 
@@ -593,10 +612,13 @@ impl<'a> SearchContext<'a> {
 
         SearchContext {
             eg,
+            slot_of,
+            class_at,
             min_op,
             cands,
             forced,
             lp,
+            closure_rounds,
             parents,
             orders,
             order_start,
@@ -610,13 +632,22 @@ impl<'a> SearchContext<'a> {
     /// The surviving candidates of a class, in the deterministic base
     /// order (test hook for the pruning logic).
     pub fn candidates(&self, id: Id) -> Vec<Node> {
-        self.cands[self.eg.find(id).index()].iter().map(|c| c.node.clone()).collect()
+        self.cands[self.slot(id)].iter().map(|c| c.node.clone()).collect()
     }
 
-    /// The surviving candidates of the class with canonical index `idx`,
-    /// borrowed.
-    pub(crate) fn cands(&self, idx: usize) -> &[Cand] {
-        &self.cands[idx]
+    /// The slot of the class of (any) `id`.
+    pub(crate) fn slot(&self, id: Id) -> usize {
+        self.slot_of[self.eg.find(id).index()] as usize
+    }
+
+    /// The canonical class id in slot `slot`.
+    pub(crate) fn class_at(&self, slot: usize) -> Id {
+        self.class_at[slot]
+    }
+
+    /// The surviving candidates of the class in slot `slot`, borrowed.
+    pub(crate) fn cands(&self, slot: usize) -> &[Cand] {
+        &self.cands[slot]
     }
 
     /// Reverse edges of the candidate graph.
@@ -624,9 +655,21 @@ impl<'a> SearchContext<'a> {
         &self.parents
     }
 
-    /// Number of class slots: every canonical class index is below it.
-    pub(crate) fn slots(&self) -> usize {
-        self.cands.len()
+    /// Number of class slots — the live canonical classes of the e-graph
+    /// ([`EGraph::num_classes`]); every table of the context has this many
+    /// entries, however many ids saturation created.
+    pub fn slots(&self) -> usize {
+        self.class_at.len()
+    }
+
+    /// Number of ids the e-graph ever created ([`EGraph::id_bound`]).
+    pub(crate) fn ids(&self) -> usize {
+        self.slot_of.len()
+    }
+
+    /// How often closure dominance pruned and the LP sets were rebuilt.
+    pub(crate) fn closure_rounds(&self) -> usize {
+        self.closure_rounds
     }
 
     /// How many commuted candidates symmetry breaking removed.
@@ -667,7 +710,7 @@ impl<'a> SearchContext<'a> {
     pub fn root_lower_bound(&self, roots: &[Id]) -> u64 {
         let mut acc = vec![0u64; self.lp.row_words()];
         for &r in roots {
-            self.lp.union_into(self.eg.find(r).index(), &mut acc);
+            self.lp.union_into(self.slot(r), &mut acc);
         }
         acc.iter().enumerate().flat_map(|(wi, &w)| bits(wi, w)).map(|d| self.min_op[d]).sum()
     }
@@ -676,15 +719,15 @@ impl<'a> SearchContext<'a> {
     /// of the bound lattice (see DESIGN.md), kept for ablation and for the
     /// lattice-ordering property tests.
     pub fn forced_lower_bound(&self, roots: &[Id]) -> u64 {
-        let mut seen = FxHashSet::default();
+        let mut seen = Visited::new(self.slots());
         let mut bound = 0u64;
-        let mut stack: Vec<Id> = roots.iter().map(|&r| self.eg.find(r)).collect();
-        while let Some(id) = stack.pop() {
-            if !seen.insert(id) {
+        let mut stack: Vec<u32> = roots.iter().map(|&r| self.slot(r) as u32).collect();
+        while let Some(c) = stack.pop() {
+            if !seen.insert(c as usize) {
                 continue;
             }
-            bound += self.min_op[id.index()];
-            stack.extend(self.forced[id.index()].iter().copied());
+            bound += self.min_op[c as usize];
+            stack.extend_from_slice(&self.forced[c as usize]);
         }
         bound
     }
@@ -692,12 +735,11 @@ impl<'a> SearchContext<'a> {
 
 /// Iterative three-color DFS over the class graph induced by the
 /// surviving candidates: an edge per (class → candidate child class).
-fn candidate_graph_is_acyclic(eg: &EGraph, cands: &[Vec<Cand>], n: usize) -> bool {
+fn candidate_graph_is_acyclic(cands: &[Vec<Cand>]) -> bool {
+    let n = cands.len();
     let kids = |c: usize| -> Vec<usize> {
-        let mut v: Vec<usize> = cands[c]
-            .iter()
-            .flat_map(|cand| cand.child_set.iter().map(|&ch| eg.find(ch).index()))
-            .collect();
+        let mut v: Vec<usize> =
+            cands[c].iter().flat_map(|cand| cand.child_set.iter().map(|&ch| ch as usize)).collect();
         v.sort_unstable();
         v.dedup();
         v
@@ -731,8 +773,23 @@ fn candidate_graph_is_acyclic(eg: &EGraph, cands: &[Vec<Cand>], n: usize) -> boo
     true
 }
 
+/// Drop, in place and keeping the order, every element of `list` that
+/// `pruned(survivors so far, element)` rejects; returns how many went.
+fn prune_in_place(list: &mut Vec<Cand>, mut pruned: impl FnMut(&[Cand], &Cand) -> bool) -> usize {
+    let mut kept = 0;
+    for i in 0..list.len() {
+        if !pruned(&list[..kept], &list[i]) {
+            list.swap(kept, i);
+            kept += 1;
+        }
+    }
+    let dropped = list.len() - kept;
+    list.truncate(kept);
+    dropped
+}
+
 /// Is sorted `a` a subset of sorted `b`?
-fn subset(a: &[Id], b: &[Id]) -> bool {
+fn subset(a: &[u32], b: &[u32]) -> bool {
     if a.len() > b.len() {
         return false;
     }
@@ -767,7 +824,8 @@ struct Search<'a, 'b> {
     explored: u64,
     stopped: bool,
     /// Bitset of classes whose minimum op cost is already in the bound
-    /// (required-closure membership), by canonical class index.
+    /// (required-closure membership). Like every class table and class
+    /// list of the search, by slot.
     charged: Vec<u64>,
     /// Classes on `pending` or auto-decided on the current branch
     /// (branched classes stay marked while their subtree is explored).
@@ -776,32 +834,32 @@ struct Search<'a, 'b> {
     /// candidate chosen for class `c`, or [`UNDECIDED`].
     chosen: Vec<u32>,
     /// Required-but-undecided classes of the current branch.
-    pending: Vec<Id>,
+    pending: Vec<u32>,
     /// Undo logs of the current branch — classes queued on `pending`,
     /// classes decided by a forced chain, and `charged` bits set. One
     /// stack each for the whole search: a branch remembers the three
     /// lengths it started from and unwinds to them.
-    q_trail: Vec<Id>,
-    d_trail: Vec<Id>,
+    q_trail: Vec<u32>,
+    d_trail: Vec<u32>,
     c_trail: Vec<u32>,
     /// Scratch stack of the closure walks (`require`, `charge`,
     /// `would_cycle`), which nest: each walk works above the length it
     /// found and restores it.
-    stack: Vec<Id>,
+    stack: Vec<u32>,
     /// Visited set of `would_cycle` (empty on acyclic candidate graphs,
     /// where the check never runs).
     seen: Visited,
 }
 
 impl<'a, 'b> Search<'a, 'b> {
-    /// Charge `id`'s closure into the bound: the LP required set when
+    /// Charge class `c`'s closure into the bound: the LP required set when
     /// `lp_bound` is on, else the forced-children closure. Newly charged
-    /// classes are recorded in `c_trail` (as canonical indices) for
-    /// backtracking. Returns the bound increase. Idempotent per class.
-    fn charge(&mut self, id: Id) -> u64 {
+    /// classes are recorded in `c_trail` for backtracking. Returns the
+    /// bound increase. Idempotent per class.
+    fn charge(&mut self, c: u32) -> u64 {
         let mut added = 0u64;
         if self.opts.lp_bound {
-            for &(wi, held) in self.cx.lp.row(id.index()) {
+            for &(wi, held) in self.cx.lp.row(c as usize) {
                 let new = held & !self.charged[wi as usize];
                 self.charged[wi as usize] |= new;
                 for idx in bits(wi as usize, new) {
@@ -811,10 +869,9 @@ impl<'a, 'b> Search<'a, 'b> {
             }
         } else {
             let base = self.stack.len();
-            self.stack.push(id);
+            self.stack.push(c);
             while self.stack.len() > base {
-                let d = self.stack.pop().expect("stack above base");
-                let di = d.index();
+                let di = self.stack.pop().expect("stack above base") as usize;
                 let (wi, bit) = (di / 64, 1u64 << (di % 64));
                 if self.charged[wi] & bit != 0 {
                     continue;
@@ -835,31 +892,32 @@ impl<'a, 'b> Search<'a, 'b> {
     /// when a forced decision closes a cycle through `chosen`, which makes
     /// the whole current branch infeasible (the forced class has no
     /// alternative candidate).
-    fn require(&mut self, c: Id, cost: &mut u64, extra: &mut u64) -> bool {
+    fn require(&mut self, c: u32, cost: &mut u64, extra: &mut u64) -> bool {
         let cx = self.cx;
         let base = self.stack.len();
         self.stack.push(c);
         while self.stack.len() > base {
             let c = self.stack.pop().expect("stack above base");
             *extra += self.charge(c);
-            if self.queued[c.index()] {
+            let ci = c as usize;
+            if self.queued[ci] {
                 continue;
             }
-            let cands = &cx.cands[c.index()];
+            let cands = &cx.cands[ci];
             if self.opts.chain_closure && cands.len() == 1 {
                 let cand = &cands[0];
                 if !cx.acyclic && self.would_cycle(c, cand) {
                     self.stack.truncate(base);
                     return false;
                 }
-                self.queued[c.index()] = true;
+                self.queued[ci] = true;
                 self.d_trail.push(c);
-                self.chosen[c.index()] = 0;
+                self.chosen[ci] = 0;
                 *cost += cand.op_cost;
-                *extra -= cx.min_op[c.index()];
+                *extra -= cx.min_op[ci];
                 self.stack.extend_from_slice(&cand.child_set);
             } else {
-                self.queued[c.index()] = true;
+                self.queued[ci] = true;
                 self.q_trail.push(c);
                 self.pending.push(c);
             }
@@ -869,11 +927,11 @@ impl<'a, 'b> Search<'a, 'b> {
 
     /// Would choosing `cand` for class `target` close a cycle through the
     /// current branch's decisions?
-    fn would_cycle(&mut self, target: Id, cand: &Cand) -> bool {
+    fn would_cycle(&mut self, target: u32, cand: &Cand) -> bool {
         let cx = self.cx;
         // fast path: a cycle must route through an already-chosen child or
         // hit the target directly — fresh children are walk frontiers
-        if cand.child_set.iter().all(|&c| c != target && self.chosen[c.index()] == UNDECIDED) {
+        if cand.child_set.iter().all(|&c| c != target && self.chosen[c as usize] == UNDECIDED) {
             return false;
         }
         self.seen.clear();
@@ -886,12 +944,12 @@ impl<'a, 'b> Search<'a, 'b> {
                 cycle = true;
                 break;
             }
-            if !self.seen.insert(c.index()) {
+            if !self.seen.insert(c as usize) {
                 continue;
             }
-            let ci = self.chosen[c.index()];
+            let ci = self.chosen[c as usize];
             if ci != UNDECIDED {
-                self.stack.extend_from_slice(&cx.cands[c.index()][ci as usize].child_set);
+                self.stack.extend_from_slice(&cx.cands[c as usize][ci as usize].child_set);
             }
         }
         self.stack.truncate(base);
@@ -904,14 +962,14 @@ impl<'a, 'b> Search<'a, 'b> {
         match self.opts.order {
             ClassOrder::Lifo => pending.len() - 1,
             ClassOrder::BestFirst => {
-                let key = |id: Id| {
-                    (self.cx.cands[id.index()].len(), u64::MAX - self.cx.min_op[id.index()], id)
+                let key = |c: u32| {
+                    (self.cx.cands[c as usize].len(), u64::MAX - self.cx.min_op[c as usize], c)
                 };
                 (0..pending.len()).min_by_key(|&i| key(pending[i])).expect("pending non-empty")
             }
             ClassOrder::HeaviestFirst => {
-                let key = |id: Id| {
-                    (u64::MAX - self.cx.min_op[id.index()], self.cx.cands[id.index()].len(), id)
+                let key = |c: u32| {
+                    (u64::MAX - self.cx.min_op[c as usize], self.cx.cands[c as usize].len(), c)
                 };
                 (0..pending.len()).min_by_key(|&i| key(pending[i])).expect("pending non-empty")
             }
@@ -939,7 +997,7 @@ impl<'a, 'b> Search<'a, 'b> {
                 let mut sel = Selection::new();
                 for (c, &ci) in self.chosen.iter().enumerate() {
                     if ci != UNDECIDED {
-                        sel.choose(cx.eg, Id::from(c), cx.cands[c][ci as usize].node.clone());
+                        sel.choose(cx.eg, cx.class_at[c], cx.cands[c][ci as usize].node.clone());
                     }
                 }
                 self.best = Some(sel);
@@ -948,13 +1006,14 @@ impl<'a, 'b> Search<'a, 'b> {
         }
         let ix = self.pick();
         let id = self.pending.swap_remove(ix);
-        let bound_extra = bound_extra - cx.min_op[id.index()];
+        let slot = id as usize;
+        let bound_extra = bound_extra - cx.min_op[slot];
 
         // candidate order: precomputed per class (cheapest tree first by
         // default, or fewest distinct children first to maximize sharing)
-        let range = cx.order_start[id.index()] as usize..cx.order_start[id.index() + 1] as usize;
+        let range = cx.order_start[slot] as usize..cx.order_start[slot + 1] as usize;
         for &ci in &cx.orders[usize::from(self.opts.prefer_shared)][range] {
-            let cand = &cx.cands[id.index()][ci as usize];
+            let cand = &cx.cands[slot][ci as usize];
             // acyclicity: a selected DAG must be well-founded (free when
             // the whole candidate graph is acyclic)
             if !cx.acyclic && self.would_cycle(id, cand) {
@@ -965,7 +1024,7 @@ impl<'a, 'b> Search<'a, 'b> {
             let marks = (self.q_trail.len(), self.d_trail.len(), self.c_trail.len());
             let mut branch_cost = cost + cand.op_cost;
             let mut extra = bound_extra;
-            self.chosen[id.index()] = ci;
+            self.chosen[slot] = ci;
             let feasible =
                 cand.child_set.iter().all(|&ch| self.require(ch, &mut branch_cost, &mut extra));
             if feasible {
@@ -979,16 +1038,16 @@ impl<'a, 'b> Search<'a, 'b> {
                 let pos =
                     self.pending.iter().rposition(|&x| x == q).expect("queued child still pending");
                 self.pending.swap_remove(pos);
-                self.queued[q.index()] = false;
+                self.queued[q as usize] = false;
             }
             for d in self.d_trail.drain(marks.1..) {
-                self.chosen[d.index()] = UNDECIDED;
-                self.queued[d.index()] = false;
+                self.chosen[d as usize] = UNDECIDED;
+                self.queued[d as usize] = false;
             }
             for b in self.c_trail.drain(marks.2..) {
                 self.charged[b as usize / 64] &= !(1u64 << (b as usize % 64));
             }
-            self.chosen[id.index()] = UNDECIDED;
+            self.chosen[slot] = UNDECIDED;
             if self.stopped {
                 break;
             }

@@ -45,20 +45,30 @@
 //!
 //! # Determinism and cost
 //!
-//! Required sets are bitsets (one row of `⌈n/64⌉` words per class) and the
-//! fixpoint is a worklist iteration whose *result* is the unique least
-//! fixpoint — processing order affects only the wall clock. Memory is
-//! `n²/8` bytes (≈ 0.8 MB for the largest in-repo kernel); build time is
-//! a few passes of word-parallel set algebra.
+//! Classes are the *slots* of the owning [`crate::bnb::SearchContext`] —
+//! the live canonical classes numbered `0..m` in ascending id order — so a
+//! bitset row is `⌈m/64⌉` words however many ids saturation created (6
+//! words for the largest in-repo kernel, 383 live classes of 2 588 ids).
+//! The fixpoint is a worklist iteration over dense rows (`m²/8` bytes,
+//! 18 KB there) whose *result* is the unique least fixpoint — processing
+//! order, and the numbering of the classes, affect only the wall clock.
+//! What is kept afterwards is each row's non-zero words: a required set is
+//! a sliver of the graph, and the search charges a row once per required
+//! child of every branch, so walking a row must cost what the row holds.
 
 use crate::bnb::{Cand, Parents};
+use std::sync::Arc;
 
 /// Precomputed fractional lower bounds: per-class required sets and their
 /// min-op mass. Built once per [`crate::bnb::SearchContext`]; the search
 /// charges rows incrementally against its own `charged` bitset.
 #[derive(Debug, Clone)]
 pub struct LpBound {
-    /// Number of class slots (canonical class indices are `< n`).
+    /// Id → slot of the [`crate::bnb::SearchContext`] the rows belong to:
+    /// rows, bits and `bounds` are by slot, the public queries take the
+    /// canonical e-graph index of a class.
+    slot_of: Arc<[u32]>,
+    /// Number of class slots.
     n: usize,
     /// Words per bitset row: `⌈n/64⌉`.
     words: usize,
@@ -75,7 +85,12 @@ pub struct LpBound {
 impl LpBound {
     /// Compute the least-fixpoint required sets and their bounds from the
     /// surviving candidate lists and per-class minimum op costs.
-    pub(crate) fn build(cands: &[Vec<Cand>], min_op: &[u64], parents: &Parents) -> LpBound {
+    pub(crate) fn build(
+        cands: &[Vec<Cand>],
+        min_op: &[u64],
+        parents: &Parents,
+        slot_of: &Arc<[u32]>,
+    ) -> LpBound {
         let n = cands.len();
         let words = n.div_ceil(64);
         let mut sets = vec![0u64; n * words];
@@ -100,8 +115,8 @@ impl LpBound {
             inter_row.fill(!0u64);
             for cand in list {
                 union_row.fill(0);
-                for child in &cand.child_set {
-                    let row = &sets[child.index() * words..(child.index() + 1) * words];
+                for &child in &cand.child_set {
+                    let row = &sets[child as usize * words..(child as usize + 1) * words];
                     for (u, &w) in union_row.iter_mut().zip(row) {
                         *u |= w;
                     }
@@ -148,10 +163,11 @@ impl LpBound {
         }
         start.push(held.len() as u32);
 
-        LpBound { n, words, start, sets: held, bounds }
+        LpBound { slot_of: slot_of.clone(), n, words, start, sets: held, bounds }
     }
 
-    /// Number of class slots the bound was built over.
+    /// Number of class slots the bound was built over: one per live
+    /// canonical class of the e-graph.
     pub fn len(&self) -> usize {
         self.n
     }
@@ -166,35 +182,36 @@ impl LpBound {
         self.words
     }
 
-    /// The required set of one class (by canonical index): the non-zero
-    /// words of its bitset row as `(word index, bits)`, ascending.
-    pub(crate) fn row(&self, idx: usize) -> &[(u32, u64)] {
-        &self.sets[self.start[idx] as usize..self.start[idx + 1] as usize]
+    /// The required set of the class in slot `slot`: the non-zero words of
+    /// its bitset row as `(word index, bits)`, ascending.
+    pub(crate) fn row(&self, slot: usize) -> &[(u32, u64)] {
+        &self.sets[self.start[slot] as usize..self.start[slot + 1] as usize]
     }
 
-    /// OR the required set of class `idx` into the dense bitset `acc`
-    /// ([`LpBound::row_words`] words).
-    pub(crate) fn union_into(&self, idx: usize, acc: &mut [u64]) {
-        for &(wi, w) in self.row(idx) {
+    /// OR the required set of the class in slot `slot` into the dense
+    /// bitset `acc` ([`LpBound::row_words`] words).
+    pub(crate) fn union_into(&self, slot: usize, acc: &mut [u64]) {
+        for &(wi, w) in self.row(slot) {
             acc[wi as usize] |= w;
         }
     }
 
-    /// The fractional lower bound of one class (by canonical index): the
-    /// min-op mass of its required set. Admissible for the DAG cost of any
-    /// selection covering the class.
+    /// The fractional lower bound of one class (by canonical e-graph
+    /// index): the min-op mass of its required set. Admissible for the DAG
+    /// cost of any selection covering the class.
     pub fn class_bound(&self, idx: usize) -> u64 {
-        self.bounds[idx]
+        self.bounds[self.slot_of[idx] as usize]
     }
 
-    /// Does class `a`'s required set contain class `b` (canonical
+    /// Does class `a`'s required set contain class `b` (canonical e-graph
     /// indices)? Test/diagnostic hook.
     pub fn requires(&self, a: usize, b: usize) -> bool {
+        let (a, b) = (self.slot_of[a] as usize, self.slot_of[b] as usize);
         self.row(a).iter().any(|&(wi, w)| wi as usize == b / 64 && w & (1u64 << (b % 64)) != 0)
     }
 }
 
-/// The class indices of the set bits of word `wi` of a bitset, ascending.
+/// The slots of the set bits of word `wi` of a bitset, ascending.
 pub(crate) fn bits(wi: usize, mut w: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
         (w != 0).then(|| {

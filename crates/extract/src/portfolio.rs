@@ -205,8 +205,17 @@ fn run_portfolio(
     // built once, shared by every worker (the context is immutable and
     // Sync, candidate visit orders included)
     let cx = {
-        let _span = trace::span("extract", "context.build");
-        SearchContext::build(eg, cm)
+        let mut span = trace::span("extract", "context.build");
+        let cx = SearchContext::build(eg, cm);
+        span.record(|| {
+            vec![
+                ("ids", cx.ids().into()),
+                ("slots", cx.slots().into()),
+                ("lp_words", cx.lp().len().div_ceil(64).into()),
+                ("rounds", cx.closure_rounds().into()),
+            ]
+        });
+        cx
     };
     let pruned = [cx.orbit_pruned(), cx.dominance_pruned(), cx.closure_pruned()];
     let root_bound = cx.root_lower_bound(roots);

@@ -33,21 +33,24 @@ use crate::selection::{Selection, SelectionError};
 use accsat_egraph::{EGraph, Id, Node, Visited};
 use std::collections::{BTreeSet, VecDeque};
 
-/// A selection as a class-indexed table of borrowed nodes, with the
-/// scratch state of its graph walks. The refinement loops score thousands
-/// of one-class variations of one selection; on this view a variation is a
-/// slot write and a walk allocates nothing.
+/// A selection as a table of borrowed nodes indexed by the context's class
+/// slots ([`SearchContext::slots`]), with the scratch state of its graph
+/// walks. The refinement loops score thousands of one-class variations of
+/// one selection; on this view a variation is a slot write and a walk
+/// allocates nothing. Classes are slots throughout this module; ids appear
+/// where a [`Selection`] or a root comes in or goes out.
 struct View<'s> {
-    eg: &'s EGraph,
-    /// The chosen node per canonical class index.
+    cx: &'s SearchContext<'s>,
+    /// The chosen node per class slot.
     node: Vec<Option<&'s Node>>,
     seen: Visited,
     stack: Vec<usize>,
 }
 
 impl<'s> View<'s> {
-    fn new(eg: &'s EGraph, slots: usize) -> View<'s> {
-        View { eg, node: vec![None; slots], seen: Visited::new(slots), stack: Vec::new() }
+    fn new(cx: &'s SearchContext<'s>) -> View<'s> {
+        let slots = cx.slots();
+        View { cx, node: vec![None; slots], seen: Visited::new(slots), stack: Vec::new() }
     }
 
     /// Visit every class reachable from `roots` through the chosen nodes,
@@ -62,11 +65,11 @@ impl<'s> View<'s> {
             }
         }
         while let Some(c) = self.stack.pop() {
-            let node =
-                self.node[c].unwrap_or_else(|| panic!("{}", SelectionError::Missing(Id::from(c))));
+            let node = self.node[c]
+                .unwrap_or_else(|| panic!("{}", SelectionError::Missing(self.cx.class_at(c))));
             visit(c, node);
             for &ch in &node.children {
-                let ch = self.eg.find(ch).index();
+                let ch = self.cx.slot(ch);
                 if self.seen.insert(ch) {
                     self.stack.push(ch);
                 }
@@ -87,7 +90,7 @@ impl<'s> View<'s> {
     fn would_cycle(&mut self, target: usize, node: &Node) -> bool {
         self.seen.clear();
         self.stack.clear();
-        self.stack.extend(node.children.iter().map(|&c| self.eg.find(c).index()));
+        self.stack.extend(node.children.iter().map(|&c| self.cx.slot(c)));
         while let Some(c) = self.stack.pop() {
             if c == target {
                 return true;
@@ -96,7 +99,7 @@ impl<'s> View<'s> {
                 continue;
             }
             if let Some(n) = self.node[c] {
-                self.stack.extend(n.children.iter().map(|&k| self.eg.find(k).index()));
+                self.stack.extend(n.children.iter().map(|&k| self.cx.slot(k)));
             }
         }
         false
@@ -119,16 +122,14 @@ pub fn climb(
     roots: &[Id],
     mut sel: Selection,
 ) -> Selection {
-    let roots: Vec<usize> = roots.iter().map(|&r| eg.find(r).index()).collect();
+    let roots: Vec<usize> = roots.iter().map(|&r| cx.slot(r)).collect();
     // the view borrows `sel`, so accepted switches are logged as
     // (class, candidate index) and replayed onto it afterwards
     let mut switches: Vec<(usize, usize)> = Vec::new();
     {
-        let mut view = View::new(eg, cx.slots());
+        let mut view = View::new(cx);
         for (id, node) in sel.iter() {
-            if let Some(slot) = view.node.get_mut(id.index()) {
-                *slot = Some(node);
-            }
+            view.node[cx.slot(id)] = Some(node);
         }
         let mut cur_cost = view.dag_cost(cm, &roots);
         let mut classes: Vec<usize> = Vec::new();
@@ -164,17 +165,22 @@ pub fn climb(
         }
     }
     for (id, ci) in switches {
-        sel.choose(eg, Id::from(id), cx.cands(id)[ci].node.clone());
+        sel.choose(eg, cx.class_at(id), cx.cands(id)[ci].node.clone());
     }
     sel
 }
 
 /// Marginal tree cost of one candidate under `costs`: its op cost plus
 /// its children's costs, per use.
-fn marginal_cost(eg: &EGraph, cm: &CostModel, cand: &Cand, costs: &[Option<u64>]) -> Option<u64> {
+fn marginal_cost(
+    cx: &SearchContext<'_>,
+    cm: &CostModel,
+    cand: &Cand,
+    costs: &[Option<u64>],
+) -> Option<u64> {
     let mut total = cm.op_cost(&cand.node.op);
     for &ch in &cand.node.children {
-        total = total.saturating_add(costs[eg.find(ch).index()]?);
+        total = total.saturating_add(costs[cx.slot(ch)]?);
     }
     Some(total)
 }
@@ -190,7 +196,6 @@ fn marginal_cost(eg: &EGraph, cm: &CostModel, cand: &Cand, costs: &[Option<u64>]
 /// descends to the same greatest fixpoint a from-scratch iteration from
 /// +∞ reaches (DESIGN.md, "Class-indexed tables").
 struct Marginal<'c> {
-    eg: &'c EGraph,
     cx: &'c SearchContext<'c>,
     cm: &'c CostModel,
     costs: Vec<Option<u64>>,
@@ -202,10 +207,9 @@ struct Marginal<'c> {
 
 impl<'c> Marginal<'c> {
     /// The fixpoint with no class included.
-    fn new(eg: &'c EGraph, cx: &'c SearchContext<'c>, cm: &'c CostModel) -> Marginal<'c> {
+    fn new(cx: &'c SearchContext<'c>, cm: &'c CostModel) -> Marginal<'c> {
         let n = cx.slots();
         let mut m = Marginal {
-            eg,
             cx,
             cm,
             costs: vec![None; n],
@@ -227,7 +231,7 @@ impl<'c> Marginal<'c> {
             }
             let mut best = self.costs[c];
             for cand in self.cx.cands(c) {
-                if let Some(t) = marginal_cost(self.eg, self.cm, cand, &self.costs) {
+                if let Some(t) = marginal_cost(self.cx, self.cm, cand, &self.costs) {
                     if best.is_none_or(|b| t < b) {
                         best = Some(t);
                     }
@@ -279,10 +283,10 @@ pub fn marginal_greedy(
     cm: &CostModel,
     roots: &[Id],
 ) -> Option<Selection> {
-    let mut marginal = Marginal::new(eg, cx, cm);
-    let mut view = View::new(eg, cx.slots());
+    let mut marginal = Marginal::new(cx, cm);
+    let mut view = View::new(cx);
     let mut committed: Vec<(usize, &Cand)> = Vec::new();
-    let mut queue: BTreeSet<usize> = roots.iter().map(|&r| eg.find(r).index()).collect();
+    let mut queue: BTreeSet<usize> = roots.iter().map(|&r| cx.slot(r)).collect();
     while let Some(c) = queue.pop_first() {
         if marginal.included[c] {
             continue;
@@ -295,7 +299,7 @@ pub fn marginal_greedy(
             if !cx.is_acyclic() && view.would_cycle(c, &cand.node) {
                 continue;
             }
-            if let Some(t) = marginal_cost(eg, cm, cand, &marginal.costs) {
+            if let Some(t) = marginal_cost(cx, cm, cand, &marginal.costs) {
                 if best.is_none_or(|(b, _)| t < b) {
                     best = Some((t, cand));
                 }
@@ -303,14 +307,14 @@ pub fn marginal_greedy(
         }
         let (_, cand) = best?;
         queue.extend(
-            cand.child_set.iter().map(|ch| ch.index()).filter(|&ch| !marginal.included[ch]),
+            cand.child_set.iter().map(|&ch| ch as usize).filter(|&ch| !marginal.included[ch]),
         );
         view.node[c] = Some(&cand.node);
         committed.push((c, cand));
     }
     let mut sel = Selection::new();
     for (c, cand) in committed {
-        sel.choose(eg, Id::from(c), cand.node.clone());
+        sel.choose(eg, cx.class_at(c), cand.node.clone());
     }
     Some(sel)
 }

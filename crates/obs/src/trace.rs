@@ -142,6 +142,17 @@ struct SpanData {
     t0: Instant,
 }
 
+impl Span {
+    /// Add arguments that are only known once the spanned work has run
+    /// (sizes, round counts). Like [`span_args`], the closure runs only
+    /// when the span is armed.
+    pub fn record(&mut self, args: impl FnOnce() -> Vec<(&'static str, ArgVal)>) {
+        if let Some(data) = &mut self.armed {
+            data.args.extend(args());
+        }
+    }
+}
+
 impl Drop for Span {
     fn drop(&mut self) {
         let Some(data) = self.armed.take() else { return };
