@@ -899,25 +899,25 @@ impl<'a, 'b> Search<'a, 'b> {
         while self.stack.len() > base {
             let c = self.stack.pop().expect("stack above base");
             *extra += self.charge(c);
-            let ci = c as usize;
-            if self.queued[ci] {
+            let slot = c as usize;
+            if self.queued[slot] {
                 continue;
             }
-            let cands = &cx.cands[ci];
+            let cands = &cx.cands[slot];
             if self.opts.chain_closure && cands.len() == 1 {
                 let cand = &cands[0];
                 if !cx.acyclic && self.would_cycle(c, cand) {
                     self.stack.truncate(base);
                     return false;
                 }
-                self.queued[ci] = true;
+                self.queued[slot] = true;
                 self.d_trail.push(c);
-                self.chosen[ci] = 0;
+                self.chosen[slot] = 0;
                 *cost += cand.op_cost;
-                *extra -= cx.min_op[ci];
+                *extra -= cx.min_op[slot];
                 self.stack.extend_from_slice(&cand.child_set);
             } else {
-                self.queued[ci] = true;
+                self.queued[slot] = true;
                 self.q_trail.push(c);
                 self.pending.push(c);
             }

@@ -68,14 +68,11 @@ pub struct LpBound {
     /// rows, bits and `bounds` are by slot, the public queries take the
     /// canonical e-graph index of a class.
     slot_of: Arc<[u32]>,
-    /// Number of class slots.
-    n: usize,
-    /// Words per bitset row: `⌈n/64⌉`.
+    /// Words per bitset row: `⌈slots/64⌉`.
     words: usize,
     /// The required-set bitsets, one row per class, holding only the
     /// non-zero words of a row as `(word index, bits)` in ascending word
-    /// order: class `c` owns `sets[start[c]..start[c + 1]]`. A required set
-    /// is a sliver of the graph, so walking a row costs what it holds.
+    /// order: class `c` owns `sets[start[c]..start[c + 1]]`.
     start: Vec<u32>,
     sets: Vec<(u32, u64)>,
     /// Per-class bound: Σ `min_op` over the class's required set.
@@ -163,18 +160,18 @@ impl LpBound {
         }
         start.push(held.len() as u32);
 
-        LpBound { slot_of: slot_of.clone(), n, words, start, sets: held, bounds }
+        LpBound { slot_of: slot_of.clone(), words, start, sets: held, bounds }
     }
 
     /// Number of class slots the bound was built over: one per live
     /// canonical class of the e-graph.
     pub fn len(&self) -> usize {
-        self.n
+        self.bounds.len()
     }
 
     /// Is the bound empty (zero classes)?
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.bounds.is_empty()
     }
 
     /// Words per bitset row (`⌈len/64⌉`).

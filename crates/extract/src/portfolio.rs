@@ -211,7 +211,7 @@ fn run_portfolio(
             vec![
                 ("ids", cx.ids().into()),
                 ("slots", cx.slots().into()),
-                ("lp_words", cx.lp().len().div_ceil(64).into()),
+                ("lp_words", cx.lp().row_words().into()),
                 ("rounds", cx.closure_rounds().into()),
             ]
         });

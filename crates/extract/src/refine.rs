@@ -194,7 +194,7 @@ fn marginal_cost(
 /// above `F` of itself, and lowering from *it* — re-evaluating only the
 /// parents ([`crate::bnb::Parents`]) of classes whose cost fell —
 /// descends to the same greatest fixpoint a from-scratch iteration from
-/// +∞ reaches (DESIGN.md, "Class-indexed tables").
+/// +∞ reaches (DESIGN.md, "Extraction tables").
 struct Marginal<'c> {
     cx: &'c SearchContext<'c>,
     cm: &'c CostModel,
