@@ -134,37 +134,12 @@ impl Op {
         matches!(self, Op::Int(_) | Op::Float(_) | Op::Sym(_) | Op::LoopCond(_))
     }
 
-    /// Display name used by pattern syntax and debugging.
+    /// Display name used by pattern syntax and debugging (the [`Display`]
+    /// text, which writes it without building a `String`).
+    ///
+    /// [`Display`]: fmt::Display
     pub fn name(&self) -> String {
-        match self {
-            Op::Int(v) => v.to_string(),
-            Op::Float(b) => format!("{}", f64::from_bits(*b)),
-            Op::Sym(s) => s.clone(),
-            Op::LoopCond(l) => format!("loopcond:{l}"),
-            Op::Add => "+".into(),
-            Op::Sub => "-".into(),
-            Op::Mul => "*".into(),
-            Op::Div => "/".into(),
-            Op::Mod => "%".into(),
-            Op::Neg => "neg".into(),
-            Op::Fma => "fma".into(),
-            Op::Lt => "<".into(),
-            Op::Le => "<=".into(),
-            Op::Gt => ">".into(),
-            Op::Ge => ">=".into(),
-            Op::Eq => "==".into(),
-            Op::Ne => "!=".into(),
-            Op::And => "&&".into(),
-            Op::Or => "||".into(),
-            Op::Not => "!".into(),
-            Op::Select => "select".into(),
-            Op::PhiLoop => "phi-loop".into(),
-            Op::Load => "load".into(),
-            Op::Store => "store".into(),
-            Op::Call(n) => format!("call:{n}"),
-            Op::CastInt => "cast-int".into(),
-            Op::CastFloat => "cast-float".into(),
-        }
+        self.to_string()
     }
 
     /// Parse an operator name as used in pattern syntax. Returns `None` for
@@ -206,6 +181,40 @@ impl Op {
                 }
             }
         })
+    }
+}
+
+impl fmt::Display for Op {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Op::Int(v) => write!(f, "{v}"),
+            Op::Float(b) => write!(f, "{}", f64::from_bits(*b)),
+            Op::Sym(s) => f.write_str(s),
+            Op::LoopCond(l) => write!(f, "loopcond:{l}"),
+            Op::Call(n) => write!(f, "call:{n}"),
+            Op::Add => f.write_str("+"),
+            Op::Sub => f.write_str("-"),
+            Op::Mul => f.write_str("*"),
+            Op::Div => f.write_str("/"),
+            Op::Mod => f.write_str("%"),
+            Op::Neg => f.write_str("neg"),
+            Op::Fma => f.write_str("fma"),
+            Op::Lt => f.write_str("<"),
+            Op::Le => f.write_str("<="),
+            Op::Gt => f.write_str(">"),
+            Op::Ge => f.write_str(">="),
+            Op::Eq => f.write_str("=="),
+            Op::Ne => f.write_str("!="),
+            Op::And => f.write_str("&&"),
+            Op::Or => f.write_str("||"),
+            Op::Not => f.write_str("!"),
+            Op::Select => f.write_str("select"),
+            Op::PhiLoop => f.write_str("phi-loop"),
+            Op::Load => f.write_str("load"),
+            Op::Store => f.write_str("store"),
+            Op::CastInt => f.write_str("cast-int"),
+            Op::CastFloat => f.write_str("cast-float"),
+        }
     }
 }
 
@@ -278,9 +287,9 @@ impl fmt::Display for Node {
 impl fmt::Display for NodeRef<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.children.is_empty() {
-            write!(f, "{}", self.op.name())
+            write!(f, "{}", self.op)
         } else {
-            write!(f, "({}", self.op.name())?;
+            write!(f, "({}", self.op)?;
             for c in self.children {
                 write!(f, " {c}")?;
             }

@@ -86,7 +86,7 @@ fn push_op_token(out: &mut String, op: &Op) {
         Op::Sym(s) => write!(out, "s:{s}"),
         Op::LoopCond(l) => write!(out, "lc:{l}"),
         Op::Call(n) => write!(out, "call:{n}"),
-        other => write!(out, "{}", other.name()),
+        other => write!(out, "{other}"),
     };
     debug_assert!(
         !out[start..].chars().any(char::is_whitespace),

@@ -194,39 +194,62 @@ impl Directive {
 
     /// Render the directive back to pragma text (without `#pragma `).
     pub fn render(&self) -> String {
-        let mut s = String::new();
-        match self.kind {
-            DirectiveKind::AccParallelLoop => s.push_str("acc parallel loop"),
-            DirectiveKind::AccKernelsLoop => s.push_str("acc kernels loop"),
-            DirectiveKind::AccLoop => s.push_str("acc loop"),
-            DirectiveKind::OmpTargetTeamsDistribute => s.push_str("omp target teams distribute"),
-            DirectiveKind::OmpParallelFor => s.push_str("omp parallel for"),
-        }
-        for c in &self.clauses {
-            s.push(' ');
-            match c {
-                Clause::Gang(None) => s.push_str("gang"),
-                Clause::Gang(Some(n)) => s.push_str(&format!("gang({n})")),
-                Clause::Worker(None) => s.push_str("worker"),
-                Clause::Worker(Some(n)) => s.push_str(&format!("worker({n})")),
-                Clause::Vector(None) => s.push_str("vector"),
-                Clause::Vector(Some(n)) => s.push_str(&format!("vector({n})")),
-                Clause::NumGangs(n) => s.push_str(&format!("num_gangs({n})")),
-                Clause::NumWorkers(n) => s.push_str(&format!("num_workers({n})")),
-                Clause::VectorLength(n) => s.push_str(&format!("vector_length({n})")),
-                Clause::Independent => s.push_str("independent"),
-                Clause::Collapse(n) => s.push_str(&format!("collapse({n})")),
-                Clause::Reduction(op, vars) => {
-                    s.push_str(&format!("reduction({}:{})", op.c_name(), vars.join(",")))
-                }
-                Clause::Private(vars) => s.push_str(&format!("private({})", vars.join(","))),
-                Clause::Simd => s.push_str("simd"),
-                Clause::NumTeams(n) => s.push_str(&format!("num_teams({n})")),
-                Clause::ThreadLimit(n) => s.push_str(&format!("thread_limit({n})")),
-            }
-        }
-        s
+        self.to_string()
     }
+}
+
+/// The pragma text of a directive (without `#pragma `), as [`Directive::render`]
+/// returns it; the printer writes it straight into its output buffer.
+impl fmt::Display for Directive {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self.kind {
+            DirectiveKind::AccParallelLoop => "acc parallel loop",
+            DirectiveKind::AccKernelsLoop => "acc kernels loop",
+            DirectiveKind::AccLoop => "acc loop",
+            DirectiveKind::OmpTargetTeamsDistribute => "omp target teams distribute",
+            DirectiveKind::OmpParallelFor => "omp parallel for",
+        })?;
+        for c in &self.clauses {
+            match c {
+                Clause::Gang(None) => f.write_str(" gang"),
+                Clause::Gang(Some(n)) => write!(f, " gang({n})"),
+                Clause::Worker(None) => f.write_str(" worker"),
+                Clause::Worker(Some(n)) => write!(f, " worker({n})"),
+                Clause::Vector(None) => f.write_str(" vector"),
+                Clause::Vector(Some(n)) => write!(f, " vector({n})"),
+                Clause::NumGangs(n) => write!(f, " num_gangs({n})"),
+                Clause::NumWorkers(n) => write!(f, " num_workers({n})"),
+                Clause::VectorLength(n) => write!(f, " vector_length({n})"),
+                Clause::Independent => f.write_str(" independent"),
+                Clause::Collapse(n) => write!(f, " collapse({n})"),
+                Clause::Reduction(op, vars) => {
+                    write!(f, " reduction({}:", op.c_name())?;
+                    write_list(f, vars)?;
+                    f.write_str(")")
+                }
+                Clause::Private(vars) => {
+                    f.write_str(" private(")?;
+                    write_list(f, vars)?;
+                    f.write_str(")")
+                }
+                Clause::Simd => f.write_str(" simd"),
+                Clause::NumTeams(n) => write!(f, " num_teams({n})"),
+                Clause::ThreadLimit(n) => write!(f, " thread_limit({n})"),
+            }?;
+        }
+        Ok(())
+    }
+}
+
+/// `a,b,c` — a clause's variable list, as written in the pragma.
+fn write_list(f: &mut fmt::Formatter<'_>, vars: &[String]) -> fmt::Result {
+    for (i, v) in vars.iter().enumerate() {
+        if i > 0 {
+            f.write_str(",")?;
+        }
+        f.write_str(v)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1,31 +1,39 @@
 //! Hand-written lexer for the C subset.
 //!
+//! Tokens borrow their text from the source: an identifier is a `&str`
+//! slice, and the parser copies it into a `String` only when it enters the
+//! AST. The lexer is pulled one token at a time ([`Lexer::next_token`]);
+//! the parser looks one token ahead and never back, so no token vector is
+//! built.
+//!
 //! Pragma lines (`#pragma …`) are lexed as single [`TokenKind::Pragma`]
 //! tokens carrying the raw directive text; the parser re-lexes the clause
 //! list. Line (`//`) and block (`/* */`) comments are skipped. Backslash
 //! line-continuations inside pragmas are honoured, matching how the NPB
 //! sources spell long directives.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// Token kinds.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+pub enum TokenKind<'a> {
     /// Identifier or keyword.
-    Ident(String),
+    Ident(&'a str),
     /// Integer literal.
     Int(i64),
     /// Floating-point literal.
     Float(f64),
-    /// A full `#pragma` line (without the leading `#pragma`).
-    Pragma(String),
+    /// A full `#pragma` line (without the leading `#pragma`). Borrowed from
+    /// the source unless a continuation had to be spliced out of it.
+    Pragma(Cow<'a, str>),
     /// Punctuation / operator, e.g. `+`, `<=`, `+=`, `(`, `{`.
     Punct(&'static str),
     /// End of input.
     Eof,
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TokenKind::Ident(s) => write!(f, "identifier `{s}`"),
@@ -40,38 +48,31 @@ impl fmt::Display for TokenKind {
 
 /// A token with its source line (1-based) for error reporting.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
-    pub kind: TokenKind,
+pub struct Token<'a> {
+    pub kind: TokenKind<'a>,
     pub line: usize,
 }
 
-/// The lexer. Construct with [`Lexer::new`] and drain with
-/// [`Lexer::tokenize`].
+/// The lexer. Construct with [`Lexer::new`] and pull tokens with
+/// [`Lexer::next_token`] (or drain them all with [`Lexer::tokenize`]).
 pub struct Lexer<'a> {
-    src: &'a [u8],
+    src: &'a str,
     pos: usize,
     line: usize,
 }
 
-/// Multi-character punctuation, longest first so maximal munch works.
-const PUNCTS: &[&str] = &[
-    "<<=", ">>=", "...", "==", "!=", "<=", ">=", "&&", "||", "++", "--", "+=", "-=", "*=", "/=",
-    "%=", "->", "<<", ">>", "+", "-", "*", "/", "%", "<", ">", "=", "!", "&", "|", "^", "~", "?",
-    ":", ";", ",", ".", "(", ")", "[", "]", "{", "}",
-];
-
 impl<'a> Lexer<'a> {
     /// Create a lexer over `src`.
     pub fn new(src: &'a str) -> Lexer<'a> {
-        Lexer { src: src.as_bytes(), pos: 0, line: 1 }
+        Lexer { src, pos: 0, line: 1 }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn peek2(&self) -> Option<u8> {
-        self.src.get(self.pos + 1).copied()
+        self.src.as_bytes().get(self.pos + 1).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -83,20 +84,19 @@ impl<'a> Lexer<'a> {
         Some(c)
     }
 
+    /// Advance over the bytes `keep` accepts, none of which may be `\n`.
+    fn skip_while(&mut self, keep: impl Fn(u8) -> bool) {
+        let rest = &self.src.as_bytes()[self.pos..];
+        self.pos += rest.iter().position(|&c| !keep(c)).unwrap_or(rest.len());
+    }
+
     fn skip_trivia(&mut self) {
         loop {
             match (self.peek(), self.peek2()) {
                 (Some(c), _) if c.is_ascii_whitespace() => {
                     self.bump();
                 }
-                (Some(b'/'), Some(b'/')) => {
-                    while let Some(c) = self.peek() {
-                        if c == b'\n' {
-                            break;
-                        }
-                        self.bump();
-                    }
-                }
+                (Some(b'/'), Some(b'/')) => self.skip_while(|c| c != b'\n'),
                 (Some(b'/'), Some(b'*')) => {
                     self.bump();
                     self.bump();
@@ -119,12 +119,25 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn lex_pragma(&mut self) -> Token {
-        let line = self.line;
+    fn lex_pragma(&mut self) -> TokenKind<'a> {
         // consume `#`
         self.bump();
+        let start = self.pos;
+        let rest = &self.src.as_bytes()[start..];
+        let end = start + rest.iter().position(|&c| c == b'\n').unwrap_or(rest.len());
+        let line = &self.src[start..end];
+        // strip leading "pragma"
+        let body = |text: &str| -> usize {
+            let trimmed = text.trim_start();
+            let after = trimmed.strip_prefix("pragma").unwrap_or(trimmed);
+            text.len() - after.len()
+        };
+        if line.is_ascii() && !line.contains('\\') {
+            self.pos = end;
+            return TokenKind::Pragma(Cow::Borrowed(line[body(line)..].trim()));
+        }
+        // a continuation (or a non-ASCII byte): splice the text byte by byte
         let mut text = String::new();
-        // read to end of line, honouring backslash continuations
         loop {
             match self.peek() {
                 None | Some(b'\n') => break,
@@ -147,14 +160,10 @@ impl<'a> Lexer<'a> {
                 }
             }
         }
-        // strip leading "pragma"
-        let trimmed = text.trim_start();
-        let body = trimmed.strip_prefix("pragma").unwrap_or(trimmed).trim().to_string();
-        Token { kind: TokenKind::Pragma(body), line }
+        TokenKind::Pragma(Cow::Owned(text[body(&text)..].trim().to_string()))
     }
 
-    fn lex_number(&mut self) -> Token {
-        let line = self.line;
+    fn lex_number(&mut self) -> TokenKind<'a> {
         let start = self.pos;
         let mut is_float = false;
         while let Some(c) = self.peek() {
@@ -174,82 +183,120 @@ impl<'a> Lexer<'a> {
                         self.bump();
                     }
                 }
-                b'x' | b'X' if self.pos == start + 1 && self.src[start] == b'0' => {
+                b'x' | b'X' if self.pos == start + 1 && self.src.as_bytes()[start] == b'0' => {
                     // hex literal
                     self.bump();
-                    while matches!(self.peek(), Some(c) if c.is_ascii_hexdigit()) {
-                        self.bump();
-                    }
-                    let text = std::str::from_utf8(&self.src[start + 2..self.pos]).unwrap();
-                    let v = i64::from_str_radix(text, 16).unwrap_or(0);
-                    return Token { kind: TokenKind::Int(v), line };
+                    self.skip_while(|c| c.is_ascii_hexdigit());
+                    let v = i64::from_str_radix(&self.src[start + 2..self.pos], 16).unwrap_or(0);
+                    return TokenKind::Int(v);
                 }
                 _ => break,
             }
         }
         // suffixes: f F l L u U
-        let text_end = self.pos;
-        while matches!(self.peek(), Some(b'f' | b'F' | b'l' | b'L' | b'u' | b'U')) {
-            if matches!(self.peek(), Some(b'f' | b'F')) {
-                is_float = true;
-            }
+        let text = &self.src[start..self.pos];
+        while let Some(c @ (b'f' | b'F' | b'l' | b'L' | b'u' | b'U')) = self.peek() {
+            is_float |= matches!(c, b'f' | b'F');
             self.bump();
         }
-        let text = std::str::from_utf8(&self.src[start..text_end]).unwrap();
-        let kind = if is_float {
+        if is_float {
             TokenKind::Float(text.parse::<f64>().unwrap_or(0.0))
         } else {
             TokenKind::Int(text.parse::<i64>().unwrap_or(0))
-        };
-        Token { kind, line }
+        }
     }
 
-    fn lex_ident(&mut self) -> Token {
-        let line = self.line;
+    fn lex_ident(&mut self) -> TokenKind<'a> {
         let start = self.pos;
-        while matches!(self.peek(), Some(c) if c.is_ascii_alphanumeric() || c == b'_') {
-            self.bump();
-        }
-        let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap().to_string();
-        Token { kind: TokenKind::Ident(text), line }
+        self.skip_while(|c| c.is_ascii_alphanumeric() || c == b'_');
+        TokenKind::Ident(&self.src[start..self.pos])
     }
 
-    fn lex_punct(&mut self) -> Option<Token> {
-        let line = self.line;
-        let rest = &self.src[self.pos..];
-        for p in PUNCTS {
-            if rest.starts_with(p.as_bytes()) {
-                for _ in 0..p.len() {
-                    self.bump();
-                }
-                return Some(Token { kind: TokenKind::Punct(p), line });
-            }
-        }
-        None
+    /// Punctuation by maximal munch, dispatched on its first byte.
+    fn lex_punct(&mut self) -> Option<&'static str> {
+        let at = |i: usize| self.src.as_bytes().get(self.pos + i).copied();
+        let (one, two) = (at(1), at(2));
+        let p = match at(0)? {
+            b'<' => match (one, two) {
+                (Some(b'<'), Some(b'=')) => "<<=",
+                (Some(b'='), _) => "<=",
+                (Some(b'<'), _) => "<<",
+                _ => "<",
+            },
+            b'>' => match (one, two) {
+                (Some(b'>'), Some(b'=')) => ">>=",
+                (Some(b'='), _) => ">=",
+                (Some(b'>'), _) => ">>",
+                _ => ">",
+            },
+            b'.' if (one, two) == (Some(b'.'), Some(b'.')) => "...",
+            b'.' => ".",
+            b'=' if one == Some(b'=') => "==",
+            b'=' => "=",
+            b'!' if one == Some(b'=') => "!=",
+            b'!' => "!",
+            b'&' if one == Some(b'&') => "&&",
+            b'&' => "&",
+            b'|' if one == Some(b'|') => "||",
+            b'|' => "|",
+            b'+' => match one {
+                Some(b'+') => "++",
+                Some(b'=') => "+=",
+                _ => "+",
+            },
+            b'-' => match one {
+                Some(b'-') => "--",
+                Some(b'=') => "-=",
+                Some(b'>') => "->",
+                _ => "-",
+            },
+            b'*' if one == Some(b'=') => "*=",
+            b'*' => "*",
+            b'/' if one == Some(b'=') => "/=",
+            b'/' => "/",
+            b'%' if one == Some(b'=') => "%=",
+            b'%' => "%",
+            b'^' => "^",
+            b'~' => "~",
+            b'?' => "?",
+            b':' => ":",
+            b';' => ";",
+            b',' => ",",
+            b'(' => "(",
+            b')' => ")",
+            b'[' => "[",
+            b']' => "]",
+            b'{' => "{",
+            b'}' => "}",
+            _ => return None,
+        };
+        self.pos += p.len();
+        Some(p)
     }
 
-    /// Produce the next token.
-    pub fn next_token(&mut self) -> Token {
+    /// Produce the next token; at the end of input, `Eof` every time.
+    pub fn next_token(&mut self) -> Token<'a> {
         self.skip_trivia();
         let line = self.line;
-        match self.peek() {
-            None => Token { kind: TokenKind::Eof, line },
+        let kind = match self.peek() {
+            None => TokenKind::Eof,
             Some(b'#') => self.lex_pragma(),
             Some(c) if c.is_ascii_digit() => self.lex_number(),
             Some(b'.') if matches!(self.peek2(), Some(d) if d.is_ascii_digit()) => {
                 self.lex_number()
             }
             Some(c) if c.is_ascii_alphabetic() || c == b'_' => self.lex_ident(),
-            Some(_) => self.lex_punct().unwrap_or_else(|| {
+            Some(_) => TokenKind::Punct(self.lex_punct().unwrap_or_else(|| {
                 // skip unknown byte rather than looping forever
                 self.bump();
-                Token { kind: TokenKind::Punct("?"), line }
-            }),
-        }
+                "?"
+            })),
+        };
+        Token { kind, line }
     }
 
     /// Lex the entire input into a token vector terminated by `Eof`.
-    pub fn tokenize(mut self) -> Vec<Token> {
+    pub fn tokenize(mut self) -> Vec<Token<'a>> {
         let mut out = Vec::new();
         loop {
             let t = self.next_token();
@@ -267,7 +314,7 @@ impl<'a> Lexer<'a> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         Lexer::new(src).tokenize().into_iter().map(|t| t.kind).collect()
     }
 
@@ -277,8 +324,8 @@ mod tests {
         assert_eq!(
             ks,
             vec![
-                TokenKind::Ident("int".into()),
-                TokenKind::Ident("x".into()),
+                TokenKind::Ident("int"),
+                TokenKind::Ident("x"),
                 TokenKind::Punct("="),
                 TokenKind::Int(42),
                 TokenKind::Punct(";"),
@@ -307,7 +354,7 @@ mod tests {
     fn pragma_single_line() {
         let ks = kinds("#pragma acc parallel loop gang\nint x;");
         assert_eq!(ks[0], TokenKind::Pragma("acc parallel loop gang".into()));
-        assert_eq!(ks[1], TokenKind::Ident("int".into()));
+        assert_eq!(ks[1], TokenKind::Ident("int"));
     }
 
     #[test]
@@ -329,9 +376,9 @@ mod tests {
         assert_eq!(
             ks,
             vec![
-                TokenKind::Ident("a".into()),
-                TokenKind::Ident("b".into()),
-                TokenKind::Ident("c".into()),
+                TokenKind::Ident("a"),
+                TokenKind::Ident("b"),
+                TokenKind::Ident("c"),
                 TokenKind::Eof,
             ]
         );
@@ -389,10 +436,12 @@ mod tests {
         let original = Lexer::new(src).tokenize();
         let rendered = render(&original);
         let relexed = Lexer::new(&rendered).tokenize();
-        let ks = |ts: &[Token]| ts.iter().map(|t| t.kind.clone()).collect::<Vec<_>>();
+        fn ks(ts: Vec<Token<'_>>) -> Vec<TokenKind<'_>> {
+            ts.into_iter().map(|t| t.kind).collect()
+        }
         assert_eq!(
-            ks(&original),
-            ks(&relexed),
+            ks(original),
+            ks(relexed),
             "token stream changed across render/relex\n--- rendered:\n{rendered}"
         );
     }

@@ -30,42 +30,46 @@ const MAX_NESTING: usize = 128;
 
 /// Parse a full translation unit.
 pub fn parse_program(src: &str) -> PResult<Program> {
-    let tokens = Lexer::new(src).tokenize();
-    let mut p = Parser { tokens, pos: 0, depth: 0 };
-    p.program()
+    Parser::new(src).program()
 }
 
 /// Parse a single expression (used by tests and the rule DSL).
 pub fn parse_expr(src: &str) -> PResult<Expr> {
-    let tokens = Lexer::new(src).tokenize();
-    let mut p = Parser { tokens, pos: 0, depth: 0 };
+    let mut p = Parser::new(src);
     let e = p.expr()?;
     p.expect_eof()?;
     Ok(e)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The current token. The parser looks one token ahead and never back,
+    /// so it pulls tokens from the lexer as it consumes them.
+    tok: Token<'a>,
     /// Parser recursion (statements, sub-expressions) around the current token.
     depth: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &TokenKind {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)].kind
+impl<'a> Parser<'a> {
+    fn new(src: &'a str) -> Parser<'a> {
+        let mut lexer = Lexer::new(src);
+        let tok = lexer.next_token();
+        Parser { lexer, tok, depth: 0 }
+    }
+
+    fn peek(&self) -> &TokenKind<'a> {
+        &self.tok.kind
     }
 
     fn line(&self) -> usize {
-        self.tokens[self.pos.min(self.tokens.len() - 1)].line
+        self.tok.line
     }
 
-    fn bump(&mut self) -> TokenKind {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].kind.clone();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
-        }
-        t
+    /// Move the current token out and pull the next (at the end of input
+    /// the lexer keeps answering `Eof`).
+    fn bump(&mut self) -> TokenKind<'a> {
+        let next = self.lexer.next_token();
+        std::mem::replace(&mut self.tok, next).kind
     }
 
     fn err<T>(&self, msg: impl Into<String>) -> PResult<T> {
@@ -109,7 +113,7 @@ impl Parser {
     }
 
     fn eat_ident(&mut self, kw: &str) -> bool {
-        if matches!(self.peek(), TokenKind::Ident(s) if s == kw) {
+        if matches!(self.peek(), TokenKind::Ident(s) if *s == kw) {
             self.bump();
             true
         } else {
@@ -117,7 +121,8 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self) -> PResult<String> {
+    /// The next identifier, borrowed from the source.
+    fn expect_ident(&mut self) -> PResult<&'a str> {
         match self.bump() {
             TokenKind::Ident(s) => Ok(s),
             other => self.err(format!("expected identifier, found {other}")),
@@ -134,7 +139,7 @@ impl Parser {
 
     fn peek_type(&self) -> Option<Type> {
         match self.peek() {
-            TokenKind::Ident(s) => match s.as_str() {
+            TokenKind::Ident(s) => match *s {
                 "int" | "long" | "unsigned" | "size_t" => Some(Type::Int),
                 "float" => Some(Type::Float),
                 "double" => Some(Type::Double),
@@ -151,9 +156,7 @@ impl Parser {
             .ok_or_else(|| ParseError { message: "expected type".into(), line: self.line() })?;
         self.bump();
         // allow `long long`, `unsigned int`
-        while matches!(self.peek(), TokenKind::Ident(s) if matches!(s.as_str(), "long" | "int"))
-            && ty == Type::Int
-        {
+        while matches!(self.peek(), TokenKind::Ident("long" | "int")) && ty == Type::Int {
             self.bump();
         }
         Ok(ty)
@@ -171,7 +174,7 @@ impl Parser {
 
     fn function(&mut self) -> PResult<Function> {
         let ret = self.parse_type()?;
-        let name = self.expect_ident()?;
+        let name = self.expect_ident()?.to_string();
         self.expect_punct("(")?;
         let mut params = Vec::new();
         if !self.eat_punct(")") {
@@ -191,7 +194,7 @@ impl Parser {
         let ty = self.parse_type()?;
         // optional `*` (pointer parameters treated as 1-D arrays)
         let is_ptr = self.eat_punct("*");
-        let name = self.expect_ident()?;
+        let name = self.expect_ident()?.to_string();
         let mut dims = Vec::new();
         while self.eat_punct("[") {
             match self.bump() {
@@ -296,13 +299,13 @@ impl Parser {
         // declaration?
         if self.peek_type().is_some() {
             let ty = self.parse_type()?;
-            let name = self.expect_ident()?;
+            let name = self.expect_ident()?.to_string();
             let mut decls = vec![];
             let init = if self.eat_punct("=") { Some(self.expr()?) } else { None };
             decls.push(Stmt::Decl { ty: ty.clone(), name, init });
             // comma-separated declarators: `double a, b = 1, c;`
             while self.eat_punct(",") {
-                let name = self.expect_ident()?;
+                let name = self.expect_ident()?.to_string();
                 let init = if self.eat_punct("=") { Some(self.expr()?) } else { None };
                 decls.push(Stmt::Decl { ty: ty.clone(), name, init });
             }
@@ -373,9 +376,10 @@ impl Parser {
         let cond = self.expr()?;
         self.expect_punct(";")?;
         // step forms: i++, i--, i += k, i = i + k
-        let step = self.for_step(&var)?;
+        let step = self.for_step(var)?;
         self.expect_punct(")")?;
         let body = self.block_or_stmt()?;
+        let var = var.to_string();
         Ok(Stmt::For(ForLoop { var, declares_var, init, cond, step, body, directive: None }))
     }
 
@@ -522,6 +526,7 @@ impl Parser {
                 Ok(inner)
             }
             TokenKind::Ident(name) => {
+                let name = name.to_string();
                 if self.eat_punct("(") {
                     let (mut args, mut h) = (Vec::new(), 0);
                     if !self.eat_punct(")") {
@@ -562,13 +567,13 @@ fn lvalue_to_expr(lv: &LValue) -> Expr {
 /// Parse directive text (the part after `#pragma `).
 pub fn parse_directive(text: &str) -> Result<Directive, String> {
     let mut words = DirectiveLexer::new(text);
-    let model = match words.next_word().as_deref() {
+    let model = match words.next_word() {
         Some("acc") => Model::OpenAcc,
         Some("omp") => Model::OpenMp,
         other => return Err(format!("unknown pragma model: {other:?}")),
     };
     let kind = match model {
-        Model::OpenAcc => match words.next_word().as_deref() {
+        Model::OpenAcc => match words.next_word() {
             Some("parallel") => {
                 words.eat_word("loop");
                 DirectiveKind::AccParallelLoop
@@ -580,7 +585,7 @@ pub fn parse_directive(text: &str) -> Result<Directive, String> {
             Some("loop") => DirectiveKind::AccLoop,
             other => return Err(format!("unknown acc directive: {other:?}")),
         },
-        Model::OpenMp => match words.next_word().as_deref() {
+        Model::OpenMp => match words.next_word() {
             Some("target") => {
                 words.eat_word("teams");
                 words.eat_word("distribute");
@@ -599,7 +604,7 @@ pub fn parse_directive(text: &str) -> Result<Directive, String> {
     };
     let mut clauses = Vec::new();
     while let Some(word) = words.next_word() {
-        let clause = match word.as_str() {
+        let clause = match word {
             "gang" => Clause::Gang(words.opt_int_arg()?),
             "worker" => Clause::Worker(words.opt_int_arg()?),
             "vector" => Clause::Vector(words.opt_int_arg()?),
@@ -652,7 +657,7 @@ impl<'a> DirectiveLexer<'a> {
         DirectiveLexer { rest: text.trim() }
     }
 
-    fn next_word(&mut self) -> Option<String> {
+    fn next_word(&mut self) -> Option<&'a str> {
         // stray punctuation is skipped here, not by recursing once per mark
         let stray = |c: char| !(c.is_ascii_alphanumeric() || c == '_');
         self.rest = self.rest.trim_start_matches(stray);
@@ -662,7 +667,7 @@ impl<'a> DirectiveLexer<'a> {
         let end = self.rest.find(stray).unwrap_or(self.rest.len());
         let (word, rest) = self.rest.split_at(end);
         self.rest = rest;
-        Some(word.to_string())
+        Some(word)
     }
 
     fn eat_word(&mut self, w: &str) -> bool {
@@ -680,7 +685,7 @@ impl<'a> DirectiveLexer<'a> {
         }
     }
 
-    fn opt_paren_arg(&mut self) -> Option<String> {
+    fn opt_paren_arg(&mut self) -> Option<&'a str> {
         let trimmed = self.rest.trim_start();
         if !trimmed.starts_with('(') {
             return None;
@@ -692,7 +697,7 @@ impl<'a> DirectiveLexer<'a> {
                 ')' => {
                     depth -= 1;
                     if depth == 0 {
-                        let body = trimmed[1..i].to_string();
+                        let body = &trimmed[1..i];
                         self.rest = &trimmed[i + 1..];
                         return Some(body);
                     }
@@ -703,7 +708,7 @@ impl<'a> DirectiveLexer<'a> {
         None
     }
 
-    fn paren_arg(&mut self, clause: &str) -> Result<String, String> {
+    fn paren_arg(&mut self, clause: &str) -> Result<&'a str, String> {
         self.opt_paren_arg().ok_or_else(|| format!("clause `{clause}` requires (…) argument"))
     }
 

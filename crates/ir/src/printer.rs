@@ -2,6 +2,11 @@
 //! from the AST. ACC Saturator's output "is compatible with NVHPC, GCC and
 //! Clang" (paper §III) — the printer is what makes the optimized AST a valid
 //! drop-in replacement for the user's source.
+//!
+//! Every statement and expression is written into one output buffer: the
+//! recursion builds no `String` of its own, so printing a kernel (and
+//! fingerprinting it — the stage cache hashes this text) costs one growing
+//! buffer. The four `-> String` functions below are the public wrappers.
 
 use crate::ast::*;
 use std::fmt::Write;
@@ -35,7 +40,7 @@ pub fn print_function(f: &Function, out: &mut String) {
         }
     }
     out.push_str(") ");
-    print_block(&f.body, 0, out);
+    write_block(&f.body, 0, out);
     out.push('\n');
 }
 
@@ -52,14 +57,14 @@ fn indent(level: usize, out: &mut String) {
 /// only cosmetically print — and therefore hash — identically.
 pub fn print_block_string(b: &Block) -> String {
     let mut out = String::new();
-    print_block(b, 0, &mut out);
+    write_block(b, 0, &mut out);
     out
 }
 
-fn print_block(b: &Block, level: usize, out: &mut String) {
+fn write_block(b: &Block, level: usize, out: &mut String) {
     out.push_str("{\n");
     for s in &b.stmts {
-        print_stmt_indented(s, level + 1, out);
+        write_stmt(s, level + 1, out);
     }
     indent(level, out);
     out.push('}');
@@ -68,95 +73,95 @@ fn print_block(b: &Block, level: usize, out: &mut String) {
 /// Print a statement at indentation level 0 (for tests and snippets).
 pub fn print_stmt(s: &Stmt) -> String {
     let mut out = String::new();
-    print_stmt_indented(s, 0, &mut out);
+    write_stmt(s, 0, &mut out);
     out
 }
 
-fn print_stmt_indented(s: &Stmt, level: usize, out: &mut String) {
+fn write_stmt(s: &Stmt, level: usize, out: &mut String) {
+    indent(level, out);
     match s {
         Stmt::Decl { ty, name, init } => {
-            indent(level, out);
             write!(out, "{} {name}", ty.c_name()).unwrap();
             if let Some(e) = init {
-                write!(out, " = {}", print_expr(e)).unwrap();
+                out.push_str(" = ");
+                write_expr(e, 0, out);
             }
             out.push_str(";\n");
         }
         Stmt::Assign { lhs, op, rhs } => {
-            indent(level, out);
-            let lhs_s = match lhs {
-                LValue::Var(n) => n.clone(),
-                LValue::Index { base, indices } => {
-                    let mut s = base.clone();
-                    for i in indices {
-                        write!(s, "[{}]", print_expr(i)).unwrap();
-                    }
-                    s
-                }
-            };
-            writeln!(out, "{lhs_s} {} {};", op.c_name(), print_expr(rhs)).unwrap();
+            match lhs {
+                LValue::Var(n) => out.push_str(n),
+                LValue::Index { base, indices } => write_index(base, indices, out),
+            }
+            write!(out, " {} ", op.c_name()).unwrap();
+            write_expr(rhs, 0, out);
+            out.push_str(";\n");
         }
         Stmt::If { cond, then, els } => {
-            indent(level, out);
-            write!(out, "if ({}) ", print_expr(cond)).unwrap();
-            print_block(then, level, out);
+            out.push_str("if (");
+            write_expr(cond, 0, out);
+            out.push_str(") ");
+            write_block(then, level, out);
             if let Some(e) = els {
                 out.push_str(" else ");
-                print_block(e, level, out);
+                write_block(e, level, out);
             }
             out.push('\n');
         }
         Stmt::For(l) => {
             if let Some(d) = &l.directive {
+                writeln!(out, "#pragma {d}").unwrap();
                 indent(level, out);
-                writeln!(out, "#pragma {}", d.render()).unwrap();
             }
-            indent(level, out);
             let decl = if l.declares_var { "int " } else { "" };
-            let step = match &l.step {
-                Expr::Int(1) => format!("{}++", l.var),
-                Expr::Int(-1) => format!("{}--", l.var),
-                e => format!("{} += {}", l.var, print_expr(e)),
-            };
-            write!(
-                out,
-                "for ({decl}{} = {}; {}; {step}) ",
-                l.var,
-                print_expr(&l.init),
-                print_expr(&l.cond)
-            )
-            .unwrap();
-            print_block(&l.body, level, out);
+            write!(out, "for ({decl}{} = ", l.var).unwrap();
+            write_expr(&l.init, 0, out);
+            out.push_str("; ");
+            write_expr(&l.cond, 0, out);
+            write!(out, "; {}", l.var).unwrap();
+            match &l.step {
+                Expr::Int(1) => out.push_str("++"),
+                Expr::Int(-1) => out.push_str("--"),
+                e => {
+                    out.push_str(" += ");
+                    write_expr(e, 0, out);
+                }
+            }
+            out.push_str(") ");
+            write_block(&l.body, level, out);
             out.push('\n');
         }
         Stmt::While { cond, body } => {
-            indent(level, out);
-            write!(out, "while ({}) ", print_expr(cond)).unwrap();
-            print_block(body, level, out);
+            out.push_str("while (");
+            write_expr(cond, 0, out);
+            out.push_str(") ");
+            write_block(body, level, out);
             out.push('\n');
         }
         Stmt::Block(b) => {
-            indent(level, out);
-            print_block(b, level, out);
+            write_block(b, level, out);
             out.push('\n');
         }
         Stmt::Expr(e) => {
-            indent(level, out);
-            writeln!(out, "{};", print_expr(e)).unwrap();
+            write_expr(e, 0, out);
+            out.push_str(";\n");
         }
-        Stmt::Return(e) => {
-            indent(level, out);
-            match e {
-                Some(e) => writeln!(out, "return {};", print_expr(e)).unwrap(),
-                None => out.push_str("return;\n"),
+        Stmt::Return(e) => match e {
+            Some(e) => {
+                out.push_str("return ");
+                write_expr(e, 0, out);
+                out.push_str(";\n");
             }
-        }
+            None => out.push_str("return;\n"),
+        },
     }
 }
 
 /// Print an expression with minimal but safe parenthesization.
 pub fn print_expr(e: &Expr) -> String {
-    print_prec(e, 0)
+    let mut out = String::new();
+    write_expr(e, 0, &mut out);
+    out
 }
 
 fn prec(e: &Expr) -> u8 {
@@ -175,54 +180,70 @@ fn prec(e: &Expr) -> u8 {
     }
 }
 
-fn print_prec(e: &Expr, min: u8) -> String {
+fn write_index(base: &str, indices: &[Expr], out: &mut String) {
+    out.push_str(base);
+    for i in indices {
+        out.push('[');
+        write_expr(i, 0, out);
+        out.push(']');
+    }
+}
+
+/// Write `e`, parenthesized when it binds looser than `min`.
+fn write_expr(e: &Expr, min: u8, out: &mut String) {
     let p = prec(e);
-    let s = match e {
-        Expr::Int(v) => format!("{v}"),
+    if p < min {
+        out.push('(');
+    }
+    match e {
+        Expr::Int(v) => write!(out, "{v}").unwrap(),
         Expr::Float(v) => {
             if v.fract() == 0.0 && v.abs() < 1e15 {
-                format!("{v:.1}")
+                write!(out, "{v:.1}").unwrap()
             } else {
-                format!("{v}")
+                write!(out, "{v}").unwrap()
             }
         }
-        Expr::Var(n) => n.clone(),
-        Expr::Index { base, indices } => {
-            let mut s = base.clone();
-            for i in indices {
-                write!(s, "[{}]", print_prec(i, 0)).unwrap();
-            }
-            s
-        }
+        Expr::Var(n) => out.push_str(n),
+        Expr::Index { base, indices } => write_index(base, indices, out),
         Expr::Unary { op, operand } => {
-            let inner = print_prec(operand, p + 1);
-            match op {
-                UnOp::Neg => format!("-{inner}"),
-                UnOp::Not => format!("!{inner}"),
-            }
+            out.push(match op {
+                UnOp::Neg => '-',
+                UnOp::Not => '!',
+            });
+            write_expr(operand, p + 1, out);
         }
         Expr::Binary { op, lhs, rhs } => {
             // left-associative: rhs needs strictly higher precedence
-            format!("{} {} {}", print_prec(lhs, p), op.c_name(), print_prec(rhs, p + 1))
+            write_expr(lhs, p, out);
+            write!(out, " {} ", op.c_name()).unwrap();
+            write_expr(rhs, p + 1, out);
         }
         Expr::Call { name, args } => {
-            let args: Vec<_> = args.iter().map(|a| print_prec(a, 0)).collect();
-            format!("{name}({})", args.join(", "))
+            out.push_str(name);
+            out.push('(');
+            for (i, a) in args.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                write_expr(a, 0, out);
+            }
+            out.push(')');
         }
         Expr::Ternary { cond, then, els } => {
-            format!(
-                "{} ? {} : {}",
-                print_prec(cond, p + 1),
-                print_prec(then, 0),
-                print_prec(els, p)
-            )
+            write_expr(cond, p + 1, out);
+            out.push_str(" ? ");
+            write_expr(then, 0, out);
+            out.push_str(" : ");
+            write_expr(els, p, out);
         }
-        Expr::Cast { ty, expr } => format!("({}){}", ty.c_name(), print_prec(expr, p)),
-    };
+        Expr::Cast { ty, expr } => {
+            write!(out, "({})", ty.c_name()).unwrap();
+            write_expr(expr, p, out);
+        }
+    }
     if p < min {
-        format!("({s})")
-    } else {
-        s
+        out.push(')');
     }
 }
 
