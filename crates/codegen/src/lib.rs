@@ -290,6 +290,36 @@ void k(double a[16], double b[16], double out[16]) {
         }
     }
 
+    /// `x1 = x0 + x0; …; xN = x(N-1) + x(N-1)` indexing two loads: a chain
+    /// of `N` shared classes whose term, written out, has 2^N leaves.
+    fn shared_index_chain(n: usize) -> String {
+        let mut body = String::from("    int x0 = i;\n");
+        for k in 1..=n {
+            body.push_str(&format!("    int x{k} = x{p} + x{p};\n", p = k - 1));
+        }
+        format!(
+            "void k(double a[64], double out[64]) {{\n  #pragma acc parallel loop gang vector\n  \
+             for (int i = 0; i < 64; i++) {{\n{body}    out[i] = a[x{n} % 64] + a[x{n} % 32];\n  }}\n}}\n"
+        )
+    }
+
+    #[test]
+    fn bulk_load_orders_loads_on_shared_index_terms_without_expanding_them() {
+        // sorting the two loads by their index text used to render each
+        // index once per comparison — 2^40 leaves here, which never
+        // finishes; compared on the shared terms, it is instant
+        let src = shared_index_chain(40);
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || done.send(optimize(&src, true, true)));
+        let (_, opt) = finished
+            .recv_timeout(Duration::from_secs(120))
+            .expect("bulk load did not finish on a 40-deep shared index chain");
+        let text = print_program(&opt);
+        // "(% x 32)" sorts before "(% x 64)"
+        let (at32, at64) = (text.find("% 32]").unwrap(), text.find("% 64]").unwrap());
+        assert!(at32 < at64, "loads out of index order:\n{text}");
+    }
+
     #[test]
     fn generated_code_reparses() {
         let src = r#"

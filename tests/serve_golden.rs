@@ -36,11 +36,13 @@ fn recorded_session_replays_byte_identically_at_any_thread_count() {
 }
 
 /// The hostile session — a kernel nested 2 000 parentheses deep, a
-/// 20 000-term `a[i] + a[i] + …` chain, then a valid kernel, `stats`,
-/// `quit`. Either of the first two used to overflow a worker's stack and
-/// abort the whole daemon; each is now one `error` line and the session
-/// carries on.
+/// 20 000-term `a[i] + a[i] + …` chain, a valid kernel, a kernel whose two
+/// loads index a 30-deep chain of shared `x + x` terms, `stats`, `quit`.
+/// Either of the first two used to overflow a worker's stack and abort the
+/// whole daemon; each is now one `error` line and the session carries on.
+/// The fourth used to stall its worker for good: bulk load sorted the loads
+/// by their index terms written out, 2^30 leaves per comparison.
 #[test]
-fn hostile_session_gets_five_lines_at_any_thread_count() {
+fn hostile_session_answers_every_request_at_any_thread_count() {
     replays("serve_hostile_session.txt", "serve_hostile_transcript.golden");
 }
