@@ -54,7 +54,8 @@ fn named_classes(nodes: &[SsaNode], out: &mut Vec<Id>) {
     for n in nodes {
         match n {
             SsaNode::Assign { class, state_class, .. } => {
-                out.extend([*class].into_iter().chain(*state_class))
+                out.push(*class);
+                out.extend(*state_class);
             }
             SsaNode::If { then, els, phis, .. } => {
                 out.extend(phis.iter().map(|(_, c)| *c));
@@ -459,8 +460,8 @@ impl<'a, 't> Emitter<'a, 't> {
 
     /// Close a scope opened at undo length `mark`.
     fn rewind(&mut self, mark: usize) {
-        while self.undo.len() > mark {
-            match self.undo.pop().unwrap() {
+        for undo in self.undo.drain(mark..).rev() {
+            match undo {
                 Undo::Avail(s, v) => self.avail[s] = v,
                 Undo::StateName(s, a) => self.state_name[s] = a,
                 Undo::Current(a, s) => self.current[a] = s,
@@ -1022,7 +1023,7 @@ impl TermOrder {
         let (ka, kb) = (t.kids(a), t.kids(b));
         for (name, s) in self.names.iter_mut().zip([a, b]) {
             name.clear();
-            write!(name, "{}", t.node(s).op).unwrap();
+            let _ = write!(name, "{}", t.node(s).op); // a String takes every write
         }
         let names = cmp_bytes(self.names[0].as_bytes(), self.names[1].as_bytes());
         let c = match (ka.is_empty(), kb.is_empty()) {

@@ -217,6 +217,31 @@ void k(double a[8][8], double out[8]) {
     }
 
     #[test]
+    fn a_value_bound_inside_a_branch_does_not_leak_out_of_it() {
+        // inside the branch `2.0` is available as `t`; after it, `t` may
+        // hold something else, so the branch's bindings must be undone
+        let src = r#"
+void k(double x[16], double out[16]) {
+  #pragma acc parallel loop gang vector
+  for (int i = 0; i < 16; i++) {
+    double t = x[i];
+    if (t > 0.0) {
+      t = 2.0;
+    }
+    out[i] = t + 2.0;
+  }
+}
+"#;
+        check_equivalent(src, |env| {
+            env.set_array(
+                "x",
+                ArrayData::from_f64(&[16], (0..16).map(|i| i as f64 - 8.0).collect()),
+            );
+            env.set_array("out", ArrayData::zeros_f64(&[16]));
+        });
+    }
+
+    #[test]
     fn scalar_reuse_after_overwrite_preserved() {
         // t is read by a later statement *after* being overwritten — the
         // capture mechanism must save the old value in a temp
@@ -310,10 +335,11 @@ void k(double a[16], double b[16], double out[16]) {
         // finishes; compared on the shared terms, it is instant
         let src = shared_index_chain(40);
         let (done, finished) = std::sync::mpsc::channel();
-        std::thread::spawn(move || done.send(optimize(&src, true, true)));
+        let worker = std::thread::spawn(move || done.send(optimize(&src, true, true)));
         let (_, opt) = finished
             .recv_timeout(Duration::from_secs(120))
             .expect("bulk load did not finish on a 40-deep shared index chain");
+        worker.join().unwrap().unwrap();
         let text = print_program(&opt);
         // "(% x 32)" sorts before "(% x 64)"
         let (at32, at64) = (text.find("% 32]").unwrap(), text.find("% 64]").unwrap());
