@@ -214,61 +214,30 @@ impl<'a> Lexer<'a> {
 
     /// Punctuation by maximal munch, dispatched on its first byte.
     fn lex_punct(&mut self) -> Option<&'static str> {
-        let at = |i: usize| self.src.as_bytes().get(self.pos + i).copied();
-        let (one, two) = (at(1), at(2));
-        let p = match at(0)? {
-            b'<' => match (one, two) {
-                (Some(b'<'), Some(b'=')) => "<<=",
-                (Some(b'='), _) => "<=",
-                (Some(b'<'), _) => "<<",
-                _ => "<",
-            },
-            b'>' => match (one, two) {
-                (Some(b'>'), Some(b'=')) => ">>=",
-                (Some(b'='), _) => ">=",
-                (Some(b'>'), _) => ">>",
-                _ => ">",
-            },
-            b'.' if (one, two) == (Some(b'.'), Some(b'.')) => "...",
-            b'.' => ".",
-            b'=' if one == Some(b'=') => "==",
-            b'=' => "=",
-            b'!' if one == Some(b'=') => "!=",
-            b'!' => "!",
-            b'&' if one == Some(b'&') => "&&",
-            b'&' => "&",
-            b'|' if one == Some(b'|') => "||",
-            b'|' => "|",
-            b'+' => match one {
-                Some(b'+') => "++",
-                Some(b'=') => "+=",
-                _ => "+",
-            },
-            b'-' => match one {
-                Some(b'-') => "--",
-                Some(b'=') => "-=",
-                Some(b'>') => "->",
-                _ => "-",
-            },
-            b'*' if one == Some(b'=') => "*=",
-            b'*' => "*",
-            b'/' if one == Some(b'=') => "/=",
-            b'/' => "/",
-            b'%' if one == Some(b'=') => "%=",
-            b'%' => "%",
-            b'^' => "^",
-            b'~' => "~",
-            b'?' => "?",
-            b':' => ":",
-            b';' => ";",
-            b',' => ",",
-            b'(' => "(",
-            b')' => ")",
-            b'[' => "[",
-            b']' => "]",
-            b'{' => "{",
-            b'}' => "}",
-            _ => return None,
+        /// Every one-byte punctuator; the longer ones start with one of them.
+        const SINGLE: &str = "<>.=!&|+-*/%^~?:;,()[]{}";
+        let rest = &self.src.as_bytes()[self.pos..];
+        let longer: &[&'static str] = match rest.first()? {
+            b'<' => &["<<=", "<=", "<<"],
+            b'>' => &[">>=", ">=", ">>"],
+            b'.' => &["..."],
+            b'=' => &["=="],
+            b'!' => &["!="],
+            b'&' => &["&&"],
+            b'|' => &["||"],
+            b'+' => &["++", "+="],
+            b'-' => &["--", "-=", "->"],
+            b'*' => &["*="],
+            b'/' => &["/="],
+            b'%' => &["%="],
+            _ => &[],
+        };
+        let p = match longer.iter().find(|p| rest.starts_with(p.as_bytes())) {
+            Some(p) => p,
+            None => {
+                let i = SINGLE.find(char::from(rest[0]))?;
+                &SINGLE[i..i + 1]
+            }
         };
         self.pos += p.len();
         Some(p)
@@ -390,6 +359,26 @@ mod tests {
         assert_eq!(ks[1], TokenKind::Punct("<="));
         assert_eq!(ks[3], TokenKind::Punct("=="));
         assert_eq!(ks[5], TokenKind::Punct("+="));
+    }
+
+    #[test]
+    fn punctuation_is_the_longest_listed_prefix() {
+        // the reference: every punctuator, longest first, first match wins
+        const PUNCTS: &[&str] = &[
+            "<<=", ">>=", "...", "==", "!=", "<=", ">=", "&&", "||", "++", "--", "+=", "-=", "*=",
+            "/=", "%=", "->", "<<", ">>", "+", "-", "*", "/", "%", "<", ">", "=", "!", "&", "|",
+            "^", "~", "?", ":", ";", ",", ".", "(", ")", "[", "]", "{", "}",
+        ];
+        let alphabet: Vec<char> = "<>.=!&|+-*/%^~?:;,()[]{}a".chars().collect();
+        for &a in &alphabet {
+            for &b in &alphabet {
+                for &c in &alphabet {
+                    let src = format!("{a}{b}{c}");
+                    let want = PUNCTS.iter().find(|p| src.starts_with(*p)).copied();
+                    assert_eq!(Lexer::new(&src).lex_punct(), want, "{src:?}");
+                }
+            }
+        }
     }
 
     #[test]
