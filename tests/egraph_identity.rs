@@ -1,13 +1,18 @@
 //! "Identical by construction", checked: the e-graph core may change how
 //! e-nodes are stored, but never which [`Id`] an `add` returns, which
-//! class survives a union, or what a saturation run counts. Both tables
-//! below were recorded at the commit that still stored `Vec<Node>` per
-//! class and a `Node`-keyed memo; a storage change that moves any of them
-//! has changed behaviour, not just layout.
+//! class survives a union, or what a saturation run counts. The suite and
+//! script tables below were recorded at the commit that still stored
+//! `Vec<Node>` per class and a `Node`-keyed memo; a storage change that
+//! moves any of them has changed behaviour, not just layout. The two
+//! ablation tables (rule subsets, backoff off) pin what the rule set and
+//! the scheduler are worth, as counts.
 
 mod common;
 
-use accsat_egraph::{all_rules, EGraph, Id, Node, Op, Runner};
+use accsat_egraph::{
+    all_rules, assoc_rules, comm_rules, fma_rules, EGraph, Id, Node, Op, Runner, RunnerLimits,
+};
+use std::time::Duration;
 
 /// Per suite kernel: iterations, matches, applied, total nodes, live
 /// classes, stop reason — paper limits, default backoff, one thread.
@@ -74,6 +79,102 @@ fn suite_saturation_counters_are_pinned() {
         ));
     }
     assert_eq!(table, SUITE_COUNTERS, "saturation counters moved");
+}
+
+/// The rule-set ablation: per suite kernel, matches, applied and total
+/// nodes after 6 iterations of the FMA rules only, of COMM + ASSOC only,
+/// and of the full Table I set (default backoff, one thread).
+const RULE_SUBSETS: &str = "\
+BT bt_zsolve | fma 72 36 174 | comm+assoc 3541 481 683 | table1 4684 922 1184
+BT bt_rhs | fma 12 6 51 | comm+assoc 30 10 52 | table1 72 22 73
+CG cg_spmv | fma 2 1 19 | comm+assoc 6 2 20 | table1 13 4 22
+CG cg_axpy | fma 4 2 15 | comm+assoc 9 3 16 | table1 23 7 20
+EP ep_gauss | fma 14 7 95 | comm+assoc 49 15 101 | table1 120 33 121
+FT ft_butterfly | fma 6 3 34 | comm+assoc 24 8 37 | table1 45 16 48
+FT ft_evolve | fma 6 3 22 | comm+assoc 15 5 22 | table1 36 13 33
+LU lu_jacld | fma 14 7 80 | comm+assoc 13388 1357 1849 | table1 13656 1464 1957
+MG mg_resid | fma 8 4 48 | comm+assoc 6020 802 1004 | table1 6052 810 1020
+SP sp_lhs | fma 16 8 56 | comm+assoc 608 84 142 | table1 898 158 227
+ostencil stencil_jacobi | fma 4 2 39 | comm+assoc 6318 850 944 | table1 6340 854 951
+olbm lbm_stream | fma 88 44 192 | comm+assoc 10958 1295 1701 | table1 11683 1483 1945
+omriq mriq_computeq | fma 12 6 63 | comm+assoc 165 29 89 | table1 257 63 125
+ep ep_gauss | fma 14 7 95 | comm+assoc 49 15 101 | table1 120 33 121
+cg cg_spmv | fma 2 1 19 | comm+assoc 6 2 20 | table1 13 4 22
+cg cg_axpy | fma 4 2 15 | comm+assoc 9 3 16 | table1 23 7 20
+csp sp_lhs | fma 16 8 56 | comm+assoc 608 84 142 | table1 898 158 227
+bt bt_zsolve | fma 72 36 174 | comm+assoc 3541 481 683 | table1 4684 922 1184
+bt bt_rhs | fma 12 6 51 | comm+assoc 30 10 52 | table1 72 22 73
+";
+
+#[test]
+fn rule_subset_ablation_is_pinned() {
+    // the wall-clock valve is raised so a debug build cannot trip it
+    let limits =
+        RunnerLimits { iter_limit: 6, time_limit: Duration::from_secs(600), ..Default::default() };
+    let subsets = [
+        ("fma", fma_rules()),
+        ("comm+assoc", comm_rules().into_iter().chain(assoc_rules()).collect()),
+        ("table1", all_rules()),
+    ];
+    let mut table = String::new();
+    for (name, kernel) in common::suite_kernels() {
+        table.push_str(&name);
+        for (label, rules) in &subsets {
+            let mut eg = kernel.egraph.clone();
+            let report = Runner::new(rules.clone()).with_limits(limits).run(&mut eg);
+            table.push_str(&format!(
+                " | {label} {} {} {}",
+                report.total_matches(),
+                report.total_applied(),
+                eg.total_nodes()
+            ));
+        }
+        table.push('\n');
+    }
+    assert_eq!(table, RULE_SUBSETS, "rule-subset ablation moved; got:\n{table}");
+}
+
+/// The backoff ablation (egg's `BackoffScheduler` switched off): per suite
+/// kernel, iterations, matches, total nodes and stop reason at the paper's
+/// limits — compare `SUITE_COUNTERS`, the same run with backoff on.
+const NO_BACKOFF: &str = "\
+BT bt_zsolve 5 4684 1184 Saturated
+BT bt_rhs 3 72 73 Saturated
+CG cg_spmv 3 13 22 Saturated
+CG cg_axpy 3 23 20 Saturated
+EP ep_gauss 3 120 121 Saturated
+FT ft_butterfly 3 45 48 Saturated
+FT ft_evolve 3 36 33 Saturated
+LU lu_jacld 5 62789 10001 NodeLimit
+MG mg_resid 5 37111 10000 NodeLimit
+SP sp_lhs 6 898 227 Saturated
+ostencil stencil_jacobi 6 10271 1061 Saturated
+olbm lbm_stream 5 78002 10000 NodeLimit
+omriq mriq_computeq 4 257 125 Saturated
+ep ep_gauss 3 120 121 Saturated
+cg cg_spmv 3 13 22 Saturated
+cg cg_axpy 3 23 20 Saturated
+csp sp_lhs 6 898 227 Saturated
+bt bt_zsolve 5 4684 1184 Saturated
+bt bt_rhs 3 72 73 Saturated
+";
+
+#[test]
+fn saturation_without_backoff_is_pinned() {
+    let limits = RunnerLimits { time_limit: Duration::from_secs(600), ..Default::default() };
+    let mut table = String::new();
+    for (name, mut kernel) in common::suite_kernels() {
+        let report =
+            Runner::new(all_rules()).with_limits(limits).with_backoff(None).run(&mut kernel.egraph);
+        table.push_str(&format!(
+            "{name} {} {} {} {:?}\n",
+            report.iterations.len(),
+            report.total_matches(),
+            kernel.egraph.total_nodes(),
+            report.stop_reason,
+        ));
+    }
+    assert_eq!(table, NO_BACKOFF, "backoff ablation moved; got:\n{table}");
 }
 
 /// A fixed pseudo-random script of adds, unions and rebuilds over a small

@@ -10,13 +10,14 @@
 //! `bnb-lifo` (only `tune` does) — so all **four** strategies run here, on
 //! every kernel (also the ones the portfolio short-circuits), each seeded
 //! with the portfolio's refined incumbent at the default 60 k-node budget.
+//! A second table pins what each pruning layer of the search is worth.
 
 mod common;
 
 use accsat_egraph::{all_rules, Runner};
 use accsat_extract::{
-    extract_exact_in, extract_portfolio_k, ClassOrder, CostModel, PortfolioConfig, SearchContext,
-    SearchOptions,
+    extract_exact_in, extract_greedy, extract_portfolio_k, ClassOrder, ContextOptions, CostModel,
+    PortfolioConfig, SearchContext, SearchOptions,
 };
 use std::time::Duration;
 
@@ -101,4 +102,75 @@ fn every_strategy_on_all_19_suite_kernels_is_pinned() {
         table.push('\n');
     }
     assert_eq!(table, EXPECTED, "extraction moved; got:\n{table}");
+}
+
+/// The bound ablation: per suite kernel, the greedy incumbent's cost, then
+/// cost, proven? and explored nodes of one default-order search under each
+/// cumulative pruning configuration — `forced-bound` (dominance pruning and
+/// the forced-children bound, every class branched), `+lp-bound` (the
+/// LP-relaxation required-set bound), `+chain-closure` (single-candidate
+/// classes decided without branching), `+closure-dom` (closure-subset
+/// dominance and orbit collapse: the default context the portfolio ships).
+/// The last column is the cost-model sensitivity: the content hash and
+/// paper-model cost of the greedy selection when memory costs 10, 100 and
+/// 1000.
+const BOUND_ABLATION: &str = "\
+BT bt_zsolve | 3391 | 3391 unproven 60000 | 3391 unproven 60000 | 3391 unproven 60000 | 3391 unproven 60000 | c7dffc043fd0530c 3391 c7dffc043fd0530c 3391 c7dffc043fd0530c 3391
+BT bt_rhs | 1546 | 1526 proven 2723 | 1526 proven 102 | 1526 proven 40 | 1526 proven 40 | b412fe5234a2e837 1546 b412fe5234a2e837 1546 b412fe5234a2e837 1546
+CG cg_spmv | 318 | 318 proven 7 | 318 proven 1 | 318 proven 1 | 318 proven 1 | cc104eeba48d1a16 318 cc104eeba48d1a16 318 cc104eeba48d1a16 318
+CG cg_axpy | 325 | 325 proven 4 | 325 proven 1 | 325 proven 1 | 325 proven 1 | dfafa4288a551b7d 325 dfafa4288a551b7d 325 dfafa4288a551b7d 325
+EP ep_gauss | 462 | 462 proven 240 | 462 proven 131 | 462 proven 70 | 462 proven 15 | 67e9c3765e3764f1 462 67e9c3765e3764f1 462 67e9c3765e3764f1 462
+FT ft_butterfly | 706 | 706 proven 41 | 706 proven 41 | 706 proven 16 | 706 proven 11 | c1dfd60efa3f953f 706 c1dfd60efa3f953f 706 c1dfd60efa3f953f 706
+FT ft_evolve | 455 | 455 proven 37 | 455 proven 37 | 455 proven 16 | 455 proven 11 | 6256d615b856f2c3 455 6256d615b856f2c3 455 6256d615b856f2c3 455
+LU lu_jacld | 790 | 790 unproven 60000 | 790 unproven 60000 | 790 unproven 60000 | 790 unproven 60000 | b6892132eae8ed7e 790 b6892132eae8ed7e 790 b6892132eae8ed7e 790
+MG mg_resid | 1198 | 1198 proven 40054 | 1198 proven 40054 | 1198 proven 24745 | 1198 proven 24745 | 213679e184688d79 1198 213679e184688d79 1198 213679e184688d79 1198
+SP sp_lhs | 678 | 668 proven 2320 | 668 proven 2320 | 668 proven 1812 | 668 proven 738 | 943585fab217d9e7 678 943585fab217d9e7 678 943585fab217d9e7 678
+ostencil stencil_jacobi | 846 | 846 proven 8532 | 846 proven 8532 | 846 proven 4633 | 846 proven 4633 | 4f26c13e5d12c68d 846 4f26c13e5d12c68d 846 4f26c13e5d12c68d 846
+olbm lbm_stream | 1983 | 1983 unproven 60000 | 1983 unproven 60000 | 1983 unproven 60000 | 1983 unproven 60000 | 4279bd2edd9152d5 1983 4279bd2edd9152d5 1983 4279bd2edd9152d5 1983
+omriq mriq_computeq | 1105 | 1105 proven 2842 | 1105 proven 460 | 1105 proven 328 | 1105 proven 82 | ad682c4f64320bc5 1105 ad682c4f64320bc5 1105 ad682c4f64320bc5 1105
+ep ep_gauss | 462 | 462 proven 240 | 462 proven 131 | 462 proven 70 | 462 proven 15 | 67e9c3765e3764f1 462 67e9c3765e3764f1 462 67e9c3765e3764f1 462
+cg cg_spmv | 318 | 318 proven 7 | 318 proven 1 | 318 proven 1 | 318 proven 1 | cc104eeba48d1a16 318 cc104eeba48d1a16 318 cc104eeba48d1a16 318
+cg cg_axpy | 325 | 325 proven 4 | 325 proven 1 | 325 proven 1 | 325 proven 1 | dfafa4288a551b7d 325 dfafa4288a551b7d 325 dfafa4288a551b7d 325
+csp sp_lhs | 678 | 668 proven 2320 | 668 proven 2320 | 668 proven 1812 | 668 proven 738 | 943585fab217d9e7 678 943585fab217d9e7 678 943585fab217d9e7 678
+bt bt_zsolve | 3391 | 3391 unproven 60000 | 3391 unproven 60000 | 3391 unproven 60000 | 3391 unproven 60000 | c7dffc043fd0530c 3391 c7dffc043fd0530c 3391 c7dffc043fd0530c 3391
+bt bt_rhs | 1546 | 1526 proven 2723 | 1526 proven 102 | 1526 proven 40 | 1526 proven 40 | b412fe5234a2e837 1546 b412fe5234a2e837 1546 b412fe5234a2e837 1546
+";
+
+#[test]
+fn bound_ablation_on_all_19_suite_kernels_is_pinned() {
+    let cm = CostModel::paper();
+    let base = SearchOptions {
+        node_budget: 60_000,
+        deadline: Duration::from_secs(600),
+        ..SearchOptions::default()
+    };
+    let legacy = ContextOptions { orbit: false, dominance: true, closure_dominance: false };
+    let configs = [
+        (legacy, SearchOptions { lp_bound: false, chain_closure: false, ..base }),
+        (legacy, SearchOptions { chain_closure: false, ..base }),
+        (legacy, base),
+        (ContextOptions::default(), base),
+    ];
+    let mut table = String::new();
+    for (name, mut kernel) in common::suite_kernels() {
+        Runner::new(all_rules()).run(&mut kernel.egraph);
+        let (eg, roots) = (&kernel.egraph, kernel.extraction_roots());
+        let greedy = extract_greedy(eg, &roots, &cm);
+        let greedy_cost = greedy.dag_cost(eg, &cm, &roots);
+        table.push_str(&format!("{name} | {greedy_cost}"));
+        for (cx_opts, opts) in &configs {
+            let cx = SearchContext::build_with(eg, &cm, cx_opts);
+            let r = extract_exact_in(&cx, &roots, &greedy, greedy_cost, opts);
+            let proven = if r.proven_optimal { "proven" } else { "unproven" };
+            table.push_str(&format!(" | {} {proven} {}", r.cost, r.explored));
+        }
+        table.push_str(" |");
+        for heavy in [10, 100, 1000] {
+            let sel = extract_greedy(eg, &roots, &CostModel::with_heavy(heavy));
+            let hash = sel.content_hash(eg, &roots);
+            table.push_str(&format!(" {hash:016x} {}", sel.dag_cost(eg, &cm, &roots)));
+        }
+        table.push('\n');
+    }
+    assert_eq!(table, BOUND_ABLATION, "bound ablation moved; got:\n{table}");
 }
