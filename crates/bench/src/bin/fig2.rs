@@ -1,12 +1,5 @@
-//! Figure 2: NPB speedups on the A100-PCIE-40GB for CSE, CSE+SAT, CSE+BULK
-//! and ACCSAT, under NVHPC and GCC.
-
-use accsat_bench::print_speedup_figure;
-use accsat_gpusim::Device;
-use accsat_ir::Model;
+//! Prints [`accsat_bench::fig2`]; pinned by `tests/golden/paper/fig2.txt`.
 
 fn main() {
-    let dev = Device::a100_pcie_40gb();
-    let benches = accsat_benchmarks::npb_benchmarks();
-    print_speedup_figure("Figure 2: NPB speedups", &benches, Model::OpenAcc, &dev, "");
+    print!("{}", accsat_bench::fig2());
 }

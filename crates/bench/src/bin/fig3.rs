@@ -1,29 +1,5 @@
-//! Figure 3: per-kernel speedup distribution of NPB-BT for each variant
-//! (the background of Fig. 3 is the cumulative execution-time ratio; here
-//! we print each kernel's speedup and its share of total time).
-
-use accsat::{evaluate_benchmark, Variant};
-use accsat_compilers::{Compiler, CompilerModel};
-use accsat_gpusim::Device;
-use accsat_ir::Model;
+//! Prints [`accsat_bench::fig3`]; pinned by `tests/golden/paper/fig3.txt`.
 
 fn main() {
-    let dev = Device::a100_pcie_40gb();
-    let bt = accsat_benchmarks::npb_benchmarks().remove(0);
-    for compiler in [Compiler::Nvhpc, Compiler::Gcc] {
-        let cm = CompilerModel::new(compiler, Model::OpenAcc);
-        println!("== Figure 3: NPB-BT per-kernel speedups — {} ==", compiler.name());
-        let orig = evaluate_benchmark(&bt, Variant::Original, &cm, &dev).unwrap();
-        let total: f64 = orig.kernels.iter().map(|k| k.metrics.time_ms).sum();
-        for v in Variant::all() {
-            let r = evaluate_benchmark(&bt, v, &cm, &dev).unwrap();
-            print!("{:>9}: ", v.label());
-            for (ko, kv) in orig.kernels.iter().zip(&r.kernels) {
-                let s = ko.metrics.time_ms / kv.metrics.time_ms.max(1e-12);
-                let share = ko.metrics.time_ms / total * 100.0;
-                print!("{}={:.2}x ({:.0}% of time)  ", ko.function, s, share);
-            }
-            println!();
-        }
-    }
+    print!("{}", accsat_bench::fig3());
 }

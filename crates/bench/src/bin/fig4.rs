@@ -1,13 +1,5 @@
-//! Figure 4: SPEC ACCEL speedups on the A100-PCIE-40GB — OpenACC under
-//! NVHPC/GCC and OpenMP ("p"-prefixed) under NVHPC/GCC/Clang.
-
-use accsat_bench::print_speedup_figure;
-use accsat_gpusim::Device;
-use accsat_ir::Model;
+//! Prints [`accsat_bench::fig4`]; pinned by `tests/golden/paper/fig4.txt`.
 
 fn main() {
-    let dev = Device::a100_pcie_40gb();
-    let benches = accsat_benchmarks::spec_benchmarks();
-    print_speedup_figure("Figure 4: SPEC ACCEL (OpenACC)", &benches, Model::OpenAcc, &dev, "");
-    print_speedup_figure("Figure 4: SPEC ACCEL (OpenMP)", &benches, Model::OpenMp, &dev, "p");
+    print!("{}", accsat_bench::fig4());
 }

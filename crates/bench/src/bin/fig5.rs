@@ -1,11 +1,5 @@
-//! Figure 5: NPB speedups on the A100-SXM4-80GB (1.31x memory bandwidth).
-
-use accsat_bench::print_speedup_figure;
-use accsat_gpusim::Device;
-use accsat_ir::Model;
+//! Prints [`accsat_bench::fig5`]; pinned by `tests/golden/paper/fig5.txt`.
 
 fn main() {
-    let dev = Device::a100_sxm4_80gb();
-    let benches = accsat_benchmarks::npb_benchmarks();
-    print_speedup_figure("Figure 5: NPB speedups (SXM4)", &benches, Model::OpenAcc, &dev, "");
+    print!("{}", accsat_bench::fig5());
 }

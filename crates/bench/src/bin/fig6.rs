@@ -1,18 +1,5 @@
-//! Figure 6: SPEC ACCEL speedups on the A100-SXM4-80GB.
-
-use accsat_bench::print_speedup_figure;
-use accsat_gpusim::Device;
-use accsat_ir::Model;
+//! Prints [`accsat_bench::fig6`]; pinned by `tests/golden/paper/fig6.txt`.
 
 fn main() {
-    let dev = Device::a100_sxm4_80gb();
-    let benches = accsat_benchmarks::spec_benchmarks();
-    print_speedup_figure(
-        "Figure 6: SPEC ACCEL (OpenACC, SXM4)",
-        &benches,
-        Model::OpenAcc,
-        &dev,
-        "",
-    );
-    print_speedup_figure("Figure 6: SPEC ACCEL (OpenMP, SXM4)", &benches, Model::OpenMp, &dev, "p");
+    print!("{}", accsat_bench::fig6());
 }

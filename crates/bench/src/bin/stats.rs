@@ -1,53 +1,9 @@
-//! §VII statistics: SSA+codegen time per kernel, saturation time, e-graph
-//! sizes and extraction costs across every benchmark kernel, plus the
-//! per-rule match/apply/ban totals reported by the saturation runner.
-
-use accsat::{optimize_program, Variant};
-use accsat_ir::parse_program;
-use std::collections::BTreeMap;
+//! Prints [`accsat_bench::stats`], pinned by `tests/golden/paper/stats.txt`,
+//! then the two wall-clock means §VII compares against the paper — on
+//! stderr, so stdout stays the golden and regenerates it.
 
 fn main() {
-    let mut ssa_ms = Vec::new();
-    let mut sat_s = Vec::new();
-    let mut nodes = Vec::new();
-    // rule name → (matches, applied, times_banned) across all kernels
-    let mut rules: BTreeMap<String, (usize, usize, usize)> = BTreeMap::new();
-    println!(
-        "{:<12} {:>22} {:>12} {:>12} {:>10} {:>8}",
-        "benchmark", "kernel", "ssa+cg(ms)", "sat(ms)", "e-nodes", "iters"
-    );
-    for b in accsat_benchmarks::all_benchmarks() {
-        let prog = parse_program(&b.acc_source).unwrap();
-        let (_, stats) = optimize_program(&prog, Variant::AccSat).unwrap();
-        for s in &stats {
-            let ssa = s.ssa_codegen.as_secs_f64() * 1e3;
-            let sat = s.saturation.as_secs_f64() * 1e3;
-            println!(
-                "{:<12} {:>22} {:>12.2} {:>12.2} {:>10} {:>8}",
-                b.name, s.function, ssa, sat, s.egraph_nodes, s.saturation_iters
-            );
-            ssa_ms.push(ssa);
-            sat_s.push(sat / 1e3);
-            nodes.push(s.egraph_nodes as f64);
-            for r in &s.rule_stats {
-                let e = rules.entry(r.name.clone()).or_default();
-                e.0 += r.matches;
-                e.1 += r.applied;
-                e.2 += r.times_banned;
-            }
-        }
-    }
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-    println!(
-        "\nSSA+codegen per kernel: mean {:.1} ms (paper: 91.8 ms on full-size kernels)",
-        mean(&ssa_ms)
-    );
-    println!("saturation per kernel:  mean {:.3} s (paper: 0.63 s)", mean(&sat_s));
-    println!("e-graph size:           mean {:.0} nodes (limit 10000)", mean(&nodes));
-
-    println!("\nper-rule totals (all kernels, compiled e-matching engine):");
-    println!("{:<12} {:>10} {:>10} {:>8}", "rule", "matches", "applied", "banned");
-    for (name, (matches, applied, banned)) in &rules {
-        println!("{name:<12} {matches:>10} {applied:>10} {banned:>8}");
-    }
+    let (artifact, timing) = accsat_bench::stats_and_timing();
+    print!("{artifact}");
+    eprint!("{timing}");
 }

@@ -1,35 +1,5 @@
-//! Table II: NPB inventory and original (un-optimized) kernel times under
-//! NVHPC and GCC.
-
-use accsat::{evaluate_benchmark, Variant};
-use accsat_compilers::{Compiler, CompilerModel};
-use accsat_gpusim::Device;
-use accsat_ir::Model;
+//! Prints [`accsat_bench::table2`]; pinned by `tests/golden/paper/table2.txt`.
 
 fn main() {
-    let dev = Device::a100_pcie_40gb();
-    let nv = CompilerModel::new(Compiler::Nvhpc, Model::OpenAcc);
-    let gcc = CompilerModel::new(Compiler::Gcc, Model::OpenAcc);
-    let mut rows = Vec::new();
-    for b in accsat_benchmarks::npb_benchmarks() {
-        let t_nv = evaluate_benchmark(&b, Variant::Original, &nv, &dev)
-            .map(|r| format!("{:.2}s", r.total_time_s))
-            .unwrap_or_else(|e| e);
-        let t_gcc = evaluate_benchmark(&b, Variant::Original, &gcc, &dev)
-            .map(|r| format!("{:.2}s", r.total_time_s))
-            .unwrap_or_else(|e| e);
-        rows.push(vec![
-            b.name.to_string(),
-            b.compute.to_string(),
-            b.access.to_string(),
-            b.paper_num_kernels.to_string(),
-            t_nv,
-            t_gcc,
-        ]);
-    }
-    println!("Table II: NAS Parallel Benchmarks (simulated original times)");
-    println!(
-        "{}",
-        accsat::render_table(&["Name", "Compute", "Access", "Num. Kernels", "NVHPC", "GCC"], &rows)
-    );
+    print!("{}", accsat_bench::table2());
 }

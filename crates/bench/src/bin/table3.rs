@@ -1,52 +1,5 @@
-//! Table III: SPEC ACCEL inventory and original kernel times for both the
-//! OpenACC (NVHPC, GCC) and OpenMP (NVHPC, GCC, Clang) versions.
-
-use accsat::{evaluate_benchmark, Variant};
-use accsat_compilers::{Compiler, CompilerModel};
-use accsat_gpusim::Device;
-use accsat_ir::Model;
+//! Prints [`accsat_bench::table3`]; pinned by `tests/golden/paper/table3.txt`.
 
 fn main() {
-    let dev = Device::a100_pcie_40gb();
-    let models = [
-        CompilerModel::new(Compiler::Nvhpc, Model::OpenAcc),
-        CompilerModel::new(Compiler::Gcc, Model::OpenAcc),
-        CompilerModel::new(Compiler::Nvhpc, Model::OpenMp),
-        CompilerModel::new(Compiler::Gcc, Model::OpenMp),
-        CompilerModel::new(Compiler::Clang, Model::OpenMp),
-    ];
-    let mut rows = Vec::new();
-    for b in accsat_benchmarks::spec_benchmarks() {
-        let mut row = vec![
-            b.name.to_string(),
-            b.compute.to_string(),
-            b.access.to_string(),
-            b.paper_num_kernels.to_string(),
-        ];
-        for cm in &models {
-            let t = evaluate_benchmark(&b, Variant::Original, cm, &dev)
-                .map(|r| format!("{:.2}s", r.total_time_s))
-                .unwrap_or_else(|e| e);
-            row.push(t);
-        }
-        rows.push(row);
-    }
-    println!("Table III: SPEC ACCEL (simulated original times)");
-    println!(
-        "{}",
-        accsat::render_table(
-            &[
-                "Name",
-                "Compute",
-                "Access",
-                "Kernels",
-                "ACC NVHPC",
-                "ACC GCC",
-                "OMP NVHPC",
-                "OMP GCC",
-                "OMP Clang"
-            ],
-            &rows
-        )
-    );
+    print!("{}", accsat_bench::table3());
 }

@@ -1,49 +1,5 @@
-//! Table IV: per-kernel breakdown of NPB-BT — time per launch, executed
-//! instructions, memory utilization, registers per thread, SM occupancy,
-//! for the original and each generated-code variant.
-
-use accsat::{evaluate_benchmark, Variant};
-use accsat_compilers::{Compiler, CompilerModel};
-use accsat_gpusim::Device;
-use accsat_ir::Model;
+//! Prints [`accsat_bench::table4`]; pinned by `tests/golden/paper/table4.txt`.
 
 fn main() {
-    let dev = Device::a100_pcie_40gb();
-    let bt = accsat_benchmarks::npb_benchmarks().remove(0);
-    for compiler in [Compiler::Nvhpc, Compiler::Gcc] {
-        let cm = CompilerModel::new(compiler, Model::OpenAcc);
-        println!("Table IV: NPB-BT kernel breakdown — {}", compiler.name());
-        let mut variants = vec![(Variant::Original, None)];
-        variants.extend(Variant::all().into_iter().map(|v| (v, None::<()>)));
-        let mut rows = Vec::new();
-        let mut totals = Vec::new();
-        let mut header = vec!["Kernel".to_string()];
-        for (v, _) in &variants {
-            header.push(format!("{} t/launch", v.label()));
-            header.push(format!("{} Minstr", v.label()));
-            header.push(format!("{} mem%", v.label()));
-            header.push(format!("{} regs", v.label()));
-            header.push(format!("{} occ%", v.label()));
-        }
-        let mut kernel_rows: Vec<Vec<String>> = Vec::new();
-        for (v, _) in &variants {
-            let r = evaluate_benchmark(&bt, *v, &cm, &dev).expect("evaluate");
-            totals.push((v.label(), r.total_time_s));
-            for (i, k) in r.kernels.iter().enumerate() {
-                if kernel_rows.len() <= i {
-                    kernel_rows.push(vec![k.function.clone()]);
-                }
-                kernel_rows[i].push(format!("{:.4}ms", k.metrics.time_ms));
-                kernel_rows[i].push(format!("{:.2}", k.metrics.instructions / 1e6));
-                kernel_rows[i].push(format!("{:.1}%", k.metrics.mem_util * 100.0));
-                kernel_rows[i].push(format!("{}", k.metrics.regs_per_thread));
-                kernel_rows[i].push(format!("{:.0}%", k.metrics.occupancy * 100.0));
-            }
-        }
-        rows.append(&mut kernel_rows);
-        let head: Vec<&str> = header.iter().map(String::as_str).collect();
-        println!("{}", accsat::render_table(&head, &rows));
-        let t: Vec<String> = totals.iter().map(|(l, s)| format!("{l}={s:.2}s")).collect();
-        println!("totals: {}\n", t.join("  "));
-    }
+    print!("{}", accsat_bench::table4());
 }

@@ -16,7 +16,7 @@
 //! (see [`crate::analysis`]), not a rule. The paper deliberately excludes
 //! rules for subtraction, division, memory-access order, conditionals and
 //! iteration, to keep e-graphs small (§V-A) — we follow suit; the optional
-//! [`reorder_rules`] set exists for the ablation benches only.
+//! [`reorder_rules`] set is for custom rule sets (`examples/custom_rules.rs`).
 
 use crate::rewrite::Rewrite;
 
@@ -57,7 +57,7 @@ pub fn all_rules() -> Vec<Rewrite> {
 
 /// Extra rules the paper mentions as *possible* but disabled by default
 /// ("ACC Saturator can rewrite subtraction, division, … these rules can
-/// increase the size of e-graphs", §V-A). Used by the rule-set ablation.
+/// increase the size of e-graphs", §V-A), for custom rule sets.
 pub fn reorder_rules() -> Vec<Rewrite> {
     vec![
         Rewrite::new("SUB-AS-ADD", "(- ?a ?b)", "(+ ?a (neg ?b))"),

@@ -176,14 +176,6 @@ impl Selection {
         Ok(cost)
     }
 
-    /// Tree cost of one class (children re-counted per use; egg's default
-    /// objective, used for comparison in ablations).
-    pub fn tree_cost(&self, eg: &EGraph, cm: &CostModel, id: Id) -> u64 {
-        let node = self.node(eg, id);
-        let kids: u64 = node.children.iter().map(|&c| self.tree_cost(eg, cm, c)).sum();
-        cm.op_cost(&node.op).saturating_add(kids)
-    }
-
     /// Would selecting `node` for class `id` close a cycle through the
     /// currently selected choices?
     pub fn would_cycle(&self, eg: &EGraph, id: Id, node: &Node) -> bool {
@@ -389,7 +381,7 @@ mod tests {
     }
 
     #[test]
-    fn dag_vs_tree_cost() {
+    fn dag_cost_counts_each_shared_class_once() {
         let mut eg = EGraph::new();
         let a = eg.add(Node::sym("a"));
         let ab = eg.add(Node::new(Op::Add, vec![a, a]));
@@ -399,10 +391,8 @@ mod tests {
         sel.choose(&eg, ab, Node::new(Op::Add, vec![a, a]));
         sel.choose(&eg, r, Node::new(Op::Mul, vec![ab, ab]));
         let cm = CostModel::paper();
-        // DAG: a(1) + add(10) + mul(10) = 21
+        // a(1) + add(10) + mul(10) = 21, not the tree's 10 + 2 * (10 + 2 * 1) = 34
         assert_eq!(sel.dag_cost(&eg, &cm, &[r]), 21);
-        // Tree: mul(10) + 2 * (add(10) + 2 * a(1)) = 34
-        assert_eq!(sel.tree_cost(&eg, &cm, r), 34);
     }
 
     #[test]
