@@ -5,13 +5,19 @@
 //! `Vec<Node>` per class and a `Node`-keyed memo; a storage change that
 //! moves any of them has changed behaviour, not just layout. The two
 //! ablation tables (rule subsets, backoff off) pin what the rule set and
-//! the scheduler are worth, as counts.
+//! the scheduler are worth, as counts. The snapshot table pins the bytes
+//! of every saturated graph, so a change to the apply path that keeps the
+//! counters but moves a union-find parent, a parents-list entry, a memo
+//! value or an op-index entry fails too.
 
 mod common;
 
+use accsat_benchmarks::{generate_kernel, GenConfig};
 use accsat_egraph::{
     all_rules, assoc_rules, comm_rules, fma_rules, EGraph, Id, Node, Op, Runner, RunnerLimits,
 };
+use accsat_ir::{fnv1a, innermost_parallel_loops, parse_program};
+use accsat_ssa::build_kernel;
 use std::time::Duration;
 
 /// Per suite kernel: iterations, matches, applied, total nodes, live
@@ -228,4 +234,117 @@ fn scripted_ids() -> String {
 #[test]
 fn scripted_add_ids_are_pinned() {
     assert_eq!(scripted_ids(), SCRIPT_IDS, "an add returned a different id");
+}
+
+/// Per kernel: snapshot length and FNV-1a of `EGraph::serialize()` after a
+/// default saturation (paper limits, default backoff, one thread) — the 19
+/// suite kernels, then 64 seeded genkern kernels (`GenConfig::default()`).
+/// The snapshot spells out what no counter sees: the raw union-find
+/// parent vector (path-halving state included), every class's node and
+/// parents-list order, the memo and the op index.
+const SNAPSHOT_HASHES: &str = "\
+BT bt_zsolve 51092 f8d6916c6ee2176c
+BT bt_rhs 3091 0da2cca9f21c64da
+CG cg_spmv 850 e2d57c6819065c0b
+CG cg_axpy 749 530a657586aab929
+EP ep_gauss 4921 c0864193f5e15d3f
+FT ft_butterfly 1798 c5a1f570458d3ab1
+FT ft_evolve 1228 4b52dcaa2c7c9f23
+LU lu_jacld 112309 0c8176d655bbaec2
+MG mg_resid 37984 b177342df9d581cb
+SP sp_lhs 9091 a473c9e888327e35
+ostencil stencil_jacobi 30872 03acd1e39b65682c
+olbm lbm_stream 80165 dd35d6d3ccec1b21
+omriq mriq_computeq 4815 98f603b0f43eed99
+ep ep_gauss 4921 c0864193f5e15d3f
+cg cg_spmv 850 e2d57c6819065c0b
+cg cg_axpy 749 530a657586aab929
+csp sp_lhs 9091 a473c9e888327e35
+bt bt_zsolve 51092 f8d6916c6ee2176c
+bt bt_rhs 3091 0da2cca9f21c64da
+gen 0 deep_nest 5481 1b08852c8915b4a4
+gen 1 phi_if 8394 68def289de13abb2
+gen 2 while_loop 4286 8e694b5ea9c8ee4c
+gen 3 arr_cond 6764 9c08d7382268606b
+gen 4 seq_loop 1552 00888808b07c5770
+gen 5 seq_loop 7202 5a9c5bbd4e94a2f2
+gen 6 stencil1d 2683 0685a4c1b9b79ece
+gen 7 deep_nest 1048 77b8ba9995af87da
+gen 8 while_loop 4458 4a435a2f2ba3b149
+gen 9 spec_mix 3799 319793cf3aa3979b
+gen 10 seq_loop 12779 ffaa9000a1423157
+gen 11 arr_cond 5421 a9beb38c64815871
+gen 12 twod 7201 f6c1cc274d0a3859
+gen 13 deep_nest 3824 760aea1f814e00b1
+gen 14 while_loop 4284 a0afbe6d9f821f8a
+gen 15 arr_cond 6449 53c641f719673b22
+gen 16 deep_nest 6842 3769788abbaa156f
+gen 17 twod 8936 72546794b10ba23c
+gen 18 seq_loop 2826 ee4c27ff73bc951d
+gen 19 spec_mix 2207 3d6634ce60d84f10
+gen 20 spec_mix 4409 83cfdac9656e7102
+gen 21 deep_nest 12766 da5a9578554bdea5
+gen 22 seq_loop 12816 e0586a67932020ce
+gen 23 while_loop 3719 ea61cc001adcf529
+gen 24 spec_mix 2440 12ee1d0508fa8a4a
+gen 25 phi_if 2497 48a2f00bab4190a7
+gen 26 seq_loop 7095 c767bd3fdb76de74
+gen 27 seq_loop 8591 0283983a43aa37da
+gen 28 spec_mix 32147 208d87797b570f54
+gen 29 stencil1d 2461 78d3efc9d2d80d33
+gen 30 while_loop 1819 d6ea09ac80fff6f3
+gen 31 seq_loop 3798 883fb28426a9b929
+gen 32 phi_if 3768 43c6ab6b314e79ff
+gen 33 stencil1d 3104 1e7fad128a838da7
+gen 34 arr_cond 5487 91d64d5ed43d9f92
+gen 35 twod 8602 f463793bf894036b
+gen 36 twod 21356 8c5bf8ce1e7c0e03
+gen 37 deep_nest 4542 f27bb14daea42d2d
+gen 38 stencil1d 3483 d68e77adffff96c3
+gen 39 spec_mix 404 e89058c8b75aad48
+gen 40 seq_loop 8900 41673f9ebb48a57e
+gen 41 phi_if 2781 62cfe13f5157eebc
+gen 42 arr_cond 8537 9f390f8125895bf4
+gen 43 stencil1d 4621 c304815a39b89a3a
+gen 44 twod 6474 b01c03f343bc5182
+gen 45 while_loop 4544 9e5956334e538167
+gen 46 deep_nest 12450 7a8e3f667131a5a2
+gen 47 arr_cond 26446 ac01f21a45e1669d
+gen 48 twod 2427 382241f36e53697a
+gen 49 stencil1d 5507 ee663565960264d8
+gen 50 twod 26883 c10d186126034313
+gen 51 stencil1d 3554 e4cce39c49c6f30c
+gen 52 seq_loop 2368 f8d4c59fa2f4f0b2
+gen 53 while_loop 5978 4f43dd5f1e547dcf
+gen 54 arr_cond 16777 473b2c23d8ada389
+gen 55 spec_mix 3509 d2fca7cbd5f3c42d
+gen 56 deep_nest 5319 4b526797b131eafa
+gen 57 phi_if 4862 a4083d2020534387
+gen 58 seq_loop 4884 8363be5d9b933a36
+gen 59 spec_mix 3784 9ac06527cc45e2cd
+gen 60 deep_nest 36711 7eb6eba9955456ae
+gen 61 phi_if 7140 067c25205270e5be
+gen 62 seq_loop 2975 1db42986283b5dd0
+gen 63 arr_cond 6203 0ef4d33477dea0a3
+";
+
+#[test]
+fn saturated_snapshots_are_pinned() {
+    let mut kernels = common::suite_kernels();
+    for seed in 0..64 {
+        let gk = generate_kernel(seed, &GenConfig::default());
+        let prog = parse_program(&gk.source).unwrap();
+        for f in &prog.functions {
+            for l in innermost_parallel_loops(f) {
+                kernels.push((format!("gen {seed} {}", gk.flavor), build_kernel(&l.body)));
+            }
+        }
+    }
+    let mut table = String::new();
+    for (name, mut kernel) in kernels {
+        Runner::new(all_rules()).run(&mut kernel.egraph);
+        let text = kernel.egraph.serialize();
+        table.push_str(&format!("{name} {} {:016x}\n", text.len(), fnv1a(text.as_bytes())));
+    }
+    assert_eq!(table, SNAPSHOT_HASHES, "saturated snapshot bytes moved; got:\n{table}");
 }
