@@ -188,10 +188,15 @@ impl EGraph {
     /// stale entries are resolved through `find` and deduplicated into an
     /// owned list, in the same order.
     pub fn classes_with_op(&self, op: &Op) -> Cow<'_, [Id]> {
-        let ids = match self.arena.op_number(op) {
-            Some(op_no) => self.op_index.get(op_no as usize).map_or(&[][..], Vec::as_slice),
-            None => &[],
-        };
+        match self.arena.op_number(op) {
+            Some(op_no) => self.classes_with_op_no(op_no),
+            None => Cow::Borrowed(&[]),
+        }
+    }
+
+    /// [`EGraph::classes_with_op`] for an operator known by op number.
+    pub(crate) fn classes_with_op_no(&self, op_no: u32) -> Cow<'_, [Id]> {
+        let ids = self.op_index.get(op_no as usize).map_or(&[][..], Vec::as_slice);
         if self.dirty.is_empty() {
             return Cow::Borrowed(ids);
         }
@@ -291,24 +296,85 @@ impl EGraph {
         let op_no = self.arena.intern_op(op);
         let form = self.intern(op_no, &kids);
         let id = match self.memo[form.index()] {
-            NO_CLASS => self.add_class(op_no, form, &kids),
+            NO_CLASS => self.add_class(op_no, form, &kids, self.fold(form)),
             id => self.unionfind.find_mut(id),
         };
         self.scratch.children = kids;
         id
     }
 
-    /// A fresh class for the new canonical node `form`.
-    fn add_class(&mut self, op_no: u32, form: Form, children: &[Id]) -> Id {
-        let id = self.unionfind.make_set();
-        debug_assert_eq!(id.index(), self.classes.len());
-        let constant = if self.fold_constants {
+    /// [`EGraph::add_with`] followed by `union(class, _)`: the rule
+    /// applier's one call per match. Returns what that union returns — the
+    /// canonical id and whether anything changed — and leaves the graph in
+    /// exactly the state the two calls would.
+    ///
+    /// A new form whose constant does not fold goes straight into `class`
+    /// without the one-node class the two calls would build and merge
+    /// away. That is the same union: a fresh class has no parents (its
+    /// children exist before it does), so `union` keeps `class` as the
+    /// root whatever `class` holds, appends the one form to its nodes and
+    /// nothing to its parents, and leaves its constant as it was.
+    pub fn add_into(&mut self, op: &Op, children: &[Id], class: Id) -> (Id, bool) {
+        let kids = canonical_ids(&mut self.unionfind, children, &mut self.scratch);
+        let op_no = self.arena.intern_op(op);
+        let form = self.intern(op_no, &kids);
+        let id = match self.memo[form.index()] {
+            NO_CLASS => match self.fold(form) {
+                None => {
+                    let root = self.unionfind.find_mut(class);
+                    let id = self.unionfind.make_set();
+                    debug_assert_eq!(id.index(), self.classes.len());
+                    self.classes.push(None);
+                    self.register_node(op_no, form, &kids, id);
+                    self.scratch.children = kids;
+                    self.unionfind.union(root, id);
+                    self.classes[root.index()].as_mut().expect("matched class").nodes.push(form);
+                    self.dirty.push(root);
+                    self.search_dirty.push(root);
+                    return (root, true);
+                }
+                constant => self.add_class(op_no, form, &kids, constant),
+            },
+            id => self.unionfind.find_mut(id),
+        };
+        self.scratch.children = kids;
+        self.union(class, id)
+    }
+
+    /// The constant `form` folds to, when folding is on.
+    fn fold(&self, form: Form) -> Option<ConstValue> {
+        if self.fold_constants {
             eval_node(self.arena.node(form), |c| self.constant(c))
         } else {
             None
-        };
+        }
+    }
+
+    /// A fresh class for the new canonical node `form`, whose folded
+    /// constant the caller has evaluated.
+    fn add_class(
+        &mut self,
+        op_no: u32,
+        form: Form,
+        children: &[Id],
+        constant: Option<ConstValue>,
+    ) -> Id {
+        let id = self.unionfind.make_set();
+        debug_assert_eq!(id.index(), self.classes.len());
         self.classes.push(Some(EClass { nodes: vec![form], parents: Vec::new(), constant }));
         self.live_classes += 1;
+        self.register_node(op_no, form, children, id);
+        // analysis `modify`: materialize proven constants as leaf nodes so
+        // extraction can pick them at zero cost
+        if let Some(c) = constant {
+            self.add_constant_leaf(id, c);
+        }
+        id
+    }
+
+    /// Book the new node `form` under the fresh id `id`: node count, op
+    /// index, search-dirty mark, its children's parents lists and the memo.
+    fn register_node(&mut self, op_no: u32, form: Form, children: &[Id], id: Id) {
         self.num_nodes += 1;
         self.index_op(op_no, id);
         self.search_dirty.push(id);
@@ -316,12 +382,6 @@ impl EGraph {
             self.classes[child.index()].as_mut().expect("child class").parents.push((form, id));
         }
         self.memo_set(form, id);
-        // analysis `modify`: materialize proven constants as leaf nodes so
-        // extraction can pick them at zero cost
-        if let Some(c) = constant {
-            self.add_constant_leaf(id, c);
-        }
-        id
     }
 
     fn index_op(&mut self, op_no: u32, id: Id) {
@@ -679,7 +739,9 @@ impl EGraph {
 
         // The op index must list every class under each of its nodes'
         // operators. Sort the (class, op) pairs it lists: each class's
-        // operators form one run, walked alongside the classes.
+        // operators form one sorted run, walked alongside the classes and
+        // probed by binary search: a class of N distinct leaves holds N
+        // operators, and a scan per node would make reading it O(N²).
         let pair = |id: Id, op_no: usize| (id.index() as u64) << 32 | op_no as u64;
         let mut listed: Vec<u64> = Vec::with_capacity(self.op_index.iter().map(Vec::len).sum());
         for (op_no, ids) in self.op_index.iter().enumerate() {
@@ -701,7 +763,7 @@ impl EGraph {
             let ops = &rest[start..start + len];
             rest = &rest[start + len..];
             for &f in &cls.nodes {
-                if !ops.contains(&pair(id, self.arena.op_no(f) as usize)) {
+                if ops.binary_search(&pair(id, self.arena.op_no(f) as usize)).is_err() {
                     return Err(format!("op index misses {id} under {:?}", self.arena.op(f)));
                 }
             }
@@ -895,6 +957,22 @@ mod tests {
         eg.check_invariants();
         let relooked = eg.lookup(&Node::new(Op::Mul, vec![a2, b2])).expect("congruent node");
         assert!(eg.same(m, relooked));
+    }
+
+    #[test]
+    fn add_into_puts_a_new_form_straight_into_the_class() {
+        let mut eg = EGraph::new();
+        let a = leaf(&mut eg, "a");
+        let b = leaf(&mut eg, "b");
+        let ab = eg.add(Node::new(Op::Add, vec![a, b]));
+        let classes = eg.num_classes();
+        assert_eq!(eg.add_into(&Op::Add, &[b, a], ab), (ab, true));
+        assert_eq!(eg.num_classes(), classes, "no class survives the fused add");
+        assert_eq!(eg.nodes(ab).len(), 2);
+        // an existing form is a plain union, here a no-op
+        assert_eq!(eg.add_into(&Op::Add, &[a, b], ab), (ab, false));
+        eg.rebuild();
+        eg.check_invariants();
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! var table, and substitutions are [`VarSubst`] — a small-vec of ids
 //! indexed by variable, allocated only when a complete match is yielded.
 //! Backtracking happens by re-entering the instruction at the choice point
-//! (a `Bind` over a class's e-nodes), never by cloning bindings.
+//! (a `Bind` over a class's e-nodes), never by cloning bindings. Each
+//! search first resolves every `Bind`'s operator to the searched graph's
+//! op number, so matching compares `u32`s, never `Op`s.
 //!
 //! The legacy tree-walk matcher is kept as the differential-testing oracle
 //! (`tests/property_matcher.rs` proves the two produce identical
@@ -251,48 +253,10 @@ impl Program {
     /// Run the program against one e-class, appending a [`VarSubst`] per
     /// complete match.
     pub fn search_class(&self, eg: &EGraph, root: Id, out: &mut Vec<VarSubst>) {
-        let mut regs = vec![Id::from(0usize); self.n_regs as usize];
-        self.search_class_scratch(eg, root, &mut regs, out);
-    }
-
-    /// `search_class` with a caller-provided register file, so a whole-graph
-    /// search reuses one allocation across every candidate class.
-    fn search_class_scratch(
-        &self,
-        eg: &EGraph,
-        root: Id,
-        regs: &mut [Id],
-        out: &mut Vec<VarSubst>,
-    ) {
-        regs[0] = eg.find(root);
-        self.step(eg, 0, regs, &mut |regs| {
-            out.push(VarSubst::from_regs(&self.subst_regs, regs));
+        self.with_op_numbers(eg, |vm| {
+            let mut regs = vec![Id::from(0usize); self.n_regs as usize];
+            vm.run(root, &mut regs, &mut |_, s| out.push(s));
         });
-    }
-
-    fn step(&self, eg: &EGraph, pc: usize, regs: &mut [Id], yield_fn: &mut impl FnMut(&[Id])) {
-        let Some(inst) = self.insts.get(pc) else {
-            yield_fn(regs);
-            return;
-        };
-        match inst {
-            Inst::Compare { a, b } => {
-                if eg.find(regs[*a as usize]) == eg.find(regs[*b as usize]) {
-                    self.step(eg, pc + 1, regs, yield_fn);
-                }
-            }
-            Inst::Bind { reg, op, arity, out } => {
-                for node in eg.nodes(regs[*reg as usize]) {
-                    if node.op != op || node.children.len() != *arity as usize {
-                        continue;
-                    }
-                    for (i, &c) in node.children.iter().enumerate() {
-                        regs[*out as usize + i] = eg.find(c);
-                    }
-                    self.step(eg, pc + 1, regs, yield_fn);
-                }
-            }
-        }
     }
 
     /// Search the whole e-graph through the op → e-class index: only
@@ -311,24 +275,105 @@ impl Program {
         restrict: Option<&ClassSet>,
         results: &mut Vec<(Id, VarSubst)>,
     ) {
-        let mut substs = Vec::new();
-        let mut regs = vec![Id::from(0usize); self.n_regs as usize];
-        let mut visit = |id: Id, substs: &mut Vec<VarSubst>, regs: &mut [Id]| {
-            if restrict.is_some_and(|set| !set.contains(id)) {
-                return;
+        self.search_into(eg, restrict, |id, s| results.push((id, s)));
+    }
+
+    /// [`Program::search_filtered`], handing each match — root class and
+    /// substitution, in search order — to `emit` instead of a list of
+    /// pairs, so a caller collects them straight into its own buffer.
+    pub(crate) fn search_into(
+        &self,
+        eg: &EGraph,
+        restrict: Option<&ClassSet>,
+        mut emit: impl FnMut(Id, VarSubst),
+    ) {
+        self.with_op_numbers(eg, |vm| {
+            let mut regs = vec![Id::from(0usize); self.n_regs as usize];
+            let mut visit = |id: Id| {
+                if restrict.is_none_or(|set| set.contains(id)) {
+                    vm.run(id, &mut regs, &mut emit);
+                }
+            };
+            // the root's `Bind` comes first; a bare-variable root compiles
+            // to no instruction and matches every class
+            match vm.op_nos.first() {
+                Some(&op_no) => eg.classes_with_op_no(op_no).iter().for_each(|&id| visit(id)),
+                None => eg.classes().for_each(|(id, _)| visit(id)),
             }
-            self.search_class_scratch(eg, id, regs, substs);
-            results.extend(substs.drain(..).map(|s| (id, s)));
+        });
+    }
+
+    /// Resolve every `Bind`'s operator to `eg`'s op number and run `body`
+    /// on the resolved program. An operator the arena never interned heads
+    /// no e-node, so a program that binds one matches nothing and `body`
+    /// is not run at all.
+    fn with_op_numbers(&self, eg: &EGraph, body: impl FnOnce(&Vm<'_>)) {
+        const INLINE: usize = 8;
+        let mut inline = [0u32; INLINE];
+        let mut spilled = Vec::new();
+        let op_nos = if self.insts.len() <= INLINE {
+            &mut inline[..self.insts.len()]
+        } else {
+            spilled.resize(self.insts.len(), 0);
+            &mut spilled[..]
         };
-        match &self.root_op {
-            Some(op) => {
-                for &id in eg.classes_with_op(op).iter() {
-                    visit(id, &mut substs, &mut regs);
+        for (slot, inst) in op_nos.iter_mut().zip(&self.insts) {
+            if let Inst::Bind { op, .. } = inst {
+                match eg.arena.op_number(op) {
+                    Some(op_no) => *slot = op_no,
+                    None => return,
                 }
             }
-            None => {
-                for (id, _) in eg.classes() {
-                    visit(id, &mut substs, &mut regs);
+        }
+        body(&Vm { prog: self, eg, op_nos })
+    }
+}
+
+/// A [`Program`] bound to one e-graph: its `Bind` operators resolved to
+/// that graph's op numbers (indexed by instruction), so matching compares
+/// `u32`s and reads forms straight out of the classes and the arena.
+struct Vm<'a> {
+    prog: &'a Program,
+    eg: &'a EGraph,
+    /// Op number of instruction `pc`'s operator (unused for a `Compare`).
+    op_nos: &'a [u32],
+}
+
+impl Vm<'_> {
+    /// Match against the class of `root` with the register file `regs`,
+    /// handing `emit` each complete match.
+    fn run(&self, root: Id, regs: &mut [Id], emit: &mut impl FnMut(Id, VarSubst)) {
+        regs[0] = self.eg.find(root);
+        self.step(0, regs, &mut |regs| {
+            emit(root, VarSubst::from_regs(&self.prog.subst_regs, regs))
+        });
+    }
+
+    fn step(&self, pc: usize, regs: &mut [Id], yield_fn: &mut impl FnMut(&[Id])) {
+        let eg = self.eg;
+        let Some(inst) = self.prog.insts.get(pc) else {
+            yield_fn(regs);
+            return;
+        };
+        match inst {
+            Inst::Compare { a, b } => {
+                if eg.find(regs[*a as usize]) == eg.find(regs[*b as usize]) {
+                    self.step(pc + 1, regs, yield_fn);
+                }
+            }
+            Inst::Bind { reg, arity, out, .. } => {
+                let op_no = self.op_nos[pc];
+                // registers hold canonical ids, so the class is live
+                let class = eg.classes[regs[*reg as usize].index()].as_ref().expect("live class");
+                for &f in &class.nodes {
+                    let children = eg.arena.children(f);
+                    if eg.arena.op_no(f) != op_no || children.len() != *arity as usize {
+                        continue;
+                    }
+                    for (i, &c) in children.iter().enumerate() {
+                        regs[*out as usize + i] = eg.find(c);
+                    }
+                    self.step(pc + 1, regs, yield_fn);
                 }
             }
         }
@@ -366,15 +411,26 @@ impl RhsNode {
         }
     }
 
-    /// Instantiate under `subst`, adding nodes to the e-graph. Returns the
-    /// root class of the instantiated term. Children are built on an
-    /// operand stack the e-graph lends out, so a match whose right-hand
-    /// side already exists allocates nothing.
-    pub fn instantiate(&self, eg: &mut EGraph, subst: &VarSubst) -> Id {
-        let mut stack = eg.take_stack();
-        let id = self.build(eg, subst, &mut stack);
-        eg.return_stack(stack);
-        id
+    /// Instantiate under `subst` and union the result with `class`, adding
+    /// the root straight into `class` ([`EGraph::add_into`]). Returns
+    /// whether the e-graph changed. Children are built on an operand stack
+    /// the e-graph lends out, so a match whose right-hand side already
+    /// exists allocates nothing.
+    pub fn instantiate_into(&self, eg: &mut EGraph, subst: &VarSubst, class: Id) -> bool {
+        match self {
+            RhsNode::Var(v) => eg.union(class, subst.get(*v)).1,
+            RhsNode::Apply { op, children } => {
+                let mut stack = eg.take_stack();
+                for c in children {
+                    let id = c.build(eg, subst, &mut stack);
+                    stack.push(id);
+                }
+                let changed = eg.add_into(op, &stack, class).1;
+                stack.clear();
+                eg.return_stack(stack);
+                changed
+            }
+        }
     }
 
     fn build(&self, eg: &mut EGraph, subst: &VarSubst, stack: &mut Vec<Id>) -> Id {
@@ -484,16 +540,20 @@ mod tests {
     }
 
     #[test]
-    fn rhs_template_instantiates() {
+    fn rhs_template_instantiates_into_the_matched_class() {
         let mut eg = EGraph::new();
         let a = eg.add(Node::sym("a"));
         let b = eg.add(Node::sym("b"));
         let c = eg.add(Node::sym("c"));
+        let bc = eg.add(Node::new(Op::Mul, vec![b, c]));
+        let sum = eg.add(Node::new(Op::Add, vec![a, bc]));
         let lhs = compile("(+ ?a (* ?b ?c))");
-        let rhs = parse_pattern("(fma ?a ?b ?c)").unwrap();
-        let template = RhsNode::compile(&rhs.root, &lhs, "fma1");
+        let rhs = parse_pattern("(+ (* ?c ?b) ?a)").unwrap();
+        let template = RhsNode::compile(&rhs.root, &lhs, "swap");
         let subst = VarSubst::from_slice(&[a, b, c]);
-        let id = template.instantiate(&mut eg, &subst);
-        assert_eq!(eg.term_string(id), "(fma a b c)");
+        assert!(template.instantiate_into(&mut eg, &subst, sum));
+        assert!(!template.instantiate_into(&mut eg, &subst, sum), "the term is there now");
+        let cb = eg.lookup(&Node::new(Op::Mul, vec![c, b])).expect("child built");
+        assert!(eg.nodes(sum).any(|n| *n.op == Op::Add && n.children == [cb, a]));
     }
 }

@@ -106,10 +106,9 @@ impl Rewrite {
     /// restricted to candidate classes when `restrict` is given (the
     /// runner's dirty-class search).
     pub fn search_filtered(&self, eg: &EGraph, restrict: Option<&ClassSet>) -> Vec<RuleMatch> {
-        let mut raw = Vec::new();
-        self.program.search_filtered(eg, restrict, &mut raw);
-        let mut matches: Vec<RuleMatch> =
-            raw.into_iter().map(|(class, subst)| RuleMatch { class, subst }).collect();
+        let mut matches = Vec::new();
+        self.program
+            .search_into(eg, restrict, |class, subst| matches.push(RuleMatch { class, subst }));
         if let Some(cond) = self.condition {
             matches.retain(|m| cond(eg, &self.subst_map(&m.subst)));
         }
@@ -134,8 +133,7 @@ impl Rewrite {
     /// Apply one match: instantiate `rhs` and union with the matched class.
     /// Returns `true` if the e-graph changed.
     pub fn apply_match(&self, eg: &mut EGraph, class: Id, subst: &VarSubst) -> bool {
-        let new_id = self.rhs_template.instantiate(eg, subst);
-        eg.union(class, new_id).1
+        self.rhs_template.instantiate_into(eg, subst, class)
     }
 }
 

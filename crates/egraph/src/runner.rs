@@ -14,8 +14,8 @@
 //! [`Runner::sat_threads`] parallelizes the search: each non-banned rule
 //! becomes one task of a [`crate::pool::map_slots`] fan-out over the
 //! shared `&EGraph`, and the per-rule match lists come back in rule-index
-//! order — backoff decisions, per-rule statistics and the concatenated
-//! match list are computed from them serially, after the join, so the
+//! order — backoff decisions, per-rule statistics and the order matches
+//! are applied in are computed from them serially, after the join, so the
 //! result is byte-identical at any thread count. Stopping is governed by
 //! the node/iteration budgets; the wall-clock limit is checked only at
 //! iteration boundaries (a safety valve, as in extraction), never
@@ -408,8 +408,10 @@ impl Runner {
 
             // Join complete: walk the results in rule-index order. Backoff
             // decisions are taken here, from the deterministic per-rule
-            // match counts — never inside a worker.
-            let mut all_matches: Vec<(usize, RuleMatch)> = Vec::new();
+            // match counts — never inside a worker. A benched rule's
+            // matches are dropped; the rest are applied from their own
+            // per-rule buffers, in rule order.
+            let mut to_apply: Vec<(usize, Vec<RuleMatch>)> = Vec::with_capacity(searched.len());
             let mut found = 0usize;
             for ((ri, restrict), matches) in tasks.into_iter().zip(searched) {
                 found += matches.len();
@@ -430,7 +432,7 @@ impl Runner {
                         continue;
                     }
                 }
-                all_matches.extend(matches.into_iter().map(|m| (ri, m)));
+                to_apply.push((ri, matches));
             }
             let search_time = t_search.elapsed();
             drop(search_span);
@@ -439,26 +441,28 @@ impl Runner {
             // Match roots and substitutions are canonical as of the search
             // (the VM canonicalizes while matching), so the dedup key needs
             // no extra `find` calls; `apply_match` canonicalizes internally
-            // and `applied` counts only unions that changed the graph. The
-            // key is moved, not cloned: a contains-probe filters repeats
-            // and the insert afterwards consumes the match.
+            // and `applied` counts only unions that changed the graph. One
+            // insert-probe per match both filters repeats and records the
+            // key: applying never reads `seen`, so recording a key before
+            // its application leaves the set and every skip as they would
+            // be recorded after it.
             let t_apply = Instant::now();
             let apply_span = trace::span("sat", "apply");
             let mut applied = 0usize;
-            seen.reserve(all_matches.len());
-            for (ri, m) in all_matches {
-                if eg.total_nodes() >= self.limits.node_limit {
-                    break;
+            seen.reserve(to_apply.iter().map(|(_, m)| m.len()).sum());
+            'apply: for (ri, matches) in to_apply {
+                for RuleMatch { class, subst } in matches {
+                    if eg.total_nodes() >= self.limits.node_limit {
+                        break 'apply;
+                    }
+                    if !seen.insert((ri, class, subst.clone())) {
+                        continue;
+                    }
+                    if self.rules[ri].apply_match(eg, class, &subst) {
+                        applied += 1;
+                        rule_stats[ri].applied += 1;
+                    }
                 }
-                let key = (ri, m.class, m.subst);
-                if seen.contains(&key) {
-                    continue;
-                }
-                if self.rules[ri].apply_match(eg, key.1, &key.2) {
-                    applied += 1;
-                    rule_stats[ri].applied += 1;
-                }
-                seen.insert(key);
             }
             let apply_time = t_apply.elapsed();
             drop(apply_span);

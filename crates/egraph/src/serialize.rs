@@ -159,8 +159,9 @@ fn parse_const_token(tok: &str) -> Result<Option<ConstValue>, &'static str> {
     Err("unknown constant token")
 }
 
-/// Append `n` in decimal — the snapshot is mostly integers, and
-/// `core::fmt` spends more on one than this does on a line.
+/// Append `n` in decimal, one digit byte at a time — the snapshot is
+/// mostly integers, and `core::fmt` (or a `push_str` per integer) spends
+/// more on one than this does on a line.
 fn push_num(out: &mut String, mut n: usize) {
     let mut buf = [0u8; 20];
     let mut at = buf.len();
@@ -172,7 +173,14 @@ fn push_num(out: &mut String, mut n: usize) {
             break;
         }
     }
-    out.push_str(std::str::from_utf8(&buf[at..]).expect("ascii digits"));
+    for &d in &buf[at..] {
+        out.push(char::from(d));
+    }
+}
+
+/// Number of decimal digits of `n`.
+fn decimal_len(n: usize) -> usize {
+    n.checked_ilog10().map_or(1, |l| l as usize + 1)
 }
 
 /// `" <n>"`.
@@ -328,6 +336,8 @@ impl EGraph {
     pub fn serialize(&self) -> String {
         // number the live forms, then the operators they use
         let mut forms = Renumbering::new(self.arena.len());
+        // integers and other bytes of the class lines, for sizing the output
+        let (mut class_ints, mut class_text) = (0usize, 2 * self.classes.len());
         for (_, cls) in self.classes() {
             for &f in &cls.nodes {
                 forms.visit(f.index());
@@ -335,6 +345,8 @@ impl EGraph {
             for &(f, _) in &cls.parents {
                 forms.visit(f.index());
             }
+            class_ints += 2 + cls.nodes.len() + 2 * cls.parents.len();
+            class_text += if cls.constant.is_some() { 24 } else { 1 };
         }
         let mut loose: Vec<Form> = (0..self.arena.len())
             .filter(|&f| self.memo[f] != NO_CLASS && forms.new[f] == UNNUMBERED)
@@ -352,8 +364,19 @@ impl EGraph {
             n_children += self.arena.children(f).len();
         }
 
-        // ~6 bytes per integer; classes + parents + the form table
-        let mut out = String::with_capacity(64 + 8 * self.classes.len() + 12 * forms.order.len());
+        // Size the buffer from the counts in hand: an id, form number, op
+        // number or count takes at most `width` bytes with its separator;
+        // a constant token at most 23 and an op token rarely more.
+        let width = 1 + decimal_len(self.classes.len().max(forms.order.len()));
+        let ints = self.unionfind.len()
+            + 2 * forms.order.len()
+            + n_children
+            + class_ints
+            + self.op_index.iter().map(|ids| 2 + ids.len()).sum::<usize>()
+            + self.dirty.len()
+            + self.search_dirty.len()
+            + 16;
+        let mut out = String::with_capacity(64 + width * ints + class_text + 24 * ops.order.len());
         out.push_str(EGRAPH_FORMAT_HEADER);
         out.push_str("\nfold");
         push_sp_num(&mut out, usize::from(self.fold_constants));

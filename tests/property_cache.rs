@@ -16,10 +16,11 @@ mod common;
 
 use accsat::{optimize_source, CacheLevel, SaturatorConfig, StageCache, Variant};
 use accsat_benchmarks::genkern::{generate_kernel, GenConfig, SplitMix64};
-use accsat_egraph::{all_rules, EGraph, Runner, RunnerLimits};
+use accsat_egraph::{all_rules, EGraph, Node, Runner, RunnerLimits};
 use accsat_ir::parse_program;
 use accsat_ssa::build_kernel;
 use proptest::prelude::*;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -172,4 +173,33 @@ fn corrupted_suite_snapshots_are_errors_or_valid_graphs() {
     // most damage is detectable; some lands where any value is a valid one
     // (a child id swapped for another live id, a counter's digits)
     assert!(rejected > 10 * accepted.max(1), "rejected {rejected}, accepted {accepted}");
+}
+
+/// Reading a snapshot costs time in proportion to its size, however wide
+/// its classes are. N distinct symbol leaves unioned into one class is a
+/// legitimate graph whose one class holds N operators; the reader's
+/// invariant check once scanned that run for every node, so restoring it
+/// was O(N²) — at N = 200 000 over a minute in a debug build. A watchdog
+/// thread turns a regression into a failure instead of a stalled suite.
+#[test]
+fn a_class_of_many_distinct_leaves_restores_within_the_watchdog() {
+    const N: usize = 200_000;
+    let mut eg = EGraph::new();
+    let first = eg.add(Node::sym("v0"));
+    for i in 1..N {
+        let leaf = eg.add(Node::sym(&format!("v{i}")));
+        eg.union(first, leaf);
+    }
+    eg.rebuild();
+    assert_eq!(eg.num_classes(), 1);
+    let text = eg.serialize();
+    let (done, finished) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let restored = EGraph::deserialize(&text).map(|g| g.num_classes());
+        let _ = done.send(());
+        restored
+    });
+    let waited = finished.recv_timeout(Duration::from_secs(60));
+    assert!(waited != Err(RecvTimeoutError::Timeout), "restore outlived the 60 s watchdog");
+    assert_eq!(worker.join().expect("restore thread panicked"), Ok(1));
 }
