@@ -2,9 +2,7 @@
 //! extraction machinery can produce, instead of only the static winner.
 
 use accsat_egraph::{EGraph, Id};
-use accsat_extract::{
-    extract_portfolio, extract_portfolio_k, CostModel, PortfolioConfig, Selection,
-};
+use accsat_extract::{extract_portfolio, CostModel, PortfolioConfig, Selection};
 
 /// One harvested extraction candidate.
 #[derive(Debug, Clone)]
@@ -67,12 +65,12 @@ pub fn harvest_candidates(
 
     // 1. the base portfolio, kept whole: greedy incumbent + every
     //    branch-and-bound strategy's best selection
-    let base = extract_portfolio_k(eg, roots, base_cm, pcfg);
+    let base = extract_portfolio(eg, roots, base_cm, pcfg, None);
     let lower_bound = base.lower_bound;
-    for m in base.members {
+    for (strategy, m) in base.members {
         let content_hash = m.selection.content_hash(eg, roots);
         raw.push(Candidate {
-            label: m.strategy.to_string(),
+            label: strategy.to_string(),
             static_cost: m.cost,
             selection: m.selection,
             proven_optimal: m.proven_optimal,
@@ -87,14 +85,16 @@ pub fn harvest_candidates(
             continue;
         }
         let cm = CostModel { heavy, ..*base_cm };
-        let res = extract_portfolio(eg, roots, &cm, pcfg);
-        let static_cost = res.selection.dag_cost(eg, base_cm, roots);
-        let content_hash = res.selection.content_hash(eg, roots);
+        let res = extract_portfolio(eg, roots, &cm, pcfg, None);
+        let proven_optimal = res.proven_optimal;
+        let (_, selection) = res.into_winner();
+        let static_cost = selection.dag_cost(eg, base_cm, roots);
+        let content_hash = selection.content_hash(eg, roots);
         raw.push(Candidate {
             label: format!("heavy={heavy}"),
-            selection: res.selection,
+            selection,
             static_cost,
-            proven_optimal: res.proven_optimal,
+            proven_optimal,
             content_hash,
         });
     }

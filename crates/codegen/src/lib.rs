@@ -33,7 +33,7 @@ pub use types::TypeMap;
 mod tests {
     use super::*;
     use accsat_egraph::{all_rules, Runner};
-    use accsat_extract::{extract, CostModel};
+    use accsat_extract::{extract_exact_with, CostModel, SearchOptions};
     use accsat_interp::{compare_arrays, run_function, ArrayData, Env};
     use accsat_ir::{parse_program, print_program, Function, Program, Stmt};
     use std::time::Duration;
@@ -54,7 +54,8 @@ mod tests {
         }
         let cm = CostModel::paper();
         let roots = kernel.extraction_roots();
-        let sel = extract(&kernel.egraph, &roots, &cm, Duration::from_millis(300));
+        let opts = SearchOptions { deadline: Duration::from_millis(300), ..Default::default() };
+        let sel = extract_exact_with(&kernel.egraph, &roots, &cm, &opts).selection;
         let tm = TypeMap::from_function(&f);
         let new_body = generate(&kernel, &sel, &tm, &CodegenOptions { bulk_load: bulk });
         let mut new_f = f.clone();

@@ -584,7 +584,7 @@ impl StageCache {
 
     /// Look up a saturation-stage entry.
     pub fn get_sat(&self, key: u64) -> Option<SatEntry> {
-        self.get_entry(&self.sat, "sat", key).and_then(|t| SatEntry::from_text(&t).ok())
+        self.get_entry(&self.sat, "sat", key, SatEntry::from_text)
     }
 
     /// Store a saturation-stage entry.
@@ -594,7 +594,7 @@ impl StageCache {
 
     /// Look up an extraction-stage entry.
     pub fn get_sel(&self, key: u64) -> Option<SelEntry> {
-        self.get_entry(&self.sel, "sel", key).and_then(|t| SelEntry::from_text(&t).ok())
+        self.get_entry(&self.sel, "sel", key, SelEntry::from_text)
     }
 
     /// Store an extraction-stage entry.
@@ -633,27 +633,29 @@ impl StageCache {
         trace::instant("cache", name, Vec::new);
     }
 
-    fn get_entry(
+    /// Look up `key` at a text level: memory first, then the level's disk
+    /// directory. Only text that `decode` accepts is a hit and is promoted
+    /// into memory, so a torn, corrupt or version-mismatched entry is a
+    /// miss every time it is probed, until a put overwrites it.
+    fn get_entry<T>(
         &self,
         shelf: &Mutex<Shelf<String>>,
         level: &str,
         key: u64,
-    ) -> Option<Arc<String>> {
-        if let Some(text) = shelf.lock().expect("shelf lock").map.get(&key).cloned() {
-            self.count(level, true);
-            return Some(text);
-        }
-        // disk fallback; promote into memory on success
-        if let Some(dir) = &self.dir {
-            if let Ok(text) = std::fs::read_to_string(entry_path(dir, level, key)) {
-                let text = Arc::new(text);
-                self.promote(shelf, key, text.clone(), 0);
-                self.count(level, true);
-                return Some(text);
-            }
-        }
-        self.count(level, false);
-        None
+        decode: impl Fn(&str) -> Result<T, String>,
+    ) -> Option<T> {
+        let held = shelf.lock().expect("shelf lock").map.get(&key).cloned();
+        let found = match held {
+            Some(text) => decode(&text).ok(),
+            None => self.dir.as_ref().and_then(|dir| {
+                let text = std::fs::read_to_string(entry_path(dir, level, key)).ok()?;
+                let entry = decode(&text).ok()?;
+                self.promote(shelf, key, Arc::new(text), 0);
+                Some(entry)
+            }),
+        };
+        self.count(level, found.is_some());
+        found
     }
 
     fn put_entry(&self, shelf: &Mutex<Shelf<String>>, level: &str, key: u64, text: String) {
@@ -869,6 +871,21 @@ void k(double a[16], double out[16], double c0) {
         let entry = cache.get_sel(42).expect("disk entry must survive the process boundary");
         assert_eq!(entry.cost, 9);
         assert_eq!(entry.winner, "refine");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_undecodable_disk_entry_is_a_miss_every_time() {
+        let dir = std::env::temp_dir().join(format!("accsat-stale-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = StageCache::with_dir(&dir).unwrap();
+        // a selected entry written by an older format version
+        let stale = "accsat-stage sel v1\nmeta 9 true refine 1 9\naccsat-selection v1 0\nend\n";
+        std::fs::write(entry_path(&dir, "sel", 42), stale).unwrap();
+        assert!(cache.get_sel(42).is_none());
+        assert!(cache.get_sel(42).is_none(), "the bad text must not be promoted into memory");
+        let stats = cache.stats();
+        assert_eq!((stats.sel_hits, stats.sel_misses), (0, 2));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -10,9 +10,7 @@ use accsat_egraph::{
     all_rules, EGraph, IterCounts, Rewrite, RuleStats, Runner, RunnerLimits, StopReason,
     ThreadBudget,
 };
-use accsat_extract::{
-    extract_portfolio_budgeted, intern_strategy, CostModel, PortfolioConfig, Selection,
-};
+use accsat_extract::{extract_portfolio, intern_strategy, CostModel, PortfolioConfig, Selection};
 use accsat_ir::{Block, Function, Program};
 use accsat_obs::trace;
 use std::collections::HashMap;
@@ -496,7 +494,7 @@ impl KernelJob<'_> {
     /// Fills the `selected` cache level.
     pub(crate) fn select(&self, sat: &Saturated) -> Chosen {
         let (ex, time) = timed("extract", || {
-            extract_portfolio_budgeted(
+            extract_portfolio(
                 &sat.kernel.egraph,
                 &sat.kernel.extraction_roots(),
                 &self.config.cost_model,
@@ -504,15 +502,15 @@ impl KernelJob<'_> {
                 self.config.thread_budget.as_deref(),
             )
         });
-        let explored = ex.workers.iter().map(|w| w.explored).sum();
+        let explored = ex.members.iter().map(|(_, m)| m.explored).sum();
         let (cost, proven, lower_bound, pruned) =
-            (ex.cost, ex.proven_optimal, ex.lower_bound, ex.pruned);
+            (ex.winning().1.cost, ex.proven_optimal, ex.lower_bound, ex.pruned);
+        let (winner, selection) = ex.into_winner();
         if let Some((cache, _, sel_key)) = self.cache {
-            let (selection, winner) = (ex.selection.serialize(), ex.winner.to_string());
+            let (selection, winner) = (selection.serialize(), winner.to_string());
             let entry = SelEntry { selection, cost, proven, winner, explored, lower_bound, pruned };
             cache.put_sel(sel_key, &entry);
         }
-        let (selection, winner) = (ex.selection, ex.winner);
         Chosen {
             selection,
             cost,

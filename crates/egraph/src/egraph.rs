@@ -132,18 +132,6 @@ impl EGraph {
         self.num_nodes
     }
 
-    /// Number of e-node forms ever interned — the live ones plus what
-    /// canonicalisation left behind (bounded by the node budget: every
-    /// union strands at most the forms that mentioned the merged class).
-    pub fn num_forms(&self) -> usize {
-        self.arena.len()
-    }
-
-    /// Number of distinct canonical e-nodes currently in the memo.
-    pub fn num_memo_nodes(&self) -> usize {
-        self.memo_len
-    }
-
     /// Canonical id of `id`.
     pub fn find(&self, id: Id) -> Id {
         self.unionfind.find(id)
@@ -411,11 +399,6 @@ impl EGraph {
                 self.union(id, leaf_id);
             }
         }
-    }
-
-    /// Add a whole term (tree of nodes), returning the root class.
-    pub fn add_expr(&mut self, op: Op, children: Vec<Id>) -> Id {
-        self.add_with(&op, &children)
     }
 
     /// Lend out the operand stack rule instantiation builds children on

@@ -2,10 +2,15 @@
 //! `FxHasher` algorithm: rotate-xor-multiply per word).
 //!
 //! The default `SipHash` is DoS-resistant but costs real time on the small
-//! keys the engine hashes millions of times per saturation run (e-nodes in
-//! the memo, ids in the op index and dirty sets, substitutions in the
-//! apply-phase dedup). Nothing here hashes attacker-controlled input, so
-//! the non-cryptographic hasher is the right trade.
+//! keys the engine hashes millions of times per saturation run: operators
+//! and e-node forms (op number plus child ids) in the arena's interning
+//! tables, substitutions in the apply-phase dedup set, and the code
+//! generator's name and term tables. The fixed seed makes every iteration
+//! order deterministic, but it also gives no protection against crafted
+//! collisions. Some of these keys are outside input: `accsat serve`
+//! accepts kernels, and their symbol names and constants become arena
+//! operators. Whether crafted names or constants can degrade these tables
+//! is open and unmeasured (ROADMAP item 8, "Hardening residue").
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

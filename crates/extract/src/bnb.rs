@@ -77,8 +77,8 @@ pub enum ClassOrder {
 }
 
 /// Tunables of one branch-and-bound search. The extraction portfolio
-/// diversifies over these; [`SearchOptions::default`] is the configuration
-/// used by the plain [`extract_exact`] entry point.
+/// diversifies over these; [`SearchOptions::default`] orders like its
+/// first strategy: best-first classes, cheapest-tree-first candidates.
 #[derive(Debug, Clone, Copy)]
 pub struct SearchOptions {
     /// How to pick the next class to branch on.
@@ -164,14 +164,8 @@ pub struct ExactResult {
     pub lower_bound: u64,
 }
 
-/// Exact DAG-cost extraction under a time budget, with the default search
-/// options (best-first ordering, cheapest-tree-first candidates).
-pub fn extract_exact(eg: &EGraph, roots: &[Id], cm: &CostModel, budget: Duration) -> ExactResult {
-    let opts = SearchOptions { deadline: budget, ..SearchOptions::default() };
-    extract_exact_with(eg, roots, cm, &opts)
-}
-
-/// Exact DAG-cost extraction with explicit [`SearchOptions`].
+/// Exact DAG-cost extraction with explicit [`SearchOptions`], seeded with
+/// the greedy incumbent over a freshly built [`SearchContext`].
 pub fn extract_exact_with(
     eg: &EGraph,
     roots: &[Id],
@@ -1070,7 +1064,7 @@ mod tests {
         let r1 = eg.add(Node::new(Op::Add, vec![h, a]));
         let r2 = eg.add(Node::new(Op::Mul, vec![h, b]));
         let cm = CostModel::paper();
-        let res = extract_exact(&eg, &[r1, r2], &cm, Duration::from_secs(1));
+        let res = extract_exact_with(&eg, &[r1, r2], &cm, &SearchOptions::default());
         assert!(res.proven_optimal);
         // classes: a 1, b 1, h 100, r1 10, r2 10 = 122
         assert_eq!(res.cost, 122);
@@ -1093,7 +1087,7 @@ mod tests {
         eg.union(hh, mm);
         eg.rebuild();
         let cm = CostModel { constant: 0, variable: 1, operation: 200, heavy: 10 };
-        let res = extract_exact(&eg, &[hh], &cm, Duration::from_secs(1));
+        let res = extract_exact_with(&eg, &[hh], &cm, &SearchOptions::default());
         assert!(res.proven_optimal);
         // shared div route: add 200 + div 10 + a 1 + b 1 = 212
         // two-muls route:   add 200 + 2×mul 400 + 2 = 602
@@ -1113,7 +1107,7 @@ mod tests {
         Runner::new(all_rules()).run(&mut eg);
         let cm = CostModel::paper();
         let g = extract_greedy(&eg, &[sum], &cm);
-        let e = extract_exact(&eg, &[sum], &cm, Duration::from_secs(1));
+        let e = extract_exact_with(&eg, &[sum], &cm, &SearchOptions::default());
         assert_eq!(e.cost, g.dag_cost(&eg, &cm, &[sum]));
         assert!(e.proven_optimal);
     }
@@ -1148,10 +1142,11 @@ mod tests {
         let b = eg.add(Node::sym("b"));
         let r = eg.add(Node::new(Op::Add, vec![a, b]));
         let cm = CostModel::paper();
-        let res = extract_exact(&eg, &[r], &cm, Duration::MAX);
+        let opts = SearchOptions { deadline: Duration::MAX, ..Default::default() };
+        let res = extract_exact_with(&eg, &[r], &cm, &opts);
         assert!(res.proven_optimal);
         assert_eq!(res.cost, 12);
-        let opts = SearchOptions { node_budget: 1, deadline: Duration::MAX, ..Default::default() };
+        let opts = SearchOptions { node_budget: 1, ..opts };
         assert!(!extract_exact_with(&eg, &[r], &cm, &opts).proven_optimal);
     }
 
@@ -1168,7 +1163,7 @@ mod tests {
         let sum = eg.add(Node::new(Op::Add, vec![at, bc]));
         Runner::new(all_rules()).run(&mut eg);
         let cm = CostModel::paper();
-        let res = extract_exact(&eg, &[sum], &cm, Duration::from_secs(2));
+        let res = extract_exact_with(&eg, &[sum], &cm, &SearchOptions::default());
         // fma(a*t, beta, c) = fma 10 + mul 10 + 4 syms = 24 beats
         // add+2mul = 30+4 = 34
         assert!(res.cost <= 24, "expected an FMA extraction, got {}", res.cost);
@@ -1258,7 +1253,7 @@ mod tests {
         let r = eg.add(Node::new(Op::Mul, vec![ab, a]));
         let cm = CostModel::paper();
         let cx = SearchContext::build(&eg, &cm);
-        let res = extract_exact(&eg, &[r], &cm, Duration::from_secs(1));
+        let res = extract_exact_with(&eg, &[r], &cm, &SearchOptions::default());
         assert_eq!(cx.root_lower_bound(&[r]), res.cost, "LP bound is tight on trees");
         assert_eq!(cx.forced_lower_bound(&[r]), res.cost, "forced bound is tight on trees");
     }
@@ -1390,7 +1385,7 @@ mod tests {
         // its operands — but not p/q themselves (they are alternatives):
         // neg 10 + div 100 + a 1 + b 1 = 112
         assert_eq!(lp, 112);
-        let res = extract_exact(&eg, &[root], &cm, Duration::from_secs(1));
+        let res = extract_exact_with(&eg, &[root], &cm, &SearchOptions::default());
         assert!(res.proven_optimal);
         assert!(lp <= res.cost, "bound stays admissible");
     }
@@ -1406,7 +1401,7 @@ mod tests {
         Runner::new(all_rules()).run(&mut eg);
         let roots = [eg.find(r1), eg.find(r2)];
         let cm = CostModel::paper();
-        let fast = extract_exact(&eg, &roots, &cm, Duration::from_secs(2));
+        let fast = extract_exact_with(&eg, &roots, &cm, &SearchOptions::default());
         let slow = extract_unpruned(&eg, &roots, &cm, 50_000_000);
         assert!(fast.proven_optimal && slow.proven_optimal);
         assert_eq!(fast.cost, slow.cost, "pruning must not change the optimum");

@@ -16,7 +16,7 @@
 //!   candidate switches and a sequential marginal greedy that scores
 //!   committed classes as free; deterministic, and the source of the
 //!   best known selections on the hardest suite kernels.
-//! * [`extract_exact`] — branch-and-bound over per-class node choices that
+//! * [`extract_exact_with`] — branch-and-bound over per-class node choices that
 //!   minimizes the true *DAG* cost (shared classes counted once),
 //!   strengthened by symmetry breaking, dominated-node and closure-subset
 //!   pruning, the LP-relaxation required-set bound of [`lp`], φ-chain
@@ -27,8 +27,8 @@
 //! * [`extract_portfolio`] — greedy → refinement → diversified [`bnb`]
 //!   strategies racing on scoped worker threads; first provably-optimal
 //!   or best-at-budget selection wins, deterministically (see
-//!   [`portfolio`]). This is what the pipeline and the `accsat batch`
-//!   driver call.
+//!   [`portfolio`]). It returns every member's selection, so the pipeline
+//!   takes the winner and the autotuner keeps them all.
 //!
 //! The cost model is the paper's §V-B, verbatim: constants are free, each
 //! input variable or φ costs 1, every computational operation costs 10
@@ -46,16 +46,14 @@ pub mod refine;
 pub mod selection;
 
 pub use bnb::{
-    extract_exact, extract_exact_in, extract_exact_with, extract_unpruned, ClassOrder,
-    ContextOptions, ExactResult, SearchContext, SearchOptions,
+    extract_exact_in, extract_exact_with, extract_unpruned, ClassOrder, ContextOptions,
+    ExactResult, SearchContext, SearchOptions,
 };
 pub use cost::CostModel;
 pub use greedy::extract_greedy;
 pub use lp::LpBound;
 pub use portfolio::{
-    extract_portfolio, extract_portfolio_budgeted, extract_portfolio_k, intern_strategy,
-    HarvestedSelection, PortfolioConfig, PortfolioHarvest, PortfolioResult, WorkerOutcome,
-    STRATEGY_COUNT,
+    extract_portfolio, intern_strategy, PortfolioConfig, PortfolioResult, STRATEGY_COUNT,
 };
 pub use refine::{climb, marginal_greedy};
 pub use selection::{Selection, SelectionError};
@@ -70,20 +68,15 @@ const _: () = {
     assert_send_sync::<PortfolioResult>();
 };
 
-use accsat_egraph::{EGraph, Id};
-use std::time::Duration;
-
-/// Extract with the default pipeline: exact branch-and-bound under `budget`,
-/// falling back to (and seeded by) the greedy extraction. Returns the best
-/// selection found.
-pub fn extract(eg: &EGraph, roots: &[Id], cost: &CostModel, budget: Duration) -> Selection {
-    extract_exact(eg, roots, cost, budget).selection
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use accsat_egraph::{all_rules, Node, Op, Runner};
+    use accsat_egraph::{all_rules, EGraph, Id, Node, Op, Runner};
+
+    /// The portfolio's winning selection at its default width.
+    fn extract(eg: &EGraph, roots: &[Id], cm: &CostModel) -> Selection {
+        extract_portfolio(eg, roots, cm, &PortfolioConfig::default(), None).into_winner().1
+    }
 
     /// The paper's Fig. 1 cost example: choosing FMA beats +/* chains.
     #[test]
@@ -96,7 +89,7 @@ mod tests {
         let sum = eg.add(Node::new(Op::Add, vec![a, bc]));
         Runner::new(all_rules()).run(&mut eg);
         let cm = CostModel::paper();
-        let sel = extract(&eg, &[sum], &cm, Duration::from_millis(200));
+        let sel = extract(&eg, &[sum], &cm);
         assert_eq!(sel.node(&eg, sum).op, Op::Fma, "FMA (10+3) must beat + and * (20+3)");
         // cost: fma 10 + three syms 3 = 13
         assert_eq!(sel.dag_cost(&eg, &cm, &[sum]), 13);
@@ -112,7 +105,7 @@ mod tests {
         let r1 = eg.add(Node::new(Op::Mul, vec![ab, a]));
         let r2 = eg.add(Node::new(Op::Mul, vec![ab, b]));
         let cm = CostModel::paper();
-        let sel = extract(&eg, &[r1, r2], &cm, Duration::from_millis(200));
+        let sel = extract(&eg, &[r1, r2], &cm);
         // classes: a(1) b(1) ab(10) r1(10) r2(10) = 32, ab counted once
         assert_eq!(sel.dag_cost(&eg, &cm, &[r1, r2]), 32);
     }
@@ -140,7 +133,7 @@ mod tests {
         eg.rebuild();
         let cm = CostModel::paper();
         let g = extract_greedy(&eg, &[sum], &cm);
-        let e = extract(&eg, &[sum], &cm, Duration::from_millis(200));
+        let e = extract(&eg, &[sum], &cm);
         assert!(
             e.dag_cost(&eg, &cm, &[sum]) <= g.dag_cost(&eg, &cm, &[sum]),
             "exact must never be worse than greedy"
@@ -154,7 +147,7 @@ mod tests {
         let three = eg.add(Node::int(3));
         let sum = eg.add(Node::new(Op::Add, vec![two, three]));
         let cm = CostModel::paper();
-        let sel = extract(&eg, &[sum], &cm, Duration::from_millis(100));
+        let sel = extract(&eg, &[sum], &cm);
         assert_eq!(sel.node(&eg, sum).op, Op::Int(5), "folded constant is free");
         assert_eq!(sel.dag_cost(&eg, &cm, &[sum]), 0);
     }

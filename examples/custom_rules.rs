@@ -5,8 +5,7 @@
 //! Run with: `cargo run --release --example custom_rules`
 
 use accsat_egraph::{all_rules, reorder_rules, EGraph, Node, Op, Rewrite, Runner};
-use accsat_extract::{extract, CostModel};
-use std::time::Duration;
+use accsat_extract::{extract_portfolio, CostModel, PortfolioConfig};
 
 fn main() {
     // Build (a - b*c) + (b*c - a) by hand.
@@ -36,7 +35,8 @@ fn main() {
     );
 
     let cm = CostModel::paper();
-    let sel = extract(&eg, &[sum], &cm, Duration::from_millis(200));
+    let (_, sel) =
+        extract_portfolio(&eg, &[sum], &cm, &PortfolioConfig::default(), None).into_winner();
     println!("extracted: {} (cost {})", sel.term_string(&eg, sum), sel.dag_cost(&eg, &cm, &[sum]));
     // (a - bc) + (bc - a) = 0 — the custom cancellation rule plus the
     // reorder set proves it, so extraction returns the free constant.

@@ -61,7 +61,7 @@ fn extraction_tables_are_sized_by_live_classes() {
         assert_eq!(cx.lp().len(), cx.slots(), "{name}: one LP row per slot");
         let lp_words = cx.lp().len().div_ceil(64);
         drop(cx);
-        let (_, n) = counted(|| extract_portfolio(eg, &roots, &cm, &cfg));
+        let (_, n) = counted(|| extract_portfolio(eg, &roots, &cm, &cfg, None));
         println!(
             "{name}: {} ids, {} classes, {lp_words} LP words per row, {} allocations, {} bytes",
             eg.id_bound(),

@@ -110,10 +110,11 @@ proptest! {
                 node_budget: 5_000_000,
                 deadline: std::time::Duration::from_secs(60),
             };
-            let res = extract_portfolio(&eg, &roots, &cm, &cfg);
+            let res = extract_portfolio(&eg, &roots, &cm, &cfg, None);
             prop_assert!(res.proven_optimal);
-            prop_assert!(res.cost == exact.cost, "threads={}: {} != {}", threads, res.cost, exact.cost);
-            prop_assert!(res.selection.dag_cost(&eg, &cm, &roots) == res.cost,
+            let (_, win) = res.winning();
+            prop_assert!(win.cost == exact.cost, "threads={}: {} != {}", threads, win.cost, exact.cost);
+            prop_assert!(win.selection.dag_cost(&eg, &cm, &roots) == win.cost,
                 "claimed cost must match recomputation (threads={})", threads);
         }
     }
@@ -293,10 +294,11 @@ proptest! {
             node_budget: 5_000_000,
             deadline: std::time::Duration::from_secs(60),
         };
-        let p = extract_portfolio(&eg, &roots, &cm, &cfg);
+        let p = extract_portfolio(&eg, &roots, &cm, &cfg, None);
         prop_assert!(p.proven_optimal);
-        prop_assert!(p.cost == oracle.cost, "portfolio: {} != {}", p.cost, oracle.cost);
-        prop_assert!(p.lower_bound == p.cost, "proven ⇒ bound gap 0");
+        let cost = p.winning().1.cost;
+        prop_assert!(cost == oracle.cost, "portfolio: {} != {}", cost, oracle.cost);
+        prop_assert!(p.lower_bound == cost, "proven ⇒ bound gap 0");
     }
 
     /// The bound lattice: forced-children closure ⊑ LP relaxation ⊑ true

@@ -5,7 +5,7 @@
 
 use acc_saturator::{optimize_program, Variant};
 use accsat_egraph::{all_rules, EGraph, Id, Node, Op, Runner, RunnerLimits};
-use accsat_extract::{extract, extract_greedy, CostModel};
+use accsat_extract::{extract_exact_with, extract_greedy, CostModel, SearchOptions, Selection};
 use accsat_interp::{approx_eq, compare_arrays, run_function, ArrayData, Env};
 use accsat_ir::parse_program;
 use proptest::prelude::*;
@@ -105,6 +105,13 @@ fn eval_selection(
     v
 }
 
+/// Exact extraction, seeded with the greedy incumbent, under a 50 ms
+/// wall-clock valve.
+fn exact(eg: &EGraph, roots: &[Id], cm: &CostModel) -> Selection {
+    let opts = SearchOptions { deadline: Duration::from_millis(50), ..Default::default() };
+    extract_exact_with(eg, roots, cm, &opts).selection
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -116,7 +123,7 @@ proptest! {
         let limits = RunnerLimits { node_limit: 3000, iter_limit: 6, ..Default::default() };
         Runner::new(all_rules()).with_limits(limits).run(&mut eg);
         let cm = CostModel::paper();
-        let sel = extract(&eg, &[root], &cm, Duration::from_millis(50));
+        let sel = exact(&eg, &[root], &cm);
         let xs = [x0, x1, x2];
         let want = eval_term(&t, &xs);
         let got = eval_selection(&eg, &sel, root, &xs, &mut HashMap::new());
@@ -135,7 +142,7 @@ proptest! {
         Runner::new(all_rules()).with_limits(limits).run(&mut eg);
         let cm = CostModel::paper();
         let g = extract_greedy(&eg, &[root], &cm);
-        let e = extract(&eg, &[root], &cm, Duration::from_millis(50));
+        let e = exact(&eg, &[root], &cm);
         prop_assert!(
             e.dag_cost(&eg, &cm, &[root]) <= g.dag_cost(&eg, &cm, &[root])
         );

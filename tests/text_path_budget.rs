@@ -86,7 +86,8 @@ fn text_path_allocates_at_most_half_of_its_parent() {
                 let mut kernel = accsat_ssa::build_kernel(&l.body);
                 Runner::new(all_rules()).run(&mut kernel.egraph);
                 let roots = kernel.extraction_roots();
-                let sel = extract_portfolio(&kernel.egraph, &roots, &cm, &cfg).selection;
+                let (_, sel) =
+                    extract_portfolio(&kernel.egraph, &roots, &cm, &cfg, None).into_winner();
                 let (body, n) = counted(|| generate(&kernel, &sel, &tm, &opts));
                 assert!(!body.stmts.is_empty(), "{}: empty body", f.name);
                 println!("generate {}: {} allocations, {} bytes", f.name, n[0], n[1]);
