@@ -31,9 +31,15 @@
 //! (Rows there were as wide as the largest live id, not `id_bound`.) A run
 //! prints the same table for the tree under test; the total moves by a few
 //! allocations of ~400 bytes with how the racing worker threads start.
+//!
+//! The same binary counts the allocations of `SearchContext::build` alone,
+//! the fixed cost every extraction pays once per kernel: over the 19 suite
+//! kernels and over 64 tiny generated kernels (`GenConfig { max_stmts: 2,
+//! max_depth: 2 }`, the shape of the benchmark's many-small-kernels fill).
 
 mod common;
 
+use accsat_benchmarks::genkern::{generate_kernel, GenConfig};
 use accsat_egraph::{all_rules, Runner};
 use accsat_extract::{extract_portfolio, CostModel, PortfolioConfig, SearchContext};
 use common::counting::counted;
@@ -45,6 +51,27 @@ static GLOBAL: common::counting::Counting = common::counting::Counting;
 /// Bytes the 19 extractions requested at `b2bf575` (table above).
 const PARENT_BYTES: u64 = 11_089_593;
 
+/// Allocations of `SearchContext::build` over the 19 suite kernels and over
+/// the 64 generated kernels, recorded at `edabc1e`.
+const PARENT_CONTEXT_ALLOCATIONS: [u64; 2] = [37_158, 24_696];
+
+/// The 64 generated kernels, saturated.
+fn generated_kernels() -> Vec<accsat_ssa::SsaKernel> {
+    let cfg = GenConfig { max_stmts: 2, max_depth: 2 };
+    let mut out = Vec::new();
+    for seed in 0..64 {
+        let prog = accsat_ir::parse_program(&generate_kernel(seed, &cfg).source).unwrap();
+        for f in &prog.functions {
+            for l in accsat_ir::innermost_parallel_loops(f) {
+                let mut kernel = accsat_ssa::build_kernel(&l.body);
+                Runner::new(all_rules()).run(&mut kernel.egraph);
+                out.push(kernel);
+            }
+        }
+    }
+    out
+}
+
 #[test]
 fn extraction_tables_are_sized_by_live_classes() {
     let cm = CostModel::paper();
@@ -53,31 +80,51 @@ fn extraction_tables_are_sized_by_live_classes() {
     let cfg =
         PortfolioConfig { threads: 2, node_budget: 60_000, deadline: Duration::from_secs(600) };
     let mut total = [0u64; 2];
+    let mut context = [0u64; 2];
     for (name, mut kernel) in common::suite_kernels() {
         Runner::new(all_rules()).run(&mut kernel.egraph);
         let (eg, roots) = (&kernel.egraph, kernel.extraction_roots());
-        let cx = SearchContext::build(eg, &cm);
+        let (cx, built) = counted(|| SearchContext::build(eg, &cm));
         assert_eq!(cx.slots(), eg.num_classes(), "{name}: one slot per live class");
         assert_eq!(cx.lp().len(), cx.slots(), "{name}: one LP row per slot");
         let lp_words = cx.lp().len().div_ceil(64);
         drop(cx);
         let (_, n) = counted(|| extract_portfolio(eg, &roots, &cm, &cfg, None));
         println!(
-            "{name}: {} ids, {} classes, {lp_words} LP words per row, {} allocations, {} bytes",
+            "{name}: {} ids, {} classes, {lp_words} LP words per row, {} allocations, {} bytes \
+             ({} to build the context)",
             eg.id_bound(),
             eg.num_classes(),
             n[0],
             n[1],
+            built[0],
         );
         total = [total[0] + n[0], total[1] + n[1]];
+        context[0] += built[0];
+    }
+    let generated = generated_kernels();
+    for kernel in &generated {
+        let (_, built) = counted(|| SearchContext::build(&kernel.egraph, &cm));
+        context[1] += built[0];
     }
     println!(
         "all 19: {} allocations, {} bytes (b2bf575: {PARENT_BYTES} bytes)",
         total[0], total[1]
     );
+    println!(
+        "context build: {} allocations over the 19 suite kernels, {} over {} generated kernels \
+         (edabc1e: {PARENT_CONTEXT_ALLOCATIONS:?})",
+        context[0],
+        context[1],
+        generated.len()
+    );
     assert!(
         total[1] * 2 <= PARENT_BYTES,
         "extraction requested {} bytes, more than half of the id-indexed {PARENT_BYTES}",
         total[1]
+    );
+    assert!(
+        context[0] <= PARENT_CONTEXT_ALLOCATIONS[0] && context[1] <= PARENT_CONTEXT_ALLOCATIONS[1],
+        "building the search context allocated {context:?} times, more than at edabc1e"
     );
 }
