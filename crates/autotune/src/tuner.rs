@@ -259,7 +259,8 @@ pub fn tune_kernel(
         workers,
         bodies.len(),
         || (),
-        |i| {
+        |i, helpers| {
+            helpers.request();
             let mut cand_fn = nest.clone();
             splice_kernel_body(&mut cand_fn, bodies[i].clone());
             compile_kernel(&cand_fn, &cfg.compiler, bindings)

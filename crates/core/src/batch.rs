@@ -466,7 +466,8 @@ fn run_suite(
         workers,
         items.len(),
         || budget.release(1),
-        |i| {
+        |i, helpers| {
+            helpers.request();
             let (bi, fi) = items[i];
             let f = &programs[bi].functions[fi];
             let _item_span =

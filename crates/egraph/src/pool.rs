@@ -12,6 +12,13 @@
 //! simulations, the fuzz campaign's cases and the batch driver's kernel
 //! queue; each computes a width and makes one call.
 //!
+//! **Growth on demand.** A fan-out starts on the calling thread alone and
+//! spawns its helpers only when one of its tasks asks
+//! ([`Helpers::request`]). The runner, tuner, fuzz and batch tasks ask
+//! first thing. A branch-and-bound search asks once it has explored 256
+//! nodes, so a race whose searches are all short — the usual case for a
+//! small kernel — never pays for a thread it could not use.
+//!
 //! **Determinism.** Results are indexed by task, never by completion: the
 //! returned vector holds `f(0), f(1), …, f(n - 1)` in that order whichever
 //! thread ran which task and whenever it finished. A caller that reduces
@@ -21,7 +28,8 @@
 //! never exchange intermediate results and no task is ever cancelled.
 //!
 //! **Panics.** A panicking task takes down only the worker that ran it;
-//! the other workers drain the remaining tasks, every worker is joined,
+//! the other workers, if the fan-out has grown, drain the remaining
+//! tasks, every worker is joined,
 //! and then the task's own payload is re-raised on the calling thread — a
 //! `catch_unwind` around the fan-out sees the real message, not a generic
 //! "a scoped thread panicked". At width 1 the panic simply propagates.
@@ -112,44 +120,82 @@ impl Drop for Lease<'_> {
     }
 }
 
-/// Run `f(0), f(1), …, f(n - 1)` on `width` threads, **of which the
-/// calling thread is one**, and return the results in index order (see
-/// the module docs for the determinism and panic rules).
+/// A task's handle on the fan-out running it: [`Helpers::request`] starts
+/// the fan-out's helper threads. Copy it freely; it cannot leave the task.
+#[derive(Clone, Copy)]
+pub struct Helpers<'a>(Option<&'a dyn Fn()>);
+
+impl Helpers<'_> {
+    /// Start the fan-out's helpers, if they have not started yet: up to
+    /// `width − 1` threads, never more than the tasks no worker has
+    /// claimed. A task that wants company from its first instruction asks
+    /// first thing; one that is usually short asks once it has proved
+    /// long. A request from a helper thread, a second request and a
+    /// request at width 1 do nothing.
+    pub fn request(self) {
+        if let Some(grow) = self.0 {
+            grow();
+        }
+    }
+}
+
+/// Run `f(0, ·), f(1, ·), …, f(n - 1, ·)` on up to `width` threads, **of
+/// which the calling thread is one**, and return the results in index
+/// order (see the module docs for the determinism and panic rules).
 ///
+/// Every fan-out starts on the calling thread alone. Its `width − 1`
+/// helpers are spawned together, and only when a task calls
+/// [`Helpers::request`] on the handle it is given; a fan-out whose tasks
+/// never ask is a plain loop on the calling thread, however wide.
 /// Indices are handed out one at a time from a shared cursor. Each worker
-/// calls `retire` once, when it finds the cursor past `n` — the batch
-/// driver returns the worker's permit to its [`ThreadBudget`] there;
-/// every other caller passes `|| ()`. At `width <= 1` this is a plain
-/// loop on the calling thread: no atomic, no lock, no spawn.
+/// calls `retire` once, when it finds the cursor past `n`, and the calling
+/// thread calls it once more for every helper that was never spawned —
+/// the batch driver returns a worker's permit to its [`ThreadBudget`]
+/// there; every other caller passes `|| ()`. At `width <= 1` this is a
+/// plain loop on the calling thread: no atomic, no lock, no spawn.
 pub fn map_slots<T: Send>(
     width: usize,
     n: usize,
     retire: impl Fn() + Sync,
-    f: impl Fn(usize) -> T + Sync,
+    f: impl Fn(usize, Helpers<'_>) -> T + Sync,
 ) -> Vec<T> {
     if width <= 1 {
-        let out = (0..n).map(f).collect();
+        let out = (0..n).map(|i| f(i, Helpers(None))).collect();
         retire();
         return out;
     }
     // Relaxed: the cursor publishes nothing but itself; results travel
     // through the join handles
     let cursor = AtomicUsize::new(0);
-    let drain = || {
+    let drain = |helpers: Helpers<'_>| {
         let mut done = Vec::new();
         loop {
             let i = cursor.fetch_add(1, Ordering::Relaxed);
             if i >= n {
                 break;
             }
-            done.push((i, f(i)));
+            done.push((i, f(i, helpers)));
         }
         retire();
         done
     };
     let mut pairs = std::thread::scope(|scope| {
-        let spawned: Vec<_> = (1..width).map(|_| scope.spawn(drain)).collect();
-        let mut pairs = drain();
+        // only the calling thread's tasks can grow the fan-out: helpers
+        // exist only once it has grown, and it grows once
+        let spawned = std::cell::OnceCell::new();
+        let grow = || {
+            spawned.get_or_init(|| {
+                let unclaimed = n.saturating_sub(cursor.load(Ordering::Relaxed));
+                let helpers = (width - 1).min(unclaimed);
+                (helpers..width - 1).for_each(|_| retire());
+                (0..helpers).map(|_| scope.spawn(|| drain(Helpers(None)))).collect::<Vec<_>>()
+            });
+        };
+        let mut pairs = drain(Helpers(Some(&grow)));
+        let Some(spawned) = spawned.into_inner() else {
+            (1..width).for_each(|_| retire());
+            return pairs;
+        };
         for worker in spawned {
             // a panic here (or in `drain` above) unwinds out of the scope,
             // which first joins whatever is still running
@@ -295,7 +341,8 @@ mod tests {
                 width,
                 n,
                 || (),
-                |i| {
+                |i, helpers| {
+                    helpers.request();
                     let (order, changed) = &finished;
                     let mut order = order.lock().unwrap();
                     while i + 1 < width && !(i + 1..n).all(|later| order.contains(&later)) {
@@ -314,14 +361,22 @@ mod tests {
                 _ => assert_eq!(order, vec![5, 4, 3, 2, 1, 0]),
             }
         }
-        assert_eq!(map_slots(4, 0, || (), |i| i), Vec::<usize>::new(), "n = 0");
-        assert_eq!(map_slots(8, 3, || (), |i| i + 1), vec![1, 2, 3], "width > n");
+        assert_eq!(map_slots(4, 0, || (), |i, _| i), Vec::<usize>::new(), "n = 0");
+        assert_eq!(map_slots(8, 3, || (), |i, _| i + 1), vec![1, 2, 3], "width > n");
     }
 
     #[test]
     fn map_slots_width_one_stays_on_the_calling_thread() {
         let me = std::thread::current().id();
-        let ids = map_slots(1, 5, || (), |_| std::thread::current().id());
+        let ids = map_slots(
+            1,
+            5,
+            || (),
+            |_, helpers| {
+                helpers.request();
+                std::thread::current().id()
+            },
+        );
         assert_eq!(ids, vec![me; 5]);
         // and the caller is one of the workers at any width: with a
         // barrier holding both workers inside a task, one of them is us
@@ -330,13 +385,83 @@ mod tests {
             2,
             2,
             || (),
-            |_| {
+            |_, helpers| {
+                helpers.request();
                 barrier.wait();
                 std::thread::current().id()
             },
         );
         assert!(ids.contains(&me), "caller drains too");
         assert_ne!(ids[0], ids[1]);
+    }
+
+    #[test]
+    fn a_fan_out_whose_tasks_never_ask_stays_on_the_calling_thread() {
+        let me = std::thread::current().id();
+        let retired = AtomicUsize::new(0);
+        let ids = map_slots(
+            8,
+            20,
+            || {
+                retired.fetch_add(1, Ordering::SeqCst);
+            },
+            |_, _| std::thread::current().id(),
+        );
+        assert_eq!(ids, vec![me; 20]);
+        assert_eq!(retired.load(Ordering::SeqCst), 8, "one retire per worker, spawned or not");
+    }
+
+    #[test]
+    fn a_request_partway_hands_the_unclaimed_tasks_to_helpers() {
+        // task 1 asks, then waits for two more workers at the barrier:
+        // only helpers spawned by its request can bring them, with tasks 2
+        // and 3 — task 0 ran before anyone asked, on the calling thread
+        let me = std::thread::current().id();
+        let barrier = std::sync::Barrier::new(3);
+        let ids = map_slots(
+            3,
+            5,
+            || (),
+            |i, helpers| {
+                if i == 1 {
+                    helpers.request();
+                }
+                if (1..4).contains(&i) {
+                    barrier.wait();
+                }
+                std::thread::current().id()
+            },
+        );
+        assert_eq!(&ids[..2], &[me, me]);
+        assert!(ids[2] != me && ids[3] != me && ids[2] != ids[3], "{ids:?}");
+    }
+
+    #[test]
+    fn requests_from_helpers_and_repeated_requests_change_nothing() {
+        // every task asks, on every thread, twice; the fan-out still grows
+        // once, by no more helpers than tasks were left: width 8 over 3
+        // tasks spawns 2 helpers and retires the 5 it never spawned
+        for (width, n) in [(2, 16), (8, 3)] {
+            let retired = AtomicUsize::new(0);
+            let ids = map_slots(
+                width,
+                n,
+                || {
+                    retired.fetch_add(1, Ordering::SeqCst);
+                },
+                |i, helpers| {
+                    helpers.request();
+                    helpers.request();
+                    (i, std::thread::current().id())
+                },
+            );
+            let mut threads: Vec<_> = ids.iter().map(|&(_, t)| t).collect();
+            threads.sort_unstable_by_key(|t| format!("{t:?}"));
+            threads.dedup();
+            assert!(threads.len() <= width.min(n), "width {width}: {} threads", threads.len());
+            assert_eq!(ids.iter().map(|&(i, _)| i).collect::<Vec<_>>(), (0..n).collect::<Vec<_>>());
+            assert_eq!(retired.load(Ordering::SeqCst), width, "width {width}");
+        }
     }
 
     #[test]
@@ -347,7 +472,8 @@ mod tests {
                 2,
                 8,
                 || (),
-                |i| {
+                |i, helpers| {
+                    helpers.request();
                     if i == 3 {
                         panic!("boom {i}");
                     }
@@ -361,13 +487,37 @@ mod tests {
     }
 
     #[test]
+    fn a_panic_on_the_calling_thread_after_growth_reraises_its_own_payload() {
+        // task 0 always runs on the calling thread; it grows the fan-out
+        // and panics, and the helper still drains the other seven
+        let ran = AtomicUsize::new(0);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            map_slots(
+                2,
+                8,
+                || (),
+                |i, helpers| {
+                    if i == 0 {
+                        helpers.request();
+                        panic!("boom {i}");
+                    }
+                    ran.fetch_add(1, Ordering::SeqCst);
+                },
+            )
+        }));
+        let payload = caught.expect_err("the task's panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<String>().map(String::as_str), Some("boom 0"));
+        assert_eq!(ran.load(Ordering::SeqCst), 7, "the helper drained the rest");
+    }
+
+    #[test]
     fn retiring_workers_hand_every_permit_back() {
         // the batch driver's accounting: `t` threads over `n` items start
         // `w = min(t, n)` workers and bank `t - w`; each worker retires one
         for (t, n) in [(1, 0), (1, 5), (4, 2), (4, 9), (8, 8)] {
             let w = t.clamp(1, n.max(1));
             let budget = ThreadBudget::new(t - w);
-            let out = map_slots(w, n, || budget.release(1), |i| i);
+            let out = map_slots(w, n, || budget.release(1), |i, _| i);
             assert_eq!(out.len(), n);
             assert_eq!(budget.spare(), t, "threads {t}, items {n}");
         }

@@ -391,7 +391,8 @@ impl Runner {
                     width,
                     tasks.len(),
                     || (),
-                    |ti| {
+                    |ti, helpers| {
+                        helpers.request();
                         let (ri, restrict) = &tasks[ti];
                         let _rule_span = trace::span_named("sat.rule", || {
                             format!("search {}", self.rules[*ri].name)

@@ -53,10 +53,10 @@
 //! run-to-run; the wall-clock deadline is a safety valve on top.
 
 use crate::cost::CostModel;
-use crate::greedy::{class_costs, extract_greedy};
+use crate::greedy::{class_costs, greedy_from};
 use crate::lp::{bits, LpBound};
 use crate::selection::Selection;
-use accsat_egraph::{EGraph, Id, Node, Visited};
+use accsat_egraph::{EGraph, Id, Node, NodeRef, Visited};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -172,9 +172,10 @@ pub fn extract_exact_with(
     cm: &CostModel,
     opts: &SearchOptions,
 ) -> ExactResult {
-    let incumbent = extract_greedy(eg, roots, cm);
+    let tree_costs = class_costs(eg, cm);
+    let incumbent = greedy_from(eg, roots, cm, &tree_costs);
     let incumbent_cost = incumbent.dag_cost(eg, cm, roots);
-    let cx = SearchContext::build(eg, cm);
+    let cx = SearchContext::build_from(eg, cm, &ContextOptions::default(), &tree_costs);
     extract_exact_in(&cx, roots, &incumbent, incumbent_cost, opts)
 }
 
@@ -190,12 +191,14 @@ pub fn extract_unpruned(
     cm: &CostModel,
     node_budget: u64,
 ) -> ExactResult {
-    let incumbent = extract_greedy(eg, roots, cm);
+    let tree_costs = class_costs(eg, cm);
+    let incumbent = greedy_from(eg, roots, cm, &tree_costs);
     let incumbent_cost = incumbent.dag_cost(eg, cm, roots);
-    let cx = SearchContext::build_with(
+    let cx = SearchContext::build_from(
         eg,
         cm,
         &ContextOptions { orbit: false, dominance: false, closure_dominance: false },
+        &tree_costs,
     );
     let opts = SearchOptions {
         node_budget,
@@ -216,9 +219,28 @@ pub fn extract_exact_in(
     incumbent_cost: u64,
     opts: &SearchOptions,
 ) -> ExactResult {
+    extract_exact_hooked(cx, roots, incumbent, incumbent_cost, opts, &|| ())
+}
+
+/// The search explores this many nodes between two looks at the clock;
+/// its first look is also when it reports itself long.
+const VALVE_EVERY: u64 = 256;
+
+/// [`extract_exact_in`] that calls `long` once, when the search explores
+/// its [`VALVE_EVERY`]th node — the portfolio's race asks for its helper
+/// threads there, so a race of short searches stays on one thread.
+pub(crate) fn extract_exact_hooked(
+    cx: &SearchContext<'_>,
+    roots: &[Id],
+    incumbent: &Selection,
+    incumbent_cost: u64,
+    opts: &SearchOptions,
+    long: &dyn Fn(),
+) -> ExactResult {
     let n = cx.slots();
     let mut search = Search {
         cx,
+        long,
         opts: *opts,
         best: None,
         best_cost: incumbent_cost,
@@ -290,11 +312,13 @@ pub struct SearchContext<'a> {
     min_op: Vec<u64>,
     /// Candidate nodes per class after the finite-cost filter, orbit
     /// collapse and dominated-node pruning, in a deterministic order.
-    cands: Vec<Vec<Cand>>,
+    cands: Cands<'a>,
     /// Classes that are a child of *every* surviving candidate of a class:
     /// required whenever the class is required (the legacy memo bound,
-    /// kept as the `lp_bound: false` fallback and for ablation).
-    forced: Vec<Vec<u32>>,
+    /// kept as the `lp_bound: false` fallback and for ablation). Class `c`
+    /// owns `forced[forced_start[c]..forced_start[c + 1]]`.
+    forced: Vec<u32>,
+    forced_start: Vec<u32>,
     /// LP-relaxation required sets and per-class fractional bounds.
     lp: LpBound,
     /// How often closure dominance pruned and the LP sets were rebuilt.
@@ -321,15 +345,66 @@ pub struct SearchContext<'a> {
     closure_pruned: usize,
 }
 
-/// One surviving candidate: the node plus its precomputed op cost, tree
-/// cost and deduplicated canonical child set.
-#[derive(Debug, Clone)]
-pub(crate) struct Cand {
-    pub(crate) node: Node,
+/// One surviving candidate: the node, borrowed from the e-graph, plus its
+/// precomputed op cost, tree cost and where its child set lies in the
+/// slot pool ([`Cands::kids`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Cand<'a> {
+    pub(crate) node: NodeRef<'a>,
     pub(crate) op_cost: u64,
     pub(crate) tree_cost: u64,
-    /// The slots of the child classes, sorted and deduplicated.
-    pub(crate) child_set: Vec<u32>,
+    /// `Cands::pool[kids.0..kids.1]`.
+    kids: (u32, u32),
+}
+
+impl Cand<'_> {
+    /// How many distinct child classes the candidate has.
+    fn width(&self) -> usize {
+        (self.kids.1 - self.kids.0) as usize
+    }
+}
+
+/// Every class's candidates in one list, and every candidate's child set in
+/// one slot pool: building a context allocates per table, not per class or
+/// candidate. Class `c` owns `list[start[c]..start[c + 1]]`.
+pub(crate) struct Cands<'a> {
+    list: Vec<Cand<'a>>,
+    start: Vec<u32>,
+    /// The child sets: the slots of a candidate's child classes, sorted and
+    /// deduplicated. Pruned candidates leave their sets behind.
+    pool: Vec<u32>,
+}
+
+impl<'a> Cands<'a> {
+    /// The candidates of the class in slot `c`.
+    pub(crate) fn of(&self, c: usize) -> &[Cand<'a>] {
+        &self.list[self.start[c] as usize..self.start[c + 1] as usize]
+    }
+
+    /// How many candidates the class in slot `c` has.
+    fn count(&self, c: usize) -> usize {
+        (self.start[c + 1] - self.start[c]) as usize
+    }
+
+    /// The child set of `cand`.
+    pub(crate) fn kids(&self, cand: &Cand<'_>) -> &[u32] {
+        &self.pool[cand.kids.0 as usize..cand.kids.1 as usize]
+    }
+
+    /// Number of classes.
+    pub(crate) fn classes(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// Every (class, child class) edge of the candidate graph, once per
+    /// candidate that has it, in class and candidate order.
+    fn edges(&self) -> impl DoubleEndedIterator<Item = (usize, usize)> + '_ {
+        (0..self.classes()).flat_map(move |c| {
+            self.of(c)
+                .iter()
+                .flat_map(move |k| self.kids(k).iter().map(move |&ch| (c, ch as usize)))
+        })
+    }
 }
 
 /// `slot_of` entry of an id that is not a canonical class.
@@ -338,12 +413,20 @@ const NO_SLOT: u32 = u32::MAX;
 /// The slot index of `eg`: id → slot and slot → id over its live canonical
 /// classes, in ascending id order (the one place sized by every id).
 fn slot_index(eg: &EGraph) -> (Arc<[u32]>, Vec<Id>) {
-    let class_at: Vec<Id> = eg.classes().map(|(id, _)| id).collect();
-    let mut slot_of = vec![NO_SLOT; eg.id_bound()];
-    for (slot, id) in class_at.iter().enumerate() {
-        slot_of[id.index()] = slot as u32;
-    }
-    (slot_of.into(), class_at)
+    let mut class_at = Vec::with_capacity(eg.num_classes());
+    class_at.extend(eg.classes().map(|(id, _)| id));
+    let mut next = 0;
+    let slot_of = (0..eg.id_bound())
+        .map(|i| {
+            if class_at.get(next).is_some_and(|id| id.index() == i) {
+                next += 1;
+                next as u32 - 1
+            } else {
+                NO_SLOT
+            }
+        })
+        .collect();
+    (slot_of, class_at)
 }
 
 /// Reverse edges of the candidate graph, flat: class → the classes with a
@@ -359,26 +442,25 @@ pub(crate) struct Parents {
 }
 
 impl Parents {
-    fn build(cands: &[Vec<Cand>]) -> Parents {
-        let n = cands.len();
-        let edges = || {
-            cands.iter().enumerate().flat_map(|(c, list)| {
-                list.iter().flat_map(move |k| k.child_set.iter().map(move |&ch| (c, ch as usize)))
-            })
-        };
+    fn build(cands: &Cands<'_>) -> Parents {
+        let n = cands.classes();
+        // count, then place the edges from the back: each `start[ch]` ends
+        // where its list begins, with the parents in edge order
         let mut start = vec![0u32; n + 1];
-        for (_, ch) in edges() {
+        for (_, ch) in cands.edges() {
             start[ch + 1] += 1;
         }
         for c in 0..n {
             start[c + 1] += start[c];
         }
-        let mut fill = start.clone();
         let mut list = vec![0u32; start[n] as usize];
-        for (c, ch) in edges() {
-            list[fill[ch] as usize] = c as u32;
-            fill[ch] += 1;
+        for (c, ch) in cands.edges().rev() {
+            start[ch + 1] -= 1;
+            list[start[ch + 1] as usize] = c as u32;
         }
+        // `start[ch + 1]` now holds where ch's list begins: shift down
+        start.copy_within(1.., 0);
+        start[n] = list.len() as u32;
         Parents { start, list }
     }
 
@@ -403,45 +485,74 @@ impl<'a> SearchContext<'a> {
         cm: &'a CostModel,
         opts: &ContextOptions,
     ) -> SearchContext<'a> {
-        let tree_costs = class_costs(eg, cm);
+        SearchContext::build_from(eg, cm, opts, &class_costs(eg, cm))
+    }
+
+    /// [`SearchContext::build_with`] over the greedy tree costs
+    /// ([`class_costs`]) the caller has already computed.
+    pub(crate) fn build_from(
+        eg: &'a EGraph,
+        cm: &'a CostModel,
+        opts: &ContextOptions,
+        tree_costs: &[Option<u64>],
+    ) -> SearchContext<'a> {
         let (slot_of, class_at) = slot_index(eg);
         let n = class_at.len();
-        let mut min_op = vec![0u64; n];
-        let mut cands: Vec<Vec<Cand>> = vec![Vec::new(); n];
-        let mut forced: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let (nodes, children) = class_at
+            .iter()
+            .flat_map(|&id| eg.nodes(id))
+            .fold((0, 0), |(nodes, children), node| (nodes + 1, children + node.children.len()));
+        let mut cands = Cands {
+            list: Vec::with_capacity(nodes),
+            start: Vec::with_capacity(n + 1),
+            pool: Vec::with_capacity(children),
+        };
+        let mut min_op = Vec::with_capacity(n);
         let mut orbit_pruned = 0usize;
         let mut dominance_pruned = 0usize;
+        // the canonical child multisets of a class's orbit representatives,
+        // back to back (scratch, reused for every class)
+        let mut multisets: Vec<Id> = Vec::new();
+        let mut orbit_at: Vec<u32> = Vec::new();
 
-        for (slot, &id) in class_at.iter().enumerate() {
+        for &id in &class_at {
+            let base = cands.list.len();
+            cands.start.push(base as u32);
+            let Cands { list, pool, .. } = &mut cands;
             // finite-cost filter: a node whose child has no finite tree
             // cost can never appear in a well-founded selection
-            let mut list: Vec<Cand> = Vec::with_capacity(eg.nodes(id).len());
-            list.extend(eg.nodes(id).filter_map(|node| {
-                let mut tree = cm.op_cost(node.op);
-                for &c in node.children {
-                    tree = tree.saturating_add(tree_costs[eg.find(c).index()]?);
+            for node in eg.nodes(id) {
+                let Some(tree) = node.children.iter().try_fold(cm.op_cost(node.op), |t, &c| {
+                    Some(t.saturating_add(tree_costs[eg.find(c).index()]?))
+                }) else {
+                    continue;
+                };
+                let at = pool.len();
+                pool.extend(node.children.iter().map(|&c| slot_of[eg.find(c).index()]));
+                pool[at..].sort_unstable();
+                let mut end = at;
+                for i in at..pool.len() {
+                    if end == at || pool[i] != pool[end - 1] {
+                        pool[end] = pool[i];
+                        end += 1;
+                    }
                 }
-                let mut child_set: Vec<u32> =
-                    node.children.iter().map(|&c| slot_of[eg.find(c).index()]).collect();
-                child_set.sort_unstable();
-                child_set.dedup();
-                Some(Cand {
-                    node: node.to_node(),
+                pool.truncate(end);
+                list.push(Cand {
+                    node,
                     op_cost: cm.op_cost(node.op),
                     tree_cost: tree,
-                    child_set,
-                })
-            }));
+                    kids: (at as u32, end as u32),
+                });
+            }
+            let list = &mut list[base..];
             // deterministic base order: cheap ops first, few children, Node
             // (the node is part of the key, so equal keys are equal
             // candidates and the sort needs no stability)
             list.sort_unstable_by(|a, b| {
-                (a.op_cost, a.child_set.len(), &a.node).cmp(&(
-                    b.op_cost,
-                    b.child_set.len(),
-                    &b.node,
-                ))
+                (a.op_cost, a.width(), a.node).cmp(&(b.op_cost, b.width(), b.node))
             });
+            let mut kept = list.len();
             // symmetry breaking: commuted candidates — same operator, same
             // canonical child *multiset* — have identical DAG cost under
             // every completion of the selection, so the search only needs
@@ -449,41 +560,53 @@ impl<'a> SearchContext<'a> {
             // of dominance, split out so the orbit count is observable and
             // the quadratic dominance scan sees fewer candidates.)
             if opts.orbit {
-                let mut orbits: Vec<Vec<Id>> = Vec::new();
-                orbit_pruned += prune_in_place(&mut list, |kept, c| {
-                    let mut multiset: Vec<Id> =
-                        c.node.children.iter().map(|&k| eg.find(k)).collect();
-                    multiset.sort_unstable();
-                    let is_dup = kept
-                        .iter()
-                        .zip(&orbits)
-                        .any(|(k, ms)| k.node.op == c.node.op && *ms == multiset);
-                    if !is_dup {
-                        orbits.push(multiset);
+                multisets.clear();
+                orbit_at.clear();
+                let before = kept;
+                kept = prune_in_place(list, |kept, c| {
+                    let at = multisets.len();
+                    multisets.extend(c.node.children.iter().map(|&k| eg.find(k)));
+                    multisets[at..].sort_unstable();
+                    let (earlier, multiset) = multisets.split_at(at);
+                    let is_dup = kept.iter().zip(&orbit_at).any(|(k, &from)| {
+                        let from = from as usize;
+                        k.node.op == c.node.op
+                            && earlier[from..from + k.node.children.len()] == *multiset
+                    });
+                    if is_dup {
+                        multisets.truncate(at);
+                    } else {
+                        orbit_at.push(at as u32);
                     }
                     is_dup
                 });
+                orbit_pruned += before - kept;
             }
             // dominated-node pruning: drop a candidate if an earlier
             // survivor has op cost ≤ and a child set that is a subset of
             // its own — the survivor can replace it in any selection
             // without raising the DAG cost or losing feasibility.
             if opts.dominance {
-                dominance_pruned += prune_in_place(&mut list, |kept, c| {
-                    kept.iter()
-                        .any(|s| s.op_cost <= c.op_cost && subset(&s.child_set, &c.child_set))
+                let pool = &*pool;
+                let kids = |k: &Cand<'_>| &pool[k.kids.0 as usize..k.kids.1 as usize];
+                let before = kept;
+                kept = prune_in_place(&mut list[..kept], |kept, c| {
+                    kept.iter().any(|s| s.op_cost <= c.op_cost && subset(kids(s), kids(c)))
                 });
+                dominance_pruned += before - kept;
             }
-            cands[slot] = list;
-            min_op[slot] = cands[slot].iter().map(|c| c.op_cost).min().unwrap_or(0);
+            min_op.push(list[..kept].iter().map(|c| c.op_cost).min().unwrap_or(0));
+            cands.list.truncate(base + kept);
         }
+        cands.start.push(cands.list.len() as u32);
 
         // is the surviving-candidate graph acyclic? (The benchmark kernel
         // e-graphs are; random saturated graphs need not be.) Closure
         // dominance is gated on this: its replacement argument grafts a
         // survivor's forced closure onto an arbitrary selection, which on
         // a cyclic graph could close a cycle.
-        let acyclic = candidate_graph_is_acyclic(&cands);
+        let parents = Parents::build(&cands);
+        let acyclic = candidate_graph_is_acyclic(&cands, &parents);
 
         // closure-subset dominance, iterated with the LP fixpoint: a
         // candidate `n` dies when an equal-or-cheaper survivor `m` forces
@@ -496,43 +619,51 @@ impl<'a> SearchContext<'a> {
         // and the pass repeats until stable.
         let mut closure_pruned = 0usize;
         let mut closure_rounds = 0usize;
-        let parents = Parents::build(&cands);
         let mut lp = LpBound::build(&cands, &min_op, &parents, &slot_of);
         if opts.closure_dominance && acyclic {
+            let words = lp.row_words();
+            let mut rows = vec![0u64; 3 * words];
             loop {
-                let words = lp.row_words();
+                let (self_row, rest) = rows.split_at_mut(words);
+                let (m_row, n_row) = rest.split_at_mut(words);
                 let mut changed = false;
-                let mut m_row = vec![0u64; words];
-                let mut n_row = vec![0u64; words];
-                let mut self_row = vec![0u64; words];
-                // survivors of the class at hand (one buffer for the round)
-                let mut kept: Vec<Cand> = Vec::new();
-                for (c, list) in cands.iter_mut().enumerate() {
-                    if list.len() < 2 {
+                let Cands { list, start, pool } = &mut cands;
+                let closure = |cand: &Cand<'_>, out: &mut [u64]| {
+                    out.fill(0);
+                    for &ch in &pool[cand.kids.0 as usize..cand.kids.1 as usize] {
+                        lp.union_into(ch as usize, out);
+                    }
+                };
+                // the survivors of each class move down to `write`, in
+                // the order they survive
+                let mut write = 0;
+                for c in 0..n {
+                    let (lo, hi) = (start[c] as usize, start[c + 1] as usize);
+                    start[c] = write as u32;
+                    if hi - lo < 2 {
+                        list.copy_within(lo..hi, write);
+                        write += hi - lo;
                         continue;
                     }
                     self_row.fill(0);
-                    lp.union_into(c, &mut self_row);
-                    let closure = |cand: &Cand, out: &mut [u64]| {
-                        out.fill(0);
-                        for &ch in &cand.child_set {
-                            lp.union_into(ch as usize, out);
-                        }
-                    };
+                    lp.union_into(c, self_row);
+                    // survivors of the class so far: `list[write..write + kept]`
+                    let mut kept = 0;
                     // `dominates(m, n)`: switching a selection from n to m
                     // is free — m is no costlier and forces nothing that
                     // choosing n (with the class's own closure) does not
                     // already pay for
-                    'cand: for cand in list.drain(..) {
-                        closure(&cand, &mut n_row);
-                        for m in &kept {
+                    'cand: for i in lo..hi {
+                        let cand = list[i];
+                        closure(&cand, n_row);
+                        for m in &list[write..write + kept] {
                             if m.op_cost > cand.op_cost {
                                 continue;
                             }
-                            closure(m, &mut m_row);
+                            closure(m, m_row);
                             let contained = m_row
                                 .iter()
-                                .zip(n_row.iter().zip(&self_row))
+                                .zip(n_row.iter().zip(&*self_row))
                                 .all(|(&mw, (&nw, &sw))| mw & !(nw | sw) == 0);
                             if contained {
                                 closure_pruned += 1;
@@ -544,27 +675,31 @@ impl<'a> SearchContext<'a> {
                         // (closure size does not follow the sort order:
                         // an fma with three children can force less than
                         // an add whose form needs an extra intermediate)
-                        kept.retain(|k| {
-                            if cand.op_cost > k.op_cost {
-                                return true;
+                        let mut still = 0;
+                        for j in write..write + kept {
+                            let k = list[j];
+                            if cand.op_cost <= k.op_cost {
+                                closure(&k, m_row);
+                                let contained = n_row
+                                    .iter()
+                                    .zip(m_row.iter().zip(&*self_row))
+                                    .all(|(&nw, (&kw, &sw))| nw & !(kw | sw) == 0);
+                                if contained {
+                                    closure_pruned += 1;
+                                    changed = true;
+                                    continue;
+                                }
                             }
-                            closure(k, &mut m_row);
-                            let contained = n_row
-                                .iter()
-                                .zip(m_row.iter().zip(&self_row))
-                                .all(|(&nw, (&kw, &sw))| nw & !(kw | sw) == 0);
-                            if contained {
-                                closure_pruned += 1;
-                                changed = true;
-                                false
-                            } else {
-                                true
-                            }
-                        });
-                        kept.push(cand);
+                            list[write + still] = k;
+                            still += 1;
+                        }
+                        list[write + still] = cand;
+                        kept = still + 1;
                     }
-                    list.append(&mut kept);
+                    write += kept;
                 }
+                start[n] = write as u32;
+                list.truncate(write);
                 if !changed {
                     break;
                 }
@@ -576,21 +711,27 @@ impl<'a> SearchContext<'a> {
         // forced children: in the intersection of every candidate's child
         // set, hence selected under any choice for this class (computed
         // after all pruning — fewer candidates force more)
-        for (c, survivors) in cands.iter().enumerate() {
-            if let Some((first, rest)) = survivors.split_first() {
-                let mut inter = first.child_set.clone();
-                for cand in rest {
-                    inter.retain(|id| cand.child_set.binary_search(id).is_ok());
+        let mut forced = Vec::new();
+        let mut forced_start = Vec::with_capacity(n + 1);
+        for c in 0..n {
+            forced_start.push(forced.len() as u32);
+            if let Some((first, rest)) = cands.of(c).split_first() {
+                for &ch in cands.kids(first) {
+                    if rest.iter().all(|k| cands.kids(k).binary_search(&ch).is_ok()) {
+                        forced.push(ch);
+                    }
                 }
-                forced[c] = inter;
             }
         }
+        forced_start.push(forced.len() as u32);
 
         // the search's two candidate visit orders, sorted here once
         // instead of once per racing strategy
         let mut order_start = Vec::with_capacity(n + 1);
-        let mut orders = [Vec::new(), Vec::new()];
-        for list in &cands {
+        let mut orders =
+            [Vec::with_capacity(cands.list.len()), Vec::with_capacity(cands.list.len())];
+        for c in 0..n {
+            let list = cands.of(c);
             order_start.push(orders[0].len() as u32);
             let at = orders[0].len();
             for order in &mut orders {
@@ -599,7 +740,7 @@ impl<'a> SearchContext<'a> {
             orders[0][at..].sort_by_key(|&i| (list[i as usize].tree_cost, i));
             orders[1][at..].sort_by_key(|&i| {
                 let c = &list[i as usize];
-                (c.child_set.len(), c.tree_cost, i)
+                (c.width(), c.tree_cost, i)
             });
         }
         order_start.push(orders[0].len() as u32);
@@ -611,6 +752,7 @@ impl<'a> SearchContext<'a> {
             min_op,
             cands,
             forced,
+            forced_start,
             lp,
             closure_rounds,
             parents,
@@ -626,7 +768,7 @@ impl<'a> SearchContext<'a> {
     /// The surviving candidates of a class, in the deterministic base
     /// order (test hook for the pruning logic).
     pub fn candidates(&self, id: Id) -> Vec<Node> {
-        self.cands[self.slot(id)].iter().map(|c| c.node.clone()).collect()
+        self.cands.of(self.slot(id)).iter().map(|c| c.node.to_node()).collect()
     }
 
     /// The slot of the class of (any) `id`.
@@ -640,8 +782,14 @@ impl<'a> SearchContext<'a> {
     }
 
     /// The surviving candidates of the class in slot `slot`, borrowed.
-    pub(crate) fn cands(&self, slot: usize) -> &[Cand] {
-        &self.cands[slot]
+    pub(crate) fn cands(&self, slot: usize) -> &[Cand<'a>] {
+        self.cands.of(slot)
+    }
+
+    /// The child set of a candidate of this context: the slots of its child
+    /// classes, sorted and deduplicated.
+    pub(crate) fn kids(&self, cand: &Cand<'_>) -> &[u32] {
+        self.cands.kids(cand)
     }
 
     /// Reverse edges of the candidate graph.
@@ -709,6 +857,11 @@ impl<'a> SearchContext<'a> {
         acc.iter().enumerate().flat_map(|(wi, &w)| bits(wi, w)).map(|d| self.min_op[d]).sum()
     }
 
+    /// The forced children of the class in slot `c`.
+    fn forced(&self, c: usize) -> &[u32] {
+        &self.forced[self.forced_start[c] as usize..self.forced_start[c + 1] as usize]
+    }
+
     /// The legacy forced-children closure bound over `roots` — the bottom
     /// of the bound lattice (see DESIGN.md), kept for ablation and for the
     /// lattice-ordering property tests.
@@ -721,55 +874,41 @@ impl<'a> SearchContext<'a> {
                 continue;
             }
             bound += self.min_op[c as usize];
-            stack.extend_from_slice(&self.forced[c as usize]);
+            stack.extend_from_slice(self.forced(c as usize));
         }
         bound
     }
 }
 
-/// Iterative three-color DFS over the class graph induced by the
-/// surviving candidates: an edge per (class → candidate child class).
-fn candidate_graph_is_acyclic(cands: &[Vec<Cand>]) -> bool {
-    let n = cands.len();
-    let kids = |c: usize| -> Vec<usize> {
-        let mut v: Vec<usize> =
-            cands[c].iter().flat_map(|cand| cand.child_set.iter().map(|&ch| ch as usize)).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    };
-    let mut color = vec![0u8; n]; // 0 = white, 1 = on stack, 2 = done
-    for s in 0..n {
-        if color[s] != 0 {
-            continue;
-        }
-        color[s] = 1;
-        let mut stack: Vec<(usize, Vec<usize>, usize)> = vec![(s, kids(s), 0)];
-        while let Some((c, ch, i)) = stack.last_mut() {
-            if *i >= ch.len() {
-                color[*c] = 2;
-                stack.pop();
-                continue;
-            }
-            let next = ch[*i];
-            *i += 1;
-            match color[next] {
-                0 => {
-                    color[next] = 1;
-                    let k = kids(next);
-                    stack.push((next, k, 0));
-                }
-                1 => return false,
-                _ => {}
+/// Kahn's algorithm over the class graph induced by the surviving
+/// candidates (an edge per class → candidate child class): retire classes
+/// whose every edge leads to a retired class; the graph is acyclic iff
+/// every class retires.
+fn candidate_graph_is_acyclic(cands: &Cands<'_>, parents: &Parents) -> bool {
+    let n = cands.classes();
+    let mut out: Vec<u32> = Vec::with_capacity(n);
+    out.extend((0..n).map(|c| cands.of(c).iter().map(|k| k.width() as u32).sum::<u32>()));
+    let mut ready: Vec<u32> = Vec::with_capacity(n);
+    ready.extend((0..n as u32).filter(|&c| out[c as usize] == 0));
+    let mut retired = 0;
+    while let Some(c) = ready.pop() {
+        retired += 1;
+        for &p in parents.of(c as usize) {
+            out[p as usize] -= 1;
+            if out[p as usize] == 0 {
+                ready.push(p);
             }
         }
     }
-    true
+    retired == n
 }
 
-/// Drop, in place and keeping the order, every element of `list` that
-/// `pruned(survivors so far, element)` rejects; returns how many went.
-fn prune_in_place(list: &mut Vec<Cand>, mut pruned: impl FnMut(&[Cand], &Cand) -> bool) -> usize {
+/// Move to the front of `list`, in order, every element that
+/// `pruned(survivors so far, element)` rejects; returns how many survived.
+fn prune_in_place<'a>(
+    list: &mut [Cand<'a>],
+    mut pruned: impl FnMut(&[Cand<'a>], &Cand<'a>) -> bool,
+) -> usize {
     let mut kept = 0;
     for i in 0..list.len() {
         if !pruned(&list[..kept], &list[i]) {
@@ -777,9 +916,7 @@ fn prune_in_place(list: &mut Vec<Cand>, mut pruned: impl FnMut(&[Cand], &Cand) -
             kept += 1;
         }
     }
-    let dropped = list.len() - kept;
-    list.truncate(kept);
-    dropped
+    kept
 }
 
 /// Is sorted `a` a subset of sorted `b`?
@@ -806,6 +943,8 @@ const UNDECIDED: u32 = u32::MAX;
 
 struct Search<'a, 'b> {
     cx: &'b SearchContext<'a>,
+    /// Called once, at the [`VALVE_EVERY`]th explored node.
+    long: &'b dyn Fn(),
     opts: SearchOptions,
     /// The best complete selection found so far; `None` while nothing has
     /// beaten the incumbent the search was seeded with.
@@ -824,7 +963,7 @@ struct Search<'a, 'b> {
     /// Classes on `pending` or auto-decided on the current branch
     /// (branched classes stay marked while their subtree is explored).
     queued: Vec<bool>,
-    /// The current branch's decisions: the index into `cx.cands[c]` of the
+    /// The current branch's decisions: the index into `cx.cands(c)` of the
     /// candidate chosen for class `c`, or [`UNDECIDED`].
     chosen: Vec<u32>,
     /// Required-but-undecided classes of the current branch.
@@ -873,7 +1012,7 @@ impl<'a, 'b> Search<'a, 'b> {
                 self.charged[wi] |= bit;
                 self.c_trail.push(di as u32);
                 added += self.cx.min_op[di];
-                self.stack.extend_from_slice(&self.cx.forced[di]);
+                self.stack.extend_from_slice(self.cx.forced(di));
             }
         }
         added
@@ -897,7 +1036,7 @@ impl<'a, 'b> Search<'a, 'b> {
             if self.queued[slot] {
                 continue;
             }
-            let cands = &cx.cands[slot];
+            let cands = cx.cands(slot);
             if self.opts.chain_closure && cands.len() == 1 {
                 let cand = &cands[0];
                 if !cx.acyclic && self.would_cycle(c, cand) {
@@ -909,7 +1048,7 @@ impl<'a, 'b> Search<'a, 'b> {
                 self.chosen[slot] = 0;
                 *cost += cand.op_cost;
                 *extra -= cx.min_op[slot];
-                self.stack.extend_from_slice(&cand.child_set);
+                self.stack.extend_from_slice(cx.kids(cand));
             } else {
                 self.queued[slot] = true;
                 self.q_trail.push(c);
@@ -921,16 +1060,16 @@ impl<'a, 'b> Search<'a, 'b> {
 
     /// Would choosing `cand` for class `target` close a cycle through the
     /// current branch's decisions?
-    fn would_cycle(&mut self, target: u32, cand: &Cand) -> bool {
+    fn would_cycle(&mut self, target: u32, cand: &Cand<'_>) -> bool {
         let cx = self.cx;
         // fast path: a cycle must route through an already-chosen child or
         // hit the target directly — fresh children are walk frontiers
-        if cand.child_set.iter().all(|&c| c != target && self.chosen[c as usize] == UNDECIDED) {
+        if cx.kids(cand).iter().all(|&c| c != target && self.chosen[c as usize] == UNDECIDED) {
             return false;
         }
         self.seen.clear();
         let base = self.stack.len();
-        self.stack.extend_from_slice(&cand.child_set);
+        self.stack.extend_from_slice(cx.kids(cand));
         let mut cycle = false;
         while self.stack.len() > base {
             let c = self.stack.pop().expect("stack above base");
@@ -943,7 +1082,7 @@ impl<'a, 'b> Search<'a, 'b> {
             }
             let ci = self.chosen[c as usize];
             if ci != UNDECIDED {
-                self.stack.extend_from_slice(&cx.cands[c as usize][ci as usize].child_set);
+                self.stack.extend_from_slice(cx.kids(&cx.cands(c as usize)[ci as usize]));
             }
         }
         self.stack.truncate(base);
@@ -957,13 +1096,13 @@ impl<'a, 'b> Search<'a, 'b> {
             ClassOrder::Lifo => pending.len() - 1,
             ClassOrder::BestFirst => {
                 let key = |c: u32| {
-                    (self.cx.cands[c as usize].len(), u64::MAX - self.cx.min_op[c as usize], c)
+                    (self.cx.cands.count(c as usize), u64::MAX - self.cx.min_op[c as usize], c)
                 };
                 (0..pending.len()).min_by_key(|&i| key(pending[i])).expect("pending non-empty")
             }
             ClassOrder::HeaviestFirst => {
                 let key = |c: u32| {
-                    (u64::MAX - self.cx.min_op[c as usize], self.cx.cands[c as usize].len(), c)
+                    (u64::MAX - self.cx.min_op[c as usize], self.cx.cands.count(c as usize), c)
                 };
                 (0..pending.len()).min_by_key(|&i| key(pending[i])).expect("pending non-empty")
             }
@@ -974,10 +1113,15 @@ impl<'a, 'b> Search<'a, 'b> {
     /// `bound_extra`: Σ min_op over charged-but-undecided classes.
     fn dfs(&mut self, cost: u64, bound_extra: u64) {
         self.explored += 1;
-        if self.explored >= self.opts.node_budget
-            || (self.explored.is_multiple_of(256)
-                && self.deadline.is_some_and(|d| Instant::now() >= d))
-        {
+        if self.explored.is_multiple_of(VALVE_EVERY) {
+            if self.explored == VALVE_EVERY {
+                (self.long)();
+            }
+            if self.deadline.is_some_and(|d| Instant::now() >= d) {
+                self.stopped = true;
+            }
+        }
+        if self.explored >= self.opts.node_budget {
             self.stopped = true;
         }
         if self.stopped || cost + bound_extra >= self.best_cost {
@@ -991,7 +1135,7 @@ impl<'a, 'b> Search<'a, 'b> {
                 let mut sel = Selection::new();
                 for (c, &ci) in self.chosen.iter().enumerate() {
                     if ci != UNDECIDED {
-                        sel.choose(cx.eg, cx.class_at[c], cx.cands[c][ci as usize].node.clone());
+                        sel.choose(cx.eg, cx.class_at[c], cx.cands(c)[ci as usize].node.to_node());
                     }
                 }
                 self.best = Some(sel);
@@ -1007,7 +1151,7 @@ impl<'a, 'b> Search<'a, 'b> {
         // default, or fewest distinct children first to maximize sharing)
         let range = cx.order_start[slot] as usize..cx.order_start[slot + 1] as usize;
         for &ci in &cx.orders[usize::from(self.opts.prefer_shared)][range] {
-            let cand = &cx.cands[slot][ci as usize];
+            let cand = &cx.cands(slot)[ci as usize];
             // acyclicity: a selected DAG must be well-founded (free when
             // the whole candidate graph is acyclic)
             if !cx.acyclic && self.would_cycle(id, cand) {
@@ -1020,7 +1164,7 @@ impl<'a, 'b> Search<'a, 'b> {
             let mut extra = bound_extra;
             self.chosen[slot] = ci;
             let feasible =
-                cand.child_set.iter().all(|&ch| self.require(ch, &mut branch_cost, &mut extra));
+                cx.kids(cand).iter().all(|&ch| self.require(ch, &mut branch_cost, &mut extra));
             if feasible {
                 self.dfs(branch_cost, extra);
             }
@@ -1053,7 +1197,8 @@ impl<'a, 'b> Search<'a, 'b> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use accsat_egraph::{all_rules, Node, Op, Runner};
+    use crate::greedy::extract_greedy;
+    use accsat_egraph::{all_rules, Op, Runner};
 
     #[test]
     fn exact_finds_sharing_optimum() {
@@ -1388,6 +1533,48 @@ mod tests {
         let res = extract_exact_with(&eg, &[root], &cm, &SearchOptions::default());
         assert!(res.proven_optimal);
         assert!(lp <= res.cost, "bound stays admissible");
+    }
+
+    #[test]
+    fn the_long_hook_fires_once_at_the_256th_explored_node() {
+        // the unpruned search over a saturated sum of squares explores far
+        // more than 256 nodes; the pruned one proves the optimum in fewer
+        let mut eg = EGraph::new();
+        let mut root = eg.add(Node::sym("s"));
+        for name in ["a", "b", "c", "d"] {
+            let x = eg.add(Node::sym(name));
+            let xx = eg.add(Node::new(Op::Mul, vec![x, x]));
+            root = eg.add(Node::new(Op::Add, vec![root, xx]));
+        }
+        Runner::new(all_rules()).run(&mut eg);
+        let roots = [eg.find(root)];
+        let cm = CostModel::paper();
+        let incumbent = extract_greedy(&eg, &roots, &cm);
+        let cost = incumbent.dag_cost(&eg, &cm, &roots);
+        let unpruned = SearchContext::build_with(
+            &eg,
+            &cm,
+            &ContextOptions { orbit: false, dominance: false, closure_dominance: false },
+        );
+        let plain = SearchOptions { lp_bound: false, chain_closure: false, ..Default::default() };
+        let pruned = SearchContext::build(&eg, &cm);
+        let calls = std::cell::Cell::new(0);
+        let long = || calls.set(calls.get() + 1);
+        for (cx, budget, fired) in [
+            (&unpruned, 255, 0),
+            (&unpruned, 256, 1),
+            (&unpruned, 1_000_000, 1),
+            (&pruned, 1_000_000, 0),
+        ] {
+            calls.set(0);
+            let opts = SearchOptions {
+                node_budget: budget,
+                ..if cx.orbit_pruned() == 0 { plain } else { SearchOptions::default() }
+            };
+            let res = extract_exact_hooked(cx, &roots, &incumbent, cost, &opts, &long);
+            assert_eq!(calls.get(), fired, "budget {budget}, explored {}", res.explored);
+            assert_eq!(res.explored >= 256, fired == 1, "explored {}", res.explored);
+        }
     }
 
     #[test]

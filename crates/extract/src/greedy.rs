@@ -12,12 +12,22 @@ use accsat_egraph::{EGraph, Id, NodeRef};
 /// Extract the tree-cost-minimal selection covering everything reachable
 /// from `roots` (in fact, the fixpoint covers all finite-cost classes).
 pub fn extract_greedy(eg: &EGraph, roots: &[Id], cm: &CostModel) -> Selection {
-    let costs = class_costs(eg, cm);
+    greedy_from(eg, roots, cm, &class_costs(eg, cm))
+}
+
+/// [`extract_greedy`] over the tree costs ([`class_costs`]) the caller has
+/// already computed — the portfolio shares them with its search context.
+pub(crate) fn greedy_from(
+    eg: &EGraph,
+    roots: &[Id],
+    cm: &CostModel,
+    costs: &[Option<u64>],
+) -> Selection {
     let mut sel = Selection::new();
     for (id, _) in eg.classes() {
         let mut best: Option<(u64, NodeRef<'_>)> = None;
         for node in eg.nodes(id) {
-            if let Some(c) = node_cost(eg, cm, node, &costs) {
+            if let Some(c) = node_cost(eg, cm, node, costs) {
                 if best.is_none_or(|(bc, _)| c < bc) {
                     best = Some((c, node));
                 }

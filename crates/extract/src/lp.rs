@@ -56,7 +56,7 @@
 //! a sliver of the graph, and the search charges a row once per required
 //! child of every branch, so walking a row must cost what the row holds.
 
-use crate::bnb::{Cand, Parents};
+use crate::bnb::{Cands, Parents};
 use std::sync::Arc;
 
 /// Precomputed fractional lower bounds: per-class required sets and their
@@ -83,12 +83,12 @@ impl LpBound {
     /// Compute the least-fixpoint required sets and their bounds from the
     /// surviving candidate lists and per-class minimum op costs.
     pub(crate) fn build(
-        cands: &[Vec<Cand>],
+        cands: &Cands<'_>,
         min_op: &[u64],
         parents: &Parents,
         slot_of: &Arc<[u32]>,
     ) -> LpBound {
-        let n = cands.len();
+        let n = cands.classes();
         let words = n.div_ceil(64);
         let mut sets = vec![0u64; n * words];
         for (c, row) in sets.chunks_mut(words.max(1)).enumerate() {
@@ -105,14 +105,14 @@ impl LpBound {
         while let Some(c) = queue.pop_front() {
             let c = c as usize;
             in_queue[c] = false;
-            let list = &cands[c];
+            let list = cands.of(c);
             if list.is_empty() || words == 0 {
                 continue;
             }
             inter_row.fill(!0u64);
             for cand in list {
                 union_row.fill(0);
-                for &child in &cand.child_set {
+                for &child in cands.kids(cand) {
                     let row = &sets[child as usize * words..(child as usize + 1) * words];
                     for (u, &w) in union_row.iter_mut().zip(row) {
                         *u |= w;

@@ -28,9 +28,11 @@
 //! `n` returns the same selection whether its workers run concurrently or
 //! one after another.
 
-use crate::bnb::{extract_exact_in, ClassOrder, ExactResult, SearchContext, SearchOptions};
+use crate::bnb::{
+    extract_exact_hooked, ClassOrder, ContextOptions, ExactResult, SearchContext, SearchOptions,
+};
 use crate::cost::CostModel;
-use crate::greedy::extract_greedy;
+use crate::greedy::{class_costs, greedy_from};
 use crate::selection::Selection;
 use accsat_egraph::{EGraph, Id, ThreadBudget};
 use accsat_obs::trace;
@@ -142,16 +144,18 @@ pub fn extract_portfolio(
     config: &PortfolioConfig,
     budget: Option<&ThreadBudget>,
 ) -> PortfolioResult {
-    let greedy = {
+    // one tree-cost fixpoint for the greedy incumbent and the context
+    let (greedy, tree_costs) = {
         let _span = trace::span("extract", "greedy");
-        extract_greedy(eg, roots, cm)
+        let tree_costs = class_costs(eg, cm);
+        (greedy_from(eg, roots, cm, &tree_costs), tree_costs)
     };
     let greedy_cost = greedy.dag_cost(eg, cm, roots);
     // built once, shared by every worker (the context is immutable and
     // Sync, candidate visit orders included)
     let cx = {
         let mut span = trace::span("extract", "context.build");
-        let cx = SearchContext::build(eg, cm);
+        let cx = SearchContext::build_from(eg, cm, &ContextOptions::default(), &tree_costs);
         span.record(|| {
             vec![
                 ("ids", cx.ids().into()),
@@ -249,16 +253,19 @@ fn race(
         })
         .collect();
     // results land indexed by strategy — never by completion order — so
-    // the winner is deterministic at any width
+    // the winner is deterministic at any width. A search asks for the
+    // helper threads once it has explored 256 nodes: a race of short
+    // searches never leaves the calling thread
     let (width, _lease) = accsat_egraph::pool::fanout_width(budget, want, opts.len());
     accsat_egraph::pool::map_slots(
         width,
         opts.len(),
         || (),
-        |i| {
+        |i, helpers| {
             let (name, o) = &opts[i];
             let _span = trace::span_named("extract.bnb", || name.to_string());
-            (*name, extract_exact_in(cx, roots, &seed.selection, seed.cost, o))
+            let long = || helpers.request();
+            (*name, extract_exact_hooked(cx, roots, &seed.selection, seed.cost, o, &long))
         },
     )
 }

@@ -30,7 +30,7 @@
 use crate::bnb::{Cand, SearchContext};
 use crate::cost::CostModel;
 use crate::selection::{Selection, SelectionError};
-use accsat_egraph::{EGraph, Id, Node, Visited};
+use accsat_egraph::{EGraph, Id, NodeRef, Visited};
 use std::collections::{BTreeSet, VecDeque};
 
 /// A selection as a table of borrowed nodes indexed by the context's class
@@ -42,7 +42,7 @@ use std::collections::{BTreeSet, VecDeque};
 struct View<'s> {
     cx: &'s SearchContext<'s>,
     /// The chosen node per class slot.
-    node: Vec<Option<&'s Node>>,
+    node: Vec<Option<NodeRef<'s>>>,
     seen: Visited,
     stack: Vec<usize>,
 }
@@ -56,7 +56,7 @@ impl<'s> View<'s> {
     /// Visit every class reachable from `roots` through the chosen nodes,
     /// each once. Panics on a class without a node, like
     /// [`Selection::reachable`].
-    fn walk(&mut self, roots: &[usize], mut visit: impl FnMut(usize, &'s Node)) {
+    fn walk(&mut self, roots: &[usize], mut visit: impl FnMut(usize, NodeRef<'s>)) {
         self.seen.clear();
         self.stack.clear();
         for &r in roots {
@@ -68,7 +68,7 @@ impl<'s> View<'s> {
             let node = self.node[c]
                 .unwrap_or_else(|| panic!("{}", SelectionError::Missing(self.cx.class_at(c))));
             visit(c, node);
-            for &ch in &node.children {
+            for &ch in node.children {
                 let ch = self.cx.slot(ch);
                 if self.seen.insert(ch) {
                     self.stack.push(ch);
@@ -80,14 +80,14 @@ impl<'s> View<'s> {
     /// True DAG cost over `roots` ([`Selection::dag_cost`]).
     fn dag_cost(&mut self, cm: &CostModel, roots: &[usize]) -> u64 {
         let mut total = 0u64;
-        self.walk(roots, |_, node| total += cm.op_cost(&node.op));
+        self.walk(roots, |_, node| total += cm.op_cost(node.op));
         total
     }
 
     /// Would choosing `node` for class `target` close a cycle through the
     /// chosen nodes ([`Selection::would_cycle`])? Classes without a node
     /// are dead ends.
-    fn would_cycle(&mut self, target: usize, node: &Node) -> bool {
+    fn would_cycle(&mut self, target: usize, node: NodeRef<'_>) -> bool {
         self.seen.clear();
         self.stack.clear();
         self.stack.extend(node.children.iter().map(|&c| self.cx.slot(c)));
@@ -129,7 +129,7 @@ pub fn climb(
     {
         let mut view = View::new(cx);
         for (id, node) in sel.iter() {
-            view.node[cx.slot(id)] = Some(node);
+            view.node[cx.slot(id)] = Some(node.as_ref());
         }
         let mut cur_cost = view.dag_cost(cm, &roots);
         let mut classes: Vec<usize> = Vec::new();
@@ -142,10 +142,10 @@ pub fn climb(
                 let cur_node = view.node[id].expect("walked classes have a node");
                 let mut best: (u64, Option<usize>) = (cur_cost, None);
                 for (ci, cand) in cx.cands(id).iter().enumerate() {
-                    if cand.node == *cur_node || view.would_cycle(id, &cand.node) {
+                    if cand.node == cur_node || view.would_cycle(id, cand.node) {
                         continue;
                     }
-                    view.node[id] = Some(&cand.node);
+                    view.node[id] = Some(cand.node);
                     let c = view.dag_cost(cm, &roots);
                     view.node[id] = Some(cur_node);
                     if c < best.0 {
@@ -153,7 +153,7 @@ pub fn climb(
                     }
                 }
                 if let (c, Some(ci)) = best {
-                    view.node[id] = Some(&cx.cands(id)[ci].node);
+                    view.node[id] = Some(cx.cands(id)[ci].node);
                     switches.push((id, ci));
                     cur_cost = c;
                     improved = true;
@@ -165,7 +165,7 @@ pub fn climb(
         }
     }
     for (id, ci) in switches {
-        sel.choose(eg, cx.class_at(id), cx.cands(id)[ci].node.clone());
+        sel.choose(eg, cx.class_at(id), cx.cands(id)[ci].node.to_node());
     }
     sel
 }
@@ -175,11 +175,11 @@ pub fn climb(
 fn marginal_cost(
     cx: &SearchContext<'_>,
     cm: &CostModel,
-    cand: &Cand,
+    cand: &Cand<'_>,
     costs: &[Option<u64>],
 ) -> Option<u64> {
-    let mut total = cm.op_cost(&cand.node.op);
-    for &ch in &cand.node.children {
+    let mut total = cm.op_cost(cand.node.op);
+    for &ch in cand.node.children {
         total = total.saturating_add(costs[cx.slot(ch)]?);
     }
     Some(total)
@@ -285,18 +285,18 @@ pub fn marginal_greedy(
 ) -> Option<Selection> {
     let mut marginal = Marginal::new(cx, cm);
     let mut view = View::new(cx);
-    let mut committed: Vec<(usize, &Cand)> = Vec::new();
+    let mut committed: Vec<(usize, &Cand<'_>)> = Vec::new();
     let mut queue: BTreeSet<usize> = roots.iter().map(|&r| cx.slot(r)).collect();
     while let Some(c) = queue.pop_first() {
         if marginal.included[c] {
             continue;
         }
         marginal.include(c);
-        let mut best: Option<(u64, &Cand)> = None;
+        let mut best: Option<(u64, &Cand<'_>)> = None;
         for cand in cx.cands(c) {
             // every commit is a candidate, so only a cyclic candidate
             // graph can close a cycle
-            if !cx.is_acyclic() && view.would_cycle(c, &cand.node) {
+            if !cx.is_acyclic() && view.would_cycle(c, cand.node) {
                 continue;
             }
             if let Some(t) = marginal_cost(cx, cm, cand, &marginal.costs) {
@@ -307,14 +307,14 @@ pub fn marginal_greedy(
         }
         let (_, cand) = best?;
         queue.extend(
-            cand.child_set.iter().map(|&ch| ch as usize).filter(|&ch| !marginal.included[ch]),
+            cx.kids(cand).iter().map(|&ch| ch as usize).filter(|&ch| !marginal.included[ch]),
         );
-        view.node[c] = Some(&cand.node);
+        view.node[c] = Some(cand.node);
         committed.push((c, cand));
     }
     let mut sel = Selection::new();
     for (c, cand) in committed {
-        sel.choose(eg, cx.class_at(c), cand.node.clone());
+        sel.choose(eg, cx.class_at(c), cand.node.to_node());
     }
     Some(sel)
 }
@@ -323,7 +323,7 @@ pub fn marginal_greedy(
 mod tests {
     use super::*;
     use crate::greedy::extract_greedy;
-    use accsat_egraph::Op;
+    use accsat_egraph::{Node, Op};
 
     /// The sharing trade-off where greedy is DAG-suboptimal: root 1's
     /// class holds `add(u, u)` (heavy shared u) and `add(v1, v2)` (two

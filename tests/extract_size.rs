@@ -7,9 +7,8 @@
 //! quadratically, and it is rebuilt once per closure-dominance round. This
 //! binary installs the counting allocator (its own test binary, one
 //! `#[test]`) and gates what `extract_portfolio` requests over the 19 suite
-//! kernels at half of what it requested at `b2bf575`, where every table was
-//! indexed by id (LP words per row, allocations, bytes; the other six
-//! kernels repeat rows above):
+//! kernels. At `b2bf575` every table was indexed by id (LP words per row,
+//! allocations, bytes; the other six kernels repeat rows above):
 //!
 //! ```text
 //! BT bt_zsolve              1184 ids  262 classes  16 words   7693  1271772
@@ -28,14 +27,20 @@
 //! all 19                                                     63499 11089593
 //! ```
 //!
-//! (Rows there were as wide as the largest live id, not `id_bound`.) A run
-//! prints the same table for the tree under test; the total moves by a few
-//! allocations of ~400 bytes with how the racing worker threads start.
+//! (Rows there were as wide as the largest live id, not `id_bound`.) Slot
+//! tables halved that; a context built without an allocation per candidate
+//! brought it to 3.79 M bytes, and the gate sits 2 % above that. A run
+//! prints the same table for the tree under test. Whether a race spawns its
+//! helper thread is deterministic (a search asks at its 256th explored
+//! node), but which worker then claims the second search is not, and that
+//! moves the total by one to three allocations of ~400 bytes.
 //!
 //! The same binary counts the allocations of `SearchContext::build` alone,
 //! the fixed cost every extraction pays once per kernel: over the 19 suite
 //! kernels and over 64 tiny generated kernels (`GenConfig { max_stmts: 2,
 //! max_depth: 2 }`, the shape of the benchmark's many-small-kernels fill).
+//! With one candidate list, one child-slot pool and reused scratch it is
+//! 941 and 2 560, gated at a quarter of the per-candidate build's counts.
 
 mod common;
 
@@ -51,8 +56,12 @@ static GLOBAL: common::counting::Counting = common::counting::Counting;
 /// Bytes the 19 extractions requested at `b2bf575` (table above).
 const PARENT_BYTES: u64 = 11_089_593;
 
+/// The byte gate: 3 789 438–3 790 686 bytes measured, plus 2 %.
+const GATE_BYTES: u64 = 3_870_000;
+
 /// Allocations of `SearchContext::build` over the 19 suite kernels and over
-/// the 64 generated kernels, recorded at `edabc1e`.
+/// the 64 generated kernels when every candidate and class owned its vectors
+/// (`edabc1e`).
 const PARENT_CONTEXT_ALLOCATIONS: [u64; 2] = [37_158, 24_696];
 
 /// The 64 generated kernels, saturated.
@@ -119,12 +128,14 @@ fn extraction_tables_are_sized_by_live_classes() {
         generated.len()
     );
     assert!(
-        total[1] * 2 <= PARENT_BYTES,
-        "extraction requested {} bytes, more than half of the id-indexed {PARENT_BYTES}",
+        total[1] <= GATE_BYTES,
+        "extraction requested {} bytes, more than the gate's {GATE_BYTES}",
         total[1]
     );
     assert!(
-        context[0] <= PARENT_CONTEXT_ALLOCATIONS[0] && context[1] <= PARENT_CONTEXT_ALLOCATIONS[1],
-        "building the search context allocated {context:?} times, more than at edabc1e"
+        context[0] * 4 <= PARENT_CONTEXT_ALLOCATIONS[0]
+            && context[1] * 4 <= PARENT_CONTEXT_ALLOCATIONS[1],
+        "building the search context allocated {context:?} times, more than a quarter of \
+         {PARENT_CONTEXT_ALLOCATIONS:?}"
     );
 }
