@@ -903,8 +903,8 @@ fn candidate_graph_is_acyclic(cands: &Cands<'_>, parents: &Parents) -> bool {
     retired == n
 }
 
-/// Move to the front of `list`, in order, every element that
-/// `pruned(survivors so far, element)` rejects; returns how many survived.
+/// Move to the front of `list`, in order, every element for which
+/// `pruned(survivors so far, element)` is false; returns how many survived.
 fn prune_in_place<'a>(
     list: &mut [Cand<'a>],
     mut pruned: impl FnMut(&[Cand<'a>], &Cand<'a>) -> bool,
