@@ -27,7 +27,7 @@ pub struct Candidate {
 
 /// The harvested candidate set for one kernel.
 #[derive(Debug, Clone)]
-pub struct Harvest {
+pub(crate) struct Harvest {
     /// Structurally distinct candidates, in deterministic harvest order:
     /// base-portfolio members first (greedy, then the refined incumbent
     /// when it improves, then strategy order), then cost-sweep winners in
@@ -53,7 +53,7 @@ pub struct Harvest {
 /// the base portfolio already covers them. Everything is deterministic:
 /// candidate order depends only on the e-graph, the cost models and the
 /// portfolio config.
-pub fn harvest_candidates(
+pub(crate) fn harvest_candidates(
     eg: &EGraph,
     roots: &[Id],
     base_cm: &CostModel,

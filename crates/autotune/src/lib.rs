@@ -12,7 +12,7 @@
 //! here that objective becomes the warp-scoreboard simulator in
 //! `accsat-gpusim` rather than a static formula:
 //!
-//! 1. **Harvest** ([`harvest_candidates`]) — instead of discarding all but
+//! 1. **Harvest** (`harvest_candidates`) — instead of discarding all but
 //!    the extraction portfolio's winner, keep the top-K structurally
 //!    distinct selections: the greedy (tree-optimal) incumbent, each
 //!    branch-and-bound strategy's best, and the winners of a cost-model
@@ -36,10 +36,10 @@
 
 #![warn(missing_docs)]
 
-pub mod harvest;
-pub mod tuner;
+mod harvest;
+mod tuner;
 
-pub use harvest::{harvest_candidates, Candidate, Harvest};
+pub use harvest::Candidate;
 pub use tuner::{tune_kernel, CandidateReport, KernelTuning, TuneConfig, TunedKernel};
 
 use accsat_compilers::CompilerModel;

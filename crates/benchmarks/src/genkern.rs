@@ -69,12 +69,12 @@ impl SplitMix64 {
     }
 
     /// True with probability `percent`/100.
-    pub fn chance(&mut self, percent: u64) -> bool {
+    pub(crate) fn chance(&mut self, percent: u64) -> bool {
         self.below(100) < percent
     }
 
     /// Uniform `f64` in `[0, 1)`.
-    pub fn unit_f64(&mut self) -> f64 {
+    pub(crate) fn unit_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
@@ -101,11 +101,11 @@ impl Default for GenConfig {
 }
 
 /// 1-D array extent; the parallel loop runs `i` over `HALO..N1-HALO`.
-pub const N1: usize = 24;
+pub(crate) const N1: usize = 24;
 /// 1-D halo width: generated offsets keep every access in bounds.
-pub const HALO: usize = 3;
+pub(crate) const HALO: usize = 3;
 /// 2-D array extent per dimension; loops run `1..D2-1`.
-pub const D2: usize = 10;
+pub(crate) const D2: usize = 10;
 
 /// A generated kernel: C source plus the parameter shapes the driver needs
 /// to bind an interpreter environment.

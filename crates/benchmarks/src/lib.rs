@@ -13,10 +13,10 @@
 //! Saturator can unlock in each code.
 //!
 //! OpenMP variants are derived mechanically from the OpenACC sources with
-//! [`acc_to_omp`], mirroring how the paper's suites pair the two models.
+//! [`Benchmark::omp_source`], mirroring how the paper's suites pair the two models.
 
 pub mod genkern;
-pub mod npb;
+mod npb;
 pub mod spec;
 
 pub use genkern::{generate_kernel, GenConfig, GeneratedKernel, SplitMix64};
@@ -73,7 +73,7 @@ impl Benchmark {
 /// * `acc loop worker…` → removed (OpenMP cannot reuse parallelism across
 ///   nested loops, §II-B — the loop runs sequentially per team);
 /// * reduction clauses are preserved.
-pub fn acc_to_omp(src: &str) -> String {
+pub(crate) fn acc_to_omp(src: &str) -> String {
     let mut out = String::with_capacity(src.len());
     for line in src.lines() {
         let trimmed = line.trim_start();

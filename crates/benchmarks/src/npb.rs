@@ -12,7 +12,7 @@ use crate::{Benchmark, Suite};
 /// NPB BT's dominant kernel shape — Listing 2 of the paper (z_solve):
 /// dense 5×5 Jacobian blocks with shared `dt·tz` factors and heavy
 /// FMA-friendly chains, plus a compute_rhs halo stencil.
-pub fn bt_source() -> String {
+pub(crate) fn bt_source() -> String {
     r#"
 void bt_zsolve(double lhsZ[3][3][3][130][8][8], double fjacZ[3][3][130][8][8],
                double njacZ[3][3][130][8][8], double dt, double tz1, double tz2,
@@ -84,7 +84,7 @@ void bt_rhs(double rhs[3][130][8][8], double u[3][130][8][8], double dssp,
 }
 
 /// NPB CG: irregular sparse matrix-vector product (eigenvalue solver core).
-pub fn cg_source() -> String {
+pub(crate) fn cg_source() -> String {
     r#"
 void cg_spmv(double a[65536], int colidx[65536], int rowstr[4097],
              double p[4096], double q[4096], int nrows) {
@@ -112,7 +112,7 @@ void cg_axpy(double p[4096], double r[4096], double z[4096], double beta,
 
 /// NPB EP: embarrassingly parallel pseudo-random Gaussian pairs
 /// (compute-only; the paper notes FMA discovery is what helps here).
-pub fn ep_source() -> String {
+pub(crate) fn ep_source() -> String {
     r#"
 void ep_gauss(double sx[8192], double sy[8192], double seed, int nk) {
   #pragma acc parallel loop gang vector_length(128)
@@ -146,7 +146,7 @@ void ep_gauss(double sx[8192], double sy[8192], double seed, int nk) {
 
 /// NPB FT: one radix-2 FFT butterfly stage with twiddle factors
 /// (all-to-all access pattern).
-pub fn ft_source() -> String {
+pub(crate) fn ft_source() -> String {
     r#"
 void ft_butterfly(double xre[16384], double xim[16384], double ure[8192],
                   double uim[8192], double yre[16384], double yim[16384], int n2) {
@@ -181,7 +181,7 @@ void ft_evolve(double ure[16384], double uim[16384], double twre[16384],
 
 /// NPB LU: SSOR lower-triangular solve sweep (jacld-like) — dense
 /// coefficient construction with shared factors and divisions.
-pub fn lu_source() -> String {
+pub(crate) fn lu_source() -> String {
     r#"
 void lu_jacld(double d[3][3][130][8][8], double u[3][130][8][8], double dt,
               double tx1, double ty1, double tz1, double r43, double c1345,
@@ -218,7 +218,7 @@ void lu_jacld(double d[3][3][130][8][8], double u[3][130][8][8], double dt,
 }
 
 /// NPB MG: one V-cycle residual with long- and short-distance accesses.
-pub fn mg_source() -> String {
+pub(crate) fn mg_source() -> String {
     r#"
 void mg_resid(double u[258][10][10], double v[258][10][10], double r[258][10][10],
               double a0, double a1, double a2, double a3, int n1, int gp) {
@@ -240,7 +240,7 @@ void mg_resid(double u[258][10][10], double v[258][10][10], double r[258][10][10
 }
 
 /// NPB SP: scalar penta-diagonal solve coefficient setup (halo CFD).
-pub fn sp_source() -> String {
+pub(crate) fn sp_source() -> String {
     r#"
 void sp_lhs(double lhs[5][130][8][8], double rho[130][8][8], double speed[130][8][8],
             double dttz1, double dttz2, double c2dttz1, int ksize,

@@ -34,7 +34,7 @@ void stencil_jacobi(double a0[258][10][10], double anext[258][10][10],
 /// Lattice-Boltzmann collision-streaming with 9 distributions
 /// (olbm; CFD halo with massive per-cell expression reuse — the paper
 /// reports CSE removes ~55% of its loads).
-pub fn olbm_source() -> String {
+pub(crate) fn olbm_source() -> String {
     r#"
 void lbm_stream(double src[9][16384], double dst[9][16384], double omega,
                 int ncells) {
@@ -78,7 +78,7 @@ void lbm_stream(double src[9][16384], double dst[9][16384], double omega,
 
 /// MRI-Q reconstruction: structure-of-arrays Q computation with sin/cos
 /// (omriq).
-pub fn omriq_source() -> String {
+pub(crate) fn omriq_source() -> String {
     r#"
 void mriq_computeq(double x[8192], double y[8192], double z[8192],
                    double kx[64], double ky[64], double kz[64],

@@ -23,8 +23,8 @@
 //! headers verbatim,
 //! substituting only the computation.
 
-pub mod emit;
-pub mod types;
+mod emit;
+mod types;
 
 pub use emit::{generate, CodegenOptions};
 pub use types::TypeMap;

@@ -61,7 +61,7 @@ impl TypeMap {
 
     /// Type of a name. Entry symbols (`x@L0`) resolve to the type of `x`.
     /// Unknown names default to `double`, the dominant kernel type.
-    pub fn type_of(&self, name: &str) -> Type {
+    pub(crate) fn type_of(&self, name: &str) -> Type {
         let base = name.split('@').next().unwrap_or(name);
         self.map.get(base).cloned().unwrap_or(Type::Double)
     }
@@ -69,7 +69,7 @@ impl TypeMap {
 
 /// Promote two operand types (C usual arithmetic conversions, restricted to
 /// the subset).
-pub fn promote(a: &Type, b: &Type) -> Type {
+pub(crate) fn promote(a: &Type, b: &Type) -> Type {
     match (a, b) {
         (Type::Double, _) | (_, Type::Double) => Type::Double,
         (Type::Float, _) | (_, Type::Float) => Type::Float,

@@ -20,13 +20,12 @@
 //!   helps (olbm 1.32×). OpenMP codegen has high register pressure.
 //! * **Clang** (OpenMP only) sits between the two.
 
-pub mod model;
-pub mod nest;
-pub mod vn;
+mod model;
+mod nest;
+mod vn;
 
 pub use model::{compile_kernel, CompiledKernel, Compiler, CompilerModel};
-pub use nest::{analyze_nest, LoopNest};
-pub use vn::eliminate_redundant_loads;
+pub use nest::{analyze_nest, LoopNest, NestLevel};
 
 #[cfg(test)]
 mod tests {

@@ -50,7 +50,7 @@ impl LoopNest {
     }
 
     /// Trip count of the levels with gang parallelism (product).
-    pub fn gang_trip(&self) -> i64 {
+    pub(crate) fn gang_trip(&self) -> i64 {
         let t: i64 = self
             .levels
             .iter()
@@ -61,7 +61,7 @@ impl LoopNest {
     }
 
     /// Trip count of worker levels.
-    pub fn worker_trip(&self) -> i64 {
+    pub(crate) fn worker_trip(&self) -> i64 {
         self.levels
             .iter()
             .filter(|l| l.has_worker && !l.has_gang)
@@ -71,13 +71,13 @@ impl LoopNest {
     }
 
     /// Trip count of the vector level.
-    pub fn vector_trip(&self) -> i64 {
+    pub(crate) fn vector_trip(&self) -> i64 {
         self.levels.last().map(|l| l.trip.max(1)).unwrap_or(1)
     }
 }
 
 /// Evaluate an integer expression from bindings.
-pub fn const_eval(e: &Expr, bindings: &HashMap<String, i64>) -> Option<i64> {
+pub(crate) fn const_eval(e: &Expr, bindings: &HashMap<String, i64>) -> Option<i64> {
     match e {
         Expr::Int(v) => Some(*v),
         Expr::Float(v) if v.fract() == 0.0 => Some(*v as i64),
@@ -100,7 +100,7 @@ pub fn const_eval(e: &Expr, bindings: &HashMap<String, i64>) -> Option<i64> {
 }
 
 /// Trip count of a canonical loop.
-pub fn trip_count(l: &ForLoop, bindings: &HashMap<String, i64>) -> Option<i64> {
+pub(crate) fn trip_count(l: &ForLoop, bindings: &HashMap<String, i64>) -> Option<i64> {
     let init = const_eval(&l.init, bindings)?;
     let step = const_eval(&l.step, bindings)?;
     if step == 0 {

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 /// `window = usize::MAX` models NVHPC's global value numbering; small
 /// windows model GCC/Clang. Register uses of removed loads are rewritten to
 /// the surviving destination.
-pub fn eliminate_redundant_loads(trace: &Trace, window: usize) -> Trace {
+pub(crate) fn eliminate_redundant_loads(trace: &Trace, window: usize) -> Trace {
     // remembered loads: address key → (pos, reg, base)
     let mut seen: HashMap<u64, (usize, u32, u64)> = HashMap::new();
     // arithmetic value numbering: (flop kind, operand regs) → (pos, reg)

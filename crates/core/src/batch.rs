@@ -29,7 +29,7 @@
 //! not on scheduling: work items come back in item order (never in
 //! completion order), every kernel is optimized by the exact same code
 //! path a sequential run uses, and the per-kernel extraction portfolio is
-//! deterministic by construction (see [`accsat_extract::portfolio`]). So
+//! deterministic by construction (see [`accsat_extract::PortfolioResult`]). So
 //! `threads = 8` and `threads = 1` produce byte-identical optimized
 //! sources, selections and costs — parallelism only changes the wall
 //! clock. (The wall-clock safety valves — saturation time limit,

@@ -31,9 +31,10 @@
 //! on every request, so `CSE+SAT` and `ACCSAT` share both cached stages.
 //!
 //! **Invalidation.** There is none by design: entries are immutable values
-//! under content hashes. A format version bump (see the `v1` headers)
-//! orphans old entries, which then age out by eviction; corrupt or
-//! version-mismatched entries read as misses.
+//! under content hashes. A format version bump (see the headers: `sat` and
+//! `sel` entries are at `v2`, `parsed` entries at `v1`) orphans old
+//! entries, which then age out by eviction; corrupt or version-mismatched
+//! entries read as misses.
 //!
 //! **Eviction** is deterministic: FIFO by insertion order with a fixed
 //! entry capacity, both in memory and on disk (the disk index file records
@@ -178,7 +179,7 @@ impl SatEntry {
     }
 
     /// Parse [`SatEntry::to_text`] output.
-    pub fn from_text(text: &str) -> Result<SatEntry, String> {
+    pub(crate) fn from_text(text: &str) -> Result<SatEntry, String> {
         let mut rest = text;
         let mut take_line = |what: &str| -> Result<&str, String> {
             let nl = rest.find('\n').ok_or_else(|| format!("truncated sat entry: {what}"))?;
@@ -274,7 +275,7 @@ impl SelEntry {
     }
 
     /// Parse [`SelEntry::to_text`] output.
-    pub fn from_text(text: &str) -> Result<SelEntry, String> {
+    pub(crate) fn from_text(text: &str) -> Result<SelEntry, String> {
         let mut lines = text.splitn(3, '\n');
         let header = lines.next().ok_or("empty sel entry")?;
         if header != SEL_HEADER {

@@ -42,7 +42,7 @@ pub fn evaluate_benchmark(
 }
 
 /// Simulate an already-optimized program.
-pub fn evaluate_program(
+pub(crate) fn evaluate_program(
     prog: &Program,
     bench: &accsat_benchmarks::Benchmark,
     variant: Variant,

@@ -37,28 +37,20 @@
 
 pub mod batch;
 pub mod cache;
-pub mod evaluate;
+mod evaluate;
 pub mod fuzz;
 pub mod metrics;
 pub mod pipeline;
 pub mod report;
 pub mod serve;
 
-pub use batch::{
-    optimize_suite, tune_suite, BatchReport, BenchmarkRecord, FunctionRecord, ParallelConfig,
-};
-pub use cache::{
-    sat_stage_key, sel_stage_key, CacheLevel, CacheStats, SatEntry, SelEntry, StageCache,
-};
+pub use batch::{optimize_suite, tune_suite, BatchReport, ParallelConfig};
+pub use cache::{sat_stage_key, sel_stage_key, CacheLevel, SatEntry, SelEntry, StageCache};
 pub use evaluate::{evaluate_benchmark, speedup, BenchmarkResult, KernelResult};
-pub use fuzz::{
-    check_kernel, check_seeded, minimize_function, run_campaign, run_case, CaseOutcome, Finding,
-    FuzzConfig, FuzzReport,
-};
+pub use fuzz::{check_kernel, check_seeded, minimize_function, run_campaign, run_case, FuzzConfig};
 pub use metrics::add_opt_stats;
 pub use pipeline::{
-    optimize_function, optimize_program, optimize_program_with, tune_function, OptStats,
-    SaturatorConfig, Variant,
+    optimize_program, optimize_program_with, tune_function, OptStats, SaturatorConfig, Variant,
 };
 pub use report::{format_speedup_row, render_table};
 pub use serve::{optimize_source, run_session, ServeConfig};

@@ -210,7 +210,7 @@ impl OptStats {
 }
 
 /// Optimize every kernel (innermost parallel loop) of a function.
-pub fn optimize_function(
+pub(crate) fn optimize_function(
     f: &Function,
     variant: Variant,
     config: &SaturatorConfig,

@@ -12,7 +12,7 @@ use crate::node::{Id, NodeRef, Op};
 
 /// A compile-time constant value.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ConstValue {
+pub(crate) enum ConstValue {
     /// An integer constant.
     Int(i64),
     /// A floating-point constant.
@@ -21,23 +21,15 @@ pub enum ConstValue {
 
 impl ConstValue {
     /// Numeric value as `f64` (ints convert exactly up to 2^53).
-    pub fn as_f64(self) -> f64 {
+    pub(crate) fn as_f64(self) -> f64 {
         match self {
             ConstValue::Int(v) => v as f64,
             ConstValue::Float(v) => v,
         }
     }
 
-    /// Integer value if this is an integer constant.
-    pub fn as_int(self) -> Option<i64> {
-        match self {
-            ConstValue::Int(v) => Some(v),
-            ConstValue::Float(_) => None,
-        }
-    }
-
     /// Is this numerically zero?
-    pub fn is_zero(self) -> bool {
+    pub(crate) fn is_zero(self) -> bool {
         match self {
             ConstValue::Int(v) => v == 0,
             ConstValue::Float(v) => v == 0.0,
@@ -102,7 +94,7 @@ fn float2(op: &Op, a: f64, b: f64) -> Option<ConstValue> {
 
 /// Compute the constant value of `node` given a child-constant oracle.
 /// Returns `None` when any child is unknown or the op is not foldable.
-pub fn eval_node(
+pub(crate) fn eval_node(
     node: NodeRef<'_>,
     child_const: impl Fn(Id) -> Option<ConstValue>,
 ) -> Option<ConstValue> {
@@ -159,7 +151,7 @@ pub fn eval_node(
 /// Merge analysis data on union. Both sides proven ⇒ they must agree (checked
 /// in debug builds; in release the left side wins, matching egg's behaviour
 /// for a semilattice where both are already canonical).
-pub fn merge_const(a: Option<ConstValue>, b: Option<ConstValue>) -> Option<ConstValue> {
+pub(crate) fn merge_const(a: Option<ConstValue>, b: Option<ConstValue>) -> Option<ConstValue> {
     match (a, b) {
         (Some(x), Some(y)) => {
             debug_assert!(

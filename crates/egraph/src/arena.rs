@@ -18,7 +18,7 @@ use crate::fxhash::FxHasher;
 use crate::node::{Id, NodeRef, Op};
 use std::hash::{Hash, Hasher};
 
-/// An interned e-node form: an index into the [`Arena`] it came from.
+/// An interned e-node form: an index into the arena it came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Form(u32);
 
@@ -40,7 +40,7 @@ const MIN_SLOTS: usize = 16;
 /// distinct [`Op`]), so a form is two `u32`s plus its children in one
 /// shared pool, and the e-graph can index per-operator tables densely.
 #[derive(Debug, Clone)]
-pub struct Arena {
+pub(crate) struct Arena {
     /// Distinct operators, by op number.
     ops: Vec<Op>,
     /// Open-addressed table of op numbers, keyed by operator content.
@@ -122,27 +122,22 @@ impl Arena {
     }
 
     /// Number of forms ever interned.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.form_op.len()
     }
 
-    /// True when no form was interned.
-    pub fn is_empty(&self) -> bool {
-        self.form_op.is_empty()
-    }
-
     /// Number of distinct operators ever interned.
-    pub fn num_ops(&self) -> usize {
+    pub(crate) fn num_ops(&self) -> usize {
         self.ops.len()
     }
 
     /// The operator with op number `op_no`.
-    pub fn op_by_number(&self, op_no: u32) -> &Op {
+    pub(crate) fn op_by_number(&self, op_no: u32) -> &Op {
         &self.ops[op_no as usize]
     }
 
     /// Op number of `op`, if any form was ever interned with it.
-    pub fn op_number(&self, op: &Op) -> Option<u32> {
+    pub(crate) fn op_number(&self, op: &Op) -> Option<u32> {
         probe(&self.op_slots, hash_op(op), |e| self.ops[e as usize] == *op).ok()
     }
 
@@ -161,23 +156,23 @@ impl Arena {
     }
 
     /// Op number of form `f`.
-    pub fn op_no(&self, f: Form) -> u32 {
+    pub(crate) fn op_no(&self, f: Form) -> u32 {
         self.form_op[f.index()]
     }
 
     /// Operator of form `f`.
-    pub fn op(&self, f: Form) -> &Op {
+    pub(crate) fn op(&self, f: Form) -> &Op {
         &self.ops[self.form_op[f.index()] as usize]
     }
 
     /// Children of form `f`, as interned.
-    pub fn children(&self, f: Form) -> &[Id] {
+    pub(crate) fn children(&self, f: Form) -> &[Id] {
         let i = f.index();
         &self.pool[self.form_start[i] as usize..self.form_start[i + 1] as usize]
     }
 
     /// Form `f` as a borrowed e-node.
-    pub fn node(&self, f: Form) -> NodeRef<'_> {
+    pub(crate) fn node(&self, f: Form) -> NodeRef<'_> {
         NodeRef { op: self.op(f), children: self.children(f) }
     }
 
@@ -186,24 +181,19 @@ impl Arena {
     }
 
     /// The form with this content, if it was ever interned.
-    pub fn lookup(&self, op: &Op, children: &[Id]) -> Option<Form> {
+    pub(crate) fn lookup(&self, op: &Op, children: &[Id]) -> Option<Form> {
         let op_no = self.op_number(op)?;
         probe(&self.slots, hash_form(op_no, children), |e| self.is_form(e, op_no, children))
             .ok()
             .map(Form)
     }
 
-    /// The form with this content, interning it on first sight. A hit
-    /// allocates nothing.
-    pub fn intern(&mut self, op: &Op, children: &[Id]) -> Form {
-        let op_no = self.intern_op(op);
-        self.intern_numbered(op_no, children)
-    }
-
-    /// [`Arena::intern`] for an operator already known by number — the
-    /// canonicalisation path, which re-interns a stored form's operator
-    /// over new children without touching the operator itself.
-    pub fn intern_numbered(&mut self, op_no: u32, children: &[Id]) -> Form {
+    /// The form of operator number `op_no` (see [`Arena::intern_op`]) over
+    /// `children`, interning it on first sight; a hit allocates nothing.
+    /// Taking the operator by number lets the canonicalisation path
+    /// re-intern a stored form's operator over new children without
+    /// touching the operator itself.
+    pub(crate) fn intern_numbered(&mut self, op_no: u32, children: &[Id]) -> Form {
         let hash = hash_form(op_no, children);
         if let Ok(e) = probe(&self.slots, hash, |e| self.is_form(e, op_no, children)) {
             return Form(e);
@@ -235,10 +225,11 @@ mod tests {
     #[test]
     fn equal_content_interns_to_one_form() {
         let mut a = Arena::default();
-        let f1 = a.intern(&Op::Add, &ids(&[1, 2]));
-        let f2 = a.intern(&Op::Add, &ids(&[1, 2]));
-        let g = a.intern(&Op::Add, &ids(&[2, 1]));
-        let h = a.intern(&Op::Mul, &ids(&[1, 2]));
+        let (add, mul) = (a.intern_op(&Op::Add), a.intern_op(&Op::Mul));
+        let f1 = a.intern_numbered(add, &ids(&[1, 2]));
+        let f2 = a.intern_numbered(add, &ids(&[1, 2]));
+        let g = a.intern_numbered(add, &ids(&[2, 1]));
+        let h = a.intern_numbered(mul, &ids(&[1, 2]));
         assert_eq!(f1, f2);
         assert!(f1 != g && f1 != h && g != h);
         assert_eq!(a.len(), 3);
@@ -253,11 +244,15 @@ mod tests {
     #[test]
     fn payload_operators_and_arity_are_part_of_the_content() {
         let mut a = Arena::default();
-        let x = a.intern(&Op::Sym("x".into()), &[]);
-        let y = a.intern(&Op::Sym("y".into()), &[]);
-        let load = a.intern(&Op::Sym("load".into()), &[]);
-        let one = a.intern(&Op::Load, &ids(&[0]));
-        let two = a.intern(&Op::Load, &ids(&[0, 0]));
+        let mut intern = |op: Op, children: &[Id]| {
+            let op_no = a.intern_op(&op);
+            a.intern_numbered(op_no, children)
+        };
+        let x = intern(Op::Sym("x".into()), &[]);
+        let y = intern(Op::Sym("y".into()), &[]);
+        let load = intern(Op::Sym("load".into()), &[]);
+        let one = intern(Op::Load, &ids(&[0]));
+        let two = intern(Op::Load, &ids(&[0, 0]));
         assert!(x != y && x != load && one != two);
         assert_eq!(a.op(load), &Op::Sym("load".into()));
         assert_eq!(a.children(two).len(), 2);
@@ -267,17 +262,22 @@ mod tests {
     fn tables_grow_and_keep_every_form_findable() {
         let mut a = Arena::default();
         let op_of = |i: u32| if i.is_multiple_of(3) { Op::Add } else { Op::Mul };
-        let forms: Vec<Form> =
-            (0..5000u32).map(|i| a.intern(&op_of(i), &ids(&[i, i / 7]))).collect();
+        let forms: Vec<Form> = (0..5000u32)
+            .map(|i| {
+                let op_no = a.intern_op(&op_of(i));
+                a.intern_numbered(op_no, &ids(&[i, i / 7]))
+            })
+            .collect();
         for i in 0..200i64 {
-            a.intern(&Op::Int(i), &[]);
+            let op_no = a.intern_op(&Op::Int(i));
+            a.intern_numbered(op_no, &[]);
         }
         assert_eq!(a.len(), 5200);
         assert_eq!(a.num_ops(), 202);
         for (i, &f) in forms.iter().enumerate() {
             let i = i as u32;
             assert_eq!(a.lookup(&op_of(i), &ids(&[i, i / 7])), Some(f));
-            assert_eq!(a.intern(&op_of(i), &ids(&[i, i / 7])), f);
+            assert_eq!(a.intern_numbered(a.op_number(&op_of(i)).unwrap(), &ids(&[i, i / 7])), f);
         }
         assert_eq!(a.len(), 5200, "re-interning adds nothing");
     }

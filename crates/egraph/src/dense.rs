@@ -61,18 +61,18 @@ impl Visited {
 /// benched rule. Membership is one shift and mask; merging is a word-wise
 /// or. An id beyond the table is simply not a member.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ClassSet {
+pub(crate) struct ClassSet {
     words: Vec<u64>,
 }
 
 impl ClassSet {
     /// An empty set with room for ids `< n`.
-    pub fn with_bound(n: usize) -> ClassSet {
+    pub(crate) fn with_bound(n: usize) -> ClassSet {
         ClassSet { words: vec![0; n.div_ceil(64)] }
     }
 
     /// Add `id`; `false` when it was already a member.
-    pub fn insert(&mut self, id: Id) -> bool {
+    pub(crate) fn insert(&mut self, id: Id) -> bool {
         let (w, bit) = (id.index() / 64, 1u64 << (id.index() % 64));
         if w >= self.words.len() {
             self.words.resize(w + 1, 0);
@@ -83,12 +83,12 @@ impl ClassSet {
     }
 
     /// Is `id` a member?
-    pub fn contains(&self, id: Id) -> bool {
+    pub(crate) fn contains(&self, id: Id) -> bool {
         self.words.get(id.index() / 64).is_some_and(|w| w & (1u64 << (id.index() % 64)) != 0)
     }
 
     /// Add every member of `other`.
-    pub fn union_with(&mut self, other: &ClassSet) {
+    pub(crate) fn union_with(&mut self, other: &ClassSet) {
         if other.words.len() > self.words.len() {
             self.words.resize(other.words.len(), 0);
         }
@@ -98,7 +98,7 @@ impl ClassSet {
     }
 
     /// Has the set no members?
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
     }
 }

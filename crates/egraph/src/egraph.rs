@@ -26,7 +26,7 @@ pub struct EClass {
     pub parents: Vec<(Form, Id)>,
     /// Constant-folding analysis data: `Some` if every term in this class
     /// evaluates to this compile-time constant.
-    pub constant: Option<ConstValue>,
+    pub(crate) constant: Option<ConstValue>,
 }
 
 /// "No class": the memo's marker for a form that is not a memo key.
@@ -143,7 +143,7 @@ impl EGraph {
     }
 
     /// Borrow an e-class by (any) id.
-    pub fn class(&self, id: Id) -> &EClass {
+    pub(crate) fn class(&self, id: Id) -> &EClass {
         let id = self.find(id);
         self.classes[id.index()].as_ref().expect("canonical class must exist")
     }
@@ -164,7 +164,7 @@ impl EGraph {
     }
 
     /// The constant value of a class, if the analysis proved one.
-    pub fn constant(&self, id: Id) -> Option<ConstValue> {
+    pub(crate) fn constant(&self, id: Id) -> Option<ConstValue> {
         self.class(id).constant
     }
 
@@ -197,7 +197,7 @@ impl EGraph {
     /// pattern match (new e-node, union changing a non-linear equality, or
     /// a match reaching a changed class through any chain of children) is in
     /// the returned set. Ids are canonical; dead classes are dropped.
-    pub fn take_search_dirty(&mut self) -> ClassSet {
+    pub(crate) fn take_search_dirty(&mut self) -> ClassSet {
         let mut set = ClassSet::with_bound(self.id_bound());
         let mut stack = std::mem::take(&mut self.search_dirty);
         stack.retain_mut(|id| {
@@ -223,7 +223,7 @@ impl EGraph {
 
     /// Discard accumulated search-dirty marks (used before a full search,
     /// which covers everything anyway).
-    pub fn clear_search_dirty(&mut self) {
+    pub(crate) fn clear_search_dirty(&mut self) {
         self.search_dirty.clear();
     }
 
@@ -258,18 +258,6 @@ impl EGraph {
         let canon = self.intern(self.arena.op_no(form), &kids);
         self.scratch.children = kids;
         canon
-    }
-
-    /// Look up a node without inserting. Returns the canonical class if the
-    /// (canonicalized) node already exists.
-    pub fn lookup(&mut self, node: &Node) -> Option<Id> {
-        let kids = canonical_ids(&mut self.unionfind, &node.children, &mut self.scratch);
-        let form = self.arena.lookup(&node.op, &kids);
-        self.scratch.children = kids;
-        match self.memo[form?.index()] {
-            NO_CLASS => None,
-            id => Some(self.unionfind.find_mut(id)),
-        }
     }
 
     /// Add a node, returning its e-class (existing or fresh).
@@ -885,16 +873,6 @@ mod tests {
     }
 
     #[test]
-    fn lookup_does_not_insert() {
-        let mut eg = EGraph::new();
-        let a = leaf(&mut eg, "a");
-        let n = Node::new(Op::Neg, vec![a]);
-        assert_eq!(eg.lookup(&n), None);
-        let id = eg.add(n.clone());
-        assert_eq!(eg.lookup(&n), Some(id));
-    }
-
-    #[test]
     fn total_nodes_is_monotone() {
         let mut eg = EGraph::new();
         let a = leaf(&mut eg, "a");
@@ -938,7 +916,9 @@ mod tests {
         eg.union(a2, a);
         eg.rebuild();
         eg.check_invariants();
-        let relooked = eg.lookup(&Node::new(Op::Mul, vec![a2, b2])).expect("congruent node");
+        let classes = eg.num_classes();
+        let relooked = eg.add(Node::new(Op::Mul, vec![a2, b2]));
+        assert_eq!(eg.num_classes(), classes, "the congruent node is already there");
         assert!(eg.same(m, relooked));
     }
 

@@ -76,11 +76,11 @@ impl Hasher for FxHasher {
     }
 }
 
-/// `HashMap` keyed with [`FxHasher`].
+/// `HashMap` keyed with `FxHasher`.
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// `HashSet` keyed with [`FxHasher`].
-pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
+pub(crate) type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
 #[cfg(test)]
 mod tests {

@@ -8,59 +8,58 @@
 //! than generic over a user language, which keeps the code direct while
 //! exercising the same algorithms:
 //!
-//! * [`UnionFind`] — path-halving union-find over e-class ids.
+//! * `UnionFind` — path-halving union-find over e-class ids.
 //! * [`EGraph`] — hash-consed e-nodes grouped into e-classes, with deferred
 //!   congruence restoration ([`EGraph::rebuild`], the egg "rebuilding"
 //!   algorithm) and an attached constant-folding analysis. E-nodes are
-//!   stored once, as `u32` [`Form`]s of a flat [`Arena`]; id sets are the
-//!   dense tables of [`dense`].
-//! * [`Pattern`] — s-expression rewrite patterns with `?x` variables and a
-//!   backtracking e-matcher (kept as the differential-testing oracle).
-//! * [`machine`] — the production matcher: patterns compiled once into
-//!   linear [`Program`]s for a register-based pattern VM, with interned
+//!   stored once, as `u32` [`Form`]s of a flat arena; id sets are dense
+//!   tables ([`Visited`]).
+//! * `Pattern` — s-expression rewrite patterns with `?x` variables and a
+//!   backtracking e-matcher (kept as the differential-testing oracle,
+//!   [`Rewrite::search_legacy`]).
+//! * `machine` — the production matcher ([`Rewrite::search`]): patterns
+//!   compiled once into linear programs for a register-based pattern VM,
+//!   with interned
 //!   `u32` variables and small-vec substitutions ([`VarSubst`]), driven
 //!   through an operator → e-class index.
 //! * [`Rewrite`] / [`Runner`] — rule application until saturation or limits,
 //!   mirroring the paper's bounds (10 000 e-nodes, 10 iterations, 10 s),
 //!   with per-rule statistics and a backoff scheduler benching rules whose
 //!   match counts explode.
-//! * [`rules`] — Table I of the paper: FMA introduction, commutativity,
+//! * [`all_rules`] — Table I of the paper: FMA introduction, commutativity,
 //!   associativity, plus constant folding.
 
 #![warn(missing_docs)]
 
-pub mod analysis;
-pub mod arena;
-pub mod dense;
-pub mod egraph;
-pub mod fxhash;
-pub mod machine;
-pub mod node;
-pub mod pattern;
+mod analysis;
+mod arena;
+mod dense;
+mod egraph;
+mod fxhash;
+mod machine;
+mod node;
+mod pattern;
 pub mod pool;
-pub mod rewrite;
-pub mod rules;
-pub mod runner;
-pub mod serialize;
-pub mod unionfind;
+mod rewrite;
+mod rules;
+mod runner;
+mod serialize;
+mod unionfind;
 
-pub use analysis::ConstValue;
-pub use arena::{Arena, Form};
-pub use dense::{ClassSet, Visited};
+pub use arena::Form;
+pub use dense::Visited;
 pub use egraph::{EClass, EGraph};
-pub use fxhash::{FxHashMap, FxHashSet};
-pub use machine::{Inst, Program, RhsNode, VarSubst};
+pub use fxhash::FxHashMap;
+pub use machine::VarSubst;
 pub use node::{Id, Node, NodeRef, Op};
-pub use pattern::{parse_pattern, Pattern, PatternNode, Subst};
-pub use pool::{hardware_parallelism, Lease, ThreadBudget};
+pub use pool::ThreadBudget;
 pub use rewrite::{Rewrite, RuleMatch};
-pub use rules::{all_rules, assoc_rules, comm_rules, fma_rules, reorder_rules, rule_by_name};
+pub use rules::{all_rules, assoc_rules, comm_rules, fma_rules, reorder_rules};
 pub use runner::{
     BackoffConfig, IterCounts, IterationStats, RuleStats, Runner, RunnerLimits, RunnerReport,
     StopReason,
 };
-pub use serialize::{op_token, parse_op_token, EGRAPH_FORMAT_HEADER};
-pub use unionfind::UnionFind;
+pub use serialize::{op_token, parse_op_token};
 
 // Compile-time guarantee that saturation state crosses threads: the batch
 // driver moves e-graphs onto worker threads and shares one compiled rule

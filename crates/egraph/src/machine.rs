@@ -23,20 +23,20 @@ use crate::node::{Id, Op};
 use crate::pattern::{Pattern, PatternNode};
 
 /// Interned pattern-variable index into a program's var table.
-pub type VarId = u32;
+pub(crate) type VarId = u32;
 
 /// A virtual register holding an e-class id during execution.
-pub type Reg = u32;
+pub(crate) type Reg = u32;
 
 /// How many variable bindings a [`VarSubst`] stores inline before spilling
 /// to the heap. Every Table I pattern has at most three variables.
-pub const SUBST_INLINE: usize = 4;
+pub(crate) const SUBST_INLINE: usize = 4;
 
 /// A substitution produced by the compiled matcher: variable index →
-/// e-class id, stored small-vec-style (inline up to [`SUBST_INLINE`]).
+/// e-class id, stored small-vec-style (inline up to four bindings).
 #[derive(Debug, Clone)]
 pub enum VarSubst {
-    /// Up to [`SUBST_INLINE`] bindings stored inline.
+    /// Up to four bindings stored inline.
     Inline {
         /// Number of live bindings in `buf`.
         len: u8,
@@ -48,17 +48,6 @@ pub enum VarSubst {
 }
 
 impl VarSubst {
-    /// Build a substitution from the yielded register values.
-    pub fn from_slice(vals: &[Id]) -> VarSubst {
-        if vals.len() <= SUBST_INLINE {
-            let mut buf = [Id::from(0usize); SUBST_INLINE];
-            buf[..vals.len()].copy_from_slice(vals);
-            VarSubst::Inline { len: vals.len() as u8, buf }
-        } else {
-            VarSubst::Heap(vals.to_vec())
-        }
-    }
-
     /// Gather the bindings out of the register file without an intermediate
     /// allocation (the VM's yield path).
     fn from_regs(subst_regs: &[Reg], regs: &[Id]) -> VarSubst {
@@ -73,7 +62,7 @@ impl VarSubst {
         }
     }
 
-    /// The bound ids, indexed by [`VarId`].
+    /// The bound ids, indexed by the rule's variable table.
     pub fn as_slice(&self) -> &[Id] {
         match self {
             VarSubst::Inline { len, buf } => &buf[..*len as usize],
@@ -94,24 +83,6 @@ impl VarSubst {
     /// True when the pattern binds no variables (ground pattern).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Copy with every id replaced by its canonical representative.
-    pub fn canonicalized(&self, eg: &EGraph) -> VarSubst {
-        let mut s = self.clone();
-        match &mut s {
-            VarSubst::Inline { len, buf } => {
-                for id in &mut buf[..*len as usize] {
-                    *id = eg.find(*id);
-                }
-            }
-            VarSubst::Heap(v) => {
-                for id in v {
-                    *id = eg.find(*id);
-                }
-            }
-        }
-        s
     }
 }
 
@@ -143,7 +114,7 @@ impl Ord for VarSubst {
 
 /// One instruction of a compiled pattern program.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Inst {
+pub(crate) enum Inst {
     /// Enumerate the e-nodes of the class in `reg` whose operator is `op`
     /// with `arity` children; for each, write the (canonical) children into
     /// registers `out .. out + arity` and continue. This is the backtracking
@@ -170,7 +141,7 @@ pub enum Inst {
 
 /// A pattern compiled to a linear program plus its variable table.
 #[derive(Debug, Clone)]
-pub struct Program {
+pub(crate) struct Program {
     insts: Vec<Inst>,
     /// Variable index → register holding its binding at yield time.
     subst_regs: Vec<Reg>,
@@ -178,26 +149,15 @@ pub struct Program {
     vars: Vec<String>,
     /// Total registers used.
     n_regs: u32,
-    /// Head operator of the pattern root (`None` when the root is a bare
-    /// variable, which matches every class).
-    root_op: Option<Op>,
 }
 
 impl Program {
     /// Compile a pattern. Registers are assigned in pattern pre-order:
     /// register 0 is the root class, a `Bind` writes its children into a
     /// fresh contiguous block.
-    pub fn compile(pattern: &Pattern) -> Program {
-        let mut prog = Program {
-            insts: Vec::new(),
-            subst_regs: Vec::new(),
-            vars: Vec::new(),
-            n_regs: 1,
-            root_op: match &pattern.root {
-                PatternNode::Apply { op, .. } => Some(op.clone()),
-                PatternNode::Var(_) => None,
-            },
-        };
+    pub(crate) fn compile(pattern: &Pattern) -> Program {
+        let mut prog =
+            Program { insts: Vec::new(), subst_regs: Vec::new(), vars: Vec::new(), n_regs: 1 };
         prog.compile_node(&pattern.root, 0);
         prog
     }
@@ -231,56 +191,21 @@ impl Program {
     }
 
     /// Interned variable names, indexed by [`VarId`].
-    pub fn vars(&self) -> &[String] {
+    pub(crate) fn vars(&self) -> &[String] {
         &self.vars
     }
 
     /// Variable index of `name`, if the pattern binds it.
-    pub fn var_id(&self, name: &str) -> Option<VarId> {
+    pub(crate) fn var_id(&self, name: &str) -> Option<VarId> {
         self.vars.iter().position(|v| v == name).map(|i| i as VarId)
     }
 
-    /// Head operator of the pattern root (`None` = variable root).
-    pub fn root_op(&self) -> Option<&Op> {
-        self.root_op.as_ref()
-    }
-
-    /// The compiled instructions (stats / debugging).
-    pub fn insts(&self) -> &[Inst] {
-        &self.insts
-    }
-
-    /// Run the program against one e-class, appending a [`VarSubst`] per
-    /// complete match.
-    pub fn search_class(&self, eg: &EGraph, root: Id, out: &mut Vec<VarSubst>) {
-        self.with_op_numbers(eg, |vm| {
-            let mut regs = vec![Id::from(0usize); self.n_regs as usize];
-            vm.run(root, &mut regs, &mut |_, s| out.push(s));
-        });
-    }
-
-    /// Search the whole e-graph through the op → e-class index: only
-    /// classes whose node set contains the root operator are visited.
-    pub fn search(&self, eg: &EGraph) -> Vec<(Id, VarSubst)> {
-        let mut results = Vec::new();
-        self.search_filtered(eg, None, &mut results);
-        results
-    }
-
-    /// Search, optionally restricted to a candidate class set (canonical
-    /// ids) — the runner's incremental dirty-class search.
-    pub fn search_filtered(
-        &self,
-        eg: &EGraph,
-        restrict: Option<&ClassSet>,
-        results: &mut Vec<(Id, VarSubst)>,
-    ) {
-        self.search_into(eg, restrict, |id, s| results.push((id, s)));
-    }
-
-    /// [`Program::search_filtered`], handing each match — root class and
-    /// substitution, in search order — to `emit` instead of a list of
-    /// pairs, so a caller collects them straight into its own buffer.
+    /// Search the e-graph through the op → e-class index — only classes
+    /// whose node set contains the root operator are visited — optionally
+    /// restricted to a candidate class set (canonical ids; the runner's
+    /// incremental dirty-class search). Each match, root class and
+    /// substitution in search order, goes to `emit`, so a caller collects
+    /// them straight into its own buffer.
     pub(crate) fn search_into(
         &self,
         eg: &EGraph,
@@ -383,7 +308,7 @@ impl Vm<'_> {
 /// A right-hand-side template with variables resolved to [`VarId`]s at rule
 /// construction, so instantiation never does a string lookup.
 #[derive(Debug, Clone)]
-pub enum RhsNode {
+pub(crate) enum RhsNode {
     /// A variable of the left-hand side, inserted by binding.
     Var(VarId),
     /// An operator applied to instantiated children.
@@ -398,7 +323,7 @@ pub enum RhsNode {
 impl RhsNode {
     /// Resolve a pattern's variables against `lhs`'s var table. Panics on
     /// unbound variables — rules are compile-time constants of the tool.
-    pub fn compile(rhs: &PatternNode, lhs: &Program, rule: &str) -> RhsNode {
+    pub(crate) fn compile(rhs: &PatternNode, lhs: &Program, rule: &str) -> RhsNode {
         match rhs {
             PatternNode::Var(v) => RhsNode::Var(
                 lhs.var_id(v)
@@ -416,7 +341,7 @@ impl RhsNode {
     /// whether the e-graph changed. Children are built on an operand stack
     /// the e-graph lends out, so a match whose right-hand side already
     /// exists allocates nothing.
-    pub fn instantiate_into(&self, eg: &mut EGraph, subst: &VarSubst, class: Id) -> bool {
+    pub(crate) fn instantiate_into(&self, eg: &mut EGraph, subst: &VarSubst, class: Id) -> bool {
         match self {
             RhsNode::Var(v) => eg.union(class, subst.get(*v)).1,
             RhsNode::Apply { op, children } => {
@@ -460,13 +385,24 @@ mod tests {
         Program::compile(&parse_pattern(src).unwrap())
     }
 
+    /// The substitutions of every match rooted at `root`, in search order.
+    fn matches_at(p: &Program, eg: &EGraph, root: Id) -> Vec<VarSubst> {
+        let mut out = Vec::new();
+        p.search_into(eg, None, |id, s| {
+            if id == root {
+                out.push(s);
+            }
+        });
+        out
+    }
+
     #[test]
     fn compiles_fma_pattern() {
         let p = compile("(+ ?a (* ?b ?c))");
         assert_eq!(p.vars(), &["a", "b", "c"]);
-        assert_eq!(p.root_op(), Some(&Op::Add));
-        // two Binds: one for the +, one for the nested *
-        let binds = p.insts().iter().filter(|i| matches!(i, Inst::Bind { .. })).count();
+        // the root's Bind comes first; a second one for the nested *
+        assert!(matches!(&p.insts[0], Inst::Bind { op: Op::Add, .. }));
+        let binds = p.insts.iter().filter(|i| matches!(i, Inst::Bind { .. })).count();
         assert_eq!(binds, 2);
     }
 
@@ -474,7 +410,7 @@ mod tests {
     fn nonlinear_pattern_emits_compare() {
         let p = compile("(+ ?x ?x)");
         assert_eq!(p.vars(), &["x"]);
-        assert!(p.insts().iter().any(|i| matches!(i, Inst::Compare { .. })));
+        assert!(p.insts.iter().any(|i| matches!(i, Inst::Compare { .. })));
     }
 
     #[test]
@@ -486,8 +422,7 @@ mod tests {
         let bc = eg.add(Node::new(Op::Mul, vec![b, c]));
         let root = eg.add(Node::new(Op::Add, vec![a, bc]));
         let p = compile("(+ ?x (* ?y ?z))");
-        let mut out = Vec::new();
-        p.search_class(&eg, root, &mut out);
+        let out = matches_at(&p, &eg, root);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].get(0), eg.find(a));
         assert_eq!(out[0].get(1), eg.find(b));
@@ -502,17 +437,12 @@ mod tests {
         let ab = eg.add(Node::new(Op::Add, vec![a, b]));
         let aa = eg.add(Node::new(Op::Add, vec![a, a]));
         let p = compile("(+ ?x ?x)");
-        let mut out = Vec::new();
-        p.search_class(&eg, ab, &mut out);
-        assert!(out.is_empty(), "a+b must not match (+ ?x ?x)");
-        p.search_class(&eg, aa, &mut out);
-        assert_eq!(out.len(), 1);
+        assert!(matches_at(&p, &eg, ab).is_empty(), "a+b must not match (+ ?x ?x)");
+        assert_eq!(matches_at(&p, &eg, aa).len(), 1);
         // after union(a, b) the non-linear match appears
         eg.union(a, b);
         eg.rebuild();
-        out.clear();
-        p.search_class(&eg, ab, &mut out);
-        assert_eq!(out.len(), 1);
+        assert_eq!(matches_at(&p, &eg, eg.find(ab)).len(), 1);
     }
 
     #[test]
@@ -523,20 +453,22 @@ mod tests {
         let _m = eg.add(Node::new(Op::Mul, vec![a, b]));
         let _s = eg.add(Node::new(Op::Add, vec![a, b]));
         let p = compile("(* ?x ?y)");
-        let found = p.search(&eg);
-        assert_eq!(found.len(), 1);
+        let mut found = 0;
+        p.search_into(&eg, None, |_, _| found += 1);
+        assert_eq!(found, 1);
     }
 
     #[test]
     fn var_subst_inline_and_heap() {
         let ids: Vec<Id> = (0..6).map(Id::from).collect();
-        let small = VarSubst::from_slice(&ids[..3]);
-        let big = VarSubst::from_slice(&ids);
+        let regs: Vec<Reg> = (0..6).rev().collect();
+        let small = VarSubst::from_regs(&regs[3..], &ids);
+        let big = VarSubst::from_regs(&regs, &ids);
         assert!(matches!(small, VarSubst::Inline { .. }));
         assert!(matches!(big, VarSubst::Heap(_)));
-        assert_eq!(small.as_slice(), &ids[..3]);
-        assert_eq!(big.as_slice(), &ids[..]);
-        assert_eq!(small, VarSubst::from_slice(&ids[..3]));
+        assert_eq!(small.as_slice(), &[ids[2], ids[1], ids[0]]);
+        assert_eq!(big.as_slice(), &ids.iter().rev().copied().collect::<Vec<_>>()[..]);
+        assert_eq!(small, VarSubst::from_regs(&regs[3..], &ids));
     }
 
     #[test]
@@ -550,10 +482,12 @@ mod tests {
         let lhs = compile("(+ ?a (* ?b ?c))");
         let rhs = parse_pattern("(+ (* ?c ?b) ?a)").unwrap();
         let template = RhsNode::compile(&rhs.root, &lhs, "swap");
-        let subst = VarSubst::from_slice(&[a, b, c]);
+        let subst = VarSubst::from_regs(&[0, 1, 2], &[a, b, c]);
         assert!(template.instantiate_into(&mut eg, &subst, sum));
         assert!(!template.instantiate_into(&mut eg, &subst, sum), "the term is there now");
-        let cb = eg.lookup(&Node::new(Op::Mul, vec![c, b])).expect("child built");
-        assert!(eg.nodes(sum).any(|n| *n.op == Op::Add && n.children == [cb, a]));
+        let is_cb = |id: Id| eg.nodes(id).any(|n| *n.op == Op::Mul && n.children == [c, b]);
+        assert!(eg
+            .nodes(sum)
+            .any(|n| *n.op == Op::Add && n.children[1] == a && is_cb(n.children[0])));
     }
 }

@@ -113,24 +113,8 @@ impl Op {
         Op::Float(v.to_bits())
     }
 
-    /// Read back a float constant.
-    pub fn as_float(&self) -> Option<f64> {
-        match self {
-            Op::Float(bits) => Some(f64::from_bits(*bits)),
-            _ => None,
-        }
-    }
-
-    /// Read back an integer constant.
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Op::Int(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// Is this op a leaf (never has children)?
-    pub fn is_leaf(&self) -> bool {
+    pub(crate) fn is_leaf(&self) -> bool {
         matches!(self, Op::Int(_) | Op::Float(_) | Op::Sym(_) | Op::LoopCond(_))
     }
 
@@ -145,7 +129,7 @@ impl Op {
     /// Parse an operator name as used in pattern syntax. Returns `None` for
     /// pattern variables and unknown words (treated as symbols by the
     /// pattern parser).
-    pub fn from_name(name: &str) -> Option<Op> {
+    pub(crate) fn from_name(name: &str) -> Option<Op> {
         Some(match name {
             "+" => Op::Add,
             "-" => Op::Sub,
@@ -260,8 +244,8 @@ impl Node {
     }
 }
 
-/// A borrowed e-node: how the e-graph shows the forms it stores (see
-/// [`crate::arena`]). Orders and compares exactly like the owned [`Node`]
+/// A borrowed e-node: how the e-graph shows the forms it stores
+/// ([`EGraph::node`](crate::EGraph::node)). Orders and compares exactly like the owned [`Node`]
 /// with the same operator and children.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeRef<'a> {
@@ -305,7 +289,7 @@ mod tests {
     #[test]
     fn float_bits_roundtrip() {
         let op = Op::float(0.25);
-        assert_eq!(op.as_float(), Some(0.25));
+        assert_eq!(op, Op::Float(0.25f64.to_bits()));
         // equal constants hash-cons to the same op
         assert_eq!(Op::float(1.5), Op::float(1.5));
     }

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 
 /// One node of a pattern tree.
 #[derive(Debug, Clone, PartialEq)]
-pub enum PatternNode {
+pub(crate) enum PatternNode {
     /// `?x` — matches any e-class, bound in the substitution.
     Var(String),
     /// Concrete operator applied to sub-patterns.
@@ -25,45 +25,24 @@ pub enum PatternNode {
 
 /// A rewrite pattern (tree of [`PatternNode`]).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Pattern {
+pub(crate) struct Pattern {
     /// Root node of the pattern tree.
     pub root: PatternNode,
 }
 
 /// A substitution from pattern variables to e-class ids.
-pub type Subst = HashMap<String, Id>;
+pub(crate) type Subst = HashMap<String, Id>;
 
 impl Pattern {
-    /// Variables referenced by this pattern.
-    pub fn vars(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        fn go(p: &PatternNode, out: &mut Vec<String>) {
-            match p {
-                PatternNode::Var(v) => {
-                    if !out.contains(v) {
-                        out.push(v.clone());
-                    }
-                }
-                PatternNode::Apply { children, .. } => {
-                    for c in children {
-                        go(c, out);
-                    }
-                }
-            }
-        }
-        go(&self.root, &mut out);
-        out
-    }
-
     /// Match this pattern against e-class `id`, appending substitutions.
-    pub fn match_class(&self, eg: &EGraph, id: Id, out: &mut Vec<Subst>) {
+    pub(crate) fn match_class(&self, eg: &EGraph, id: Id, out: &mut Vec<Subst>) {
         let mut subst = Subst::new();
         match_node(eg, &self.root, id, &mut subst, out);
     }
 
     /// Match this pattern against every e-class, returning `(class, subst)`
     /// pairs.
-    pub fn search(&self, eg: &EGraph) -> Vec<(Id, Subst)> {
+    pub(crate) fn search(&self, eg: &EGraph) -> Vec<(Id, Subst)> {
         let mut results = Vec::new();
         for (id, _) in eg.classes() {
             let mut substs = Vec::new();
@@ -126,7 +105,7 @@ fn match_children(
 /// Parse an s-expression pattern: `(+ ?a (* ?b ?c))`, `(fma ?a ?b ?c)`,
 /// `(neg ?x)`, numbers, symbols. Unknown bare words become [`Op::Sym`]
 /// leaves, so ground terms can be written directly.
-pub fn parse_pattern(src: &str) -> Result<Pattern, String> {
+pub(crate) fn parse_pattern(src: &str) -> Result<Pattern, String> {
     let tokens = sexp_tokens(src);
     let mut pos = 0usize;
     let root = parse_node(&tokens, &mut pos)?;
@@ -197,7 +176,7 @@ mod tests {
     #[test]
     fn parse_fma_pattern() {
         let p = parse_pattern("(+ ?a (* ?b ?c))").unwrap();
-        assert_eq!(p.vars(), vec!["a", "b", "c"]);
+        assert_eq!(crate::machine::Program::compile(&p).vars(), ["a", "b", "c"]);
         match &p.root {
             PatternNode::Apply { op: Op::Add, children } => {
                 assert!(matches!(children[0], PatternNode::Var(ref v) if v == "a"));

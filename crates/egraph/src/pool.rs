@@ -84,7 +84,7 @@ impl ThreadBudget {
     /// Take up to `want` permits without blocking. The caller's own thread
     /// never needs a permit, so a lease of `0` still makes progress — it
     /// just runs the fan-out serially.
-    pub fn lease(&self, want: usize) -> Lease<'_> {
+    pub(crate) fn lease(&self, want: usize) -> Lease<'_> {
         if want == 0 {
             return Lease { budget: self, taken: 0 };
         }
@@ -211,7 +211,7 @@ pub fn map_slots<T: Send>(
 /// The host's available hardware parallelism, queried once and cached.
 /// Falls back to 1 when the runtime cannot tell (e.g. a restricted
 /// container).
-pub fn hardware_parallelism() -> usize {
+pub(crate) fn hardware_parallelism() -> usize {
     static CACHED: OnceLock<usize> = OnceLock::new();
     *CACHED.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
 }
@@ -221,7 +221,7 @@ pub fn hardware_parallelism() -> usize {
 /// width outright (standalone mode, `budget = None`). Returns the lease so
 /// the permits survive until the fan-out joins.
 ///
-/// The width is additionally clamped to [`hardware_parallelism`]: asking
+/// The width is additionally clamped to the host's parallelism: asking
 /// for 16 search threads on a 4-core host spawns 4. Threads beyond the
 /// core count cannot help a CPU-bound fan-out, and the outputs are
 /// thread-count-invariant by construction, so the clamp changes wall
@@ -236,7 +236,7 @@ pub fn fanout_width<'a>(
 
 /// [`fanout_width`] with an explicit hardware cap instead of the host's
 /// (exposed so tests can pin the cap and stay host-independent).
-pub fn fanout_width_capped<'a>(
+pub(crate) fn fanout_width_capped<'a>(
     budget: Option<&'a ThreadBudget>,
     want: usize,
     tasks: usize,

@@ -17,7 +17,7 @@ use crate::pattern::{parse_pattern, Pattern, Subst};
 /// Side condition evaluated on every match before application. Receives the
 /// substitution as a name → id map (the legacy form) — conditions are rare,
 /// so the map is materialized only when one is attached.
-pub type Condition = fn(&EGraph, &Subst) -> bool;
+pub(crate) type Condition = fn(&EGraph, &Subst) -> bool;
 
 /// One match of a rule's left-hand side: the root e-class and the variable
 /// bindings (indexed by the rule's var table).
@@ -34,10 +34,8 @@ pub struct RuleMatch {
 pub struct Rewrite {
     /// Rule name (Table I naming, e.g. `FMA1`, `COMM-ADD`).
     pub name: String,
-    /// Left-hand side — the pattern searched for.
-    pub lhs: Pattern,
-    /// Right-hand side — the pattern instantiated on a match.
-    pub rhs: Pattern,
+    /// Left-hand side — the pattern the legacy matcher searches for.
+    lhs: Pattern,
     /// Optional side condition filtering matches before application.
     pub condition: Option<Condition>,
     /// Compiled left-hand side (pattern VM program + interned vars).
@@ -65,30 +63,13 @@ impl Rewrite {
         // every rhs variable must be bound by the lhs (RhsNode::compile
         // panics with a per-variable message otherwise)
         let rhs_template = RhsNode::compile(&rhs_p.root, &program, name);
-        Rewrite {
-            name: name.to_string(),
-            lhs: lhs_p,
-            rhs: rhs_p,
-            condition: None,
-            program,
-            rhs_template,
-        }
+        Rewrite { name: name.to_string(), lhs: lhs_p, condition: None, program, rhs_template }
     }
 
     /// Attach a side condition.
     pub fn with_condition(mut self, cond: Condition) -> Rewrite {
         self.condition = Some(cond);
         self
-    }
-
-    /// Interned variable names of the left-hand side.
-    pub fn vars(&self) -> &[String] {
-        self.program.vars()
-    }
-
-    /// The compiled left-hand-side program.
-    pub fn program(&self) -> &Program {
-        &self.program
     }
 
     /// Materialize a name → id map from a compiled substitution (side
@@ -105,7 +86,11 @@ impl Rewrite {
     /// Search the e-graph for matches of `lhs` with the compiled VM,
     /// restricted to candidate classes when `restrict` is given (the
     /// runner's dirty-class search).
-    pub fn search_filtered(&self, eg: &EGraph, restrict: Option<&ClassSet>) -> Vec<RuleMatch> {
+    pub(crate) fn search_filtered(
+        &self,
+        eg: &EGraph,
+        restrict: Option<&ClassSet>,
+    ) -> Vec<RuleMatch> {
         let mut matches = Vec::new();
         self.program
             .search_into(eg, restrict, |class, subst| matches.push(RuleMatch { class, subst }));
@@ -132,7 +117,7 @@ impl Rewrite {
 
     /// Apply one match: instantiate `rhs` and union with the matched class.
     /// Returns `true` if the e-graph changed.
-    pub fn apply_match(&self, eg: &mut EGraph, class: Id, subst: &VarSubst) -> bool {
+    pub(crate) fn apply_match(&self, eg: &mut EGraph, class: Id, subst: &VarSubst) -> bool {
         self.rhs_template.instantiate_into(eg, subst, class)
     }
 }

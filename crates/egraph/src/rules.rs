@@ -69,11 +69,6 @@ pub fn reorder_rules() -> Vec<Rewrite> {
     ]
 }
 
-/// Look up a default rule by name (tests, examples, custom rule sets).
-pub fn rule_by_name(name: &str) -> Option<Rewrite> {
-    all_rules().into_iter().chain(reorder_rules()).find(|r| r.name == name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,13 +93,6 @@ mod tests {
                 "ASSOC-MUL2",
             ]
         );
-    }
-
-    #[test]
-    fn rule_by_name_finds() {
-        assert!(rule_by_name("FMA2").is_some());
-        assert!(rule_by_name("NEG-NEG").is_some());
-        assert!(rule_by_name("NOPE").is_none());
     }
 
     /// The paper's Fig. 1 example: `B = D + E` and `C = E + D` must be

@@ -75,7 +75,7 @@ use crate::unionfind::UnionFind;
 /// version whenever the format (or anything that changes the meaning of
 /// the bytes) changes; readers reject mismatches and the cache treats the
 /// entry as a miss.
-pub const EGRAPH_FORMAT_HEADER: &str = "accsat-egraph v2";
+pub(crate) const EGRAPH_FORMAT_HEADER: &str = "accsat-egraph v2";
 
 fn push_op_token(out: &mut String, op: &Op) {
     use std::fmt::Write as _;
@@ -831,16 +831,19 @@ mod tests {
         // (failed lookups never intern; dead canonicalisation leftovers do)
         let mut plain = sample_graph();
         let mut noisy = sample_graph();
-        let a = noisy.lookup(&Node::sym("a")).unwrap();
-        noisy.arena.intern(&Op::Fma, &[a, a, a]);
-        noisy.arena.intern(&Op::Sym("never-added".into()), &[]);
+        let a = noisy.add(Node::sym("a"));
+        let (fma, never) = (Op::Fma, Op::Sym("never-added".into()));
+        for (op, children) in [(&fma, &[a, a, a][..]), (&never, &[])] {
+            let op_no = noisy.arena.intern_op(op);
+            noisy.arena.intern_numbered(op_no, children);
+        }
         noisy.memo.resize(noisy.arena.len(), NO_CLASS);
         assert!(plain.state_eq(&noisy) && noisy.state_eq(&plain));
         assert_eq!(plain.serialize(), noisy.serialize());
         // and both keep behaving alike
         for eg in [&mut plain, &mut noisy] {
-            let b = eg.lookup(&Node::sym("b")).unwrap();
-            let a = eg.lookup(&Node::sym("a")).unwrap();
+            let b = eg.add(Node::sym("b"));
+            let a = eg.add(Node::sym("a"));
             eg.union(a, b);
             eg.rebuild();
         }

@@ -831,7 +831,7 @@ impl<'a> SearchContext<'a> {
     }
 
     /// Is the surviving-candidate graph acyclic?
-    pub fn is_acyclic(&self) -> bool {
+    pub(crate) fn is_acyclic(&self) -> bool {
         self.acyclic
     }
 

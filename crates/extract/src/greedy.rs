@@ -48,7 +48,7 @@ pub(crate) fn greedy_from(
 }
 
 /// Fixpoint tree cost per canonical class (`None` = unreachable/infinite).
-pub fn class_costs(eg: &EGraph, cm: &CostModel) -> Vec<Option<u64>> {
+pub(crate) fn class_costs(eg: &EGraph, cm: &CostModel) -> Vec<Option<u64>> {
     let n = eg.classes().map(|(id, _)| id.index() + 1).max().unwrap_or(0);
     let mut costs: Vec<Option<u64>> = vec![None; n];
     let mut changed = true;

@@ -12,22 +12,22 @@
 //! * [`extract_greedy`] — the classic bottom-up fixpoint that minimizes
 //!   *tree* cost per class (egg's default extractor). Fast, always sound,
 //!   used as the incumbent and the budget-exhausted fallback.
-//! * [`refine`] — DAG-aware incumbent refinement: hill climbing over
+//! * [`climb`] / [`marginal_greedy`] — DAG-aware incumbent refinement: hill climbing over
 //!   candidate switches and a sequential marginal greedy that scores
 //!   committed classes as free; deterministic, and the source of the
 //!   best known selections on the hardest suite kernels.
 //! * [`extract_exact_with`] — branch-and-bound over per-class node choices that
 //!   minimizes the true *DAG* cost (shared classes counted once),
 //!   strengthened by symmetry breaking, dominated-node and closure-subset
-//!   pruning, the LP-relaxation required-set bound of [`lp`], φ-chain
-//!   forced closures and best-first class ordering (see [`bnb`]), under a
+//!   pruning, the LP-relaxation required-set bound ([`LpBound`]), φ-chain
+//!   forced closures and best-first class ordering ([`SearchContext`]), under a
 //!   deterministic explored-node budget with a wall-clock safety valve
 //!   mirroring the paper's 30-second extraction limit. Budget-stopped
 //!   searches also report the strongest certified lower bound.
-//! * [`extract_portfolio`] — greedy → refinement → diversified [`bnb`]
-//!   strategies racing on scoped worker threads; first provably-optimal
-//!   or best-at-budget selection wins, deterministically (see
-//!   [`portfolio`]). It returns every member's selection, so the pipeline
+//! * [`extract_portfolio`] — greedy → refinement → diversified
+//!   branch-and-bound strategies racing on scoped worker threads; first
+//!   provably-optimal or best-at-budget selection wins, deterministically
+//!   ([`PortfolioResult`]). It returns every member's selection, so the pipeline
 //!   takes the winner and the autotuner keeps them all.
 //!
 //! The cost model is the paper's §V-B, verbatim: constants are free, each
@@ -37,13 +37,13 @@
 
 #![warn(missing_docs)]
 
-pub mod bnb;
-pub mod cost;
-pub mod greedy;
-pub mod lp;
-pub mod portfolio;
-pub mod refine;
-pub mod selection;
+mod bnb;
+mod cost;
+mod greedy;
+mod lp;
+mod portfolio;
+mod refine;
+mod selection;
 
 pub use bnb::{
     extract_exact_in, extract_exact_with, extract_unpruned, ClassOrder, ContextOptions,

@@ -196,7 +196,7 @@ impl LpBound {
     /// The fractional lower bound of one class (by canonical e-graph
     /// index): the min-op mass of its required set. Admissible for the DAG
     /// cost of any selection covering the class.
-    pub fn class_bound(&self, idx: usize) -> u64 {
+    pub(crate) fn class_bound(&self, idx: usize) -> u64 {
         self.bounds[self.slot_of[idx] as usize]
     }
 

@@ -129,7 +129,7 @@ impl PortfolioResult {
 ///
 /// The greedy incumbent is computed first; if its cost already meets the
 /// admissible LP root bound it is the only member, provably optimal.
-/// Otherwise the DAG-aware refinement heuristics ([`crate::refine`])
+/// Otherwise the DAG-aware refinement heuristics ([`climb`](crate::climb), [`marginal_greedy`](crate::marginal_greedy))
 /// improve the incumbent (re-checking the bound), then `config.threads`
 /// branch-and-bound workers race from the refined incumbent.
 ///

@@ -93,8 +93,8 @@ impl Selection {
 
     /// All classes reachable from `roots` through the selection, in
     /// children-before-parents (topological) order. Panics on a cyclic or
-    /// incomplete selection — see [`Selection::try_reachable`] for the
-    /// non-panicking variant.
+    /// incomplete selection — [`Selection::checked_cost`] reports those
+    /// as a [`SelectionError`] instead.
     pub fn reachable(&self, eg: &EGraph, roots: &[Id]) -> Vec<Id> {
         match self.try_reachable(eg, roots) {
             Ok(order) => order,
@@ -105,7 +105,11 @@ impl Selection {
     /// [`Selection::reachable`] that reports a cyclic or incomplete
     /// selection (or one naming an id `eg` never created) as an error
     /// instead of panicking — the walk under [`Selection::checked_cost`].
-    pub fn try_reachable(&self, eg: &EGraph, roots: &[Id]) -> Result<Vec<Id>, SelectionError> {
+    pub(crate) fn try_reachable(
+        &self,
+        eg: &EGraph,
+        roots: &[Id],
+    ) -> Result<Vec<Id>, SelectionError> {
         const VISITING: u8 = 1;
         const DONE: u8 = 2;
         let mut order = Vec::new();

@@ -63,12 +63,12 @@ impl Device {
     }
 
     /// Per-SM share of DRAM bandwidth, in bytes per core cycle.
-    pub fn bytes_per_cycle_per_sm(&self) -> f64 {
+    pub(crate) fn bytes_per_cycle_per_sm(&self) -> f64 {
         self.mem_bandwidth_gbs * 1e9 / (self.num_sms as f64) / (self.clock_ghz * 1e9)
     }
 
     /// Maximum resident warps per SM.
-    pub fn max_warps_per_sm(&self) -> u32 {
+    pub(crate) fn max_warps_per_sm(&self) -> u32 {
         self.max_threads_per_sm / self.warp_size
     }
 }

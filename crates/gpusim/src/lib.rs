@@ -17,20 +17,20 @@
 //!   (the register-spill effects discussed for Table IV).
 //!
 //! Kernel ASTs are lowered to per-thread instruction traces
-//! ([`trace::lower_body`]); [`scoreboard::simulate`] runs one thread block's
-//! warps cycle-by-cycle; [`metrics`] scales to the full grid and reports the
+//! ([`trace::lower_body`]); [`simulate`] runs one thread block's
+//! warps cycle-by-cycle; [`run_kernel`] scales to the full grid and reports the
 //! Table IV metrics (time/launch, instructions, memory utilization,
 //! registers/thread, SM occupancy).
 
 #![warn(missing_docs)]
 
-pub mod device;
-pub mod metrics;
-pub mod scoreboard;
+mod device;
+mod metrics;
+mod scoreboard;
 pub mod trace;
 
 pub use device::Device;
-pub use metrics::{occupancy, resident_blocks, run_kernel, KernelMetrics, LaunchConfig};
+pub use metrics::{occupancy, run_kernel, KernelMetrics, LaunchConfig};
 pub use scoreboard::{simulate, SimResult};
 pub use trace::{lower_body, LowerCtx, SimInst, SimOp, Trace};
 

@@ -19,7 +19,7 @@ pub struct LaunchConfig {
 }
 
 /// Resident blocks per SM given register pressure and block size.
-pub fn resident_blocks(dev: &Device, cfg: &LaunchConfig) -> u32 {
+pub(crate) fn resident_blocks(dev: &Device, cfg: &LaunchConfig) -> u32 {
     let threads_per_block = cfg.warps_per_block * dev.warp_size;
     if threads_per_block == 0 {
         return 0;

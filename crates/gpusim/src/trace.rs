@@ -28,7 +28,7 @@ pub enum Coalescing {
 
 impl Coalescing {
     /// DRAM bytes moved by one warp-wide f64 access.
-    pub fn bytes_per_warp(self) -> u32 {
+    pub(crate) fn bytes_per_warp(self) -> u32 {
         match self {
             Coalescing::Full => 256,
             Coalescing::Partial => 512,

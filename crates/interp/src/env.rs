@@ -19,7 +19,7 @@ impl Value {
     }
 
     /// Coerce to `i64` (C truncation for floats).
-    pub fn as_i64(self) -> i64 {
+    pub(crate) fn as_i64(self) -> i64 {
         match self {
             Value::Int(v) => v,
             Value::Float(v) => v as i64,
@@ -27,7 +27,7 @@ impl Value {
     }
 
     /// C truthiness.
-    pub fn truthy(self) -> bool {
+    pub(crate) fn truthy(self) -> bool {
         match self {
             Value::Int(v) => v != 0,
             Value::Float(v) => v != 0.0,
@@ -46,11 +46,6 @@ impl ArrayData {
     /// Zero-filled double array.
     pub fn zeros_f64(dims: &[usize]) -> ArrayData {
         ArrayData::F64 { dims: dims.to_vec(), data: vec![0.0; dims.iter().product()] }
-    }
-
-    /// Zero-filled integer array.
-    pub fn zeros_i64(dims: &[usize]) -> ArrayData {
-        ArrayData::I64 { dims: dims.to_vec(), data: vec![0; dims.iter().product()] }
     }
 
     /// Double array from data (dims must multiply to `data.len()`).
@@ -128,7 +123,7 @@ impl ArrayData {
 
     /// Read an element, returning `None` instead of panicking when `flat`
     /// is past the end (defense-in-depth for adversarial fuzz inputs).
-    pub fn try_get(&self, flat: usize) -> Option<Value> {
+    pub(crate) fn try_get(&self, flat: usize) -> Option<Value> {
         match self {
             ArrayData::F64 { data, .. } => data.get(flat).map(|&v| Value::Float(v)),
             ArrayData::I64 { data, .. } => data.get(flat).map(|&v| Value::Int(v)),
@@ -136,7 +131,7 @@ impl ArrayData {
     }
 
     /// Write an element if `flat` is in bounds; reports success.
-    pub fn try_set(&mut self, flat: usize, v: Value) -> bool {
+    pub(crate) fn try_set(&mut self, flat: usize, v: Value) -> bool {
         match self {
             ArrayData::F64 { data, .. } => match data.get_mut(flat) {
                 Some(slot) => {
@@ -156,7 +151,7 @@ impl ArrayData {
     }
 
     /// Copy out as `f64` for tolerant comparison.
-    pub fn as_f64_vec(&self) -> Vec<f64> {
+    pub(crate) fn as_f64_vec(&self) -> Vec<f64> {
         match self {
             ArrayData::F64 { data, .. } => data.clone(),
             ArrayData::I64 { data, .. } => data.iter().map(|&v| v as f64).collect(),
@@ -208,7 +203,7 @@ impl Env {
     }
 
     /// Mutably borrow an array.
-    pub fn array_mut(&mut self, name: &str) -> Option<&mut ArrayData> {
+    pub(crate) fn array_mut(&mut self, name: &str) -> Option<&mut ArrayData> {
         self.arrays.get_mut(name)
     }
 
@@ -218,7 +213,7 @@ impl Env {
     }
 
     /// Remove a scalar (scoping helper for the evaluator).
-    pub fn remove_scalar(&mut self, name: &str) -> Option<Value> {
+    pub(crate) fn remove_scalar(&mut self, name: &str) -> Option<Value> {
         self.scalars.remove(name)
     }
 }
@@ -255,7 +250,7 @@ mod tests {
 
     #[test]
     fn int_array_set_coerces() {
-        let mut a = ArrayData::zeros_i64(&[2]);
+        let mut a = ArrayData::from_i64(&[2], vec![0; 2]);
         a.set(0, Value::Float(3.9));
         assert_eq!(a.get(0), Value::Int(3));
     }

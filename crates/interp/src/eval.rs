@@ -74,7 +74,7 @@ type EResult<T> = Result<T, EvalError>;
 /// The interpreter. Holds a loop-iteration fuel budget to guarantee
 /// termination on adversarial inputs (property tests generate arbitrary
 /// loop bounds).
-pub struct Interpreter {
+pub(crate) struct Interpreter {
     /// Remaining loop iterations before aborting.
     pub fuel: u64,
 }
@@ -134,7 +134,7 @@ fn index_error(base: &str, idx: &[i64], dims: &[usize]) -> EvalError {
 
 impl Interpreter {
     /// Execute a block; `Some(v)` means a `return` was executed.
-    pub fn block(&mut self, b: &Block, env: &mut Env) -> EResult<Option<Value>> {
+    pub(crate) fn block(&mut self, b: &Block, env: &mut Env) -> EResult<Option<Value>> {
         for s in &b.stmts {
             if let Some(ret) = self.stmt(s, env)? {
                 return Ok(Some(ret));
@@ -155,7 +155,7 @@ impl Interpreter {
     }
 
     /// Execute one statement.
-    pub fn stmt(&mut self, s: &Stmt, env: &mut Env) -> EResult<Option<Value>> {
+    pub(crate) fn stmt(&mut self, s: &Stmt, env: &mut Env) -> EResult<Option<Value>> {
         match s {
             Stmt::Decl { ty, name, init } => {
                 let v = match init {
@@ -290,7 +290,7 @@ impl Interpreter {
     }
 
     /// Evaluate an expression.
-    pub fn expr(&mut self, e: &Expr, env: &mut Env) -> EResult<Value> {
+    pub(crate) fn expr(&mut self, e: &Expr, env: &mut Env) -> EResult<Value> {
         match e {
             Expr::Int(v) => Ok(Value::Int(*v)),
             Expr::Float(v) => Ok(Value::Float(*v)),
@@ -611,7 +611,7 @@ void f(int out[3], int a, int b) {
             let mut env = Env::new();
             env.set_i64("a", 17);
             env.set_i64("b", 5);
-            env.set_array("out", ArrayData::zeros_i64(&[3]));
+            env.set_array("out", ArrayData::from_i64(&[3], vec![0; 3]));
             run_function(&prog.functions[0], &mut env).unwrap();
             env
         };

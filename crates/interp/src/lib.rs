@@ -12,11 +12,11 @@
 //! produces the same result executed sequentially, which is exactly the
 //! property the directive asserts.
 
-pub mod env;
-pub mod eval;
+mod env;
+mod eval;
 
 pub use env::{ArrayData, Env, Value};
-pub use eval::{run_function, try_run_function, EvalError, EvalErrorKind, Interpreter};
+pub use eval::{run_function, try_run_function, EvalError, EvalErrorKind};
 
 /// Compare two floats with relative tolerance `rel` (and absolute floor
 /// `abs` for values near zero).

@@ -17,11 +17,6 @@ pub enum Type {
 }
 
 impl Type {
-    /// Is this a floating-point type?
-    pub fn is_float(&self) -> bool {
-        matches!(self, Type::Float | Type::Double)
-    }
-
     /// C spelling of this type.
     pub fn c_name(&self) -> &'static str {
         match self {
@@ -70,11 +65,6 @@ impl BinOp {
             BinOp::And => "&&",
             BinOp::Or => "||",
         }
-    }
-
-    /// Does this operator produce a boolean (0/1) result in C?
-    pub fn is_comparison(&self) -> bool {
-        matches!(self, BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge | BinOp::Eq | BinOp::Ne)
     }
 }
 
@@ -374,14 +364,6 @@ mod tests {
 
     #[test]
     fn type_properties() {
-        assert!(Type::Double.is_float());
-        assert!(!Type::Int.is_float());
         assert_eq!(Type::Float.c_name(), "float");
-    }
-
-    #[test]
-    fn comparison_classification() {
-        assert!(BinOp::Le.is_comparison());
-        assert!(!BinOp::Add.is_comparison());
     }
 }

@@ -44,7 +44,7 @@ pub enum DirectiveKind {
 
 impl DirectiveKind {
     /// Does this directive open an offloaded (kernel) region?
-    pub fn is_region_head(&self) -> bool {
+    pub(crate) fn is_region_head(&self) -> bool {
         matches!(
             self,
             DirectiveKind::AccParallelLoop
@@ -66,7 +66,7 @@ impl DirectiveKind {
 
 /// Reduction operators supported in `reduction(op: var)` clauses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ReductionOp {
+pub(crate) enum ReductionOp {
     Add,
     Mul,
     Max,
@@ -75,7 +75,7 @@ pub enum ReductionOp {
 
 impl ReductionOp {
     /// Clause spelling (`+`, `*`, `max`, `min`).
-    pub fn c_name(&self) -> &'static str {
+    pub(crate) fn c_name(&self) -> &'static str {
         match self {
             ReductionOp::Add => "+",
             ReductionOp::Mul => "*",
@@ -87,7 +87,7 @@ impl ReductionOp {
 
 /// Directive clauses.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Clause {
+pub(crate) enum Clause {
     /// `gang` / `gang(n)` — coarse OpenACC parallelism (thread blocks).
     Gang(Option<u32>),
     /// `worker` / `worker(n)` — intermediate OpenACC parallelism.
@@ -120,19 +120,13 @@ pub enum Clause {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Directive {
     pub kind: DirectiveKind,
-    pub clauses: Vec<Clause>,
+    pub(crate) clauses: Vec<Clause>,
 }
 
 impl Directive {
     /// New directive with no clauses.
     pub fn new(kind: DirectiveKind) -> Directive {
         Directive { kind, clauses: Vec::new() }
-    }
-
-    /// Builder-style clause attachment.
-    pub fn with(mut self, clause: Clause) -> Directive {
-        self.clauses.push(clause);
-        self
     }
 
     /// Look up the requested gang count: `num_gangs(n)` or `gang(n)`.
@@ -182,14 +176,6 @@ impl Directive {
         self.clauses
             .iter()
             .any(|c| matches!(c, Clause::Vector(_) | Clause::VectorLength(_) | Clause::Simd))
-    }
-
-    /// Reduction clauses attached to this directive.
-    pub fn reductions(&self) -> impl Iterator<Item = (&ReductionOp, &Vec<Ident>)> {
-        self.clauses.iter().filter_map(|c| match c {
-            Clause::Reduction(op, vars) => Some((op, vars)),
-            _ => None,
-        })
     }
 
     /// Render the directive back to pragma text (without `#pragma `).
@@ -258,11 +244,15 @@ mod tests {
 
     #[test]
     fn render_round_trip_text() {
-        let d = Directive::new(DirectiveKind::AccParallelLoop)
-            .with(Clause::Gang(None))
-            .with(Clause::NumGangs(63))
-            .with(Clause::NumWorkers(4))
-            .with(Clause::VectorLength(32));
+        let d = Directive {
+            kind: DirectiveKind::AccParallelLoop,
+            clauses: vec![
+                Clause::Gang(None),
+                Clause::NumGangs(63),
+                Clause::NumWorkers(4),
+                Clause::VectorLength(32),
+            ],
+        };
         assert_eq!(
             d.render(),
             "acc parallel loop gang num_gangs(63) num_workers(4) vector_length(32)"
@@ -271,10 +261,10 @@ mod tests {
 
     #[test]
     fn parallelism_queries() {
-        let d = Directive::new(DirectiveKind::AccLoop)
-            .with(Clause::Independent)
-            .with(Clause::Gang(Some(16)))
-            .with(Clause::Vector(Some(256)));
+        let d = Directive {
+            kind: DirectiveKind::AccLoop,
+            clauses: vec![Clause::Independent, Clause::Gang(Some(16)), Clause::Vector(Some(256))],
+        };
         assert!(d.has_gang());
         assert!(d.has_vector());
         assert!(!d.has_worker());
@@ -292,10 +282,11 @@ mod tests {
 
     #[test]
     fn reduction_rendering() {
-        let d = Directive::new(DirectiveKind::AccParallelLoop)
-            .with(Clause::Reduction(ReductionOp::Add, vec!["sum".into()]));
+        let d = Directive {
+            kind: DirectiveKind::AccParallelLoop,
+            clauses: vec![Clause::Reduction(ReductionOp::Add, vec!["sum".into()])],
+        };
         assert_eq!(d.render(), "acc parallel loop reduction(+:sum)");
-        assert_eq!(d.reductions().count(), 1);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! unlikely 64-bit coincidence, the accepted trade everywhere else in the
 //! repo's content-addressed plumbing.
 
-use crate::ast::{Block, Function};
-use crate::printer::{print_block_string, print_function};
+use crate::ast::Block;
+use crate::printer::print_block_string;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -45,13 +45,6 @@ pub fn fingerprint_block(b: &Block) -> u64 {
     fnv1a(print_block_string(b).as_bytes())
 }
 
-/// Content hash of a whole function (signature + body, canonical form).
-pub fn fingerprint_function(f: &Function) -> u64 {
-    let mut out = String::new();
-    print_function(f, &mut out);
-    fnv1a(out.as_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,13 +67,9 @@ void k(double a[16], double out[16], double c0) {
         let a = parse_program(KERNEL).unwrap();
         let b = parse_program(&edited).unwrap();
         assert_eq!(
-            fingerprint_function(&a.functions[0]),
-            fingerprint_function(&b.functions[0]),
-            "cosmetic edits must fingerprint identically"
-        );
-        assert_eq!(
             fingerprint_block(&a.functions[0].body),
-            fingerprint_block(&b.functions[0].body)
+            fingerprint_block(&b.functions[0].body),
+            "cosmetic edits must fingerprint identically"
         );
     }
 

@@ -17,7 +17,7 @@ use std::fmt;
 
 /// Token kinds.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind<'a> {
+pub(crate) enum TokenKind<'a> {
     /// Identifier or keyword.
     Ident(&'a str),
     /// Integer literal.
@@ -48,14 +48,14 @@ impl fmt::Display for TokenKind<'_> {
 
 /// A token with its source line (1-based) for error reporting.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token<'a> {
+pub(crate) struct Token<'a> {
     pub kind: TokenKind<'a>,
     pub line: usize,
 }
 
 /// The lexer. Construct with [`Lexer::new`] and pull tokens with
-/// [`Lexer::next_token`] (or drain them all with [`Lexer::tokenize`]).
-pub struct Lexer<'a> {
+/// [`Lexer::next_token`].
+pub(crate) struct Lexer<'a> {
     src: &'a str,
     pos: usize,
     line: usize,
@@ -63,7 +63,7 @@ pub struct Lexer<'a> {
 
 impl<'a> Lexer<'a> {
     /// Create a lexer over `src`.
-    pub fn new(src: &'a str) -> Lexer<'a> {
+    pub(crate) fn new(src: &'a str) -> Lexer<'a> {
         Lexer { src, pos: 0, line: 1 }
     }
 
@@ -244,7 +244,7 @@ impl<'a> Lexer<'a> {
     }
 
     /// Produce the next token; at the end of input, `Eof` every time.
-    pub fn next_token(&mut self) -> Token<'a> {
+    pub(crate) fn next_token(&mut self) -> Token<'a> {
         self.skip_trivia();
         let line = self.line;
         let kind = match self.peek() {
@@ -263,28 +263,25 @@ impl<'a> Lexer<'a> {
         };
         Token { kind, line }
     }
-
-    /// Lex the entire input into a token vector terminated by `Eof`.
-    pub fn tokenize(mut self) -> Vec<Token<'a>> {
-        let mut out = Vec::new();
-        loop {
-            let t = self.next_token();
-            let done = t.kind == TokenKind::Eof;
-            out.push(t);
-            if done {
-                break;
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The tokens of `src` as the parser pulls them, up to and including
+    /// the first `Eof`.
+    fn tokens(src: &str) -> Vec<Token<'_>> {
+        let mut lexer = Lexer::new(src);
+        let mut toks = vec![lexer.next_token()];
+        while toks[toks.len() - 1].kind != TokenKind::Eof {
+            toks.push(lexer.next_token());
+        }
+        toks
+    }
+
     fn kinds(src: &str) -> Vec<TokenKind<'_>> {
-        Lexer::new(src).tokenize().into_iter().map(|t| t.kind).collect()
+        tokens(src).into_iter().map(|t| t.kind).collect()
     }
 
     #[test]
@@ -383,7 +380,7 @@ mod tests {
 
     #[test]
     fn line_numbers_advance() {
-        let toks = Lexer::new("a\nb\n\nc").tokenize();
+        let toks = tokens("a\nb\n\nc");
         assert_eq!(toks[0].line, 1);
         assert_eq!(toks[1].line, 2);
         assert_eq!(toks[2].line, 4);
@@ -422,9 +419,9 @@ mod tests {
     }
 
     fn assert_token_roundtrip(src: &str) {
-        let original = Lexer::new(src).tokenize();
+        let original = tokens(src);
         let rendered = render(&original);
-        let relexed = Lexer::new(&rendered).tokenize();
+        let relexed = tokens(&rendered);
         fn ks(ts: Vec<Token<'_>>) -> Vec<TokenKind<'_>> {
             ts.into_iter().map(|t| t.kind).collect()
         }

@@ -14,20 +14,19 @@
 //! innermost parallel loops that ACC Saturator rewrites.
 
 pub mod ast;
-pub mod directive;
-pub mod fingerprint;
-pub mod lexer;
-pub mod parser;
-pub mod printer;
+mod directive;
+mod fingerprint;
+mod lexer;
+mod parser;
+mod printer;
 pub mod visit;
 
 pub use ast::{AssignOp, BinOp, Block, Expr, Function, LValue, Param, Program, Stmt, Type, UnOp};
-pub use directive::{Clause, Directive, DirectiveKind, Model};
-pub use fingerprint::{fingerprint_block, fingerprint_function, fnv1a, fnv1a_mix};
-pub use lexer::{Lexer, Token, TokenKind};
+pub use directive::{Directive, DirectiveKind, Model};
+pub use fingerprint::{fingerprint_block, fnv1a, fnv1a_mix};
 pub use parser::{parse_expr, parse_program, ParseError};
-pub use printer::{print_block_string, print_expr, print_program, print_stmt};
-pub use visit::{walk_expr, walk_stmt, ExprVisitor};
+pub use printer::{print_program, print_stmt};
+pub use visit::walk_expr;
 
 /// Identifier type used throughout the IR. Kernel sources are small, so a
 /// plain `String` keeps the API simple; hot paths intern on their own side.

@@ -565,7 +565,7 @@ fn lvalue_to_expr(lv: &LValue) -> Expr {
 // ------------------------------------------------------------- directives
 
 /// Parse directive text (the part after `#pragma `).
-pub fn parse_directive(text: &str) -> Result<Directive, String> {
+pub(crate) fn parse_directive(text: &str) -> Result<Directive, String> {
     let mut words = DirectiveLexer::new(text);
     let model = match words.next_word() {
         Some("acc") => Model::OpenAcc,

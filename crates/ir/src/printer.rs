@@ -24,7 +24,7 @@ pub fn print_program(p: &Program) -> String {
 }
 
 /// Print a single function definition.
-pub fn print_function(f: &Function, out: &mut String) {
+pub(crate) fn print_function(f: &Function, out: &mut String) {
     write!(out, "{} {}(", f.ret.c_name(), f.name).unwrap();
     for (i, p) in f.params.iter().enumerate() {
         if i > 0 {
@@ -55,7 +55,7 @@ fn indent(level: usize, out: &mut String) {
 /// This is the *canonical form* the stage cache hashes: comments and
 /// incidental whitespace are gone after parsing, so two sources differing
 /// only cosmetically print — and therefore hash — identically.
-pub fn print_block_string(b: &Block) -> String {
+pub(crate) fn print_block_string(b: &Block) -> String {
     let mut out = String::new();
     write_block(b, 0, &mut out);
     out
@@ -157,13 +157,6 @@ fn write_stmt(s: &Stmt, level: usize, out: &mut String) {
     }
 }
 
-/// Print an expression with minimal but safe parenthesization.
-pub fn print_expr(e: &Expr) -> String {
-    let mut out = String::new();
-    write_expr(e, 0, &mut out);
-    out
-}
-
 fn prec(e: &Expr) -> u8 {
     match e {
         Expr::Ternary { .. } => 1,
@@ -255,7 +248,8 @@ mod tests {
     /// Round-trip: parse → print → parse must be a fixpoint on the AST.
     fn roundtrip_expr(src: &str) {
         let e1 = parse_expr(src).unwrap();
-        let printed = print_expr(&e1);
+        let mut printed = String::new();
+        write_expr(&e1, 0, &mut printed);
         let e2 = parse_expr(&printed).unwrap_or_else(|err| {
             panic!("reparse of `{printed}` failed: {err}");
         });
@@ -318,6 +312,8 @@ void k(double a[16][16], double b[16][16], int n) {
     fn float_formatting_stays_float() {
         // 2.0 must not print as `2` (integer division hazards in C)
         let e = parse_expr("x / 2.0").unwrap();
-        assert_eq!(print_expr(&e), "x / 2.0");
+        let mut printed = String::new();
+        write_expr(&e, 0, &mut printed);
+        assert_eq!(printed, "x / 2.0");
     }
 }

@@ -42,113 +42,6 @@ pub fn walk_expr<V: ExprVisitor>(e: &Expr, v: &mut V) {
     }
 }
 
-/// Walk every expression contained in a statement (pre-order over the
-/// statement tree; conditions before bodies).
-pub fn walk_stmt<V: ExprVisitor>(s: &Stmt, v: &mut V) {
-    match s {
-        Stmt::Decl { init, .. } => {
-            if let Some(e) = init {
-                walk_expr(e, v);
-            }
-        }
-        Stmt::Assign { lhs, rhs, .. } => {
-            if let LValue::Index { indices, .. } = lhs {
-                for i in indices {
-                    walk_expr(i, v);
-                }
-            }
-            walk_expr(rhs, v);
-        }
-        Stmt::If { cond, then, els } => {
-            walk_expr(cond, v);
-            for s in &then.stmts {
-                walk_stmt(s, v);
-            }
-            if let Some(e) = els {
-                for s in &e.stmts {
-                    walk_stmt(s, v);
-                }
-            }
-        }
-        Stmt::For(l) => {
-            walk_expr(&l.init, v);
-            walk_expr(&l.cond, v);
-            walk_expr(&l.step, v);
-            for s in &l.body.stmts {
-                walk_stmt(s, v);
-            }
-        }
-        Stmt::While { cond, body } => {
-            walk_expr(cond, v);
-            for s in &body.stmts {
-                walk_stmt(s, v);
-            }
-        }
-        Stmt::Block(b) => {
-            for s in &b.stmts {
-                walk_stmt(s, v);
-            }
-        }
-        Stmt::Expr(e) => walk_expr(e, v),
-        Stmt::Return(Some(e)) => walk_expr(e, v),
-        Stmt::Return(None) => {}
-    }
-}
-
-/// Collect the names of all arrays referenced (read or written) in a block.
-pub fn referenced_arrays(block: &Block) -> Vec<String> {
-    let mut names = Vec::new();
-    for s in &block.stmts {
-        // catch array stores first, whose base is in the LValue not an Expr
-        collect_store_bases(s, &mut names);
-    }
-    let mut visitor = |e: &Expr| {
-        if let Expr::Index { base, .. } = e {
-            if !names.contains(base) {
-                names.push(base.clone());
-            }
-        }
-    };
-    for s in &block.stmts {
-        walk_stmt(s, &mut visitor);
-    }
-    names
-}
-
-fn collect_store_bases(s: &Stmt, names: &mut Vec<String>) {
-    match s {
-        Stmt::Assign { lhs: LValue::Index { base, .. }, .. } if !names.contains(base) => {
-            names.push(base.clone());
-        }
-        Stmt::If { then, els, .. } => {
-            for s in &then.stmts {
-                collect_store_bases(s, names);
-            }
-            if let Some(e) = els {
-                for s in &e.stmts {
-                    collect_store_bases(s, names);
-                }
-            }
-        }
-        Stmt::For(l) => {
-            for s in &l.body.stmts {
-                collect_store_bases(s, names);
-            }
-        }
-        Stmt::While { body, .. } => {
-            for s in &body.stmts {
-                collect_store_bases(s, names);
-            }
-        }
-        Stmt::Block(b) => {
-            for s in &b.stmts {
-                collect_store_bases(s, names);
-            }
-        }
-        _ => {}
-    }
-}
-
 /// Count loads (array reads) and arithmetic operations in a block — a quick
 /// static profile used by tests and the compiler models.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -268,25 +161,6 @@ mod tests {
 
     fn body_of(src: &str) -> Block {
         parse_program(src).unwrap().functions[0].body.clone()
-    }
-
-    #[test]
-    fn walk_counts_nodes() {
-        let b = body_of("void f(double a[4]) { a[0] = a[1] + a[2] * 3.0; }");
-        let mut n = 0usize;
-        for s in &b.stmts {
-            walk_stmt(s, &mut |_: &Expr| n += 1);
-        }
-        // rhs: +, a[1], 1, *, a[2], 2, 3.0  plus lhs index 0
-        assert_eq!(n, 8);
-    }
-
-    #[test]
-    fn referenced_arrays_includes_stores() {
-        let b = body_of("void f(double a[4], double b[4]) { b[0] = 1.0; double x = a[1]; }");
-        let names = referenced_arrays(&b);
-        assert!(names.contains(&"a".to_string()));
-        assert!(names.contains(&"b".to_string()));
     }
 
     #[test]

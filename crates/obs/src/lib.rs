@@ -14,10 +14,10 @@
 //!   instrumentation can stay in release builds. Trace output carries wall
 //!   clock and is therefore *not* deterministic — it never feeds any
 //!   report the repo diffs.
-//! * [`metrics`] answers *"what did the run do"*: counter-valued metrics
+//! * [`MetricsRegistry`] answers *"what did the run do"*: counter-valued metrics
 //!   (e-graph growth, rule matches, branch-and-bound explored/pruned,
 //!   cache hits by level) assembled explicitly from per-run statistics
-//!   into a [`metrics::MetricsRegistry`] and rendered as deterministic
+//!   into a [`MetricsRegistry`] and rendered as deterministic
 //!   text/JSON. No wall clock ever enters a registry, registries merge
 //!   commutatively, and rendering iterates sorted maps — so a metrics
 //!   report is byte-identical at any thread count, exactly like the
@@ -29,12 +29,12 @@
 
 #![warn(missing_docs)]
 
-pub mod metrics;
+mod metrics;
 pub mod trace;
 pub mod validate;
 
-pub use metrics::MetricsRegistry;
-pub use trace::{span, span_args, ArgVal, Span};
+pub use metrics::{Histogram, MetricsRegistry};
+pub use trace::{span, span_args, Span};
 
 /// Escape `s` for the inside of a JSON string literal (the caller writes
 /// the surrounding quotes): `"`, `\\` and every control character

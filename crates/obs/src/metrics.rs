@@ -66,7 +66,7 @@ impl Histogram {
 
     /// Render the non-empty buckets as `lo:count` pairs (`lo` is the
     /// bucket's inclusive lower bound), comma-separated, in order.
-    pub fn render_buckets(&self) -> String {
+    pub(crate) fn render_buckets(&self) -> String {
         let mut out = String::new();
         for (k, &n) in self.buckets.iter().enumerate() {
             if n == 0 {

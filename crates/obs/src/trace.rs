@@ -29,7 +29,7 @@
 //! **diagnostic output only** and must never be diffed or fed into the
 //! deterministic reports. The repo-wide rule "all wall clock lives only
 //! in the trace sink" is enforced by construction: the metrics registry
-//! ([`crate::metrics`]) has no API that accepts a duration.
+//! ([`crate::MetricsRegistry`]) has no API that accepts a duration.
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

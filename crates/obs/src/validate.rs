@@ -12,6 +12,11 @@
 
 use std::collections::BTreeMap;
 
+/// Deepest nesting of arrays and objects a document may have: the parser
+/// recurses once per level, so this bound keeps a hostile file off the end
+/// of the stack. The same 128 the kernel parser allows.
+const MAX_NESTING: usize = 128;
+
 /// Summary of a validated trace file.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceSummary {
@@ -33,7 +38,7 @@ pub struct TraceSummary {
 
 /// A minimal JSON value — just enough to hold a Chrome trace file.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Json {
+pub(crate) enum Json {
     /// `null`
     Null,
     /// `true` / `false`
@@ -50,7 +55,7 @@ pub enum Json {
 
 impl Json {
     /// Object field lookup; `None` for non-objects.
-    pub fn get(&self, key: &str) -> Option<&Json> {
+    pub(crate) fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(m) => m.get(key),
             _ => None,
@@ -58,7 +63,7 @@ impl Json {
     }
 
     /// The value as a non-negative integer, if it is one.
-    pub fn as_u64(&self) -> Option<u64> {
+    pub(crate) fn as_u64(&self) -> Option<u64> {
         match self {
             Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
             _ => None,
@@ -66,7 +71,7 @@ impl Json {
     }
 
     /// The value as a string slice, if it is one.
-    pub fn as_str(&self) -> Option<&str> {
+    pub(crate) fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
             _ => None,
@@ -74,11 +79,12 @@ impl Json {
     }
 }
 
-/// Parse a JSON document. Rejects trailing garbage.
-pub fn parse_json(src: &str) -> Result<Json, String> {
+/// Parse a JSON document. Rejects trailing garbage and nesting deeper than
+/// [`MAX_NESTING`].
+pub(crate) fn parse_json(src: &str) -> Result<Json, String> {
     let bytes = src.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -92,12 +98,16 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parse the value at `pos`, inside `depth` open arrays and objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        Some(b'{' | b'[') if depth == MAX_NESTING => {
+            Err(format!("nesting deeper than {MAX_NESTING}"))
+        }
+        Some(b'{') => parse_object(b, pos, depth + 1),
+        Some(b'[') => parse_array(b, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
@@ -176,7 +186,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -185,7 +195,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => {
@@ -200,7 +210,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '{'
     let mut map = BTreeMap::new();
     skip_ws(b, pos);
@@ -219,7 +229,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             return Err(format!("expected ':' at byte {}", *pos));
         }
         *pos += 1;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         map.insert(key, value);
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -343,6 +353,29 @@ mod tests {
         assert!(parse_json("{} trailing").is_err());
         assert!(parse_json("{\"k\":}").is_err());
         assert!(parse_json("[1,]").is_err());
+    }
+
+    /// A hostile document nested 200 000 levels deep — bare, and as the
+    /// value of `traceEvents` — is a nesting error, even on a small stack;
+    /// [`MAX_NESTING`] levels still parse.
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let err = Err(format!("nesting deeper than {MAX_NESTING}"));
+        let deep = nested(200_000);
+        let in_trace = format!("{{\"traceEvents\":{deep}}}");
+        let results = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || (parse_json(&deep).map(drop), validate_trace(&in_trace).map(drop)))
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(results, (err.clone(), err.clone()));
+        assert!(parse_json(&nested(MAX_NESTING)).is_ok());
+        assert_eq!(parse_json(&nested(MAX_NESTING + 1)).map(drop), err);
+        let objects =
+            format!("{}1{}", "{\"k\":".repeat(MAX_NESTING + 1), "}".repeat(MAX_NESTING + 1));
+        assert_eq!(parse_json(&objects).map(drop), err);
     }
 
     fn ev(name: &str, ph: &str, ts: u64, dur: Option<u64>, tid: u64) -> String {

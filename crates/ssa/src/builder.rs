@@ -83,33 +83,11 @@ pub struct SsaKernel {
 }
 
 impl SsaKernel {
-    /// E-classes of all assignment right-hand sides, in program order —
-    /// the extraction roots.
-    pub fn assignment_classes(&self) -> Vec<Id> {
-        let mut out = Vec::new();
-        collect_assign_classes(&self.nodes, &mut out);
-        out
-    }
-
     /// All extraction roots: assignment values plus store index classes.
     pub fn extraction_roots(&self) -> Vec<Id> {
         let mut out = Vec::new();
         collect_roots(&self.nodes, &mut out);
         out
-    }
-}
-
-fn collect_assign_classes(nodes: &[SsaNode], out: &mut Vec<Id>) {
-    for n in nodes {
-        match n {
-            SsaNode::Assign { class, .. } => out.push(*class),
-            SsaNode::If { then, els, .. } => {
-                collect_assign_classes(then, out);
-                collect_assign_classes(els, out);
-            }
-            SsaNode::Loop { body, .. } => collect_assign_classes(body, out),
-            _ => {}
-        }
     }
 }
 
@@ -634,7 +612,7 @@ fn binop_to_op(op: BinOp) -> Op {
 }
 
 /// Names (scalars and arrays) assigned anywhere in a block.
-pub fn modified_names(b: &Block) -> Vec<String> {
+pub(crate) fn modified_names(b: &Block) -> Vec<String> {
     let mut out = Vec::new();
     fn go(s: &Stmt, out: &mut Vec<String>) {
         let mut push = |n: &str| {

@@ -22,14 +22,14 @@
 //! control structure, so these φs are never materialized — they only keep
 //! data flows of different iterations distinct during rewriting.
 
-pub mod builder;
+mod builder;
 
 pub use builder::{build_kernel, SsaKernel, SsaNode, Target};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use accsat_egraph::Op;
+    use accsat_egraph::{Id, Op};
     use accsat_ir::parse_program;
 
     fn kernel_of(src: &str) -> SsaKernel {
@@ -38,6 +38,16 @@ mod tests {
         let loops = accsat_ir::innermost_parallel_loops(f);
         assert_eq!(loops.len(), 1, "test source must have exactly one kernel loop");
         build_kernel(&loops[0].body)
+    }
+
+    /// The value classes of the kernel body's top-level assignments, in
+    /// program order.
+    fn assigned(k: &SsaKernel) -> Vec<Id> {
+        let class = |n: &SsaNode| match n {
+            SsaNode::Assign { class, .. } => Some(*class),
+            _ => None,
+        };
+        k.nodes.iter().filter_map(class).collect()
     }
 
     #[test]
@@ -53,7 +63,7 @@ void f(double out[4], double D, double E) {
 }
 "#,
         );
-        let roots = k.assignment_classes();
+        let roots = assigned(&k);
         assert_eq!(roots.len(), 2);
         // identical syntax hash-conses to the same class immediately
         assert_eq!(k.egraph.find(roots[0]), k.egraph.find(roots[1]));
@@ -73,7 +83,7 @@ void f(double A[16], double out[16]) {
 }
 "#,
         );
-        let classes = k.assignment_classes();
+        let classes = assigned(&k);
         let out_class = classes[1];
         let load = k.egraph.nodes(out_class).find(|n| *n.op == Op::Load).expect("load node");
         let state = load.children[0];
@@ -99,7 +109,7 @@ void f(double out[4], double x) {
 }
 "#,
         );
-        let classes = k.assignment_classes();
+        let classes = assigned(&k);
         let out_class = *classes.last().unwrap();
         assert!(
             k.egraph.nodes(out_class).any(|n| *n.op == Op::Select),
@@ -123,7 +133,7 @@ void f(double out[4], double x) {
 }
 "#,
         );
-        let classes = k.assignment_classes();
+        let classes = assigned(&k);
         let out_class = *classes.last().unwrap();
         assert!(
             k.egraph.nodes(out_class).any(|n| *n.op == Op::PhiLoop),
@@ -173,7 +183,7 @@ void f(double a[16], double out[16])  {
 }
 "#,
         );
-        let classes = k.assignment_classes();
+        let classes = assigned(&k);
         let mul = k.egraph.nodes(classes[0]).find(|n| *n.op == Op::Mul).unwrap();
         assert_eq!(
             k.egraph.find(mul.children[0]),
@@ -194,7 +204,7 @@ void f(double a[16]) {
 }
 "#,
         );
-        let classes = k.assignment_classes();
+        let classes = assigned(&k);
         assert!(k.egraph.nodes(classes[0]).any(|n| *n.op == Op::Add));
     }
 
@@ -216,7 +226,7 @@ void f(double out[4], double x) {
 }
 "#,
         );
-        let classes = k.assignment_classes();
+        let classes = assigned(&k);
         let out_class = *classes.last().unwrap();
         let mul = k.egraph.nodes(out_class).find(|n| *n.op == Op::Mul).unwrap();
         assert!(k.egraph.nodes(mul.children[0]).any(|n| *n.op == Op::Select));
@@ -237,7 +247,7 @@ void f(double a[8], double b[8], double c[8]) {
         );
         // both RHS expressions hash-cons to the same class — a store to `a`
         // must not invalidate loads of `c`
-        let classes = k.assignment_classes();
+        let classes = assigned(&k);
         assert_eq!(k.egraph.find(classes[0]), k.egraph.find(classes[1]));
     }
 }
