@@ -22,8 +22,9 @@
 //!    [`Selection::content_hash`] so identical selections never burn
 //!    simulation budget twice.
 //! 2. **Lower** — each candidate runs through the existing codegen path
-//!    ([`accsat_codegen::generate`]) and compiler model
-//!    ([`accsat_compilers::compile_kernel`]) to a gpusim trace.
+//!    ([`accsat_codegen::generate`]) and, swapped into the kernel's nest
+//!    ([`accsat_compilers::analyze_nest`], once per kernel), through the
+//!    compiler model ([`accsat_compilers::compile_nest`]) to a gpusim trace.
 //! 3. **Simulate** — every trace runs on a configurable [`Device`] under
 //!    the chosen [`CompilerModel`], as one `accsat_egraph::pool::map_slots`
 //!    fan-out with results in candidate order.

@@ -3,10 +3,10 @@
 
 use crate::harvest::{harvest_candidates, Harvest};
 use accsat_codegen::{generate, CodegenOptions, TypeMap};
-use accsat_compilers::{compile_kernel, Compiler, CompilerModel};
+use accsat_compilers::{analyze_nest, compile_nest, Compiler, CompilerModel, LoopNest};
 use accsat_extract::{CostModel, PortfolioConfig};
 use accsat_gpusim::{run_kernel, Device, KernelMetrics};
-use accsat_ir::{Block, Function, Model, Stmt};
+use accsat_ir::{Block, Function, Model};
 use accsat_ssa::SsaKernel;
 use std::collections::HashMap;
 
@@ -116,104 +116,6 @@ pub struct TunedKernel {
     pub body: Block,
 }
 
-/// Count innermost parallel loops under one statement (the same notion of
-/// "kernel" as [`accsat_ir::innermost_parallel_loops`]).
-fn kernels_in_stmt(s: &Stmt) -> usize {
-    match s {
-        Stmt::For(l) => {
-            if l.directive.is_some() {
-                if accsat_ir::has_directive_loop(&l.body) {
-                    kernels_in_block(&l.body)
-                } else {
-                    1
-                }
-            } else {
-                kernels_in_block(&l.body)
-            }
-        }
-        Stmt::If { then, els, .. } => {
-            kernels_in_block(then) + els.as_ref().map_or(0, kernels_in_block)
-        }
-        Stmt::While { body, .. } => kernels_in_block(body),
-        Stmt::Block(b) => kernels_in_block(b),
-        _ => 0,
-    }
-}
-
-fn kernels_in_block(b: &Block) -> usize {
-    b.stmts.iter().map(kernels_in_stmt).sum()
-}
-
-/// Clone the chain of loops enclosing the `target`-th innermost parallel
-/// loop, dropping every sibling statement (and any `if`/`while`/block
-/// wrapper). The resulting statement contains exactly **one** kernel, so
-/// the compiler model's first-nest analysis (`find_head` takes the first
-/// directive loop it sees) is guaranteed to trace the kernel being tuned
-/// — even when the original function holds several kernels under one
-/// top-level statement. Loops *on* the path are kept, so the nest's trip
-/// counts and sequential multipliers are preserved.
-fn nest_path(block: &Block, target: usize, counter: &mut usize) -> Option<Stmt> {
-    for s in &block.stmts {
-        let n = kernels_in_stmt(s);
-        if *counter + n <= target {
-            *counter += n;
-            continue;
-        }
-        // the target kernel lives inside `s`
-        return match s {
-            Stmt::For(l) => {
-                if l.directive.is_some() && !accsat_ir::has_directive_loop(&l.body) {
-                    // the kernel itself
-                    Some(Stmt::For(l.clone()))
-                } else {
-                    let inner = nest_path(&l.body, target, counter)?;
-                    let mut chain = l.clone();
-                    chain.body = Block { stmts: vec![inner] };
-                    Some(Stmt::For(chain))
-                }
-            }
-            // wrappers contribute nothing to the nest geometry: return the
-            // path statement directly so the kernel's chain stays first
-            Stmt::If { then, els, .. } => {
-                let in_then = kernels_in_block(then);
-                if *counter + in_then > target {
-                    nest_path(then, target, counter)
-                } else {
-                    *counter += in_then;
-                    nest_path(els.as_ref()?, target, counter)
-                }
-            }
-            Stmt::While { body, .. } => nest_path(body, target, counter),
-            Stmt::Block(b) => nest_path(b, target, counter),
-            _ => None,
-        };
-    }
-    None
-}
-
-/// Reduce `f` to exactly the loop chain of its `kernel_index`-th innermost
-/// parallel loop (the kernel is then the function's only — and first —
-/// directive nest, at innermost index 0).
-fn nest_function(f: &Function, kernel_index: usize) -> Option<Function> {
-    let mut counter = 0usize;
-    let stmt = nest_path(&f.body, kernel_index, &mut counter)?;
-    Some(Function {
-        name: f.name.clone(),
-        ret: f.ret.clone(),
-        params: f.params.clone(),
-        body: Block { stmts: vec![stmt] },
-    })
-}
-
-/// Splice `body` into the (single) innermost parallel loop of a
-/// [`nest_function`] result.
-fn splice_kernel_body(f: &mut Function, body: Block) {
-    let mut loops = accsat_ir::innermost_parallel_loops_mut(f);
-    if let Some(l) = loops.get_mut(0) {
-        l.body = body;
-    }
-}
-
 /// Simulated whole-launch cycles of one candidate: the launch time scaled
 /// back to core cycles and rounded — an integer ranking key that prices in
 /// occupancy, wave count and DRAM bandwidth.
@@ -249,11 +151,11 @@ pub fn tune_kernel(
     let bodies: Vec<Block> =
         candidates.iter().map(|c| generate(kernel, &c.selection, tm, copts)).collect();
 
-    let nest = nest_function(f, kernel_index)
+    let nest = analyze_nest(f, kernel_index, bindings)
         .ok_or_else(|| format!("{}: kernel {kernel_index} has no enclosing nest", f.name))?;
 
-    // simulate every candidate; results come back in candidate order, so
-    // completion order can never leak into the report
+    // simulate every candidate in the kernel's nest; results come back in
+    // candidate order, so completion order can never leak into the report
     let workers = cfg.threads.clamp(1, bodies.len().max(1));
     let simulated = accsat_egraph::pool::map_slots(
         workers,
@@ -261,26 +163,24 @@ pub fn tune_kernel(
         || (),
         |i, helpers| {
             helpers.request();
-            let mut cand_fn = nest.clone();
-            splice_kernel_body(&mut cand_fn, bodies[i].clone());
-            compile_kernel(&cand_fn, &cfg.compiler, bindings)
-                .map(|k| run_kernel(&k.trace, &k.launch, &cfg.device))
-                .map_err(|e| format!("{} candidate `{}`: {e}", f.name, candidates[i].label))
+            let candidate = LoopNest { body: bodies[i].clone(), ..nest.clone() };
+            let k = compile_nest(&candidate, &cfg.compiler, bindings);
+            run_kernel(&k.trace, &k.launch, &cfg.device)
         },
     );
 
-    let mut reports = Vec::with_capacity(candidates.len());
-    for (c, metrics) in candidates.iter().zip(simulated) {
-        let metrics = metrics?;
-        reports.push(CandidateReport {
+    let reports: Vec<CandidateReport> = candidates
+        .iter()
+        .zip(simulated)
+        .map(|(c, metrics)| CandidateReport {
             label: c.label.clone(),
             static_cost: c.static_cost,
             proven_optimal: c.proven_optimal,
             content_hash: c.content_hash,
             cycles: launch_cycles(&metrics, &cfg.device),
             metrics,
-        });
-    }
+        })
+        .collect();
 
     // the deterministic verdict: simulated winner by
     // (cycles, static cost, index); the static winner — the same
@@ -308,7 +208,7 @@ pub fn tune_kernel(
 mod tests {
     use super::*;
     use accsat_egraph::{all_rules, Runner};
-    use accsat_ir::parse_program;
+    use accsat_ir::{parse_program, Stmt};
 
     fn tune_source(src: &str, cfg: &TuneConfig) -> TunedKernel {
         let prog = parse_program(src).unwrap();
@@ -380,6 +280,10 @@ void k(double a[256], double out[256], double c0, double c1) {
         }
     }
 
+    fn body_text(nest: &LoopNest) -> String {
+        accsat_ir::print_stmt(&Stmt::Block(nest.body.clone()))
+    }
+
     #[test]
     fn multi_kernel_function_indexes_correct_nest() {
         let src = r#"
@@ -396,22 +300,22 @@ void two(double a[64], double b[64]) {
 "#;
         let prog = parse_program(src).unwrap();
         let f = &prog.functions[0];
-        let n0 = nest_function(f, 0).unwrap();
-        let n1 = nest_function(f, 1).unwrap();
-        assert_eq!(n0.body.stmts.len(), 1);
-        // the reduced functions contain different kernels
-        let p0 = accsat_ir::print_program(&accsat_ir::Program { functions: vec![n0] });
-        let p1 = accsat_ir::print_program(&accsat_ir::Program { functions: vec![n1] });
-        assert!(p0.contains("a[i] * 2.0") && !p0.contains("b[i]"));
-        assert!(p1.contains("b[i]"));
+        let n0 = analyze_nest(f, 0, &HashMap::new()).unwrap();
+        let n1 = analyze_nest(f, 1, &HashMap::new()).unwrap();
+        assert_eq!(n0.levels.len(), 1);
+        assert_eq!(n1.levels.len(), 1);
+        // the two nests hold different kernels
+        let (p0, p1) = (body_text(&n0), body_text(&n1));
+        assert!(p0.contains("a[i] * 2.0") && !p0.contains("b[i]"), "{p0}");
+        assert!(p1.contains("b[i]") && !p1.contains("a[i] * 2.0"), "{p1}");
+        assert!(analyze_nest(f, 2, &HashMap::new()).is_none());
     }
 
     #[test]
-    fn nest_function_isolates_second_kernel_under_shared_outer_loop() {
-        // both kernels live under ONE top-level sequential loop: the nest
-        // reduction must keep the outer chain (its trip count scales the
-        // launch) but drop the sibling kernel, so the compiler model's
-        // first-nest analysis traces the kernel actually being tuned
+    fn second_kernel_under_shared_outer_loop_keeps_its_chain_and_drops_its_sibling() {
+        // both kernels live under ONE top-level sequential loop: the second
+        // kernel's nest keeps the outer chain (with the `t` loop's trip) but
+        // not the sibling kernel, so the tuner compiles the kernel being tuned
         let src = r#"
 void two(double a[64], double b[64], int steps) {
   for (int t = 0; t < steps; t++) {
@@ -428,13 +332,17 @@ void two(double a[64], double b[64], int steps) {
 "#;
         let prog = parse_program(src).unwrap();
         let f = &prog.functions[0];
-        let n1 = nest_function(f, 1).unwrap();
-        let p1 = accsat_ir::print_program(&accsat_ir::Program { functions: vec![n1.clone()] });
-        // the second kernel is now the function's FIRST directive loop…
+        let bindings: HashMap<String, i64> = [("steps".to_string(), 5)].into();
+        let chain = accsat_ir::kernel_nest(f, 1).unwrap();
+        assert_eq!(chain.len(), 2, "the outer loop and the kernel, no sibling");
+        assert_eq!(chain[0].var, "t");
+        assert_eq!(accsat_ir::trip_count(chain[0], &|n| bindings.get(n).copied()), Some(5));
+        assert!(std::ptr::eq(chain[1], accsat_ir::innermost_parallel_loops(f)[1]));
+        let n1 = analyze_nest(f, 1, &bindings).unwrap();
+        let p1 = body_text(&n1);
         assert!(p1.contains("b[i]"), "target kernel kept:\n{p1}");
         assert!(!p1.contains("a[i] * 2.0"), "sibling kernel dropped:\n{p1}");
-        // …still wrapped in the outer sequential loop
-        assert!(p1.contains("for (int t = 0"), "enclosing chain kept:\n{p1}");
-        assert_eq!(accsat_ir::innermost_parallel_loops(&n1).len(), 1);
+        assert_eq!(n1.levels.len(), 1);
+        assert_eq!(n1.levels[0].trip, 64);
     }
 }

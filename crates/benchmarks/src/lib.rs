@@ -125,6 +125,7 @@ pub fn all_benchmarks() -> Vec<Benchmark> {
 mod tests {
     use super::*;
     use accsat_ir::parse_program;
+    use std::collections::HashMap;
 
     #[test]
     fn all_acc_sources_parse() {
@@ -177,15 +178,32 @@ mod tests {
         assert_eq!(spec, vec!["ostencil", "olbm", "omriq", "ep", "cg", "csp", "bt"]);
     }
 
+    /// The nest the compiler models simulate holds the kernel the optimizer
+    /// rewrites: kernel 0's body, in every function.
+    fn assert_nest_is_first_kernel(f: &accsat_ir::Function, bind: &HashMap<String, i64>) {
+        let nest = accsat_compilers::analyze_nest(f, 0, bind)
+            .unwrap_or_else(|| panic!("{}: nest analysis failed", f.name));
+        let kernel = accsat_ir::innermost_parallel_loops(f)[0];
+        assert_eq!(nest.body, kernel.body, "{}: compiled body is not the kernel's", f.name);
+        assert_eq!(nest.vector_var, kernel.var, "{}", f.name);
+    }
+
     #[test]
     fn bindings_cover_loop_bounds() {
-        // every benchmark must compile a nest with its own bindings
+        // every benchmark must compile a nest with its own bindings, in
+        // both of its programming models
         for b in all_benchmarks() {
-            let prog = parse_program(&b.acc_source).unwrap();
             let bind = b.bindings_map();
-            for f in &prog.functions {
-                let nest = accsat_compilers::analyze_nest(f, &bind);
-                assert!(nest.is_some(), "{}::{} nest analysis failed", b.name, f.name);
+            for src in [b.acc_source.clone(), b.omp_source()] {
+                for f in &parse_program(&src).unwrap().functions {
+                    assert_nest_is_first_kernel(f, &bind);
+                }
+            }
+        }
+        for seed in 0..300 {
+            let gk = generate_kernel(seed, &GenConfig::default());
+            for f in &parse_program(&gk.source).unwrap().functions {
+                assert_nest_is_first_kernel(f, &HashMap::new());
             }
         }
     }

@@ -35,7 +35,7 @@ mod tests {
     use accsat_egraph::{all_rules, Runner};
     use accsat_extract::{extract_exact_with, CostModel, SearchOptions};
     use accsat_interp::{compare_arrays, run_function, ArrayData, Env};
-    use accsat_ir::{parse_program, print_program, Function, Program, Stmt};
+    use accsat_ir::{parse_program, print_program, Function, Program};
     use std::time::Duration;
 
     /// Full mini-pipeline for tests: parse → SSA → (saturate) → extract →
@@ -64,20 +64,7 @@ mod tests {
     }
 
     fn replace_innermost_body(f: &mut Function, new_body: accsat_ir::Block) {
-        fn go(b: &mut accsat_ir::Block, new_body: &mut Option<accsat_ir::Block>) {
-            for s in &mut b.stmts {
-                if let Stmt::For(l) = s {
-                    if l.directive.is_some() && !accsat_ir::has_directive_loop(&l.body) {
-                        if let Some(nb) = new_body.take() {
-                            l.body = nb;
-                        }
-                        return;
-                    }
-                    go(&mut l.body, new_body);
-                }
-            }
-        }
-        go(&mut f.body, &mut Some(new_body));
+        accsat_ir::innermost_parallel_loops_mut(f)[0].body = new_body;
     }
 
     fn check_equivalent(src: &str, setup: impl Fn(&mut Env) + Copy) {

@@ -24,7 +24,7 @@ mod model;
 mod nest;
 mod vn;
 
-pub use model::{compile_kernel, CompiledKernel, Compiler, CompilerModel};
+pub use model::{compile_kernel, compile_nest, CompiledKernel, Compiler, CompilerModel};
 pub use nest::{analyze_nest, LoopNest, NestLevel};
 
 #[cfg(test)]
@@ -190,5 +190,79 @@ void k(double a[64][64], double out[64][64]) {
         let t_nv = run_kernel(&nv.trace, &nv.launch, &dev).time_ms;
         let t_gcc = run_kernel(&gcc.trace, &gcc.launch, &dev).time_ms;
         assert!(t_gcc > t_nv, "GCC {t_gcc} ms vs NVHPC {t_nv} ms");
+    }
+
+    fn nvhpc(src: &str) -> (CompiledKernel, String) {
+        let prog = parse_program(src).unwrap();
+        let f = &prog.functions[0];
+        let cm = CompilerModel::new(Compiler::Nvhpc, accsat_ir::Model::OpenAcc);
+        let k = compile_kernel(f, &cm, &HashMap::new()).unwrap();
+        (k, accsat_ir::innermost_parallel_loops(f)[0].var.clone())
+    }
+
+    #[test]
+    fn a_bound_written_first_counts_the_same_iterations() {
+        let src = r#"
+void k(double a[4096]) {
+  #pragma acc parallel loop gang vector_length(128)
+  for (int i = 0; 4096 > i; i++) {
+    a[i] = 1.0;
+  }
+}
+"#;
+        assert_eq!(nvhpc(src).0.launch.grid_blocks, 4096, "one gang per iteration");
+    }
+
+    #[test]
+    fn an_overflowing_trip_count_falls_back_instead_of_panicking() {
+        let src = r#"
+void k(double a[64]) {
+  #pragma acc parallel loop gang vector_length(128)
+  for (long i = 0; i <= 9223372036854775807; i++) {
+    a[0] = 1.0;
+  }
+}
+"#;
+        assert_eq!(nvhpc(src).0.launch.grid_blocks, 64, "unknown trip: 64 gangs");
+    }
+
+    #[test]
+    fn a_kernel_inside_while_is_the_one_compiled() {
+        let src = r#"
+void k(double a[64], int n) {
+  while (n > 0) {
+    #pragma acc parallel loop gang vector
+    for (int i = 0; i < 64; i++) {
+      a[i] = a[i] * 0.5;
+    }
+    n = n - 1;
+  }
+}
+"#;
+        let (k, kernel_var) = nvhpc(src);
+        assert_eq!(k.vector_var, kernel_var);
+        assert_eq!(k.launch.grid_blocks, 64);
+    }
+
+    #[test]
+    fn a_vector_loop_under_if_is_the_one_compiled() {
+        let src = r#"
+void k(double a[64][64], int flag) {
+  #pragma acc parallel loop gang
+  for (int j = 0; j < 64; j++) {
+    if (flag > 0) {
+      #pragma acc loop vector
+      for (int i = 0; i < 32; i++) {
+        a[j][i] = a[j][i] * 2.0;
+      }
+    }
+  }
+}
+"#;
+        let (k, kernel_var) = nvhpc(src);
+        assert_eq!(kernel_var, "i");
+        assert_eq!(k.vector_var, kernel_var);
+        let (_, _, _, loads, _) = k.trace.op_counts();
+        assert_eq!(loads, 1, "the trace is the kernel body, not the gang loop's");
     }
 }

@@ -1,7 +1,7 @@
 //! The compiler models: directive interpretation, launch configuration,
 //! back-end load elimination, and register allocation.
 
-use crate::nest::analyze_nest;
+use crate::nest::{analyze_nest, LoopNest};
 use crate::vn::eliminate_redundant_loads;
 use accsat_gpusim::{
     lower_body,
@@ -100,17 +100,26 @@ pub struct CompiledKernel {
     pub vector_var: String,
 }
 
-/// Compile the first kernel region of `f` under the model, with problem-size
+/// Compile the first kernel of `f` under the model, with problem-size
 /// `bindings` for trip counts.
 pub fn compile_kernel(
     f: &Function,
     cm: &CompilerModel,
     bindings: &HashMap<String, i64>,
 ) -> Result<CompiledKernel, String> {
-    let nest = analyze_nest(f, bindings)
+    let nest = analyze_nest(f, 0, bindings)
         .ok_or_else(|| format!("function `{}` has no directive loop", f.name))?;
+    Ok(compile_nest(&nest, cm, bindings))
+}
 
-    let head_kind = nest.levels.first().and_then(|l| l.kind);
+/// Compile an analyzed nest under the model: launch geometry from its
+/// levels, the trace from its body.
+pub fn compile_nest(
+    nest: &LoopNest,
+    cm: &CompilerModel,
+    bindings: &HashMap<String, i64>,
+) -> CompiledKernel {
+    let head_kind = nest.levels.first().map(|l| l.kind);
     let gcc_kernels =
         cm.compiler == Compiler::Gcc && head_kind == Some(DirectiveKind::AccKernelsLoop);
 
@@ -157,7 +166,7 @@ pub fn compile_kernel(
     let regs = regs.clamp(16, 255);
 
     let warps_per_block = ((workers * vector_len) / 32).max(1);
-    Ok(CompiledKernel {
+    CompiledKernel {
         trace,
         launch: LaunchConfig {
             grid_blocks,
@@ -165,8 +174,8 @@ pub fn compile_kernel(
             regs_per_thread: regs,
             reps_per_thread: reps,
         },
-        vector_var: nest.vector_var,
-    })
+        vector_var: nest.vector_var.clone(),
+    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Loop-nest analysis: find the gang/worker/vector loops of a kernel region
 //! and their trip counts.
 
-use accsat_ir::{ast::ForLoop, BinOp, Block, Expr, Function, Stmt, UnOp};
+use accsat_ir::{trip_count, Block, Function};
 use std::collections::HashMap;
 
 /// One level of the parallel loop nest.
@@ -15,8 +15,8 @@ pub struct NestLevel {
     pub num_gangs: Option<u32>,
     pub num_workers: Option<u32>,
     pub vector_length: Option<u32>,
-    /// The directive kind at this level, if any.
-    pub kind: Option<accsat_ir::DirectiveKind>,
+    /// The directive kind at this level.
+    pub kind: accsat_ir::DirectiveKind,
 }
 
 /// The analyzed parallel nest of one kernel region.
@@ -76,135 +76,36 @@ impl LoopNest {
     }
 }
 
-/// Evaluate an integer expression from bindings.
-pub(crate) fn const_eval(e: &Expr, bindings: &HashMap<String, i64>) -> Option<i64> {
-    match e {
-        Expr::Int(v) => Some(*v),
-        Expr::Float(v) if v.fract() == 0.0 => Some(*v as i64),
-        Expr::Var(n) => bindings.get(n).copied(),
-        Expr::Unary { op: UnOp::Neg, operand } => Some(-const_eval(operand, bindings)?),
-        Expr::Binary { op, lhs, rhs } => {
-            let (a, b) = (const_eval(lhs, bindings)?, const_eval(rhs, bindings)?);
-            Some(match op {
-                BinOp::Add => a + b,
-                BinOp::Sub => a - b,
-                BinOp::Mul => a * b,
-                BinOp::Div => a.checked_div(b)?,
-                BinOp::Mod => a.checked_rem(b)?,
-                _ => return None,
-            })
-        }
-        Expr::Cast { expr, .. } => const_eval(expr, bindings),
-        _ => None,
-    }
-}
-
-/// Trip count of a canonical loop.
-pub(crate) fn trip_count(l: &ForLoop, bindings: &HashMap<String, i64>) -> Option<i64> {
-    let init = const_eval(&l.init, bindings)?;
-    let step = const_eval(&l.step, bindings)?;
-    if step == 0 {
-        return None;
-    }
-    if let Expr::Binary { op, lhs, rhs } = &l.cond {
-        let bound = match (lhs.as_ref(), rhs.as_ref()) {
-            (Expr::Var(v), b) if *v == l.var => const_eval(b, bindings)?,
-            (b, Expr::Var(v)) if *v == l.var => const_eval(b, bindings)?,
-            _ => return None,
-        };
-        let n = match op {
-            BinOp::Lt => (bound - init + step - 1).div_euclid(step),
-            BinOp::Le => (bound - init + step).div_euclid(step),
-            BinOp::Gt => (init - bound - step - 1).div_euclid(-step),
-            BinOp::Ge => (init - bound - step).div_euclid(-step),
-            _ => return None,
-        };
-        Some(n.max(0))
-    } else {
-        None
-    }
-}
-
-/// Analyze the first kernel region of a function: the chain of
-/// directive-annotated loops from the region head down to the innermost
-/// parallel loop.
-pub fn analyze_nest(f: &Function, bindings: &HashMap<String, i64>) -> Option<LoopNest> {
-    let head = find_head(&f.body)?;
+/// Analyze kernel `k` of `f` (its index in
+/// [`accsat_ir::innermost_parallel_loops`]): the directive loops of its
+/// nest, from the region head down to the kernel, with the trip counts of
+/// the sequential loops between them folded into `seq_mult`. Sequential
+/// loops above the region head are not part of the launch.
+pub fn analyze_nest(f: &Function, k: usize, bindings: &HashMap<String, i64>) -> Option<LoopNest> {
+    let chain = accsat_ir::kernel_nest(f, k)?;
+    let lookup = |n: &str| bindings.get(n).copied();
+    let head = chain.iter().position(|l| l.directive.is_some())?;
     let mut levels = Vec::new();
     let mut seq_mult = 1.0f64;
-    let mut cur = head;
-    loop {
-        let d = cur.directive.as_ref();
+    for l in &chain[head..] {
+        let Some(d) = &l.directive else {
+            seq_mult *= trip_count(l, &lookup).unwrap_or(8).max(1) as f64;
+            continue;
+        };
         levels.push(NestLevel {
-            var: cur.var.clone(),
-            trip: trip_count(cur, bindings).unwrap_or(64),
-            has_gang: d.is_some_and(|d| d.has_gang()),
-            has_worker: d.is_some_and(|d| d.has_worker()),
-            has_vector: d.is_some_and(|d| d.has_vector()),
-            num_gangs: d.and_then(|d| d.num_gangs()),
-            num_workers: d.and_then(|d| d.num_workers()),
-            vector_length: d.and_then(|d| d.vector_length()),
-            kind: d.map(|d| d.kind),
+            var: l.var.clone(),
+            trip: trip_count(l, &lookup).unwrap_or(64),
+            has_gang: d.has_gang(),
+            has_worker: d.has_worker(),
+            has_vector: d.has_vector(),
+            num_gangs: d.num_gangs(),
+            num_workers: d.num_workers(),
+            vector_length: d.vector_length(),
+            kind: d.kind,
         });
-        match next_level(&cur.body, bindings) {
-            Some((mult, next)) => {
-                seq_mult *= mult;
-                cur = next;
-            }
-            None => break,
-        }
     }
-    Some(LoopNest { body: cur.body.clone(), vector_var: cur.var.clone(), levels, seq_mult })
-}
-
-/// Find the next directive loop below `b`, multiplying the trip counts of
-/// intervening sequential loops.
-fn next_level<'a>(b: &'a Block, bindings: &HashMap<String, i64>) -> Option<(f64, &'a ForLoop)> {
-    for s in &b.stmts {
-        match s {
-            Stmt::For(l) if l.directive.is_some() => return Some((1.0, l)),
-            Stmt::For(l) => {
-                if let Some((m, x)) = next_level(&l.body, bindings) {
-                    let trip = trip_count(l, bindings).unwrap_or(8).max(1) as f64;
-                    return Some((m * trip, x));
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-fn find_head(b: &Block) -> Option<&ForLoop> {
-    for s in &b.stmts {
-        match s {
-            Stmt::For(l) => {
-                if l.directive.is_some() {
-                    return Some(l);
-                }
-                if let Some(h) = find_head(&l.body) {
-                    return Some(h);
-                }
-            }
-            Stmt::If { then, els, .. } => {
-                if let Some(h) = find_head(then) {
-                    return Some(h);
-                }
-                if let Some(e) = els {
-                    if let Some(h) = find_head(e) {
-                        return Some(h);
-                    }
-                }
-            }
-            Stmt::Block(b) => {
-                if let Some(h) = find_head(b) {
-                    return Some(h);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
+    let kernel = chain.last()?;
+    Some(LoopNest { body: kernel.body.clone(), vector_var: kernel.var.clone(), levels, seq_mult })
 }
 
 #[cfg(test)]
@@ -230,7 +131,7 @@ void k(double a[64][8][8], int gp) {
 "#;
         let prog = parse_program(src).unwrap();
         let b: HashMap<String, i64> = [("gp".to_string(), 6)].into();
-        let nest = analyze_nest(&prog.functions[0], &b).unwrap();
+        let nest = analyze_nest(&prog.functions[0], 0, &b).unwrap();
         assert_eq!(nest.levels.len(), 3);
         assert_eq!(nest.vector_var, "j");
         assert_eq!(nest.levels[0].trip, 63);
@@ -251,29 +152,9 @@ void k(double a[1000]) {
 }
 "#;
         let prog = parse_program(src).unwrap();
-        let nest = analyze_nest(&prog.functions[0], &HashMap::new()).unwrap();
+        let nest = analyze_nest(&prog.functions[0], 0, &HashMap::new()).unwrap();
         assert_eq!(nest.levels.len(), 1);
         assert_eq!(nest.vector_trip(), 1000);
-    }
-
-    #[test]
-    fn trip_counts() {
-        let b: HashMap<String, i64> = [("n".to_string(), 10)].into();
-        let prog = parse_program(
-            "void f() { for (int i = 0; i < n; i += 2) { } for (int j = n; j > 0; j--) { } }",
-        )
-        .unwrap();
-        let loops: Vec<&ForLoop> = prog.functions[0]
-            .body
-            .stmts
-            .iter()
-            .filter_map(|s| match s {
-                Stmt::For(l) => Some(l),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(trip_count(loops[0], &b), Some(5));
-        assert_eq!(trip_count(loops[1], &b), Some(10));
     }
 
     #[test]
@@ -281,6 +162,6 @@ void k(double a[1000]) {
         let prog =
             parse_program("void f(double a[4]) { for (int i = 0; i < 4; i++) { a[i] = 0.0; } }")
                 .unwrap();
-        assert!(analyze_nest(&prog.functions[0], &HashMap::new()).is_none());
+        assert!(analyze_nest(&prog.functions[0], 0, &HashMap::new()).is_none());
     }
 }

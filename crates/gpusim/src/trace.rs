@@ -216,36 +216,14 @@ impl Lowerer {
         r
     }
 
-    /// Try to evaluate an integer expression from known bindings.
-    fn const_eval(&self, e: &Expr) -> Option<i64> {
-        match e {
-            Expr::Int(v) => Some(*v),
-            Expr::Float(v) if v.fract() == 0.0 => Some(*v as i64),
-            Expr::Var(n) => {
-                self.consts.get(n).copied().or_else(|| self.ctx.bindings.get(n).copied())
-            }
-            Expr::Unary { op: UnOp::Neg, operand } => Some(-self.const_eval(operand)?),
-            Expr::Binary { op, lhs, rhs } => {
-                let (a, b) = (self.const_eval(lhs)?, self.const_eval(rhs)?);
-                Some(match op {
-                    BinOp::Add => a + b,
-                    BinOp::Sub => a - b,
-                    BinOp::Mul => a * b,
-                    BinOp::Div => a.checked_div(b)?,
-                    BinOp::Mod => a.checked_rem(b)?,
-                    BinOp::Lt => (a < b) as i64,
-                    BinOp::Le => (a <= b) as i64,
-                    BinOp::Gt => (a > b) as i64,
-                    BinOp::Ge => (a >= b) as i64,
-                    BinOp::Eq => (a == b) as i64,
-                    BinOp::Ne => (a != b) as i64,
-                    BinOp::And => ((a != 0) && (b != 0)) as i64,
-                    BinOp::Or => ((a != 0) || (b != 0)) as i64,
-                })
-            }
-            Expr::Cast { expr, .. } => self.const_eval(expr),
-            _ => None,
-        }
+    /// Evaluate an integer expression from the known scalars: unrolled
+    /// induction variables first, then the problem-size bindings.
+    fn eval(&self, e: &Expr) -> Option<i64> {
+        accsat_ir::const_eval(e, &|n| self.known(n))
+    }
+
+    fn known(&self, n: &str) -> Option<i64> {
+        self.consts.get(n).or_else(|| self.ctx.bindings.get(n)).copied()
     }
 
     /// Linear coefficient of `var` in `e` (0 = absent, None = nonlinear).
@@ -263,10 +241,10 @@ impl Lowerer {
             Expr::Binary { op: BinOp::Mul, lhs, rhs } => {
                 let (cl, cr) = (self.linear_coeff(lhs, var)?, self.linear_coeff(rhs, var)?);
                 if cl == 0 {
-                    let k = self.const_eval(lhs)?;
+                    let k = self.eval(lhs)?;
                     Some(k * cr)
                 } else if cr == 0 {
-                    let k = self.const_eval(rhs)?;
+                    let k = self.eval(rhs)?;
                     Some(cl * k)
                 } else {
                     None
@@ -309,7 +287,7 @@ impl Lowerer {
 
     /// Print an index expression with known integer constants substituted.
     fn subst_print(&self, e: &Expr) -> String {
-        if let Some(v) = self.const_eval(e) {
+        if let Some(v) = self.eval(e) {
             return v.to_string();
         }
         match e {
@@ -448,7 +426,7 @@ impl Lowerer {
         match s {
             Stmt::Decl { name, init, .. } => {
                 if let Some(e) = init {
-                    if let Some(v) = self.const_eval(e) {
+                    if let Some(v) = self.eval(e) {
                         self.consts.insert(name.clone(), v);
                     } else {
                         self.consts.remove(name);
@@ -482,7 +460,7 @@ impl Lowerer {
                 }
                 match lhs {
                     LValue::Var(n) => {
-                        if let Some(v) = self.const_eval(rhs) {
+                        if let Some(v) = self.eval(rhs) {
                             if op.binop().is_none() {
                                 self.consts.insert(n.clone(), v);
                             } else {
@@ -515,7 +493,7 @@ impl Lowerer {
                 // branch condition consumes an IAlu slot
                 self.trace.insts.push(SimInst { op: SimOp::IAlu, srcs: vec![c], dst: None });
                 // lower the statically taken branch if decidable, else `then`
-                match self.const_eval(cond) {
+                match self.eval(cond) {
                     Some(0) => {
                         if let Some(e) = els {
                             self.block(e);
@@ -525,22 +503,24 @@ impl Lowerer {
                 }
             }
             Stmt::For(l) => {
-                let trip = self.trip_count(l).unwrap_or(8);
+                let trip = accsat_ir::trip_count(l, &|n| self.known(n)).unwrap_or(8);
                 let emit_iters = trip.min(self.ctx.max_unroll as i64).max(0) as usize;
                 if trip > emit_iters as i64 && emit_iters > 0 {
                     self.trace.work_scale *= trip as f64 / emit_iters as f64;
                 }
                 // induction variable register (updated each iteration)
                 let ivar = self.reg_of(&l.var);
-                let init_known = self.const_eval(&l.init);
-                let step_known = self.const_eval(&l.step);
+                let init_known = self.eval(&l.init);
+                let step_known = self.eval(&l.step);
                 for it in 0..emit_iters {
                     // track constant induction values for nested trip counts
-                    if let (Some(i0), Some(st)) = (init_known, step_known) {
-                        self.consts.insert(l.var.clone(), i0 + st * it as i64);
-                    } else {
-                        self.consts.remove(&l.var);
-                    }
+                    let value = init_known
+                        .zip(step_known)
+                        .and_then(|(i0, st)| i0.checked_add(st.checked_mul(it as i64)?));
+                    match value {
+                        Some(v) => self.consts.insert(l.var.clone(), v),
+                        None => self.consts.remove(&l.var),
+                    };
                     self.block(&l.body);
                     // i += step and loop-back compare
                     let nv = self.emit(SimOp::IAlu, vec![ivar]);
@@ -559,33 +539,6 @@ impl Lowerer {
                 let _ = self.expr(e);
             }
             Stmt::Return(_) => {}
-        }
-    }
-
-    fn trip_count(&self, l: &accsat_ir::ast::ForLoop) -> Option<i64> {
-        let init = self.const_eval(&l.init)?;
-        let step = self.const_eval(&l.step)?;
-        if step == 0 {
-            return None;
-        }
-        // cond forms: var < bound, var <= bound, var > bound, var >= bound
-        if let Expr::Binary { op, lhs, rhs } = &l.cond {
-            let bound_expr = match (lhs.as_ref(), rhs.as_ref()) {
-                (Expr::Var(v), b) if *v == l.var => b,
-                (b, Expr::Var(v)) if *v == l.var => b,
-                _ => return None,
-            };
-            let bound = self.const_eval(bound_expr)?;
-            let n = match op {
-                BinOp::Lt => (bound - init + step - 1).div_euclid(step),
-                BinOp::Le => (bound - init + step).div_euclid(step),
-                BinOp::Gt => (init - bound - step - 1).div_euclid(-step),
-                BinOp::Ge => (init - bound - step).div_euclid(-step),
-                _ => return None,
-            };
-            Some(n.max(0))
-        } else {
-            None
         }
     }
 }
@@ -873,6 +826,20 @@ void k(double a[64][16], double out[64], int gp) {
         );
         let (_, _, _, loads, _) = t.op_counts();
         assert_eq!(loads, 12);
+    }
+
+    #[test]
+    fn sequential_trip_counts_mirror_the_bound_and_survive_overflow() {
+        let loads = |header: &str| {
+            let src = format!(
+                "void k(double a[64][16], double out[64]) {{\n  #pragma acc parallel loop gang vector\n  for (int i = 0; i < 64; i++) {{\n    double s = 0.0;\n    for ({header}) {{\n      s = s + a[i][0];\n    }}\n    out[i] = s;\n  }}\n}}\n"
+            );
+            lower(&src, "i", &[]).op_counts().3
+        };
+        assert_eq!(loads("long l = 0; 12 > l; l++"), 12);
+        assert_eq!(loads("long l = 0; l <= 9223372036854775807; l++"), 8, "unknown trip: 8");
+        // unknown trip from `!=`, unrolled past the largest induction value
+        assert_eq!(loads("long l = 9223372036854775807; l != 0; l++"), 8);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use accsat_egraph::{
     all_rules, BackoffConfig, EGraph, Id, Node, Op, Runner, RunnerLimits, RunnerReport,
     ThreadBudget,
 };
-use accsat_ir::{has_directive_loop, parse_program, Block, Stmt};
+use accsat_ir::{innermost_parallel_loops, parse_program};
 use accsat_ssa::build_kernel;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -44,23 +44,6 @@ fn fingerprint(r: &RunnerReport) -> Fingerprint {
     )
 }
 
-/// The innermost directive-carrying loop body — the same block the
-/// pipeline hands to SSA construction (outer nest loops stay outside the
-/// e-graph; their induction variables are scoped to the nest).
-fn kernel_body(b: &Block) -> Option<&Block> {
-    for s in &b.stmts {
-        if let Stmt::For(l) = s {
-            if l.directive.is_some() && !has_directive_loop(&l.body) {
-                return Some(&l.body);
-            }
-            if let Some(k) = kernel_body(&l.body) {
-                return Some(k);
-            }
-        }
-    }
-    None
-}
-
 /// Build the kernel's e-graph from source and saturate it. Tight limits
 /// and an aggressive backoff keep debug-mode runs fast while still
 /// exercising banning, pending-class deferral and the dirty-set search.
@@ -70,8 +53,10 @@ fn saturate(
     budget: Option<Arc<ThreadBudget>>,
 ) -> (Fingerprint, usize, usize) {
     let prog = parse_program(src).expect("generated kernel parses");
-    let body = kernel_body(&prog.functions[0].body).expect("generated kernel has a parallel loop");
-    let kernel = build_kernel(body);
+    // the first kernel's body — the block the pipeline hands to SSA
+    // construction (outer nest loops stay outside the e-graph)
+    let loops = innermost_parallel_loops(&prog.functions[0]);
+    let kernel = build_kernel(&loops.first().expect("generated kernel has a parallel loop").body);
     let mut eg = kernel.egraph;
     let report = Runner::new(all_rules())
         .with_limits(RunnerLimits {
