@@ -1577,6 +1577,117 @@ mod tests {
         }
     }
 
+    /// A small adversarial e-graph from `seed`: three symbols, 40 operators
+    /// over earlier nodes, ten random unions — the shape of the property
+    /// tests' cyclic graphs — and as roots up to three of its last
+    /// coverable classes.
+    fn recipe_graph(seed: u64) -> (EGraph, Vec<Id>) {
+        let mut state = seed;
+        let mut next = |below: u64| {
+            // SplitMix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % below) as usize
+        };
+        let mut eg = EGraph::new();
+        let mut nodes =
+            vec![eg.add(Node::sym("a")), eg.add(Node::sym("b")), eg.add(Node::sym("c"))];
+        for _ in 0..40 {
+            let (k, x, y) =
+                (next(5), nodes[next(nodes.len() as u64)], nodes[next(nodes.len() as u64)]);
+            let node = match k {
+                0 => Node::new(Op::Add, vec![x, y]),
+                1 => Node::new(Op::Mul, vec![x, y]),
+                2 => Node::new(Op::Div, vec![x, y]),
+                3 => Node::new(Op::Neg, vec![x]),
+                _ => Node::new(Op::Fma, vec![x, y, x]),
+            };
+            nodes.push(eg.add(node));
+        }
+        for _ in 0..10 {
+            let (x, y) = (nodes[next(nodes.len() as u64)], nodes[next(nodes.len() as u64)]);
+            eg.union(x, y);
+        }
+        eg.rebuild();
+        let cm = CostModel::paper();
+        let cx = SearchContext::build(&eg, &cm);
+        let mut roots: Vec<Id> = (0..cx.slots())
+            .rev()
+            .filter(|&c| !cx.cands(c).is_empty())
+            .take(3)
+            .map(|c| cx.class_at(c))
+            .collect();
+        roots.sort_unstable();
+        (eg, roots)
+    }
+
+    /// Per cyclic recipe graph (`!is_acyclic`) and strategy: cost, proven?
+    /// and explored nodes of a greedy-seeded search. No benchmark kernel
+    /// has a cyclic context, so this is where the search's full closure
+    /// walk — the one cyclic contexts keep — is pinned.
+    const CYCLIC: &str = "\
+0 | 33 423 | 423 proven 3 | 423 proven 3 | 423 proven 3 | 423 proven 5
+1 | 29 403 | 393 proven 7 | 393 proven 7 | 393 proven 7 | 393 proven 7
+2 | 32 443 | 433 proven 12 | 433 proven 12 | 433 proven 12 | 433 proven 12
+3 | 31 473 | 473 proven 7 | 473 proven 7 | 473 proven 7 | 473 proven 11
+4 | 31 82 | 82 proven 1 | 82 proven 1 | 82 proven 1 | 82 proven 1
+5 | 29 162 | 162 proven 1 | 162 proven 1 | 162 proven 1 | 162 proven 1
+6 | 28 282 | 282 proven 2 | 282 proven 2 | 282 proven 2 | 282 proven 2
+7 | 27 273 | 273 proven 1 | 273 proven 1 | 273 proven 1 | 273 proven 1
+8 | 32 463 | 443 proven 26 | 443 proven 26 | 443 proven 26 | 443 proven 51
+9 | 32 233 | 222 proven 5 | 222 proven 5 | 222 proven 5 | 222 proven 5
+10 | 27 272 | 261 proven 5 | 261 proven 5 | 261 proven 5 | 261 proven 5
+11 | 32 392 | 362 proven 6 | 362 proven 6 | 362 proven 6 | 362 proven 6
+12 | 30 252 | 232 proven 15 | 232 proven 15 | 232 proven 15 | 232 proven 16
+13 | 31 512 | 512 proven 1 | 512 proven 1 | 512 proven 1 | 512 proven 1
+14 | 34 483 | 483 proven 3 | 483 proven 3 | 483 proven 3 | 483 proven 3
+16 | 29 273 | 273 proven 2 | 273 proven 2 | 273 proven 2 | 273 proven 2
+17 | 30 183 | 173 proven 13 | 173 proven 13 | 173 proven 13 | 173 proven 9
+18 | 31 493 | 423 proven 37 | 423 proven 37 | 423 proven 37 | 423 proven 59
+19 | 32 293 | 293 proven 3 | 293 proven 3 | 293 proven 3 | 293 proven 3
+20 | 31 212 | 212 proven 1 | 212 proven 1 | 212 proven 1 | 212 proven 1
+21 | 29 253 | 253 proven 5 | 253 proven 5 | 253 proven 5 | 253 proven 5
+22 | 26 203 | 193 proven 6 | 193 proven 6 | 193 proven 6 | 193 proven 10
+23 | 32 413 | 413 proven 1 | 413 proven 1 | 413 proven 1 | 413 proven 1
+24 | 28 183 | 183 proven 1 | 183 proven 1 | 183 proven 1 | 183 proven 1
+";
+
+    #[test]
+    fn searches_on_cyclic_graphs_are_pinned() {
+        let cm = CostModel::paper();
+        let mut table = String::new();
+        let mut cyclic = 0;
+        for seed in 0.. {
+            if cyclic == 24 {
+                break;
+            }
+            let (eg, roots) = recipe_graph(seed);
+            let cx = SearchContext::build(&eg, &cm);
+            if cx.is_acyclic() || roots.is_empty() {
+                continue;
+            }
+            cyclic += 1;
+            let incumbent = extract_greedy(&eg, &roots, &cm);
+            let cost = incumbent.dag_cost(&eg, &cm, &roots);
+            table.push_str(&format!("{seed} | {} {cost}", cx.slots()));
+            for (order, prefer_shared) in [
+                (ClassOrder::BestFirst, false),
+                (ClassOrder::HeaviestFirst, false),
+                (ClassOrder::BestFirst, true),
+                (ClassOrder::Lifo, false),
+            ] {
+                let opts = SearchOptions { order, prefer_shared, ..SearchOptions::default() };
+                let r = extract_exact_in(&cx, &roots, &incumbent, cost, &opts);
+                let proven = if r.proven_optimal { "proven" } else { "unproven" };
+                table.push_str(&format!(" | {} {proven} {}", r.cost, r.explored));
+            }
+            table.push('\n');
+        }
+        assert_eq!(table, CYCLIC, "search on cyclic graphs moved; got:\n{table}");
+    }
+
     #[test]
     fn unpruned_search_agrees_with_strengthened_search() {
         let mut eg = EGraph::new();
