@@ -114,9 +114,10 @@ impl Default for SaturatorConfig {
         SaturatorConfig {
             limits: RunnerLimits::default(),
             // the *node* budget is sized to finish well inside the wall
-            // valve (~0.1 s per strategy in release on the largest in-repo
-            // kernels), so runs are reproducible: the deterministic limit
-            // binds, the clock does not
+            // valve (5–7 ms per strategy in release on BT `z_solve`, the
+            // largest in-repo search, on a 2-core x86-64 host), so runs are
+            // reproducible: the deterministic limit binds, the clock does
+            // not
             extraction_budget: Duration::from_secs(5),
             extraction_threads: 2,
             extraction_node_budget: 60_000,

@@ -264,7 +264,8 @@ pub(crate) fn extract_exact_hooked(
     let mut extra = 0u64;
     // a root whose forced closure is cyclic cannot be covered by any
     // selection — fall back to the incumbent, unproven
-    let feasible = roots.iter().all(|&r| search.require(cx.slot(r) as u32, &mut cost, &mut extra));
+    let feasible =
+        roots.iter().all(|&r| search.require(cx.slot(r) as u32, &mut cost, &mut extra, u64::MAX));
     if feasible {
         search.dfs(cost, extra);
     } else {
@@ -1025,11 +1026,23 @@ impl<'a, 'b> Search<'a, 'b> {
     /// when a forced decision closes a cycle through `chosen`, which makes
     /// the whole current branch infeasible (the forced class has no
     /// alternative candidate).
-    fn require(&mut self, c: u32, cost: &mut u64, extra: &mut u64) -> bool {
+    ///
+    /// The walk stops as soon as `cost + extra` reaches `cut`: the sum
+    /// never falls along the walk (a charge adds, a chain decision moves
+    /// a class's `min_op` from the bound into the cost unchanged), so the
+    /// branch is pruned at its first look whatever the rest would add.
+    /// Only an acyclic context may cut — on a cyclic one a later step
+    /// could find a cycle, which makes the branch infeasible instead of
+    /// pruned, so those walks pass `u64::MAX`.
+    fn require(&mut self, c: u32, cost: &mut u64, extra: &mut u64, cut: u64) -> bool {
         let cx = self.cx;
         let base = self.stack.len();
         self.stack.push(c);
         while self.stack.len() > base {
+            if *cost + *extra >= cut {
+                self.stack.truncate(base);
+                break;
+            }
             let c = self.stack.pop().expect("stack above base");
             *extra += self.charge(c);
             let slot = c as usize;
@@ -1043,6 +1056,7 @@ impl<'a, 'b> Search<'a, 'b> {
                     self.stack.truncate(base);
                     return false;
                 }
+                debug_assert_eq!(cx.min_op[slot], cand.op_cost, "a lone candidate is the min");
                 self.queued[slot] = true;
                 self.d_trail.push(c);
                 self.chosen[slot] = 0;
@@ -1158,13 +1172,15 @@ impl<'a, 'b> Search<'a, 'b> {
                 continue;
             }
             // require the children (queueing or chain-closing them) and
-            // charge newly required closures into the bound
+            // charge newly required closures into the bound, up to the
+            // incumbent: the child prunes itself there either way
             let marks = (self.q_trail.len(), self.d_trail.len(), self.c_trail.len());
             let mut branch_cost = cost + cand.op_cost;
             let mut extra = bound_extra;
+            let cut = if cx.acyclic { self.best_cost } else { u64::MAX };
             self.chosen[slot] = ci;
             let feasible =
-                cx.kids(cand).iter().all(|&ch| self.require(ch, &mut branch_cost, &mut extra));
+                cx.kids(cand).iter().all(|&ch| self.require(ch, &mut branch_cost, &mut extra, cut));
             if feasible {
                 self.dfs(branch_cost, extra);
             }
@@ -1579,9 +1595,8 @@ mod tests {
 
     /// A small adversarial e-graph from `seed`: three symbols, 40 operators
     /// over earlier nodes, ten random unions — the shape of the property
-    /// tests' cyclic graphs — and as roots up to three of its last
-    /// coverable classes.
-    fn recipe_graph(seed: u64) -> (EGraph, Vec<Id>) {
+    /// tests' cyclic graphs.
+    fn recipe_graph(seed: u64) -> EGraph {
         let mut state = seed;
         let mut next = |below: u64| {
             // SplitMix64
@@ -1611,20 +1626,12 @@ mod tests {
             eg.union(x, y);
         }
         eg.rebuild();
-        let cm = CostModel::paper();
-        let cx = SearchContext::build(&eg, &cm);
-        let mut roots: Vec<Id> = (0..cx.slots())
-            .rev()
-            .filter(|&c| !cx.cands(c).is_empty())
-            .take(3)
-            .map(|c| cx.class_at(c))
-            .collect();
-        roots.sort_unstable();
-        (eg, roots)
+        eg
     }
 
-    /// Per cyclic recipe graph (`!is_acyclic`) and strategy: cost, proven?
-    /// and explored nodes of a greedy-seeded search. No benchmark kernel
+    /// Per cyclic recipe graph (`!is_acyclic`), covered from up to three of
+    /// its last coverable classes, and per strategy: cost, proven? and
+    /// explored nodes of a greedy-seeded search. No benchmark kernel
     /// has a cyclic context, so this is where the search's full closure
     /// walk — the one cyclic contexts keep — is pinned.
     const CYCLIC: &str = "\
@@ -1663,8 +1670,15 @@ mod tests {
             if cyclic == 24 {
                 break;
             }
-            let (eg, roots) = recipe_graph(seed);
+            let eg = recipe_graph(seed);
             let cx = SearchContext::build(&eg, &cm);
+            let mut roots: Vec<Id> = (0..cx.slots())
+                .rev()
+                .filter(|&c| !cx.cands(c).is_empty())
+                .take(3)
+                .map(|c| cx.class_at(c))
+                .collect();
+            roots.sort_unstable();
             if cx.is_acyclic() || roots.is_empty() {
                 continue;
             }

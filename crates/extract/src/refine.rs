@@ -9,10 +9,12 @@
 //! that alignment in milliseconds:
 //!
 //! * [`climb`] — best-improvement hill climbing over single-class
-//!   candidate switches, scored by true DAG cost over the roots, repeated
-//!   to a fixpoint. Finds improvements where one class's choice should
-//!   redirect onto subterms the rest of the selection already pays for
-//!   (LU `jacld`: 790 → 720, beating a 100 M-node search's best of 770).
+//!   candidate switches, each priced by its DAG delta (the sub-DAG it
+//!   adds minus the sub-DAG it drops, on reference counts of the
+//!   selection), repeated to a fixpoint. Finds improvements where one
+//!   class's choice should redirect onto subterms the rest of the
+//!   selection already pays for (LU `jacld`: 790 → 720, beating a
+//!   100 M-node search's best of 770).
 //! * [`marginal_greedy`] — a second greedy that commits classes one at a
 //!   time (deterministic smallest-id order from the roots) and scores
 //!   every candidate with *already-committed classes free*, repairing
@@ -36,9 +38,9 @@ use std::collections::{BTreeSet, VecDeque};
 /// A selection as a table of borrowed nodes indexed by the context's class
 /// slots ([`SearchContext::slots`]), with the scratch state of its graph
 /// walks. The refinement loops score thousands of one-class variations of
-/// one selection; on this view a variation is a slot write and a walk
-/// allocates nothing. Classes are slots throughout this module; ids appear
-/// where a [`Selection`] or a root comes in or goes out.
+/// one selection; on this view a walk allocates nothing. Classes are slots
+/// throughout this module; ids appear where a [`Selection`] or a root comes
+/// in or goes out.
 struct View<'s> {
     cx: &'s SearchContext<'s>,
     /// The chosen node per class slot.
@@ -53,46 +55,63 @@ impl<'s> View<'s> {
         View { cx, node: vec![None; slots], seen: Visited::new(slots), stack: Vec::new() }
     }
 
-    /// Visit every class reachable from `roots` through the chosen nodes,
-    /// each once. Panics on a class without a node, like
+    /// The chosen node of class `c`; panics on a class without one, like
     /// [`Selection::reachable`].
-    fn walk(&mut self, roots: &[usize], mut visit: impl FnMut(usize, NodeRef<'s>)) {
-        self.seen.clear();
-        self.stack.clear();
-        for &r in roots {
-            if self.seen.insert(r) {
-                self.stack.push(r);
-            }
-        }
-        while let Some(c) = self.stack.pop() {
-            let node = self.node[c]
-                .unwrap_or_else(|| panic!("{}", SelectionError::Missing(self.cx.class_at(c))));
-            visit(c, node);
-            for &ch in node.children {
-                let ch = self.cx.slot(ch);
-                if self.seen.insert(ch) {
-                    self.stack.push(ch);
-                }
-            }
-        }
+    fn chosen(&self, c: usize) -> NodeRef<'s> {
+        self.node[c].unwrap_or_else(|| panic!("{}", SelectionError::Missing(self.cx.class_at(c))))
     }
 
-    /// True DAG cost over `roots` ([`Selection::dag_cost`]).
-    fn dag_cost(&mut self, cm: &CostModel, roots: &[usize]) -> u64 {
-        let mut total = 0u64;
-        self.walk(roots, |_, node| total += cm.op_cost(node.op));
-        total
+    /// Add one reference (`up`) or drop one (`!up`) to each class on
+    /// `stack`, following the chosen node of every class that becomes
+    /// reachable or unreachable; returns the op cost of those classes.
+    fn recount(&mut self, refs: &mut [u32], cm: &CostModel, up: bool) -> u64 {
+        let mut moved = 0;
+        while let Some(c) = self.stack.pop() {
+            if up {
+                refs[c] += 1;
+            } else {
+                refs[c] -= 1;
+            }
+            if refs[c] == u32::from(up) {
+                let node = self.chosen(c);
+                moved += cm.op_cost(node.op);
+                self.stack.extend(node.children.iter().map(|&k| self.cx.slot(k)));
+            }
+        }
+        moved
+    }
+
+    /// Switch a reachable class from node `old` to node `new` in the
+    /// reference counts `refs` and return the DAG cost over the roots, given
+    /// `cost` before: the sub-DAG `new` adds minus the sub-DAG `old` drops.
+    /// Adding first keeps a subterm both reach from being dropped and
+    /// re-added. The class's entry in `node` is the caller's to update;
+    /// switching back restores the counts.
+    fn switch(
+        &mut self,
+        refs: &mut [u32],
+        cm: &CostModel,
+        cost: u64,
+        old: NodeRef<'_>,
+        new: NodeRef<'_>,
+    ) -> u64 {
+        debug_assert!(self.stack.is_empty(), "a walk left classes behind");
+        self.stack.extend(new.children.iter().map(|&k| self.cx.slot(k)));
+        let added = cm.op_cost(new.op) + self.recount(refs, cm, true);
+        self.stack.extend(old.children.iter().map(|&k| self.cx.slot(k)));
+        let dropped = cm.op_cost(old.op) + self.recount(refs, cm, false);
+        cost + added - dropped
     }
 
     /// Would choosing `node` for class `target` close a cycle through the
     /// chosen nodes ([`Selection::would_cycle`])? Classes without a node
-    /// are dead ends.
+    /// are dead ends. Leaves `stack` empty, as [`View::recount`] expects.
     fn would_cycle(&mut self, target: usize, node: NodeRef<'_>) -> bool {
         self.seen.clear();
-        self.stack.clear();
         self.stack.extend(node.children.iter().map(|&c| self.cx.slot(c)));
         while let Some(c) = self.stack.pop() {
             if c == target {
+                self.stack.clear();
                 return true;
             }
             if !self.seen.insert(c) {
@@ -114,7 +133,10 @@ impl<'s> View<'s> {
 /// classes in ascending id order and applies the cheapest strictly
 /// improving switch per class (ties keep the current node, then the
 /// earlier candidate); passes repeat until a fixpoint. Terminates because
-/// every accepted switch strictly lowers the DAG cost.
+/// every accepted switch strictly lowers the DAG cost. A trial switch is
+/// priced by its delta on reference counts of the selection DAG and then
+/// switched back; the price equals the DAG cost a full walk from the roots
+/// would give.
 pub fn climb(
     eg: &EGraph,
     cx: &SearchContext<'_>,
@@ -122,7 +144,6 @@ pub fn climb(
     roots: &[Id],
     mut sel: Selection,
 ) -> Selection {
-    let roots: Vec<usize> = roots.iter().map(|&r| cx.slot(r)).collect();
     // the view borrows `sel`, so accepted switches are logged as
     // (class, candidate index) and replayed onto it afterwards
     let mut switches: Vec<(usize, usize)> = Vec::new();
@@ -131,29 +152,39 @@ pub fn climb(
         for (id, node) in sel.iter() {
             view.node[cx.slot(id)] = Some(node.as_ref());
         }
-        let mut cur_cost = view.dag_cost(cm, &roots);
+        // how often a root or a child edge of a reachable class's chosen
+        // node names each class: on an acyclic selection a class is
+        // reachable iff its count is positive
+        let mut refs = vec![0u32; cx.slots()];
+        view.stack.extend(roots.iter().map(|&r| cx.slot(r)));
+        let mut cur_cost = view.recount(&mut refs, cm, true);
         let mut classes: Vec<usize> = Vec::new();
         loop {
             let mut improved = false;
             classes.clear();
-            view.walk(&roots, |c, _| classes.push(c));
-            classes.sort_unstable();
+            classes.extend((0..cx.slots()).filter(|&c| refs[c] > 0));
             for &id in &classes {
-                let cur_node = view.node[id].expect("walked classes have a node");
+                // an earlier switch of this pass cut the class off: every
+                // switch of it leaves the DAG cost at `cur_cost`
+                if refs[id] == 0 {
+                    continue;
+                }
+                let cur_node = view.chosen(id);
                 let mut best: (u64, Option<usize>) = (cur_cost, None);
                 for (ci, cand) in cx.cands(id).iter().enumerate() {
                     if cand.node == cur_node || view.would_cycle(id, cand.node) {
                         continue;
                     }
-                    view.node[id] = Some(cand.node);
-                    let c = view.dag_cost(cm, &roots);
-                    view.node[id] = Some(cur_node);
+                    let c = view.switch(&mut refs, cm, cur_cost, cur_node, cand.node);
+                    view.switch(&mut refs, cm, c, cand.node, cur_node);
                     if c < best.0 {
                         best = (c, Some(ci));
                     }
                 }
                 if let (c, Some(ci)) = best {
-                    view.node[id] = Some(cx.cands(id)[ci].node);
+                    let node = cx.cands(id)[ci].node;
+                    view.switch(&mut refs, cm, cur_cost, cur_node, node);
+                    view.node[id] = Some(node);
                     switches.push((id, ci));
                     cur_cost = c;
                     improved = true;
