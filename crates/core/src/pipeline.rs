@@ -754,6 +754,34 @@ void k(double a[256], double out[256], double c) {
         assert_eq!(kernels, 19);
     }
 
+    /// A `selected` entry with text appended after its selection's end
+    /// marker is corrupt: the walk falls back to the `saturated` snapshot,
+    /// prints the cold bytes and overwrites the entry.
+    #[test]
+    fn an_appended_to_selected_entry_is_a_miss_and_overwritten() {
+        let src = r#"
+void k(double a[32], double out[32], double c) {
+  #pragma acc parallel loop gang vector
+  for (int i = 1; i < 31; i++) {
+    out[i] = c * a[i - 1] + c * a[i] + c * a[i + 1];
+  }
+}
+"#;
+        let cache = std::sync::Arc::new(crate::cache::StageCache::in_memory());
+        let cfg = SaturatorConfig { cache: Some(cache.clone()), ..SaturatorConfig::default() };
+        let (cold, _, _) = crate::optimize_source(src, Variant::AccSat, &cfg).unwrap();
+        let prog = parse_program(src).unwrap();
+        let body = &accsat_ir::innermost_parallel_loops(&prog.functions[0])[0].body;
+        let key = crate::sel_stage_key(body, Variant::AccSat, &cfg);
+        let mut entry = cache.get_sel(key).unwrap();
+        entry.selection.push_str("0 s:a 0\n");
+        cache.put_sel(key, &entry);
+        let (out, _, level) = crate::optimize_source(src, Variant::AccSat, &cfg).unwrap();
+        assert_eq!((out.as_str(), level), (cold.as_str(), CacheLevel::Saturated));
+        let (out, _, level) = crate::optimize_source(src, Variant::AccSat, &cfg).unwrap();
+        assert_eq!((out.as_str(), level), (cold.as_str(), CacheLevel::Selected));
+    }
+
     #[test]
     fn multiple_kernels_in_one_function() {
         let src = r#"

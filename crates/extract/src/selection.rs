@@ -264,19 +264,17 @@ impl Selection {
     }
 
     /// Restore a selection from [`Selection::serialize`] output. Errors on
-    /// version mismatch or corruption (the cache maps errors to misses).
+    /// version mismatch or corruption (the cache maps errors to misses):
+    /// like the snapshot reader, it accepts exactly the bytes `serialize`
+    /// writes — single spaces, no token past a line's arity, nothing after
+    /// the `end` line.
     pub fn deserialize(text: &str) -> Result<Selection, String> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or("empty selection input")?;
-        let mut h = header.split_whitespace();
-        if (h.next(), h.next()) != (Some("accsat-selection"), Some("v1")) {
-            return Err(format!("unsupported selection format {header:?}"));
-        }
-        let count: usize = h
-            .next()
-            .ok_or("missing selection count")?
-            .parse()
-            .map_err(|e| format!("bad selection count: {e}"))?;
+        let mut lines = text.split('\n');
+        let header = lines.next().unwrap_or("");
+        let count = header
+            .strip_prefix("accsat-selection v1 ")
+            .ok_or_else(|| format!("unsupported selection format {header:?}"))?;
+        let count: usize = count.parse().map_err(|e| format!("bad selection count: {e}"))?;
         // every entry is a line of its own: a count the text cannot back
         // is corruption, caught before anything is reserved for it
         if count > text.len() {
@@ -285,7 +283,7 @@ impl Selection {
         let mut choice = HashMap::with_capacity(count);
         for _ in 0..count {
             let line = lines.next().ok_or("truncated selection input")?;
-            let mut toks = line.split_whitespace();
+            let mut toks = line.split(' ');
             let mut next = || toks.next().ok_or_else(|| format!("truncated line {line:?}"));
             // ids are `u32`s; parsing them as such rejects what `Id` cannot hold
             let id: u32 = next()?.parse().map_err(|e| format!("bad id in {line:?}: {e}"))?;
@@ -299,12 +297,18 @@ impl Selection {
                 let c: u32 = next()?.parse().map_err(|e| format!("bad child: {e}"))?;
                 children.push(Id::new(c));
             }
+            if toks.next().is_some() {
+                return Err(format!("text after the arity's children in {line:?}"));
+            }
             if choice.insert(Id::new(id), Node { op, children }).is_some() {
                 return Err(format!("duplicate selection entry for class {id}"));
             }
         }
         if lines.next() != Some("end") {
             return Err("missing selection end marker".into());
+        }
+        if (lines.next(), lines.next()) != (Some(""), None) {
+            return Err("text after the end marker".into());
         }
         Ok(Selection { choice })
     }
@@ -357,6 +361,28 @@ mod tests {
             "accsat-selection v1 1\n0 + 1152921504606846975 1\nend\n",
         ] {
             assert!(Selection::deserialize(hostile).is_err(), "{hostile:?}");
+        }
+    }
+
+    #[test]
+    fn appended_text_and_extra_tokens_are_rejected() {
+        // like the snapshot reader's "text after the end marker": a cache
+        // entry something appended to is corrupt, not a hit
+        let text = "accsat-selection v1 2\n0 s:a 0\n1 neg 1 0\nend\n";
+        assert!(Selection::deserialize(text).is_ok());
+        for hostile in [
+            format!("{text}end\n"),
+            format!("{text}# a comment\n"),
+            format!("{text}\n"),
+            text.replace("end\n", "end"),
+            text.replace("end\n", "end extra\n"),
+            text.replace("v1 2\n", "v1 2 9\n"),
+            text.replace("0 s:a 0\n", "0 s:a 0 7\n"),
+            text.replace("1 neg 1 0\n", "1 neg 1 0 0\n"),
+            text.replace("1 neg 1 0\n", "1 neg 1 0 \n"),
+            text.replace("1 neg 1 0\n", "1  neg 1 0\n"),
+        ] {
+            assert!(Selection::deserialize(&hostile).is_err(), "{hostile:?}");
         }
     }
 
