@@ -9,6 +9,7 @@
 use crate::analysis::{eval_node, merge_const, ConstValue};
 use crate::arena::{Arena, Form};
 use crate::dense::{ClassSet, Visited};
+use crate::list::SmallList;
 use crate::node::{Id, Node, NodeRef, Op};
 use crate::unionfind::UnionFind;
 use std::borrow::Cow;
@@ -19,11 +20,11 @@ use std::borrow::Cow;
 #[derive(Debug, Clone, Default)]
 pub struct EClass {
     /// E-nodes in this class (children canonical as of the last rebuild).
-    pub nodes: Vec<Form>,
+    pub(crate) nodes: SmallList<Form>,
     /// (parent node, parent class) pairs for congruence repair. The form
     /// is the one current when the entry was made and never changes under
     /// it; one entry per child occurrence.
-    pub parents: Vec<(Form, Id)>,
+    pub(crate) parents: Vec<(Form, Id)>,
     /// Constant-folding analysis data: `Some` if every term in this class
     /// evaluates to this compile-time constant.
     pub(crate) constant: Option<ConstValue>,
@@ -89,7 +90,7 @@ pub struct EGraph {
     /// Maintained incrementally by `add`; entries may go stale after unions
     /// and are compacted by `rebuild`, so with nothing dirty every list
     /// holds live canonical ids, each once.
-    pub(crate) op_index: Vec<Vec<Id>>,
+    pub(crate) op_index: Vec<SmallList<Id>>,
     /// Classes touched since the last [`EGraph::take_search_dirty`]: newly
     /// created, target of a union, or given a materialized constant leaf.
     /// The saturation runner uses this (closed over parents) to re-search
@@ -109,6 +110,21 @@ impl EGraph {
     /// New empty e-graph with constant folding enabled.
     pub fn new() -> EGraph {
         EGraph { fold_constants: true, ..Default::default() }
+    }
+
+    /// [`EGraph::new`] sized for `nodes` e-nodes: until it holds that many,
+    /// an `add` grows no table — no rehash of the arena's, no reallocation
+    /// of the memo, the union-find, the class slots or the work lists.
+    pub fn with_capacity(nodes: usize) -> EGraph {
+        EGraph {
+            unionfind: UnionFind { parents: Vec::with_capacity(nodes) },
+            arena: Arena::with_capacity(nodes, nodes, 2 * nodes),
+            memo: Vec::with_capacity(nodes),
+            classes: Vec::with_capacity(nodes),
+            op_index: Vec::with_capacity(nodes),
+            search_dirty: Vec::with_capacity(nodes),
+            ..EGraph::new()
+        }
     }
 
     /// New e-graph with constant folding disabled.
@@ -184,7 +200,7 @@ impl EGraph {
 
     /// [`EGraph::classes_with_op`] for an operator known by op number.
     pub(crate) fn classes_with_op_no(&self, op_no: u32) -> Cow<'_, [Id]> {
-        let ids = self.op_index.get(op_no as usize).map_or(&[][..], Vec::as_slice);
+        let ids = self.op_index.get(op_no as usize).map_or(&[][..], |ids| &ids[..]);
         if self.dirty.is_empty() {
             return Cow::Borrowed(ids);
         }
@@ -337,7 +353,7 @@ impl EGraph {
     ) -> Id {
         let id = self.unionfind.make_set();
         debug_assert_eq!(id.index(), self.classes.len());
-        self.classes.push(Some(EClass { nodes: vec![form], parents: Vec::new(), constant }));
+        self.classes.push(Some(EClass { nodes: SmallList::one(form), parents: Vec::new(), constant }));
         self.live_classes += 1;
         self.register_node(op_no, form, children, id);
         // analysis `modify`: materialize proven constants as leaf nodes so
@@ -362,7 +378,7 @@ impl EGraph {
 
     fn index_op(&mut self, op_no: u32, id: Id) {
         if self.op_index.len() <= op_no as usize {
-            self.op_index.resize_with(op_no as usize + 1, Vec::new);
+            self.op_index.resize_with(op_no as usize + 1, SmallList::default);
         }
         self.op_index[op_no as usize].push(id);
     }
@@ -423,7 +439,7 @@ impl EGraph {
         let from_class = self.classes[from.index()].take().expect("from class");
         self.live_classes -= 1;
         let to_class = self.classes[to.index()].as_mut().expect("to class");
-        to_class.nodes.extend(from_class.nodes);
+        to_class.nodes.extend(from_class.nodes.iter().copied());
         to_class.parents.extend(from_class.parents);
         let merged = merge_const(to_class.constant, from_class.constant);
         let new_constant_appeared = merged.is_some() && to_class.constant.is_none();
@@ -714,7 +730,7 @@ impl EGraph {
         // probed by binary search: a class of N distinct leaves holds N
         // operators, and a scan per node would make reading it O(N²).
         let pair = |id: Id, op_no: usize| (id.index() as u64) << 32 | op_no as u64;
-        let mut listed: Vec<u64> = Vec::with_capacity(self.op_index.iter().map(Vec::len).sum());
+        let mut listed: Vec<u64> = Vec::with_capacity(self.op_index.iter().map(|ids| ids.len()).sum());
         for (op_no, ids) in self.op_index.iter().enumerate() {
             listed.extend(ids.iter().map(|&id| pair(self.find(id), op_no)));
             check(

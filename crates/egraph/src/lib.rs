@@ -36,6 +36,7 @@ mod arena;
 mod dense;
 mod egraph;
 mod fxhash;
+mod list;
 mod machine;
 mod node;
 mod pattern;

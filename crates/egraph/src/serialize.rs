@@ -68,6 +68,7 @@
 use crate::analysis::ConstValue;
 use crate::arena::{Arena, Form};
 use crate::egraph::{EClass, EGraph, NO_CLASS};
+use crate::list::SmallList;
 use crate::node::{Id, Op};
 use crate::unionfind::UnionFind;
 
@@ -430,7 +431,7 @@ impl EGraph {
 
         // the op index, by snapshot op number (an indexed operator heads a
         // class node, so it is in the table)
-        let mut indexed: Vec<(usize, &Vec<Id>)> = (self.op_index.iter().enumerate())
+        let mut indexed: Vec<(usize, &SmallList<Id>)> = (self.op_index.iter().enumerate())
             .filter(|(_, ids)| !ids.is_empty())
             .map(|(op_no, ids)| (ops.of(op_no), ids))
             .collect();
@@ -596,7 +597,7 @@ fn read_body(r: &mut Reader<'_>) -> Read<EGraph> {
     r.lit("opix")?;
     let n_indexed = r.sp_count()?;
     r.eol()?;
-    let mut op_index: Vec<Vec<Id>> = vec![Vec::new(); n_ops];
+    let mut op_index: Vec<SmallList<Id>> = vec![SmallList::default(); n_ops];
     let mut next_op = 0;
     for _ in 0..n_indexed {
         let op_no = r.num()?;
@@ -609,7 +610,7 @@ fn read_body(r: &mut Reader<'_>) -> Read<EGraph> {
             return Err("empty op index entry");
         }
         let ids = &mut op_index[op_no];
-        ids.reserve_exact(n);
+        *ids = SmallList::with_capacity(n);
         for _ in 0..n {
             ids.push(r.sp_id(n_ids)?);
         }
@@ -647,7 +648,7 @@ fn read_class(r: &mut Reader<'_>, n_forms: usize, n_ids: usize) -> Read<EClass> 
     };
     let constant = parse_const_token(r.token()?)?;
     let (n_nodes, n_parents) = (r.sp_count()?, r.sp_count()?);
-    let mut nodes = Vec::with_capacity(n_nodes);
+    let mut nodes = SmallList::with_capacity(n_nodes);
     for _ in 0..n_nodes {
         nodes.push(form(r)?);
     }

@@ -1,9 +1,18 @@
 //! The SSA builder: converts a kernel body into e-graph classes plus a
 //! structure tree that code generation later re-walks.
+//!
+//! Every cache hit builds its kernel again, so the walk allocates only
+//! what it returns and what the e-graph keeps. Nodes are added from
+//! borrowed parts, their children on one reused operand stack; names are
+//! borrowed from the body; an `if` records the bindings its branches
+//! change on an undo trail instead of cloning the environment; and the
+//! names each loop carries come from one walk of the body made before
+//! the build starts.
 
-use accsat_egraph::{EGraph, Id, Node, Op};
+use accsat_egraph::{EGraph, FxHashMap, Id, Op};
+use accsat_ir::ast::ForLoop;
 use accsat_ir::{BinOp, Block, Expr, LValue, Stmt, Type, UnOp};
-use std::collections::{HashMap, HashSet};
+use std::fmt::{self, Write as _};
 
 /// The target of an SSA assignment.
 #[derive(Debug, Clone)]
@@ -113,12 +122,20 @@ fn collect_roots(nodes: &[SsaNode], out: &mut Vec<Id>) {
 /// Build the SSA form + e-graph for one kernel body (the body of an
 /// innermost parallel loop).
 pub fn build_kernel(body: &Block) -> SsaKernel {
+    let mut names = NameWalk::default();
+    let nodes = names.walk(&body.stmts, true);
     let mut b = Builder {
-        eg: EGraph::new(),
-        env: HashMap::new(),
+        eg: EGraph::with_capacity(nodes),
+        names: FxHashMap::default(),
+        trail: Vec::new(),
+        branch_depth: 0,
+        merge: Vec::new(),
+        operands: Vec::new(),
+        spare: String::new(),
+        walk: names,
+        carried: Vec::new(),
         initial: Vec::new(),
         arrays: Vec::new(),
-        declared: HashSet::new(),
         loop_counter: 0,
         havoc_counter: 0,
     };
@@ -132,35 +149,93 @@ pub fn build_kernel(body: &Block) -> SsaKernel {
     }
 }
 
-struct Builder {
+/// What the builder knows about one name of the body.
+#[derive(Debug, Default, Clone, Copy)]
+struct Name {
+    /// Current SSA value (scalar or array state), if bound.
+    value: Option<Id>,
+    /// Declared inside the kernel. Every other name (parameters,
+    /// outer-scope variables, array states) has an ambient value that
+    /// exists before any branch executes.
+    declared: bool,
+    /// Its ambient value is in `initial_values`.
+    initial: bool,
+    /// It is in `array_names`.
+    array: bool,
+}
+
+struct Builder<'a> {
     eg: EGraph,
-    /// Current SSA value of each name (scalars and array states).
-    env: HashMap<String, Id>,
+    names: FxHashMap<&'a str, Name>,
+    /// Inside an `if`: the binding each [`Builder::bind`] replaced, oldest
+    /// first, so a branch can be undone.
+    trail: Vec<(&'a str, Option<Id>)>,
+    /// Number of `if`s being built around the current statement.
+    branch_depth: usize,
+    /// The bindings the branches of the `if`s being merged end with:
+    /// (name, else branch?, binding).
+    merge: Vec<(&'a str, bool, Option<Id>)>,
+    /// Children of the nodes being added, innermost last.
+    operands: Vec<Id>,
+    /// The name buffer of the last payload operator added.
+    spare: String,
+    /// The loops' carried names, and scratch for an opaque statement's.
+    walk: NameWalk<'a>,
+    /// (name, init class, entry class) of the loops being built,
+    /// innermost last.
+    carried: Vec<(&'a str, Id, Id)>,
     initial: Vec<(String, Id)>,
     arrays: Vec<String>,
-    /// Names introduced by declarations inside the kernel. Everything else
-    /// (parameters, outer-scope variables, array states) has an ambient
-    /// value that exists before any branch executes.
-    declared: HashSet<String>,
     loop_counter: usize,
     /// Fresh-symbol counter for opaque-statement havocs (`x@H0`, …).
     havoc_counter: usize,
 }
 
-impl Builder {
-    fn note_array(&mut self, name: &str) {
-        if !self.arrays.iter().any(|a| a == name) {
+/// Add the payload operator `wrap(name)` over `children`, writing the
+/// name into a reused buffer: interning an operator the graph already
+/// holds allocates nothing.
+fn add_named(
+    eg: &mut EGraph,
+    spare: &mut String,
+    wrap: fn(String) -> Op,
+    name: fmt::Arguments<'_>,
+    children: &[Id],
+) -> Id {
+    let mut text = std::mem::take(spare);
+    text.clear();
+    let _ = text.write_fmt(name);
+    let op = wrap(text);
+    let id = eg.add_with(&op, children);
+    if let Op::Sym(text) | Op::Call(text) | Op::LoopCond(text) = op {
+        *spare = text;
+    }
+    id
+}
+
+impl<'a> Builder<'a> {
+    fn note_array(&mut self, name: &'a str) {
+        let n = self.names.entry(name).or_default();
+        if !n.array {
+            n.array = true;
             self.arrays.push(name.to_string());
         }
     }
 
+    /// Rebind a name (`None` unbinds it), on the trail when inside an `if`.
+    fn bind(&mut self, name: &'a str, value: Option<Id>) {
+        let old = std::mem::replace(&mut self.names.entry(name).or_default().value, value);
+        if self.branch_depth > 0 {
+            self.trail.push((name, old));
+        }
+    }
+
     /// Current class of a name, creating the initial `Sym` on first read.
-    fn value_of(&mut self, name: &str) -> Id {
-        if let Some(&id) = self.env.get(name) {
+    fn value_of(&mut self, name: &'a str) -> Id {
+        if let Some(id) = self.names.get(name).and_then(|n| n.value) {
             return id;
         }
         let id = self.ambient(name);
-        self.env.insert(name.to_string(), id);
+        self.bind(name, Some(id));
         id
     }
 
@@ -168,26 +243,25 @@ impl Builder {
     /// outer-scope variable. Hash-consing guarantees this is the same class
     /// regardless of where the name is first touched, so a branch-local read
     /// and a later kernel-level read of an untouched name agree.
-    fn ambient(&mut self, name: &str) -> Id {
-        let id = self.eg.add(Node::sym(name));
-        if !self.initial.iter().any(|(n, _)| n == name) {
+    fn ambient(&mut self, name: &'a str) -> Id {
+        let id = add_named(&mut self.eg, &mut self.spare, Op::Sym, format_args!("{name}"), &[]);
+        let n = self.names.entry(name).or_default();
+        if !n.initial {
+            n.initial = true;
             self.initial.push((name.to_string(), id));
         }
         id
     }
 
-    fn expr(&mut self, e: &Expr) -> Id {
+    fn expr(&mut self, e: &'a Expr) -> Id {
         match e {
-            Expr::Int(v) => self.eg.add(Node::int(*v)),
-            Expr::Float(v) => self.eg.add(Node::float(*v)),
+            Expr::Int(v) => self.eg.add_with(&Op::Int(*v), &[]),
+            Expr::Float(v) => self.eg.add_with(&Op::float(*v), &[]),
             Expr::Var(n) => self.value_of(n),
             Expr::Index { base, indices } => {
                 self.note_array(base);
-                let idx: Vec<Id> = indices.iter().map(|i| self.expr(i)).collect();
-                let state = self.value_of(base);
-                let mut children = vec![state];
-                children.extend(idx);
-                self.eg.add(Node::new(Op::Load, children))
+                let at = self.array_operands(base, indices);
+                self.add_operands(&Op::Load, at)
             }
             Expr::Unary { op, operand } => {
                 let c = self.expr(operand);
@@ -195,22 +269,35 @@ impl Builder {
                     UnOp::Neg => Op::Neg,
                     UnOp::Not => Op::Not,
                 };
-                self.eg.add(Node::new(op, vec![c]))
+                self.eg.add_with(&op, &[c])
             }
             Expr::Binary { op, lhs, rhs } => {
                 let l = self.expr(lhs);
                 let r = self.expr(rhs);
-                self.eg.add(Node::new(binop_to_op(*op), vec![l, r]))
+                self.eg.add_with(&binop_to_op(*op), &[l, r])
             }
             Expr::Call { name, args } => {
-                let a: Vec<Id> = args.iter().map(|x| self.expr(x)).collect();
-                self.eg.add(Node::new(Op::Call(name.clone()), a))
+                let at = self.operands.len();
+                for a in args {
+                    let c = self.expr(a);
+                    self.operands.push(c);
+                }
+                let children = &self.operands[at..];
+                let id = add_named(
+                    &mut self.eg,
+                    &mut self.spare,
+                    Op::Call,
+                    format_args!("{name}"),
+                    children,
+                );
+                self.operands.truncate(at);
+                id
             }
             Expr::Ternary { cond, then, els } => {
                 let c = self.expr(cond);
                 let t = self.expr(then);
                 let e2 = self.expr(els);
-                self.eg.add(Node::new(Op::Select, vec![c, t, e2]))
+                self.eg.add_with(&Op::Select, &[c, t, e2])
             }
             Expr::Cast { ty, expr } => {
                 let c = self.expr(expr);
@@ -218,37 +305,57 @@ impl Builder {
                     Type::Int => Op::CastInt,
                     _ => Op::CastFloat,
                 };
-                self.eg.add(Node::new(op, vec![c]))
+                self.eg.add_with(&op, &[c])
             }
         }
     }
 
-    fn block(&mut self, b: &Block) -> Vec<SsaNode> {
-        let mut out = Vec::new();
+    /// Push the array state of `base` and the classes of `indices` — read
+    /// in that order: indices first — as operands; returns where they
+    /// start.
+    fn array_operands(&mut self, base: &'a str, indices: &'a [Expr]) -> usize {
+        let at = self.operands.len();
+        self.operands.push(Id::new(0));
+        for i in indices {
+            let c = self.expr(i);
+            self.operands.push(c);
+        }
+        self.operands[at] = self.value_of(base);
+        at
+    }
+
+    /// Add `op` over the operands from `at` on, and pop them.
+    fn add_operands(&mut self, op: &Op, at: usize) -> Id {
+        let id = self.eg.add_with(op, &self.operands[at..]);
+        self.operands.truncate(at);
+        id
+    }
+
+    fn block(&mut self, b: &'a Block) -> Vec<SsaNode> {
+        let mut out = Vec::with_capacity(b.stmts.len());
         for s in &b.stmts {
-            self.stmt(s, &mut out);
+            out.push(self.stmt(s));
         }
         out
     }
 
-    fn stmt(&mut self, s: &Stmt, out: &mut Vec<SsaNode>) {
+    fn stmt(&mut self, s: &'a Stmt) -> SsaNode {
         match s {
-            Stmt::Decl { ty, name, init } => match init {
-                Some(e) => {
-                    let class = self.expr(e);
-                    self.declared.insert(name.clone());
-                    self.env.insert(name.clone(), class);
-                    out.push(SsaNode::Assign {
-                        target: Target::Scalar { name: name.clone(), decl_ty: Some(ty.clone()) },
-                        class,
-                        state_class: None,
-                    });
+            Stmt::Decl { ty, name, init } => {
+                self.names.entry(name).or_default().declared = true;
+                match init {
+                    Some(e) => {
+                        let class = self.expr(e);
+                        self.bind(name, Some(class));
+                        SsaNode::Assign {
+                            target: Target::Scalar { name: name.clone(), decl_ty: Some(ty.clone()) },
+                            class,
+                            state_class: None,
+                        }
+                    }
+                    None => SsaNode::Decl { name: name.clone(), ty: ty.clone() },
                 }
-                None => {
-                    self.declared.insert(name.clone());
-                    out.push(SsaNode::Decl { name: name.clone(), ty: ty.clone() });
-                }
-            },
+            }
             Stmt::Assign { lhs, op, rhs } => {
                 let rhs_class = self.expr(rhs);
                 let value_class = match op.binop() {
@@ -258,35 +365,30 @@ impl Builder {
                             LValue::Var(n) => self.value_of(n),
                             LValue::Index { base, indices } => {
                                 self.note_array(base);
-                                let idx: Vec<Id> = indices.iter().map(|i| self.expr(i)).collect();
-                                let state = self.value_of(base);
-                                let mut children = vec![state];
-                                children.extend(idx);
-                                self.eg.add(Node::new(Op::Load, children))
+                                let at = self.array_operands(base, indices);
+                                self.add_operands(&Op::Load, at)
                             }
                         };
-                        self.eg.add(Node::new(binop_to_op(bop), vec![old, rhs_class]))
+                        self.eg.add_with(&binop_to_op(bop), &[old, rhs_class])
                     }
                 };
                 match lhs {
                     LValue::Var(n) => {
-                        self.env.insert(n.clone(), value_class);
-                        out.push(SsaNode::Assign {
+                        self.bind(n, Some(value_class));
+                        SsaNode::Assign {
                             target: Target::Scalar { name: n.clone(), decl_ty: None },
                             class: value_class,
                             state_class: None,
-                        });
+                        }
                     }
                     LValue::Index { base, indices } => {
                         self.note_array(base);
-                        let index_classes: Vec<Id> = indices.iter().map(|i| self.expr(i)).collect();
-                        let state = self.value_of(base);
-                        let mut children = vec![state];
-                        children.extend(index_classes.iter().copied());
-                        children.push(value_class);
-                        let new_state = self.eg.add(Node::new(Op::Store, children));
-                        self.env.insert(base.clone(), new_state);
-                        out.push(SsaNode::Assign {
+                        let at = self.array_operands(base, indices);
+                        let index_classes = self.operands[at + 1..].to_vec();
+                        self.operands.push(value_class);
+                        let new_state = self.add_operands(&Op::Store, at);
+                        self.bind(base, Some(new_state));
+                        SsaNode::Assign {
                             target: Target::Store {
                                 base: base.clone(),
                                 index_exprs: indices.clone(),
@@ -294,138 +396,166 @@ impl Builder {
                             },
                             class: value_class,
                             state_class: Some(new_state),
-                        });
+                        }
                     }
                 }
             }
             Stmt::If { cond, then, els } => {
                 let cond_class = self.expr(cond);
-                let before = self.env.clone();
+                let mark = self.trail.len();
+                self.branch_depth += 1;
                 let then_nodes = self.block(then);
-                let then_env = std::mem::replace(&mut self.env, before.clone());
+                let merge_at = self.merge.len();
+                self.undo_branch(mark, false);
                 let els_nodes = match els {
                     Some(e) => self.block(e),
                     None => Vec::new(),
                 };
-                let els_env = std::mem::replace(&mut self.env, before.clone());
-                // φ for every name whose value differs between the branches
-                let mut phis = Vec::new();
-                let mut names: Vec<&String> = then_env.keys().chain(els_env.keys()).collect();
-                names.sort();
-                names.dedup();
-                for name in names {
-                    let pre = match before.get(name) {
-                        Some(&id) => Some(id),
-                        // Not bound before the branch, but not declared
-                        // inside the kernel either: the name has an ambient
-                        // pre-branch value (incoming array state, parameter,
-                        // outer-scope variable). A store under `if` must φ
-                        // against it, or a later read would alias the
-                        // pre-store state and license stale-load reuse.
-                        None if !self.declared.contains(name.as_str()) => Some(self.ambient(name)),
-                        None => None,
-                    };
-                    let t = then_env.get(name).copied().or(pre);
-                    let e = els_env.get(name).copied().or(pre);
-                    let (t, e) = match (t, e) {
-                        (Some(t), Some(e)) => (t, e),
-                        // declared in only one branch and nowhere before:
-                        // reading it after the if is out of scope; skip the φ
-                        _ => continue,
-                    };
-                    if self.eg.find(t) == self.eg.find(e) {
-                        self.env.insert(name.clone(), t);
-                        continue;
-                    }
-                    let phi = self.eg.add(Node::new(Op::Select, vec![cond_class, t, e]));
-                    self.env.insert(name.clone(), phi);
-                    phis.push((name.clone(), phi));
-                }
-                out.push(SsaNode::If {
+                self.undo_branch(mark, true);
+                self.branch_depth -= 1;
+                let phis = self.merge_branches(merge_at, cond_class);
+                SsaNode::If {
                     cond: cond.clone(),
                     cond_class,
                     then: then_nodes,
                     els: els_nodes,
                     has_else: els.is_some(),
                     phis,
-                });
+                }
             }
-            Stmt::For(l) => {
-                let label = format!("L{}", self.loop_counter);
-                self.loop_counter += 1;
-                // variables (and arrays) modified inside the loop
-                let mut modified = modified_names(&l.body);
-                if !modified.contains(&l.var) {
-                    modified.push(l.var.clone());
-                }
-                // induction variables of nested scoped loops die with
-                // their own loop (their handler removes them from the
-                // environment), so they take no φ — and no entry symbol —
-                // at this level
-                let nested_scoped = scoped_loop_vars(&l.body);
-                modified.retain(|m| *m == l.var || !nested_scoped.contains(m));
-                modified.sort();
-                // record init values, then bind entry symbols for the body
-                let mut inits = Vec::new();
-                for m in &modified {
-                    let init = self.value_of(m);
-                    inits.push((m.clone(), init));
-                    let entry = self.eg.add(Node::sym(&format!("{m}@{label}")));
-                    self.env.insert(m.clone(), entry);
-                }
-                let entry_classes: HashMap<String, Id> =
-                    modified.iter().map(|m| (m.clone(), self.env[m])).collect();
-                let body_nodes = self.block(&l.body);
-                // post-loop φ
-                let loop_cond = self.eg.add(Node::leaf(Op::LoopCond(label)));
-                let mut phis = Vec::new();
-                for (m, init) in &inits {
-                    let body_val = self.env[m];
-                    let phi = self.eg.add(Node::new(Op::PhiLoop, vec![loop_cond, body_val, *init]));
-                    if *m == l.var && l.declares_var {
-                        // scoped induction variable disappears after the loop
-                        self.env.remove(m);
-                    } else {
-                        self.env.insert(m.clone(), phi);
-                    }
-                    phis.push((m.clone(), entry_classes[m], phi, *init));
-                }
-                let mut header = l.clone();
-                header.body = Block::default();
-                out.push(SsaNode::Loop { header, body: body_nodes, phis });
-            }
-            other => {
-                // havoc every name the statement may write (it executes
-                // out of the e-graph's sight): reading its pre-value first
-                // records ambient initial values so codegen tracks array
-                // states from kernel entry, then each name is rebound to a
-                // fresh opaque symbol no other expression can alias.
-                // Names the statement declares itself die with its scope
-                // and are not havocked.
-                self.note_arrays_in(other);
-                let local = locally_declared(other);
-                let mut names = modified_names(&Block::new(vec![other.clone()]));
-                names.retain(|n| !local.contains(n));
-                names.sort();
-                let mut havocs = Vec::new();
-                for name in names {
-                    self.value_of(&name);
-                    let sym = format!("{name}@H{}", self.havoc_counter);
-                    self.havoc_counter += 1;
-                    let id = self.eg.add(Node::sym(&sym));
-                    self.env.insert(name.clone(), id);
-                    havocs.push((name, id));
-                }
-                out.push(SsaNode::Opaque { stmt: other.clone(), havocs });
+            Stmt::For(l) => self.for_loop(l),
+            other => self.opaque(other),
+        }
+    }
+
+    /// Record the bindings a branch ends with (see [`Builder::merge`]),
+    /// then restore the ones from before it.
+    fn undo_branch(&mut self, mark: usize, els: bool) {
+        for &(name, _) in &self.trail[mark..] {
+            self.merge.push((name, els, self.names[name].value));
+        }
+        for (name, old) in self.trail.drain(mark..).rev() {
+            if let Some(n) = self.names.get_mut(name) {
+                n.value = old;
             }
         }
+    }
+
+    /// The φ of an `if` for every name whose value differs between the
+    /// branches, in name order, from the bindings [`Builder::undo_branch`]
+    /// recorded from `at` on. Only a name some branch rebound can differ.
+    fn merge_branches(&mut self, at: usize, cond_class: Id) -> Vec<(String, Id)> {
+        self.merge[at..].sort_unstable_by_key(|&(name, els, _)| (name, els));
+        let mut phis = Vec::new();
+        let mut i = at;
+        while i < self.merge.len() {
+            let name = self.merge[i].0;
+            let Name { value: before, declared, .. } = self.names[name];
+            let (mut t, mut e) = (before, before);
+            while let Some(&(_, els, value)) = self.merge.get(i).filter(|m| m.0 == name) {
+                *(if els { &mut e } else { &mut t }) = value;
+                i += 1;
+            }
+            // unbound after both branches: in neither branch's scope
+            if t.is_none() && e.is_none() {
+                continue;
+            }
+            let pre = match before {
+                Some(id) => Some(id),
+                // Not bound before the branch, but not declared inside the
+                // kernel either: the name has an ambient pre-branch value
+                // (incoming array state, parameter, outer-scope variable).
+                // A store under `if` must φ against it, or a later read
+                // would alias the pre-store state and license stale-load
+                // reuse.
+                None if !declared => Some(self.ambient(name)),
+                None => None,
+            };
+            let (Some(t), Some(e)) = (t.or(pre), e.or(pre)) else {
+                // declared in only one branch and nowhere before: reading
+                // it after the if is out of scope; skip the φ
+                continue;
+            };
+            if self.eg.find(t) == self.eg.find(e) {
+                self.bind(name, Some(t));
+                continue;
+            }
+            let phi = self.eg.add_with(&Op::Select, &[cond_class, t, e]);
+            self.bind(name, Some(phi));
+            phis.push((name.to_string(), phi));
+        }
+        self.merge.truncate(at);
+        phis
+    }
+
+    fn for_loop(&mut self, l: &'a ForLoop) -> SsaNode {
+        let label = self.loop_counter;
+        self.loop_counter += 1;
+        // record init values, then bind entry symbols for the body
+        let at = self.carried.len();
+        for i in self.walk.loop_names(label) {
+            let m = self.walk.carried[i];
+            let init = self.value_of(m);
+            let entry =
+                add_named(&mut self.eg, &mut self.spare, Op::Sym, format_args!("{m}@L{label}"), &[]);
+            self.bind(m, Some(entry));
+            self.carried.push((m, init, entry));
+        }
+        let body = self.block(&l.body);
+        // post-loop φ
+        let loop_cond =
+            add_named(&mut self.eg, &mut self.spare, Op::LoopCond, format_args!("L{label}"), &[]);
+        let mut phis = Vec::with_capacity(self.carried.len() - at);
+        for i in at..self.carried.len() {
+            let (m, init, entry) = self.carried[i];
+            let body_val = self.names[m].value.expect("a carried name is bound after its loop");
+            let phi = self.eg.add_with(&Op::PhiLoop, &[loop_cond, body_val, init]);
+            // a scoped induction variable disappears after the loop
+            let scoped = m == l.var && l.declares_var;
+            self.bind(m, (!scoped).then_some(phi));
+            phis.push((m.to_string(), entry, phi, init));
+        }
+        self.carried.truncate(at);
+        let header = ForLoop {
+            var: l.var.clone(),
+            declares_var: l.declares_var,
+            init: l.init.clone(),
+            cond: l.cond.clone(),
+            step: l.step.clone(),
+            body: Block::default(),
+            directive: l.directive.clone(),
+        };
+        SsaNode::Loop { header, body, phis }
+    }
+
+    /// Havoc every name the statement may write (it executes out of the
+    /// e-graph's sight): reading its pre-value first records ambient
+    /// initial values so codegen tracks array states from kernel entry,
+    /// then each name is rebound to a fresh opaque symbol no other
+    /// expression can alias. Names the statement declares itself die
+    /// with its scope and are not havocked.
+    fn opaque(&mut self, s: &'a Stmt) -> SsaNode {
+        self.note_arrays_in(s);
+        let written = self.walk.written_by(s);
+        let mut havocs = Vec::with_capacity(written.len());
+        for i in written {
+            let name = self.walk.assigned[i];
+            self.value_of(name);
+            let n = self.havoc_counter;
+            self.havoc_counter += 1;
+            let id =
+                add_named(&mut self.eg, &mut self.spare, Op::Sym, format_args!("{name}@H{n}"), &[]);
+            self.bind(name, Some(id));
+            havocs.push((name.to_string(), id));
+        }
+        SsaNode::Opaque { stmt: s.clone(), havocs }
     }
 
     /// Record every name used as an array anywhere inside `s` (opaque
     /// statements are not lowered, so [`Builder::expr`] never sees their
     /// index expressions).
-    fn note_arrays_in(&mut self, s: &Stmt) {
-        fn expr(b: &mut Builder, e: &Expr) {
+    fn note_arrays_in(&mut self, s: &'a Stmt) {
+        fn expr<'a>(b: &mut Builder<'a>, e: &'a Expr) {
             match e {
                 Expr::Index { base, indices } => {
                     b.note_array(base);
@@ -507,90 +637,135 @@ impl Builder {
     }
 }
 
-/// Induction variables of scoped `for` loops (`declares_var`) anywhere
-/// inside `b`: each dies with its own loop, so an enclosing loop must not
-/// treat it as a loop-carried name.
-fn scoped_loop_vars(b: &Block) -> Vec<String> {
-    let mut out = Vec::new();
-    fn go(s: &Stmt, out: &mut Vec<String>) {
-        match s {
-            Stmt::For(l) => {
-                if l.declares_var {
-                    out.push(l.var.clone());
-                }
-                for s in &l.body.stmts {
-                    go(s, out);
-                }
-            }
-            Stmt::If { then, els, .. } => {
-                for s in &then.stmts {
-                    go(s, out);
-                }
-                if let Some(e) = els {
-                    for s in &e.stmts {
-                        go(s, out);
-                    }
-                }
-            }
-            Stmt::While { body, .. } => {
-                for s in &body.stmts {
-                    go(s, out);
-                }
-            }
-            Stmt::Block(b) => {
-                for s in &b.stmts {
-                    go(s, out);
-                }
-            }
-            _ => {}
-        }
-    }
-    for s in &b.stmts {
-        go(s, &mut out);
-    }
-    out
+/// The names statements assign and scope, gathered by one walk.
+///
+/// Walked over a kernel body before the build, it gives every loop the
+/// builder labels (one reached through `if`s and `for`s only — the loops
+/// inside an opaque statement are not lowered) the names it carries:
+/// those assigned anywhere in its body, and its induction variable, less
+/// the induction variables of scoped loops nested in it — each dies with
+/// its own loop (its handler unbinds it), so it takes no φ and no entry
+/// symbol at this level.
+#[derive(Default)]
+struct NameWalk<'a> {
+    /// Names assigned or declared, each time.
+    assigned: Vec<&'a str>,
+    /// Induction variables of scoped loops (`for (int i = …`).
+    scoped: Vec<&'a str>,
+    /// Names declared.
+    declared: Vec<&'a str>,
+    /// Per labelled loop, in label order: its range of `carried`.
+    loops: Vec<(usize, usize)>,
+    /// The carried names of every labelled loop, each loop's sorted.
+    carried: Vec<&'a str>,
 }
 
-/// Names declared *inside* `s` (block-scoped: they die with the statement
-/// and must not be havocked at the enclosing scope).
-fn locally_declared(s: &Stmt) -> Vec<String> {
-    let mut out = Vec::new();
-    fn go(s: &Stmt, out: &mut Vec<String>) {
-        match s {
-            Stmt::Decl { name, .. } => out.push(name.clone()),
-            Stmt::If { then, els, .. } => {
-                for s in &then.stmts {
-                    go(s, out);
+impl<'a> NameWalk<'a> {
+    /// Walk `stmts`, labelling their loops if `labelled`; returns a bound
+    /// on the e-nodes building them adds.
+    fn walk(&mut self, stmts: &'a [Stmt], labelled: bool) -> usize {
+        let mut nodes = 0;
+        for s in stmts {
+            nodes += match s {
+                Stmt::Decl { name, init, .. } => {
+                    self.assigned.push(name);
+                    self.declared.push(name);
+                    1 + init.as_ref().map_or(0, Expr::size)
                 }
-                if let Some(e) = els {
-                    for s in &e.stmts {
-                        go(s, out);
+                Stmt::Assign { lhs, rhs, .. } => {
+                    self.assigned.push(lhs.base());
+                    let indices = match lhs {
+                        LValue::Index { indices, .. } => indices.iter().map(Expr::size).sum(),
+                        LValue::Var(_) => 0,
+                    };
+                    3 + indices + rhs.size()
+                }
+                Stmt::If { cond, then, els } => {
+                    let assigned = self.assigned.len();
+                    let mut n = cond.size() + self.walk(&then.stmts, labelled);
+                    if let Some(e) = els {
+                        n += self.walk(&e.stmts, labelled);
                     }
+                    // a φ, perhaps over an ambient value, per name merged
+                    n + 2 * (self.assigned.len() - assigned)
+                }
+                Stmt::For(l) => self.for_loop(l, labelled),
+                Stmt::While { body, .. } | Stmt::Block(body) => {
+                    let assigned = self.assigned.len();
+                    self.walk(&body.stmts, false);
+                    // a havoc symbol, perhaps over an ambient value, per name
+                    2 * (self.assigned.len() - assigned)
+                }
+                Stmt::Expr(_) | Stmt::Return(_) => 0,
+            };
+        }
+        nodes
+    }
+
+    fn for_loop(&mut self, l: &'a ForLoop, labelled: bool) -> usize {
+        let slot = self.loops.len();
+        if labelled {
+            self.loops.push((0, 0));
+        }
+        let (assigned, scoped) = (self.assigned.len(), self.scoped.len());
+        let nodes = self.walk(&l.body.stmts, labelled);
+        if labelled {
+            let start = self.carried.len();
+            self.carried.push(&l.var);
+            for &m in &self.assigned[assigned..] {
+                if m == l.var || !self.scoped[scoped..].contains(&m) {
+                    self.carried.push(m);
                 }
             }
-            Stmt::For(l) => {
-                if l.declares_var {
-                    out.push(l.var.clone());
-                }
-                for s in &l.body.stmts {
-                    go(s, out);
-                }
-            }
-            Stmt::While { body, .. } => {
-                for s in &body.stmts {
-                    go(s, out);
-                }
-            }
-            Stmt::Block(b) => {
-                for s in &b.stmts {
-                    go(s, out);
-                }
-            }
-            _ => {}
+            self.carried[start..].sort_unstable();
+            let end = start + dedup_sorted(&mut self.carried[start..]);
+            self.carried.truncate(end);
+            self.loops[slot] = (start, end);
+        }
+        self.assigned.push(&l.var);
+        if l.declares_var {
+            self.scoped.push(&l.var);
+        }
+        // per carried name an init, an entry symbol and a φ, plus the
+        // loop condition
+        nodes + 3 * (self.assigned.len() - assigned) + 1
+    }
+
+    /// Indices into `carried` of the names loop `label` carries.
+    fn loop_names(&self, label: usize) -> std::ops::Range<usize> {
+        let (start, end) = self.loops[label];
+        start..end
+    }
+
+    /// The names the opaque statement `s` may write, less the ones it
+    /// declares itself: sorted, as indices into `assigned`.
+    fn written_by(&mut self, s: &'a Stmt) -> std::ops::Range<usize> {
+        self.assigned.clear();
+        self.scoped.clear();
+        self.declared.clear();
+        self.walk(std::slice::from_ref(s), false);
+        self.declared.extend_from_slice(&self.scoped);
+        self.declared.sort_unstable();
+        let local = &self.declared;
+        self.assigned.retain(|n| local.binary_search(n).is_err());
+        self.assigned.sort_unstable();
+        let n = dedup_sorted(&mut self.assigned);
+        self.assigned.truncate(n);
+        0..n
+    }
+}
+
+/// Move the distinct values of a sorted slice to its front; returns how
+/// many there are.
+fn dedup_sorted<T: PartialEq + Copy>(v: &mut [T]) -> usize {
+    let mut kept = 0;
+    for i in 0..v.len() {
+        if kept == 0 || v[i] != v[kept - 1] {
+            v[kept] = v[i];
+            kept += 1;
         }
     }
-    go(s, &mut out);
-    out
+    kept
 }
 
 fn binop_to_op(op: BinOp) -> Op {
@@ -611,60 +786,13 @@ fn binop_to_op(op: BinOp) -> Op {
     }
 }
 
-/// Names (scalars and arrays) assigned anywhere in a block.
-pub(crate) fn modified_names(b: &Block) -> Vec<String> {
-    let mut out = Vec::new();
-    fn go(s: &Stmt, out: &mut Vec<String>) {
-        let mut push = |n: &str| {
-            if !out.iter().any(|x| x == n) {
-                out.push(n.to_string());
-            }
-        };
-        match s {
-            Stmt::Decl { name, .. } => push(name),
-            Stmt::Assign { lhs, .. } => push(lhs.base()),
-            Stmt::If { then, els, .. } => {
-                for s in &then.stmts {
-                    go(s, out);
-                }
-                if let Some(e) = els {
-                    for s in &e.stmts {
-                        go(s, out);
-                    }
-                }
-            }
-            Stmt::For(l) => {
-                push(&l.var);
-                for s in &l.body.stmts {
-                    go(s, out);
-                }
-            }
-            Stmt::While { body, .. } => {
-                for s in &body.stmts {
-                    go(s, out);
-                }
-            }
-            Stmt::Block(b) => {
-                for s in &b.stmts {
-                    go(s, out);
-                }
-            }
-            _ => {}
-        }
-    }
-    for s in &b.stmts {
-        go(s, &mut out);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use accsat_ir::parse_program;
 
     #[test]
-    fn modified_names_finds_all() {
+    fn name_walk_finds_assigned_and_carried_names() {
         let src = r#"
 void f(double a[4], double b) {
   double t = 1.0;
@@ -674,14 +802,21 @@ void f(double a[4], double b) {
   }
   for (int l = 0; l < 4; l++) {
     b = b + 1.0;
+    for (int m = 0; m < 2; m++) {
+      a[m] = b;
+    }
   }
 }
 "#;
         let prog = parse_program(src).unwrap();
-        let names = modified_names(&prog.functions[0].body);
-        for n in ["t", "a", "l", "b"] {
-            assert!(names.iter().any(|x| x == n), "missing {n}");
+        let mut walk = NameWalk::default();
+        walk.walk(&prog.functions[0].body.stmts, true);
+        for n in ["t", "a", "l", "b", "m"] {
+            assert!(walk.assigned.contains(&n), "missing {n}");
         }
+        // labels in pre-order; the inner loop's scoped `m` dies with it
+        assert_eq!(walk.carried[walk.loop_names(0)], ["a", "b", "l"]);
+        assert_eq!(walk.carried[walk.loop_names(1)], ["a", "m"]);
     }
 
     #[test]
