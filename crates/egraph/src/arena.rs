@@ -92,16 +92,17 @@ fn probe(slots: &[u32], hash: u64, is: impl Fn(u32) -> bool) -> Result<u32, usiz
 }
 
 /// Keep a table at most half full: double it and re-place entries
-/// `0..entries` by `hash_of`.
-fn reserve_slot(slots: &mut Vec<u32>, entries: usize, hash_of: impl Fn(u32) -> u64) {
+/// `0..entries` by `hash_of`. Returns whether it did (and so moved them).
+fn reserve_slot(slots: &mut Vec<u32>, entries: usize, hash_of: impl Fn(u32) -> u64) -> bool {
     if (entries + 1) * 2 <= slots.len() {
-        return;
+        return false;
     }
     *slots = vec![EMPTY; slots.len() * 2];
     for e in 0..entries as u32 {
         let at = probe(slots, hash_of(e), |_| false).expect_err("fresh table has no match");
         slots[at] = e;
     }
+    true
 }
 
 impl Arena {
@@ -141,17 +142,34 @@ impl Arena {
         probe(&self.op_slots, hash_op(op), |e| self.ops[e as usize] == *op).ok()
     }
 
+    /// Op number of `op`, interning it on first sight (the one time it is
+    /// cloned).
     pub(crate) fn intern_op(&mut self, op: &Op) -> u32 {
         let hash = hash_op(op);
-        if let Ok(e) = probe(&self.op_slots, hash, |e| self.ops[e as usize] == *op) {
-            return e;
+        match probe(&self.op_slots, hash, |e| self.ops[e as usize] == *op) {
+            Ok(e) => e,
+            Err(at) => self.push_op(hash, at, op.clone()),
         }
+    }
+
+    /// Intern `op`, which the snapshot reader has just decoded, without
+    /// cloning it; `None` when it was interned before.
+    pub(crate) fn insert_op(&mut self, op: Op) -> Option<u32> {
+        let hash = hash_op(&op);
+        let at = probe(&self.op_slots, hash, |e| self.ops[e as usize] == op).err()?;
+        Some(self.push_op(hash, at, op))
+    }
+
+    /// Add `op`, new to the arena: its hash is `hash`, and its probe ended
+    /// at the empty slot `at`.
+    fn push_op(&mut self, hash: u64, mut at: usize, op: Op) -> u32 {
         let ops = &self.ops;
-        reserve_slot(&mut self.op_slots, ops.len(), |e| hash_op(&ops[e as usize]));
-        let at = probe(&self.op_slots, hash, |_| false).expect_err("op is new");
+        if reserve_slot(&mut self.op_slots, ops.len(), |e| hash_op(&ops[e as usize])) {
+            at = probe(&self.op_slots, hash, |_| false).expect_err("op is new");
+        }
         let op_no = u32::try_from(self.ops.len()).expect("e-node arena exceeded u32 ops");
         self.op_slots[at] = op_no;
-        self.ops.push(op.clone());
+        self.ops.push(op);
         op_no
     }
 
@@ -195,15 +213,18 @@ impl Arena {
     /// touching the operator itself.
     pub(crate) fn intern_numbered(&mut self, op_no: u32, children: &[Id]) -> Form {
         let hash = hash_form(op_no, children);
-        if let Ok(e) = probe(&self.slots, hash, |e| self.is_form(e, op_no, children)) {
-            return Form(e);
-        }
+        let mut at = match probe(&self.slots, hash, |e| self.is_form(e, op_no, children)) {
+            Ok(e) => return Form(e),
+            Err(at) => at,
+        };
         let (form_op, form_start, pool) = (&self.form_op, &self.form_start, &self.pool);
-        reserve_slot(&mut self.slots, form_op.len(), |e| {
+        let grew = reserve_slot(&mut self.slots, form_op.len(), |e| {
             let i = e as usize;
             hash_form(form_op[i], &pool[form_start[i] as usize..form_start[i + 1] as usize])
         });
-        let at = probe(&self.slots, hash, |_| false).expect_err("form is new");
+        if grew {
+            at = probe(&self.slots, hash, |_| false).expect_err("form is new");
+        }
         let form = Form::from_index(self.form_op.len());
         self.slots[at] = form.0;
         self.form_op.push(op_no);

@@ -9,7 +9,7 @@
 use crate::analysis::{eval_node, merge_const, ConstValue};
 use crate::arena::{Arena, Form};
 use crate::dense::{ClassSet, Visited};
-use crate::list::SmallList;
+use crate::list::{Parent, Parents, SmallList};
 use crate::node::{Id, Node, NodeRef, Op};
 use crate::unionfind::UnionFind;
 use std::borrow::Cow;
@@ -24,7 +24,7 @@ pub struct EClass {
     /// (parent node, parent class) pairs for congruence repair. The form
     /// is the one current when the entry was made and never changes under
     /// it; one entry per child occurrence.
-    pub(crate) parents: Vec<(Form, Id)>,
+    pub(crate) parents: Parents,
     /// Constant-folding analysis data: `Some` if every term in this class
     /// evaluates to this compile-time constant.
     pub(crate) constant: Option<ConstValue>,
@@ -82,6 +82,9 @@ pub struct EGraph {
     pub(crate) memo_len: usize,
     /// Class storage, indexed by canonical id; `None` after being merged away.
     pub(crate) classes: Vec<Option<EClass>>,
+    /// The parents lists of a restored graph, each class's a run of it
+    /// until the class's list changes (see [`Parents`]).
+    pub(crate) parent_pool: Vec<Parent>,
     /// Number of `Some` slots in `classes`.
     pub(crate) live_classes: usize,
     /// Classes whose parents must be reprocessed by `rebuild`.
@@ -225,7 +228,7 @@ impl EGraph {
                 continue;
             }
             let class = self.classes[id.index()].as_ref().expect("live class");
-            for &(_, parent) in &class.parents {
+            for &(_, parent) in class.parents.as_slice(&self.parent_pool) {
                 let parent = self.find(parent);
                 if self.classes[parent.index()].is_some() && !set.contains(parent) {
                     stack.push(parent);
@@ -353,7 +356,11 @@ impl EGraph {
     ) -> Id {
         let id = self.unionfind.make_set();
         debug_assert_eq!(id.index(), self.classes.len());
-        self.classes.push(Some(EClass { nodes: SmallList::one(form), parents: Vec::new(), constant }));
+        self.classes.push(Some(EClass {
+            nodes: SmallList::one(form),
+            parents: Parents::default(),
+            constant,
+        }));
         self.live_classes += 1;
         self.register_node(op_no, form, children, id);
         // analysis `modify`: materialize proven constants as leaf nodes so
@@ -371,7 +378,8 @@ impl EGraph {
         self.index_op(op_no, id);
         self.search_dirty.push(id);
         for &child in children {
-            self.classes[child.index()].as_mut().expect("child class").parents.push((form, id));
+            let child = self.classes[child.index()].as_mut().expect("child class");
+            child.parents.to_mut(&self.parent_pool).push((form, id));
         }
         self.memo_set(form, id);
     }
@@ -440,7 +448,8 @@ impl EGraph {
         self.live_classes -= 1;
         let to_class = self.classes[to.index()].as_mut().expect("to class");
         to_class.nodes.extend(from_class.nodes.iter().copied());
-        to_class.parents.extend(from_class.parents);
+        let pool = &self.parent_pool;
+        to_class.parents.to_mut(pool).extend_from_slice(from_class.parents.as_slice(pool));
         let merged = merge_const(to_class.constant, from_class.constant);
         let new_constant_appeared = merged.is_some() && to_class.constant.is_none();
         to_class.constant = merged;
@@ -583,8 +592,8 @@ impl EGraph {
         // — parents lists stay proportional to distinct parent nodes
         // instead of growing with every union that touches the class. The
         // marks map a canonical form to its index among the kept entries.
-        let mut parents =
-            std::mem::take(&mut self.classes[id.index()].as_mut().expect("dirty class").parents);
+        let cls = self.classes[id.index()].as_mut().expect("dirty class");
+        let mut parents = cls.parents.take(&self.parent_pool);
         self.begin_form_pass();
         let mut kept = 0usize;
         for read in 0..parents.len() {
@@ -624,10 +633,10 @@ impl EGraph {
         // merged it away): the rebuilt list goes after whatever arrived
         let id = self.unionfind.find_mut(id);
         let cls = self.classes[id.index()].as_mut().expect("canonical class");
-        if cls.parents.is_empty() {
-            cls.parents = parents;
+        if cls.parents.len() == 0 {
+            cls.parents = Parents::Owned(parents);
         } else {
-            cls.parents.extend(parents);
+            cls.parents.to_mut(&self.parent_pool).extend(parents);
         }
         // refresh stored nodes to canonical form and dedupe
         let mut nodes = std::mem::take(&mut cls.nodes);
@@ -700,13 +709,11 @@ impl EGraph {
         let clean = self.dirty.is_empty();
         let check = |ok: bool, what: &str| if ok { Ok(()) } else { Err(what.to_string()) };
         check(self.classes.len() == self.unionfind.len(), "one class slot per id")?;
-        check(self.live_classes == self.classes.iter().flatten().count(), "live-class counter")?;
         check(self.memo.len() == self.arena.len(), "memo covers the arena")?;
-        let keys = || (0..self.memo.len()).filter(|&f| self.memo[f] != NO_CLASS);
-        check(self.memo_len == keys().count(), "memo-key counter")?;
 
         // a class is stored exactly at the ids that are their own root, so
         // every id (a node's child, a memo value) resolves to a live class
+        let mut live = 0;
         for (i, slot) in self.classes.iter().enumerate() {
             let id = Id::from(i);
             if slot.is_some() != self.unionfind.is_root(id) {
@@ -715,42 +722,65 @@ impl EGraph {
             if slot.as_ref().is_some_and(|c| c.nodes.is_empty()) {
                 return Err(format!("class {id} has no node"));
             }
+            live += usize::from(slot.is_some());
         }
-        if clean {
-            for node in keys().map(|f| self.arena.node(Form::from_index(f))) {
-                if node.children.iter().any(|&c| !self.unionfind.is_root(c)) {
-                    return Err(format!("memo key must be canonical: {node}"));
-                }
+        check(self.live_classes == live, "live-class counter")?;
+        let mut keys = 0;
+        for (f, &id) in self.memo.iter().enumerate() {
+            if id == NO_CLASS {
+                continue;
+            }
+            keys += 1;
+            let node = self.arena.node(Form::from_index(f));
+            if clean && node.children.iter().any(|&c| !self.unionfind.is_root(c)) {
+                return Err(format!("memo key must be canonical: {node}"));
             }
         }
+        check(self.memo_len == keys, "memo-key counter")?;
 
         // The op index must list every class under each of its nodes'
-        // operators. Sort the (class, op) pairs it lists: each class's
-        // operators form one sorted run, walked alongside the classes and
-        // probed by binary search: a class of N distinct leaves holds N
-        // operators, and a scan per node would make reading it O(N²).
-        let pair = |id: Id, op_no: usize| (id.index() as u64) << 32 | op_no as u64;
-        let mut listed: Vec<u64> = Vec::with_capacity(self.op_index.iter().map(|ids| ids.len()).sum());
-        for (op_no, ids) in self.op_index.iter().enumerate() {
-            listed.extend(ids.iter().map(|&id| pair(self.find(id), op_no)));
-            check(
-                !clean || ids.iter().all(|&id| self.unionfind.is_root(id)),
-                "merged id in the op index of a clean graph",
-            )?;
-        }
-        listed.sort_unstable();
+        // operators. Bucket the operators it lists by class (a counting
+        // sort: walked in op order, each bucket comes out ascending) and
+        // look each node's operator up in its class's bucket by binary
+        // search — a scan per node would make reading a class of N
+        // distinct leaves O(N²).
         check(
-            !clean || listed.windows(2).all(|w| w[0] != w[1]),
+            !clean
+                || self
+                    .op_index
+                    .iter()
+                    .flat_map(|ids| ids.iter())
+                    .all(|&id| self.unionfind.is_root(id)),
+            "merged id in the op index of a clean graph",
+        )?;
+        let mut end = vec![0u32; self.classes.len() + 1];
+        for ids in &self.op_index {
+            for &id in ids {
+                end[self.find(id).index() + 1] += 1;
+            }
+        }
+        for c in 1..end.len() {
+            end[c] += end[c - 1];
+        }
+        let mut listed = vec![0u32; end[self.classes.len()] as usize];
+        for (op_no, ids) in self.op_index.iter().enumerate() {
+            for &id in ids {
+                let at = &mut end[self.find(id).index()];
+                listed[*at as usize] = op_no as u32;
+                *at += 1;
+            }
+        }
+        // now class `c`'s operators are `listed[end[c - 1]..end[c]]`
+        let ops_of =
+            |c: usize| &listed[if c == 0 { 0 } else { end[c - 1] as usize }..end[c] as usize];
+        check(
+            !clean || (0..self.classes.len()).all(|c| ops_of(c).windows(2).all(|w| w[0] != w[1])),
             "class listed twice in the op index of a clean graph",
         )?;
-        let mut rest = &listed[..];
         for (id, cls) in self.classes() {
-            let start = rest.partition_point(|&p| p < pair(id, 0));
-            let len = rest[start..].partition_point(|&p| p < pair(id, 0) + (1 << 32));
-            let ops = &rest[start..start + len];
-            rest = &rest[start + len..];
+            let ops = ops_of(id.index());
             for &f in &cls.nodes {
-                if ops.binary_search(&pair(id, self.arena.op_no(f) as usize)).is_err() {
+                if ops.binary_search(&self.arena.op_no(f)).is_err() {
                     return Err(format!("op index misses {id} under {:?}", self.arena.op(f)));
                 }
             }

@@ -1,11 +1,19 @@
-//! A list that keeps its first item inline.
+//! Lists of the e-graph that cost no allocation of their own where they
+//! usually need none.
 //!
 //! Most e-classes hold one e-node, and most operators head one class, so
 //! a class's node list and an op-index entry are usually one item long.
 //! Kept as [`SmallList`]s they cost no heap allocation until a second item
 //! arrives — on a kernel fresh from SSA construction, or a restored
 //! snapshot, that is one allocation per class and per operator fewer.
+//!
+//! A class's parents list is usually longer, but a restored graph — a
+//! stage-cache hit — mostly never changes it. A restore therefore reads
+//! every list into one shared pool, and a class's [`Parents`] stay a run
+//! of that pool until a change copies them out.
 
+use crate::arena::Form;
+use crate::node::Id;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 
@@ -117,6 +125,59 @@ impl<T: fmt::Debug> fmt::Debug for SmallList<T> {
     }
 }
 
+/// One (parent node, parent class) entry of a class's parents list.
+pub(crate) type Parent = (Form, Id);
+
+/// A class's parents list: a run of its graph's parent pool, or a `Vec`
+/// of its own once it has changed. Read it with [`Parents::as_slice`],
+/// change it through [`Parents::to_mut`].
+#[derive(Debug, Clone)]
+pub(crate) enum Parents {
+    /// `pool[start..start + len]`, as restored.
+    Pooled { start: u32, len: u32 },
+    /// The list's own storage.
+    Owned(Vec<Parent>),
+}
+
+impl Default for Parents {
+    fn default() -> Parents {
+        Parents::Owned(Vec::new())
+    }
+}
+
+impl Parents {
+    /// The entries, in order; `pool` is the owning graph's.
+    pub(crate) fn as_slice<'a>(&'a self, pool: &'a [Parent]) -> &'a [Parent] {
+        match self {
+            &Parents::Pooled { start, len } => &pool[start as usize..][..len as usize],
+            Parents::Owned(items) => items,
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Parents::Pooled { len, .. } => *len as usize,
+            Parents::Owned(items) => items.len(),
+        }
+    }
+
+    /// The list as a `Vec` to change, copied out of `pool` on first use.
+    pub(crate) fn to_mut(&mut self, pool: &[Parent]) -> &mut Vec<Parent> {
+        if let Parents::Pooled { .. } = self {
+            *self = Parents::Owned(self.as_slice(pool).to_vec());
+        }
+        match self {
+            Parents::Owned(items) => items,
+            Parents::Pooled { .. } => unreachable!("copied out above"),
+        }
+    }
+
+    /// Move the entries out, leaving the list empty.
+    pub(crate) fn take(&mut self, pool: &[Parent]) -> Vec<Parent> {
+        std::mem::take(self.to_mut(pool))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,5 +207,19 @@ mod tests {
         assert!(one.is_empty() && one == SmallList::default());
         one.extend([1, 2]);
         assert_eq!(&*one, [1, 2]);
+    }
+
+    #[test]
+    fn pooled_parents_read_in_place_and_copy_out_on_change() {
+        let entry = |i: u32| (Form::from_index(i as usize), Id::new(i));
+        let pool: Vec<Parent> = (0..6).map(entry).collect();
+        let mut run = Parents::Pooled { start: 2, len: 3 };
+        assert_eq!(run.len(), 3);
+        assert_eq!(run.as_slice(&pool), &pool[2..5]);
+        run.to_mut(&pool).push(entry(9));
+        assert!(matches!(run, Parents::Owned(_)));
+        assert_eq!(run.as_slice(&[]), [entry(2), entry(3), entry(4), entry(9)]);
+        assert_eq!(run.take(&pool).len(), 4);
+        assert_eq!(run.len(), 0);
     }
 }

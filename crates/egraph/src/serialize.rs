@@ -68,7 +68,7 @@
 use crate::analysis::ConstValue;
 use crate::arena::{Arena, Form};
 use crate::egraph::{EClass, EGraph, NO_CLASS};
-use crate::list::SmallList;
+use crate::list::{Parent, Parents, SmallList};
 use crate::node::{Id, Op};
 use crate::unionfind::UnionFind;
 
@@ -252,36 +252,45 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn eol(&mut self) -> Read<()> {
-        self.lit("\n")
-    }
-
-    /// Is the next byte the end of the line (or of the input)?
-    fn at_eol(&self) -> bool {
-        self.buf.get(self.pos).is_none_or(|&b| b == b'\n')
-    }
-
-    /// A decimal integer.
-    fn num(&mut self) -> Read<usize> {
-        let start = self.pos;
-        let mut n = 0usize;
-        while let Some(d) = self.buf.get(self.pos).map(|b| b.wrapping_sub(b'0')).filter(|&d| d < 10)
-        {
-            n = n
-                .checked_mul(10)
-                .and_then(|n| n.checked_add(d as usize))
-                .ok_or("number too big")?;
+    /// Consume the byte `b`: [`Reader::lit`] of one byte, the separator
+    /// before every integer.
+    fn byte(&mut self, b: u8) -> Read<()> {
+        if self.buf.get(self.pos) == Some(&b) {
             self.pos += 1;
+            Ok(())
+        } else {
+            Err("unexpected text")
         }
-        if self.pos == start {
-            return Err("expected a number");
+    }
+
+    fn eol(&mut self) -> Read<()> {
+        self.byte(b'\n')
+    }
+
+    /// A decimal integer, its digits scanned as a bare scan would: 19
+    /// cannot overflow a `u64`, and only a longer run (leading zeros, or
+    /// a number too big) is read again with checked arithmetic.
+    fn num(&mut self) -> Read<usize> {
+        let (buf, start) = (self.buf, self.pos);
+        let mut pos = start;
+        let mut n = 0u64;
+        while let Some(d) = buf.get(pos).map(|b| b.wrapping_sub(b'0')).filter(|&d| d < 10) {
+            n = n.wrapping_mul(10).wrapping_add(u64::from(d));
+            pos += 1;
         }
-        Ok(n)
+        self.pos = pos;
+        let n = match pos - start {
+            0 => return Err("expected a number"),
+            1..=19 => Some(n),
+            _ => (buf[start..pos].iter())
+                .try_fold(0u64, |n, &b| n.checked_mul(10)?.checked_add(u64::from(b - b'0'))),
+        };
+        n.and_then(|n| usize::try_from(n).ok()).ok_or("number too big")
     }
 
     /// A space, then a decimal integer.
     fn sp_num(&mut self) -> Read<usize> {
-        self.lit(" ")?;
+        self.byte(b' ')?;
         self.num()
     }
 
@@ -305,16 +314,46 @@ impl<'a> Reader<'a> {
         Ok(Id::new(n as u32))
     }
 
+    /// `" <n>"` repeated to the end of the line, each `n < bound`, handed
+    /// to `each`; consumes the line end and returns how many there were.
+    /// Where the grammar fixes the count the caller checks it: a line
+    /// with an item missing or one too many is rejected, as when read
+    /// item by item.
+    fn sp_nums_to_eol(&mut self, bound: usize, mut each: impl FnMut(u32)) -> Read<usize> {
+        let mut count = 0;
+        loop {
+            match self.buf.get(self.pos) {
+                Some(b' ') => self.pos += 1,
+                Some(b'\n') => {
+                    self.pos += 1;
+                    return Ok(count);
+                }
+                _ => return Err("unexpected text"),
+            }
+            let n = self.num()?;
+            if n >= bound {
+                return Err("id out of range");
+            }
+            each(n as u32);
+            count += 1;
+        }
+    }
+
+    /// `" <len> <id> …\n"`, each `id < bound`.
+    fn ids_to_eol(&mut self, bound: usize) -> Read<Vec<Id>> {
+        let n = self.sp_count()?;
+        let mut ids = Vec::with_capacity(n);
+        let read = self.sp_nums_to_eol(bound, |id| ids.push(Id::new(id)))?;
+        if read != n {
+            return Err("id count differs from the line's");
+        }
+        Ok(ids)
+    }
+
     /// `"<name> <len> <id> …\n"`.
     fn id_line(&mut self, name: &str, bound: usize) -> Read<Vec<Id>> {
         self.lit(name)?;
-        let n = self.sp_count()?;
-        let mut ids = Vec::with_capacity(n);
-        for _ in 0..n {
-            ids.push(self.sp_id(bound)?);
-        }
-        self.eol()?;
-        Ok(ids)
+        self.ids_to_eol(bound)
     }
 
     /// The bytes up to the next space or line end, as text.
@@ -343,7 +382,7 @@ impl EGraph {
             for &f in &cls.nodes {
                 forms.visit(f.index());
             }
-            for &(f, _) in &cls.parents {
+            for &(f, _) in cls.parents.as_slice(&self.parent_pool) {
                 forms.visit(f.index());
             }
             class_ints += 2 + cls.nodes.len() + 2 * cls.parents.len();
@@ -422,7 +461,7 @@ impl EGraph {
             for f in &cls.nodes {
                 push_sp_num(&mut out, forms.of(f.index()));
             }
-            for (f, pid) in &cls.parents {
+            for (f, pid) in cls.parents.as_slice(&self.parent_pool) {
                 push_sp_num(&mut out, forms.of(f.index()));
                 push_sp_num(&mut out, pid.index());
             }
@@ -496,7 +535,8 @@ impl EGraph {
                     && a.nodes.len() == b.nodes.len()
                     && a.parents.len() == b.parents.len()
                     && a.nodes.iter().zip(&b.nodes).all(|(&x, &y)| form_eq(x, y))
-                    && (a.parents.iter().zip(&b.parents))
+                    && (a.parents.as_slice(&self.parent_pool).iter())
+                        .zip(b.parents.as_slice(&other.parent_pool))
                         .all(|(&(x, p), &(y, q))| p == q && form_eq(x, y))
             }
             _ => false,
@@ -544,10 +584,9 @@ fn read_body(r: &mut Reader<'_>) -> Read<EGraph> {
     r.lit("uf")?;
     let n_ids = small(r.sp_count()?)?;
     let mut uf = Vec::with_capacity(n_ids);
-    for _ in 0..n_ids {
-        uf.push(r.sp_id(n_ids)?);
+    if r.sp_nums_to_eol(n_ids, |id| uf.push(Id::new(id)))? != n_ids {
+        return Err("id count differs from the line's");
     }
-    r.eol()?;
     check_forest(&uf)?;
     let unionfind = UnionFind { parents: uf };
 
@@ -558,7 +597,7 @@ fn read_body(r: &mut Reader<'_>) -> Read<EGraph> {
     for op_no in 0..n_ops {
         let op = parse_op_token(r.token()?).map_err(|_| "bad op token")?;
         r.eol()?;
-        if arena.intern_op(&op) as usize != op_no {
+        if arena.insert_op(op) != Some(op_no as u32) {
             return Err("operator listed twice");
         }
     }
@@ -571,10 +610,7 @@ fn read_body(r: &mut Reader<'_>) -> Read<EGraph> {
         }
         memo.push(if r.lit(" -").is_ok() { NO_CLASS } else { r.sp_id(n_ids)? });
         children.clear();
-        while !r.at_eol() {
-            children.push(r.sp_id(n_ids)?);
-        }
-        r.eol()?;
+        r.sp_nums_to_eol(n_ids, |c| children.push(Id::new(c)))?;
         if arena.intern_numbered(op_no as u32, &children).index() != f {
             return Err("form listed twice");
         }
@@ -587,10 +623,17 @@ fn read_body(r: &mut Reader<'_>) -> Read<EGraph> {
     }
     r.eol()?;
     let mut classes: Vec<Option<EClass>> = Vec::with_capacity(n_ids);
+    // a parents entry per child of a class's node, about as many as the
+    // forms have children
+    let mut parent_pool = Vec::with_capacity(n_children);
+    let mut line = Vec::new();
     for _ in 0..n_ids {
-        let dead = r.lit("x").is_ok();
-        classes.push(if dead { None } else { Some(read_class(r, n_forms, n_ids)?) });
-        r.eol()?;
+        classes.push(if r.byte(b'x').is_ok() {
+            r.eol()?;
+            None
+        } else {
+            Some(read_class(r, (n_forms, n_ids), &mut line, &mut parent_pool)?)
+        });
     }
     let live_classes = classes.iter().flatten().count();
 
@@ -611,10 +654,9 @@ fn read_body(r: &mut Reader<'_>) -> Read<EGraph> {
         }
         let ids = &mut op_index[op_no];
         *ids = SmallList::with_capacity(n);
-        for _ in 0..n {
-            ids.push(r.sp_id(n_ids)?);
+        if r.sp_nums_to_eol(n_ids, |id| ids.push(Id::new(id)))? != n {
+            return Err("id count differs from the line's");
         }
-        r.eol()?;
     }
 
     let dirty = r.id_line("dirty", n_ids)?;
@@ -630,6 +672,7 @@ fn read_body(r: &mut Reader<'_>) -> Read<EGraph> {
         memo,
         memo_len,
         classes,
+        parent_pool,
         live_classes,
         dirty,
         op_index,
@@ -640,22 +683,47 @@ fn read_body(r: &mut Reader<'_>) -> Read<EGraph> {
     })
 }
 
-/// `<const | -> <n> <p> <form>×n <form id>×p` — one live class.
-fn read_class(r: &mut Reader<'_>, n_forms: usize, n_ids: usize) -> Read<EClass> {
-    let form = |r: &mut Reader<'_>| match r.sp_num()? {
+/// `<const | -> <n> <p> <form>×n <form id>×p` and its line end — one live
+/// class, its parents appended to `pool`. The integers are read into
+/// `line` first, in one pass.
+fn read_class(
+    r: &mut Reader<'_>,
+    (n_forms, n_ids): (usize, usize),
+    line: &mut Vec<u32>,
+    pool: &mut Vec<Parent>,
+) -> Read<EClass> {
+    // most classes fold to no constant: `-`, then a space
+    let constant = if r.buf[r.pos..].starts_with(b"- ") {
+        r.pos += 1;
+        None
+    } else {
+        parse_const_token(r.token()?)?
+    };
+    line.clear();
+    r.sp_nums_to_eol(u32::MAX as usize, |n| line.push(n))?;
+    let [n_nodes, n_parents, ref items @ ..] = line[..] else {
+        return Err("expected a number");
+    };
+    if items.len() as u64 != u64::from(n_nodes) + 2 * u64::from(n_parents) {
+        return Err("item count differs from the line's");
+    }
+    let (node_items, parent_items) = items.split_at(n_nodes as usize);
+    let form = |f: u32| match f as usize {
         f if f < n_forms => Ok(Form::from_index(f)),
         _ => Err("form number out of range"),
     };
-    let constant = parse_const_token(r.token()?)?;
-    let (n_nodes, n_parents) = (r.sp_count()?, r.sp_count()?);
-    let mut nodes = SmallList::with_capacity(n_nodes);
-    for _ in 0..n_nodes {
-        nodes.push(form(r)?);
+    let mut nodes = SmallList::with_capacity(node_items.len());
+    for &f in node_items {
+        nodes.push(form(f)?);
     }
-    let mut parents = Vec::with_capacity(n_parents);
-    for _ in 0..n_parents {
-        parents.push((form(r)?, r.sp_id(n_ids)?));
+    let start = u32::try_from(pool.len()).map_err(|_| "count exceeds u32")?;
+    for pair in parent_items.chunks_exact(2) {
+        if pair[1] as usize >= n_ids {
+            return Err("id out of range");
+        }
+        pool.push((form(pair[0])?, Id::new(pair[1])));
     }
+    let parents = Parents::Pooled { start, len: n_parents };
     Ok(EClass { nodes, parents, constant })
 }
 
