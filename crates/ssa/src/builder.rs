@@ -348,7 +348,10 @@ impl<'a> Builder<'a> {
                         let class = self.expr(e);
                         self.bind(name, Some(class));
                         SsaNode::Assign {
-                            target: Target::Scalar { name: name.clone(), decl_ty: Some(ty.clone()) },
+                            target: Target::Scalar {
+                                name: name.clone(),
+                                decl_ty: Some(ty.clone()),
+                            },
                             class,
                             state_class: None,
                         }
@@ -496,8 +499,13 @@ impl<'a> Builder<'a> {
         for i in self.walk.loop_names(label) {
             let m = self.walk.carried[i];
             let init = self.value_of(m);
-            let entry =
-                add_named(&mut self.eg, &mut self.spare, Op::Sym, format_args!("{m}@L{label}"), &[]);
+            let entry = add_named(
+                &mut self.eg,
+                &mut self.spare,
+                Op::Sym,
+                format_args!("{m}@L{label}"),
+                &[],
+            );
             self.bind(m, Some(entry));
             self.carried.push((m, init, entry));
         }
