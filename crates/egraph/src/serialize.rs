@@ -339,12 +339,10 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// `" <len> <id> …\n"`, each `id < bound`.
-    fn ids_to_eol(&mut self, bound: usize) -> Read<Vec<Id>> {
-        let n = self.sp_count()?;
+    /// `" <id>"` × `n` and the line end, each `id < bound`.
+    fn ids_to_eol(&mut self, n: usize, bound: usize) -> Read<Vec<Id>> {
         let mut ids = Vec::with_capacity(n);
-        let read = self.sp_nums_to_eol(bound, |id| ids.push(Id::new(id)))?;
-        if read != n {
+        if self.sp_nums_to_eol(bound, |id| ids.push(Id::new(id)))? != n {
             return Err("id count differs from the line's");
         }
         Ok(ids)
@@ -353,7 +351,8 @@ impl<'a> Reader<'a> {
     /// `"<name> <len> <id> …\n"`.
     fn id_line(&mut self, name: &str, bound: usize) -> Read<Vec<Id>> {
         self.lit(name)?;
-        self.ids_to_eol(bound)
+        let n = self.sp_count()?;
+        self.ids_to_eol(n, bound)
     }
 
     /// The bytes up to the next space or line end, as text.
@@ -583,10 +582,7 @@ fn read_body(r: &mut Reader<'_>) -> Read<EGraph> {
 
     r.lit("uf")?;
     let n_ids = small(r.sp_count()?)?;
-    let mut uf = Vec::with_capacity(n_ids);
-    if r.sp_nums_to_eol(n_ids, |id| uf.push(Id::new(id)))? != n_ids {
-        return Err("id count differs from the line's");
-    }
+    let uf = r.ids_to_eol(n_ids, n_ids)?;
     check_forest(&uf)?;
     let unionfind = UnionFind { parents: uf };
 
