@@ -9,22 +9,23 @@
 use crate::analysis::{eval_node, merge_const, ConstValue};
 use crate::arena::{Arena, Form};
 use crate::dense::{ClassSet, Visited};
-use crate::list::{Parent, Parents, SmallList};
+use crate::list::{List, Parent};
 use crate::node::{Id, Node, NodeRef, Op};
 use crate::unionfind::UnionFind;
 use std::borrow::Cow;
 
 /// An e-class: a set of equal e-nodes plus analysis data and parent
 /// back-references used by congruence restoration. Nodes are [`Form`]s of
-/// the owning graph's arena — read them through [`EGraph::nodes`].
+/// the owning graph's arena — read them through [`EGraph::nodes`]. Both
+/// lists read through the owning graph's pools (see `List`).
 #[derive(Debug, Clone, Default)]
 pub struct EClass {
     /// E-nodes in this class (children canonical as of the last rebuild).
-    pub(crate) nodes: SmallList<Form>,
+    pub(crate) nodes: List<Form>,
     /// (parent node, parent class) pairs for congruence repair. The form
     /// is the one current when the entry was made and never changes under
     /// it; one entry per child occurrence.
-    pub(crate) parents: Parents,
+    pub(crate) parents: List<Parent>,
     /// Constant-folding analysis data: `Some` if every term in this class
     /// evaluates to this compile-time constant.
     pub(crate) constant: Option<ConstValue>,
@@ -82,9 +83,12 @@ pub struct EGraph {
     pub(crate) memo_len: usize,
     /// Class storage, indexed by canonical id; `None` after being merged away.
     pub(crate) classes: Vec<Option<EClass>>,
-    /// The parents lists of a restored graph, each class's a run of it
-    /// until the class's list changes (see [`Parents`]).
+    /// The pools a restored graph's lists of two or more items are runs
+    /// of, until a list changes: class nodes, parents lists, op-index
+    /// entries (see `List`). Empty in a graph built by `add`.
+    pub(crate) node_pool: Vec<Form>,
     pub(crate) parent_pool: Vec<Parent>,
+    pub(crate) class_pool: Vec<Id>,
     /// Number of `Some` slots in `classes`.
     pub(crate) live_classes: usize,
     /// Classes whose parents must be reprocessed by `rebuild`.
@@ -93,7 +97,7 @@ pub struct EGraph {
     /// Maintained incrementally by `add`; entries may go stale after unions
     /// and are compacted by `rebuild`, so with nothing dirty every list
     /// holds live canonical ids, each once.
-    pub(crate) op_index: Vec<SmallList<Id>>,
+    pub(crate) op_index: Vec<List<Id>>,
     /// Classes touched since the last [`EGraph::take_search_dirty`]: newly
     /// created, target of a union, or given a materialized constant leaf.
     /// The saturation runner uses this (closed over parents) to re-search
@@ -179,7 +183,7 @@ impl EGraph {
 
     /// The e-nodes of the class of (any) `id`, in stored order.
     pub fn nodes(&self, id: Id) -> impl ExactSizeIterator<Item = NodeRef<'_>> + Clone {
-        self.class(id).nodes.iter().map(|&f| self.arena.node(f))
+        self.class(id).nodes.as_slice(&self.node_pool).iter().map(|&f| self.arena.node(f))
     }
 
     /// The constant value of a class, if the analysis proved one.
@@ -201,9 +205,14 @@ impl EGraph {
         }
     }
 
+    /// The op index's entry for op number `op_no`, as stored.
+    pub(crate) fn op_index_entry(&self, op_no: usize) -> &[Id] {
+        self.op_index.get(op_no).map_or(&[], |ids| ids.as_slice(&self.class_pool))
+    }
+
     /// [`EGraph::classes_with_op`] for an operator known by op number.
     pub(crate) fn classes_with_op_no(&self, op_no: u32) -> Cow<'_, [Id]> {
-        let ids = self.op_index.get(op_no as usize).map_or(&[][..], |ids| &ids[..]);
+        let ids = self.op_index_entry(op_no as usize);
         if self.dirty.is_empty() {
             return Cow::Borrowed(ids);
         }
@@ -323,7 +332,8 @@ impl EGraph {
                     self.register_node(op_no, form, &kids, id);
                     self.scratch.children = kids;
                     self.unionfind.union(root, id);
-                    self.classes[root.index()].as_mut().expect("matched class").nodes.push(form);
+                    let cls = self.classes[root.index()].as_mut().expect("matched class");
+                    cls.nodes.push(form, &self.node_pool);
                     self.dirty.push(root);
                     self.search_dirty.push(root);
                     return (root, true);
@@ -357,8 +367,8 @@ impl EGraph {
         let id = self.unionfind.make_set();
         debug_assert_eq!(id.index(), self.classes.len());
         self.classes.push(Some(EClass {
-            nodes: SmallList::one(form),
-            parents: Parents::default(),
+            nodes: List::one(form),
+            parents: List::default(),
             constant,
         }));
         self.live_classes += 1;
@@ -379,16 +389,16 @@ impl EGraph {
         self.search_dirty.push(id);
         for &child in children {
             let child = self.classes[child.index()].as_mut().expect("child class");
-            child.parents.to_mut(&self.parent_pool).push((form, id));
+            child.parents.push((form, id), &self.parent_pool);
         }
         self.memo_set(form, id);
     }
 
     fn index_op(&mut self, op_no: u32, id: Id) {
         if self.op_index.len() <= op_no as usize {
-            self.op_index.resize_with(op_no as usize + 1, SmallList::default);
+            self.op_index.resize_with(op_no as usize + 1, List::default);
         }
-        self.op_index[op_no as usize].push(id);
+        self.op_index[op_no as usize].push(id, &self.class_pool);
     }
 
     fn add_constant_leaf(&mut self, id: Id, c: ConstValue) {
@@ -403,7 +413,8 @@ impl EGraph {
                 let cls = self.unionfind.find_mut(id);
                 self.memo_set(form, cls);
                 self.index_op(op_no, cls);
-                self.classes[cls.index()].as_mut().expect("canonical class").nodes.push(form);
+                let class = self.classes[cls.index()].as_mut().expect("canonical class");
+                class.nodes.push(form, &self.node_pool);
                 self.num_nodes += 1;
                 self.search_dirty.push(cls);
             }
@@ -447,9 +458,9 @@ impl EGraph {
         let from_class = self.classes[from.index()].take().expect("from class");
         self.live_classes -= 1;
         let to_class = self.classes[to.index()].as_mut().expect("to class");
-        to_class.nodes.extend(from_class.nodes.iter().copied());
-        let pool = &self.parent_pool;
-        to_class.parents.to_mut(pool).extend_from_slice(from_class.parents.as_slice(pool));
+        let (nodes, parents) = (&self.node_pool, &self.parent_pool);
+        to_class.nodes.extend_from_slice(from_class.nodes.as_slice(nodes), nodes);
+        to_class.parents.extend_from_slice(from_class.parents.as_slice(parents), parents);
         let merged = merge_const(to_class.constant, from_class.constant);
         let new_constant_appeared = merged.is_some() && to_class.constant.is_none();
         to_class.constant = merged;
@@ -531,6 +542,7 @@ impl EGraph {
         seen.grow(self.classes.len());
         for ids in &mut self.op_index {
             seen.clear();
+            ids.unpool(&self.class_pool);
             ids.retain_mut(|id| {
                 *id = self.unionfind.find(*id);
                 self.classes[id.index()].is_some() && seen.insert(id.index())
@@ -634,12 +646,13 @@ impl EGraph {
         let id = self.unionfind.find_mut(id);
         let cls = self.classes[id.index()].as_mut().expect("canonical class");
         if cls.parents.len() == 0 {
-            cls.parents = Parents::Owned(parents);
+            cls.parents = List::Heap(parents);
         } else {
-            cls.parents.to_mut(&self.parent_pool).extend(parents);
+            cls.parents.extend_from_slice(&parents, &self.parent_pool);
         }
         // refresh stored nodes to canonical form and dedupe
         let mut nodes = std::mem::take(&mut cls.nodes);
+        nodes.unpool(&self.node_pool);
         self.begin_form_pass();
         nodes.retain_mut(|form| {
             *form = self.canonical_form(*form);
@@ -666,7 +679,7 @@ impl EGraph {
                 if class.constant.is_some() {
                     continue;
                 }
-                for &f in &class.nodes {
+                for &f in class.nodes.as_slice(&self.node_pool) {
                     if let Some(v) = eval_node(self.arena.node(f), |c| self.constant(c)) {
                         proven.push((id, v));
                         break;
@@ -719,7 +732,7 @@ impl EGraph {
             if slot.is_some() != self.unionfind.is_root(id) {
                 return Err(format!("{id}: live classes and union-find roots differ"));
             }
-            if slot.as_ref().is_some_and(|c| c.nodes.is_empty()) {
+            if slot.as_ref().is_some_and(|c| c.nodes.len() == 0) {
                 return Err(format!("class {id} has no node"));
             }
             live += usize::from(slot.is_some());
@@ -744,26 +757,20 @@ impl EGraph {
         // look each node's operator up in its class's bucket by binary
         // search — a scan per node would make reading a class of N
         // distinct leaves O(N²).
+        let listed_ids = || (0..self.op_index.len()).map(|op_no| self.op_index_entry(op_no));
         check(
-            !clean
-                || self
-                    .op_index
-                    .iter()
-                    .flat_map(|ids| ids.iter())
-                    .all(|&id| self.unionfind.is_root(id)),
+            !clean || listed_ids().flatten().all(|&id| self.unionfind.is_root(id)),
             "merged id in the op index of a clean graph",
         )?;
         let mut end = vec![0u32; self.classes.len() + 1];
-        for ids in &self.op_index {
-            for &id in ids {
-                end[self.find(id).index() + 1] += 1;
-            }
+        for &id in listed_ids().flatten() {
+            end[self.find(id).index() + 1] += 1;
         }
         for c in 1..end.len() {
             end[c] += end[c - 1];
         }
         let mut listed = vec![0u32; end[self.classes.len()] as usize];
-        for (op_no, ids) in self.op_index.iter().enumerate() {
+        for (op_no, ids) in listed_ids().enumerate() {
             for &id in ids {
                 let at = &mut end[self.find(id).index()];
                 listed[*at as usize] = op_no as u32;
@@ -779,7 +786,7 @@ impl EGraph {
         )?;
         for (id, cls) in self.classes() {
             let ops = ops_of(id.index());
-            for &f in &cls.nodes {
+            for &f in cls.nodes.as_slice(&self.node_pool) {
                 if ops.binary_search(&self.arena.op_no(f)).is_err() {
                     return Err(format!("op index misses {id} under {:?}", self.arena.op(f)));
                 }

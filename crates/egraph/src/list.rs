@@ -1,180 +1,133 @@
-//! Lists of the e-graph that cost no allocation of their own where they
-//! usually need none.
+//! The e-graph's per-class and per-operator lists, kept so that they cost
+//! no allocation of their own where they usually need none.
 //!
-//! Most e-classes hold one e-node, and most operators head one class, so
-//! a class's node list and an op-index entry are usually one item long.
-//! Kept as [`SmallList`]s they cost no heap allocation until a second item
-//! arrives — on a kernel fresh from SSA construction, or a restored
-//! snapshot, that is one allocation per class and per operator fewer.
-//!
-//! A class's parents list is usually longer, but a restored graph — a
-//! stage-cache hit — mostly never changes it. A restore therefore reads
-//! every list into one shared pool, and a class's [`Parents`] stay a run
-//! of that pool until a change copies them out.
+//! Most e-classes hold one e-node, most operators head one class, and in
+//! a kernel fresh from SSA construction most classes have one parent, so
+//! a [`List`] keeps one item inline and allocates only for a second. A
+//! restored graph — a stage-cache hit — mostly never changes its lists,
+//! so the snapshot reader lays every longer list out in one shared pool
+//! per kind (`EGraph::node_pool`, `parent_pool`, `class_pool`), and a
+//! list stays a run of its pool until a change copies it out.
 
 use crate::arena::Form;
 use crate::node::Id;
-use std::fmt;
-use std::ops::{Deref, DerefMut};
-
-/// A list of `Copy` items: empty or one item inline, a `Vec` beyond.
-/// Reads as a slice; equal lists are equal slices, whatever their storage.
-#[derive(Clone)]
-pub(crate) enum SmallList<T> {
-    /// No item, or one.
-    Inline(Option<T>),
-    /// Any number of items (a list that once held two or more).
-    Heap(Vec<T>),
-}
-
-impl<T> Default for SmallList<T> {
-    fn default() -> SmallList<T> {
-        SmallList::Inline(None)
-    }
-}
-
-impl<T: Copy> SmallList<T> {
-    /// The list holding `item`.
-    pub(crate) fn one(item: T) -> SmallList<T> {
-        SmallList::Inline(Some(item))
-    }
-
-    /// An empty list with room for `n` items.
-    pub(crate) fn with_capacity(n: usize) -> SmallList<T> {
-        if n <= 1 {
-            SmallList::default()
-        } else {
-            SmallList::Heap(Vec::with_capacity(n))
-        }
-    }
-
-    /// Append `item`.
-    pub(crate) fn push(&mut self, item: T) {
-        match self {
-            SmallList::Inline(slot @ None) => *slot = Some(item),
-            SmallList::Inline(Some(first)) => {
-                let mut items = Vec::with_capacity(4);
-                items.extend([*first, item]);
-                *self = SmallList::Heap(items);
-            }
-            SmallList::Heap(items) => items.push(item),
-        }
-    }
-
-    /// Keep the items `keep` accepts, in order; it may edit them.
-    pub(crate) fn retain_mut(&mut self, mut keep: impl FnMut(&mut T) -> bool) {
-        match self {
-            SmallList::Inline(slot) => {
-                if slot.as_mut().is_some_and(|item| !keep(item)) {
-                    *slot = None;
-                }
-            }
-            SmallList::Heap(items) => items.retain_mut(keep),
-        }
-    }
-}
-
-impl<T: Copy> Extend<T> for SmallList<T> {
-    fn extend<I: IntoIterator<Item = T>>(&mut self, items: I) {
-        for item in items {
-            self.push(item);
-        }
-    }
-}
-
-impl<T> Deref for SmallList<T> {
-    type Target = [T];
-
-    fn deref(&self) -> &[T] {
-        match self {
-            SmallList::Inline(slot) => slot.as_slice(),
-            SmallList::Heap(items) => items,
-        }
-    }
-}
-
-impl<T> DerefMut for SmallList<T> {
-    fn deref_mut(&mut self) -> &mut [T] {
-        match self {
-            SmallList::Inline(slot) => slot.as_mut_slice(),
-            SmallList::Heap(items) => items,
-        }
-    }
-}
-
-impl<'a, T> IntoIterator for &'a SmallList<T> {
-    type Item = &'a T;
-    type IntoIter = std::slice::Iter<'a, T>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
-impl<T: PartialEq> PartialEq for SmallList<T> {
-    fn eq(&self, other: &SmallList<T>) -> bool {
-        **self == **other
-    }
-}
-
-impl<T: Eq> Eq for SmallList<T> {}
-
-impl<T: fmt::Debug> fmt::Debug for SmallList<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
-    }
-}
 
 /// One (parent node, parent class) entry of a class's parents list.
 pub(crate) type Parent = (Form, Id);
 
-/// A class's parents list: a run of its graph's parent pool, or a `Vec`
-/// of its own once it has changed. Read it with [`Parents::as_slice`],
-/// change it through [`Parents::to_mut`].
+/// A list of `Copy` items. Read it with [`List::as_slice`], handing it the
+/// pool of its kind in the graph that owns it; equal lists are equal
+/// slices, whatever their storage.
 #[derive(Debug, Clone)]
-pub(crate) enum Parents {
+pub(crate) enum List<T> {
+    /// No item, or one.
+    Inline(Option<T>),
     /// `pool[start..start + len]`, as restored.
     Pooled { start: u32, len: u32 },
     /// The list's own storage.
-    Owned(Vec<Parent>),
+    Heap(Vec<T>),
 }
 
-impl Default for Parents {
-    fn default() -> Parents {
-        Parents::Owned(Vec::new())
+impl<T> Default for List<T> {
+    fn default() -> List<T> {
+        List::Inline(None)
     }
 }
 
-impl Parents {
-    /// The entries, in order; `pool` is the owning graph's.
-    pub(crate) fn as_slice<'a>(&'a self, pool: &'a [Parent]) -> &'a [Parent] {
+impl<T: Copy> List<T> {
+    /// The list holding `item`.
+    pub(crate) fn one(item: T) -> List<T> {
+        List::Inline(Some(item))
+    }
+
+    /// The items `pool` holds from `start` on, as the list they were read
+    /// for: an item alone moves inline and leaves the pool. `None` when
+    /// the pool outgrows a `u32` index.
+    pub(crate) fn from_run(pool: &mut Vec<T>, start: usize) -> Option<List<T>> {
+        Some(match pool.len() - start {
+            0 => List::default(),
+            1 => List::Inline(pool.pop()),
+            len => {
+                List::Pooled { start: u32::try_from(start).ok()?, len: u32::try_from(len).ok()? }
+            }
+        })
+    }
+
+    /// The items, in order; `pool` is the owning graph's pool of this kind.
+    pub(crate) fn as_slice<'a>(&'a self, pool: &'a [T]) -> &'a [T] {
         match self {
-            &Parents::Pooled { start, len } => &pool[start as usize..][..len as usize],
-            Parents::Owned(items) => items,
+            List::Inline(slot) => slot.as_slice(),
+            &List::Pooled { start, len } => &pool[start as usize..][..len as usize],
+            List::Heap(items) => items,
         }
     }
 
     pub(crate) fn len(&self) -> usize {
         match self {
-            Parents::Pooled { len, .. } => *len as usize,
-            Parents::Owned(items) => items.len(),
+            List::Inline(slot) => usize::from(slot.is_some()),
+            List::Pooled { len, .. } => *len as usize,
+            List::Heap(items) => items.len(),
         }
     }
 
-    /// The list as a `Vec` to change, copied out of `pool` on first use.
-    pub(crate) fn to_mut(&mut self, pool: &[Parent]) -> &mut Vec<Parent> {
-        if let Parents::Pooled { .. } = self {
-            *self = Parents::Owned(self.as_slice(pool).to_vec());
+    /// The list as a `Vec` to change: copied out of `pool` when pooled,
+    /// moved into one when inline.
+    fn to_mut(&mut self, pool: &[T]) -> &mut Vec<T> {
+        if !matches!(self, List::Heap(_)) {
+            let mut items = Vec::with_capacity(self.len().max(2) * 2);
+            items.extend_from_slice(self.as_slice(pool));
+            *self = List::Heap(items);
         }
         match self {
-            Parents::Owned(items) => items,
-            Parents::Pooled { .. } => unreachable!("copied out above"),
+            List::Heap(items) => items,
+            _ => unreachable!("moved to the heap above"),
         }
     }
 
-    /// Move the entries out, leaving the list empty.
-    pub(crate) fn take(&mut self, pool: &[Parent]) -> Vec<Parent> {
-        std::mem::take(self.to_mut(pool))
+    /// Append `item`.
+    pub(crate) fn push(&mut self, item: T, pool: &[T]) {
+        match self {
+            List::Inline(slot @ None) => *slot = Some(item),
+            _ => self.to_mut(pool).push(item),
+        }
+    }
+
+    /// Append `items`.
+    pub(crate) fn extend_from_slice(&mut self, items: &[T], pool: &[T]) {
+        match items {
+            [] => {}
+            &[item] => self.push(item, pool),
+            _ => self.to_mut(pool).extend_from_slice(items),
+        }
+    }
+
+    /// Copy a pooled list out of `pool`, so that it can change without it.
+    pub(crate) fn unpool(&mut self, pool: &[T]) {
+        if let List::Pooled { .. } = self {
+            self.to_mut(pool);
+        }
+    }
+
+    /// Keep the items `keep` accepts, in order; it may edit them. The list
+    /// must not be pooled ([`List::unpool`] it first).
+    pub(crate) fn retain_mut(&mut self, mut keep: impl FnMut(&mut T) -> bool) {
+        match self {
+            List::Inline(slot) => {
+                if slot.as_mut().is_some_and(|item| !keep(item)) {
+                    *slot = None;
+                }
+            }
+            List::Pooled { .. } => unreachable!("retain_mut on a pooled list"),
+            List::Heap(items) => items.retain_mut(keep),
+        }
+    }
+
+    /// Move the items out, leaving the list empty.
+    pub(crate) fn take(&mut self, pool: &[T]) -> Vec<T> {
+        match std::mem::take(self) {
+            List::Heap(items) => items,
+            other => other.as_slice(pool).to_vec(),
+        }
     }
 }
 
@@ -184,42 +137,48 @@ mod tests {
 
     #[test]
     fn reads_like_the_vec_it_replaces_whatever_the_storage() {
-        let mut list = SmallList::default();
+        let mut list = List::default();
         let mut vec = Vec::new();
         for i in 0..6u32 {
-            assert_eq!(&*list, &vec[..]);
-            list.push(i);
+            assert_eq!(list.as_slice(&[]), &vec[..]);
+            assert_eq!(list.len(), vec.len());
+            list.push(i, &[]);
             vec.push(i);
         }
-        assert!(matches!(list, SmallList::Heap(_)));
+        assert!(matches!(list, List::Heap(_)));
         list.retain_mut(|x| {
             *x *= 10;
             *x % 20 == 0
         });
-        assert_eq!(&*list, [0, 20, 40]);
-        assert_eq!(format!("{list:?}"), "[0, 20, 40]");
-        // equal items, different storage
-        let mut heap = SmallList::with_capacity(3);
-        heap.push(7u32);
-        assert_eq!(heap, SmallList::one(7));
-        let mut one = SmallList::one(7u32);
+        assert_eq!(list.as_slice(&[]), [0, 20, 40]);
+        let mut one = List::one(7u32);
         one.retain_mut(|_| false);
-        assert!(one.is_empty() && one == SmallList::default());
-        one.extend([1, 2]);
-        assert_eq!(&*one, [1, 2]);
+        assert_eq!(one.len(), 0);
+        one.extend_from_slice(&[1], &[]);
+        assert!(matches!(one, List::Inline(Some(1))), "one item stays inline");
+        one.extend_from_slice(&[2, 3], &[]);
+        assert_eq!(one.take(&[]), [1, 2, 3]);
+        assert_eq!(one.len(), 0);
     }
 
     #[test]
-    fn pooled_parents_read_in_place_and_copy_out_on_change() {
-        let entry = |i: u32| (Form::from_index(i as usize), Id::new(i));
-        let pool: Vec<Parent> = (0..6).map(entry).collect();
-        let mut run = Parents::Pooled { start: 2, len: 3 };
-        assert_eq!(run.len(), 3);
-        assert_eq!(run.as_slice(&pool), &pool[2..5]);
-        run.to_mut(&pool).push(entry(9));
-        assert!(matches!(run, Parents::Owned(_)));
-        assert_eq!(run.as_slice(&[]), [entry(2), entry(3), entry(4), entry(9)]);
-        assert_eq!(run.take(&pool).len(), 4);
-        assert_eq!(run.len(), 0);
+    fn runs_of_a_pool_read_in_place_and_copy_out_on_change() {
+        let mut pool: Vec<u32> = vec![0, 1, 2, 3, 4];
+        let run = List::from_run(&mut pool, 2).unwrap();
+        assert!(matches!(run, List::Pooled { start: 2, len: 3 }));
+        pool.push(9);
+        let alone = List::from_run(&mut pool, 5).unwrap();
+        assert!(matches!(alone, List::Inline(Some(9))) && pool.len() == 5);
+        assert!(matches!(List::from_run(&mut pool, 5), Some(List::Inline(None))));
+        let mut grown = run.clone();
+        assert_eq!(run.as_slice(&pool), [2, 3, 4]);
+        grown.push(5, &pool);
+        assert!(matches!(grown, List::Heap(_)));
+        assert_eq!(grown.as_slice(&[]), [2, 3, 4, 5]);
+        let mut kept = run.clone();
+        kept.unpool(&pool);
+        kept.retain_mut(|x| *x != 3);
+        assert_eq!(kept.as_slice(&[]), [2, 4]);
+        assert_eq!(run.clone().take(&pool), [2, 3, 4]);
     }
 }

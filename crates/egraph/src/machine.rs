@@ -290,7 +290,7 @@ impl Vm<'_> {
                 let op_no = self.op_nos[pc];
                 // registers hold canonical ids, so the class is live
                 let class = eg.classes[regs[*reg as usize].index()].as_ref().expect("live class");
-                for &f in &class.nodes {
+                for &f in class.nodes.as_slice(&eg.node_pool) {
                     let children = eg.arena.children(f);
                     if eg.arena.op_no(f) != op_no || children.len() != *arity as usize {
                         continue;

@@ -68,7 +68,7 @@
 use crate::analysis::ConstValue;
 use crate::arena::{Arena, Form};
 use crate::egraph::{EClass, EGraph, NO_CLASS};
-use crate::list::{Parent, Parents, SmallList};
+use crate::list::{List, Parent};
 use crate::node::{Id, Op};
 use crate::unionfind::UnionFind;
 
@@ -378,7 +378,7 @@ impl EGraph {
         // integers and other bytes of the class lines, for sizing the output
         let (mut class_ints, mut class_text) = (0usize, 2 * self.classes.len());
         for (_, cls) in self.classes() {
-            for &f in &cls.nodes {
+            for &f in cls.nodes.as_slice(&self.node_pool) {
                 forms.visit(f.index());
             }
             for &(f, _) in cls.parents.as_slice(&self.parent_pool) {
@@ -457,7 +457,7 @@ impl EGraph {
             push_const_token(&mut out, cls.constant);
             push_sp_num(&mut out, cls.nodes.len());
             push_sp_num(&mut out, cls.parents.len());
-            for f in &cls.nodes {
+            for f in cls.nodes.as_slice(&self.node_pool) {
                 push_sp_num(&mut out, forms.of(f.index()));
             }
             for (f, pid) in cls.parents.as_slice(&self.parent_pool) {
@@ -469,7 +469,8 @@ impl EGraph {
 
         // the op index, by snapshot op number (an indexed operator heads a
         // class node, so it is in the table)
-        let mut indexed: Vec<(usize, &SmallList<Id>)> = (self.op_index.iter().enumerate())
+        let mut indexed: Vec<(usize, &[Id])> = (0..self.op_index.len())
+            .map(|op_no| (op_no, self.op_index_entry(op_no)))
             .filter(|(_, ids)| !ids.is_empty())
             .map(|(op_no, ids)| (ops.of(op_no), ids))
             .collect();
@@ -533,7 +534,9 @@ impl EGraph {
                 a.constant == b.constant
                     && a.nodes.len() == b.nodes.len()
                     && a.parents.len() == b.parents.len()
-                    && a.nodes.iter().zip(&b.nodes).all(|(&x, &y)| form_eq(x, y))
+                    && (a.nodes.as_slice(&self.node_pool).iter())
+                        .zip(b.nodes.as_slice(&other.node_pool))
+                        .all(|(&x, &y)| form_eq(x, y))
                     && (a.parents.as_slice(&self.parent_pool).iter())
                         .zip(b.parents.as_slice(&other.parent_pool))
                         .all(|(&(x, p), &(y, q))| p == q && form_eq(x, y))
@@ -550,13 +553,16 @@ impl EGraph {
                 (other.arena.lookup(node.op, node.children))
                     .is_some_and(|g| other.memo[g.index()] == *id)
             });
-        let indexed = |eg: &EGraph| eg.op_index.iter().filter(|ids| !ids.is_empty()).count();
+        let indexed = |eg: &EGraph| {
+            (0..eg.op_index.len()).filter(|&n| !eg.op_index_entry(n).is_empty()).count()
+        };
         memo_eq
             && indexed(self) == indexed(other)
-            && self.op_index.iter().enumerate().all(|(op_no, ids)| {
+            && (0..self.op_index.len()).all(|op_no| {
+                let ids = self.op_index_entry(op_no);
                 ids.is_empty() || {
                     let theirs = other.arena.op_number(self.arena.op_by_number(op_no as u32));
-                    theirs.and_then(|n| other.op_index.get(n as usize)) == Some(ids)
+                    theirs.is_some_and(|n| other.op_index_entry(n as usize) == ids)
                 }
             })
     }
@@ -619,24 +625,26 @@ fn read_body(r: &mut Reader<'_>) -> Read<EGraph> {
     }
     r.eol()?;
     let mut classes: Vec<Option<EClass>> = Vec::with_capacity(n_ids);
-    // a parents entry per child of a class's node, about as many as the
-    // forms have children
-    let mut parent_pool = Vec::with_capacity(n_children);
+    // every list of two or more items goes to its kind's pool: about a
+    // class node per form, and a parents entry per child of one
+    let mut pools = (Vec::with_capacity(n_forms), Vec::with_capacity(n_children));
     let mut line = Vec::new();
     for _ in 0..n_ids {
         classes.push(if r.byte(b'x').is_ok() {
             r.eol()?;
             None
         } else {
-            Some(read_class(r, (n_forms, n_ids), &mut line, &mut parent_pool)?)
+            Some(read_class(r, (n_forms, n_ids), &mut line, &mut pools)?)
         });
     }
+    let (node_pool, parent_pool) = pools;
     let live_classes = classes.iter().flatten().count();
 
     r.lit("opix")?;
     let n_indexed = r.sp_count()?;
     r.eol()?;
-    let mut op_index: Vec<SmallList<Id>> = vec![SmallList::default(); n_ops];
+    let mut op_index: Vec<List<Id>> = vec![List::default(); n_ops];
+    let mut class_pool = Vec::new();
     let mut next_op = 0;
     for _ in 0..n_indexed {
         let op_no = r.num()?;
@@ -648,11 +656,11 @@ fn read_body(r: &mut Reader<'_>) -> Read<EGraph> {
         if n == 0 {
             return Err("empty op index entry");
         }
-        let ids = &mut op_index[op_no];
-        *ids = SmallList::with_capacity(n);
-        if r.sp_nums_to_eol(n_ids, |id| ids.push(Id::new(id)))? != n {
+        let start = class_pool.len();
+        if r.sp_nums_to_eol(n_ids, |id| class_pool.push(Id::new(id)))? != n {
             return Err("id count differs from the line's");
         }
+        op_index[op_no] = List::from_run(&mut class_pool, start).ok_or("count exceeds u32")?;
     }
 
     let dirty = r.id_line("dirty", n_ids)?;
@@ -668,7 +676,9 @@ fn read_body(r: &mut Reader<'_>) -> Read<EGraph> {
         memo,
         memo_len,
         classes,
+        node_pool,
         parent_pool,
+        class_pool,
         live_classes,
         dirty,
         op_index,
@@ -680,13 +690,13 @@ fn read_body(r: &mut Reader<'_>) -> Read<EGraph> {
 }
 
 /// `<const | -> <n> <p> <form>×n <form id>×p` and its line end — one live
-/// class, its parents appended to `pool`. The integers are read into
-/// `line` first, in one pass.
+/// class, whose node and parents lists go to the two `pools`. The
+/// integers are read into `line` first, in one pass.
 fn read_class(
     r: &mut Reader<'_>,
     (n_forms, n_ids): (usize, usize),
     line: &mut Vec<u32>,
-    pool: &mut Vec<Parent>,
+    (node_pool, parent_pool): &mut (Vec<Form>, Vec<Parent>),
 ) -> Read<EClass> {
     // most classes fold to no constant: `-`, then a space
     let constant = if r.buf[r.pos..].starts_with(b"- ") {
@@ -708,18 +718,19 @@ fn read_class(
         f if f < n_forms => Ok(Form::from_index(f)),
         _ => Err("form number out of range"),
     };
-    let mut nodes = SmallList::with_capacity(node_items.len());
+    let start = node_pool.len();
     for &f in node_items {
-        nodes.push(form(f)?);
+        node_pool.push(form(f)?);
     }
-    let start = u32::try_from(pool.len()).map_err(|_| "count exceeds u32")?;
+    let nodes = List::from_run(node_pool, start).ok_or("count exceeds u32")?;
+    let start = parent_pool.len();
     for pair in parent_items.chunks_exact(2) {
         if pair[1] as usize >= n_ids {
             return Err("id out of range");
         }
-        pool.push((form(pair[0])?, Id::new(pair[1])));
+        parent_pool.push((form(pair[0])?, Id::new(pair[1])));
     }
-    let parents = Parents::Pooled { start, len: n_parents };
+    let parents = List::from_run(parent_pool, start).ok_or("count exceeds u32")?;
     Ok(EClass { nodes, parents, constant })
 }
 
