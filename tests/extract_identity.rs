@@ -21,10 +21,10 @@ use accsat_benchmarks::genkern::{generate_kernel, GenConfig};
 use accsat_egraph::{all_rules, EGraph, Id, Runner};
 use accsat_extract::{
     extract_exact_in, extract_greedy, extract_portfolio, ClassOrder, ContextOptions, CostModel,
-    PortfolioConfig, SearchContext, SearchOptions,
+    PortfolioConfig, PortfolioResult, SearchContext, SearchOptions,
 };
 use accsat_ir::{innermost_parallel_loops, parse_program};
-use accsat_ssa::build_kernel;
+use accsat_ssa::{build_kernel, SsaKernel};
 use std::time::Duration;
 
 /// The portfolio's strategy table (`extract::portfolio::STRATEGIES`).
@@ -143,8 +143,17 @@ gen small 31 seq_loop | 7 4 0 | 665 | greedy 665 | 665 proven 1 d507e5b8293a2b98
 
 #[test]
 fn every_strategy_on_64_generated_kernels_is_pinned() {
-    let small = GenConfig { max_stmts: 2, max_depth: 2 };
     let mut table = String::new();
+    for (name, kernel) in generated_kernels() {
+        table.push_str(&strategy_row(&name, &kernel.egraph, &kernel.extraction_roots()));
+    }
+    assert_eq!(table, GENERATED, "extraction moved; got:\n{table}");
+}
+
+/// The 64 genkern kernels of [`GENERATED`], named as its rows, saturated.
+fn generated_kernels() -> Vec<(String, SsaKernel)> {
+    let small = GenConfig { max_stmts: 2, max_depth: 2 };
+    let mut out = Vec::new();
     for (shape, cfg) in [("default", GenConfig::default()), ("small", small)] {
         for seed in 0..32 {
             let gk = generate_kernel(seed, &cfg);
@@ -153,17 +162,12 @@ fn every_strategy_on_64_generated_kernels_is_pinned() {
                 for l in innermost_parallel_loops(f) {
                     let mut kernel = build_kernel(&l.body);
                     Runner::new(all_rules()).run(&mut kernel.egraph);
-                    let name = format!("gen {shape} {seed} {}", gk.flavor);
-                    table.push_str(&strategy_row(
-                        &name,
-                        &kernel.egraph,
-                        &kernel.extraction_roots(),
-                    ));
+                    out.push((format!("gen {shape} {seed} {}", gk.flavor), kernel));
                 }
             }
         }
     }
-    assert_eq!(table, GENERATED, "extraction moved; got:\n{table}");
+    out
 }
 
 /// One row of the strategy tables: the pruned counts, the root bound and
@@ -381,3 +385,52 @@ fn portfolio_assembly_on_all_19_suite_kernels_is_pinned() {
     }
     assert_eq!(table, ASSEMBLY, "portfolio assembly moved; got:\n{table}");
 }
+
+/// Racing `bnb-heaviest` next to `bnb-bestfirst` buys nothing: over the 19
+/// suite and 64 genkern kernels, the portfolio at widths 1 and 2 returns the
+/// same winner, cost, proof, lower bound, pruned counts and selection, and
+/// wherever a race ran the second search explored exactly as many nodes as
+/// the first. (`bnb-heaviest` orders pending classes by their cheapest
+/// candidate's cost first; at every pick with two or more pending classes
+/// in these graphs that cost is the same, so the key falls through to the
+/// candidate count, `bnb-bestfirst`'s own first key, and both strategies
+/// branch on the same class.)
+#[test]
+fn width_two_repeats_width_one_on_all_83_kernels() {
+    let cm = CostModel::paper();
+    let mut kernels = common::suite_kernels();
+    for (_, kernel) in &mut kernels {
+        Runner::new(all_rules()).run(&mut kernel.egraph);
+    }
+    kernels.extend(generated_kernels());
+    let mut raced = 0;
+    for (name, kernel) in &kernels {
+        let (eg, roots) = (&kernel.egraph, kernel.extraction_roots());
+        let at = |threads| {
+            let deadline = Duration::from_secs(600);
+            let cfg = PortfolioConfig { threads, node_budget: 60_000, deadline };
+            extract_portfolio(eg, &roots, &cm, &cfg, None)
+        };
+        let (one, two) = (at(1), at(2));
+        let facts = |r: &PortfolioResult| {
+            let (winner, m) = r.winning();
+            let hash = m.selection.content_hash(eg, &roots);
+            (*winner, m.cost, r.proven_optimal, r.lower_bound, r.pruned, hash)
+        };
+        assert_eq!(facts(&one), facts(&two), "{name}");
+        let explored = |r: &PortfolioResult| r.members.iter().map(|(_, m)| m.explored).sum::<u64>();
+        let searched = |r: &PortfolioResult| r.members.iter().any(|(n, _)| n.starts_with("bnb-"));
+        assert_eq!(searched(&one), searched(&two), "{name}");
+        if searched(&one) {
+            raced += 1;
+            assert_eq!(explored(&two), 2 * explored(&one), "{name}");
+        } else {
+            assert_eq!((explored(&one), explored(&two)), (0, 0), "{name}");
+        }
+    }
+    assert_eq!((kernels.len(), raced), (83, RACED), "kernels, and kernels that raced");
+}
+
+/// Kernels of the 83 whose incumbent missed the LP root bound, so that the
+/// portfolio raced.
+const RACED: usize = 58;
