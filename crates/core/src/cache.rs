@@ -338,7 +338,10 @@ pub(crate) fn sel_key_from(sat_key: u64, config: &SaturatorConfig) -> u64 {
         h = fnv1a_mix(h, w);
     }
     h = fnv1a_mix(h, config.extraction_node_budget);
-    h = fnv1a_mix(h, config.extraction_threads as u64);
+    // the width the race runs, not the one asked for: widths that clamp
+    // alike return the same selection and share its entry
+    let width = config.extraction_threads.clamp(1, accsat_extract::STRATEGY_COUNT);
+    h = fnv1a_mix(h, width as u64);
     h
 }
 
@@ -774,6 +777,20 @@ void k(double a[16], double out[16], double c0) {
         valve.limits.time_limit = std::time::Duration::from_secs(99);
         assert_eq!(sat_stage_key(&b, Variant::AccSat, &valve), sat0);
         assert_eq!(sel_stage_key(&b, Variant::AccSat, &valve), sel0);
+    }
+
+    #[test]
+    fn portfolio_widths_that_run_the_same_race_share_a_selection_key() {
+        let b = body();
+        let key = |extraction_threads| {
+            let config = SaturatorConfig { extraction_threads, ..SaturatorConfig::default() };
+            sel_stage_key(&b, Variant::AccSat, &config)
+        };
+        // the race runs the first `clamp(1, STRATEGY_COUNT)` strategies
+        assert_eq!(key(0), key(1));
+        assert_eq!(key(accsat_extract::STRATEGY_COUNT), key(8));
+        assert_ne!(key(1), key(2));
+        assert_ne!(key(2), key(accsat_extract::STRATEGY_COUNT));
     }
 
     #[test]
