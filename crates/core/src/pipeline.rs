@@ -80,7 +80,9 @@ pub struct SaturatorConfig {
     /// scaled down). The deterministic budget is `extraction_node_budget`.
     pub extraction_budget: Duration,
     /// Width of the extraction portfolio: how many branch-and-bound
-    /// strategies race per kernel. `1` disables the racing threads.
+    /// strategies race per kernel. `1` (the default) runs one search,
+    /// best-first, on the calling thread; a wider race adds strategies
+    /// from the portfolio's table (`tune` harvests all of them).
     pub extraction_threads: usize,
     /// Deterministic per-strategy search budget in explored nodes; this,
     /// not the wall clock, is what normally ends a hard extraction, so
@@ -114,12 +116,15 @@ impl Default for SaturatorConfig {
         SaturatorConfig {
             limits: RunnerLimits::default(),
             // the *node* budget is sized to finish well inside the wall
-            // valve (5–7 ms per strategy in release on BT `z_solve`, the
-            // largest in-repo search, on a 2-core x86-64 host), so runs are
-            // reproducible: the deterministic limit binds, the clock does
-            // not
+            // valve (6–7 ms for the one 60 k-node search in release on BT
+            // `z_solve`, the largest in-repo search, on a 2-core x86-64
+            // host), so runs are reproducible: the deterministic limit
+            // binds, the clock does not
             extraction_budget: Duration::from_secs(5),
-            extraction_threads: 2,
+            // one search: a second strategy, `bnb-heaviest`, returns the
+            // same selection and explores the same nodes on every pinned
+            // kernel (`extract_identity`)
+            extraction_threads: 1,
             extraction_node_budget: 60_000,
             cost_model: CostModel::paper(),
             rules: Arc::new(all_rules()),

@@ -1,13 +1,16 @@
-//! Deadline-aware extraction portfolio: diversified branch-and-bound
-//! searches racing on worker threads.
+//! Deadline-aware extraction portfolio: a greedy incumbent, its DAG-aware
+//! refinement, then branch-and-bound searches from it.
 //!
 //! The paper gives extraction a 30-second budget and falls back to the
-//! incumbent when the LP solver runs out of time (§VII). This module
-//! spends such a budget better than one search can: several
-//! branch-and-bound configurations — different class orderings and
-//! candidate orderings ([`SearchOptions`]) — explore *different* search
-//! trees over the same e-graph, each seeded with the greedy incumbent,
-//! and the best result wins.
+//! incumbent when the LP solver runs out of time (§VII). Like the paper's
+//! one solver run, the default portfolio runs one search (width 1,
+//! `bnb-bestfirst`). A wider portfolio races further branch-and-bound
+//! configurations from a fixed table — different class orderings and
+//! candidate orderings ([`SearchOptions`]) — each seeded with the same
+//! incumbent, and the best result wins. The autotuner harvests all of
+//! them; on every kernel the repo pins, the second entry,
+//! `bnb-heaviest`, repeats the first search node for node, which is why
+//! the default does not race it.
 //!
 //! # Determinism
 //!
@@ -65,8 +68,9 @@ pub fn intern_strategy(name: &str) -> Option<&'static str> {
 /// Portfolio configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct PortfolioConfig {
-    /// Number of racing branch-and-bound workers (clamped to the strategy
-    /// table size). `1` runs the default strategy on the calling thread.
+    /// Number of racing branch-and-bound strategies, the first entries of
+    /// the strategy table (clamped to `1..=`[`STRATEGY_COUNT`]). `1`, the
+    /// default, runs `bnb-bestfirst` alone on the calling thread.
     pub threads: usize,
     /// Deterministic per-worker exploration budget (search-tree nodes).
     pub node_budget: u64,
@@ -77,7 +81,7 @@ pub struct PortfolioConfig {
 impl Default for PortfolioConfig {
     fn default() -> PortfolioConfig {
         PortfolioConfig {
-            threads: 2,
+            threads: 1,
             node_budget: SearchOptions::default().node_budget,
             deadline: SearchOptions::default().deadline,
         }
@@ -133,10 +137,12 @@ impl PortfolioResult {
 /// improve the incumbent (re-checking the bound), then `config.threads`
 /// branch-and-bound workers race from the refined incumbent.
 ///
-/// With a shared [`ThreadBudget`], the racing strategies (still the first
-/// `config.threads` table entries, so the result is identical) are drained
-/// by the calling thread plus however many spare permits the budget grants
-/// for the duration of the race; `None` races on `config.threads` threads.
+/// The race starts on the calling thread alone. A search that reaches 256
+/// explored nodes asks for helper threads, up to `config.threads − 1`;
+/// with a shared [`ThreadBudget`] there are only as many as the spare
+/// permits it leased when the race began, and at width 1 it leases none.
+/// Which strategies run, and so the result, depends on `config.threads`
+/// only, never on how many threads drained them.
 pub fn extract_portfolio(
     eg: &EGraph,
     roots: &[Id],

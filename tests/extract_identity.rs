@@ -6,14 +6,16 @@
 //! a layout change that moves any column has changed behaviour.
 //!
 //! `suite_certification` pins costs and proofs but not `explored`, and the
-//! default portfolio width 2 never runs `bnb-bestfirst-shared` or
-//! `bnb-lifo` (only `tune` does) — so all **four** strategies run here, on
-//! every kernel (also the ones the portfolio short-circuits), each seeded
-//! with the portfolio's refined incumbent at the default 60 k-node budget.
+//! default portfolio (width 1) runs `bnb-bestfirst` alone (only `tune`
+//! runs the other three) — so all **four** strategies run here, on every
+//! kernel (also the ones the portfolio short-circuits), each seeded with
+//! the portfolio's refined incumbent at the default 60 k-node budget.
 //! The same row is pinned for 64 seeded genkern kernels of two shapes,
 //! recorded at `2f83943`: the suite alone leaves small and generated
-//! kernels' `explored` counts free. A second table pins what each pruning layer of the search is worth, and
-//! a third how the portfolio combines its members into one result.
+//! kernels' `explored` counts free. A second table pins what each pruning
+//! layer of the search is worth, a third how the portfolio combines its
+//! members into one result, and a last test that widening the race from
+//! one strategy to two changes nothing but the explored-node sum.
 
 mod common;
 
