@@ -340,8 +340,7 @@ pub(crate) fn sel_key_from(sat_key: u64, config: &SaturatorConfig) -> u64 {
     h = fnv1a_mix(h, config.extraction_node_budget);
     // the width the race runs, not the one asked for: widths that clamp
     // alike return the same selection and share its entry
-    let width = config.extraction_threads.clamp(1, accsat_extract::STRATEGY_COUNT);
-    h = fnv1a_mix(h, width as u64);
+    h = fnv1a_mix(h, accsat_extract::race_width(config.extraction_threads) as u64);
     h
 }
 
@@ -786,7 +785,7 @@ void k(double a[16], double out[16], double c0) {
             let config = SaturatorConfig { extraction_threads, ..SaturatorConfig::default() };
             sel_stage_key(&b, Variant::AccSat, &config)
         };
-        // the race runs the first `clamp(1, STRATEGY_COUNT)` strategies
+        // the race runs the first `race_width(width)` strategies
         assert_eq!(key(0), key(1));
         assert_eq!(key(accsat_extract::STRATEGY_COUNT), key(8));
         assert_ne!(key(1), key(2));

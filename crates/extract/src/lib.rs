@@ -53,7 +53,8 @@ pub use cost::CostModel;
 pub use greedy::extract_greedy;
 pub use lp::LpBound;
 pub use portfolio::{
-    extract_portfolio, intern_strategy, PortfolioConfig, PortfolioResult, STRATEGY_COUNT,
+    extract_portfolio, intern_strategy, race_width, PortfolioConfig, PortfolioResult,
+    STRATEGY_COUNT,
 };
 pub use refine::{climb, marginal_greedy};
 pub use selection::{Selection, SelectionError};

@@ -55,6 +55,13 @@ const STRATEGIES: &[(&str, ClassOrder, bool)] = &[
 /// becomes a candidate.
 pub const STRATEGY_COUNT: usize = STRATEGIES.len();
 
+/// How many strategies a portfolio of width `threads` races: the first
+/// `threads` table entries, at least one and at most the whole table.
+/// Widths that clamp alike return the same result.
+pub fn race_width(threads: usize) -> usize {
+    threads.clamp(1, STRATEGY_COUNT)
+}
+
 /// Map a strategy name (e.g. read back from a serialized cache entry) to
 /// the interned `&'static str` the portfolio reports. `None` for unknown
 /// names — the cache layer treats that as a corrupt entry and re-extracts.
@@ -242,7 +249,7 @@ fn race(
     // drain them is a separate, output-invisible question answered by the
     // shared budget when one is installed (two-level pool) or by `want`
     // itself when running standalone.
-    let want = config.threads.clamp(1, STRATEGIES.len());
+    let want = race_width(config.threads);
     let opts: Vec<(&'static str, SearchOptions)> = STRATEGIES[..want]
         .iter()
         .map(|&(name, order, prefer_shared)| {
