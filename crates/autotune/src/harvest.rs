@@ -7,8 +7,8 @@ use accsat_extract::{extract_portfolio, CostModel, PortfolioConfig, Selection};
 /// One harvested extraction candidate.
 #[derive(Debug, Clone)]
 pub struct Candidate {
-    /// Where the candidate came from: a portfolio strategy name
-    /// (`"greedy"`, `"bnb-bestfirst"`, …) or a cost-sweep point
+    /// Where the candidate came from: a portfolio member name
+    /// (`"greedy"`, `"refine"`, `"bnb-bestfirst"`) or a cost-sweep point
     /// (`"heavy=10"`).
     pub label: String,
     /// The candidate selection (a total cover, ready for codegen).
@@ -30,7 +30,7 @@ pub struct Candidate {
 pub(crate) struct Harvest {
     /// Structurally distinct candidates, in deterministic harvest order:
     /// base-portfolio members first (greedy, then the refined incumbent
-    /// when it improves, then strategy order), then cost-sweep winners in
+    /// when it improves, then the search's best), then cost-sweep winners in
     /// sweep order, deduplicated by content hash and truncated to the
     /// keep-K cap.
     pub candidates: Vec<Candidate>,
@@ -63,9 +63,9 @@ pub(crate) fn harvest_candidates(
 ) -> Harvest {
     let mut raw: Vec<Candidate> = Vec::new();
 
-    // 1. the base portfolio, kept whole: greedy incumbent + every
-    //    branch-and-bound strategy's best selection
-    let base = extract_portfolio(eg, roots, base_cm, pcfg, None);
+    // 1. the base portfolio, kept whole: the greedy incumbent, then the
+    //    refined one and the search's best, when they ran
+    let base = extract_portfolio(eg, roots, base_cm, pcfg);
     let lower_bound = base.lower_bound;
     for (strategy, m) in base.members {
         let content_hash = m.selection.content_hash(eg, roots);
@@ -85,7 +85,7 @@ pub(crate) fn harvest_candidates(
             continue;
         }
         let cm = CostModel { heavy, ..*base_cm };
-        let res = extract_portfolio(eg, roots, &cm, pcfg, None);
+        let res = extract_portfolio(eg, roots, &cm, pcfg);
         let proven_optimal = res.proven_optimal;
         let (_, selection) = res.into_winner();
         let static_cost = selection.dag_cost(eg, base_cm, roots);

@@ -14,9 +14,10 @@
 //!
 //! 1. **Harvest** (`harvest_candidates`) — instead of discarding all but
 //!    the extraction portfolio's winner, keep the top-K structurally
-//!    distinct selections: the greedy (tree-optimal) incumbent, each
-//!    branch-and-bound strategy's best, and the winners of a cost-model
-//!    sweep (`heavy ∈ {10, 100, 1000}` by default) that deliberately warps
+//!    distinct selections: the greedy (tree-optimal) incumbent, the
+//!    refined incumbent and the branch-and-bound search's best, and the
+//!    winners of a cost-model sweep (`heavy ∈ {10, 100, 1000}` by
+//!    default) that deliberately warps
 //!    the memory/compute trade-off to reach different corners of the
 //!    selection space. Candidates are deduplicated by
 //!    [`Selection::content_hash`] so identical selections never burn

@@ -161,8 +161,7 @@ pub fn tune_kernel(
         workers,
         bodies.len(),
         || (),
-        |i, helpers| {
-            helpers.request();
+        |i| {
             let candidate = LoopNest { body: bodies[i].clone(), ..nest.clone() };
             let k = compile_nest(&candidate, &cfg.compiler, bindings);
             run_kernel(&k.trace, &k.launch, &cfg.device)

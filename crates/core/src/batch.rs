@@ -13,9 +13,8 @@
 //!
 //! Whole kernels are only the first level of schedulable work. Inside a
 //! kernel, the saturation runner's parallel rule search
-//! ([`accsat_egraph::Runner::sat_threads`]) and the extraction
-//! portfolio's racing strategies are fan-outs of their own, and all of
-//! them draw threads from one shared [`accsat_egraph::ThreadBudget`]:
+//! ([`accsat_egraph::Runner::sat_threads`]) is a fan-out of its own, and
+//! it draws threads from one shared [`accsat_egraph::ThreadBudget`]:
 //! the batch runs `min(threads, items)` workers, banks the rest as spare
 //! permits, and each worker retires its permit into the budget when the
 //! queue runs dry, so the tail of a suite — the few heaviest kernels (BT
@@ -71,8 +70,8 @@ pub struct ParallelConfig {
 
 impl Default for ParallelConfig {
     fn default() -> ParallelConfig {
-        // one thread per core: kernel-internal fan-outs (rule search,
-        // portfolio race) lease spare permits from the shared budget
+        // one thread per core: the kernel-internal fan-out (rule search)
+        // leases spare permits from the shared budget
         // instead of spawning unconditionally, so a full-width pool can
         // no longer oversubscribe the machine
         let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
@@ -455,8 +454,7 @@ fn run_suite(
     // second scheduling level: the thread permits not consumed by the
     // worker pool seed the shared budget, and every worker returns its
     // own permit when the kernel queue runs dry — in-flight kernels can
-    // then widen their internal fan-outs (rule search, portfolio race)
-    // onto its core.
+    // then widen their internal fan-out (rule search) onto its core.
     let budget = Arc::new(ThreadBudget::new(par.threads.saturating_sub(workers)));
     cfg.thread_budget = Some(Arc::clone(&budget));
 
@@ -466,8 +464,7 @@ fn run_suite(
         workers,
         items.len(),
         || budget.release(1),
-        |i, helpers| {
-            helpers.request();
+        |i| {
             let (bi, fi) = items[i];
             let f = &programs[bi].functions[fi];
             let _item_span =

@@ -23,7 +23,7 @@
 //! whitespace are already gone — mixed with every configuration value
 //! that can change the stage's output: whether the variant saturates, the
 //! saturation limits, and the rule set for the saturation key; plus the
-//! cost model, portfolio width and node budget for the selection key.
+//! cost model and node budget for the selection key.
 //! Wall-clock budgets are deliberately *not* part of the keys: they are
 //! safety valves that do not bind in deterministic runs, and two runs
 //! differing only in a valve setting should share cache entries.
@@ -324,7 +324,7 @@ pub fn sat_stage_key(body: &Block, variant: Variant, config: &SaturatorConfig) -
 }
 
 /// Hash key of the extraction stage: the saturation key plus everything
-/// the objective depends on (cost model, portfolio width, node budget).
+/// the objective depends on (cost model, node budget).
 pub fn sel_stage_key(body: &Block, variant: Variant, config: &SaturatorConfig) -> u64 {
     sel_key_from(sat_stage_key(body, variant, config), config)
 }
@@ -337,11 +337,7 @@ pub(crate) fn sel_key_from(sat_key: u64, config: &SaturatorConfig) -> u64 {
     for w in [cm.constant, cm.variable, cm.operation, cm.heavy] {
         h = fnv1a_mix(h, w);
     }
-    h = fnv1a_mix(h, config.extraction_node_budget);
-    // the width the race runs, not the one asked for: widths that clamp
-    // alike return the same selection and share its entry
-    h = fnv1a_mix(h, accsat_extract::race_width(config.extraction_threads) as u64);
-    h
+    fnv1a_mix(h, config.extraction_node_budget)
 }
 
 /// Hit/miss/eviction counters, per stage level (a snapshot from
@@ -776,20 +772,6 @@ void k(double a[16], double out[16], double c0) {
         valve.limits.time_limit = std::time::Duration::from_secs(99);
         assert_eq!(sat_stage_key(&b, Variant::AccSat, &valve), sat0);
         assert_eq!(sel_stage_key(&b, Variant::AccSat, &valve), sel0);
-    }
-
-    #[test]
-    fn portfolio_widths_that_run_the_same_race_share_a_selection_key() {
-        let b = body();
-        let key = |extraction_threads| {
-            let config = SaturatorConfig { extraction_threads, ..SaturatorConfig::default() };
-            sel_stage_key(&b, Variant::AccSat, &config)
-        };
-        // the race runs the first `race_width(width)` strategies
-        assert_eq!(key(0), key(1));
-        assert_eq!(key(accsat_extract::STRATEGY_COUNT), key(8));
-        assert_ne!(key(1), key(2));
-        assert_ne!(key(2), key(accsat_extract::STRATEGY_COUNT));
     }
 
     #[test]

@@ -478,15 +478,8 @@ pub fn check_seeded(index: u64, seed: u64, fc: &FuzzConfig) -> CaseOutcome {
 pub fn run_campaign(fc: &FuzzConfig) -> FuzzReport {
     let cases = fc.cases as usize;
     let workers = fc.threads.clamp(1, cases.max(1));
-    let outcomes = accsat_egraph::pool::map_slots(
-        workers,
-        cases,
-        || (),
-        |i, helpers| {
-            helpers.request();
-            run_case(i as u64, fc)
-        },
-    );
+    let outcomes =
+        accsat_egraph::pool::map_slots(workers, cases, || (), |i| run_case(i as u64, fc));
 
     let mut flavors: BTreeMap<String, u64> = BTreeMap::new();
     let (mut passed, mut skipped) = (0u64, 0u64);

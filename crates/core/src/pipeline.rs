@@ -79,12 +79,12 @@ pub struct SaturatorConfig {
     /// Wall-clock safety cap per extraction (the paper's 30 s limit,
     /// scaled down). The deterministic budget is `extraction_node_budget`.
     pub extraction_budget: Duration,
-    /// Width of the extraction portfolio: how many branch-and-bound
-    /// strategies race per kernel. `1` (the default) runs one search,
-    /// best-first, on the calling thread; a wider race adds strategies
-    /// from the portfolio's table (`tune` harvests all of them).
+    /// Unused: extraction runs one search per kernel, and nothing in the
+    /// optimizer reads this field. It stays only because the benchmark's
+    /// stage replay (`perf/src/replay.rs`) still reads it; ROADMAP item 1,
+    /// which deletes that replay, deletes this field with it.
     pub extraction_threads: usize,
-    /// Deterministic per-strategy search budget in explored nodes; this,
+    /// Deterministic search budget in explored nodes; this,
     /// not the wall clock, is what normally ends a hard extraction, so
     /// results are reproducible run to run.
     pub extraction_node_budget: u64,
@@ -99,9 +99,9 @@ pub struct SaturatorConfig {
     /// byte-identical at any value.
     pub sat_threads: usize,
     /// Shared thread budget of the two-level batch pool. When set, the
-    /// saturation search and the extraction portfolio lease their extra
-    /// threads from here instead of spawning unconditionally; `None`
-    /// (standalone runs) spawns up to the configured widths outright.
+    /// saturation search leases its extra threads from here instead of
+    /// spawning unconditionally; `None` (standalone runs) spawns up to
+    /// `sat_threads` outright.
     pub thread_budget: Option<Arc<ThreadBudget>>,
     /// Content-addressed stage cache (see [`crate::cache`]). When set,
     /// the pipeline consults it before saturation and extraction and
@@ -121,9 +121,6 @@ impl Default for SaturatorConfig {
             // host), so runs are reproducible: the deterministic limit
             // binds, the clock does not
             extraction_budget: Duration::from_secs(5),
-            // one search: a second strategy, `bnb-heaviest`, returns the
-            // same selection and explores the same nodes on every pinned
-            // kernel (`extract_identity`)
             extraction_threads: 1,
             extraction_node_budget: 60_000,
             cost_model: CostModel::paper(),
@@ -256,12 +253,7 @@ pub fn tune_function(
     for_each_kernel(f, variant, config, |job, kernel_index| {
         let sat = job.saturate();
         let copts = CodegenOptions { bulk_load: variant.bulk_loads() };
-        // harvest at full portfolio width: every strategy's selection is a
-        // candidate, regardless of how narrow the static extraction races.
-        // The tune path keeps its own unbudgeted fan-out: the tuner's
-        // lower-and-simulate stage dominates its wall time, not the race.
-        let mut pcfg = job.portfolio_config();
-        pcfg.threads = pcfg.threads.max(accsat_extract::STRATEGY_COUNT);
+        let pcfg = job.portfolio_config();
         let cm = &config.cost_model;
         let (tuned, time) = timed("tune", || {
             tune_kernel(f, kernel_index, &sat.kernel, job.tm, cm, &pcfg, &copts, bindings, tcfg)
@@ -405,7 +397,6 @@ impl KernelJob<'_> {
     /// The extraction portfolio configuration of this job.
     fn portfolio_config(&self) -> PortfolioConfig {
         PortfolioConfig {
-            threads: self.config.extraction_threads,
             node_budget: self.config.extraction_node_budget,
             deadline: self.config.extraction_budget,
         }
@@ -495,8 +486,8 @@ impl KernelJob<'_> {
         chosen.check(&sat.kernel, &self.config.cost_model).ok().map(|()| (sat, chosen))
     }
 
-    /// Step ② part II, extraction (the LP objective): a portfolio of
-    /// branch-and-bound strategies racing under a deterministic budget.
+    /// Step ② part II, extraction (the LP objective): the portfolio's one
+    /// branch-and-bound search under a deterministic budget.
     /// Fills the `selected` cache level.
     pub(crate) fn select(&self, sat: &Saturated) -> Chosen {
         let (ex, time) = timed("extract", || {
@@ -505,7 +496,6 @@ impl KernelJob<'_> {
                 &sat.kernel.extraction_roots(),
                 &self.config.cost_model,
                 &self.portfolio_config(),
-                self.config.thread_budget.as_deref(),
             )
         });
         let explored = ex.members.iter().map(|(_, m)| m.explored).sum();

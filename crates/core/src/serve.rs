@@ -349,8 +349,8 @@ pub fn run_session<R: BufRead, W: Write + Send>(
     let mut saturator = config.saturator.clone();
     let cache = saturator.cache.get_or_insert_with(|| Arc::new(StageCache::in_memory())).clone();
     // request workers are the outer level of the two-level pool; with no
-    // spare budget each request's saturation/extraction stays
-    // single-threaded and concurrency comes from request fan-out,
+    // spare budget each request's saturation stays single-threaded (as
+    // extraction always is) and concurrency comes from request fan-out,
     // mirroring the batch driver's fully-loaded configuration
     saturator.thread_budget.get_or_insert_with(|| Arc::new(ThreadBudget::new(0)));
     let (job_tx, job_rx) = mpsc::channel::<(u64, Job)>();

@@ -391,8 +391,7 @@ impl Runner {
                     width,
                     tasks.len(),
                     || (),
-                    |ti, helpers| {
-                        helpers.request();
+                    |ti| {
                         let (ri, restrict) = &tasks[ti];
                         let _rule_span = trace::span_named("sat.rule", || {
                             format!("search {}", self.rules[*ri].name)

@@ -71,14 +71,15 @@ pub enum ClassOrder {
     /// Largest minimum op cost first (decide expensive classes early so
     /// the bound tightens fast), ties toward fewer candidates, smaller id.
     HeaviestFirst,
-    /// Plain stack order — the classic DFS; kept as a portfolio member
-    /// and as the behavior of earlier revisions.
+    /// Plain stack order — the classic DFS, the behavior of earlier
+    /// revisions.
     Lifo,
 }
 
 /// Tunables of one branch-and-bound search. The extraction portfolio
-/// diversifies over these; [`SearchOptions::default`] orders like its
-/// first strategy: best-first classes, cheapest-tree-first candidates.
+/// searches in [`SearchOptions::default`]'s orders — best-first classes,
+/// cheapest-tree-first candidates — under its own budgets; the other
+/// orders serve ablations and the differential tests.
 #[derive(Debug, Clone, Copy)]
 pub struct SearchOptions {
     /// How to pick the next class to branch on.
@@ -211,7 +212,7 @@ pub fn extract_unpruned(
 
 /// Exact DAG-cost extraction over a prebuilt [`SearchContext`] and greedy
 /// incumbent — the portfolio's entry point: the context and incumbent are
-/// computed once and shared by every racing worker.
+/// computed once, before the search.
 pub fn extract_exact_in(
     cx: &SearchContext<'_>,
     roots: &[Id],
@@ -219,28 +220,9 @@ pub fn extract_exact_in(
     incumbent_cost: u64,
     opts: &SearchOptions,
 ) -> ExactResult {
-    extract_exact_hooked(cx, roots, incumbent, incumbent_cost, opts, &|| ())
-}
-
-/// The search explores this many nodes between two looks at the clock;
-/// its first look is also when it reports itself long.
-const VALVE_EVERY: u64 = 256;
-
-/// [`extract_exact_in`] that calls `long` once, when the search explores
-/// its [`VALVE_EVERY`]th node — the portfolio's race asks for its helper
-/// threads there, so a race of short searches stays on one thread.
-pub(crate) fn extract_exact_hooked(
-    cx: &SearchContext<'_>,
-    roots: &[Id],
-    incumbent: &Selection,
-    incumbent_cost: u64,
-    opts: &SearchOptions,
-    long: &dyn Fn(),
-) -> ExactResult {
     let n = cx.slots();
     let mut search = Search {
         cx,
-        long,
         opts: *opts,
         best: None,
         best_cost: incumbent_cost,
@@ -289,7 +271,7 @@ pub(crate) fn extract_exact_hooked(
     ExactResult { selection, cost: best_cost, proven_optimal: proven, explored, lower_bound }
 }
 
-/// Immutable per-extraction tables shared by every search of a portfolio:
+/// Immutable per-extraction tables, built once before a search:
 /// pruned candidate lists, per-class minimum op costs, the forced children
 /// of the legacy memo bound, and the LP-relaxation required sets. Public
 /// so tests and tools can inspect what the pruning and bounding phases
@@ -331,7 +313,7 @@ pub struct SearchContext<'a> {
     /// `order_start[c]..order_start[c + 1]`. `[0]` tries the cheapest tree
     /// cost first, `[1]` the fewest distinct children
     /// ([`SearchOptions::prefer_shared`]). The keys read only the context,
-    /// so every search of a race shares them.
+    /// so every search over it shares them.
     orders: [Vec<u32>; 2],
     /// Offsets into `orders`, one per class plus the end.
     order_start: Vec<u32>,
@@ -727,7 +709,7 @@ impl<'a> SearchContext<'a> {
         forced_start.push(forced.len() as u32);
 
         // the search's two candidate visit orders, sorted here once
-        // instead of once per racing strategy
+        // instead of once per search
         let mut order_start = Vec::with_capacity(n + 1);
         let mut orders =
             [Vec::with_capacity(cands.list.len()), Vec::with_capacity(cands.list.len())];
@@ -944,8 +926,6 @@ const UNDECIDED: u32 = u32::MAX;
 
 struct Search<'a, 'b> {
     cx: &'b SearchContext<'a>,
-    /// Called once, at the [`VALVE_EVERY`]th explored node.
-    long: &'b dyn Fn(),
     opts: SearchOptions,
     /// The best complete selection found so far; `None` while nothing has
     /// beaten the incumbent the search was seeded with.
@@ -1127,13 +1107,9 @@ impl<'a, 'b> Search<'a, 'b> {
     /// `bound_extra`: Σ min_op over charged-but-undecided classes.
     fn dfs(&mut self, cost: u64, bound_extra: u64) {
         self.explored += 1;
-        if self.explored.is_multiple_of(VALVE_EVERY) {
-            if self.explored == VALVE_EVERY {
-                (self.long)();
-            }
-            if self.deadline.is_some_and(|d| Instant::now() >= d) {
-                self.stopped = true;
-            }
+        // a look at the clock every 256 explored nodes
+        if self.explored.is_multiple_of(256) && self.deadline.is_some_and(|d| Instant::now() >= d) {
+            self.stopped = true;
         }
         if self.explored >= self.opts.node_budget {
             self.stopped = true;
@@ -1549,48 +1525,6 @@ mod tests {
         let res = extract_exact_with(&eg, &[root], &cm, &SearchOptions::default());
         assert!(res.proven_optimal);
         assert!(lp <= res.cost, "bound stays admissible");
-    }
-
-    #[test]
-    fn the_long_hook_fires_once_at_the_256th_explored_node() {
-        // the unpruned search over a saturated sum of squares explores far
-        // more than 256 nodes; the pruned one proves the optimum in fewer
-        let mut eg = EGraph::new();
-        let mut root = eg.add(Node::sym("s"));
-        for name in ["a", "b", "c", "d"] {
-            let x = eg.add(Node::sym(name));
-            let xx = eg.add(Node::new(Op::Mul, vec![x, x]));
-            root = eg.add(Node::new(Op::Add, vec![root, xx]));
-        }
-        Runner::new(all_rules()).run(&mut eg);
-        let roots = [eg.find(root)];
-        let cm = CostModel::paper();
-        let incumbent = extract_greedy(&eg, &roots, &cm);
-        let cost = incumbent.dag_cost(&eg, &cm, &roots);
-        let unpruned = SearchContext::build_with(
-            &eg,
-            &cm,
-            &ContextOptions { orbit: false, dominance: false, closure_dominance: false },
-        );
-        let plain = SearchOptions { lp_bound: false, chain_closure: false, ..Default::default() };
-        let pruned = SearchContext::build(&eg, &cm);
-        let calls = std::cell::Cell::new(0);
-        let long = || calls.set(calls.get() + 1);
-        for (cx, budget, fired) in [
-            (&unpruned, 255, 0),
-            (&unpruned, 256, 1),
-            (&unpruned, 1_000_000, 1),
-            (&pruned, 1_000_000, 0),
-        ] {
-            calls.set(0);
-            let opts = SearchOptions {
-                node_budget: budget,
-                ..if cx.orbit_pruned() == 0 { plain } else { SearchOptions::default() }
-            };
-            let res = extract_exact_hooked(cx, &roots, &incumbent, cost, &opts, &long);
-            assert_eq!(calls.get(), fired, "budget {budget}, explored {}", res.explored);
-            assert_eq!(res.explored >= 256, fired == 1, "explored {}", res.explored);
-        }
     }
 
     /// A small adversarial e-graph from `seed`: three symbols, 40 operators

@@ -24,11 +24,11 @@
 //!   deterministic explored-node budget with a wall-clock safety valve
 //!   mirroring the paper's 30-second extraction limit. Budget-stopped
 //!   searches also report the strongest certified lower bound.
-//! * [`extract_portfolio`] — greedy → refinement → diversified
-//!   branch-and-bound strategies racing on scoped worker threads; first
-//!   provably-optimal or best-at-budget selection wins, deterministically
-//!   ([`PortfolioResult`]). It returns every member's selection, so the pipeline
-//!   takes the winner and the autotuner keeps them all.
+//! * [`extract_portfolio`] — greedy → refinement → one branch-and-bound
+//!   search from the refined incumbent; the cheapest member wins,
+//!   deterministically ([`PortfolioResult`]). It returns every member's
+//!   selection, so the pipeline takes the winner and the autotuner keeps
+//!   them all.
 //!
 //! The cost model is the paper's §V-B, verbatim: constants are free, each
 //! input variable or φ costs 1, every computational operation costs 10
@@ -52,16 +52,12 @@ pub use bnb::{
 pub use cost::CostModel;
 pub use greedy::extract_greedy;
 pub use lp::LpBound;
-pub use portfolio::{
-    extract_portfolio, intern_strategy, race_width, PortfolioConfig, PortfolioResult,
-    STRATEGY_COUNT,
-};
+pub use portfolio::{extract_portfolio, intern_strategy, PortfolioConfig, PortfolioResult};
 pub use refine::{climb, marginal_greedy};
 pub use selection::{Selection, SelectionError};
 
-// Compile-time guarantee that extraction state crosses threads: the
-// portfolio borrows the e-graph from several scoped workers and sends
-// selections back.
+// Compile-time guarantee that extraction state crosses threads: the batch
+// driver's and the tuner's workers extract and send selections back.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Selection>();
@@ -74,9 +70,9 @@ mod tests {
     use super::*;
     use accsat_egraph::{all_rules, EGraph, Id, Node, Op, Runner};
 
-    /// The portfolio's winning selection at its default width.
+    /// The portfolio's winning selection at its default budgets.
     fn extract(eg: &EGraph, roots: &[Id], cm: &CostModel) -> Selection {
-        extract_portfolio(eg, roots, cm, &PortfolioConfig::default(), None).into_winner().1
+        extract_portfolio(eg, roots, cm, &PortfolioConfig::default()).into_winner().1
     }
 
     /// The paper's Fig. 1 cost example: choosing FMA beats +/* chains.

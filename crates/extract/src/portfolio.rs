@@ -1,94 +1,59 @@
 //! Deadline-aware extraction portfolio: a greedy incumbent, its DAG-aware
-//! refinement, then branch-and-bound searches from it.
+//! refinement, then one branch-and-bound search from it.
 //!
 //! The paper gives extraction a 30-second budget and falls back to the
 //! incumbent when the LP solver runs out of time (§VII). Like the paper's
-//! one solver run, the default portfolio runs one search (width 1,
-//! `bnb-bestfirst`). A wider portfolio races further branch-and-bound
-//! configurations from a fixed table — different class orderings and
-//! candidate orderings ([`SearchOptions`]) — each seeded with the same
-//! incumbent, and the best result wins. The autotuner harvests all of
-//! them; on every kernel the repo pins, the second entry,
-//! `bnb-heaviest`, repeats the first search node for node, which is why
-//! the default does not race it.
+//! one solver run, the portfolio runs one search, `bnb-bestfirst`
+//! ([`SearchOptions::default`]'s orders), seeded with the best incumbent.
+//! Its members — the incumbents and the search — are every selection it
+//! found; the pipeline takes the winner and the autotuner keeps them all.
 //!
 //! # Determinism
 //!
-//! Batch runs must be reproducible, so the portfolio is engineered to
-//! return byte-identical selections for a fixed [`PortfolioConfig`]:
+//! Batch runs must be reproducible, so the portfolio returns byte-identical
+//! selections for a fixed [`PortfolioConfig`]:
 //!
-//! * every worker's budget is a deterministic *explored-node count*, not a
+//! * the search's budget is a deterministic *explored-node count*, not a
 //!   wall-clock slice (the wall-clock deadline exists as a safety valve
 //!   and is generous enough that the node budget binds first);
-//! * workers never exchange incumbents mid-search (sharing would make
-//!   pruning timing-dependent), and no worker cancels another;
-//! * the winner is chosen after **all** workers finish, by lowest cost
-//!   with ties broken by the fixed member order — never by completion
+//! * the winner is the lowest-cost member, ties broken by the fixed member
 //!   order.
 //!
 //! Consequently the result depends only on the e-graph, the cost model
-//! and the config — not on thread scheduling — and a portfolio of width
-//! `n` returns the same selection whether its workers run concurrently or
-//! one after another.
+//! and the config. The portfolio runs on the calling thread and leases no
+//! thread permit.
 
-use crate::bnb::{
-    extract_exact_hooked, ClassOrder, ContextOptions, ExactResult, SearchContext, SearchOptions,
-};
+use crate::bnb::{extract_exact_in, ContextOptions, ExactResult, SearchContext, SearchOptions};
 use crate::cost::CostModel;
 use crate::greedy::{class_costs, greedy_from};
 use crate::selection::Selection;
-use accsat_egraph::{EGraph, Id, ThreadBudget};
+use accsat_egraph::{EGraph, Id};
 use accsat_obs::trace;
 use std::time::Duration;
-
-/// The fixed strategy table the portfolio draws from, in priority order.
-/// A portfolio of width `n` runs the first `n` entries.
-const STRATEGIES: &[(&str, ClassOrder, bool)] = &[
-    ("bnb-bestfirst", ClassOrder::BestFirst, false),
-    ("bnb-heaviest", ClassOrder::HeaviestFirst, false),
-    ("bnb-bestfirst-shared", ClassOrder::BestFirst, true),
-    ("bnb-lifo", ClassOrder::Lifo, false),
-];
-
-/// Size of the fixed strategy table: the maximum useful portfolio width.
-/// The autotuner harvests at this width so every strategy's selection
-/// becomes a candidate.
-pub const STRATEGY_COUNT: usize = STRATEGIES.len();
-
-/// How many strategies a portfolio of width `threads` races: the first
-/// `threads` table entries, at least one and at most the whole table.
-/// Widths that clamp alike return the same result.
-pub fn race_width(threads: usize) -> usize {
-    threads.clamp(1, STRATEGY_COUNT)
-}
 
 /// Map a strategy name (e.g. read back from a serialized cache entry) to
 /// the interned `&'static str` the portfolio reports. `None` for unknown
 /// names — the cache layer treats that as a corrupt entry and re-extracts.
+/// The last three names are strategies of the race older builds ran; their
+/// `selected` entries still decode.
 pub fn intern_strategy(name: &str) -> Option<&'static str> {
-    ["greedy", "refine"]
+    ["greedy", "refine", "bnb-bestfirst", "bnb-heaviest", "bnb-bestfirst-shared", "bnb-lifo"]
         .into_iter()
-        .chain(STRATEGIES.iter().map(|&(n, _, _)| n))
         .find(|&n| n == name)
 }
 
-/// Portfolio configuration.
+/// Portfolio configuration: the search's budgets.
 #[derive(Debug, Clone, Copy)]
 pub struct PortfolioConfig {
-    /// Number of racing branch-and-bound strategies, the first entries of
-    /// the strategy table (clamped to `1..=`[`STRATEGY_COUNT`]). `1`, the
-    /// default, runs `bnb-bestfirst` alone on the calling thread.
-    pub threads: usize,
-    /// Deterministic per-worker exploration budget (search-tree nodes).
+    /// Deterministic exploration budget of the search (search-tree nodes).
     pub node_budget: u64,
-    /// Wall-clock safety valve per worker, on top of the node budget.
+    /// Wall-clock safety valve of the search, on top of the node budget.
     pub deadline: Duration,
 }
 
 impl Default for PortfolioConfig {
     fn default() -> PortfolioConfig {
         PortfolioConfig {
-            threads: 1,
             node_budget: SearchOptions::default().node_budget,
             deadline: SearchOptions::default().deadline,
         }
@@ -100,14 +65,14 @@ impl Default for PortfolioConfig {
 pub struct PortfolioResult {
     /// Every member's name and result, in a fixed order: the greedy
     /// incumbent (`"greedy"`), then `"refine"` when refinement strictly
-    /// improved on greedy, then the racing strategies in table order —
-    /// none when an incumbent met the LP root bound. The incumbent members
-    /// explored 0 nodes. Members are *not* deduplicated; the autotuner
-    /// dedups by [`Selection::content_hash`].
+    /// improved on greedy, then the search (`"bnb-bestfirst"`) — none when
+    /// an incumbent met the LP root bound. The incumbent members explored
+    /// 0 nodes. Members are *not* deduplicated; the autotuner dedups by
+    /// [`Selection::content_hash`].
     pub members: Vec<(&'static str, ExactResult)>,
     /// Index of the winning member: lowest cost, ties broken toward the
-    /// earlier member. The searches are seeded with the last incumbent, so
-    /// a strategy only wins by strictly improving on it.
+    /// earlier member. The search is seeded with the last incumbent, so it
+    /// only wins by strictly improving on it.
     pub winner: usize,
     /// `true` when some member proved optimality (the winner then has the
     /// optimal cost).
@@ -117,7 +82,7 @@ pub struct PortfolioResult {
     /// LP-relaxation root bound shared by every member.
     /// `cost - lower_bound` is the kernel's reported *bound gap*.
     pub lower_bound: u64,
-    /// Candidates removed per pruning layer while building the shared
+    /// Candidates removed per pruning layer while building the
     /// [`SearchContext`] (deterministic — a function of the e-graph and
     /// cost model only). In layer order: orbit, dominance, closure.
     pub pruned: [usize; 3],
@@ -141,21 +106,14 @@ impl PortfolioResult {
 /// The greedy incumbent is computed first; if its cost already meets the
 /// admissible LP root bound it is the only member, provably optimal.
 /// Otherwise the DAG-aware refinement heuristics ([`climb`](crate::climb), [`marginal_greedy`](crate::marginal_greedy))
-/// improve the incumbent (re-checking the bound), then `config.threads`
-/// branch-and-bound workers race from the refined incumbent.
-///
-/// The race starts on the calling thread alone. A search that reaches 256
-/// explored nodes asks for helper threads, up to `config.threads − 1`;
-/// with a shared [`ThreadBudget`] there are only as many as the spare
-/// permits it leased when the race began, and at width 1 it leases none.
-/// Which strategies run, and so the result, depends on `config.threads`
-/// only, never on how many threads drained them.
+/// improve the incumbent (re-checking the bound), then one
+/// branch-and-bound search, under `config`'s budgets, starts from the
+/// refined incumbent.
 pub fn extract_portfolio(
     eg: &EGraph,
     roots: &[Id],
     cm: &CostModel,
     config: &PortfolioConfig,
-    budget: Option<&ThreadBudget>,
 ) -> PortfolioResult {
     // one tree-cost fixpoint for the greedy incumbent and the context
     let (greedy, tree_costs) = {
@@ -164,8 +122,6 @@ pub fn extract_portfolio(
         (greedy_from(eg, roots, cm, &tree_costs), tree_costs)
     };
     let greedy_cost = greedy.dag_cost(eg, cm, roots);
-    // built once, shared by every worker (the context is immutable and
-    // Sync, candidate visit orders included)
     let cx = {
         let mut span = trace::span("extract", "context.build");
         let cx = SearchContext::build_from(eg, cm, &ContextOptions::default(), &tree_costs);
@@ -195,8 +151,14 @@ pub fn extract_portfolio(
         }
         let (_, seed) = members.last().expect("greedy is a member");
         if !seed.proven_optimal {
-            let raced = race(&cx, roots, seed, config, budget);
-            members.extend(raced);
+            let opts = SearchOptions {
+                node_budget: config.node_budget,
+                deadline: config.deadline,
+                ..SearchOptions::default()
+            };
+            let _span = trace::span("extract.bnb", "bnb-bestfirst");
+            let searched = extract_exact_in(&cx, roots, &seed.selection, seed.cost, &opts);
+            members.push(("bnb-bestfirst", searched));
         }
     }
     let winner =
@@ -233,54 +195,6 @@ fn refine(
     } else {
         marginal.filter(|&(_, c)| c < greedy.cost)
     }
-}
-
-/// The race: the first `config.threads` table strategies, each seeded with
-/// `seed`, results in table order.
-fn race(
-    cx: &SearchContext<'_>,
-    roots: &[Id],
-    seed: &ExactResult,
-    config: &PortfolioConfig,
-    budget: Option<&ThreadBudget>,
-) -> Vec<(&'static str, ExactResult)> {
-    // `config.threads` fixes WHICH strategies run (the first `want` table
-    // entries) and therefore the result set; how many OS threads actually
-    // drain them is a separate, output-invisible question answered by the
-    // shared budget when one is installed (two-level pool) or by `want`
-    // itself when running standalone.
-    let want = race_width(config.threads);
-    let opts: Vec<(&'static str, SearchOptions)> = STRATEGIES[..want]
-        .iter()
-        .map(|&(name, order, prefer_shared)| {
-            (
-                name,
-                SearchOptions {
-                    order,
-                    prefer_shared,
-                    node_budget: config.node_budget,
-                    deadline: config.deadline,
-                    ..SearchOptions::default()
-                },
-            )
-        })
-        .collect();
-    // results land indexed by strategy — never by completion order — so
-    // the winner is deterministic at any width. A search asks for the
-    // helper threads once it has explored 256 nodes: a race of short
-    // searches never leaves the calling thread
-    let (width, _lease) = accsat_egraph::pool::fanout_width(budget, want, opts.len());
-    accsat_egraph::pool::map_slots(
-        width,
-        opts.len(),
-        || (),
-        |i, helpers| {
-            let (name, o) = &opts[i];
-            let _span = trace::span_named("extract.bnb", || name.to_string());
-            let long = || helpers.request();
-            (*name, extract_exact_hooked(cx, roots, &seed.selection, seed.cost, o, &long))
-        },
-    )
 }
 
 #[cfg(test)]
@@ -332,25 +246,19 @@ mod tests {
         let cm = CostModel::paper();
         let opts = SearchOptions { deadline: Duration::from_secs(2), ..SearchOptions::default() };
         let exact = extract_exact_with(&eg, &roots, &cm, &opts);
-        for threads in [1, 2, 4] {
-            let cfg = PortfolioConfig { threads, ..PortfolioConfig::default() };
-            let res = extract_portfolio(&eg, &roots, &cm, &cfg, None);
-            assert_eq!(res.winning().1.cost, exact.cost, "threads={threads}");
-            assert!(res.proven_optimal, "threads={threads}");
-        }
+        let res = extract_portfolio(&eg, &roots, &cm, &PortfolioConfig::default());
+        assert_eq!(res.winning().1.cost, exact.cost);
+        assert!(res.proven_optimal);
     }
 
     #[test]
-    fn portfolio_is_deterministic_across_runs_and_budgets() {
-        // repeated runs, an empty budget (the race runs on the calling
-        // thread alone) and a flush one (full fan-out) all agree
+    fn portfolio_is_deterministic_across_runs() {
         let (eg, roots) = sharing_graph();
         let cm = CostModel::paper();
-        let cfg = PortfolioConfig { threads: 4, ..PortfolioConfig::default() };
-        let first = extract_portfolio(&eg, &roots, &cm, &cfg, None);
-        let budgets = [ThreadBudget::new(0), ThreadBudget::new(8)];
-        for budget in [None, None, Some(&budgets[0]), Some(&budgets[1])] {
-            let again = extract_portfolio(&eg, &roots, &cm, &cfg, budget);
+        let cfg = PortfolioConfig::default();
+        let first = extract_portfolio(&eg, &roots, &cm, &cfg);
+        for _ in 0..3 {
+            let again = extract_portfolio(&eg, &roots, &cm, &cfg);
             assert_eq!(names(&again), names(&first));
             assert_eq!(again.winner, first.winner);
             for ((_, a), (_, b)) in again.members.iter().zip(&first.members) {
@@ -365,20 +273,17 @@ mod tests {
                 }
             }
         }
-        let spare = (budgets[0].spare(), budgets[1].spare());
-        assert_eq!(spare, (0, 8), "race must return every leased permit");
     }
 
     #[test]
-    fn members_are_greedy_then_table_strategies() {
+    fn members_are_greedy_then_the_search() {
         let (eg, roots) = sharing_graph();
         let cm = CostModel::paper();
-        let cfg = PortfolioConfig { threads: 3, ..PortfolioConfig::default() };
-        let res = extract_portfolio(&eg, &roots, &cm, &cfg, None);
+        let res = extract_portfolio(&eg, &roots, &cm, &PortfolioConfig::default());
         let names = names(&res);
         assert_eq!(names[0], "greedy");
         if names.len() > 1 {
-            assert_eq!(names, ["greedy", "bnb-bestfirst", "bnb-heaviest", "bnb-bestfirst-shared"]);
+            assert_eq!(names, ["greedy", "bnb-bestfirst"]);
         }
         // every member is a complete, costable selection, and the winner
         // is the cost argmin, ties toward the earlier member
@@ -398,7 +303,7 @@ mod tests {
         let ab = eg.add(Node::new(Op::Add, vec![a, b]));
         let r = eg.add(Node::new(Op::Mul, vec![ab, a]));
         let cm = CostModel::paper();
-        let res = extract_portfolio(&eg, &[r], &cm, &PortfolioConfig::default(), None);
+        let res = extract_portfolio(&eg, &[r], &cm, &PortfolioConfig::default());
         assert_eq!(names(&res), ["greedy"]);
         assert_eq!(res.winner, 0);
         assert!(res.proven_optimal && res.members[0].1.proven_optimal);
@@ -414,8 +319,8 @@ mod tests {
         // a member, first and unproven.
         let (eg, roots) = tradeoff_graph();
         let cm = CostModel::paper();
-        let cfg = PortfolioConfig { threads: 2, node_budget: 1, ..PortfolioConfig::default() };
-        let res = extract_portfolio(&eg, &roots, &cm, &cfg, None);
+        let cfg = PortfolioConfig { node_budget: 1, ..PortfolioConfig::default() };
+        let res = extract_portfolio(&eg, &roots, &cm, &cfg);
         assert_eq!(names(&res), ["greedy", "refine"]);
         let (greedy, refine) = (&res.members[0].1, &res.members[1].1);
         assert!(!greedy.proven_optimal && refine.proven_optimal);
@@ -428,7 +333,7 @@ mod tests {
             assert_eq!(m.selection.dag_cost(&eg, &cm, &roots), m.cost);
         }
         // a full-budget run agrees byte-for-byte
-        let res2 = extract_portfolio(&eg, &roots, &cm, &PortfolioConfig::default(), None);
+        let res2 = extract_portfolio(&eg, &roots, &cm, &PortfolioConfig::default());
         assert_eq!(names(&res2), names(&res));
         let (w1, w2) = (res.into_winner(), res2.into_winner());
         assert_eq!((w1.0, w2.0), ("refine", "refine"));
@@ -439,12 +344,12 @@ mod tests {
 
     #[test]
     fn member_hashes_collapse_when_no_search_improves() {
-        // at a one-node budget every strategy returns the greedy incumbent
-        // it was seeded with, so all equal-cost member hashes agree
+        // at a one-node budget the search returns the greedy incumbent it
+        // was seeded with, so all equal-cost member hashes agree
         let (eg, roots) = sharing_graph();
         let cm = CostModel::paper();
-        let cfg = PortfolioConfig { threads: 4, node_budget: 1, ..PortfolioConfig::default() };
-        let res = extract_portfolio(&eg, &roots, &cm, &cfg, None);
+        let cfg = PortfolioConfig { node_budget: 1, ..PortfolioConfig::default() };
+        let res = extract_portfolio(&eg, &roots, &cm, &cfg);
         let first = &res.members[0].1;
         let h0 = first.selection.content_hash(&eg, &roots);
         for (_, m) in &res.members {

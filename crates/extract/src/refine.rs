@@ -25,7 +25,7 @@
 //!
 //! Neither heuristic can certify anything — the portfolio re-checks the
 //! refined incumbent against the LP root bound and otherwise hands it to
-//! the branch-and-bound race, which can only benefit from the tighter
+//! the branch-and-bound search, which can only benefit from the tighter
 //! upper bound. Both are fully deterministic: fixed iteration orders,
 //! cost-then-candidate-order tie-breaking, no clocks.
 

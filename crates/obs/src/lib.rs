@@ -7,7 +7,7 @@
 //!
 //! * [`trace`] answers *"where did the wall clock go"*: hierarchical spans
 //!   (parse → SSA → saturation iterations → per-rule search → extraction
-//!   strategies → codegen → cache probes) recorded into a process-global
+//!   stages → codegen → cache probes) recorded into a process-global
 //!   collector and rendered as a Chrome-trace-event JSON file, loadable in
 //!   Perfetto or `chrome://tracing`. Tracing is **off by default** and the
 //!   disabled path is a single relaxed atomic load per span site, so the

@@ -35,8 +35,7 @@ fn main() {
     );
 
     let cm = CostModel::paper();
-    let (_, sel) =
-        extract_portfolio(&eg, &[sum], &cm, &PortfolioConfig::default(), None).into_winner();
+    let (_, sel) = extract_portfolio(&eg, &[sum], &cm, &PortfolioConfig::default()).into_winner();
     println!("extracted: {} (cost {})", sel.term_string(&eg, sum), sel.dag_cost(&eg, &cm, &[sum]));
     // (a - bc) + (bc - a) = 0 — the custom cancellation rule plus the
     // reorder set proves it, so extraction returns the free constant.

@@ -6,16 +6,14 @@
 //! a layout change that moves any column has changed behaviour.
 //!
 //! `suite_certification` pins costs and proofs but not `explored`, and the
-//! default portfolio (width 1) runs `bnb-bestfirst` alone (only `tune`
-//! runs the other three) — so all **four** strategies run here, on every
-//! kernel (also the ones the portfolio short-circuits), each seeded with
-//! the portfolio's refined incumbent at the default 60 k-node budget.
-//! The same row is pinned for 64 seeded genkern kernels of two shapes,
-//! recorded at `2f83943`: the suite alone leaves small and generated
-//! kernels' `explored` counts free. A second table pins what each pruning
-//! layer of the search is worth, a third how the portfolio combines its
-//! members into one result, and a last test that widening the race from
-//! one strategy to two changes nothing but the explored-node sum.
+//! portfolio runs `bnb-bestfirst` alone — so four class/candidate orders
+//! run here, on every kernel (also the ones the portfolio short-circuits),
+//! each seeded with the portfolio's refined incumbent at the default
+//! 60 k-node budget. The same row is pinned for 64 seeded genkern kernels
+//! of two shapes, recorded at `2f83943`: the suite alone leaves small and
+//! generated kernels' `explored` counts free. A second table pins what
+//! each pruning layer of the search is worth, and a third how the
+//! portfolio combines its members into one result.
 
 mod common;
 
@@ -29,7 +27,9 @@ use accsat_ir::{innermost_parallel_loops, parse_program};
 use accsat_ssa::{build_kernel, SsaKernel};
 use std::time::Duration;
 
-/// The portfolio's strategy table (`extract::portfolio::STRATEGIES`).
+/// The four search orders (`bnb-bestfirst`, `bnb-heaviest`,
+/// `bnb-bestfirst-shared`, `bnb-lifo` in `selected` entries of older
+/// builds, which raced them); the portfolio runs the first.
 const STRATEGIES: [(ClassOrder, bool); 4] = [
     (ClassOrder::BestFirst, false),
     (ClassOrder::HeaviestFirst, false),
@@ -182,8 +182,8 @@ fn strategy_row(name: &str, eg: &EGraph, roots: &[Id]) -> String {
     let cx = SearchContext::build(eg, &cm);
     // greedy + refinement only: a one-node budget ends every search
     // before it improves on its seed
-    let seed_cfg = PortfolioConfig { threads: 1, node_budget: 1, deadline };
-    let seeded = extract_portfolio(eg, roots, &cm, &seed_cfg, None);
+    let seed_cfg = PortfolioConfig { node_budget: 1, deadline };
+    let seeded = extract_portfolio(eg, roots, &cm, &seed_cfg);
     let (strategy, incumbent) =
         seeded.members.iter().rfind(|(n, _)| matches!(*n, "greedy" | "refine")).unwrap();
     let mut row = format!(
@@ -316,48 +316,6 @@ bt bt_zsolve | greedy 3391 unproven 0 c7dffc043fd0530c | bnb-bestfirst 3391 unpr
 bt bt_rhs | greedy 1546 unproven 0 b412fe5234a2e837 | bnb-bestfirst 1526 proven 40 a7b313cb5d157a0e || bnb-bestfirst proven lb 1526
 ";
 
-/// [`ASSEMBLY`] for wider races (`t2`, `t4` strategies racing).
-const RACED_ASSEMBLY: &str = "\
-BT bt_zsolve t2 | greedy 3391 unproven 0 c7dffc043fd0530c | bnb-bestfirst 3391 unproven 60000 c7dffc043fd0530c | bnb-heaviest 3391 unproven 60000 c7dffc043fd0530c || greedy unproven lb 3081
-BT bt_zsolve t4 | greedy 3391 unproven 0 c7dffc043fd0530c | bnb-bestfirst 3391 unproven 60000 c7dffc043fd0530c | bnb-heaviest 3391 unproven 60000 c7dffc043fd0530c | bnb-bestfirst-shared 3391 unproven 60000 c7dffc043fd0530c | bnb-lifo 3391 unproven 60000 c7dffc043fd0530c || greedy unproven lb 3081
-BT bt_rhs t2 | greedy 1546 unproven 0 b412fe5234a2e837 | bnb-bestfirst 1526 proven 40 a7b313cb5d157a0e | bnb-heaviest 1526 proven 40 a7b313cb5d157a0e || bnb-bestfirst proven lb 1526
-BT bt_rhs t4 | greedy 1546 unproven 0 b412fe5234a2e837 | bnb-bestfirst 1526 proven 40 a7b313cb5d157a0e | bnb-heaviest 1526 proven 40 a7b313cb5d157a0e | bnb-bestfirst-shared 1526 proven 43 a7b313cb5d157a0e | bnb-lifo 1526 proven 40 a7b313cb5d157a0e || bnb-bestfirst proven lb 1526
-CG cg_spmv t2 | greedy 318 proven 0 cc104eeba48d1a16 || greedy proven lb 318
-CG cg_spmv t4 | greedy 318 proven 0 cc104eeba48d1a16 || greedy proven lb 318
-CG cg_axpy t2 | greedy 325 proven 0 dfafa4288a551b7d || greedy proven lb 325
-CG cg_axpy t4 | greedy 325 proven 0 dfafa4288a551b7d || greedy proven lb 325
-EP ep_gauss t2 | greedy 462 unproven 0 67e9c3765e3764f1 | bnb-bestfirst 462 proven 15 67e9c3765e3764f1 | bnb-heaviest 462 proven 15 67e9c3765e3764f1 || greedy proven lb 462
-EP ep_gauss t4 | greedy 462 unproven 0 67e9c3765e3764f1 | bnb-bestfirst 462 proven 15 67e9c3765e3764f1 | bnb-heaviest 462 proven 15 67e9c3765e3764f1 | bnb-bestfirst-shared 462 proven 15 67e9c3765e3764f1 | bnb-lifo 462 proven 15 67e9c3765e3764f1 || greedy proven lb 462
-FT ft_butterfly t2 | greedy 706 unproven 0 c1dfd60efa3f953f | bnb-bestfirst 706 proven 11 c1dfd60efa3f953f | bnb-heaviest 706 proven 11 c1dfd60efa3f953f || greedy proven lb 706
-FT ft_butterfly t4 | greedy 706 unproven 0 c1dfd60efa3f953f | bnb-bestfirst 706 proven 11 c1dfd60efa3f953f | bnb-heaviest 706 proven 11 c1dfd60efa3f953f | bnb-bestfirst-shared 706 proven 11 c1dfd60efa3f953f | bnb-lifo 706 proven 11 c1dfd60efa3f953f || greedy proven lb 706
-FT ft_evolve t2 | greedy 455 unproven 0 6256d615b856f2c3 | bnb-bestfirst 455 proven 11 6256d615b856f2c3 | bnb-heaviest 455 proven 11 6256d615b856f2c3 || greedy proven lb 455
-FT ft_evolve t4 | greedy 455 unproven 0 6256d615b856f2c3 | bnb-bestfirst 455 proven 11 6256d615b856f2c3 | bnb-heaviest 455 proven 11 6256d615b856f2c3 | bnb-bestfirst-shared 455 proven 11 6256d615b856f2c3 | bnb-lifo 455 proven 11 6256d615b856f2c3 || greedy proven lb 455
-LU lu_jacld t2 | greedy 790 unproven 0 b6892132eae8ed7e | refine 720 unproven 0 970c6ab143955c39 | bnb-bestfirst 720 unproven 60000 970c6ab143955c39 | bnb-heaviest 720 unproven 60000 970c6ab143955c39 || refine unproven lb 570
-LU lu_jacld t4 | greedy 790 unproven 0 b6892132eae8ed7e | refine 720 unproven 0 970c6ab143955c39 | bnb-bestfirst 720 unproven 60000 970c6ab143955c39 | bnb-heaviest 720 unproven 60000 970c6ab143955c39 | bnb-bestfirst-shared 720 unproven 60000 970c6ab143955c39 | bnb-lifo 720 unproven 60000 970c6ab143955c39 || refine unproven lb 570
-MG mg_resid t2 | greedy 1198 unproven 0 213679e184688d79 | bnb-bestfirst 1198 proven 24745 213679e184688d79 | bnb-heaviest 1198 proven 24745 213679e184688d79 || greedy proven lb 1198
-MG mg_resid t4 | greedy 1198 unproven 0 213679e184688d79 | bnb-bestfirst 1198 proven 24745 213679e184688d79 | bnb-heaviest 1198 proven 24745 213679e184688d79 | bnb-bestfirst-shared 1198 proven 24745 213679e184688d79 | bnb-lifo 1198 unproven 60000 213679e184688d79 || greedy proven lb 1198
-SP sp_lhs t2 | greedy 678 unproven 0 943585fab217d9e7 | bnb-bestfirst 668 proven 738 4cfdfffd55e26eb6 | bnb-heaviest 668 proven 738 4cfdfffd55e26eb6 || bnb-bestfirst proven lb 668
-SP sp_lhs t4 | greedy 678 unproven 0 943585fab217d9e7 | bnb-bestfirst 668 proven 738 4cfdfffd55e26eb6 | bnb-heaviest 668 proven 738 4cfdfffd55e26eb6 | bnb-bestfirst-shared 668 proven 765 4cfdfffd55e26eb6 | bnb-lifo 668 proven 1753 4cfdfffd55e26eb6 || bnb-bestfirst proven lb 668
-ostencil stencil_jacobi t2 | greedy 846 unproven 0 4f26c13e5d12c68d | bnb-bestfirst 846 proven 4633 4f26c13e5d12c68d | bnb-heaviest 846 proven 4633 4f26c13e5d12c68d || greedy proven lb 846
-ostencil stencil_jacobi t4 | greedy 846 unproven 0 4f26c13e5d12c68d | bnb-bestfirst 846 proven 4633 4f26c13e5d12c68d | bnb-heaviest 846 proven 4633 4f26c13e5d12c68d | bnb-bestfirst-shared 846 proven 4633 4f26c13e5d12c68d | bnb-lifo 846 proven 4633 4f26c13e5d12c68d || greedy proven lb 846
-olbm lbm_stream t2 | greedy 1983 unproven 0 4279bd2edd9152d5 | refine 1973 unproven 0 dd0a3901166e653f | bnb-bestfirst 1973 unproven 60000 dd0a3901166e653f | bnb-heaviest 1973 unproven 60000 dd0a3901166e653f || refine unproven lb 1643
-olbm lbm_stream t4 | greedy 1983 unproven 0 4279bd2edd9152d5 | refine 1973 unproven 0 dd0a3901166e653f | bnb-bestfirst 1973 unproven 60000 dd0a3901166e653f | bnb-heaviest 1973 unproven 60000 dd0a3901166e653f | bnb-bestfirst-shared 1973 unproven 60000 dd0a3901166e653f | bnb-lifo 1973 unproven 60000 dd0a3901166e653f || refine unproven lb 1643
-omriq mriq_computeq t2 | greedy 1105 unproven 0 ad682c4f64320bc5 | bnb-bestfirst 1105 proven 82 ad682c4f64320bc5 | bnb-heaviest 1105 proven 82 ad682c4f64320bc5 || greedy proven lb 1105
-omriq mriq_computeq t4 | greedy 1105 unproven 0 ad682c4f64320bc5 | bnb-bestfirst 1105 proven 82 ad682c4f64320bc5 | bnb-heaviest 1105 proven 82 ad682c4f64320bc5 | bnb-bestfirst-shared 1105 proven 82 ad682c4f64320bc5 | bnb-lifo 1105 proven 90 ad682c4f64320bc5 || greedy proven lb 1105
-ep ep_gauss t2 | greedy 462 unproven 0 67e9c3765e3764f1 | bnb-bestfirst 462 proven 15 67e9c3765e3764f1 | bnb-heaviest 462 proven 15 67e9c3765e3764f1 || greedy proven lb 462
-ep ep_gauss t4 | greedy 462 unproven 0 67e9c3765e3764f1 | bnb-bestfirst 462 proven 15 67e9c3765e3764f1 | bnb-heaviest 462 proven 15 67e9c3765e3764f1 | bnb-bestfirst-shared 462 proven 15 67e9c3765e3764f1 | bnb-lifo 462 proven 15 67e9c3765e3764f1 || greedy proven lb 462
-cg cg_spmv t2 | greedy 318 proven 0 cc104eeba48d1a16 || greedy proven lb 318
-cg cg_spmv t4 | greedy 318 proven 0 cc104eeba48d1a16 || greedy proven lb 318
-cg cg_axpy t2 | greedy 325 proven 0 dfafa4288a551b7d || greedy proven lb 325
-cg cg_axpy t4 | greedy 325 proven 0 dfafa4288a551b7d || greedy proven lb 325
-csp sp_lhs t2 | greedy 678 unproven 0 943585fab217d9e7 | bnb-bestfirst 668 proven 738 4cfdfffd55e26eb6 | bnb-heaviest 668 proven 738 4cfdfffd55e26eb6 || bnb-bestfirst proven lb 668
-csp sp_lhs t4 | greedy 678 unproven 0 943585fab217d9e7 | bnb-bestfirst 668 proven 738 4cfdfffd55e26eb6 | bnb-heaviest 668 proven 738 4cfdfffd55e26eb6 | bnb-bestfirst-shared 668 proven 765 4cfdfffd55e26eb6 | bnb-lifo 668 proven 1753 4cfdfffd55e26eb6 || bnb-bestfirst proven lb 668
-bt bt_zsolve t2 | greedy 3391 unproven 0 c7dffc043fd0530c | bnb-bestfirst 3391 unproven 60000 c7dffc043fd0530c | bnb-heaviest 3391 unproven 60000 c7dffc043fd0530c || greedy unproven lb 3081
-bt bt_zsolve t4 | greedy 3391 unproven 0 c7dffc043fd0530c | bnb-bestfirst 3391 unproven 60000 c7dffc043fd0530c | bnb-heaviest 3391 unproven 60000 c7dffc043fd0530c | bnb-bestfirst-shared 3391 unproven 60000 c7dffc043fd0530c | bnb-lifo 3391 unproven 60000 c7dffc043fd0530c || greedy unproven lb 3081
-bt bt_rhs t2 | greedy 1546 unproven 0 b412fe5234a2e837 | bnb-bestfirst 1526 proven 40 a7b313cb5d157a0e | bnb-heaviest 1526 proven 40 a7b313cb5d157a0e || bnb-bestfirst proven lb 1526
-bt bt_rhs t4 | greedy 1546 unproven 0 b412fe5234a2e837 | bnb-bestfirst 1526 proven 40 a7b313cb5d157a0e | bnb-heaviest 1526 proven 40 a7b313cb5d157a0e | bnb-bestfirst-shared 1526 proven 43 a7b313cb5d157a0e | bnb-lifo 1526 proven 40 a7b313cb5d157a0e || bnb-bestfirst proven lb 1526
-";
-
 /// One [`ASSEMBLY`] row: the members of `res`, then its verdict.
 fn assembly_row(label: &str, eg: &EGraph, roots: &[Id], res: &PortfolioResult) -> String {
     let mut row = label.to_string();
@@ -382,83 +340,13 @@ fn assembly_row(label: &str, eg: &EGraph, roots: &[Id], res: &PortfolioResult) -
 #[test]
 fn portfolio_assembly_on_all_19_suite_kernels_is_pinned() {
     let cm = CostModel::paper();
-    let cfg = PortfolioConfig {
-        node_budget: 60_000,
-        deadline: Duration::from_secs(600),
-        ..PortfolioConfig::default()
-    };
+    let cfg = PortfolioConfig { node_budget: 60_000, deadline: Duration::from_secs(600) };
     let mut table = String::new();
     for (name, mut kernel) in common::suite_kernels() {
         Runner::new(all_rules()).run(&mut kernel.egraph);
         let (eg, roots) = (&kernel.egraph, kernel.extraction_roots());
-        let res = extract_portfolio(eg, &roots, &cm, &cfg, None);
+        let res = extract_portfolio(eg, &roots, &cm, &cfg);
         table.push_str(&assembly_row(&name, eg, &roots, &res));
     }
     assert_eq!(table, ASSEMBLY, "portfolio assembly moved; got:\n{table}");
-}
-
-#[test]
-fn raced_portfolio_assembly_on_all_19_suite_kernels_is_pinned() {
-    let cm = CostModel::paper();
-    let mut table = String::new();
-    for (name, mut kernel) in common::suite_kernels() {
-        Runner::new(all_rules()).run(&mut kernel.egraph);
-        let (eg, roots) = (&kernel.egraph, kernel.extraction_roots());
-        for threads in [2, 4] {
-            let cfg = PortfolioConfig {
-                threads,
-                node_budget: 60_000,
-                deadline: Duration::from_secs(600),
-            };
-            let res = extract_portfolio(eg, &roots, &cm, &cfg, None);
-            table.push_str(&assembly_row(&format!("{name} t{threads}"), eg, &roots, &res));
-        }
-    }
-    assert_eq!(table, RACED_ASSEMBLY, "raced portfolio assembly moved; got:\n{table}");
-}
-
-/// Racing `bnb-heaviest` next to `bnb-bestfirst` buys nothing: over the 19
-/// suite and 64 genkern kernels, the portfolio at widths 1 and 2 returns the
-/// same winner, cost, proof, lower bound, pruned counts and selection, and
-/// wherever a race ran the second search explored exactly as many nodes as
-/// the first. (`bnb-heaviest` orders pending classes by their cheapest
-/// candidate's cost first; at every pick with two or more pending classes
-/// in these graphs that cost is the same, so the key falls through to the
-/// candidate count, `bnb-bestfirst`'s own first key, and both strategies
-/// branch on the same class.)
-#[test]
-fn width_two_repeats_width_one_on_all_83_kernels() {
-    let cm = CostModel::paper();
-    let mut kernels = common::suite_kernels();
-    for (_, kernel) in &mut kernels {
-        Runner::new(all_rules()).run(&mut kernel.egraph);
-    }
-    kernels.extend(generated_kernels());
-    let mut raced = 0;
-    for (name, kernel) in &kernels {
-        let (eg, roots) = (&kernel.egraph, kernel.extraction_roots());
-        let at = |threads| {
-            let deadline = Duration::from_secs(600);
-            let cfg = PortfolioConfig { threads, node_budget: 60_000, deadline };
-            extract_portfolio(eg, &roots, &cm, &cfg, None)
-        };
-        let (one, two) = (at(1), at(2));
-        let facts = |r: &PortfolioResult| {
-            let (winner, m) = r.winning();
-            let hash = m.selection.content_hash(eg, &roots);
-            (*winner, m.cost, r.proven_optimal, r.lower_bound, r.pruned, hash)
-        };
-        assert_eq!(facts(&one), facts(&two), "{name}");
-        let explored = |r: &PortfolioResult| r.members.iter().map(|(_, m)| m.explored).sum::<u64>();
-        let searched = |r: &PortfolioResult| r.members.iter().any(|(n, _)| n.starts_with("bnb-"));
-        assert_eq!(searched(&one), searched(&two), "{name}");
-        if searched(&one) {
-            raced += 1;
-            assert_eq!(explored(&two), 2 * explored(&one), "{name}");
-        } else {
-            assert_eq!((explored(&one), explored(&two)), (0, 0), "{name}");
-        }
-    }
-    // 58 kernels' refined incumbent misses the LP root bound, so they race
-    assert_eq!((kernels.len(), raced), (83, 58), "kernels, and kernels that raced");
 }

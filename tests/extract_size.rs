@@ -29,14 +29,10 @@
 //!
 //! (Rows there were as wide as the largest live id, not `id_bound`.) Slot
 //! tables halved that; a context built without an allocation per candidate
-//! brought it to 3.79 M bytes at the then-default width 2, and the gate
-//! sits 2 % above that. At width 1, one search per kernel, the same
-//! extractions request 3 455 835 bytes in 11 017 allocations, the same on
-//! every run; the gate is kept where it was. A run prints the same table
-//! for the tree under test. In a wider race, whether a search spawns a
-//! helper thread is deterministic (it asks at its 256th explored node), but
-//! which worker then claims the second search is not, and that moves the
-//! total by one to three allocations of ~400 bytes.
+//! brought it to 3.79 M bytes in a race of two searches. One search per
+//! kernel, on the calling thread, requests 3 453 675 bytes in 10 987
+//! allocations, the same on every run, and the gate sits 2 % above that.
+//! A run prints the same table for the tree under test.
 //!
 //! The same binary counts the allocations of `SearchContext::build` alone,
 //! the fixed cost every extraction pays once per kernel: over the 19 suite
@@ -59,8 +55,8 @@ static GLOBAL: common::counting::Counting = common::counting::Counting;
 /// Bytes the 19 extractions requested at `b2bf575` (table above).
 const PARENT_BYTES: u64 = 11_089_593;
 
-/// The byte gate: 3 789 438–3 790 686 bytes measured, plus 2 %.
-const GATE_BYTES: u64 = 3_870_000;
+/// The byte gate: 3 453 675 bytes measured, plus 2 %.
+const GATE_BYTES: u64 = 3_523_000;
 
 /// Allocations of `SearchContext::build` over the 19 suite kernels and over
 /// the 64 generated kernels when every candidate and class owned its vectors
@@ -87,11 +83,10 @@ fn generated_kernels() -> Vec<accsat_ssa::SsaKernel> {
 #[test]
 fn extraction_tables_are_sized_by_live_classes() {
     let cm = CostModel::paper();
-    // the product's portfolio (its default width, the pipeline's 60 k
-    // nodes); the wall-clock valve is raised so that only the node budget
-    // ends a search
+    // the product's portfolio (the pipeline's 60 k nodes); the wall-clock
+    // valve is raised so that only the node budget ends a search
     let deadline = Duration::from_secs(600);
-    let cfg = PortfolioConfig { node_budget: 60_000, deadline, ..PortfolioConfig::default() };
+    let cfg = PortfolioConfig { node_budget: 60_000, deadline };
     let mut total = [0u64; 2];
     let mut context = [0u64; 2];
     for (name, mut kernel) in common::suite_kernels() {
@@ -102,7 +97,7 @@ fn extraction_tables_are_sized_by_live_classes() {
         assert_eq!(cx.lp().len(), cx.slots(), "{name}: one LP row per slot");
         let lp_words = cx.lp().len().div_ceil(64);
         drop(cx);
-        let (_, n) = counted(|| extract_portfolio(eg, &roots, &cm, &cfg, None));
+        let (_, n) = counted(|| extract_portfolio(eg, &roots, &cm, &cfg));
         println!(
             "{name}: {} ids, {} classes, {lp_words} LP words per row, {} allocations, {} bytes \
              ({} to build the context)",

@@ -104,19 +104,16 @@ proptest! {
         let cm = CostModel::paper();
         let exact = extract_exact_with(&eg, &roots, &cm, &proving_opts(ClassOrder::BestFirst));
         if !exact.proven_optimal { return Ok(()); }
-        for threads in [1usize, 4] {
-            let cfg = PortfolioConfig {
-                threads,
-                node_budget: 5_000_000,
-                deadline: std::time::Duration::from_secs(60),
-            };
-            let res = extract_portfolio(&eg, &roots, &cm, &cfg, None);
-            prop_assert!(res.proven_optimal);
-            let (_, win) = res.winning();
-            prop_assert!(win.cost == exact.cost, "threads={}: {} != {}", threads, win.cost, exact.cost);
-            prop_assert!(win.selection.dag_cost(&eg, &cm, &roots) == win.cost,
-                "claimed cost must match recomputation (threads={})", threads);
-        }
+        let cfg = PortfolioConfig {
+            node_budget: 5_000_000,
+            deadline: std::time::Duration::from_secs(60),
+        };
+        let res = extract_portfolio(&eg, &roots, &cm, &cfg);
+        prop_assert!(res.proven_optimal);
+        let (_, win) = res.winning();
+        prop_assert!(win.cost == exact.cost, "{} != {}", win.cost, exact.cost);
+        prop_assert!(win.selection.dag_cost(&eg, &cm, &roots) == win.cost,
+            "claimed cost must match recomputation");
     }
 
     /// Every class order proves the same optimum, and each one's claimed
@@ -290,11 +287,10 @@ proptest! {
         prop_assert!(fast.selection.dag_cost(&eg, &cm, &roots) == fast.cost);
         // the portfolio (refinement included) agrees too
         let cfg = PortfolioConfig {
-            threads: 2,
             node_budget: 5_000_000,
             deadline: std::time::Duration::from_secs(60),
         };
-        let p = extract_portfolio(&eg, &roots, &cm, &cfg, None);
+        let p = extract_portfolio(&eg, &roots, &cm, &cfg);
         prop_assert!(p.proven_optimal);
         let cost = p.winning().1.cost;
         prop_assert!(cost == oracle.cost, "portfolio: {} != {}", cost, oracle.cost);

@@ -74,8 +74,7 @@ fn text_path_allocates_at_most_half_of_its_parent() {
     assert!(printed > 0);
 
     let cm = CostModel::paper();
-    let cfg =
-        PortfolioConfig { threads: 2, node_budget: 60_000, deadline: Duration::from_secs(600) };
+    let cfg = PortfolioConfig { node_budget: 60_000, deadline: Duration::from_secs(600) };
     let opts = CodegenOptions { bulk_load: true };
     let mut generated = [0u64; 2];
     let mut kernels = 0;
@@ -86,8 +85,7 @@ fn text_path_allocates_at_most_half_of_its_parent() {
                 let mut kernel = accsat_ssa::build_kernel(&l.body);
                 Runner::new(all_rules()).run(&mut kernel.egraph);
                 let roots = kernel.extraction_roots();
-                let (_, sel) =
-                    extract_portfolio(&kernel.egraph, &roots, &cm, &cfg, None).into_winner();
+                let (_, sel) = extract_portfolio(&kernel.egraph, &roots, &cm, &cfg).into_winner();
                 let (body, n) = counted(|| generate(&kernel, &sel, &tm, &opts));
                 assert!(!body.stmts.is_empty(), "{}: empty body", f.name);
                 println!("generate {}: {} allocations, {} bytes", f.name, n[0], n[1]);
