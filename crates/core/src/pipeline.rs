@@ -84,9 +84,9 @@ pub struct SaturatorConfig {
     /// stage replay (`perf/src/replay.rs`) still reads it; ROADMAP item 1,
     /// which deletes that replay, deletes this field with it.
     pub extraction_threads: usize,
-    /// Deterministic search budget in explored nodes; this,
-    /// not the wall clock, is what normally ends a hard extraction, so
-    /// results are reproducible run to run.
+    /// Deterministic search budget in explored nodes; this, not the wall
+    /// clock, is what normally ends a hard extraction, so results are
+    /// reproducible run to run.
     pub extraction_node_budget: u64,
     /// Op-cost model for extraction (paper §V-B values by default).
     pub cost_model: CostModel,
