@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Fast-but-real limits: big enough that saturation iterates and the
-/// portfolio races, small enough for debug-mode CI.
+/// portfolio searches, small enough for debug-mode CI.
 fn fast_config(sat_threads: usize) -> SaturatorConfig {
     SaturatorConfig {
         limits: RunnerLimits { node_limit: 2000, ..Default::default() },
