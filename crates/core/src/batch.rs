@@ -601,6 +601,15 @@ mod tests {
             let cb: Vec<u64> = b.kernel_stats().map(|s| s.extracted_cost).collect();
             assert_eq!(ca, cb, "{}: per-kernel costs must match", a.benchmark);
         }
+        // more workers than items: the stable report must not move a byte
+        let wide = optimize_suite(
+            &suite,
+            Variant::AccSat,
+            &cfg,
+            &ParallelConfig { threads: 8, kernel_deadline: None, shard: None },
+        )
+        .unwrap();
+        assert_eq!(seq.to_stable_json(), wide.to_stable_json());
     }
 
     #[test]
