@@ -157,16 +157,11 @@ pub fn tune_kernel(
     // simulate every candidate in the kernel's nest; results come back in
     // candidate order, so completion order can never leak into the report
     let workers = cfg.threads.clamp(1, bodies.len().max(1));
-    let simulated = accsat_egraph::pool::map_slots(
-        workers,
-        bodies.len(),
-        || (),
-        |i| {
-            let candidate = LoopNest { body: bodies[i].clone(), ..nest.clone() };
-            let k = compile_nest(&candidate, &cfg.compiler, bindings);
-            run_kernel(&k.trace, &k.launch, &cfg.device)
-        },
-    );
+    let simulated = accsat_egraph::pool::map_slots(workers, bodies.len(), |i| {
+        let candidate = LoopNest { body: bodies[i].clone(), ..nest.clone() };
+        let k = compile_nest(&candidate, &cfg.compiler, bindings);
+        run_kernel(&k.trace, &k.launch, &cfg.device)
+    });
 
     let reports: Vec<CandidateReport> = candidates
         .iter()

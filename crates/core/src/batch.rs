@@ -8,19 +8,8 @@
 //! with one [`accsat_egraph::pool::map_slots`] fan-out. The compiled
 //! rewrite rules live in one `Arc` ([`SaturatorConfig::rules`]) shared by
 //! every worker — rules are compiled once per batch, not once per kernel.
-//!
-//! # The two-level pool
-//!
-//! Whole kernels are only the first level of schedulable work. Inside a
-//! kernel, the saturation runner's parallel rule search
-//! ([`accsat_egraph::Runner::sat_threads`]) is a fan-out of its own, and
-//! it draws threads from one shared [`accsat_egraph::ThreadBudget`]:
-//! the batch runs `min(threads, items)` workers, banks the rest as spare
-//! permits, and each worker retires its permit into the budget when the
-//! queue runs dry, so the tail of a suite — the few heaviest kernels (BT
-//! `z_solve`, LU `jacld`, MG `resid`) — widens onto the retired workers'
-//! cores. The accounting and why it cannot deadlock or change a byte of
-//! output are argued once, in [`accsat_egraph::pool`].
+//! The batch runs `min(threads, items)` workers, and each kernel runs on
+//! the worker that took it: saturation and extraction fan out no further.
 //!
 //! # Determinism
 //!
@@ -42,11 +31,9 @@ use crate::pipeline::{
 };
 use accsat_autotune::TuneConfig;
 use accsat_benchmarks::Benchmark;
-use accsat_egraph::ThreadBudget;
 use accsat_ir::{parse_program, print_program, Program};
 use accsat_obs::{escape_json, trace, MetricsRegistry};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Thread-pool configuration for a batch run.
@@ -420,7 +407,7 @@ fn run_suite(
     tune: Option<&TuneConfig>,
 ) -> Result<BatchReport, String> {
     let t0 = Instant::now();
-    let mut cfg = kernel_config(config, par.kernel_deadline);
+    let cfg = kernel_config(config, par.kernel_deadline);
     if let Some((i, n)) = par.shard {
         if n == 0 || i >= n {
             return Err(format!("invalid shard {i}/{n}: need 0 <= i < n"));
@@ -451,37 +438,24 @@ fn run_suite(
 
     let workers = par.threads.clamp(1, items.len().max(1));
 
-    // second scheduling level: the thread permits not consumed by the
-    // worker pool seed the shared budget, and every worker returns its
-    // own permit when the kernel queue runs dry — in-flight kernels can
-    // then widen their internal fan-out (rule search) onto its core.
-    let budget = Arc::new(ThreadBudget::new(par.threads.saturating_sub(workers)));
-    cfg.thread_budget = Some(Arc::clone(&budget));
-
     // results come back in item order, so the aggregation below never
     // depends on completion order
-    let results = accsat_egraph::pool::map_slots(
-        workers,
-        items.len(),
-        || budget.release(1),
-        |i| {
-            let (bi, fi) = items[i];
-            let f = &programs[bi].functions[fi];
-            let _item_span =
-                trace::span_named("batch", || format!("{} {}", benches[bi].name, f.name));
-            let t = Instant::now();
-            // `map_slots` would re-raise a panic here on the caller; caught,
-            // it is this item's error and the run ends through `fail`
-            catch_unwind(AssertUnwindSafe(|| match tune {
-                Some(tcfg) => tune_function(f, variant, &cfg, tcfg, &bindings[bi]),
-                None => optimize_function(f, variant, &cfg),
-            }))
-            .unwrap_or_else(|p| {
-                Err(format!("{} {}: panicked: {}", benches[bi].name, f.name, panic_message(&*p)))
-            })
-            .map(|(nf, stats)| (nf, stats, t.elapsed()))
-        },
-    );
+    let results = accsat_egraph::pool::map_slots(workers, items.len(), |i| {
+        let (bi, fi) = items[i];
+        let f = &programs[bi].functions[fi];
+        let _item_span = trace::span_named("batch", || format!("{} {}", benches[bi].name, f.name));
+        let t = Instant::now();
+        // `map_slots` would re-raise a panic here on the caller; caught,
+        // it is this item's error and the run ends through `fail`
+        catch_unwind(AssertUnwindSafe(|| match tune {
+            Some(tcfg) => tune_function(f, variant, &cfg, tcfg, &bindings[bi]),
+            None => optimize_function(f, variant, &cfg),
+        }))
+        .unwrap_or_else(|p| {
+            Err(format!("{} {}: panicked: {}", benches[bi].name, f.name, panic_message(&*p)))
+        })
+        .map(|(nf, stats)| (nf, stats, t.elapsed()))
+    });
 
     // reassemble per benchmark, in suite order
     let mut records: Vec<BenchmarkRecord> = benches
@@ -610,33 +584,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(seq.to_stable_json(), wide.to_stable_json());
-    }
-
-    #[test]
-    fn sat_threads_and_budget_preserve_bytes() {
-        // the full two-level pool — wide worker pool, parallel rule
-        // search, budget-leased portfolio — against the one-thread,
-        // serial-search baseline: stable output must not move a byte
-        let suite = mini_suite();
-        let base = optimize_suite(
-            &suite,
-            Variant::AccSat,
-            &fast_config(),
-            &ParallelConfig { threads: 1, kernel_deadline: None, shard: None },
-        )
-        .unwrap();
-        let cfg8 = SaturatorConfig { sat_threads: 8, ..fast_config() };
-        let wide = optimize_suite(
-            &suite,
-            Variant::AccSat,
-            &cfg8,
-            &ParallelConfig { threads: 8, kernel_deadline: None, shard: None },
-        )
-        .unwrap();
-        assert_eq!(base.to_stable_json(), wide.to_stable_json());
-        for (a, b) in base.benchmarks.iter().zip(&wide.benchmarks) {
-            assert_eq!(a.optimized_source, b.optimized_source, "{}", a.benchmark);
-        }
     }
 
     #[test]

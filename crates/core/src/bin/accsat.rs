@@ -8,21 +8,21 @@
 //!
 //! Usage:
 //! ```text
-//! accsat [--variant cse|cse+sat|cse+bulk|accsat] [--sat-threads N]
+//! accsat [--variant cse|cse+sat|cse+bulk|accsat]
 //!        [--metrics OUT.txt] [--trace-out OUT.json] [-o OUT.c] INPUT.c
 //! accsat --stats INPUT.c            # print per-kernel optimizer stats
-//! accsat batch [--suite npb|spec|all] [--threads N] [--sat-threads N]
+//! accsat batch [--suite npb|spec|all] [--threads N]
 //!              [--variant V] [--deadline-ms D] [--extract-budget NODES]
 //!              [--json OUT.json] [--shard I/N] [--tune]
 //!              [--metrics OUT.txt] [--trace-out OUT.json]
 //!              # full pipeline over a whole benchmark suite, in parallel
-//! accsat tune  [--suite npb|spec|all] [--threads N] [--sat-threads N]
+//! accsat tune  [--suite npb|spec|all] [--threads N]
 //!              [--device pcie|sxm] [--compiler nvhpc|gcc] [--sweep H1,H2,…]
 //!              [--keep K] [--shard I/N] [--json OUT.json]
 //!              # simulation-guided autotuning: pick each kernel's code by
 //!              # simulated cycles over a harvested candidate set; output
 //!              # is byte-identical at any thread count
-//! accsat fuzz  [--cases N] [--seed S] [--threads T] [--sat-threads N]
+//! accsat fuzz  [--cases N] [--seed S] [--threads T]
 //!              [--json OUT.json] [--corpus DIR] [--cache] [--cache-dir DIR]
 //!              # differential kernel fuzzing: random kernels through every
 //!              # variant, interpreter-checked against the original; fails
@@ -45,12 +45,6 @@
 //! arms the hierarchical tracer and writes a Chrome trace event file
 //! (load it at `ui.perfetto.dev`); traces contain wall-clock timings
 //! and are *not* deterministic. See DESIGN.md §Observability.
-//!
-//! `--sat-threads` controls the *parallel rule search inside saturation*
-//! (distinct from `--threads`, the worker pool over kernels or fuzz
-//! cases). All output is byte-identical at any `--sat-threads` value; in
-//! `batch`/`tune` it defaults to `--threads` so idle workers widen into
-//! the heavy kernels, elsewhere it defaults to 1.
 //!
 //! `batch` also accepts `--cache-dir DIR` (reuse saturated e-graphs and
 //! selections across runs) and `--stable-json OUT.json` (the
@@ -77,17 +71,17 @@ type Exit = Result<(), ExitCode>;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: accsat [--variant cse|cse+sat|cse+bulk|accsat] [--sat-threads N] [--stats]\n\
+        "usage: accsat [--variant cse|cse+sat|cse+bulk|accsat] [--stats]\n\
          \x20            [--metrics OUT.txt] [--trace-out OUT.json] [-o OUT.c] INPUT.c\n\
-                accsat batch [--suite npb|spec|all] [--threads N] [--sat-threads N]\n\
+                accsat batch [--suite npb|spec|all] [--threads N]\n\
          \x20            [--variant V] [--deadline-ms D] [--extract-budget NODES]\n\
          \x20            [--json OUT.json] [--stable-json OUT.json] [--shard I/N]\n\
          \x20            [--cache-dir DIR] [--tune] [--metrics OUT.txt]\n\
          \x20            [--trace-out OUT.json]\n\
-                accsat tune [--suite npb|spec|all] [--threads N] [--sat-threads N]\n\
+                accsat tune [--suite npb|spec|all] [--threads N]\n\
          \x20            [--device pcie|sxm] [--compiler nvhpc|gcc] [--sweep H1,H2,...]\n\
          \x20            [--keep K] [--shard I/N] [--json OUT.json]\n\
-                accsat fuzz [--cases N] [--seed S] [--threads T] [--sat-threads N]\n\
+                accsat fuzz [--cases N] [--seed S] [--threads T]\n\
          \x20            [--json OUT.json] [--corpus DIR] [--cache] [--cache-dir DIR]\n\
          \x20            [--trace-out OUT.json]\n\
                 accsat serve [--threads N] [--cache-dir DIR] [--cache-cap N]\n\
@@ -216,7 +210,6 @@ struct BatchOpts {
     trace_out: Option<String>,
     cache_dir: Option<String>,
     extract_budget: Option<u64>,
-    sat_threads: Option<usize>,
     tcfg: TuneConfig,
 }
 
@@ -232,7 +225,6 @@ fn parse_batch(args: Vec<String>, tune_mode: bool) -> Result<BatchOpts, String> 
         trace_out: None,
         cache_dir: None,
         extract_budget: None,
-        sat_threads: None,
         tcfg: TuneConfig::default(),
     };
     // tuner-only flags seen while parsing: a plain batch must reject
@@ -255,7 +247,6 @@ fn parse_batch(args: Vec<String>, tune_mode: bool) -> Result<BatchOpts, String> 
             "--extract-budget" => {
                 o.extract_budget = Some(ops.positive(&arg, "a positive node count")?)
             }
-            "--sat-threads" => o.sat_threads = Some(ops.positive(&arg, "a positive integer")?),
             "--json" => o.json = Some(ops.text(&arg, "an output path")?),
             "--stable-json" => o.stable_json = Some(ops.text(&arg, "an output path")?),
             "--metrics" => o.metrics_out = Some(ops.text(&arg, "an output path")?),
@@ -322,10 +313,6 @@ fn batch_main(args: Vec<String>, tune_mode: bool) -> Exit {
     if let Some(n) = o.extract_budget {
         config.extraction_node_budget = n;
     }
-    // rule search defaults to the pool width: the two-level budget only
-    // grants extra threads when workers are idle, and the output is
-    // byte-identical at any width either way
-    config.sat_threads = o.sat_threads.unwrap_or(o.par.threads);
     if let Some(dir) = &o.cache_dir {
         let cache = StageCache::with_dir(Path::new(dir))
             .map_err(|e| fail(format!("accsat batch: cannot open cache dir {dir}: {e}")))?;
@@ -419,9 +406,6 @@ fn parse_fuzz(args: Vec<String>) -> Result<FuzzOpts, String> {
             "--cases" => o.fc.cases = ops.positive(&arg, "a positive integer")?,
             "--seed" => o.fc.seed = ops.integer(&arg, "an integer")?,
             "--threads" => o.fc.threads = ops.positive(&arg, "a positive integer")?,
-            "--sat-threads" => {
-                o.fc.saturator.sat_threads = ops.positive(&arg, "a positive integer")?
-            }
             "--json" => o.json = Some(ops.text(&arg, "an output path")?),
             "--corpus" => o.corpus = Some(ops.text(&arg, "a directory")?),
             "--cache" => o.fc.cache_check = true,
@@ -552,7 +536,6 @@ fn serve_main(args: Vec<String>) -> Exit {
 /// What the single-file mode was asked to do.
 struct SingleOpts {
     variant: Variant,
-    sat_threads: Option<usize>,
     stats: bool,
     input: String,
     output: Option<String>,
@@ -562,13 +545,12 @@ struct SingleOpts {
 
 fn parse_single(args: Vec<String>) -> Result<SingleOpts, String> {
     let mut variant = Variant::AccSat;
-    let (mut sat_threads, mut stats, mut input) = (None, false, None);
+    let (mut stats, mut input) = (false, None);
     let (mut output, mut metrics_out, mut trace_out) = (None, None, None);
     let mut ops = Operands(args.into_iter());
     while let Some(arg) = ops.next() {
         match arg.as_str() {
             "--variant" => variant = parse_variant(ops.next().as_deref())?,
-            "--sat-threads" => sat_threads = Some(ops.positive(&arg, "a positive integer")?),
             "--stats" => stats = true,
             "--metrics" => metrics_out = Some(ops.text(&arg, "an output path")?),
             "--trace-out" => trace_out = Some(ops.text(&arg, "an output path")?),
@@ -584,17 +566,14 @@ fn parse_single(args: Vec<String>) -> Result<SingleOpts, String> {
         }
     }
     let input = input.ok_or_else(String::new)?;
-    Ok(SingleOpts { variant, sat_threads, stats, input, output, metrics_out, trace_out })
+    Ok(SingleOpts { variant, stats, input, output, metrics_out, trace_out })
 }
 
 /// `accsat [flags] INPUT.c`: optimize every kernel of one source file.
 fn single_main(args: Vec<String>) -> Exit {
     let o = parse_single(args).map_err(usage_error)?;
     let input = &o.input;
-    let mut config = SaturatorConfig::default();
-    if let Some(n) = o.sat_threads {
-        config.sat_threads = n;
-    }
+    let config = SaturatorConfig::default();
     if o.trace_out.is_some() {
         accsat::obs::trace::start();
     }
@@ -677,7 +656,6 @@ mod tests {
             (batch, "--threads", "4", Some("0"), INT),
             (batch, "--deadline-ms", "250", Some("soon"), "an integer"),
             (batch, "--extract-budget", "60000", Some("0"), "a positive node count"),
-            (batch, "--sat-threads", "2", Some("-1"), INT),
             (batch, "--json", "o.json", None, PATH),
             (batch, "--stable-json", "o.json", None, PATH),
             (batch, "--metrics", "m.txt", None, PATH),
@@ -690,7 +668,6 @@ mod tests {
             (fuzz, "--cases", "50", Some("0"), INT),
             (fuzz, "--seed", "0", Some("-7"), "an integer"),
             (fuzz, "--threads", "4", Some("0"), INT),
-            (fuzz, "--sat-threads", "2", Some("two"), INT),
             (fuzz, "--json", "o.json", None, PATH),
             (fuzz, "--corpus", "corpus", None, DIR),
             (fuzz, "--cache-dir", "cache", None, DIR),
@@ -700,7 +677,6 @@ mod tests {
             (serve, "--cache-cap", "16", Some("0"), "a positive entry count"),
             (serve, "--socket", "/tmp/s", None, "a path"),
             (serve, "--trace-out", "t.json", None, PATH),
-            (single, "--sat-threads", "2", Some("0"), INT),
             (single, "--metrics", "m.txt", None, PATH),
             (single, "--trace-out", "t.json", None, PATH),
             (single, "-o", "out.c", None, PATH),

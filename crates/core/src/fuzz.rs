@@ -478,8 +478,7 @@ pub fn check_seeded(index: u64, seed: u64, fc: &FuzzConfig) -> CaseOutcome {
 pub fn run_campaign(fc: &FuzzConfig) -> FuzzReport {
     let cases = fc.cases as usize;
     let workers = fc.threads.clamp(1, cases.max(1));
-    let outcomes =
-        accsat_egraph::pool::map_slots(workers, cases, || (), |i| run_case(i as u64, fc));
+    let outcomes = accsat_egraph::pool::map_slots(workers, cases, |i| run_case(i as u64, fc));
 
     let mut flavors: BTreeMap<String, u64> = BTreeMap::new();
     let (mut passed, mut skipped) = (0u64, 0u64);
@@ -924,28 +923,6 @@ mod tests {
         assert_eq!(r1.to_stable_json(), r8.to_stable_json());
         assert_eq!(r1.passed + r1.skipped + r1.failures.len() as u64, 12);
         assert!(r1.failures.is_empty(), "{}", r1.render_summary());
-    }
-
-    /// The checked walk is the product's walk, so it takes the product's
-    /// knobs: a 4-wide saturation search leasing its threads from a shared
-    /// budget must reach the verdicts and the code of the serial run.
-    #[test]
-    fn findings_are_identical_at_sat_threads_4_under_a_thread_budget() {
-        let narrow = tiny_config(0, 0xFA22, 1);
-        let mut wide = narrow.clone();
-        wide.saturator.sat_threads = 4;
-        wide.saturator.thread_budget =
-            Some(std::sync::Arc::new(accsat_egraph::ThreadBudget::new(3)));
-        for index in 0..12 {
-            let seed = case_seed(narrow.seed, index);
-            let gk = generate_kernel(seed, &narrow.gen);
-            let f = parse_program(&gk.source).unwrap().functions.remove(0);
-            let env = build_env(&gk, seed);
-            let findings = |fc| check_kernel(&f, &env, fc, None);
-            assert_eq!(findings(&wide), findings(&narrow), "case {index}");
-            let code = |fc| optimize_checked(&f, Variant::AccSat, fc).unwrap();
-            assert_eq!(code(&wide), code(&narrow), "case {index}");
-        }
     }
 
     #[test]

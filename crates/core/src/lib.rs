@@ -40,7 +40,7 @@ pub mod cache;
 mod evaluate;
 pub mod fuzz;
 pub mod metrics;
-pub mod pipeline;
+mod pipeline;
 pub mod report;
 pub mod serve;
 

@@ -93,15 +93,13 @@ pub struct SaturatorConfig {
     /// Compiled rewrite rules. Shared (`Arc`) so batch drivers compile the
     /// rule set once per process instead of once per kernel.
     pub rules: Arc<Vec<Rewrite>>,
-    /// Width of the saturation runner's parallel rule search. `1` (the
-    /// default) searches on the calling thread; higher values fan the
-    /// per-iteration rule searches out over scoped threads. Output is
-    /// byte-identical at any value.
+    /// Unused: saturation searches its rules on the calling thread, and
+    /// nothing in the optimizer reads this field. It stays only because
+    /// the benchmark's stage replay (`perf/src/replay.rs`) still reads it.
     pub sat_threads: usize,
-    /// Shared thread budget of the two-level batch pool. When set, the
-    /// saturation search leases its extra threads from here instead of
-    /// spawning unconditionally; `None` (standalone runs) spawns up to
-    /// `sat_threads` outright.
+    /// Unused: nothing in the optimizer leases threads. It stays only
+    /// because the benchmark's stage replay and workloads
+    /// (`perf/src/replay.rs`, `perf/src/workloads.rs`) still set or read it.
     pub thread_budget: Option<Arc<ThreadBudget>>,
     /// Content-addressed stage cache (see [`crate::cache`]). When set,
     /// the pipeline consults it before saturation and extraction and
@@ -426,10 +424,8 @@ impl KernelJob<'_> {
                 kernel.egraph.rebuild();
                 return None;
             }
-            let runner = Runner::from_shared(self.config.rules.clone())
-                .with_limits(self.config.limits)
-                .with_sat_threads(self.config.sat_threads)
-                .with_budget(self.config.thread_budget.clone());
+            let runner =
+                Runner::from_shared(self.config.rules.clone()).with_limits(self.config.limits);
             Some(runner.run(&mut kernel.egraph))
         });
         let (iters, stop, iter_counts, rule_stats) = report.map_or_else(Default::default, |r| {

@@ -42,7 +42,6 @@
 use crate::cache::{CacheLevel, CacheStats, StageCache};
 use crate::metrics::add_opt_stats;
 use crate::pipeline::{optimize_program_with, panic_message, OptStats, SaturatorConfig, Variant};
-use accsat_egraph::ThreadBudget;
 use accsat_ir::{fnv1a, parse_program, print_program, Program};
 use accsat_obs::{escape_json, trace, MetricsRegistry};
 use std::collections::{BTreeMap, VecDeque};
@@ -348,11 +347,6 @@ pub fn run_session<R: BufRead, W: Write + Send>(
 ) -> std::io::Result<()> {
     let mut saturator = config.saturator.clone();
     let cache = saturator.cache.get_or_insert_with(|| Arc::new(StageCache::in_memory())).clone();
-    // request workers are the outer level of the two-level pool; with no
-    // spare budget each request's saturation stays single-threaded (as
-    // extraction always is) and concurrency comes from request fan-out,
-    // mirroring the batch driver's fully-loaded configuration
-    saturator.thread_budget.get_or_insert_with(|| Arc::new(ThreadBudget::new(0)));
     let (job_tx, job_rx) = mpsc::channel::<(u64, Job)>();
     let job_rx = Mutex::new(job_rx);
     let (line_tx, line_rx) = mpsc::channel::<String>();

@@ -53,6 +53,7 @@ pub use egraph::{EClass, EGraph};
 pub use fxhash::FxHashMap;
 pub use machine::VarSubst;
 pub use node::{Id, Node, NodeRef, Op};
+// kept for the `perf` replay, which still names it here
 pub use pool::ThreadBudget;
 pub use rewrite::{Rewrite, RuleMatch};
 pub use rules::{all_rules, assoc_rules, comm_rules, fma_rules, reorder_rules};
@@ -72,5 +73,4 @@ const _: () = {
     assert_send_sync::<Rewrite>();
     assert_send_sync::<Runner>();
     assert_send_sync::<RunnerReport>();
-    assert_send_sync::<ThreadBudget>();
 };

@@ -1,21 +1,20 @@
-//! The one worker fan-out ([`map_slots`]) and the shared lease pool
-//! ([`ThreadBudget`]) that decides how wide each fan-out runs.
+//! The one worker fan-out ([`map_slots`]).
 //!
 //! # The fan-out
 //!
 //! Every parallel stage of the optimizer has the same shape: `n`
-//! independent tasks over shared read-only state (egg's read-only search
-//! ahead of a serial commit), whose results the caller consumes in task
-//! order. [`map_slots`] is that shape, written once. Its four callers are
-//! the saturation runner's per-rule search, the autotuner's candidate
-//! simulations, the fuzz campaign's cases and the batch driver's kernel
-//! queue; each computes a width and makes one call, which starts its
-//! helper threads at once.
+//! independent tasks over shared read-only state, whose results the
+//! caller consumes in task order. [`map_slots`] is that shape, written
+//! once. Its three callers are the autotuner's candidate simulations, the
+//! fuzz campaign's cases and the batch driver's kernel queue; each
+//! computes a width and makes one call, which starts its helper threads
+//! at once. Nothing inside a task fans out again: saturation searches its
+//! rules on the calling thread, and extraction runs one search.
 //!
 //! **Determinism.** Results are indexed by task, never by completion: the
 //! returned vector holds `f(0), f(1), …, f(n - 1)` in that order whichever
 //! thread ran which task and whenever it finished. A caller that reduces
-//! the vector serially (backoff decisions, report assembly) is therefore
+//! the vector serially (report assembly, the tuner's pick) is therefore
 //! byte-identical at any width, as long as each `f(i)` depends only on
 //! `i` and the shared state — which is why workers never exchange
 //! intermediate results and no task is ever cancelled.
@@ -26,46 +25,32 @@
 //! `catch_unwind` around the fan-out sees the real message, not a generic
 //! "a scoped thread panicked". At width 1 the panic simply propagates.
 //!
-//! # The budget
+//! # The lease pool, kept for `perf`
 //!
-//! The batch driver (`accsat::batch`) hands whole kernels to a fixed set
-//! of workers. Inside a kernel, the rule search wants threads of its own.
-//! Spawning those unconditionally would oversubscribe the machine (every
-//! in-flight kernel multiplying the worker count), so a batch shares one
-//! [`ThreadBudget`]: a counted pool of *spare* thread permits. A
-//! kernel-internal fan-out leases as many permits as are free at that
-//! moment ([`fanout_width`]) — never blocking, never below its own calling
-//! thread — and returns them when the fan-out joins. The batch seeds the
-//! budget with the `threads − workers` permits its worker pool does not
-//! use, and each of its workers (the caller included) retires its own
-//! permit into the budget — [`map_slots`]'s `retire` hook — when it finds
-//! the kernel queue dry, so the tail of a suite (the few heaviest kernels)
-//! widens automatically instead of leaving the retired workers' cores
-//! idle; once the batch returns the budget holds all `threads` permits.
-//! Leasing only ever changes *how many threads* run a fan-out, so by the
-//! determinism argument above the budget affects wall clock only.
+//! [`ThreadBudget`], [`Lease`] and [`fanout_width`] are kept only because
+//! the `perf` replay still compiles against them; nothing in the
+//! workspace leases a thread.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use accsat_obs::trace;
 
-/// A counted pool of spare worker-thread permits shared by one batch run.
+/// A counted pool of spare worker-thread permits. Kept for the `perf`
+/// replay; nothing in the workspace creates one.
 #[derive(Debug)]
 pub struct ThreadBudget {
     spare: Mutex<usize>,
 }
 
 impl ThreadBudget {
-    /// New budget with `spare` free permits. A batch driver whose queue is
-    /// narrower than its thread count starts the surplus here; otherwise
-    /// permits arrive as workers retire ([`ThreadBudget::release`]).
+    /// New budget with `spare` free permits; more arrive through
+    /// [`ThreadBudget::release`].
     pub fn new(spare: usize) -> ThreadBudget {
         ThreadBudget { spare: Mutex::new(spare) }
     }
 
-    /// Return `n` permits to the pool (a worker retiring from the kernel
-    /// queue, or a lease being dropped).
+    /// Return `n` permits to the pool (a lease being dropped).
     pub fn release(&self, n: usize) {
         if n > 0 {
             *self.spare.lock().expect("thread budget") += n;
@@ -91,7 +76,8 @@ impl ThreadBudget {
     }
 }
 
-/// Permits leased from a [`ThreadBudget`]; returned on drop.
+/// Permits leased from a [`ThreadBudget`]; returned on drop. Kept for the
+/// `perf` replay.
 #[derive(Debug)]
 pub struct Lease<'a> {
     budget: &'a ThreadBudget,
@@ -117,22 +103,11 @@ impl Drop for Lease<'_> {
 ///
 /// The fan-out starts its `min(width − 1, n − 1)` helpers at entry: a
 /// helper that could find no task left is never started. Indices are
-/// handed out one at a time from a shared cursor. Each worker calls
-/// `retire` once, when it finds the cursor past `n`, and the calling
-/// thread calls it once more for every helper it did not start — the
-/// batch driver returns a worker's permit to its [`ThreadBudget`] there;
-/// every other caller passes `|| ()`. At `width <= 1` this is a plain
-/// loop on the calling thread: no atomic, no lock, no spawn.
-pub fn map_slots<T: Send>(
-    width: usize,
-    n: usize,
-    retire: impl Fn() + Sync,
-    f: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
+/// handed out one at a time from a shared cursor. At `width <= 1` this is
+/// a plain loop on the calling thread: no atomic, no lock, no spawn.
+pub fn map_slots<T: Send>(width: usize, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
     if width <= 1 {
-        let out = (0..n).map(&f).collect();
-        retire();
-        return out;
+        return (0..n).map(f).collect();
     }
     // Relaxed: the cursor publishes nothing but itself; results travel
     // through the join handles
@@ -146,11 +121,9 @@ pub fn map_slots<T: Send>(
             }
             done.push((i, f(i)));
         }
-        retire();
         done
     };
     let helpers = (width - 1).min(n.saturating_sub(1));
-    (helpers..width - 1).for_each(|_| retire());
     let mut pairs = std::thread::scope(|scope| {
         let spawned: Vec<_> = (0..helpers).map(|_| scope.spawn(drain)).collect();
         let mut pairs = drain();
@@ -177,7 +150,8 @@ pub(crate) fn hardware_parallelism() -> usize {
 /// Effective width of a fan-out of `tasks` independent tasks: the calling
 /// thread plus either a budget lease (shared-pool mode) or the requested
 /// width outright (standalone mode, `budget = None`). Returns the lease so
-/// the permits survive until the fan-out joins.
+/// the permits survive until the fan-out joins. Kept for the `perf`
+/// replay; no workspace fan-out calls it.
 ///
 /// The width is additionally clamped to the host's parallelism: asking
 /// for 16 search threads on a 4-core host spawns 4. Threads beyond the
@@ -295,21 +269,16 @@ mod tests {
         let n = 6;
         for width in [1, 2, 8] {
             let finished = (Mutex::new(Vec::new()), Condvar::new());
-            let out = map_slots(
-                width,
-                n,
-                || (),
-                |i| {
-                    let (order, changed) = &finished;
-                    let mut order = order.lock().unwrap();
-                    while i + 1 < width && !(i + 1..n).all(|later| order.contains(&later)) {
-                        order = changed.wait(order).unwrap();
-                    }
-                    order.push(i);
-                    changed.notify_all();
-                    i * 10
-                },
-            );
+            let out = map_slots(width, n, |i| {
+                let (order, changed) = &finished;
+                let mut order = order.lock().unwrap();
+                while i + 1 < width && !(i + 1..n).all(|later| order.contains(&later)) {
+                    order = changed.wait(order).unwrap();
+                }
+                order.push(i);
+                changed.notify_all();
+                i * 10
+            });
             assert_eq!(out, vec![0, 10, 20, 30, 40, 50], "width {width}");
             let order = finished.0.into_inner().unwrap();
             match width {
@@ -318,52 +287,36 @@ mod tests {
                 _ => assert_eq!(order, vec![5, 4, 3, 2, 1, 0]),
             }
         }
-        assert_eq!(map_slots(4, 0, || (), |i| i), Vec::<usize>::new(), "n = 0");
-        assert_eq!(map_slots(8, 3, || (), |i| i + 1), vec![1, 2, 3], "width > n");
+        assert_eq!(map_slots(4, 0, |i| i), Vec::<usize>::new(), "n = 0");
+        assert_eq!(map_slots(8, 3, |i| i + 1), vec![1, 2, 3], "width > n");
     }
 
     #[test]
     fn map_slots_width_one_stays_on_the_calling_thread() {
         let me = std::thread::current().id();
-        let ids = map_slots(1, 5, || (), |_| std::thread::current().id());
+        let ids = map_slots(1, 5, |_| std::thread::current().id());
         assert_eq!(ids, vec![me; 5]);
         // and the caller is one of the workers at any width: with a
         // barrier holding both workers inside a task, one of them is us
         let barrier = std::sync::Barrier::new(2);
-        let ids = map_slots(
-            2,
-            2,
-            || (),
-            |_| {
-                barrier.wait();
-                std::thread::current().id()
-            },
-        );
+        let ids = map_slots(2, 2, |_| {
+            barrier.wait();
+            std::thread::current().id()
+        });
         assert!(ids.contains(&me), "caller drains too");
         assert_ne!(ids[0], ids[1]);
     }
 
     #[test]
     fn a_fan_out_starts_no_helper_it_has_no_task_for() {
-        // width 8 over 3 tasks starts at most 2 helpers and retires the
-        // other 5 permits at once: 8 retires in all, one per worker,
-        // started or not
+        // width 8 over 3 tasks starts at most 2 helpers
         for (width, n) in [(2, 16), (8, 3), (8, 1)] {
-            let retired = AtomicUsize::new(0);
-            let ids = map_slots(
-                width,
-                n,
-                || {
-                    retired.fetch_add(1, Ordering::SeqCst);
-                },
-                |i| (i, std::thread::current().id()),
-            );
+            let ids = map_slots(width, n, |i| (i, std::thread::current().id()));
             let mut threads: Vec<_> = ids.iter().map(|&(_, t)| t).collect();
             threads.sort_unstable_by_key(|t| format!("{t:?}"));
             threads.dedup();
             assert!(threads.len() <= width.min(n), "width {width}: {} threads", threads.len());
             assert_eq!(ids.iter().map(|&(i, _)| i).collect::<Vec<_>>(), (0..n).collect::<Vec<_>>());
-            assert_eq!(retired.load(Ordering::SeqCst), width, "width {width}");
         }
     }
 
@@ -371,17 +324,12 @@ mod tests {
     fn map_slots_reraises_the_tasks_own_panic_after_the_rest_ran() {
         let ran = AtomicUsize::new(0);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            map_slots(
-                2,
-                8,
-                || (),
-                |i| {
-                    if i == 3 {
-                        panic!("boom {i}");
-                    }
-                    ran.fetch_add(1, Ordering::SeqCst);
-                },
-            )
+            map_slots(2, 8, |i| {
+                if i == 3 {
+                    panic!("boom {i}");
+                }
+                ran.fetch_add(1, Ordering::SeqCst);
+            })
         }));
         let payload = caught.expect_err("the task's panic reaches the caller");
         assert_eq!(payload.downcast_ref::<String>().map(String::as_str), Some("boom 3"));
@@ -397,37 +345,19 @@ mod tests {
         let barrier = std::sync::Barrier::new(2);
         let ran = AtomicUsize::new(0);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            map_slots(
-                2,
-                8,
-                || (),
-                |i| {
-                    if i < 2 {
-                        barrier.wait();
-                        if std::thread::current().id() == me {
-                            panic!("boom {i}");
-                        }
+            map_slots(2, 8, |i| {
+                if i < 2 {
+                    barrier.wait();
+                    if std::thread::current().id() == me {
+                        panic!("boom {i}");
                     }
-                    ran.fetch_add(1, Ordering::SeqCst);
-                },
-            )
+                }
+                ran.fetch_add(1, Ordering::SeqCst);
+            })
         }));
         let payload = caught.expect_err("the task's panic reaches the caller");
         let message = payload.downcast_ref::<String>().map(String::as_str);
         assert!(matches!(message, Some("boom 0" | "boom 1")), "{message:?}");
         assert_eq!(ran.load(Ordering::SeqCst), 7, "the helper drained the rest");
-    }
-
-    #[test]
-    fn retiring_workers_hand_every_permit_back() {
-        // the batch driver's accounting: `t` threads over `n` items start
-        // `w = min(t, n)` workers and bank `t - w`; each worker retires one
-        for (t, n) in [(1, 0), (1, 5), (4, 2), (4, 9), (8, 8)] {
-            let w = t.clamp(1, n.max(1));
-            let budget = ThreadBudget::new(t - w);
-            let out = map_slots(w, n, || budget.release(1), |i| i);
-            assert_eq!(out.len(), n);
-            assert_eq!(budget.spare(), t, "threads {t}, items {n}");
-        }
     }
 }

@@ -6,21 +6,6 @@
 //! the first iteration, per-rule match/apply statistics, and a backoff
 //! scheduler that temporarily benches rules whose match counts explode
 //! (commutativity/associativity on large graphs).
-//!
-//! # Parallel search
-//!
-//! The rebuild discipline already splits every iteration into a read-only
-//! *search* phase over a frozen e-graph and a mutating *apply* phase.
-//! [`Runner::sat_threads`] parallelizes the search: each non-banned rule
-//! becomes one task of a [`crate::pool::map_slots`] fan-out over the
-//! shared `&EGraph`, and the per-rule match lists come back in rule-index
-//! order — backoff decisions, per-rule statistics and the order matches
-//! are applied in are computed from them serially, after the join, so the
-//! result is byte-identical at any thread count. Stopping is governed by
-//! the node/iteration budgets; the wall-clock limit is checked only at
-//! iteration boundaries (a safety valve, as in extraction), never
-//! mid-search, so it cannot reorder or truncate the match stream on one
-//! thread count but not another.
 
 use crate::dense::ClassSet;
 use crate::egraph::EGraph;
@@ -251,14 +236,6 @@ pub struct Runner {
     /// `None` disables the backoff scheduler (every rule runs every
     /// iteration, as in the seed).
     pub backoff: Option<BackoffConfig>,
-    /// Worker threads for the search phase (`1` searches
-    /// serially on the calling thread). Results are byte-identical at any
-    /// value — see the module docs.
-    pub sat_threads: usize,
-    /// Optional shared lease pool: when set, the search fan-out takes at
-    /// most `1 + leased` threads per iteration instead of `sat_threads`
-    /// outright, so concurrent kernels of a batch share one thread budget.
-    pub budget: Option<Arc<ThreadBudget>>,
 }
 
 impl Runner {
@@ -272,13 +249,7 @@ impl Runner {
     /// `Arc` is free — this is the constructor the parallel batch driver
     /// uses so rules are compiled once per process, not once per kernel.
     pub fn from_shared(rules: Arc<Vec<Rewrite>>) -> Runner {
-        Runner {
-            limits: RunnerLimits::default(),
-            rules,
-            backoff: Some(BackoffConfig::default()),
-            sat_threads: 1,
-            budget: None,
-        }
+        Runner { limits: RunnerLimits::default(), rules, backoff: Some(BackoffConfig::default()) }
     }
 
     /// Override the limits.
@@ -293,23 +264,22 @@ impl Runner {
         self
     }
 
-    /// Set the search-phase thread count (clamped to at least 1).
-    pub fn with_sat_threads(mut self, threads: usize) -> Runner {
-        self.sat_threads = threads.max(1);
+    /// Does nothing and returns `self`; kept for the `perf` replay, which
+    /// still calls it. The search runs on the calling thread.
+    pub fn with_sat_threads(self, _threads: usize) -> Runner {
         self
     }
 
-    /// Attach a shared thread budget (batch mode; see [`ThreadBudget`]).
-    pub fn with_budget(mut self, budget: Option<Arc<ThreadBudget>>) -> Runner {
-        self.budget = budget;
+    /// Does nothing and returns `self`; kept for the `perf` replay, which
+    /// still calls it. Saturation leases no threads.
+    pub fn with_budget(self, _budget: Option<Arc<ThreadBudget>>) -> Runner {
         self
     }
 
     /// Run saturation on `eg` until a stop condition is reached.
     pub fn run(&self, eg: &mut EGraph) -> RunnerReport {
-        let _run_span = trace::span_args("sat", "runner.run", || {
-            vec![("rules", self.rules.len().into()), ("threads", self.sat_threads.into())]
-        });
+        let _run_span =
+            trace::span_args("sat", "runner.run", || vec![("rules", self.rules.len().into())]);
         let start = Instant::now();
         let mut iterations = Vec::new();
         let mut rule_stats: Vec<RuleStats> = self
@@ -335,10 +305,8 @@ impl Runner {
                 break StopReason::IterLimit;
             }
             // wall-clock safety valve, checked at iteration boundaries
-            // only: a mid-search check would truncate the match stream at a
-            // scheduling-dependent point and break byte-identity across
-            // thread counts. The node and iteration budgets are what
-            // normally stop a run.
+            // only, so a run it stops still ends on a whole iteration. The
+            // node and iteration budgets are what normally stop a run.
             if start.elapsed() >= self.limits.time_limit {
                 break StopReason::TimeLimit;
             }
@@ -377,40 +345,27 @@ impl Runner {
                 tasks.push((ri, restrict));
             }
 
-            // One search per task, results back in task (= rule-index)
-            // order: completion order never shows.
-            let searched: Vec<Vec<RuleMatch>> = {
-                let eg_ref: &EGraph = eg;
-                let dirty_ref = dirty.as_ref();
-                let (width, _lease) = crate::pool::fanout_width(
-                    self.budget.as_deref(),
-                    self.sat_threads,
-                    tasks.len(),
-                );
-                crate::pool::map_slots(
-                    width,
-                    tasks.len(),
-                    || (),
-                    |ti| {
-                        let (ri, restrict) = &tasks[ti];
-                        let _rule_span = trace::span_named("sat.rule", || {
-                            format!("search {}", self.rules[*ri].name)
-                        });
-                        let restrict = match restrict {
-                            Restrict::Whole => None,
-                            Restrict::Dirty => dirty_ref,
-                            Restrict::Owned(s) => Some(s),
-                        };
-                        self.rules[*ri].search_filtered(eg_ref, restrict)
-                    },
-                )
-            };
+            // One search per task, in task (= rule-index) order.
+            let searched: Vec<Vec<RuleMatch>> = tasks
+                .iter()
+                .map(|(ri, restrict)| {
+                    let _rule_span = trace::span_named("sat.rule", || {
+                        format!("search {}", self.rules[*ri].name)
+                    });
+                    let restrict = match restrict {
+                        Restrict::Whole => None,
+                        Restrict::Dirty => dirty.as_ref(),
+                        Restrict::Owned(s) => Some(s),
+                    };
+                    self.rules[*ri].search_filtered(eg, restrict)
+                })
+                .collect();
 
-            // Join complete: walk the results in rule-index order. Backoff
-            // decisions are taken here, from the deterministic per-rule
-            // match counts — never inside a worker. A benched rule's
-            // matches are dropped; the rest are applied from their own
-            // per-rule buffers, in rule order.
+            // Walk the results in rule-index order. Backoff decisions are
+            // taken from the per-rule match counts after every rule has
+            // searched the same frozen graph. A benched rule's matches are
+            // dropped; the rest are applied from their own per-rule
+            // buffers, in rule order.
             let mut to_apply: Vec<(usize, Vec<RuleMatch>)> = Vec::with_capacity(searched.len());
             let mut found = 0usize;
             for ((ri, restrict), matches) in tasks.into_iter().zip(searched) {
@@ -644,71 +599,6 @@ mod tests {
             let last = report.iterations.last().unwrap();
             assert_eq!(last.applied, 0);
         }
-    }
-
-    /// Saturation reports (and resulting e-graphs) must be identical at
-    /// any search thread count, including under backoff pressure.
-    #[test]
-    fn parallel_search_matches_serial() {
-        let run = |threads: usize| {
-            let mut eg = EGraph::new();
-            let leaves: Vec<_> = (0..8).map(|i| eg.add(Node::sym(&format!("x{i}")))).collect();
-            let mut acc = leaves[0];
-            for &l in &leaves[1..] {
-                acc = eg.add(Node::new(Op::Mul, vec![acc, l]));
-            }
-            let backoff = BackoffConfig { match_limit: 16, ban_length: 1 };
-            let limits = RunnerLimits { iter_limit: 6, node_limit: 3000, ..Default::default() };
-            let runner = Runner::new(all_rules())
-                .with_limits(limits)
-                .with_backoff(Some(backoff))
-                .with_sat_threads(threads);
-            let report = runner.run(&mut eg);
-            (report, eg.total_nodes(), eg.num_classes())
-        };
-        let (serial, nodes1, classes1) = run(1);
-        for threads in [2, 8] {
-            let (par, nodes, classes) = run(threads);
-            assert_eq!(nodes, nodes1, "{threads} threads: node counts diverge");
-            assert_eq!(classes, classes1, "{threads} threads: class counts diverge");
-            assert_eq!(par.stop_reason, serial.stop_reason);
-            assert_eq!(par.iterations.len(), serial.iterations.len());
-            for (a, b) in par.iterations.iter().zip(&serial.iterations) {
-                assert_eq!((a.matches, a.applied), (b.matches, b.applied));
-                assert_eq!((a.total_nodes, a.num_classes), (b.total_nodes, b.num_classes));
-            }
-            for (a, b) in par.rule_stats.iter().zip(&serial.rule_stats) {
-                assert_eq!(a.name, b.name);
-                assert_eq!(
-                    (a.matches, a.applied, a.times_banned, a.banned_iters),
-                    (b.matches, b.applied, b.times_banned, b.banned_iters),
-                    "rule {} diverges at {threads} threads",
-                    a.name
-                );
-            }
-        }
-    }
-
-    /// A shared budget with no spare permits degrades the fan-out to the
-    /// calling thread; with permits it widens. Results are identical.
-    #[test]
-    fn budgeted_search_is_identical() {
-        use crate::pool::ThreadBudget;
-        let run = |budget: Option<Arc<ThreadBudget>>| {
-            let mut eg = EGraph::new();
-            let ids = chain_add(&mut eg, &["a", "b", "c", "d"]);
-            let ab = eg.add(Node::new(Op::Add, vec![ids[0], ids[1]]));
-            let cd = eg.add(Node::new(Op::Add, vec![ids[2], ids[3]]));
-            let _r = eg.add(Node::new(Op::Mul, vec![ab, cd]));
-            let runner = Runner::new(all_rules()).with_sat_threads(4).with_budget(budget);
-            let report = runner.run(&mut eg);
-            (report.total_matches(), report.total_applied(), eg.total_nodes())
-        };
-        let starving = run(Some(Arc::new(ThreadBudget::new(0))));
-        let flush = run(Some(Arc::new(ThreadBudget::new(8))));
-        let unbudgeted = run(None);
-        assert_eq!(starving, flush);
-        assert_eq!(starving, unbudgeted);
     }
 
     /// Phase timings are recorded for every iteration and sum into the

@@ -1,103 +1,14 @@
-//! Property-based tests of the parallel saturation search: on random
-//! generated kernels, the runner's parallel search phase must be an
-//! invisible implementation detail. Matches are collected into per-rule
-//! slots and concatenated in rule-index order, so every observable — the
-//! per-iteration match/application counts (the match multiset, aggregated
-//! per rule and per iteration), backoff bans, node/class trajectory, stop
-//! reason, and the final e-graph shape — must be identical at any
-//! `sat_threads` value, with or without a shared thread budget attached.
+//! Property-based tests of the e-graph core. The first property checks the
+//! congruence closure against an independent oracle: random
+//! add/union/rebuild scripts must leave the e-graph with exactly the
+//! partition a naive fixpoint over all node pairs computes.
 //!
-//! A second property checks the congruence closure itself against an
-//! independent oracle: random add/union/rebuild scripts must leave the
-//! e-graph with exactly the partition a naive fixpoint over all node pairs
-//! computes.
-//!
-//! A third pins the rule applier's fused call: on random scripts,
+//! A second pins the rule applier's fused call: on random scripts,
 //! `EGraph::add_into` must leave exactly the state `add_with` followed by
 //! `union` leaves, constant folding included.
 
-use accsat_benchmarks::{generate_kernel, GenConfig};
-use accsat_egraph::{
-    all_rules, BackoffConfig, EGraph, Id, Node, Op, Runner, RunnerLimits, RunnerReport,
-    ThreadBudget,
-};
-use accsat_ir::{innermost_parallel_loops, parse_program};
-use accsat_ssa::build_kernel;
+use accsat_egraph::{EGraph, Id, Node, Op};
 use proptest::prelude::*;
-use std::sync::Arc;
-use std::time::Duration;
-
-/// Everything a saturation run reports except wall-clock time: stop
-/// reason, the per-iteration (matches, applied, nodes, classes) sequence,
-/// and the cumulative per-rule statistics including backoff decisions.
-type Fingerprint =
-    (String, Vec<(usize, usize, usize, usize)>, Vec<(String, usize, usize, usize, usize)>);
-
-fn fingerprint(r: &RunnerReport) -> Fingerprint {
-    (
-        format!("{:?}", r.stop_reason),
-        r.iterations.iter().map(|i| (i.matches, i.applied, i.total_nodes, i.num_classes)).collect(),
-        r.rule_stats
-            .iter()
-            .map(|s| (s.name.clone(), s.matches, s.applied, s.times_banned, s.banned_iters))
-            .collect(),
-    )
-}
-
-/// Build the kernel's e-graph from source and saturate it. Tight limits
-/// and an aggressive backoff keep debug-mode runs fast while still
-/// exercising banning, pending-class deferral and the dirty-set search.
-fn saturate(
-    src: &str,
-    threads: usize,
-    budget: Option<Arc<ThreadBudget>>,
-) -> (Fingerprint, usize, usize) {
-    let prog = parse_program(src).expect("generated kernel parses");
-    // the first kernel's body — the block the pipeline hands to SSA
-    // construction (outer nest loops stay outside the e-graph)
-    let loops = innermost_parallel_loops(&prog.functions[0]);
-    let kernel = build_kernel(&loops.first().expect("generated kernel has a parallel loop").body);
-    let mut eg = kernel.egraph;
-    let report = Runner::new(all_rules())
-        .with_limits(RunnerLimits {
-            node_limit: 1500,
-            iter_limit: 4,
-            time_limit: Duration::from_secs(30),
-        })
-        .with_backoff(Some(BackoffConfig { match_limit: 64, ban_length: 2 }))
-        .with_sat_threads(threads)
-        .with_budget(budget)
-        .run(&mut eg);
-    (fingerprint(&report), eg.total_nodes(), eg.num_classes())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Serial search, wide parallel search, and parallel search starved
-    /// down to one thread by an empty budget all produce the same report
-    /// and the same e-graph.
-    #[test]
-    fn parallel_search_equals_serial_on_random_kernels(
-        seed in (0u64..u64::MAX),
-        threads in (2usize..9),
-    ) {
-        let gk = generate_kernel(seed, &GenConfig::default());
-        let serial = saturate(&gk.source, 1, None);
-        let wide = saturate(&gk.source, threads, None);
-        prop_assert!(
-            serial == wide,
-            "seed {seed} ({}): {threads}-thread search diverged from serial\n{serial:?}\n{wide:?}",
-            gk.flavor
-        );
-        let starved = saturate(&gk.source, threads, Some(Arc::new(ThreadBudget::new(0))));
-        prop_assert!(
-            serial == starved,
-            "seed {seed} ({}): budget-starved search diverged from serial",
-            gk.flavor
-        );
-    }
-}
 
 // ------------------------------------------------- congruence oracle
 
