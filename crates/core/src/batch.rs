@@ -8,8 +8,8 @@
 //! with one [`accsat_egraph::pool::map_slots`] fan-out. The compiled
 //! rewrite rules live in one `Arc` ([`SaturatorConfig::rules`]) shared by
 //! every worker — rules are compiled once per batch, not once per kernel.
-//! The batch runs `min(threads, items)` workers, and each kernel runs on
-//! the worker that took it: saturation and extraction fan out no further.
+//! The batch runs `min(threads, items)` workers; each kernel's saturation
+//! and extraction run on the worker that took it.
 //!
 //! # Determinism
 //!

@@ -53,7 +53,7 @@ pub use egraph::{EClass, EGraph};
 pub use fxhash::FxHashMap;
 pub use machine::VarSubst;
 pub use node::{Id, Node, NodeRef, Op};
-// kept for the `perf` replay, which still names it here
+// kept for `perf/`, which still names it here (ROADMAP item 1)
 pub use pool::ThreadBudget;
 pub use rewrite::{Rewrite, RuleMatch};
 pub use rules::{all_rules, assoc_rules, comm_rules, fma_rules, reorder_rules};

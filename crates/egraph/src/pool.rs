@@ -8,8 +8,8 @@
 //! once. Its three callers are the autotuner's candidate simulations, the
 //! fuzz campaign's cases and the batch driver's kernel queue; each
 //! computes a width and makes one call, which starts its helper threads
-//! at once. Nothing inside a task fans out again: saturation searches its
-//! rules on the calling thread, and extraction runs one search.
+//! at once. Saturation and extraction are not callers: each runs on the
+//! thread that optimizes the kernel.
 //!
 //! **Determinism.** Results are indexed by task, never by completion: the
 //! returned vector holds `f(0), f(1), …, f(n - 1)` in that order whichever
@@ -28,16 +28,16 @@
 //! # The lease pool, kept for `perf`
 //!
 //! [`ThreadBudget`], [`Lease`] and [`fanout_width`] are kept only because
-//! the `perf` replay still compiles against them; nothing in the
-//! workspace leases a thread.
+//! `perf/` still compiles against them; nothing in the workspace leases a
+//! thread.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use accsat_obs::trace;
 
-/// A counted pool of spare worker-thread permits. Kept for the `perf`
-/// replay; nothing in the workspace creates one.
+/// A counted pool of spare worker-thread permits. Kept for `perf/`;
+/// nothing in the workspace creates one.
 #[derive(Debug)]
 pub struct ThreadBudget {
     spare: Mutex<usize>,
