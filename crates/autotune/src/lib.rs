@@ -27,12 +27,12 @@
 //!    ([`accsat_compilers::analyze_nest`], once per kernel), through the
 //!    compiler model ([`accsat_compilers::compile_nest`]) to a gpusim trace.
 //! 3. **Simulate** — every trace runs on a configurable [`Device`] under
-//!    the chosen [`CompilerModel`], as one `accsat_egraph::pool::map_slots`
-//!    fan-out with results in candidate order.
+//!    the chosen [`CompilerModel`], on the calling thread, in candidate
+//!    order.
 //! 4. **Rank** ([`tune_kernel`]) — candidates are ordered by simulated
 //!    whole-launch cycles with a fully deterministic tie-break
 //!    `(cycles, static cost, candidate index)`, so the output is
-//!    byte-identical at any thread count.
+//!    byte-identical at any batch thread count.
 //!
 //! [`Selection::content_hash`]: accsat_extract::Selection::content_hash
 
@@ -47,8 +47,8 @@ pub use tuner::{tune_kernel, CandidateReport, KernelTuning, TuneConfig, TunedKer
 use accsat_compilers::CompilerModel;
 use accsat_gpusim::Device;
 
-// The tuner simulates candidates on scoped worker threads; everything it
-// sends across must be thread-safe.
+// The batch driver tunes kernels on worker threads and hands the reports
+// back across them; everything it sends must be thread-safe.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Candidate>();

@@ -23,9 +23,6 @@ pub struct TuneConfig {
     pub sweep: Vec<u64>,
     /// Cap on structurally distinct candidates simulated per kernel.
     pub keep: usize,
-    /// Worker threads simulating candidates. Results come back in
-    /// candidate order, so any value produces byte-identical output.
-    pub threads: usize,
 }
 
 impl Default for TuneConfig {
@@ -43,7 +40,6 @@ impl Default for TuneConfig {
             // {10, 100, 1000} sweep of the cost-sensitivity ablation
             sweep: vec![10, 1000],
             keep: 8,
-            threads: 2,
         }
     }
 }
@@ -129,8 +125,9 @@ fn launch_cycles(m: &KernelMetrics, dev: &Device) -> u64 {
 ///
 /// `f` is the enclosing function, `kernel_index` the kernel's position in
 /// [`accsat_ir::innermost_parallel_loops`] order, and `kernel` its
-/// saturated SSA form. The result is deterministic for fixed inputs and
-/// config — `cfg.threads` only changes the wall clock.
+/// saturated SSA form. Candidates are simulated on the calling thread, in
+/// candidate order, so the result is deterministic for fixed inputs and
+/// config.
 #[allow(clippy::too_many_arguments)] // the pipeline's full kernel context
 pub fn tune_kernel(
     f: &Function,
@@ -154,25 +151,22 @@ pub fn tune_kernel(
     let nest = analyze_nest(f, kernel_index, bindings)
         .ok_or_else(|| format!("{}: kernel {kernel_index} has no enclosing nest", f.name))?;
 
-    // simulate every candidate in the kernel's nest; results come back in
-    // candidate order, so completion order can never leak into the report
-    let workers = cfg.threads.clamp(1, bodies.len().max(1));
-    let simulated = accsat_egraph::pool::map_slots(workers, bodies.len(), |i| {
-        let candidate = LoopNest { body: bodies[i].clone(), ..nest.clone() };
-        let k = compile_nest(&candidate, &cfg.compiler, bindings);
-        run_kernel(&k.trace, &k.launch, &cfg.device)
-    });
-
+    // compile and simulate every candidate in the kernel's nest
     let reports: Vec<CandidateReport> = candidates
         .iter()
-        .zip(simulated)
-        .map(|(c, metrics)| CandidateReport {
-            label: c.label.clone(),
-            static_cost: c.static_cost,
-            proven_optimal: c.proven_optimal,
-            content_hash: c.content_hash,
-            cycles: launch_cycles(&metrics, &cfg.device),
-            metrics,
+        .zip(&bodies)
+        .map(|(c, body)| {
+            let candidate = LoopNest { body: body.clone(), ..nest.clone() };
+            let k = compile_nest(&candidate, &cfg.compiler, bindings);
+            let metrics = run_kernel(&k.trace, &k.launch, &cfg.device);
+            CandidateReport {
+                label: c.label.clone(),
+                static_cost: c.static_cost,
+                proven_optimal: c.proven_optimal,
+                content_hash: c.content_hash,
+                cycles: launch_cycles(&metrics, &cfg.device),
+                metrics,
+            }
         })
         .collect();
 
@@ -251,27 +245,6 @@ void k(double a[256], double out[256], double c0, double c1) {
         // the static winner is the base-cost argmin
         let min = t.candidates.iter().map(|c| c.static_cost).min().unwrap();
         assert_eq!(t.static_winning().static_cost, min);
-    }
-
-    #[test]
-    fn deterministic_across_thread_counts() {
-        let base = tune_source(STENCIL, &TuneConfig { threads: 1, ..TuneConfig::default() });
-        for threads in [2, 8] {
-            let other = tune_source(STENCIL, &TuneConfig { threads, ..TuneConfig::default() });
-            assert_eq!(other.tuning.winner, base.tuning.winner, "threads={threads}");
-            assert_eq!(other.tuning.candidates.len(), base.tuning.candidates.len());
-            for (a, b) in base.tuning.candidates.iter().zip(&other.tuning.candidates) {
-                assert_eq!(a.label, b.label);
-                assert_eq!(a.cycles, b.cycles);
-                assert_eq!(a.static_cost, b.static_cost);
-                assert_eq!(a.content_hash, b.content_hash);
-            }
-            assert_eq!(
-                accsat_ir::print_stmt(&Stmt::Block(other.body.clone())),
-                accsat_ir::print_stmt(&Stmt::Block(base.body.clone())),
-                "winning bodies must be byte-identical"
-            );
-        }
     }
 
     fn body_text(nest: &LoopNest) -> String {

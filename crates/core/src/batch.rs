@@ -8,8 +8,8 @@
 //! with one [`accsat_egraph::pool::map_slots`] fan-out. The compiled
 //! rewrite rules live in one `Arc` ([`SaturatorConfig::rules`]) shared by
 //! every worker — rules are compiled once per batch, not once per kernel.
-//! The batch runs `min(threads, items)` workers; each kernel's saturation
-//! and extraction run on the worker that took it.
+//! The batch runs `min(threads, items)` workers; each kernel's saturation,
+//! extraction and tuning run on the worker that took it.
 //!
 //! # Determinism
 //!
@@ -57,10 +57,9 @@ pub struct ParallelConfig {
 
 impl Default for ParallelConfig {
     fn default() -> ParallelConfig {
-        // one thread per core: the kernel-internal fan-out (rule search)
-        // leases spare permits from the shared budget
-        // instead of spawning unconditionally, so a full-width pool can
-        // no longer oversubscribe the machine
+        // one thread per core: each kernel is saturated, extracted and
+        // tuned on the worker that took it, so no fan-out runs inside
+        // another and a full-width pool never oversubscribes the machine
         let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
         ParallelConfig { threads: cores, kernel_deadline: None, shard: None }
     }

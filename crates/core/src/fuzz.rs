@@ -203,10 +203,10 @@ fn run_invariant(kind: EvalErrorKind) -> &'static str {
 }
 
 /// The pipeline's cold walk (saturate → select → lower, through the same
-/// stage functions, thread budget and cache wiring `optimize_function`
-/// uses) on every kernel of `f` under `variant`, with the extraction
-/// invariants checked on the choice between `select` and `lower`. Returns
-/// the optimized function plus any structural findings.
+/// stage functions and cache wiring `optimize_function` uses) on every
+/// kernel of `f` under `variant`, with the extraction invariants checked
+/// on the choice between `select` and `lower`. Returns the optimized
+/// function plus any structural findings.
 pub(crate) fn optimize_checked(
     f: &Function,
     variant: Variant,

@@ -5,16 +5,16 @@
 //! Every parallel stage of the optimizer has the same shape: `n`
 //! independent tasks over shared read-only state, whose results the
 //! caller consumes in task order. [`map_slots`] is that shape, written
-//! once. Its three callers are the autotuner's candidate simulations, the
-//! fuzz campaign's cases and the batch driver's kernel queue; each
-//! computes a width and makes one call, which starts its helper threads
-//! at once. Saturation and extraction are not callers: each runs on the
-//! thread that optimizes the kernel.
+//! once. Its two callers are the fuzz campaign's cases and the batch
+//! driver's kernel queue; each computes a width and makes one call, which
+//! starts its helper threads at once. No fan-out runs inside another:
+//! saturation, extraction and the autotuner's candidate simulations run
+//! on the thread that optimizes the kernel.
 //!
 //! **Determinism.** Results are indexed by task, never by completion: the
 //! returned vector holds `f(0), f(1), …, f(n - 1)` in that order whichever
 //! thread ran which task and whenever it finished. A caller that reduces
-//! the vector serially (report assembly, the tuner's pick) is therefore
+//! the vector serially (report assembly, the campaign summary) is therefore
 //! byte-identical at any width, as long as each `f(i)` depends only on
 //! `i` and the shared state — which is why workers never exchange
 //! intermediate results and no task is ever cancelled.

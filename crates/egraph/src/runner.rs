@@ -15,6 +15,7 @@ use crate::node::Id;
 use crate::pool::ThreadBudget;
 use crate::rewrite::{Rewrite, RuleMatch};
 use accsat_obs::trace;
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -66,18 +67,12 @@ impl Default for BackoffConfig {
     }
 }
 
-/// Per-iteration statistics.
+/// Per-iteration statistics: the deterministic counters plus the wall
+/// time of each phase.
 #[derive(Debug, Clone, Default)]
 pub struct IterationStats {
-    /// Substitutions found by the search phase (before dedup).
-    pub matches: usize,
-    /// Rule applications that changed the e-graph (deduplicated,
-    /// canonicalized — each counted union is real work).
-    pub applied: usize,
-    /// E-nodes ever added, as of the end of the iteration.
-    pub total_nodes: usize,
-    /// Live e-classes at the end of the iteration.
-    pub num_classes: usize,
+    /// The iteration's deterministic counters.
+    pub counts: IterCounts,
     /// Wall time of the search phase (dirty-set snapshot, rule matching,
     /// backoff accounting). Observability only — wall-clock fields never
     /// reach the stable JSON reports.
@@ -96,23 +91,13 @@ pub struct IterationStats {
 pub struct IterCounts {
     /// Substitutions found by the search phase (before dedup).
     pub matches: usize,
-    /// Rule applications that changed the e-graph.
+    /// Rule applications that changed the e-graph (deduplicated,
+    /// canonicalized — each counted union is real work).
     pub applied: usize,
     /// E-nodes ever added, as of the end of the iteration.
     pub total_nodes: usize,
     /// Live e-classes at the end of the iteration.
     pub num_classes: usize,
-}
-
-impl From<&IterationStats> for IterCounts {
-    fn from(it: &IterationStats) -> IterCounts {
-        IterCounts {
-            matches: it.matches,
-            applied: it.applied,
-            total_nodes: it.total_nodes,
-            num_classes: it.num_classes,
-        }
-    }
 }
 
 /// Cumulative per-rule statistics over a saturation run.
@@ -146,12 +131,12 @@ pub struct RunnerReport {
 impl RunnerReport {
     /// Total number of rule applications across all iterations.
     pub fn total_applied(&self) -> usize {
-        self.iterations.iter().map(|i| i.applied).sum()
+        self.iterations.iter().map(|i| i.counts.applied).sum()
     }
 
     /// Total number of substitutions found across all iterations.
     pub fn total_matches(&self) -> usize {
-        self.iterations.iter().map(|i| i.matches).sum()
+        self.iterations.iter().map(|i| i.counts.matches).sum()
     }
 
     /// Cumulative wall time of the search phases.
@@ -171,7 +156,7 @@ impl RunnerReport {
 
     /// The wall-clock-free per-iteration counters, in iteration order.
     pub fn iteration_counts(&self) -> Vec<IterCounts> {
-        self.iterations.iter().map(IterCounts::from).collect()
+        self.iterations.iter().map(|i| i.counts).collect()
     }
 }
 
@@ -212,17 +197,6 @@ struct RuleState {
     banned_until: usize,
     times_banned: usize,
     pending: Pending,
-}
-
-/// What one search task is restricted to. Resolved against the shared
-/// dirty set inside the worker, so tasks carry no per-rule copy of it.
-enum Restrict {
-    /// Search the whole graph (first iteration, or a deferred full search).
-    Whole,
-    /// Search the iteration's shared dirty set.
-    Dirty,
-    /// Search an owned set (deferred classes merged with the dirty set).
-    Owned(ClassSet),
 }
 
 /// The equality-saturation runner.
@@ -317,8 +291,10 @@ impl Runner {
             // 1. search. The first iteration scans every op-index candidate;
             // later iterations re-search only classes touched since the
             // previous rebuild (closed over parents), plus whatever benched
-            // rules still owe. Banned-rule bookkeeping happens up front so
-            // the remaining tasks are independent of each other.
+            // rules still owe. Every rule searches the same frozen graph, in
+            // rule order; a rule over its match limit is benched and its
+            // matches dropped, the rest are applied after every rule has
+            // searched.
             let t_search = Instant::now();
             let search_span = trace::span("sat", "search");
             let dirty: Option<ClassSet> = if it == 0 {
@@ -327,48 +303,31 @@ impl Runner {
             } else {
                 Some(eg.take_search_dirty())
             };
-            let mut tasks: Vec<(usize, Restrict)> = Vec::with_capacity(self.rules.len());
+            let mut to_apply: Vec<(usize, Vec<RuleMatch>)> = Vec::with_capacity(self.rules.len());
+            let mut found = 0usize;
             for ri in 0..self.rules.len() {
                 if states[ri].banned_until > it {
                     rule_stats[ri].banned_iters += 1;
                     states[ri].pending.merge_dirty(dirty.as_ref());
                     continue;
                 }
-                let restrict = match (std::mem::take(&mut states[ri].pending), dirty.as_ref()) {
-                    (Pending::Full, _) | (_, None) => Restrict::Whole,
-                    (Pending::Empty, Some(_)) => Restrict::Dirty,
-                    (Pending::Classes(mut p), Some(d)) => {
-                        p.union_with(d);
-                        Restrict::Owned(p)
-                    }
-                };
-                tasks.push((ri, restrict));
-            }
-
-            // One search per task, in task (= rule-index) order.
-            let searched: Vec<Vec<RuleMatch>> = tasks
-                .iter()
-                .map(|(ri, restrict)| {
-                    let _rule_span = trace::span_named("sat.rule", || {
-                        format!("search {}", self.rules[*ri].name)
-                    });
-                    let restrict = match restrict {
-                        Restrict::Whole => None,
-                        Restrict::Dirty => dirty.as_ref(),
-                        Restrict::Owned(s) => Some(s),
+                // `None` searches the whole graph (first iteration, or a
+                // deferred full search); otherwise the shared dirty set, or
+                // the deferred classes merged with it
+                let restrict: Option<Cow<ClassSet>> =
+                    match (std::mem::take(&mut states[ri].pending), dirty.as_ref()) {
+                        (Pending::Full, _) | (_, None) => None,
+                        (Pending::Empty, Some(d)) => Some(Cow::Borrowed(d)),
+                        (Pending::Classes(mut p), Some(d)) => {
+                            p.union_with(d);
+                            Some(Cow::Owned(p))
+                        }
                     };
-                    self.rules[*ri].search_filtered(eg, restrict)
-                })
-                .collect();
-
-            // Walk the results in rule-index order. Backoff decisions are
-            // taken from the per-rule match counts after every rule has
-            // searched the same frozen graph. A benched rule's matches are
-            // dropped; the rest are applied from their own per-rule
-            // buffers, in rule order.
-            let mut to_apply: Vec<(usize, Vec<RuleMatch>)> = Vec::with_capacity(searched.len());
-            let mut found = 0usize;
-            for ((ri, restrict), matches) in tasks.into_iter().zip(searched) {
+                let matches = {
+                    let _rule_span =
+                        trace::span_named("sat.rule", || format!("search {}", self.rules[ri].name));
+                    self.rules[ri].search_filtered(eg, restrict.as_deref())
+                };
                 found += matches.len();
                 rule_stats[ri].matches += matches.len();
                 if let Some(cfg) = self.backoff {
@@ -379,10 +338,9 @@ impl Runner {
                         states[ri].banned_until = it + 1 + (cfg.ban_length << shift);
                         states[ri].times_banned += 1;
                         rule_stats[ri].times_banned += 1;
-                        states[ri].pending = match (restrict, dirty.as_ref()) {
-                            (Restrict::Whole, _) | (Restrict::Dirty, None) => Pending::Full,
-                            (Restrict::Dirty, Some(d)) => Pending::Classes(d.clone()),
-                            (Restrict::Owned(s), _) => Pending::Classes(s),
+                        states[ri].pending = match restrict {
+                            None => Pending::Full,
+                            Some(set) => Pending::Classes(set.into_owned()),
                         };
                         continue;
                     }
@@ -431,10 +389,12 @@ impl Runner {
             trace::counter("sat", "egraph.classes", eg.num_classes() as u64);
 
             iterations.push(IterationStats {
-                matches: found,
-                applied,
-                total_nodes: eg.total_nodes(),
-                num_classes: eg.num_classes(),
+                counts: IterCounts {
+                    matches: found,
+                    applied,
+                    total_nodes: eg.total_nodes(),
+                    num_classes: eg.num_classes(),
+                },
                 search_time,
                 apply_time,
                 rebuild_time,
@@ -558,7 +518,7 @@ mod tests {
         let runner = Runner::new(vec![Rewrite::new("comm-add", "(+ ?a ?b)", "(+ ?b ?a)")]);
         let report = runner.run(&mut eg);
         assert_eq!(report.stop_reason, StopReason::Saturated);
-        let total: usize = report.iterations.iter().map(|i| i.applied).sum();
+        let total: usize = report.iterations.iter().map(|i| i.counts.applied).sum();
         assert_eq!(total, 1, "one real union: {:?}", report.iterations);
     }
 
@@ -575,7 +535,10 @@ mod tests {
         assert!(comm.applied > 0);
         let fma = report.rule_stats.iter().find(|s| s.name == "FMA1").unwrap();
         assert!(fma.applied > 0, "FMA1 must fire after COMM-ADD: {:?}", report.rule_stats);
-        assert_eq!(report.total_matches(), report.iterations.iter().map(|i| i.matches).sum());
+        assert_eq!(
+            report.total_matches(),
+            report.iterations.iter().map(|i| i.counts.matches).sum()
+        );
     }
 
     #[test]
@@ -597,7 +560,7 @@ mod tests {
         // the run must not be reported as saturated while work is benched
         if report.stop_reason == StopReason::Saturated {
             let last = report.iterations.last().unwrap();
-            assert_eq!(last.applied, 0);
+            assert_eq!(last.counts.applied, 0);
         }
     }
 

@@ -949,12 +949,7 @@ mod tests {
         let r1 = runner.run(&mut original);
         let r2 = runner.run(&mut restored);
         assert_eq!(r1.stop_reason, r2.stop_reason);
-        assert_eq!(r1.iterations.len(), r2.iterations.len());
-        for (a, b) in r1.iterations.iter().zip(&r2.iterations) {
-            assert_eq!((a.matches, a.applied, a.total_nodes, a.num_classes), {
-                (b.matches, b.applied, b.total_nodes, b.num_classes)
-            });
-        }
+        assert_eq!(r1.iteration_counts(), r2.iteration_counts());
         assert!(original.state_eq(&restored), "post-saturation state must be identical");
         assert_eq!(original.serialize(), restored.serialize());
     }

@@ -57,7 +57,7 @@ pub use refine::{climb, marginal_greedy};
 pub use selection::{Selection, SelectionError};
 
 // Compile-time guarantee that extraction state crosses threads: the batch
-// driver's and the tuner's workers extract and send selections back.
+// driver's workers extract and send selections back.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Selection>();
