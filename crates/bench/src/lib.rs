@@ -193,19 +193,14 @@ pub fn table4() -> String {
 
 /// §VII statistics, the deterministic part: e-graph size and saturation
 /// iterations per kernel, the mean e-graph size, and the per-rule match,
-/// apply and ban totals of the saturation runner.
+/// apply and ban totals of the saturation runner. The two wall-clock means
+/// §VII also reports are the `pipeline` spans of this run, which the
+/// `stats` bin traces.
 pub fn stats() -> String {
-    stats_and_timing().0
-}
-
-/// [`stats`] plus the two wall-clock means §VII reports (SSA+codegen per
-/// kernel, saturation per kernel), which the `stats` bin prints after the
-/// artifact, on stderr, and its golden leaves out.
-pub fn stats_and_timing() -> (String, String) {
-    let (mut ssa_ms, mut sat_s, mut nodes) = (Vec::new(), Vec::new(), Vec::new());
+    let mut nodes = Vec::new();
     // rule name → (matches, applied, times_banned) across all kernels
     let mut rules: BTreeMap<String, (usize, usize, usize)> = BTreeMap::new();
-    let artifact = render(|out| {
+    render(|out| {
         writeln!(out, "{:<12} {:>22} {:>10} {:>8}", "benchmark", "kernel", "e-nodes", "iters")?;
         for b in all_benchmarks() {
             let prog = parse_program(&b.acc_source).expect("suite sources parse");
@@ -214,8 +209,6 @@ pub fn stats_and_timing() -> (String, String) {
             for s in &stats {
                 let (function, n, iters) = (&s.function, s.egraph_nodes, s.saturation_iters);
                 writeln!(out, "{:<12} {function:>22} {n:>10} {iters:>8}", b.name)?;
-                ssa_ms.push(s.ssa_codegen.as_secs_f64() * 1e3);
-                sat_s.push(s.saturation.as_secs_f64());
                 nodes.push(n as f64);
                 for r in &s.rule_stats {
                     let e = rules.entry(r.name.clone()).or_default();
@@ -232,14 +225,7 @@ pub fn stats_and_timing() -> (String, String) {
             writeln!(out, "{name:<12} {matches:>10} {applied:>10} {banned:>8}")?;
         }
         Ok(())
-    });
-    let timing = format!(
-        "\nSSA+codegen per kernel: mean {:.1} ms (paper: 91.8 ms on full-size kernels)\n\
-         saturation per kernel:  mean {:.3} s (paper: 0.63 s)\n",
-        mean(&ssa_ms),
-        mean(&sat_s)
-    );
-    (artifact, timing)
+    })
 }
 
 /// One inventory row per benchmark: name, compute and access pattern, the

@@ -34,7 +34,7 @@ use accsat_benchmarks::Benchmark;
 use accsat_ir::{parse_program, print_program, Program};
 use accsat_obs::{escape_json, trace, MetricsRegistry};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Thread-pool configuration for a batch run.
 #[derive(Debug, Clone, Copy)]
@@ -75,8 +75,6 @@ pub struct FunctionRecord {
     /// Per-kernel-loop optimizer statistics (one entry per innermost
     /// parallel loop in the function).
     pub stats: Vec<OptStats>,
-    /// Wall time this work item took on its worker.
-    pub wall: Duration,
 }
 
 /// Everything the batch produced for one benchmark.
@@ -111,8 +109,6 @@ pub struct BatchReport {
     pub threads: usize,
     /// Per-benchmark results, in suite order.
     pub benchmarks: Vec<BenchmarkRecord>,
-    /// Wall-clock time of the whole batch.
-    pub wall: Duration,
     /// Was the simulation-guided tuner the objective ([`tune_suite`])?
     pub tuned: bool,
     /// The shard this run covered, when sharded.
@@ -147,12 +143,6 @@ impl BatchReport {
         self.benchmarks.iter().flat_map(|b| b.kernel_stats()).map(|s| s.bound_gap()).sum()
     }
 
-    /// Sum of per-work-item wall times: the sequential work the pool
-    /// compressed into `wall`.
-    pub fn sequential_work(&self) -> Duration {
-        self.benchmarks.iter().flat_map(|b| b.functions.iter()).map(|f| f.wall).sum()
-    }
-
     /// Fold every kernel's deterministic counters into one registry, in
     /// suite order. Registry merging is commutative, so the rendered
     /// report is byte-identical at any `--threads` — the `--metrics`
@@ -169,7 +159,8 @@ impl BatchReport {
         reg
     }
 
-    /// Render the per-benchmark summary as an ASCII table.
+    /// Render the per-benchmark summary as an ASCII table. Results only,
+    /// so it is byte-identical at any thread count and cache state.
     pub fn render_table(&self) -> String {
         let rows: Vec<Vec<String>> = self
             .benchmarks
@@ -179,8 +170,6 @@ impl BatchReport {
                 let nodes: usize = b.kernel_stats().map(|s| s.egraph_nodes).sum();
                 let proven = b.kernel_stats().filter(|s| s.extraction_proven).count();
                 let gap: u64 = b.kernel_stats().map(|s| s.bound_gap()).sum();
-                let sat_ms: f64 = b.kernel_stats().map(|s| s.saturation.as_secs_f64() * 1e3).sum();
-                let ext_ms: f64 = b.kernel_stats().map(|s| s.extraction.as_secs_f64() * 1e3).sum();
                 vec![
                     b.benchmark.clone(),
                     kernels.to_string(),
@@ -188,13 +177,11 @@ impl BatchReport {
                     b.total_cost().to_string(),
                     format!("{proven}/{kernels}"),
                     gap.to_string(),
-                    format!("{sat_ms:.1}"),
-                    format!("{ext_ms:.1}"),
                 ]
             })
             .collect();
         crate::report::render_table(
-            &["Benchmark", "Kernels", "E-nodes", "Cost", "Optimal", "Gap", "Sat ms", "Extract ms"],
+            &["Benchmark", "Kernels", "E-nodes", "Cost", "Optimal", "Gap"],
             &rows,
         )
     }
@@ -252,37 +239,18 @@ impl BatchReport {
     }
 
     /// Serialize the report as JSON (hand-rolled — the environment has no
-    /// serde; names are simple identifiers but are escaped anyway).
-    /// Includes wall-clock timing fields, so two runs of the same inputs
-    /// differ in those fields only.
-    pub fn to_json(&self) -> String {
-        self.json_impl(true)
-    }
-
-    /// Timing-free JSON: identical structure minus the wall-clock fields
-    /// (`wall_ms`, `sequential_work_ms`, per-kernel `*_ms`). The output is
-    /// **byte-identical** for a fixed suite and configuration at any
-    /// thread count and across processes — this is what `accsat tune`
-    /// writes, and what sharded runs merge.
+    /// serde; names are simple identifiers but are escaped anyway). The
+    /// report holds results only, so the output is **byte-identical** for
+    /// a fixed suite and configuration at any thread count, cache state
+    /// and across processes — this is what `accsat batch --json` and
+    /// `accsat tune --json` write, and what sharded runs merge.
     pub fn to_stable_json(&self) -> String {
-        self.json_impl(false)
-    }
-
-    fn json_impl(&self, timing: bool) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("{\n");
         out.push_str(&format!("  \"variant\": \"{}\",\n", self.variant.label()));
         out.push_str(&format!("  \"tuned\": {},\n", self.tuned));
         if let Some((i, n)) = self.shard {
             out.push_str(&format!("  \"shard\": \"{i}/{n}\",\n"));
-        }
-        if timing {
-            out.push_str(&format!("  \"threads\": {},\n", self.threads));
-            out.push_str(&format!("  \"wall_ms\": {:.3},\n", self.wall.as_secs_f64() * 1e3));
-            out.push_str(&format!(
-                "  \"sequential_work_ms\": {:.3},\n",
-                self.sequential_work().as_secs_f64() * 1e3
-            ));
         }
         out.push_str(&format!("  \"total_cost\": {},\n", self.total_cost()));
         out.push_str("  \"benchmarks\": [\n");
@@ -313,13 +281,6 @@ impl BatchReport {
                     s.extraction_winner,
                     s.extraction_explored,
                 ));
-                if timing {
-                    out.push_str(&format!(
-                        ", \"saturation_ms\": {:.3}, \"extraction_ms\": {:.3}",
-                        s.saturation.as_secs_f64() * 1e3,
-                        s.extraction.as_secs_f64() * 1e3,
-                    ));
-                }
                 if let Some(t) = &s.tuning {
                     out.push_str(&format!(
                         ", \"tuning\": {{\"harvested\": {}, \"winner\": \"{}\", \
@@ -405,7 +366,6 @@ fn run_suite(
     par: &ParallelConfig,
     tune: Option<&TuneConfig>,
 ) -> Result<BatchReport, String> {
-    let t0 = Instant::now();
     let cfg = kernel_config(config, par.kernel_deadline);
     if let Some((i, n)) = par.shard {
         if n == 0 || i >= n {
@@ -443,7 +403,6 @@ fn run_suite(
         let (bi, fi) = items[i];
         let f = &programs[bi].functions[fi];
         let _item_span = trace::span_named("batch", || format!("{} {}", benches[bi].name, f.name));
-        let t = Instant::now();
         // `map_slots` would re-raise a panic here on the caller; caught,
         // it is this item's error and the run ends through `fail`
         catch_unwind(AssertUnwindSafe(|| match tune {
@@ -453,7 +412,6 @@ fn run_suite(
         .unwrap_or_else(|p| {
             Err(format!("{} {}: panicked: {}", benches[bi].name, f.name, panic_message(&*p)))
         })
-        .map(|(nf, stats)| (nf, stats, t.elapsed()))
     });
 
     // reassemble per benchmark, in suite order
@@ -466,12 +424,11 @@ fn run_suite(
         })
         .collect();
     for (&(bi, fi), result) in items.iter().zip(results) {
-        let (nf, stats, wall) = result?;
+        let (nf, stats) = result?;
         records[bi].functions.push(FunctionRecord {
             benchmark: benches[bi].name.to_string(),
             function: nf.name.clone(),
             stats,
-            wall,
         });
         programs[bi].functions[fi] = nf;
     }
@@ -496,7 +453,6 @@ fn run_suite(
         variant,
         threads: workers,
         benchmarks: records,
-        wall: t0.elapsed(),
         tuned: tune.is_some(),
         shard: par.shard,
     })
@@ -540,7 +496,7 @@ mod tests {
         }
         let table = report.render_table();
         assert!(table.contains("CG") && table.contains("EP"));
-        let json = report.to_json();
+        let json = report.to_stable_json();
         assert!(json.contains("\"variant\": \"ACCSAT\""));
         assert!(json.contains("\"proven_optimal\""));
     }
@@ -583,6 +539,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(seq.to_stable_json(), wide.to_stable_json());
+        assert_eq!(seq.render_table(), wide.render_table());
     }
 
     #[test]

@@ -38,6 +38,7 @@
 //! accsat trace-check TRACE.json
 //!              # validate a --trace-out file: JSON well-formedness, event
 //!              # fields, per-thread span nesting; prints a summary line
+//!              # and each span name's count and total time
 //! ```
 //!
 //! `--metrics` writes the deterministic counter/histogram report of
@@ -47,8 +48,9 @@
 //! and are *not* deterministic. See DESIGN.md §Observability.
 //!
 //! `batch` also accepts `--cache-dir DIR` (reuse saturated e-graphs and
-//! selections across runs) and `--stable-json OUT.json` (the
-//! timing-free report CI diffs between warm and cold runs).
+//! selections across runs). Its `--json` report, like its table, holds
+//! results only: CI diffs it across thread counts and warm and cold runs.
+//! The one wall-clock figure `batch` prints is the summary line's.
 
 use accsat::batch::{optimize_suite, tune_suite, ParallelConfig};
 use accsat::cache::{StageCache, DEFAULT_DISK_CAPACITY, DEFAULT_MEM_CAPACITY};
@@ -63,7 +65,7 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::str::FromStr;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How a subcommand ends: `Err` carries the exit code, its message
 /// already on stderr (2 usage, 1 I/O or pipeline failure).
@@ -75,9 +77,8 @@ fn usage() -> ExitCode {
          \x20            [--metrics OUT.txt] [--trace-out OUT.json] [-o OUT.c] INPUT.c\n\
                 accsat batch [--suite npb|spec|all] [--threads N]\n\
          \x20            [--variant V] [--deadline-ms D] [--extract-budget NODES]\n\
-         \x20            [--json OUT.json] [--stable-json OUT.json] [--shard I/N]\n\
-         \x20            [--cache-dir DIR] [--tune] [--metrics OUT.txt]\n\
-         \x20            [--trace-out OUT.json]\n\
+         \x20            [--json OUT.json] [--shard I/N] [--cache-dir DIR] [--tune]\n\
+         \x20            [--metrics OUT.txt] [--trace-out OUT.json]\n\
                 accsat tune [--suite npb|spec|all] [--threads N]\n\
          \x20            [--device pcie|sxm] [--compiler nvhpc|gcc] [--sweep H1,H2,...]\n\
          \x20            [--keep K] [--shard I/N] [--json OUT.json]\n\
@@ -161,7 +162,8 @@ impl Operands {
 
 /// `accsat trace-check`: validate a `--trace-out` file — JSON
 /// well-formedness, per-event required fields, per-thread span nesting —
-/// and print a one-line summary. CI runs this on its smoke traces.
+/// and print a one-line summary, then one line per `cat/name` with its
+/// span count and total time. CI runs this on its smoke traces.
 fn trace_check_main(args: Vec<String>) -> Exit {
     let [path] = args.as_slice() else {
         eprintln!("usage: accsat trace-check TRACE.json");
@@ -183,6 +185,9 @@ fn trace_check_main(args: Vec<String>) -> Exit {
         s.span_end_us as f64 / 1e3,
         s.categories.join(","),
     );
+    for (name, t) in &s.span_totals {
+        println!("  {name}: count {}, total {:.3} ms", t.count, t.total_us as f64 / 1e3);
+    }
     Ok(())
 }
 
@@ -205,7 +210,6 @@ struct BatchOpts {
     variant: Variant,
     par: ParallelConfig,
     json: Option<String>,
-    stable_json: Option<String>,
     metrics_out: Option<String>,
     trace_out: Option<String>,
     cache_dir: Option<String>,
@@ -220,7 +224,6 @@ fn parse_batch(args: Vec<String>, tune_mode: bool) -> Result<BatchOpts, String> 
         variant: Variant::AccSat,
         par: ParallelConfig::default(),
         json: None,
-        stable_json: None,
         metrics_out: None,
         trace_out: None,
         cache_dir: None,
@@ -248,7 +251,6 @@ fn parse_batch(args: Vec<String>, tune_mode: bool) -> Result<BatchOpts, String> 
                 o.extract_budget = Some(ops.positive(&arg, "a positive node count")?)
             }
             "--json" => o.json = Some(ops.text(&arg, "an output path")?),
-            "--stable-json" => o.stable_json = Some(ops.text(&arg, "an output path")?),
             "--metrics" => o.metrics_out = Some(ops.text(&arg, "an output path")?),
             "--trace-out" => o.trace_out = Some(ops.text(&arg, "an output path")?),
             "--cache-dir" => o.cache_dir = Some(ops.text(&arg, "a directory")?),
@@ -321,12 +323,14 @@ fn batch_main(args: Vec<String>, tune_mode: bool) -> Exit {
     if o.trace_out.is_some() {
         accsat::obs::trace::start();
     }
+    let t0 = Instant::now();
     let report = if tune_mode {
         tune_suite(&benches, o.variant, &config, &o.tcfg, &o.par)
     } else {
         optimize_suite(&benches, o.variant, &config, &o.par)
     }
     .map_err(|e| fail(format!("accsat batch: {e}")))?;
+    let wall = t0.elapsed().as_secs_f64();
 
     if tune_mode {
         // everything printed here is deterministic: simulated metrics
@@ -348,35 +352,28 @@ fn batch_main(args: Vec<String>, tune_mode: bool) -> Exit {
             report.total_cost(),
         );
     } else {
+        // the table is results only; the summary line's wall clock is
+        // the one figure that differs between runs
         print!("{}", report.render_table());
-        let wall = report.wall.as_secs_f64();
-        let work = report.sequential_work().as_secs_f64();
         println!(
             "{} kernels ({} proven optimal, bound gap {}), total cost {}, \
-             wall {:.2} s on {} threads (Σ kernel time {:.2} s, {:.2}x)",
+             wall {wall:.2} s on {} threads",
             report.total_kernels(),
             report.proven_kernels(),
             report.total_bound_gap(),
             report.total_cost(),
-            wall,
             report.threads,
-            work,
-            if wall > 0.0 { work / wall } else { 1.0 },
         );
     }
     if let Some(path) = &o.json {
-        let body = if tune_mode { report.to_stable_json() } else { report.to_json() };
-        write_file("accsat batch", path, &body)?;
+        // results only: byte-identical warm vs cold and at any thread
+        // count — CI diffs this file across both
+        write_file("accsat batch", path, &report.to_stable_json())?;
         if !tune_mode {
             // (suppressed in tune mode to keep stdout byte-identical
             // regardless of whether --json is passed)
             println!("report written to {path}");
         }
-    }
-    if let Some(path) = &o.stable_json {
-        // the timing-free report: byte-identical warm vs cold and at any
-        // thread count — CI diffs this file across cache states
-        write_file("accsat batch", path, &report.to_stable_json())?;
     }
     if let Some(path) = &o.metrics_out {
         // the deterministic counter/histogram report: byte-identical at
@@ -428,7 +425,7 @@ fn fuzz_main(args: Vec<String>) -> Exit {
     if trace_out.is_some() {
         accsat::obs::trace::start();
     }
-    let t = std::time::Instant::now();
+    let t = Instant::now();
     let report = run_campaign(&fc);
     let wall = t.elapsed().as_secs_f64();
     eprintln!(
@@ -585,16 +582,8 @@ fn single_main(args: Vec<String>) -> Exit {
     if o.stats {
         for s in &kernel_stats {
             eprintln!(
-                "accsat: kernel `{}`: {} e-nodes, {} iterations ({:?}), \
-                 cost {}, ssa+codegen {:.1} ms, saturation {:.1} ms, extraction {:.1} ms",
-                s.function,
-                s.egraph_nodes,
-                s.saturation_iters,
-                s.stop_reason,
-                s.extracted_cost,
-                s.ssa_codegen.as_secs_f64() * 1e3,
-                s.saturation.as_secs_f64() * 1e3,
-                s.extraction.as_secs_f64() * 1e3,
+                "accsat: kernel `{}`: {} e-nodes, {} iterations ({:?}), cost {}",
+                s.function, s.egraph_nodes, s.saturation_iters, s.stop_reason, s.extracted_cost,
             );
         }
     }
@@ -657,7 +646,6 @@ mod tests {
             (batch, "--deadline-ms", "250", Some("soon"), "an integer"),
             (batch, "--extract-budget", "60000", Some("0"), "a positive node count"),
             (batch, "--json", "o.json", None, PATH),
-            (batch, "--stable-json", "o.json", None, PATH),
             (batch, "--metrics", "m.txt", None, PATH),
             (batch, "--trace-out", "t.json", None, PATH),
             (batch, "--cache-dir", "cache", None, DIR),
@@ -702,6 +690,9 @@ mod tests {
         );
         assert_eq!(batch(&["--compiler"]).unwrap(), "unknown compiler: None (nvhpc|gcc)");
         assert_eq!(batch(&["--fast"]).unwrap(), "unknown batch flag: --fast");
+        // `--json` writes the one report; the second flag for it is gone
+        let stable = parse_batch(words(&["--stable-json", "o.json"]), false).err();
+        assert_eq!(stable.unwrap(), "unknown batch flag: --stable-json");
         assert_eq!(batch(&["--device", "sxm", "--compiler", "gcc", "--suite", "all"]), None);
         assert_eq!(
             parse_batch(words(&["--keep", "2", "--sweep", "10"]), false).err().unwrap(),

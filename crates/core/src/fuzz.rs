@@ -43,6 +43,19 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
+/// Relative tolerance of the differential oracle.
+const REL_TOL: f64 = 1e-5;
+/// Absolute floor of the differential oracle. Raised well above the
+/// default 1e-12 because saturation reassociates under fast-math
+/// semantics: catastrophic cancellation near zero is rounding noise,
+/// while real miscompiles produce O(1) errors.
+const ABS_TOL: f64 = 1e-5;
+/// Interpreter loop fuel per run (generated kernels execute a few hundred
+/// iterations; anything beyond this is a runaway loop).
+const FUEL: u64 = 100_000;
+/// Cap on minimizer pipeline re-runs per failing case.
+const MAX_SHRINK_ATTEMPTS: usize = 300;
+
 /// Campaign configuration.
 #[derive(Debug, Clone)]
 pub struct FuzzConfig {
@@ -59,18 +72,6 @@ pub struct FuzzConfig {
     /// limits (the node budget binds, never the wall clock) so debug-build
     /// campaigns stay fast.
     pub saturator: SaturatorConfig,
-    /// Relative tolerance of the differential oracle.
-    pub rel_tol: f64,
-    /// Absolute floor of the differential oracle. Raised well above the
-    /// default 1e-12 because saturation reassociates under fast-math
-    /// semantics: catastrophic cancellation near zero is rounding noise,
-    /// while real miscompiles produce O(1) errors.
-    pub abs_tol: f64,
-    /// Interpreter loop fuel per run (generated kernels execute a few
-    /// hundred iterations; anything beyond this is a runaway loop).
-    pub fuel: u64,
-    /// Cap on minimizer pipeline re-runs per failing case.
-    pub max_shrink_attempts: usize,
     /// Run the **cache oracle**: each variant additionally goes through
     /// the pipeline twice with a stage cache — cold populating, warm
     /// reading — and any byte difference between the two outputs (or a
@@ -98,10 +99,6 @@ impl Default for FuzzConfig {
                 extraction_budget: Duration::from_secs(60),
                 ..Default::default()
             },
-            rel_tol: 1e-5,
-            abs_tol: 1e-5,
-            fuel: 100_000,
-            max_shrink_attempts: 300,
             cache_check: false,
             cache_dir: None,
         }
@@ -220,7 +217,7 @@ pub(crate) fn optimize_checked(
         // a selection that cannot be walked cannot be lowered: the kernel
         // keeps its original body
         let body = match checked {
-            Err(("selection-walk", _)) => (job.body.clone(), Duration::ZERO),
+            Err(("selection-walk", _)) => job.body.clone(),
             _ => job.lower(&sat, &chosen),
         };
         let finding = |(invariant, detail)| Finding { variant: variant.label(), invariant, detail };
@@ -245,7 +242,7 @@ pub fn check_kernel(
     only: Option<Variant>,
 ) -> Result<Vec<Finding>, String> {
     let mut env_orig = env0.clone();
-    if let Err(e) = try_run_function(f, &mut env_orig, fc.fuel) {
+    if let Err(e) = try_run_function(f, &mut env_orig, FUEL) {
         return Err(format!("original run failed ({}): {e}", e.kind.label()));
     }
     let mut findings = Vec::new();
@@ -301,7 +298,7 @@ pub fn check_kernel(
         }
         // differential oracle
         let mut env_opt = env0.clone();
-        match try_run_function(&optimized, &mut env_opt, fc.fuel) {
+        match try_run_function(&optimized, &mut env_opt, FUEL) {
             Err(e) => {
                 findings.push(Finding {
                     variant: variant.label(),
@@ -311,7 +308,7 @@ pub fn check_kernel(
             }
             Ok(_) => {
                 if let Some((name, i, x, y)) =
-                    compare_arrays_with(&env_orig, &env_opt, fc.rel_tol, fc.abs_tol)
+                    compare_arrays_with(&env_orig, &env_opt, REL_TOL, ABS_TOL)
                 {
                     findings.push(Finding {
                         variant: variant.label(),
@@ -461,7 +458,7 @@ pub fn check_seeded(index: u64, seed: u64, fc: &FuzzConfig) -> CaseOutcome {
                     .unwrap_or(false)
             };
             let before = f.body.stmt_count();
-            let (shrunk, _) = minimize_function(f, &reproduces, fc.max_shrink_attempts);
+            let (shrunk, _) = minimize_function(f, &reproduces, MAX_SHRINK_ATTEMPTS);
             outcome.minimized = Some(MinimizedRepro {
                 source: print_program(&Program { functions: vec![shrunk.clone()] }),
                 stmts_before: before,

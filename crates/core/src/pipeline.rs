@@ -1,7 +1,7 @@
 //! The ACC Saturator pipeline: SSA → e-graph → saturation → extraction →
 //! code generation, per innermost parallel loop. Every stage runs under
-//! `timed`, which is where both the `OptStats` durations and the
-//! `pipeline` trace spans come from.
+//! `timed`, which opens its `pipeline` trace span: the span is the one
+//! record of how long a stage took.
 
 use crate::cache::{sat_stage_key, sel_key_from, CacheLevel, SatEntry, SelEntry, StageCache};
 use accsat_autotune::{tune_kernel, KernelTuning, TuneConfig, TunedKernel};
@@ -15,7 +15,7 @@ use accsat_ir::{Block, Function, Program};
 use accsat_obs::trace;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The generated-code variants of the evaluation (§VIII).
 ///
@@ -130,16 +130,11 @@ impl Default for SaturatorConfig {
     }
 }
 
-/// Per-kernel optimization statistics (the §VII timing numbers).
+/// Per-kernel optimization statistics: what the pipeline produced, never
+/// how long it took (the stage timings are the `pipeline` trace spans).
 #[derive(Debug, Clone)]
 pub struct OptStats {
     pub function: String,
-    /// SSA construction + code generation time.
-    pub ssa_codegen: Duration,
-    /// Equality saturation time.
-    pub saturation: Duration,
-    /// Extraction time.
-    pub extraction: Duration,
     /// Total e-nodes in the kernel's e-graph after processing.
     pub egraph_nodes: usize,
     /// Saturation iterations performed.
@@ -198,13 +193,11 @@ impl OptStats {
     }
 
     /// The deterministic part of the statistics, rendered for comparison:
-    /// every field but the three wall-clock `Duration`s and `cache_level`,
-    /// which describe how this run got its result, not the result. Masked
-    /// on a copy rather than listed, so a field added later is compared
-    /// unless it is exempted here.
+    /// every field but `cache_level`, which describes how this run got its
+    /// result, not the result. Masked on a copy rather than listed, so a
+    /// field added later is compared unless it is exempted here.
     pub(crate) fn deterministic(&self) -> String {
         let mut s = self.clone();
-        (s.ssa_codegen, s.saturation, s.extraction) = Default::default();
         s.cache_level = CacheLevel::Miss;
         format!("{s:?}")
     }
@@ -253,10 +246,9 @@ pub fn tune_function(
         let copts = CodegenOptions { bulk_load: variant.bulk_loads() };
         let pcfg = job.portfolio_config();
         let cm = &config.cost_model;
-        let (tuned, time) = timed("tune", || {
+        let TunedKernel { tuning, body } = timed("tune", || {
             tune_kernel(f, kernel_index, &sat.kernel, job.tm, cm, &pcfg, &copts, bindings, tcfg)
-        });
-        let TunedKernel { tuning, body } = tuned?;
+        })?;
         let chosen = Chosen {
             // the tuner lowered its own winner; there is nothing left to lower
             selection: Selection::new(),
@@ -267,9 +259,8 @@ pub fn tune_function(
             lower_bound: tuning.lower_bound,
             pruned: [0; 3],
             tuning: Some(tuning),
-            time,
         };
-        Ok(job.finish(sat, chosen, (body, Duration::ZERO)))
+        Ok(job.finish(sat, chosen, body))
     })
 }
 
@@ -303,14 +294,11 @@ pub(crate) fn for_each_kernel(
     Ok((out, stats))
 }
 
-/// Run one stage under a `pipeline` span and on the clock: the span goes
-/// to the trace, the returned `Duration` into [`OptStats`], so the §VII
-/// timing columns and a profile of the same run cannot disagree.
-fn timed<T>(stage: &'static str, f: impl FnOnce() -> T) -> (T, Duration) {
+/// Run one stage under a `pipeline` span: the trace, not the result, is
+/// where its wall clock goes.
+fn timed<T>(stage: &'static str, f: impl FnOnce() -> T) -> T {
     let _span = trace::span("pipeline", stage);
-    let t0 = Instant::now();
-    let out = f();
-    (out, t0.elapsed())
+    f()
 }
 
 /// One kernel's trip through the pipeline: the immutable inputs every
@@ -338,8 +326,6 @@ pub(crate) struct Saturated {
     rule_stats: Vec<RuleStats>,
     iter_counts: Vec<IterCounts>,
     level: CacheLevel,
-    ssa_time: Duration,
-    sat_time: Duration,
 }
 
 /// Product of step ② part II: the selection an objective picked and what
@@ -354,7 +340,6 @@ pub(crate) struct Chosen {
     lower_bound: u64,
     pruned: [usize; 3],
     tuning: Option<KernelTuning>,
-    time: Duration,
 }
 
 impl Chosen {
@@ -403,7 +388,7 @@ impl KernelJob<'_> {
     /// Step ①, SSA construction. It runs on every walk, resumed ones
     /// included: it is deterministic and cheap, and it rebuilds the
     /// structure tree no cache level stores.
-    fn ssa(&self) -> (accsat_ssa::SsaKernel, Duration) {
+    fn ssa(&self) -> accsat_ssa::SsaKernel {
         timed("ssa", || accsat_ssa::build_kernel(self.body))
     }
 
@@ -418,8 +403,8 @@ impl KernelJob<'_> {
                 return sat;
             }
         }
-        let (mut kernel, ssa_time) = self.ssa();
-        let (report, sat_time) = timed("saturate", || {
+        let mut kernel = self.ssa();
+        let report = timed("saturate", || {
             if !self.variant.saturates() {
                 kernel.egraph.rebuild();
                 return None;
@@ -437,7 +422,7 @@ impl KernelJob<'_> {
             cache.put_sat(sat_key, &SatEntry { egraph, iters, stop, rule_stats, iter_counts });
         }
         let level = CacheLevel::Miss;
-        Saturated { kernel, iters, stop, rule_stats, iter_counts, level, ssa_time, sat_time }
+        Saturated { kernel, iters, stop, rule_stats, iter_counts, level }
     }
 
     /// A [`Saturated`] from a cached entry: the restored e-graph is swapped
@@ -446,12 +431,11 @@ impl KernelJob<'_> {
     /// e-graph built by the very same SSA walk). `None` on a corrupt
     /// snapshot.
     fn restore(&self, entry: SatEntry, level: CacheLevel) -> Option<Saturated> {
-        let (egraph, sat_time) = timed("restore", || EGraph::deserialize(&entry.egraph));
-        let egraph = egraph.ok()?;
-        let (mut kernel, ssa_time) = self.ssa();
+        let egraph = timed("restore", || EGraph::deserialize(&entry.egraph)).ok()?;
+        let mut kernel = self.ssa();
         kernel.egraph = egraph;
         let SatEntry { iters, stop, rule_stats, iter_counts, .. } = entry;
-        Some(Saturated { kernel, iters, stop, rule_stats, iter_counts, level, ssa_time, sat_time })
+        Some(Saturated { kernel, iters, stop, rule_stats, iter_counts, level })
     }
 
     /// Resume from the `selected` cache level: both the saturated e-graph
@@ -477,7 +461,6 @@ impl KernelJob<'_> {
             lower_bound: entry.lower_bound,
             pruned: entry.pruned,
             tuning: None,
-            time: Duration::ZERO,
         };
         chosen.check(&sat.kernel, &self.config.cost_model).ok().map(|()| (sat, chosen))
     }
@@ -486,7 +469,7 @@ impl KernelJob<'_> {
     /// branch-and-bound search under a deterministic budget.
     /// Fills the `selected` cache level.
     pub(crate) fn select(&self, sat: &Saturated) -> Chosen {
-        let (ex, time) = timed("extract", || {
+        let ex = timed("extract", || {
             extract_portfolio(
                 &sat.kernel.egraph,
                 &sat.kernel.extraction_roots(),
@@ -503,38 +486,20 @@ impl KernelJob<'_> {
             let entry = SelEntry { selection, cost, proven, winner, explored, lower_bound, pruned };
             cache.put_sel(sel_key, &entry);
         }
-        Chosen {
-            selection,
-            cost,
-            proven,
-            winner,
-            explored,
-            lower_bound,
-            pruned,
-            tuning: None,
-            time,
-        }
+        Chosen { selection, cost, proven, winner, explored, lower_bound, pruned, tuning: None }
     }
 
     /// Step ③, code generation from the chosen selection.
-    pub(crate) fn lower(&self, sat: &Saturated, chosen: &Chosen) -> (Block, Duration) {
+    pub(crate) fn lower(&self, sat: &Saturated, chosen: &Chosen) -> Block {
         let opts = CodegenOptions { bulk_load: self.variant.bulk_loads() };
         timed("codegen", || generate(&sat.kernel, &chosen.selection, self.tm, &opts))
     }
 
     /// Close a walk: pair the lowered body with the kernel's statistics.
     /// The only place an [`OptStats`] is built.
-    pub(crate) fn finish(
-        &self,
-        sat: Saturated,
-        chosen: Chosen,
-        (body, codegen_time): (Block, Duration),
-    ) -> (Block, OptStats) {
+    pub(crate) fn finish(&self, sat: Saturated, chosen: Chosen, body: Block) -> (Block, OptStats) {
         let stats = OptStats {
             function: self.function.to_string(),
-            ssa_codegen: sat.ssa_time + codegen_time,
-            saturation: sat.sat_time,
-            extraction: chosen.time,
             egraph_nodes: sat.kernel.egraph.total_nodes(),
             saturation_iters: sat.iters,
             stop_reason: sat.stop,

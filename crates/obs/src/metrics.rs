@@ -64,21 +64,17 @@ impl Histogram {
         }
     }
 
-    /// Render the non-empty buckets as `lo:count` pairs (`lo` is the
-    /// bucket's inclusive lower bound), comma-separated, in order.
-    pub(crate) fn render_buckets(&self) -> String {
-        let mut out = String::new();
-        for (k, &n) in self.buckets.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            if !out.is_empty() {
-                out.push(',');
-            }
-            let lo: u64 = if k == 0 { 0 } else { 1u64 << (k - 1) };
-            let _ = write!(out, "{lo}:{n}");
-        }
-        out
+    /// The non-empty buckets in order, as `(lo, count)` pairs (`lo` is the
+    /// bucket's inclusive lower bound) — the one walk both renderings use.
+    fn nonempty_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let lo = |k: usize| if k == 0 { 0 } else { 1u64 << (k - 1) };
+        self.buckets.iter().enumerate().filter(|&(_, &n)| n > 0).map(move |(k, &n)| (lo(k), n))
+    }
+
+    /// The non-empty buckets, each rendered by `pair(lo, count)`,
+    /// comma-separated.
+    fn render_buckets(&self, pair: impl Fn(u64, u64) -> String) -> String {
+        self.nonempty_buckets().map(|(lo, n)| pair(lo, n)).collect::<Vec<_>>().join(",")
     }
 }
 
@@ -147,7 +143,7 @@ impl MetricsRegistry {
                 "hist {k} count={} sum={} buckets={}",
                 h.count,
                 h.sum,
-                h.render_buckets()
+                h.render_buckets(|lo, n| format!("{lo}:{n}"))
             );
         }
         out
@@ -171,24 +167,12 @@ impl MetricsRegistry {
             }
             let _ = write!(
                 out,
-                "\"{}\":{{\"count\":{},\"sum\":{},\"buckets\":{{",
+                "\"{}\":{{\"count\":{},\"sum\":{},\"buckets\":{{{}}}}}",
                 crate::escape_json(k),
                 h.count,
-                h.sum
+                h.sum,
+                h.render_buckets(|lo, n| format!("\"{lo}\":{n}"))
             );
-            let mut first = true;
-            for (b, &n) in h.buckets.iter().enumerate() {
-                if n == 0 {
-                    continue;
-                }
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                let lo: u64 = if b == 0 { 0 } else { 1u64 << (b - 1) };
-                let _ = write!(out, "\"{lo}\":{n}");
-            }
-            out.push_str("}}");
         }
         out.push_str("}}");
         out
@@ -226,7 +210,8 @@ mod tests {
         assert_eq!(h.buckets[3], 2); // 4, 7
         assert_eq!(h.buckets[4], 1); // 8..16
         assert_eq!(h.buckets[11], 1); // 1024..2048
-        assert_eq!(h.render_buckets(), "0:1,1:1,2:2,4:2,8:1,1024:1");
+        let buckets: Vec<_> = h.nonempty_buckets().collect();
+        assert_eq!(buckets, [(0, 1), (1, 1), (2, 2), (4, 2), (8, 1), (1024, 1)]);
     }
 
     #[test]
@@ -259,6 +244,6 @@ mod tests {
         h.observe(u64::MAX);
         assert_eq!(h.sum, u64::MAX, "sum saturates");
         assert_eq!(h.buckets[64], 2);
-        assert!(h.render_buckets().starts_with(&format!("{}:2", 1u64 << 63)));
+        assert_eq!(h.nonempty_buckets().collect::<Vec<_>>(), [(1u64 << 63, 2)]);
     }
 }

@@ -34,6 +34,19 @@ pub struct TraceSummary {
     pub span_end_us: u64,
     /// Distinct categories seen, sorted.
     pub categories: Vec<String>,
+    /// Complete spans per `cat/name`, sorted by key: how many there are
+    /// and their summed durations. A nested span counts in its own name
+    /// and in its parent's duration.
+    pub span_totals: BTreeMap<String, SpanTotal>,
+}
+
+/// Count and summed duration of the complete spans of one `cat/name`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SpanTotal {
+    /// Number of spans.
+    pub count: usize,
+    /// Sum of their durations, in microseconds.
+    pub total_us: u64,
 }
 
 /// A minimal JSON value — just enough to hold a Chrome trace file.
@@ -266,13 +279,17 @@ pub fn validate_trace(src: &str) -> Result<TraceSummary, String> {
     for (i, e) in events.iter().enumerate() {
         let ph =
             e.get("ph").and_then(Json::as_str).ok_or_else(|| format!("event {i}: missing ph"))?;
-        e.get("name").and_then(Json::as_str).ok_or_else(|| format!("event {i}: missing name"))?;
+        let name = e
+            .get("name")
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("event {i}: missing name"))?;
         let ts =
             e.get("ts").and_then(Json::as_u64).ok_or_else(|| format!("event {i}: missing ts"))?;
         e.get("pid").and_then(Json::as_u64).ok_or_else(|| format!("event {i}: missing pid"))?;
         let tid =
             e.get("tid").and_then(Json::as_u64).ok_or_else(|| format!("event {i}: missing tid"))?;
-        if let Some(cat) = e.get("cat").and_then(Json::as_str) {
+        let cat = e.get("cat").and_then(Json::as_str);
+        if let Some(cat) = cat {
             if !cats.iter().any(|c| c == cat) {
                 cats.push(cat.to_string());
             }
@@ -287,6 +304,10 @@ pub fn validate_trace(src: &str) -> Result<TraceSummary, String> {
                 let end = ts.saturating_add(dur);
                 summary.span_end_us = summary.span_end_us.max(end);
                 per_tid.entry(tid).or_default().push((ts, end));
+                let key = format!("{}/{name}", cat.unwrap_or_default());
+                let total = summary.span_totals.entry(key).or_default();
+                total.count += 1;
+                total.total_us += dur;
             }
             "i" => summary.instants += 1,
             "C" => summary.counters += 1,
@@ -400,6 +421,26 @@ mod tests {
         assert_eq!(s.threads, 2);
         assert_eq!(s.span_end_us, 505);
         assert_eq!(s.categories, vec!["t".to_string()]);
+    }
+
+    /// Totals are per `cat/name` over all threads: a nested span counts in
+    /// its own name, a name seen on two threads sums both, and a named
+    /// span is keyed by its runtime name.
+    #[test]
+    fn span_totals_are_per_name_across_threads() {
+        let stage = |name: &str, ts, dur, tid| ev(name, "X", ts, Some(dur), tid);
+        let json = format!(
+            "{{\"traceEvents\":[{},{},{},{},{}]}}",
+            stage("kernel k", 0, 100, 1),
+            stage("ssa", 10, 20, 1),
+            stage("ssa", 40, 30, 1),
+            stage("ssa", 5, 7, 2),
+            ev("mark", "i", 3, None, 2),
+        );
+        let totals = validate_trace(&json).unwrap().span_totals;
+        let got: Vec<(&str, usize, u64)> =
+            totals.iter().map(|(k, t)| (k.as_str(), t.count, t.total_us)).collect();
+        assert_eq!(got, [("t/kernel k", 1, 100), ("t/ssa", 3, 57)]);
     }
 
     #[test]

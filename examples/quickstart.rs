@@ -33,9 +33,8 @@ void matmul(double a[64][64], double b[64][64], double c[64][64],
         println!("=== {} ===\n{}", variant.label(), print_program(&optimized));
         for s in &stats {
             println!(
-                "// kernel `{}`: {} e-nodes, {} saturation iterations, \
-                 extracted cost {}, ssa+codegen {:?}",
-                s.function, s.egraph_nodes, s.saturation_iters, s.extracted_cost, s.ssa_codegen
+                "// kernel `{}`: {} e-nodes, {} saturation iterations, extracted cost {}",
+                s.function, s.egraph_nodes, s.saturation_iters, s.extracted_cost
             );
         }
     }

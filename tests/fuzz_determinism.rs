@@ -101,7 +101,7 @@ void fz(double a[32], double b[32], double out[32], double c0) {
     let prog = parse_program(src).unwrap();
     let f = &prog.functions[0];
     let env0 = env_for(f);
-    let fuel = FuzzConfig::default().fuel;
+    let fuel = 100_000;
     let reproduces = |cand: &Function| {
         let mut broken = cand.clone();
         strip_ifs(&mut broken.body);
