@@ -16,9 +16,9 @@ fn main() {
     let kernels = saturate.count.max(1) as f64;
     print!("{artifact}");
     eprint!(
-        "\nSSA+codegen per kernel: mean {:.1} ms (paper: 91.8 ms on full-size kernels)\n\
-         saturation per kernel:  mean {:.3} s (paper: 0.63 s)\n",
+        "\nSSA+codegen per kernel: mean {:.3} ms (paper: 91.8 ms on full-size kernels)\n\
+         saturation per kernel:  mean {:.3} ms (paper: 630 ms)\n",
         (ssa.total_us + codegen.total_us) as f64 / kernels / 1e3,
-        saturate.total_us as f64 / kernels / 1e6,
+        saturate.total_us as f64 / kernels / 1e3,
     );
 }

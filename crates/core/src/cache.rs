@@ -36,10 +36,12 @@
 //! entries, which then age out by eviction; corrupt or version-mismatched
 //! entries read as misses.
 //!
-//! **Eviction** is deterministic: FIFO by insertion order with a fixed
-//! entry capacity, both in memory and on disk (the disk index file records
-//! insertion order). No clocks, no LRU — byte-identical cache behavior
-//! for byte-identical request sequences.
+//! **Eviction** is deterministic: FIFO by insertion order in memory. On
+//! disk the `<key>.entry` files are the only state: a put that takes a
+//! level over capacity removes keys in ascending order from a cursor that
+//! wraps around, so every file ages out, one another process wrote too.
+//! No clocks, no LRU, no index — byte-identical cache behavior for
+//! byte-identical request sequences in one process.
 
 use crate::pipeline::{SaturatorConfig, Variant};
 use accsat_egraph::{IterCounts, RuleStats, StopReason};
@@ -48,6 +50,7 @@ use accsat_obs::trace;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// How much of the pipeline a request reused, `Miss < Parsed < Saturated
@@ -134,72 +137,99 @@ pub(crate) fn stop_token(stop: Option<StopReason>) -> &'static str {
 }
 
 fn parse_stop_token(tok: &str) -> Result<Option<StopReason>, String> {
-    Ok(match tok {
-        "none" => None,
-        "saturated" => Some(StopReason::Saturated),
-        "node-limit" => Some(StopReason::NodeLimit),
-        "iter-limit" => Some(StopReason::IterLimit),
-        "time-limit" => Some(StopReason::TimeLimit),
-        other => return Err(format!("unknown stop token {other:?}")),
-    })
+    use StopReason::*;
+    let all = [None, Some(Saturated), Some(NodeLimit), Some(IterLimit), Some(TimeLimit)];
+    all.into_iter().find(|&s| stop_token(s) == tok).ok_or_else(|| format!("bad stop {tok:?}"))
 }
 
-impl SatEntry {
-    /// Serialize to the versioned cache-entry text format.
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(SAT_HEADER);
-        out.push('\n');
-        let _ = writeln!(
-            out,
-            "meta {} {} {} {}",
-            self.iters,
-            stop_token(self.stop),
-            self.rule_stats.len(),
-            self.iter_counts.len()
-        );
-        for r in &self.rule_stats {
-            debug_assert!(!r.name.chars().any(char::is_whitespace));
-            let _ = writeln!(
-                out,
-                "r {} {} {} {} {}",
-                r.name, r.matches, r.applied, r.times_banned, r.banned_iters
-            );
-        }
-        for it in &self.iter_counts {
-            let _ = writeln!(
-                out,
-                "i {} {} {} {}",
-                it.matches, it.applied, it.total_nodes, it.num_classes
-            );
-        }
-        out.push_str("egraph\n");
-        out.push_str(&self.egraph);
-        out
+/// An entry's text read a line at a time, each line a field at a time:
+/// the one reader of all three entry decoders. What is left after the
+/// last line read is the entry's payload.
+struct Reader<'a> {
+    rest: &'a str,
+    fields: std::str::SplitWhitespace<'a>,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader past `text`'s first line, which must read exactly `header`.
+    fn open(text: &'a str, header: &str) -> Result<Reader<'a>, String> {
+        let mut r = Reader { rest: text, fields: "".split_whitespace() };
+        r.expect(header)?;
+        Ok(r)
     }
 
-    /// Parse [`SatEntry::to_text`] output.
-    pub(crate) fn from_text(text: &str) -> Result<SatEntry, String> {
-        let mut rest = text;
-        let mut take_line = |what: &str| -> Result<&str, String> {
-            let nl = rest.find('\n').ok_or_else(|| format!("truncated sat entry: {what}"))?;
-            let line = &rest[..nl];
-            rest = &rest[nl + 1..];
-            Ok(line)
-        };
-        if take_line("header")? != SAT_HEADER {
-            return Err("unsupported sat entry format".into());
+    /// Move to the next line, which must read exactly `want`.
+    fn expect(&mut self, want: &str) -> Result<(), String> {
+        (self.advance()? == want).then_some(()).ok_or_else(|| format!("expected {want:?}"))
+    }
+
+    /// Move to the next line, whose first field must be `tag`.
+    fn record(&mut self, tag: &str) -> Result<(), String> {
+        self.advance()?;
+        (self.word()? == tag).then_some(()).ok_or_else(|| format!("expected a {tag} line"))
+    }
+
+    fn advance(&mut self) -> Result<&'a str, String> {
+        let (line, rest) = self.rest.split_once('\n').ok_or("truncated entry")?;
+        (self.rest, self.fields) = (rest, line.split_whitespace());
+        Ok(line)
+    }
+
+    fn word(&mut self) -> Result<&'a str, String> {
+        self.fields.next().ok_or_else(|| "truncated line".into())
+    }
+
+    fn num<T: std::str::FromStr>(&mut self) -> Result<T, String> {
+        let word = self.word()?;
+        word.parse().map_err(|_| format!("bad number {word:?}"))
+    }
+}
+
+/// A value one stage level stores: decoded in memory, and on disk as
+/// versioned text.
+trait Stage: Sized {
+    const LEVEL: &'static Level;
+    /// Serialize to the versioned cache-entry text format.
+    fn to_text(&self) -> String;
+    /// Parse [`Stage::to_text`] output.
+    fn from_text(text: &str) -> Result<Self, String>;
+}
+
+/// The canonical printed program: the printer round-trips by construction
+/// (it is the same text the golden tests diff), so re-parsing is lossless.
+impl Stage for Program {
+    const LEVEL: &'static Level = &LEVELS[0];
+    fn to_text(&self) -> String {
+        format!("{PARSED_HEADER}\n{}", accsat_ir::print_program(self))
+    }
+    fn from_text(text: &str) -> Result<Program, String> {
+        accsat_ir::parse_program(Reader::open(text, PARSED_HEADER)?.rest).map_err(|e| e.to_string())
+    }
+}
+
+impl Stage for SatEntry {
+    const LEVEL: &'static Level = &LEVELS[1];
+    fn to_text(&self) -> String {
+        let (iters, stop) = (self.iters, stop_token(self.stop));
+        let (n_rules, n_iters) = (self.rule_stats.len(), self.iter_counts.len());
+        let mut out = format!("{SAT_HEADER}\nmeta {iters} {stop} {n_rules} {n_iters}\n");
+        for RuleStats { name, matches, applied, times_banned, banned_iters } in &self.rule_stats {
+            debug_assert!(!name.chars().any(char::is_whitespace));
+            let _ = writeln!(out, "r {name} {matches} {applied} {times_banned} {banned_iters}");
         }
-        let meta = take_line("meta")?.to_string();
-        let mut toks = meta.split_whitespace();
-        let mut next = || toks.next().ok_or("truncated sat meta");
-        if next()? != "meta" {
-            return Err("bad sat meta line".into());
+        for IterCounts { matches, applied, total_nodes, num_classes } in &self.iter_counts {
+            let _ = writeln!(out, "i {matches} {applied} {total_nodes} {num_classes}");
         }
-        let iters: usize = next()?.parse().map_err(|e| format!("bad iters: {e}"))?;
-        let stop = parse_stop_token(next()?)?;
-        let n_rules: usize = next()?.parse().map_err(|e| format!("bad rule count: {e}"))?;
-        let n_iters: usize = next()?.parse().map_err(|e| format!("bad iter count: {e}"))?;
+        out.push_str("egraph\n");
+        out + &self.egraph
+    }
+
+    fn from_text(text: &str) -> Result<SatEntry, String> {
+        let mut r = Reader::open(text, SAT_HEADER)?;
+        r.record("meta")?;
+        let iters = r.num()?;
+        let stop = parse_stop_token(r.word()?)?;
+        let (n_rules, n_iters): (usize, usize) = (r.num()?, r.num()?);
         // each counted item is a line of the entry: a count the text cannot
         // back is corruption, caught before anything is reserved for it
         if n_rules.max(n_iters) > text.len() {
@@ -207,102 +237,47 @@ impl SatEntry {
         }
         let mut rule_stats = Vec::with_capacity(n_rules);
         for _ in 0..n_rules {
-            let line = take_line("rule stats")?;
-            let mut toks = line.split_whitespace();
-            let mut next = || toks.next().ok_or_else(|| format!("truncated rule line {line:?}"));
-            if next()? != "r" {
-                return Err(format!("bad rule line {line:?}"));
-            }
-            let name = next()?.to_string();
-            let mut num = |what: &str| -> Result<usize, String> {
-                next()?.parse().map_err(|e| format!("bad {what}: {e}"))
-            };
-            rule_stats.push(RuleStats {
-                name,
-                matches: num("matches")?,
-                applied: num("applied")?,
-                times_banned: num("times_banned")?,
-                banned_iters: num("banned_iters")?,
-            });
+            r.record("r")?;
+            let name = r.word()?.to_string();
+            let (matches, applied, times_banned, banned_iters) =
+                (r.num()?, r.num()?, r.num()?, r.num()?);
+            rule_stats.push(RuleStats { name, matches, applied, times_banned, banned_iters });
         }
         let mut iter_counts = Vec::with_capacity(n_iters);
         for _ in 0..n_iters {
-            let line = take_line("iteration counts")?;
-            let mut toks = line.split_whitespace();
-            let mut next = || toks.next().ok_or_else(|| format!("truncated iter line {line:?}"));
-            if next()? != "i" {
-                return Err(format!("bad iter line {line:?}"));
-            }
-            let mut num = |what: &str| -> Result<usize, String> {
-                next()?.parse().map_err(|e| format!("bad {what}: {e}"))
-            };
-            iter_counts.push(IterCounts {
-                matches: num("matches")?,
-                applied: num("applied")?,
-                total_nodes: num("total_nodes")?,
-                num_classes: num("num_classes")?,
-            });
+            r.record("i")?;
+            let (matches, applied, total_nodes, num_classes) =
+                (r.num()?, r.num()?, r.num()?, r.num()?);
+            iter_counts.push(IterCounts { matches, applied, total_nodes, num_classes });
         }
-        if take_line("egraph marker")? != "egraph" {
-            return Err("missing egraph marker".into());
-        }
-        Ok(SatEntry { egraph: rest.to_string(), iters, stop, rule_stats, iter_counts })
+        r.expect("egraph")?;
+        Ok(SatEntry { egraph: r.rest.to_string(), iters, stop, rule_stats, iter_counts })
     }
 }
 
-impl SelEntry {
-    /// Serialize to the versioned cache-entry text format.
-    pub fn to_text(&self) -> String {
+impl Stage for SelEntry {
+    const LEVEL: &'static Level = &LEVELS[2];
+    fn to_text(&self) -> String {
         debug_assert!(!self.winner.chars().any(char::is_whitespace));
-        let mut out = String::new();
-        out.push_str(SEL_HEADER);
-        out.push('\n');
-        let _ = writeln!(
-            out,
-            "meta {} {} {} {} {} {} {} {}",
-            self.cost,
-            u8::from(self.proven),
-            self.explored,
-            self.lower_bound,
-            self.pruned[0],
-            self.pruned[1],
-            self.pruned[2],
-            self.winner
-        );
-        out.push_str("selection\n");
-        out.push_str(&self.selection);
-        out
+        let (cost, proven, [p0, p1, p2]) = (self.cost, u8::from(self.proven), self.pruned);
+        let (explored, bound, winner) = (self.explored, self.lower_bound, &self.winner);
+        let meta = format!("meta {cost} {proven} {explored} {bound} {p0} {p1} {p2} {winner}");
+        format!("{SEL_HEADER}\n{meta}\nselection\n{}", self.selection)
     }
 
-    /// Parse [`SelEntry::to_text`] output.
-    pub(crate) fn from_text(text: &str) -> Result<SelEntry, String> {
-        let mut lines = text.splitn(3, '\n');
-        let header = lines.next().ok_or("empty sel entry")?;
-        if header != SEL_HEADER {
-            return Err("unsupported sel entry format".into());
-        }
-        let meta = lines.next().ok_or("truncated sel entry")?;
-        let rest = lines.next().ok_or("truncated sel entry")?;
-        let mut toks = meta.split_whitespace();
-        let mut next = || toks.next().ok_or("truncated sel meta");
-        if next()? != "meta" {
-            return Err("bad sel meta line".into());
-        }
-        let cost: u64 = next()?.parse().map_err(|e| format!("bad cost: {e}"))?;
-        let proven = match next()? {
+    fn from_text(text: &str) -> Result<SelEntry, String> {
+        let mut r = Reader::open(text, SEL_HEADER)?;
+        r.record("meta")?;
+        let cost = r.num()?;
+        let proven = match r.word()? {
             "0" => false,
             "1" => true,
             other => return Err(format!("bad proven flag {other:?}")),
         };
-        let explored: u64 = next()?.parse().map_err(|e| format!("bad explored: {e}"))?;
-        let lower_bound: u64 = next()?.parse().map_err(|e| format!("bad bound: {e}"))?;
-        let mut pruned = [0usize; 3];
-        for slot in &mut pruned {
-            *slot = next()?.parse().map_err(|e| format!("bad pruned: {e}"))?;
-        }
-        let winner = next()?.to_string();
-        let selection =
-            rest.strip_prefix("selection\n").ok_or("missing selection marker")?.to_string();
+        let (explored, lower_bound, pruned) = (r.num()?, r.num()?, [r.num()?, r.num()?, r.num()?]);
+        let winner = r.word()?.to_string();
+        r.expect("selection")?;
+        let selection = r.rest.to_string();
         Ok(SelEntry { selection, cost, proven, winner, explored, lower_bound, pruned })
     }
 }
@@ -368,59 +343,104 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
+    /// Every counter as `(JSON key, metric name, value)`, in report order.
+    fn fields(&self) -> [(&'static str, &'static str, u64); 8] {
+        [
+            ("parsed_hits", "cache.parsed.hits", self.parsed_hits),
+            ("parsed_misses", "cache.parsed.misses", self.parsed_misses),
+            ("sat_hits", "cache.sat.hits", self.sat_hits),
+            ("sat_misses", "cache.sat.misses", self.sat_misses),
+            ("sel_hits", "cache.sel.hits", self.sel_hits),
+            ("sel_misses", "cache.sel.misses", self.sel_misses),
+            ("evictions", "cache.evictions", self.evictions),
+            ("coalesced", "cache.coalesced", self.coalesced),
+        ]
+    }
+
     /// Render as a stable single-line JSON object.
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"parsed_hits\":{},\"parsed_misses\":{},\"sat_hits\":{},",
-                "\"sat_misses\":{},\"sel_hits\":{},\"sel_misses\":{},",
-                "\"evictions\":{},\"coalesced\":{}}}"
-            ),
-            self.parsed_hits,
-            self.parsed_misses,
-            self.sat_hits,
-            self.sat_misses,
-            self.sel_hits,
-            self.sel_misses,
-            self.evictions,
-            self.coalesced
-        )
+        let fields: Vec<String> =
+            self.fields().iter().map(|(key, _, v)| format!("\"{key}\":{v}")).collect();
+        format!("{{{}}}", fields.join(","))
     }
 
     /// Fold the counters into a metrics registry under `cache.*` names.
     pub fn add_to(&self, reg: &mut accsat_obs::MetricsRegistry) {
-        reg.add("cache.parsed.hits", self.parsed_hits);
-        reg.add("cache.parsed.misses", self.parsed_misses);
-        reg.add("cache.sat.hits", self.sat_hits);
-        reg.add("cache.sat.misses", self.sat_misses);
-        reg.add("cache.sel.hits", self.sel_hits);
-        reg.add("cache.sel.misses", self.sel_misses);
-        reg.add("cache.evictions", self.evictions);
-        reg.add("cache.coalesced", self.coalesced);
+        for (_, name, v) in self.fields() {
+            reg.add(name, v);
+        }
     }
 }
 
-/// One FIFO-evicted in-memory shelf: serialized text at the sat and sel
-/// levels, parsed [`Program`]s at the parsed level.
+/// What the three stage levels differ in besides their value type.
+struct Level {
+    /// Directory under a `--cache-dir`, and the `cache/fill` span's `level`.
+    dir: &'static str,
+    /// The `cache` instants of a hit and of a miss.
+    events: [&'static str; 2],
+    /// The [`CacheStats`] counter a hit (`true`) or a miss bumps.
+    counter: fn(&mut CacheStats, bool) -> &mut u64,
+    /// Does a put open a `cache/fill` span? (Parsed puts are untraced.)
+    fill: bool,
+}
+
+const LEVELS: [Level; 3] = [
+    Level {
+        dir: "parsed",
+        events: ["parsed.hit", "parsed.miss"],
+        counter: |s, hit| if hit { &mut s.parsed_hits } else { &mut s.parsed_misses },
+        fill: false,
+    },
+    Level {
+        dir: "sat",
+        events: ["sat.hit", "sat.miss"],
+        counter: |s, hit| if hit { &mut s.sat_hits } else { &mut s.sat_misses },
+        fill: true,
+    },
+    Level {
+        dir: "sel",
+        events: ["sel.hit", "sel.miss"],
+        counter: |s, hit| if hit { &mut s.sel_hits } else { &mut s.sel_misses },
+        fill: true,
+    },
+];
+
+/// One level's two tiers: the in-memory shelf of decoded values, FIFO by
+/// insertion, and the tally of the level's disk directory.
+struct Store<V> {
+    shelf: Mutex<Shelf<V>>,
+    disk: Mutex<DiskTally>,
+}
+
 struct Shelf<V> {
     map: HashMap<u64, Arc<V>>,
     order: VecDeque<u64>,
 }
 
-impl<V> Shelf<V> {
-    fn new() -> Shelf<V> {
-        Shelf { map: HashMap::new(), order: VecDeque::new() }
+/// A level directory's `.entry` count (`None` until the level's first put
+/// scans it) and the key the next trim starts from.
+#[derive(Default)]
+struct DiskTally {
+    files: Option<usize>,
+    next: u64,
+}
+
+impl<V> Store<V> {
+    fn new() -> Store<V> {
+        let shelf = Shelf { map: HashMap::new(), order: VecDeque::new() };
+        Store { shelf: Mutex::new(shelf), disk: Mutex::default() }
     }
 
-    /// Insert; returns how many entries were evicted.
-    fn insert(&mut self, key: u64, value: Arc<V>, capacity: usize) -> u64 {
-        if self.map.insert(key, value).is_none() {
-            self.order.push_back(key);
+    /// Insert into the shelf; returns how many entries were evicted.
+    fn insert(&self, key: u64, value: Arc<V>, capacity: usize) -> u64 {
+        let mut shelf = self.shelf.lock().expect("shelf lock");
+        if shelf.map.insert(key, value).is_none() {
+            shelf.order.push_back(key);
         }
         let mut evicted = 0;
-        while self.order.len() > capacity {
-            let old = self.order.pop_front().expect("non-empty order queue");
-            if self.map.remove(&old).is_some() {
+        while shelf.order.len() > capacity {
+            let old = shelf.order.pop_front().expect("non-empty order queue");
+            if shelf.map.remove(&old).is_some() {
                 evicted += 1;
             }
         }
@@ -435,9 +455,9 @@ pub struct StageCache {
     dir: Option<PathBuf>,
     mem_capacity: usize,
     disk_capacity: usize,
-    parsed: Mutex<Shelf<Program>>,
-    sat: Mutex<Shelf<String>>,
-    sel: Mutex<Shelf<String>>,
+    parsed: Store<Program>,
+    sat: Store<SatEntry>,
+    sel: Store<SelEntry>,
     stats: Mutex<CacheStats>,
     /// Selection-stage keys currently being computed, for single-flight
     /// request coalescing (see [`StageCache::single_flight`]).
@@ -483,17 +503,17 @@ impl StageCache {
         disk_capacity: usize,
     ) -> std::io::Result<StageCache> {
         if let Some(dir) = dir {
-            for level in ["parsed", "sat", "sel"] {
-                std::fs::create_dir_all(dir.join(level))?;
+            for level in &LEVELS {
+                std::fs::create_dir_all(dir.join(level.dir))?;
             }
         }
         Ok(StageCache {
             dir: dir.map(Path::to_path_buf),
             mem_capacity: mem_capacity.max(1),
             disk_capacity: disk_capacity.max(1),
-            parsed: Mutex::new(Shelf::new()),
-            sat: Mutex::new(Shelf::new()),
-            sel: Mutex::new(Shelf::new()),
+            parsed: Store::new(),
+            sat: Store::new(),
+            sel: Store::new(),
             stats: Mutex::new(CacheStats::default()),
             in_flight: Mutex::new(HashSet::new()),
             in_flight_done: Condvar::new(),
@@ -525,190 +545,124 @@ impl StageCache {
         FlightGuard { cache: self, key }
     }
 
-    /// Look up a parsed program by source hash: memory first, then (for
-    /// disk-backed caches) the `parsed/` stage directory, whose entries
-    /// store the canonical printed program and re-parse on promotion (the
-    /// printer round-trips by construction — it is the same text the
-    /// golden tests diff).
+    /// Look up a parsed program by source hash.
     pub fn get_parsed(&self, src_hash: u64) -> Option<Arc<Program>> {
-        let got = self.parsed.lock().expect("parsed lock").map.get(&src_hash).cloned();
-        if let Some(p) = &got {
-            self.stats.lock().expect("cache stats lock").parsed_hits += 1;
-            self.probe("parsed", true);
-            return Some(p.clone());
-        }
-        if let Some(dir) = &self.dir {
-            if let Some(prog) =
-                std::fs::read_to_string(entry_path(dir, "parsed", src_hash)).ok().and_then(|text| {
-                    let body = text.strip_prefix(PARSED_HEADER)?.strip_prefix('\n')?;
-                    accsat_ir::parse_program(body).ok()
-                })
-            {
-                let prog = Arc::new(prog);
-                self.promote(&self.parsed, src_hash, prog.clone(), 0);
-                self.stats.lock().expect("cache stats lock").parsed_hits += 1;
-                self.probe("parsed", true);
-                return Some(prog);
-            }
-        }
-        self.stats.lock().expect("cache stats lock").parsed_misses += 1;
-        self.probe("parsed", false);
-        None
+        self.get(&self.parsed, src_hash)
     }
 
-    /// Store a parsed program under its source hash — in memory, and for
-    /// disk-backed caches also in the `parsed/` stage directory, so a
-    /// restarted serve daemon recovers its parsed floor like the sat/sel
-    /// levels.
+    /// Store a parsed program under its source hash.
     pub fn put_parsed(&self, src_hash: u64, prog: Arc<Program>) {
-        let mut disk_evicted = 0;
-        if let Some(dir) = &self.dir {
-            let mut text = String::from(PARSED_HEADER);
-            text.push('\n');
-            text.push_str(&accsat_ir::print_program(&prog));
-            disk_evicted = self.write_disk(dir, "parsed", src_hash, &text).unwrap_or(0);
-        }
-        self.promote(&self.parsed, src_hash, prog, disk_evicted);
-    }
-
-    /// Insert into an in-memory shelf, counting what FIFO eviction pushed
-    /// out (`disk_evicted` entries went the same way on disk).
-    fn promote<V>(&self, shelf: &Mutex<Shelf<V>>, key: u64, value: Arc<V>, disk_evicted: u64) {
-        let evicted =
-            disk_evicted + shelf.lock().expect("shelf lock").insert(key, value, self.mem_capacity);
-        if evicted > 0 {
-            self.stats.lock().expect("cache stats lock").evictions += evicted;
-        }
+        self.put(&self.parsed, src_hash, prog);
     }
 
     /// Look up a saturation-stage entry.
     pub fn get_sat(&self, key: u64) -> Option<SatEntry> {
-        self.get_entry(&self.sat, "sat", key, SatEntry::from_text)
+        self.get(&self.sat, key).map(Arc::unwrap_or_clone)
     }
 
     /// Store a saturation-stage entry.
     pub fn put_sat(&self, key: u64, entry: &SatEntry) {
-        self.put_entry(&self.sat, "sat", key, entry.to_text());
+        self.put(&self.sat, key, Arc::new(entry.clone()));
     }
 
     /// Look up an extraction-stage entry.
     pub fn get_sel(&self, key: u64) -> Option<SelEntry> {
-        self.get_entry(&self.sel, "sel", key, SelEntry::from_text)
+        self.get(&self.sel, key).map(Arc::unwrap_or_clone)
     }
 
     /// Store an extraction-stage entry.
     pub fn put_sel(&self, key: u64, entry: &SelEntry) {
-        self.put_entry(&self.sel, "sel", key, entry.to_text());
+        self.put(&self.sel, key, Arc::new(entry.clone()));
     }
 
-    fn count(&self, level: &str, hit: bool) {
-        let mut stats = self.stats.lock().expect("cache stats lock");
-        match (level, hit) {
-            ("sat", true) => stats.sat_hits += 1,
-            ("sat", false) => stats.sat_misses += 1,
-            ("sel", true) => stats.sel_hits += 1,
-            ("sel", false) => stats.sel_misses += 1,
-            _ => unreachable!("unknown cache level {level}"),
+    /// Look up `key` at `V`'s level: memory first, then the level's disk
+    /// directory. Only text that decodes is a hit and is promoted into
+    /// memory, so a torn, corrupt or version-mismatched entry is a miss
+    /// every time it is probed, until a put overwrites it.
+    fn get<V: Stage>(&self, store: &Store<V>, key: u64) -> Option<Arc<V>> {
+        let mut found = store.shelf.lock().expect("shelf lock").map.get(&key).cloned();
+        if let (None, Some(dir)) = (&found, &self.dir) {
+            let text = std::fs::read_to_string(entry_path(dir, V::LEVEL.dir, key));
+            found = text.ok().and_then(|text| V::from_text(&text).ok()).map(Arc::new);
+            if let Some(value) = &found {
+                let evicted = store.insert(key, value.clone(), self.mem_capacity);
+                self.stats.lock().expect("cache stats lock").evictions += evicted;
+            }
         }
-        drop(stats);
-        self.probe(level, hit);
-    }
-
-    /// Trace a cache probe (diagnostic only — the counters above are the
-    /// deterministic record).
-    fn probe(&self, level: &str, hit: bool) {
-        if !accsat_obs::trace::enabled() {
-            return;
-        }
-        let name: &'static str = match (level, hit) {
-            ("parsed", true) => "parsed.hit",
-            ("parsed", false) => "parsed.miss",
-            ("sat", true) => "sat.hit",
-            ("sat", false) => "sat.miss",
-            ("sel", true) => "sel.hit",
-            ("sel", false) => "sel.miss",
-            _ => "probe",
-        };
-        trace::instant("cache", name, Vec::new);
-    }
-
-    /// Look up `key` at a text level: memory first, then the level's disk
-    /// directory. Only text that `decode` accepts is a hit and is promoted
-    /// into memory, so a torn, corrupt or version-mismatched entry is a
-    /// miss every time it is probed, until a put overwrites it.
-    fn get_entry<T>(
-        &self,
-        shelf: &Mutex<Shelf<String>>,
-        level: &str,
-        key: u64,
-        decode: impl Fn(&str) -> Result<T, String>,
-    ) -> Option<T> {
-        let held = shelf.lock().expect("shelf lock").map.get(&key).cloned();
-        let found = match held {
-            Some(text) => decode(&text).ok(),
-            None => self.dir.as_ref().and_then(|dir| {
-                let text = std::fs::read_to_string(entry_path(dir, level, key)).ok()?;
-                let entry = decode(&text).ok()?;
-                self.promote(shelf, key, Arc::new(text), 0);
-                Some(entry)
-            }),
-        };
-        self.count(level, found.is_some());
+        let hit = found.is_some();
+        *(V::LEVEL.counter)(&mut self.stats.lock().expect("cache stats lock"), hit) += 1;
+        // diagnostic only: the counters are the deterministic record
+        trace::instant("cache", V::LEVEL.events[usize::from(found.is_none())], Vec::new);
         found
     }
 
-    fn put_entry(&self, shelf: &Mutex<Shelf<String>>, level: &str, key: u64, text: String) {
-        let _span = trace::span_args("cache", "fill", || {
-            vec![("level", level.to_string().into()), ("bytes", text.len().into())]
+    /// Store `value` under `key` at `V`'s level: on disk, then in memory.
+    fn put<V: Stage>(&self, store: &Store<V>, key: u64, value: Arc<V>) {
+        let level = V::LEVEL;
+        let disk = self.dir.as_ref().map(|dir| (dir.join(level.dir), value.to_text()));
+        let _span = level.fill.then(|| {
+            trace::span_args("cache", "fill", || {
+                let bytes = disk.as_ref().map_or_else(|| value.to_text().len(), |(_, t)| t.len());
+                vec![("level", level.dir.into()), ("bytes", bytes.into())]
+            })
         });
-        let disk_evicted =
-            self.dir.as_ref().map_or(0, |dir| self.write_disk(dir, level, key, &text).unwrap_or(0));
-        self.promote(shelf, key, Arc::new(text), disk_evicted);
+        let disk_evicted = disk.map_or(0, |(dir, text)| self.write_disk(store, &dir, key, &text));
+        let evicted = disk_evicted + store.insert(key, value, self.mem_capacity);
+        self.stats.lock().expect("cache stats lock").evictions += evicted;
     }
 
-    /// Write one entry to disk and FIFO-evict by the index file. Failures
-    /// are swallowed: the disk layer is an optimization, never a
-    /// correctness dependency.
-    fn write_disk(&self, dir: &Path, level: &str, key: u64, text: &str) -> Option<u64> {
-        // one process-wide lock serializes entry and index writes; safety
-        // across processes is ROADMAP's open hardening item
-        static DISK_LOCK: Mutex<()> = Mutex::new(());
-        let _disk = DISK_LOCK.lock().expect("disk lock");
-        let path = entry_path(dir, level, key);
-        // a put over an existing file replaces an entry that failed to read
-        // (corrupt, or written by an older format version); its key is
-        // already in the index
-        let replaces = path.exists();
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, text).ok()?;
-        std::fs::rename(&tmp, &path).ok()?;
-        if replaces {
-            return Some(0);
+    /// Write one entry into `level_dir` through a tmp file no other writer
+    /// names, then trim the level to capacity; returns the entries
+    /// removed. Failures are swallowed: the disk tier is an optimization,
+    /// never a correctness dependency.
+    fn write_disk<V>(&self, store: &Store<V>, level_dir: &Path, key: u64, text: &str) -> u64 {
+        static WRITES: AtomicU64 = AtomicU64::new(0);
+        let writer = (std::process::id(), WRITES.fetch_add(1, Ordering::Relaxed));
+        let tmp = level_dir.join(format!("{key:016x}.{}-{}.tmp", writer.0, writer.1));
+        let path = level_dir.join(format!("{key:016x}.entry"));
+        if std::fs::write(&tmp, text).and_then(|()| std::fs::rename(&tmp, &path)).is_err() {
+            let _ = std::fs::remove_file(&tmp);
+            return 0;
         }
-        // maintain the insertion-order index and evict beyond capacity
-        let index = dir.join(level).join("index");
-        let mut keys: Vec<u64> = std::fs::read_to_string(&index)
-            .unwrap_or_default()
-            .lines()
-            .filter_map(|l| u64::from_str_radix(l.trim(), 16).ok())
-            .collect();
-        keys.push(key);
+        let mut tally = store.disk.lock().expect("disk tally lock");
+        let mut keys = match tally.files {
+            // a put over an existing file overcounts; the next scan recounts
+            Some(n) if n < self.disk_capacity => {
+                tally.files = Some(n + 1);
+                return 0;
+            }
+            _ => entry_keys(level_dir),
+        };
+        let (files, excess) = (keys.len(), keys.len().saturating_sub(self.disk_capacity));
+        keys.retain(|&k| k != key);
+        keys.sort_unstable_by_key(|&k| k.wrapping_sub(tally.next));
         let mut evicted = 0;
-        while keys.len() > self.disk_capacity {
-            let old = keys.remove(0);
-            let _ = std::fs::remove_file(entry_path(dir, level, old));
-            evicted += 1;
+        for &old in &keys[..excess] {
+            tally.next = old.wrapping_add(1);
+            let gone = std::fs::remove_file(level_dir.join(format!("{old:016x}.entry")));
+            evicted += u64::from(gone.is_ok());
         }
-        let body: String = keys.iter().map(|k| format!("{k:016x}\n")).collect();
-        let tmp = index.with_extension("tmp");
-        std::fs::write(&tmp, body).ok()?;
-        std::fs::rename(&tmp, &index).ok()?;
-        Some(evicted)
+        tally.files = Some(files - evicted as usize);
+        evicted
     }
 }
 
 fn entry_path(dir: &Path, level: &str, key: u64) -> PathBuf {
     dir.join(level).join(format!("{key:016x}.entry"))
+}
+
+/// The keys of a level directory's `<16 lowercase hex digits>.entry`
+/// files — the only files the cache counts, reads or removes.
+fn entry_keys(level_dir: &Path) -> Vec<u64> {
+    let names = std::fs::read_dir(level_dir).into_iter().flatten().flatten();
+    names
+        .filter_map(|e| {
+            let name = e.file_name();
+            let hex = name.to_str()?.strip_suffix(".entry")?;
+            let key = u64::from_str_radix(hex, 16).ok()?;
+            (format!("{key:016x}") == hex).then_some(key)
+        })
+        .collect()
 }
 
 /// RAII claim from [`StageCache::single_flight`]; releases the key and
@@ -950,6 +904,125 @@ void k(double a[16], double out[16], double c0) {
         // in-memory caches still miss across instances
         let mem = StageCache::in_memory();
         assert!(mem.get_parsed(key).is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn sat_entry(i: u64) -> SatEntry {
+        let egraph = format!("accsat-egraph v2\n# {i}\n");
+        SatEntry { egraph, iters: 1, stop: None, rule_stats: Vec::new(), iter_counts: Vec::new() }
+    }
+
+    fn sel_entry(i: u64) -> SelEntry {
+        SelEntry {
+            selection: format!("accsat-selection v1 0\nend\n# {i}"),
+            cost: i,
+            proven: false,
+            winner: "greedy".into(),
+            explored: 0,
+            lower_bound: 0,
+            pruned: [0; 3],
+        }
+    }
+
+    /// An empty directory under the system temp dir, named for the test
+    /// and this process.
+    fn fresh_dir(test: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("accsat-{test}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Put every key of `keys` at all three levels.
+    fn put_all(cache: &StageCache, keys: impl IntoIterator<Item = u64>) {
+        let prog = Arc::new(parse_program(KERNEL).unwrap());
+        for key in keys {
+            cache.put_parsed(key, prog.clone());
+            cache.put_sat(key, &sat_entry(key));
+            cache.put_sel(key, &sel_entry(key));
+        }
+    }
+
+    /// The sorted file names of one level directory.
+    fn names(dir: &Path, level: &str) -> Vec<String> {
+        let entries = std::fs::read_dir(dir.join(level)).unwrap();
+        let mut names: Vec<String> =
+            entries.map(|e| e.unwrap().file_name().into_string().unwrap()).collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn an_entry_file_another_writer_left_still_ages_out() {
+        let dir = fresh_dir("foreign");
+        let cache = StageCache::new(Some(&dir), 2, 2).unwrap();
+        // written by another process whose bookkeeping this cache never saw
+        std::fs::write(entry_path(&dir, "sel", 0xf00d), sel_entry(7).to_text()).unwrap();
+        put_all(&cache, [1, 2, 3]);
+        for level in ["parsed", "sat", "sel"] {
+            let entries = names(&dir, level).iter().filter(|n| n.ends_with(".entry")).count();
+            assert!(entries <= 2, "{level}/ holds {entries} entries at capacity 2");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn disk_capacity_holds_per_level_and_repeats_exactly() {
+        let keys: Vec<u64> = (1..=8u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect();
+        let run = |test: &str| {
+            let dir = fresh_dir(test);
+            let cache = StageCache::new(Some(&dir), 2, 3).unwrap();
+            put_all(&cache, keys.iter().copied());
+            let last = *keys.last().unwrap();
+            let reader = StageCache::new(Some(&dir), 2, 3).unwrap();
+            for level in ["parsed", "sat", "sel"] {
+                let left = entry_keys(&dir.join(level));
+                assert!(left.len() <= 3, "{level}/ holds {} entries at capacity 3", left.len());
+                assert!(left.contains(&last), "{level}/ lost the key just written");
+                for key in left {
+                    let decodes = match level {
+                        "parsed" => reader.get_parsed(key).is_some(),
+                        "sat" => reader.get_sat(key).is_some(),
+                        _ => reader.get_sel(key).is_some(),
+                    };
+                    assert!(decodes, "{level}/{key:016x}.entry does not decode");
+                }
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+            cache.stats()
+        };
+        let stats = run("capacity-a");
+        // per level: 6 out of memory (capacity 2) and 5 off disk (capacity 3)
+        assert_eq!(stats.evictions, 3 * (6 + 5));
+        assert_eq!(stats, run("capacity-b"));
+    }
+
+    #[test]
+    fn a_put_over_an_undecodable_file_replaces_it_within_capacity() {
+        let dir = fresh_dir("replace");
+        let cache = StageCache::new(Some(&dir), 2, 2).unwrap();
+        cache.put_sel(1, &sel_entry(1));
+        std::fs::write(entry_path(&dir, "sel", 2), "accsat-stage sel v1\ntorn").unwrap();
+        assert!(cache.get_sel(2).is_none());
+        cache.put_sel(2, &sel_entry(2));
+        cache.put_sel(3, &sel_entry(3));
+        assert_eq!(names(&dir, "sel").len(), 2);
+        let reader = StageCache::new(Some(&dir), 2, 2).unwrap();
+        assert_eq!(reader.get_sel(2).map(|e| e.cost), Some(2), "the torn file was replaced");
+        assert_eq!(reader.get_sel(3).map(|e| e.cost), Some(3));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn only_entry_files_are_left_behind() {
+        let dir = fresh_dir("leftovers");
+        let cache = StageCache::new(Some(&dir), 2, 2).unwrap();
+        put_all(&cache, [5, 1, 4, 1, 3]);
+        for level in ["parsed", "sat", "sel"] {
+            for name in names(&dir, level) {
+                let key = name.strip_suffix(".entry").and_then(|h| u64::from_str_radix(h, 16).ok());
+                assert!(key.is_some(), "{level}/{name} is not an entry file");
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
