@@ -260,3 +260,75 @@ fn a_selected_entry_of_another_kernel_is_a_miss_and_overwritten() {
     check(&config(Some(Arc::new(StageCache::with_dir(&dir).unwrap()))), "--cache-dir");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// One byte flipped in a `saturated` entry's snapshot, anywhere outside
+/// its `uf` line, must not reach the output: each flip below turns a
+/// section word or the end marker into text the snapshot reader rejects,
+/// so a run through a fresh cache instance resumes below `selected`,
+/// prints the cold bytes, and overwrites both entries.
+#[test]
+fn a_flipped_byte_in_a_snapshot_outside_its_uf_line_is_a_lower_level_resume() {
+    let src = "void k(double a[32], double out[32], double c) {\n  \
+               #pragma acc parallel loop gang vector\n  \
+               for (int i = 1; i < 31; i++) {\n    \
+               out[i] = c * a[i - 1] + c * a[i] + c * a[i + 1];\n  }\n}\n";
+    let (cold, _, _) = optimize_source(src, Variant::AccSat, &fast_config(None)).unwrap();
+    let dir = scratch_dir("flip");
+    let run = || {
+        let cfg = fast_config(Some(Arc::new(StageCache::with_dir(&dir).unwrap())));
+        let (out, _, level) = optimize_source(src, Variant::AccSat, &cfg).unwrap();
+        (out, level)
+    };
+    for (from, to) in
+        [("\narena ", "\narenA "), ("\nclasses ", "\nclasseS "), ("\nend\n", "\nenD\n")]
+    {
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(run(), (cold.clone(), CacheLevel::Miss));
+        assert_eq!(run(), (cold.clone(), CacheLevel::Selected));
+        let sat: Vec<PathBuf> =
+            std::fs::read_dir(dir.join("sat")).unwrap().map(|e| e.unwrap().path()).collect();
+        assert_eq!(sat.len(), 1);
+        let text = std::fs::read_to_string(&sat[0]).unwrap();
+        let uf = text.find("\nuf ").unwrap() + 1;
+        let at = text.rfind(from).unwrap();
+        assert!(at >= uf + text[uf..].find('\n').unwrap(), "{to:?} is outside the uf line");
+        std::fs::write(&sat[0], format!("{}{to}{}", &text[..at], &text[at + from.len()..]))
+            .unwrap();
+        let (out, level) = run();
+        assert_eq!(out, cold, "{to:?}: a flipped snapshot moved the output");
+        assert!(level < CacheLevel::Selected, "{to:?}: resumed at {level:?}");
+        assert_eq!(run(), (cold.clone(), CacheLevel::Selected), "{to:?}: entries not overwritten");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `selected` hit reports what the cold run measured: every statistic
+/// but the cache level — `egraph_nodes` included — on all 19 suite
+/// kernels, resumed from the entry files through a fresh cache instance.
+#[test]
+fn a_selected_hit_reports_the_cold_statistics() {
+    let dir = scratch_dir("hit-stats");
+    let _ = std::fs::remove_dir_all(&dir);
+    let masked = |stats: &[accsat::OptStats]| -> Vec<String> {
+        let mask =
+            |s: &accsat::OptStats| accsat::OptStats { cache_level: CacheLevel::Miss, ..s.clone() };
+        stats.iter().map(|s| format!("{:?}", mask(s))).collect()
+    };
+    let mut kernels = 0;
+    for b in accsat_benchmarks::all_benchmarks() {
+        let src = &b.acc_source;
+        let (cold, cold_stats, _) =
+            optimize_source(src, Variant::AccSat, &fast_config(None)).unwrap();
+        let fill = fast_config(Some(Arc::new(StageCache::with_dir(&dir).unwrap())));
+        optimize_source(src, Variant::AccSat, &fill).unwrap();
+        let warm_cfg = fast_config(Some(Arc::new(StageCache::with_dir(&dir).unwrap())));
+        let (warm, warm_stats, level) = optimize_source(src, Variant::AccSat, &warm_cfg).unwrap();
+        assert_eq!((warm, level), (cold, CacheLevel::Selected), "{}", b.name);
+        assert_eq!(masked(&warm_stats), masked(&cold_stats), "{}", b.name);
+        let nodes = |s: &[accsat::OptStats]| s.iter().map(|s| s.egraph_nodes).collect::<Vec<_>>();
+        assert_eq!(nodes(&warm_stats), nodes(&cold_stats), "{}", b.name);
+        kernels += warm_stats.len();
+    }
+    assert_eq!(kernels, 19);
+    let _ = std::fs::remove_dir_all(&dir);
+}
