@@ -199,7 +199,7 @@ pub fn table4() -> String {
 pub fn stats() -> String {
     let mut nodes = Vec::new();
     // rule name → (matches, applied, times_banned) across all kernels
-    let mut rules: BTreeMap<String, (usize, usize, usize)> = BTreeMap::new();
+    let mut rules: BTreeMap<std::sync::Arc<str>, (usize, usize, usize)> = BTreeMap::new();
     render(|out| {
         writeln!(out, "{:<12} {:>22} {:>10} {:>8}", "benchmark", "kernel", "e-nodes", "iters")?;
         for b in all_benchmarks() {

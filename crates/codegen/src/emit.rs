@@ -11,7 +11,7 @@
 //! path", has the argument that none of this changes an output byte.
 
 use crate::types::{promote, TypeMap};
-use accsat_egraph::{EGraph, FxHashMap, Id, Node, Op, Visited};
+use accsat_egraph::{Canonical, FxHashMap, Id, Node, Op, Visited};
 use accsat_extract::Selection;
 use accsat_ir::ast::ForLoop;
 use accsat_ir::{AssignOp, BinOp, Block, Expr, LValue, Stmt, Type, UnOp};
@@ -30,9 +30,25 @@ pub struct CodegenOptions {
 
 /// Generate a new kernel body from the SSA tree and the extracted selection.
 pub fn generate(kernel: &SsaKernel, sel: &Selection, tm: &TypeMap, opts: &CodegenOptions) -> Block {
+    generate_with(kernel, &kernel.egraph, sel, tm, opts)
+}
+
+/// [`generate`] with the selection's ids canonicalized by `canon` instead
+/// of the kernel's own e-graph. Lowering reads canonical ids and nothing
+/// else, so a selection restored from the stage cache lowers through the
+/// union-find of its snapshot's head: `kernel` is then the SSA build's,
+/// whose tree names the same class ids the snapshot's e-graph was grown
+/// from.
+pub fn generate_with(
+    kernel: &SsaKernel,
+    canon: &dyn Canonical,
+    sel: &Selection,
+    tm: &TypeMap,
+    opts: &CodegenOptions,
+) -> Block {
     let mut seeds: Vec<Id> = kernel.initial_values.iter().map(|(_, c)| *c).collect();
     named_classes(&kernel.nodes, &mut seeds);
-    let t = Tables::new(&kernel.egraph, sel, &seeds);
+    let t = Tables::new(canon, sel, &seeds);
     let plan = Plan::new(&t, &kernel.nodes);
     let mut em = Emitter::new(&t, &plan, tm, opts.bulk_load);
     // initial availability: parameters/outer values by name; arrays by state
@@ -81,7 +97,7 @@ const NONE: u32 = u32::MAX;
 /// ascending class id, each with the node the selection chose for it and
 /// that node's children as slots. Built once per kernel; read-only after.
 pub(crate) struct Tables<'a> {
-    eg: &'a EGraph,
+    canon: &'a dyn Canonical,
     /// Slot → canonical class id, ascending.
     class: Vec<Id>,
     /// Class id → slot (`NONE` outside the tables).
@@ -95,15 +111,15 @@ pub(crate) struct Tables<'a> {
 
 impl<'a> Tables<'a> {
     /// The closure of `seeds` under the selection's chosen children.
-    pub(crate) fn new(eg: &'a EGraph, sel: &'a Selection, seeds: &[Id]) -> Tables<'a> {
-        let mut slot_of = vec![NONE; eg.id_bound()];
+    pub(crate) fn new(canon: &'a dyn Canonical, sel: &'a Selection, seeds: &[Id]) -> Tables<'a> {
+        let mut slot_of = vec![NONE; canon.id_bound()];
         let mut found: Vec<(Id, Option<&'a Node>)> = Vec::new();
         let mut stack: Vec<usize> = Vec::new();
         let mut visit = |id: Id, found: &mut Vec<_>, stack: &mut Vec<_>| {
-            let id = eg.find(id);
+            let id = canon.find(id);
             if slot_of[id.index()] == NONE {
                 slot_of[id.index()] = 0;
-                found.push((id, sel.get(eg, id)));
+                found.push((id, sel.get(canon, id)));
                 stack.push(found.len() - 1);
             }
         };
@@ -123,11 +139,11 @@ impl<'a> Tables<'a> {
         start.push(0);
         for &(_, node) in &found {
             let children = node.map_or(&[][..], |n| &n.children);
-            kids.extend(children.iter().map(|&c| slot_of[eg.find(c).index()] as usize));
+            kids.extend(children.iter().map(|&c| slot_of[canon.find(c).index()] as usize));
             start.push(kids.len());
         }
         let (class, node) = found.into_iter().unzip();
-        Tables { eg, class, slot_of, node, kids, start }
+        Tables { canon, class, slot_of, node, kids, start }
     }
 
     fn len(&self) -> usize {
@@ -136,7 +152,7 @@ impl<'a> Tables<'a> {
 
     /// The slot of a class the SSA tree names.
     fn slot(&self, id: Id) -> usize {
-        self.slot_of[self.eg.find(id).index()] as usize
+        self.slot_of[self.canon.find(id).index()] as usize
     }
 
     fn kids(&self, s: usize) -> &[usize] {
@@ -1057,7 +1073,7 @@ impl TermOrder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use accsat_egraph::{all_rules, Runner};
+    use accsat_egraph::{all_rules, EGraph, Runner};
     use accsat_extract::{extract_greedy, CostModel};
     use proptest::prelude::*;
 

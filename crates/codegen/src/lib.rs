@@ -26,7 +26,7 @@
 mod emit;
 mod types;
 
-pub use emit::{generate, CodegenOptions};
+pub use emit::{generate, generate_with, CodegenOptions};
 pub use types::TypeMap;
 
 #[cfg(test)]

@@ -163,7 +163,8 @@ impl Operands {
 /// `accsat trace-check`: validate a `--trace-out` file — JSON
 /// well-formedness, per-event required fields, per-thread span nesting —
 /// and print a one-line summary, then one line per `cat/name` with its
-/// span count and total time. CI runs this on its smoke traces.
+/// span count and total time, then one per instant `cat/name` with its
+/// count. CI runs this on its smoke traces.
 fn trace_check_main(args: Vec<String>) -> Exit {
     let [path] = args.as_slice() else {
         eprintln!("usage: accsat trace-check TRACE.json");
@@ -187,6 +188,9 @@ fn trace_check_main(args: Vec<String>) -> Exit {
     );
     for (name, t) in &s.span_totals {
         println!("  {name}: count {}, total {:.3} ms", t.count, t.total_us as f64 / 1e3);
+    }
+    for (name, count) in &s.instant_totals {
+        println!("  {name}: count {count}");
     }
     Ok(())
 }

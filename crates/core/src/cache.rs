@@ -17,6 +17,28 @@
 //! * **selected** — kernel+objective hash → serialized
 //!   [`Selection`](accsat_extract::Selection) plus
 //!   extraction metadata (cost, proven flag, winner, explored, bound).
+//!   The selection is *sealed* (`accsat-selection v2`): its header holds a
+//!   64-bit hash of the bytes of the `saturated` snapshot it was extracted
+//!   from and of its own lines.
+//!
+//! **What a `selected` hit reads.** Both entries, as before — the
+//! selection, then the snapshot — but not the whole snapshot: lowering a
+//! finished selection needs canonical ids and nothing else. The hit
+//! recomputes the seal over the bytes it holds, reads the snapshot's head
+//! (its `fold`, `nodes` and `uf` lines, `accsat_egraph::SnapshotHead`),
+//! walks the selection from the extraction roots through the head's
+//! union-find (total, acyclic, in range) to its claimed cost, checks the
+//! bound against that cost, and lowers through the union-find. No e-graph
+//! is restored and no class membership is walked. The seal refuses what
+//! that membership walk refused — a corrupt selection, another kernel's
+//! selection under a colliding `sel` key — and also a snapshot edited
+//! into another well-formed one, which the walk could pass. An unsealed
+//! selection or a seal that does not match is a miss, and the kernel
+//! resumes from the `saturated` level, which still restores and checks the
+//! whole snapshot. The seal is a check against corruption and mix-ups,
+//! not against forgery; a snapshot of another kernel stored under this
+//! kernel's `sat` key, with its own sealed selection, is still trusted
+//! (ROADMAP item 2's key witnesses).
 //!
 //! **Keys.** The kernel-level hash is FNV-1a over the *canonical printed
 //! IR* of the kernel body (`accsat_ir::fingerprint_block`) — comments and
@@ -31,10 +53,10 @@
 //! on every request, so `CSE+SAT` and `ACCSAT` share both cached stages.
 //!
 //! **Invalidation.** There is none by design: entries are immutable values
-//! under content hashes. A format version bump (see the headers: `sat` and
-//! `sel` entries are at `v2`, `parsed` entries at `v1`) orphans old
-//! entries, which then age out by eviction; corrupt or version-mismatched
-//! entries read as misses.
+//! under content hashes. A format version bump (see the headers: `sat`
+//! entries are at `v2`, `sel` entries at `v3` since their selections are
+//! sealed, `parsed` entries at `v1`) orphans old entries, which then age
+//! out by eviction; corrupt or version-mismatched entries read as misses.
 //!
 //! **Eviction** is deterministic: FIFO by insertion order in memory. On
 //! disk the `<key>.entry` files are the only state: a put that takes a
@@ -102,7 +124,8 @@ pub struct SatEntry {
 /// Cached outcome of the extraction stage.
 #[derive(Debug, Clone)]
 pub struct SelEntry {
-    /// Serialized winning selection (`Selection::serialize` format).
+    /// Serialized winning selection: `Selection::serialize_sealed` text
+    /// when the pipeline wrote it; `Selection::deserialize` reads both.
     pub selection: String,
     /// DAG cost of the selection.
     pub cost: u64,
@@ -120,10 +143,11 @@ pub struct SelEntry {
 }
 
 // v2: sat entries persist per-iteration counters, sel entries persist the
-// pruning-layer counts. v1 entries fail the header check and read as
-// misses, exactly as the module docs promise for format bumps.
+// pruning-layer counts; sel v3: the selection is sealed to its snapshot.
+// Older entries fail the header check and read as misses, exactly as the
+// module docs promise for format bumps.
 const SAT_HEADER: &str = "accsat-stage sat v2";
-const SEL_HEADER: &str = "accsat-stage sel v2";
+const SEL_HEADER: &str = "accsat-stage sel v3";
 const PARSED_HEADER: &str = "accsat-stage parsed v1";
 
 pub(crate) fn stop_token(stop: Option<StopReason>) -> &'static str {
@@ -191,9 +215,15 @@ trait Stage: Sized {
     const LEVEL: &'static Level;
     /// Serialize to the versioned cache-entry text format.
     fn to_text(&self) -> String;
-    /// Parse [`Stage::to_text`] output.
-    fn from_text(text: &str) -> Result<Self, String>;
+    /// Parse [`Stage::to_text`] output, taking rule names from `names`.
+    fn from_text(text: &str, names: &RuleNames) -> Result<Self, String>;
 }
+
+/// The rule names one cache has decoded, each held once: the `SatEntry`s
+/// on its shelves share them, as the runner's statistics share the rule
+/// set's, instead of holding a copy per entry.
+#[derive(Default)]
+struct RuleNames(Mutex<HashSet<Arc<str>>>);
 
 /// The canonical printed program: the printer round-trips by construction
 /// (it is the same text the golden tests diff), so re-parsing is lossless.
@@ -202,7 +232,7 @@ impl Stage for Program {
     fn to_text(&self) -> String {
         format!("{PARSED_HEADER}\n{}", accsat_ir::print_program(self))
     }
-    fn from_text(text: &str) -> Result<Program, String> {
+    fn from_text(text: &str, _: &RuleNames) -> Result<Program, String> {
         accsat_ir::parse_program(Reader::open(text, PARSED_HEADER)?.rest).map_err(|e| e.to_string())
     }
 }
@@ -224,7 +254,7 @@ impl Stage for SatEntry {
         out + &self.egraph
     }
 
-    fn from_text(text: &str) -> Result<SatEntry, String> {
+    fn from_text(text: &str, names: &RuleNames) -> Result<SatEntry, String> {
         let mut r = Reader::open(text, SAT_HEADER)?;
         r.record("meta")?;
         let iters = r.num()?;
@@ -236,9 +266,15 @@ impl Stage for SatEntry {
             return Err("sat entry counts exceed the input".into());
         }
         let mut rule_stats = Vec::with_capacity(n_rules);
+        let mut names = names.0.lock().expect("rule names lock");
         for _ in 0..n_rules {
             r.record("r")?;
-            let name = r.word()?.to_string();
+            let word = r.word()?;
+            let name = names.get(word).cloned().unwrap_or_else(|| {
+                let name: Arc<str> = word.into();
+                names.insert(name.clone());
+                name
+            });
             let (matches, applied, times_banned, banned_iters) =
                 (r.num()?, r.num()?, r.num()?, r.num()?);
             rule_stats.push(RuleStats { name, matches, applied, times_banned, banned_iters });
@@ -265,7 +301,7 @@ impl Stage for SelEntry {
         format!("{SEL_HEADER}\n{meta}\nselection\n{}", self.selection)
     }
 
-    fn from_text(text: &str) -> Result<SelEntry, String> {
+    fn from_text(text: &str, _: &RuleNames) -> Result<SelEntry, String> {
         let mut r = Reader::open(text, SEL_HEADER)?;
         r.record("meta")?;
         let cost = r.num()?;
@@ -459,6 +495,7 @@ pub struct StageCache {
     sat: Store<SatEntry>,
     sel: Store<SelEntry>,
     stats: Mutex<CacheStats>,
+    rule_names: RuleNames,
     /// Selection-stage keys currently being computed, for single-flight
     /// request coalescing (see [`StageCache::single_flight`]).
     in_flight: Mutex<HashSet<u64>>,
@@ -515,6 +552,7 @@ impl StageCache {
             sat: Store::new(),
             sel: Store::new(),
             stats: Mutex::new(CacheStats::default()),
+            rule_names: RuleNames::default(),
             in_flight: Mutex::new(HashSet::new()),
             in_flight_done: Condvar::new(),
             ever_flown: Mutex::new(HashSet::new()),
@@ -557,7 +595,12 @@ impl StageCache {
 
     /// Look up a saturation-stage entry.
     pub fn get_sat(&self, key: u64) -> Option<SatEntry> {
-        self.get(&self.sat, key).map(Arc::unwrap_or_clone)
+        self.sat_entry(key).map(Arc::unwrap_or_clone)
+    }
+
+    /// [`StageCache::get_sat`] without the copy: the shared entry itself.
+    pub(crate) fn sat_entry(&self, key: u64) -> Option<Arc<SatEntry>> {
+        self.get(&self.sat, key)
     }
 
     /// Store a saturation-stage entry.
@@ -567,7 +610,12 @@ impl StageCache {
 
     /// Look up an extraction-stage entry.
     pub fn get_sel(&self, key: u64) -> Option<SelEntry> {
-        self.get(&self.sel, key).map(Arc::unwrap_or_clone)
+        self.sel_entry(key).map(Arc::unwrap_or_clone)
+    }
+
+    /// [`StageCache::get_sel`] without the copy: the shared entry itself.
+    pub(crate) fn sel_entry(&self, key: u64) -> Option<Arc<SelEntry>> {
+        self.get(&self.sel, key)
     }
 
     /// Store an extraction-stage entry.
@@ -583,7 +631,8 @@ impl StageCache {
         let mut found = store.shelf.lock().expect("shelf lock").map.get(&key).cloned();
         if let (None, Some(dir)) = (&found, &self.dir) {
             let text = std::fs::read_to_string(entry_path(dir, V::LEVEL.dir, key));
-            found = text.ok().and_then(|text| V::from_text(&text).ok()).map(Arc::new);
+            let decoded = text.ok().and_then(|text| V::from_text(&text, &self.rule_names).ok());
+            found = decoded.map(Arc::new);
             if let Some(value) = &found {
                 let evicted = store.insert(key, value.clone(), self.mem_capacity);
                 self.stats.lock().expect("cache stats lock").evictions += evicted;
@@ -746,19 +795,22 @@ void k(double a[16], double out[16], double c0) {
                 IterCounts { matches: 2, applied: 0, total_nodes: 52, num_classes: 30 },
             ],
         };
-        let back = SatEntry::from_text(&sat.to_text()).unwrap();
+        let names = RuleNames::default();
+        let back = SatEntry::from_text(&sat.to_text(), &names).unwrap();
         assert_eq!(back.iters, 3);
         assert_eq!(back.stop, Some(StopReason::Saturated));
         assert_eq!(back.rule_stats.len(), 1);
-        assert_eq!(back.rule_stats[0].name, "COMM-ADD");
+        assert_eq!(&*back.rule_stats[0].name, "COMM-ADD");
         assert_eq!(back.iter_counts, sat.iter_counts);
         assert_eq!(back.egraph, sat.egraph);
-        assert!(SatEntry::from_text("bogus\n").is_err());
+        assert!(SatEntry::from_text("bogus\n", &names).is_err());
         // a v1 entry (no version bump migration) reads as a miss
-        assert!(SatEntry::from_text("accsat-stage sat v1\nmeta 0 none 0\negraph\n").is_err());
+        assert!(
+            SatEntry::from_text("accsat-stage sat v1\nmeta 0 none 0\negraph\n", &names).is_err()
+        );
         // counts the entry cannot back used to abort in `with_capacity`
         let hostile = format!("{SAT_HEADER}\nmeta 0 none 1152921504606846975 0\negraph\n");
-        assert!(SatEntry::from_text(&hostile).is_err());
+        assert!(SatEntry::from_text(&hostile, &names).is_err());
 
         let sel = SelEntry {
             selection: "accsat-selection v1 0\nend\n".into(),
@@ -769,12 +821,37 @@ void k(double a[16], double out[16], double c0) {
             lower_bound: 120,
             pruned: [5, 2, 9],
         };
-        let back = SelEntry::from_text(&sel.to_text()).unwrap();
+        let back = SelEntry::from_text(&sel.to_text(), &names).unwrap();
         assert_eq!((back.cost, back.proven, back.explored, back.lower_bound), (120, true, 7, 120));
         assert_eq!(back.winner, "greedy");
         assert_eq!(back.pruned, [5, 2, 9]);
         assert_eq!(back.selection, sel.selection);
-        assert!(SelEntry::from_text("bogus\n").is_err());
+        assert!(SelEntry::from_text("bogus\n", &names).is_err());
+    }
+
+    /// Entries decoded by one cache share one name per rule; another
+    /// cache decodes its own.
+    #[test]
+    fn decoded_entries_share_their_rule_names() {
+        let dir = fresh_dir("rule-names");
+        let stats = |name: &str| RuleStats { name: name.into(), ..RuleStats::default() };
+        let entry = |i: u64| SatEntry {
+            rule_stats: vec![stats("FMA1"), stats("COMM-ADD")],
+            ..sat_entry(i)
+        };
+        let writer = StageCache::with_dir(&dir).unwrap();
+        for key in [1, 2] {
+            writer.put_sat(key, &entry(key));
+        }
+        let (reader, other) = (StageCache::with_dir(&dir).unwrap(), StageCache::in_memory());
+        let (one, two) = (reader.get_sat(1).unwrap(), reader.get_sat(2).unwrap());
+        for (a, b) in one.rule_stats.iter().zip(&two.rule_stats) {
+            assert!(Arc::ptr_eq(&a.name, &b.name), "{} is held twice", a.name);
+        }
+        assert_eq!(one.rule_stats, entry(1).rule_stats);
+        let again = SatEntry::from_text(&entry(3).to_text(), &other.rule_names).unwrap();
+        assert!(!Arc::ptr_eq(&again.rule_stats[0].name, &one.rule_stats[0].name));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

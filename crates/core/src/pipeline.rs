@@ -5,10 +5,10 @@
 
 use crate::cache::{sat_stage_key, sel_key_from, CacheLevel, SatEntry, SelEntry, StageCache};
 use accsat_autotune::{tune_kernel, KernelTuning, TuneConfig, TunedKernel};
-use accsat_codegen::{generate, CodegenOptions, TypeMap};
+use accsat_codegen::{generate_with, CodegenOptions, TypeMap};
 use accsat_egraph::{
-    all_rules, EGraph, IterCounts, Rewrite, RuleStats, Runner, RunnerLimits, StopReason,
-    ThreadBudget,
+    all_rules, Canonical, EGraph, IterCounts, Rewrite, RuleStats, Runner, RunnerLimits,
+    SnapshotHead, StopReason, ThreadBudget,
 };
 use accsat_extract::{extract_portfolio, intern_strategy, CostModel, PortfolioConfig, Selection};
 use accsat_ir::{Block, Function, Program};
@@ -318,9 +318,18 @@ pub(crate) struct KernelJob<'a> {
 
 /// Product of steps ① and ② — everything before an objective picks the
 /// code: the SSA kernel with its saturated e-graph, run by the rules or
-/// restored from a `saturated` snapshot (`level` says which).
+/// restored from a `saturated` snapshot (`level` says which) — or, on a
+/// `selected` hit, only the head of that snapshot.
 pub(crate) struct Saturated {
     pub(crate) kernel: accsat_ssa::SsaKernel,
+    /// `Some` on a `selected` hit: the head of the snapshot the selection
+    /// is sealed to, whose union-find canonicalizes the selection's ids,
+    /// and `kernel.egraph` is the SSA build's only. `None` when
+    /// `kernel.egraph` is the saturated e-graph.
+    head: Option<SnapshotHead>,
+    /// The snapshot written to or read from the `saturated` level when a
+    /// cache is configured: the bytes `select` seals its entry to.
+    snapshot: Option<String>,
     iters: usize,
     stop: Option<StopReason>,
     rule_stats: Vec<RuleStats>,
@@ -356,10 +365,17 @@ impl Chosen {
         kernel: &accsat_ssa::SsaKernel,
         cm: &CostModel,
     ) -> Result<(), (&'static str, String)> {
-        let Chosen { selection, winner, cost, lower_bound, .. } = self;
-        let recomputed = selection
+        let recomputed = (self.selection)
             .checked_cost(&kernel.egraph, cm, &kernel.extraction_roots())
-            .map_err(|e| ("selection-walk", format!("winner `{winner}`: {e}")))?;
+            .map_err(|e| ("selection-walk", format!("winner `{}`: {e}", self.winner)))?;
+        self.claims_hold(recomputed)
+    }
+
+    /// The claims a choice makes of itself, against the cost its
+    /// selection `recomputed` to: the claimed cost is that cost, and the
+    /// certified bound does not exceed it.
+    fn claims_hold(&self, recomputed: u64) -> Result<(), (&'static str, String)> {
+        let Chosen { winner, cost, lower_bound, .. } = self;
         if recomputed != *cost {
             let claim = format!("winner `{winner}` claimed cost {cost}");
             return Err((
@@ -416,13 +432,15 @@ impl KernelJob<'_> {
         let (iters, stop, iter_counts, rule_stats) = report.map_or_else(Default::default, |r| {
             (r.iterations.len(), Some(r.stop_reason), r.iteration_counts(), r.rule_stats)
         });
-        if let Some((cache, sat_key, _)) = self.cache {
+        let snapshot = self.cache.map(|(cache, sat_key, _)| {
             let egraph = kernel.egraph.serialize();
             let (rule_stats, iter_counts) = (rule_stats.clone(), iter_counts.clone());
-            cache.put_sat(sat_key, &SatEntry { egraph, iters, stop, rule_stats, iter_counts });
-        }
+            let entry = SatEntry { egraph, iters, stop, rule_stats, iter_counts };
+            cache.put_sat(sat_key, &entry);
+            entry.egraph
+        });
         let level = CacheLevel::Miss;
-        Saturated { kernel, iters, stop, rule_stats, iter_counts, level }
+        Saturated { kernel, head: None, snapshot, iters, stop, rule_stats, iter_counts, level }
     }
 
     /// A [`Saturated`] from a cached entry: the restored e-graph is swapped
@@ -434,24 +452,33 @@ impl KernelJob<'_> {
         let egraph = timed("restore", || EGraph::deserialize(&entry.egraph)).ok()?;
         let mut kernel = self.ssa();
         kernel.egraph = egraph;
-        let SatEntry { iters, stop, rule_stats, iter_counts, .. } = entry;
-        Some(Saturated { kernel, iters, stop, rule_stats, iter_counts, level })
+        let SatEntry { egraph: snapshot, iters, stop, rule_stats, iter_counts } = entry;
+        let (head, snapshot) = (None, Some(snapshot));
+        Some(Saturated { kernel, head, snapshot, iters, stop, rule_stats, iter_counts, level })
     }
 
-    /// Resume from the `selected` cache level: both the saturated e-graph
-    /// snapshot and the selection must be present and intact (a selection
-    /// without its e-graph cannot be lowered), and the selection must be a
-    /// sound, correctly priced choice *for that e-graph* — the entry is
-    /// bytes from outside the program, and a key collision or a mixed-up
-    /// cache directory delivers a well-formed selection of another kernel.
-    /// Anything less is a miss: the walk falls back to the lower levels
-    /// and overwrites the entry.
+    /// Resume from the `selected` cache level without restoring the
+    /// e-graph: lowering a finished selection reads canonical ids only.
+    /// Both entries must be present, and the selection's seal must be the
+    /// one [`KernelJob::select`] computed over these snapshot bytes and
+    /// the selection's own lines — the entries are bytes from outside the
+    /// program, and a flipped byte, a key collision or a mixed-up cache
+    /// directory must not reach codegen. Then the snapshot's head is read
+    /// (nothing after its `uf` line), the selection must walk from the
+    /// extraction roots through the head's union-find (total, acyclic, in
+    /// range) to its claimed cost, and the certified bound must not exceed
+    /// that. Anything less is a miss: the walk falls back to the lower
+    /// levels and overwrites the entry.
     fn resume_selected(&self) -> Option<(Saturated, Chosen)> {
         let (cache, sat_key, sel_key) = self.cache?;
-        let entry = cache.get_sel(sel_key)?;
-        let sat = self.restore(cache.get_sat(sat_key)?, CacheLevel::Selected)?;
+        let entry = cache.sel_entry(sel_key)?;
+        let sat = cache.sat_entry(sat_key)?;
+        let (selection, head) = timed("unseal", || {
+            let selection = Selection::unseal(&entry.selection, &sat.egraph).ok()?;
+            Some((selection, SnapshotHead::read(&sat.egraph).ok()?))
+        })?;
         let chosen = Chosen {
-            selection: Selection::deserialize(&entry.selection).ok()?,
+            selection,
             cost: entry.cost,
             proven: entry.proven,
             // winner names are interned `&'static str`s in the live
@@ -462,12 +489,27 @@ impl KernelJob<'_> {
             pruned: entry.pruned,
             tuning: None,
         };
-        chosen.check(&sat.kernel, &self.config.cost_model).ok().map(|()| (sat, chosen))
+        let kernel = self.ssa();
+        let cm = &self.config.cost_model;
+        let walked = chosen.selection.walked_cost(&head, cm, &kernel.extraction_roots()).ok()?;
+        chosen.claims_hold(walked).ok()?;
+        let sat = Saturated {
+            kernel,
+            head: Some(head),
+            snapshot: None,
+            iters: sat.iters,
+            stop: sat.stop,
+            rule_stats: sat.rule_stats.clone(),
+            iter_counts: sat.iter_counts.clone(),
+            level: CacheLevel::Selected,
+        };
+        Some((sat, chosen))
     }
 
     /// Step ② part II, extraction (the LP objective): the portfolio's one
     /// branch-and-bound search under a deterministic budget.
-    /// Fills the `selected` cache level.
+    /// Fills the `selected` cache level, the selection sealed to the
+    /// snapshot bytes the `saturated` level holds.
     pub(crate) fn select(&self, sat: &Saturated) -> Chosen {
         let ex = timed("extract", || {
             extract_portfolio(
@@ -482,7 +524,8 @@ impl KernelJob<'_> {
             (ex.winning().1.cost, ex.proven_optimal, ex.lower_bound, ex.pruned);
         let (winner, selection) = ex.into_winner();
         if let Some((cache, _, sel_key)) = self.cache {
-            let (selection, winner) = (selection.serialize(), winner.to_string());
+            let snapshot = sat.snapshot.as_deref().expect("a cached walk keeps its snapshot");
+            let (selection, winner) = (selection.serialize_sealed(snapshot), winner.to_string());
             let entry = SelEntry { selection, cost, proven, winner, explored, lower_bound, pruned };
             cache.put_sel(sel_key, &entry);
         }
@@ -492,7 +535,11 @@ impl KernelJob<'_> {
     /// Step ③, code generation from the chosen selection.
     pub(crate) fn lower(&self, sat: &Saturated, chosen: &Chosen) -> Block {
         let opts = CodegenOptions { bulk_load: self.variant.bulk_loads() };
-        timed("codegen", || generate(&sat.kernel, &chosen.selection, self.tm, &opts))
+        let canon: &dyn Canonical = match &sat.head {
+            Some(head) => head,
+            None => &sat.kernel.egraph,
+        };
+        timed("codegen", || generate_with(&sat.kernel, canon, &chosen.selection, self.tm, &opts))
     }
 
     /// Close a walk: pair the lowered body with the kernel's statistics.
@@ -500,7 +547,7 @@ impl KernelJob<'_> {
     pub(crate) fn finish(&self, sat: Saturated, chosen: Chosen, body: Block) -> (Block, OptStats) {
         let stats = OptStats {
             function: self.function.to_string(),
-            egraph_nodes: sat.kernel.egraph.total_nodes(),
+            egraph_nodes: sat.head.map_or_else(|| sat.kernel.egraph.total_nodes(), |h| h.nodes),
             saturation_iters: sat.iters,
             stop_reason: sat.stop,
             rule_stats: sat.rule_stats,

@@ -11,7 +11,7 @@ use crate::arena::{Arena, Form};
 use crate::dense::{ClassSet, Visited};
 use crate::list::{List, Parent};
 use crate::node::{Id, Node, NodeRef, Op};
-use crate::unionfind::UnionFind;
+use crate::unionfind::{Canonical, UnionFind};
 use std::borrow::Cow;
 
 /// An e-class: a set of equal e-nodes plus analysis data and parent
@@ -111,6 +111,16 @@ pub struct EGraph {
     /// no analysis-driven unions happen without `fold_constants`).
     pub fold_constants: bool,
     pub(crate) scratch: Scratch,
+}
+
+impl Canonical for EGraph {
+    fn find(&self, id: Id) -> Id {
+        EGraph::find(self, id)
+    }
+
+    fn id_bound(&self) -> usize {
+        EGraph::id_bound(self)
+    }
 }
 
 impl EGraph {

@@ -61,7 +61,8 @@ pub use runner::{
     BackoffConfig, IterCounts, IterationStats, RuleStats, Runner, RunnerLimits, RunnerReport,
     StopReason,
 };
-pub use serialize::{op_token, parse_op_token};
+pub use serialize::{op_token, parse_op_token, SnapshotHead};
+pub use unionfind::Canonical;
 
 // Compile-time guarantee that saturation state crosses threads: the batch
 // driver moves e-graphs onto worker threads and shares one compiled rule

@@ -13,6 +13,7 @@ use crate::egraph::EGraph;
 use crate::machine::{Program, RhsNode, VarSubst};
 use crate::node::Id;
 use crate::pattern::{parse_pattern, Pattern, Subst};
+use std::sync::Arc;
 
 /// Side condition evaluated on every match before application. Receives the
 /// substitution as a name → id map (the legacy form) — conditions are rare,
@@ -32,8 +33,9 @@ pub struct RuleMatch {
 /// A rewrite rule `lhs → rhs`, with both sides compiled.
 #[derive(Clone)]
 pub struct Rewrite {
-    /// Rule name (Table I naming, e.g. `FMA1`, `COMM-ADD`).
-    pub name: String,
+    /// Rule name (Table I naming, e.g. `FMA1`, `COMM-ADD`), shared with
+    /// every [`RuleStats`](crate::RuleStats) that reports on the rule.
+    pub name: Arc<str>,
     /// Left-hand side — the pattern the legacy matcher searches for.
     lhs: Pattern,
     /// Optional side condition filtering matches before application.
@@ -63,7 +65,7 @@ impl Rewrite {
         // every rhs variable must be bound by the lhs (RhsNode::compile
         // panics with a per-variable message otherwise)
         let rhs_template = RhsNode::compile(&rhs_p.root, &program, name);
-        Rewrite { name: name.to_string(), lhs: lhs_p, condition: None, program, rhs_template }
+        Rewrite { name: name.into(), lhs: lhs_p, condition: None, program, rhs_template }
     }
 
     /// Attach a side condition.

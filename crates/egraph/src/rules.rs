@@ -78,7 +78,7 @@ mod tests {
 
     #[test]
     fn table1_is_complete() {
-        let names: Vec<String> = all_rules().into_iter().map(|r| r.name).collect();
+        let names: Vec<String> = all_rules().into_iter().map(|r| r.name.to_string()).collect();
         assert_eq!(
             names,
             vec![

@@ -103,8 +103,9 @@ pub struct IterCounts {
 /// Cumulative per-rule statistics over a saturation run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RuleStats {
-    /// Rule name.
-    pub name: String,
+    /// Rule name: a reference to the rule's own ([`Rewrite::name`]), not
+    /// a copy.
+    pub name: Arc<str>,
     /// Substitutions yielded by search.
     pub matches: usize,
     /// Applications that changed the e-graph.
@@ -530,10 +531,10 @@ mod tests {
         let _sum = eg.add(Node::new(Op::Add, vec![bc, ids[0]]));
         let report = Runner::new(all_rules()).run(&mut eg);
         assert_eq!(report.rule_stats.len(), all_rules().len());
-        let comm = report.rule_stats.iter().find(|s| s.name == "COMM-ADD").unwrap();
+        let comm = report.rule_stats.iter().find(|s| &*s.name == "COMM-ADD").unwrap();
         assert!(comm.matches > 0);
         assert!(comm.applied > 0);
-        let fma = report.rule_stats.iter().find(|s| s.name == "FMA1").unwrap();
+        let fma = report.rule_stats.iter().find(|s| &*s.name == "FMA1").unwrap();
         assert!(fma.applied > 0, "FMA1 must fire after COMM-ADD: {:?}", report.rule_stats);
         assert_eq!(
             report.total_matches(),

@@ -70,7 +70,7 @@ use crate::arena::{Arena, Form};
 use crate::egraph::{EClass, EGraph, NO_CLASS};
 use crate::list::{List, Parent};
 use crate::node::{Id, Op};
-use crate::unionfind::UnionFind;
+use crate::unionfind::{Canonical, UnionFind};
 
 /// Magic + version line every serialized e-graph starts with. Bump the
 /// version whenever the format (or anything that changes the meaning of
@@ -238,6 +238,24 @@ struct Reader<'a> {
 type Read<T> = Result<T, &'static str>;
 
 impl<'a> Reader<'a> {
+    /// A reader past the version line of `text`, which must be this
+    /// format's.
+    fn open(text: &'a str) -> Result<Reader<'a>, String> {
+        let mut r = Reader { buf: text.as_bytes(), pos: 0 };
+        if r.lit(EGRAPH_FORMAT_HEADER).and_then(|()| r.eol()).is_err() {
+            let header = text.lines().next().unwrap_or("");
+            return Err(format!(
+                "unsupported e-graph format {header:?} (expected {EGRAPH_FORMAT_HEADER:?})"
+            ));
+        }
+        Ok(r)
+    }
+
+    /// The error of a read that failed here.
+    fn corrupt(&self, what: &str) -> String {
+        format!("corrupt e-graph snapshot: {what} at byte {}", self.pos)
+    }
+
     fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
@@ -498,15 +516,8 @@ impl EGraph {
     /// byte it stopped at (the cache layer maps any error to a miss) —
     /// see the module docs for what "corrupt" covers.
     pub fn deserialize(text: &str) -> Result<EGraph, String> {
-        let mut r = Reader { buf: text.as_bytes(), pos: 0 };
-        if r.lit(EGRAPH_FORMAT_HEADER).and_then(|()| r.eol()).is_err() {
-            let header = text.lines().next().unwrap_or("");
-            return Err(format!(
-                "unsupported e-graph format {header:?} (expected {EGRAPH_FORMAT_HEADER:?})"
-            ));
-        }
-        let eg = read_body(&mut r)
-            .map_err(|what| format!("corrupt e-graph snapshot: {what} at byte {}", r.pos))?;
+        let mut r = Reader::open(text)?;
+        let eg = read_body(&mut r).map_err(|what| r.corrupt(what))?;
         // well-formed; now the graph it describes must be one
         eg.invariants().map_err(|what| format!("corrupt e-graph snapshot: {what}"))?;
         Ok(eg)
@@ -568,29 +579,76 @@ impl EGraph {
     }
 }
 
-/// Everything after the header line: each section read and range-checked.
-/// What the sections must add up to is [`EGraph::invariants`]'s business.
-fn read_body(r: &mut Reader<'_>) -> Read<EGraph> {
+/// The head of a snapshot: its `fold`, `nodes` and `uf` lines, the first
+/// three after the version. It is everything lowering a finished
+/// selection needs, because lowering reads canonical ids and nothing else:
+/// [`SnapshotHead::read`] stops after the `uf` line, where
+/// [`EGraph::deserialize`] goes on to restore and check the whole graph.
+#[derive(Debug, Clone)]
+pub struct SnapshotHead {
+    /// Does the graph fold constants?
+    fold: bool,
+    /// Total e-nodes ever added ([`EGraph::total_nodes`]).
+    pub nodes: usize,
+    uf: UnionFind,
+}
+
+impl SnapshotHead {
+    /// Read the head of [`EGraph::serialize`] output: the version line, then
+    /// the three head lines, range-checked, with the union-find a forest.
+    /// Nothing after the `uf` line is read, so nothing there is checked —
+    /// a caller that trusts the rest must know the bytes are intact.
+    pub fn read(text: &str) -> Result<SnapshotHead, String> {
+        let mut r = Reader::open(text)?;
+        read_head(&mut r).map_err(|what| r.corrupt(what))
+    }
+}
+
+impl Canonical for SnapshotHead {
+    fn find(&self, id: Id) -> Id {
+        self.uf.find(id)
+    }
+
+    fn id_bound(&self) -> usize {
+        self.uf.len()
+    }
+}
+
+/// The `fold`, `nodes` and `uf` lines.
+fn read_head(r: &mut Reader<'_>) -> Read<SnapshotHead> {
     r.lit("fold")?;
-    let fold_constants = match r.sp_num()? {
+    let fold = match r.sp_num()? {
         0 => false,
         1 => true,
         _ => return Err("bad fold flag"),
     };
     r.eol()?;
     r.lit("nodes")?;
-    let num_nodes = r.sp_num()?;
+    let nodes = r.sp_num()?;
     r.eol()?;
-
-    // ids and form numbers are `u32`s (the top id is "no class"); counts
-    // are already bounded by the input, so this bites on a >8 GB text only
-    let small = |n: usize| if n < u32::MAX as usize { Ok(n) } else { Err("count exceeds u32") };
-
     r.lit("uf")?;
     let n_ids = small(r.sp_count()?)?;
-    let uf = r.ids_to_eol(n_ids, n_ids)?;
-    check_forest(&uf)?;
-    let unionfind = UnionFind { parents: uf };
+    let parents = r.ids_to_eol(n_ids, n_ids)?;
+    check_forest(&parents)?;
+    Ok(SnapshotHead { fold, nodes, uf: UnionFind { parents } })
+}
+
+/// Ids and form numbers are `u32`s (the top id is "no class"); counts are
+/// already bounded by the input, so this bites on a >8 GB text only.
+fn small(n: usize) -> Read<usize> {
+    if n < u32::MAX as usize {
+        Ok(n)
+    } else {
+        Err("count exceeds u32")
+    }
+}
+
+/// Everything after the version line: the head, then each section read
+/// and range-checked. What the sections must add up to is
+/// [`EGraph::invariants`]'s business.
+fn read_body(r: &mut Reader<'_>) -> Read<EGraph> {
+    let SnapshotHead { fold: fold_constants, nodes: num_nodes, uf: unionfind } = read_head(r)?;
+    let n_ids = unionfind.len();
 
     r.lit("arena")?;
     let (n_ops, n_forms, n_children) = (r.sp_count()?, small(r.sp_count()?)?, r.sp_count()?);
@@ -867,6 +925,28 @@ mod tests {
         for (from, to) in [("arena ", "arena 999999999999 "), ("opix ", "opix 77777777777 ")] {
             assert!(EGraph::deserialize(&text.replacen(from, to, 1)).is_err(), "{to}");
         }
+    }
+
+    #[test]
+    fn the_head_canonicalizes_as_the_graph_and_reads_nothing_past_the_uf_line() {
+        let eg = sample_graph();
+        let text = eg.serialize();
+        let head = SnapshotHead::read(&text).unwrap();
+        assert_eq!((head.fold, head.nodes), (true, eg.total_nodes()));
+        assert_eq!(Canonical::id_bound(&head), eg.id_bound());
+        for i in 0..eg.id_bound() {
+            assert_eq!(Canonical::find(&head, Id::new(i as u32)), eg.find(Id::new(i as u32)));
+        }
+        // the body is not read: a torn snapshot still has its head …
+        let arena = text.find("\narena ").unwrap() + 1;
+        assert!(EGraph::deserialize(&text[..arena]).is_err());
+        assert_eq!(SnapshotHead::read(&text[..arena]).unwrap().nodes, eg.total_nodes());
+        // … but the head itself is checked as the full read checks it
+        assert!(SnapshotHead::read(&text.replacen("v2", "v1", 1)).is_err());
+        assert!(SnapshotHead::read(&text.replacen("fold 1", "fold 2", 1)).is_err());
+        assert!(SnapshotHead::read(&with_uf_line(&text, "uf 3 1 0 2")).is_err(), "cyclic");
+        assert!(SnapshotHead::read(&with_uf_line(&text, "uf 2 0 2")).is_err(), "out of range");
+        assert!(SnapshotHead::read(&with_uf_line(&text, "uf 2 0 1 1")).is_err(), "count");
     }
 
     #[test]

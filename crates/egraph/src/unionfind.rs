@@ -2,6 +2,20 @@
 
 use crate::node::Id;
 
+/// What lowering a finished selection asks of an e-graph: canonical ids.
+/// A live [`EGraph`](crate::EGraph) is one; so is the union-find a
+/// snapshot's head holds ([`SnapshotHead`](crate::SnapshotHead)), which is
+/// all a cached selection needs to be walked and lowered.
+pub trait Canonical {
+    /// The canonical id of `id`, which must be below [`id_bound`].
+    ///
+    /// [`id_bound`]: Canonical::id_bound
+    fn find(&self, id: Id) -> Id;
+
+    /// Number of ids ever created: every id, canonical or not, is below it.
+    fn id_bound(&self) -> usize;
+}
+
 /// Disjoint-set forest keyed by [`Id`]. `find` uses path halving; `union` is
 /// union-by-instruction-order (the caller decides the surviving root, which
 /// the e-graph uses to keep the analysis data on the canonical class).

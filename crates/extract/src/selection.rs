@@ -1,7 +1,7 @@
 //! A selection: one chosen e-node per (reachable) e-class.
 
 use crate::cost::CostModel;
-use accsat_egraph::{op_token, parse_op_token, EGraph, Id, Node};
+use accsat_egraph::{op_token, parse_op_token, Canonical, EGraph, Id, Node};
 use std::collections::HashMap;
 
 /// Why a selection could not be walked from its roots.
@@ -35,7 +35,7 @@ impl std::fmt::Display for SelectionError {
 impl std::error::Error for SelectionError {}
 
 /// One chosen representative node per canonical e-class.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Selection {
     choice: HashMap<Id, Node>,
 }
@@ -58,9 +58,10 @@ impl Selection {
         self.choice.get(&eg.find(id)).unwrap_or_else(|| panic!("class {id} has no selected node"))
     }
 
-    /// Chosen node, if any.
-    pub fn get(&self, eg: &EGraph, id: Id) -> Option<&Node> {
-        self.choice.get(&eg.find(id))
+    /// Chosen node, if any, for a class of the e-graph `canon`
+    /// canonicalizes.
+    pub fn get(&self, canon: &(impl Canonical + ?Sized), id: Id) -> Option<&Node> {
+        self.choice.get(&canon.find(id))
     }
 
     /// Every `(class, chosen node)` pair, in no particular order.
@@ -103,20 +104,21 @@ impl Selection {
     }
 
     /// [`Selection::reachable`] that reports a cyclic or incomplete
-    /// selection (or one naming an id `eg` never created) as an error
-    /// instead of panicking — the walk under [`Selection::checked_cost`].
+    /// selection (or one naming an id `canon` never created) as an error
+    /// instead of panicking — the walk under [`Selection::walked_cost`]
+    /// and [`Selection::checked_cost`].
     pub(crate) fn try_reachable(
         &self,
-        eg: &EGraph,
+        canon: &(impl Canonical + ?Sized),
         roots: &[Id],
     ) -> Result<Vec<Id>, SelectionError> {
         const VISITING: u8 = 1;
         const DONE: u8 = 2;
         let mut order = Vec::new();
-        let mut state = vec![0u8; eg.id_bound()];
+        let mut state = vec![0u8; canon.id_bound()];
         fn go(
             sel: &Selection,
-            eg: &EGraph,
+            canon: &(impl Canonical + ?Sized),
             id: Id,
             state: &mut [u8],
             order: &mut Vec<Id>,
@@ -125,7 +127,7 @@ impl Selection {
             if id.index() >= state.len() {
                 return Err(SelectionError::OutOfRange(id));
             }
-            let id = eg.find(id);
+            let id = canon.find(id);
             match state[id.index()] {
                 DONE => return Ok(()),
                 VISITING => return Err(SelectionError::Cyclic(id)),
@@ -134,14 +136,14 @@ impl Selection {
             state[id.index()] = VISITING;
             let node = sel.choice.get(&id).ok_or(SelectionError::Missing(id))?;
             for &c in &node.children {
-                go(sel, eg, c, state, order)?;
+                go(sel, canon, c, state, order)?;
             }
             state[id.index()] = DONE;
             order.push(id);
             Ok(())
         }
         for &r in roots {
-            go(self, eg, r, &mut state, &mut order)?;
+            go(self, canon, r, &mut state, &mut order)?;
         }
         Ok(order)
     }
@@ -150,6 +152,22 @@ impl Selection {
     /// (the paper's LP objective).
     pub fn dag_cost(&self, eg: &EGraph, cm: &CostModel, roots: &[Id]) -> u64 {
         self.reachable(eg, roots).iter().map(|&id| cm.op_cost(&self.node(eg, id).op)).sum()
+    }
+
+    /// [`Selection::dag_cost`] walked over canonical ids alone: every id
+    /// the walk from `roots` meets must exist in `canon`, and the
+    /// selection must be total and acyclic over the roots' closure. Class
+    /// membership is not checked — `canon` may be only a snapshot's head —
+    /// so this fits a selection whose bytes are known to be the ones
+    /// extracted from that snapshot (see [`Selection::unseal`]).
+    pub fn walked_cost(
+        &self,
+        canon: &(impl Canonical + ?Sized),
+        cm: &CostModel,
+        roots: &[Id],
+    ) -> Result<u64, SelectionError> {
+        let order = self.try_reachable(canon, roots)?;
+        Ok(order.iter().map(|id| cm.op_cost(&self.choice[id].op)).sum())
     }
 
     /// [`Selection::dag_cost`] of a selection that is not trusted to fit
@@ -247,11 +265,26 @@ impl Selection {
     /// e-graph snapshot, which is why the cache keys the selection level
     /// on a superset of the saturation key.
     pub fn serialize(&self) -> String {
+        let lines = self.lines();
+        format!("{UNSEALED} {}\n{lines}", self.choice.len())
+    }
+
+    /// [`Selection::serialize`] under a sealed header (`accsat-selection
+    /// v2 <count> <seal>`): the seal is a hash of `snapshot` — the bytes of
+    /// the e-graph snapshot this selection was extracted from — and of the
+    /// selection's own lines. [`Selection::unseal`] recomputes it.
+    pub fn serialize_sealed(&self, snapshot: &str) -> String {
+        let lines = self.lines();
+        let seal = seal_of(snapshot, &lines);
+        format!("{SEALED} {} {seal:016x}\n{lines}", self.choice.len())
+    }
+
+    /// Every entry line, sorted by class id, and the `end` line.
+    fn lines(&self) -> String {
         use std::fmt::Write as _;
         let mut entries: Vec<(&Id, &Node)> = self.choice.iter().collect();
         entries.sort_unstable();
         let mut out = String::new();
-        let _ = writeln!(out, "accsat-selection v1 {}", entries.len());
         for (id, node) in entries {
             let _ = write!(out, "{} {} {}", id.index(), op_token(&node.op), node.children.len());
             for c in &node.children {
@@ -263,54 +296,30 @@ impl Selection {
         out
     }
 
-    /// Restore a selection from [`Selection::serialize`] output. Errors on
-    /// version mismatch or corruption (the cache maps errors to misses):
-    /// like the snapshot reader, it accepts exactly the bytes `serialize`
-    /// writes — single spaces, no token past a line's arity, nothing after
-    /// the `end` line.
+    /// Restore a selection from [`Selection::serialize`] or
+    /// [`Selection::serialize_sealed`] output; a sealed text's seal is
+    /// read but not checked. Errors on version mismatch or corruption (the
+    /// cache maps errors to misses): like the snapshot reader, it accepts
+    /// exactly the bytes the writers write — single spaces, no token past
+    /// a line's arity, nothing after the `end` line.
     pub fn deserialize(text: &str) -> Result<Selection, String> {
-        let mut lines = text.split('\n');
-        let header = lines.next().unwrap_or("");
-        let count = header
-            .strip_prefix("accsat-selection v1 ")
-            .ok_or_else(|| format!("unsupported selection format {header:?}"))?;
-        let count: usize = count.parse().map_err(|e| format!("bad selection count: {e}"))?;
-        // every entry is a line of its own: a count the text cannot back
-        // is corruption, caught before anything is reserved for it
-        if count > text.len() {
-            return Err(format!("selection count {count} exceeds the input"));
-        }
-        let mut choice = HashMap::with_capacity(count);
-        for _ in 0..count {
-            let line = lines.next().ok_or("truncated selection input")?;
-            let mut toks = line.split(' ');
-            let mut next = || toks.next().ok_or_else(|| format!("truncated line {line:?}"));
-            // ids are `u32`s; parsing them as such rejects what `Id` cannot hold
-            let id: u32 = next()?.parse().map_err(|e| format!("bad id in {line:?}: {e}"))?;
-            let op = parse_op_token(next()?)?;
-            let k: usize = next()?.parse().map_err(|e| format!("bad arity in {line:?}: {e}"))?;
-            if k > line.len() {
-                return Err(format!("arity {k} exceeds the line {line:?}"));
+        Ok(decode(text)?.0)
+    }
+
+    /// Restore a selection from [`Selection::serialize_sealed`] output and
+    /// check its seal against `snapshot` and the selection's own lines: an
+    /// unsealed text, or a seal another snapshot or another selection
+    /// produced, is an error. One changed byte in either text always
+    /// fails the check; a well-formed selection of another kernel fails
+    /// it unless that kernel's snapshot is `snapshot` byte for byte.
+    pub fn unseal(text: &str, snapshot: &str) -> Result<Selection, String> {
+        match decode(text)? {
+            (selection, Some((seal, lines))) if seal == seal_of(snapshot, &text[lines..]) => {
+                Ok(selection)
             }
-            let mut children = Vec::with_capacity(k);
-            for _ in 0..k {
-                let c: u32 = next()?.parse().map_err(|e| format!("bad child: {e}"))?;
-                children.push(Id::new(c));
-            }
-            if toks.next().is_some() {
-                return Err(format!("text after the arity's children in {line:?}"));
-            }
-            if choice.insert(Id::new(id), Node { op, children }).is_some() {
-                return Err(format!("duplicate selection entry for class {id}"));
-            }
+            (_, Some(_)) => Err("the seal does not match the snapshot and selection".into()),
+            (_, None) => Err("the selection is not sealed".into()),
         }
-        if lines.next() != Some("end") {
-            return Err("missing selection end marker".into());
-        }
-        if (lines.next(), lines.next()) != (Some(""), None) {
-            return Err("text after the end marker".into());
-        }
-        Ok(Selection { choice })
     }
 
     /// Render the selected term for a root as an s-expression (debugging).
@@ -324,6 +333,180 @@ impl Selection {
             format!("({} {})", node.op.name(), kids.join(" "))
         }
     }
+}
+
+/// Header of an unsealed selection: the version, then the entry count.
+const UNSEALED: &str = "accsat-selection v1";
+/// Header of a sealed selection: the version, the entry count, the seal.
+const SEALED: &str = "accsat-selection v2";
+
+/// Decode either format: the selection, and for a sealed text its seal
+/// and the byte where the sealed lines begin.
+fn decode(text: &str) -> Result<(Selection, Option<(u64, usize)>), String> {
+    let mut r = Cursor { buf: text.as_bytes(), pos: 0 };
+    let sealed = if r.lit(SEALED).is_ok() {
+        true
+    } else if r.lit(UNSEALED).is_ok() {
+        false
+    } else {
+        let header = text.lines().next().unwrap_or("");
+        return Err(format!("unsupported selection format {header:?}"));
+    };
+    let read = |r: &mut Cursor<'_>| {
+        let count = r.sp_num()?;
+        let seal = if sealed { Some(r.sp_hex64()?) } else { None };
+        r.byte(b'\n')?;
+        let lines = r.pos;
+        Ok((read_entries(r, count)?, seal.map(|seal| (seal, lines))))
+    };
+    read(&mut r).map_err(|what: &str| format!("corrupt selection: {what} at byte {}", r.pos))
+}
+
+/// `count` entry lines, the `end` line, and nothing after it.
+fn read_entries(r: &mut Cursor<'_>, count: u64) -> Result<Selection, &'static str> {
+    // every entry is a line of its own: a count the text cannot back is
+    // corruption, caught before anything is reserved for it
+    if count > r.remaining() as u64 {
+        return Err("count exceeds the input");
+    }
+    let mut choice = HashMap::with_capacity(count as usize);
+    for _ in 0..count {
+        let id = r.id()?;
+        r.byte(b' ')?;
+        let op = parse_op_token(r.token()?).map_err(|_| "bad op token")?;
+        let k = r.sp_num()?;
+        if k > r.remaining() as u64 {
+            return Err("arity exceeds the input");
+        }
+        let mut children = Vec::with_capacity(k as usize);
+        for _ in 0..k {
+            r.byte(b' ')?;
+            children.push(r.id()?);
+        }
+        r.byte(b'\n')?;
+        if choice.insert(id, Node { op, children }).is_some() {
+            return Err("duplicate entry");
+        }
+    }
+    r.lit("end\n")?;
+    if r.remaining() != 0 {
+        return Err("text after the end marker");
+    }
+    Ok(Selection { choice })
+}
+
+/// A byte cursor over a selection's text, the way the snapshot reader
+/// reads: errors are static strings, and nothing is formatted unless a
+/// read fails.
+struct Cursor<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    /// Consume exactly `lit`.
+    fn lit(&mut self, lit: &str) -> Result<(), &'static str> {
+        if self.buf[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(())
+        } else {
+            Err("unexpected text")
+        }
+    }
+
+    /// Consume the byte `b`.
+    fn byte(&mut self, b: u8) -> Result<(), &'static str> {
+        if self.buf.get(self.pos) == Some(&b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err("unexpected text")
+        }
+    }
+
+    /// A run of decimal digits, at least one, as a `u64`.
+    fn digits(&mut self) -> Result<u64, &'static str> {
+        let start = self.pos;
+        let mut n = 0u64;
+        while let Some(d) = self.buf.get(self.pos).filter(|b| b.is_ascii_digit()) {
+            n = n
+                .checked_mul(10)
+                .and_then(|n| n.checked_add(u64::from(d - b'0')))
+                .ok_or("number too big")?;
+            self.pos += 1;
+        }
+        if self.pos == start {
+            return Err("expected a number");
+        }
+        Ok(n)
+    }
+
+    /// A space, then a decimal integer.
+    fn sp_num(&mut self) -> Result<u64, &'static str> {
+        self.byte(b' ')?;
+        self.digits()
+    }
+
+    /// A space, then the 16 lowercase hex digits of a seal.
+    fn sp_hex64(&mut self) -> Result<u64, &'static str> {
+        self.byte(b' ')?;
+        let hex = self.buf.get(self.pos..self.pos + 16).ok_or("truncated seal")?;
+        let seal = hex.iter().try_fold(0u64, |n, &b| match b {
+            b'0'..=b'9' => Ok(n << 4 | u64::from(b - b'0')),
+            b'a'..=b'f' => Ok(n << 4 | u64::from(b - b'a' + 10)),
+            _ => Err("bad seal"),
+        });
+        self.pos += 16;
+        seal
+    }
+
+    /// A class id: a decimal `u32`, so nothing `Id` cannot hold.
+    fn id(&mut self) -> Result<Id, &'static str> {
+        let n = self.digits()?;
+        u32::try_from(n).map(Id::new).map_err(|_| "id out of range")
+    }
+
+    /// The bytes up to the next space or line end, as text.
+    fn token(&mut self) -> Result<&'a str, &'static str> {
+        let rest = &self.buf[self.pos..];
+        let len = rest.iter().position(|&b| b == b' ' || b == b'\n').unwrap_or(rest.len());
+        if len == 0 {
+            return Err("expected a token");
+        }
+        self.pos += len;
+        std::str::from_utf8(&rest[..len]).map_err(|_| "token is not utf-8")
+    }
+}
+
+/// The seal of a selection's `lines` extracted from `snapshot`: a 64-bit
+/// hash of both texts, read eight little-endian bytes a step, each text's
+/// length mixed in after it. For a fixed word a step is a bijection of the
+/// state, and for a fixed state a bijection of the word, so one changed
+/// byte anywhere always changes the seal. It guards against corruption
+/// and mix-ups, not forgery.
+fn seal_of(snapshot: &str, lines: &str) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let step = |h: u64, w: u64| (h.rotate_left(23) ^ w).wrapping_mul(K);
+    let mut h = 0x6163_6373_6174_7331; // "accsats1"
+    for text in [snapshot.as_bytes(), lines.as_bytes()] {
+        let mut words = text.chunks_exact(8);
+        for w in &mut words {
+            h = step(h, u64::from_le_bytes(w.try_into().expect("eight bytes")));
+        }
+        let mut tail = [0u8; 8];
+        tail[..words.remainder().len()].copy_from_slice(words.remainder());
+        h = step(step(h, u64::from_le_bytes(tail)), text.len() as u64);
+    }
+    // the finalizer of MurmurHash3: every state bit reaches every seal bit
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
 }
 
 #[cfg(test)]
@@ -384,6 +567,85 @@ mod tests {
         ] {
             assert!(Selection::deserialize(&hostile).is_err(), "{hostile:?}");
         }
+    }
+
+    /// `a * b + a` with a selection of every class, and its snapshot.
+    fn sealed_sample() -> (EGraph, Selection, Id, String) {
+        let mut eg = EGraph::new();
+        let a = eg.add(Node::sym("a"));
+        let b = eg.add(Node::sym("b"));
+        let m = eg.add(Node::new(Op::Mul, vec![a, b]));
+        let r = eg.add(Node::new(Op::Add, vec![m, a]));
+        eg.rebuild();
+        let mut sel = Selection::new();
+        for (id, node) in [(a, Node::sym("a")), (b, Node::sym("b"))] {
+            sel.choose(&eg, id, node);
+        }
+        sel.choose(&eg, m, Node::new(Op::Mul, vec![a, b]));
+        sel.choose(&eg, r, Node::new(Op::Add, vec![m, a]));
+        let snapshot = eg.serialize();
+        (eg, sel, r, snapshot)
+    }
+
+    #[test]
+    fn a_sealed_text_round_trips_and_unseals_against_its_snapshot_only() {
+        let (_, sel, _, snapshot) = sealed_sample();
+        let text = sel.serialize_sealed(&snapshot);
+        assert!(text.starts_with("accsat-selection v2 4 "), "{text}");
+        assert_eq!(Selection::deserialize(&text).as_ref(), Ok(&sel));
+        assert_eq!(Selection::unseal(&text, &snapshot).as_ref(), Ok(&sel));
+        // the same lines as the unsealed text, under another header
+        let unsealed = sel.serialize();
+        assert_eq!(text.split_once('\n').unwrap().1, unsealed.split_once('\n').unwrap().1);
+        assert_eq!(Selection::deserialize(&unsealed).as_ref(), Ok(&sel));
+        assert!(Selection::unseal(&unsealed, &snapshot).is_err(), "an unsealed text");
+        // one flipped bit anywhere in the snapshot or the sealed lines
+        let lines = text.find('\n').unwrap() + 1;
+        let flip = |t: &str, at: usize| {
+            let mut bytes = t.as_bytes().to_vec();
+            bytes[at] ^= 1;
+            String::from_utf8(bytes).unwrap()
+        };
+        for at in 0..snapshot.len() {
+            assert!(Selection::unseal(&text, &flip(&snapshot, at)).is_err(), "snapshot byte {at}");
+        }
+        for at in lines..text.len() {
+            assert!(Selection::unseal(&flip(&text, at), &snapshot).is_err(), "selection byte {at}");
+        }
+        // another e-graph's snapshot
+        let mut other = EGraph::new();
+        other.add(Node::sym("a"));
+        assert!(Selection::unseal(&text, &other.serialize()).is_err());
+        assert!(Selection::unseal(&text, &format!("{snapshot}\n")).is_err());
+        // a seal is exactly 16 lowercase hex digits
+        let seal_at = lines - 17;
+        let seal = &text[seal_at..lines - 1];
+        for bad in
+            [&seal[1..], &format!("{seal}0")[..], &seal.to_uppercase(), "g".repeat(16).as_str()]
+        {
+            let hostile = format!("{}{bad}{}", &text[..seal_at], &text[lines - 1..]);
+            if hostile != text {
+                assert!(Selection::deserialize(&hostile).is_err(), "{hostile:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_walk_over_a_snapshot_head_prices_as_the_checked_walk() {
+        let (eg, sel, r, snapshot) = sealed_sample();
+        let head = accsat_egraph::SnapshotHead::read(&snapshot).unwrap();
+        let cm = CostModel::paper();
+        assert_eq!(sel.walked_cost(&head, &cm, &[r]), sel.checked_cost(&eg, &cm, &[r]));
+        assert_eq!(sel.walked_cost(&head, &cm, &[r]), Ok(22), "a(1) + b(1) + mul(10) + add(10)");
+        // the walk still rejects what is not total, acyclic and in range
+        let ghost = Id::new(99);
+        assert_eq!(sel.walked_cost(&head, &cm, &[ghost]), Err(SelectionError::OutOfRange(ghost)));
+        let mut partial = Selection::new();
+        partial.choose(&eg, r, Node::new(Op::Add, vec![r, r]));
+        assert_eq!(partial.walked_cost(&head, &cm, &[r]), Err(SelectionError::Cyclic(r)));
+        let mut missing = Selection::new();
+        missing.choose(&eg, r, Node::new(Op::Neg, vec![Id::new(0)]));
+        assert_eq!(missing.walked_cost(&head, &cm, &[r]), Err(SelectionError::Missing(Id::new(0))));
     }
 
     #[test]

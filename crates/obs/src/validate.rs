@@ -38,6 +38,9 @@ pub struct TraceSummary {
     /// and their summed durations. A nested span counts in its own name
     /// and in its parent's duration.
     pub span_totals: BTreeMap<String, SpanTotal>,
+    /// Instant events per `cat/name`, sorted by key: how many there are
+    /// (the stage cache's `cache/sat.hit` … `cache/sel.miss`, `coalesce`).
+    pub instant_totals: BTreeMap<String, usize>,
 }
 
 /// Count and summed duration of the complete spans of one `cat/name`.
@@ -258,6 +261,11 @@ fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String>
     }
 }
 
+/// The `cat/name` key an event is totalled under.
+fn key(cat: Option<&str>, name: &str) -> String {
+    format!("{}/{name}", cat.unwrap_or_default())
+}
+
 /// Validate a Chrome trace JSON document and summarise it.
 ///
 /// Checks: the document parses, has a `traceEvents` array, every event has
@@ -304,12 +312,14 @@ pub fn validate_trace(src: &str) -> Result<TraceSummary, String> {
                 let end = ts.saturating_add(dur);
                 summary.span_end_us = summary.span_end_us.max(end);
                 per_tid.entry(tid).or_default().push((ts, end));
-                let key = format!("{}/{name}", cat.unwrap_or_default());
-                let total = summary.span_totals.entry(key).or_default();
+                let total = summary.span_totals.entry(key(cat, name)).or_default();
                 total.count += 1;
                 total.total_us += dur;
             }
-            "i" => summary.instants += 1,
+            "i" => {
+                summary.instants += 1;
+                *summary.instant_totals.entry(key(cat, name)).or_default() += 1;
+            }
             "C" => summary.counters += 1,
             other => return Err(format!("event {i}: unknown phase {other:?}")),
         }
@@ -441,6 +451,34 @@ mod tests {
         let got: Vec<(&str, usize, u64)> =
             totals.iter().map(|(k, t)| (k.as_str(), t.count, t.total_us)).collect();
         assert_eq!(got, [("t/kernel k", 1, 100), ("t/ssa", 3, 57)]);
+    }
+
+    /// Instants are counted per `cat/name` over all threads, apart from
+    /// the spans: a span and an instant of one name are two keys.
+    #[test]
+    fn instant_totals_are_per_name_across_threads() {
+        let instant = |cat: &str, name: &str, tid| {
+            format!(
+                "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"i\",\"ts\":1,\"pid\":1,\"tid\":{tid}}}"
+            )
+        };
+        let json = format!(
+            "{{\"traceEvents\":[{},{},{},{},{},{}]}}",
+            instant("cache", "sel.hit", 1),
+            instant("cache", "sat.hit", 2),
+            instant("cache", "sel.hit", 2),
+            instant("cache", "coalesce", 1),
+            ev("sel.hit", "X", 0, Some(5), 1),
+            ev("sel.hit", "i", 3, None, 1),
+        );
+        let s = validate_trace(&json).unwrap();
+        let got: Vec<(&str, usize)> =
+            s.instant_totals.iter().map(|(k, &n)| (k.as_str(), n)).collect();
+        let want =
+            [("cache/coalesce", 1), ("cache/sat.hit", 1), ("cache/sel.hit", 2), ("t/sel.hit", 1)];
+        assert_eq!(got, want);
+        assert_eq!(s.instants, 5);
+        assert_eq!(s.span_totals.keys().collect::<Vec<_>>(), ["t/sel.hit"]);
     }
 
     #[test]

@@ -261,6 +261,32 @@ fn a_selected_entry_of_another_kernel_is_a_miss_and_overwritten() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The kernel the tamper tests below fill a cache with, and its output
+/// from a run without a cache.
+fn tamper_kernel() -> (&'static str, String) {
+    let src = "void k(double a[32], double out[32], double c) {\n  \
+               #pragma acc parallel loop gang vector\n  \
+               for (int i = 1; i < 31; i++) {\n    \
+               out[i] = c * a[i - 1] + c * a[i] + c * a[i + 1];\n  }\n}\n";
+    let (cold, _, _) = optimize_source(src, Variant::AccSat, &fast_config(None)).unwrap();
+    (src, cold)
+}
+
+/// `src` through a fresh cache instance over `dir`: its output and level.
+fn run_fresh(dir: &std::path::Path, src: &str) -> (String, CacheLevel) {
+    let cfg = fast_config(Some(Arc::new(StageCache::with_dir(dir).unwrap())));
+    let (out, _, level) = optimize_source(src, Variant::AccSat, &cfg).unwrap();
+    (out, level)
+}
+
+/// The one `.entry` file of a level directory.
+fn only_entry(dir: &std::path::Path, level: &str) -> PathBuf {
+    let files: Vec<PathBuf> =
+        std::fs::read_dir(dir.join(level)).unwrap().map(|e| e.unwrap().path()).collect();
+    assert_eq!(files.len(), 1, "{level}/ holds one entry");
+    files.into_iter().next().unwrap()
+}
+
 /// One byte flipped in a `saturated` entry's snapshot, anywhere outside
 /// its `uf` line, must not reach the output: each flip below turns a
 /// section word or the end marker into text the snapshot reader rejects,
@@ -268,32 +294,21 @@ fn a_selected_entry_of_another_kernel_is_a_miss_and_overwritten() {
 /// prints the cold bytes, and overwrites both entries.
 #[test]
 fn a_flipped_byte_in_a_snapshot_outside_its_uf_line_is_a_lower_level_resume() {
-    let src = "void k(double a[32], double out[32], double c) {\n  \
-               #pragma acc parallel loop gang vector\n  \
-               for (int i = 1; i < 31; i++) {\n    \
-               out[i] = c * a[i - 1] + c * a[i] + c * a[i + 1];\n  }\n}\n";
-    let (cold, _, _) = optimize_source(src, Variant::AccSat, &fast_config(None)).unwrap();
+    let (src, cold) = tamper_kernel();
     let dir = scratch_dir("flip");
-    let run = || {
-        let cfg = fast_config(Some(Arc::new(StageCache::with_dir(&dir).unwrap())));
-        let (out, _, level) = optimize_source(src, Variant::AccSat, &cfg).unwrap();
-        (out, level)
-    };
+    let run = || run_fresh(&dir, src);
     for (from, to) in
         [("\narena ", "\narenA "), ("\nclasses ", "\nclasseS "), ("\nend\n", "\nenD\n")]
     {
         let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(run(), (cold.clone(), CacheLevel::Miss));
         assert_eq!(run(), (cold.clone(), CacheLevel::Selected));
-        let sat: Vec<PathBuf> =
-            std::fs::read_dir(dir.join("sat")).unwrap().map(|e| e.unwrap().path()).collect();
-        assert_eq!(sat.len(), 1);
-        let text = std::fs::read_to_string(&sat[0]).unwrap();
+        let path = only_entry(&dir, "sat");
+        let text = std::fs::read_to_string(&path).unwrap();
         let uf = text.find("\nuf ").unwrap() + 1;
         let at = text.rfind(from).unwrap();
         assert!(at >= uf + text[uf..].find('\n').unwrap(), "{to:?} is outside the uf line");
-        std::fs::write(&sat[0], format!("{}{to}{}", &text[..at], &text[at + from.len()..]))
-            .unwrap();
+        std::fs::write(&path, format!("{}{to}{}", &text[..at], &text[at + from.len()..])).unwrap();
         let (out, level) = run();
         assert_eq!(out, cold, "{to:?}: a flipped snapshot moved the output");
         assert!(level < CacheLevel::Selected, "{to:?}: resumed at {level:?}");
@@ -330,5 +345,52 @@ fn a_selected_hit_reports_the_cold_statistics() {
         kernels += warm_stats.len();
     }
     assert_eq!(kernels, 19);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A selection without a seal (`accsat-selection v1`, what every entry
+/// held before selections were sealed) cannot vouch for its snapshot: it
+/// is a miss, the run re-extracts from the `saturated` level, prints the
+/// cold bytes and overwrites the entry with a sealed one.
+#[test]
+fn an_unsealed_selection_is_a_miss_and_overwritten() {
+    let (src, cold) = tamper_kernel();
+    let dir = scratch_dir("unsealed");
+    let _ = std::fs::remove_dir_all(&dir);
+    let run = || run_fresh(&dir, src);
+    assert_eq!(run(), (cold.clone(), CacheLevel::Miss));
+    let path = only_entry(&dir, "sel");
+    let text = std::fs::read_to_string(&path).unwrap();
+    let (head, selection) = text.split_once("selection\n").unwrap();
+    let unsealed = accsat::extract::Selection::deserialize(selection).unwrap().serialize();
+    assert!(unsealed.starts_with("accsat-selection v1 "), "{unsealed}");
+    std::fs::write(&path, format!("{head}selection\n{unsealed}")).unwrap();
+    assert_eq!(run(), (cold.clone(), CacheLevel::Saturated), "an unsealed selection was trusted");
+    assert!(std::fs::read_to_string(&path).unwrap().contains("\naccsat-selection v2 "));
+    assert_eq!(run(), (cold, CacheLevel::Selected), "the entry was not overwritten");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A snapshot whose `nodes` line was edited is well formed and restores,
+/// and the selection still walks it: the walk alone cannot tell. The seal
+/// can — the selection was sealed to other bytes — so the hit is refused
+/// and the kernel re-extracts from the `saturated` level.
+#[test]
+fn a_well_formed_edit_of_the_snapshot_breaks_the_seal() {
+    let (src, cold) = tamper_kernel();
+    let dir = scratch_dir("reseal");
+    let _ = std::fs::remove_dir_all(&dir);
+    let run = || run_fresh(&dir, src);
+    assert_eq!(run(), (cold.clone(), CacheLevel::Miss));
+    let path = only_entry(&dir, "sat");
+    let text = std::fs::read_to_string(&path).unwrap();
+    let at = text.find("\nnodes ").unwrap() + "\nnodes ".len();
+    let digit = match text.as_bytes()[at] {
+        b'9' => '8',
+        d => char::from(d + 1),
+    };
+    std::fs::write(&path, format!("{}{digit}{}", &text[..at], &text[at + 1..])).unwrap();
+    let (out, level) = run();
+    assert_eq!((out, level), (cold, CacheLevel::Saturated), "the edited snapshot was trusted");
     let _ = std::fs::remove_dir_all(&dir);
 }
